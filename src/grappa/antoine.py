@@ -43,15 +43,26 @@ class AntoineParams:
         return (self.A, self.B, self.C)
 
 
+def _ln_p_kpa(a, b, c, temperature_k):
+    """ln(p/kPa) and the valid-branch mask C + T > 0; +inf off the branch."""
+    denom = c + np.asarray(temperature_k, dtype=np.float64)
+    valid = denom > 0.0
+    return np.where(valid, a - b / np.where(valid, denom, 1.0), np.inf), valid
+
+
+def antoine(a, b, c, temperature_k) -> np.ndarray:
+    """Vapor pressure in Pa for broadcastable parameter and temperature
+    arrays; ``inf`` where C + T <= 0 (the curve's invalid branch)."""
+    return np.exp(_ln_p_kpa(a, b, c, temperature_k)[0]) * PA_PER_KPA
+
+
 def ln_vapor_pressure(params: AntoineParams, temperature_k):
     """ln(p/kPa) at the given temperature(s); requires C + T > 0."""
-    t = np.asarray(temperature_k, dtype=np.float64)
-    denom = params.C + t
-    if np.any(denom <= 0.0):
+    out, valid = _ln_p_kpa(params.A, params.B, params.C, temperature_k)
+    if not np.all(valid):
         raise AntoineDomainError(
             f"C + T must be positive (C={params.C}, T={temperature_k})"
         )
-    out = params.A - params.B / denom
     return float(out) if np.isscalar(temperature_k) else out
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antoine import PARAM_RANGES, AntoineParams
+from .antoine import PARAM_RANGES, AntoineParams, antoine
 from .featurize import validate_scope
 from .molecule import Molecule
 from .smiles import SmilesError, parse_smiles
@@ -282,13 +282,6 @@ def _point_filter_reason(pt: VpPoint, scope_cache: dict) -> str | None:
     return scope_cache[pt.smiles]
 
 
-def _predicted_pressure(params: AntoineParams, t: np.ndarray) -> np.ndarray:
-    denom = params.C + t
-    ok = denom > 0
-    ln_p = np.where(ok, params.A - params.B / np.where(ok, denom, 1.0), np.inf)
-    return np.exp(ln_p) * 1000.0
-
-
 def curate(ds: VpDataset) -> CurationResult:
     """Row filters, then per-component outlier removal against a robust fit.
 
@@ -323,7 +316,7 @@ def curate(ds: VpDataset) -> CurationResult:
                           "rule": "fit_not_converged", "action": "kept"})
             final.extend(points)
             continue
-        p_fit = _predicted_pressure(fit.params, t)
+        p_fit = antoine(*fit.params.as_tuple(), t)
         rel_dev = np.abs(p - p_fit) / p_fit  # deviation measured from the fit
         for pt, dev in zip(points, rel_dev):
             if dev > OUTLIER_REL_DEV:
@@ -364,8 +357,8 @@ def _source_conflict(component: str, points: list[VpPoint]) -> dict | None:
     worst = 0.0
     for i, s1 in enumerate(sources):
         for s2 in sources[i + 1:]:
-            p1 = _predicted_pressure(fits[s1], grid)
-            p2 = _predicted_pressure(fits[s2], grid)
+            p1 = antoine(*fits[s1].as_tuple(), grid)
+            p2 = antoine(*fits[s2].as_tuple(), grid)
             worst = max(worst, float(np.max(np.abs(p1 - p2) / np.minimum(p1, p2))))
     if worst > OUTLIER_REL_DEV:
         return {"component": component, "sources": sources,

@@ -4,7 +4,8 @@ Each layer updates every node from its neighborhood plus a self-loop; the
 attention logit for an edge is ``att . leaky_relu(W x_i + W x_j + We e_ij)``
 softmax-normalized over the neighborhood, and multi-head outputs are
 averaged so the embedding width stays fixed. Self-loops carry a zero edge
-feature vector.
+feature vector. A batch of molecules runs as one disjoint graph; the
+softmax over each node's neighborhood keeps the molecules apart.
 """
 
 from __future__ import annotations
@@ -72,33 +73,64 @@ def init_gat_layer(rng: np.random.Generator, in_dim: int, out_dim: int = 32,
     return GatLayer(theta_v, theta_e, att)
 
 
-def _edge_arrays(graph: MolGraph):
-    """Directed edges plus one self-loop per node (zero edge features)."""
-    n = graph.heavy_atom_count
+@dataclass(frozen=True)
+class GraphBatch:
+    """Molecules run as one disjoint graph.
+
+    Bond edges are offset per molecule and followed by one self-loop per
+    node (zero edge features), so every node sums its messages in the same
+    order as it would alone. ``molecule`` maps nodes to their molecule, whose
+    rows are ``bounds[m]:bounds[m + 1]``.
+    """
+
+    node_features: np.ndarray  # (N, node_dim)
+    dst: np.ndarray  # (E + N,) receiving node of each edge
+    src: np.ndarray  # (E + N,) sending node of each edge
+    edge_features: np.ndarray  # (E + N, edge_dim)
+    molecule: np.ndarray  # (N,)
+    bounds: np.ndarray  # (M + 1,)
+
+    @property
+    def num_nodes(self) -> int:
+        return len(self.molecule)
+
+    @property
+    def num_molecules(self) -> int:
+        return len(self.bounds) - 1
+
+
+def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
+    """Join molecular graphs into one :class:`GraphBatch`, in list order."""
+    sizes = np.array([g.heavy_atom_count for g in graphs], dtype=np.int64)
+    if not len(sizes) or np.any(sizes < 1):
+        raise ValueError("a batch needs molecules with at least one atom each")
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    n = int(bounds[-1])
     loops = np.arange(n, dtype=np.int64)
-    if len(graph.edges):
-        dst = np.concatenate([graph.edges[:, 0], loops])
-        src = np.concatenate([graph.edges[:, 1], loops])
-        feats = np.vstack([graph.edge_features,
-                           np.zeros((n, graph.edge_features.shape[1]))])
-    else:
-        dst = src = loops
-        feats = np.zeros((n, EDGE_FEATURES))
-    return dst, src, feats
+    edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, bounds)])
+    return GraphBatch(
+        node_features=np.concatenate([g.node_features for g in graphs]),
+        dst=np.concatenate([edges[:, 0], loops]),
+        src=np.concatenate([edges[:, 1], loops]),
+        edge_features=np.concatenate([g.edge_features for g in graphs]
+                                     + [np.zeros((n, EDGE_FEATURES))]),
+        molecule=np.repeat(np.arange(len(graphs)), sizes),
+        bounds=bounds,
+    )
 
 
-def gat_forward(x: Tensor, graph: MolGraph, layer: GatLayer,
+def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
                 return_attention: bool = False):
     """Run one layer: returns the (N, out_dim) update, optionally with the
-    per-head attention weights and their (dst, src) index arrays."""
-    n = graph.heavy_atom_count
+    per-head attention weights over ``batch.dst``/``batch.src``."""
+    n = batch.num_nodes
     if x.shape[0] != n:
         raise ValueError(f"embedding rows {x.shape[0]} != node count {n}")
     if x.shape[1] != layer.in_dim:
         raise ValueError(f"embedding width {x.shape[1]} != layer input "
                          f"{layer.in_dim}")
-    dst, src, feats = _edge_arrays(graph)
-    feats_t = Tensor(feats)
+    dst, src = batch.dst, batch.src
+    feats_t = Tensor(batch.edge_features)
 
     head_outputs = []
     attentions = []
@@ -120,15 +152,15 @@ def gat_forward(x: Tensor, graph: MolGraph, layer: GatLayer,
     if layer.heads > 1:
         out = scale(out, 1.0 / layer.heads)
     if return_attention:
-        return out, attentions, (dst, src)
+        return out, attentions
     return out
 
 
-def encode(graph: MolGraph, layers: list[GatLayer]) -> Tensor:
+def encode(batch: GraphBatch, layers: list[GatLayer]) -> Tensor:
     """Apply the layer stack to the initial node features."""
-    x = Tensor(graph.node_features)
+    x = Tensor(batch.node_features)
     for layer in layers:
-        x = gat_forward(x, graph, layer)
+        x = gat_forward(x, batch, layer)
     return x
 
 
@@ -138,17 +170,15 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     scores (single atoms, perfect symmetry) map to 1.0."""
     if not layers:
         raise ValueError("attention_scores needs at least one layer")
-    x = Tensor(graph.node_features)
-    for layer in layers[:-1]:
-        x = gat_forward(x, graph, layer)
-    _, attentions, (dst, src) = gat_forward(x, graph, layers[-1],
-                                            return_attention=True)
-    n = graph.heavy_atom_count
+    batch = batch_graphs([graph])
+    x = encode(batch, layers[:-1])
+    _, attentions = gat_forward(x, batch, layers[-1], return_attention=True)
+    n = batch.num_nodes
     totals = np.zeros(n)
     counts = np.zeros(n)
     for alpha in attentions:
-        np.add.at(totals, src, alpha.data)
-        np.add.at(counts, src, 1.0)
+        np.add.at(totals, batch.src, alpha.data)
+        np.add.at(counts, batch.src, 1.0)
     scores = totals / counts
     lo, hi = scores.min(), scores.max()
     if hi - lo < 1e-15:

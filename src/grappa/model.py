@@ -13,9 +13,15 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .antoine import PARAM_RANGES, AntoineParams, boiling_temperature, ln_vapor_pressure
+from .antoine import (
+    PARAM_RANGES,
+    AntoineParams,
+    antoine,
+    boiling_temperature,
+    ln_vapor_pressure,
+)
 from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize, validate_scope, ScopeError
-from .gnn import GatLayer, encode, glorot, init_gat_layer
+from .gnn import GatLayer, batch_graphs, encode, glorot, init_gat_layer
 from .pooling import InteractionPoolParams, init_interaction_pool, interaction_pool, sum_pool
 from .smiles import parse_smiles
 from .tensor import (
@@ -28,7 +34,6 @@ from .tensor import (
     matmul,
     scale,
     sigmoid,
-    stack_rows,
     take_column,
 )
 
@@ -117,6 +122,19 @@ class GrappaModel:
             buffers[f"head.{i}.bn.running_var"] = layer.bn_state.running_var
         return buffers
 
+    def snapshot(self) -> dict[str, np.ndarray]:
+        """Copies of every parameter and buffer array, by checkpoint name."""
+        arrays = {name: t.data for name, t in self.named_parameters().items()}
+        arrays.update(self.named_buffers())
+        return {name: arr.copy() for name, arr in arrays.items()}
+
+    def restore(self, snapshot: dict[str, np.ndarray]):
+        """Copy a :meth:`snapshot` back into the model's arrays in place."""
+        for name, tensor in self.named_parameters().items():
+            tensor.data[...] = snapshot[name]
+        for name, buf in self.named_buffers().items():
+            buf[...] = snapshot[name]
+
     def zero_grad(self):
         for tensor in self.named_parameters().values():
             tensor.zero_grad()
@@ -167,16 +185,10 @@ def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> Gr
 
 # ------------------------------------------------------------------ forward
 
-def pool_graph(model: GrappaModel, graph: MolGraph) -> Tensor:
-    """Message passing plus readout: one fixed-size embedding per molecule."""
-    embeddings = encode(graph, model.gat)
-    if model.arch.pooling == "interaction":
-        return interaction_pool(embeddings, model.pool)
-    return sum_pool(embeddings)
-
-
-def _count_features(model: GrappaModel, graphs: list[MolGraph]) -> np.ndarray:
-    counts = np.array([[g.h_donors, g.h_acceptors] for g in graphs], dtype=np.float64)
+def _count_features(model: GrappaModel, donors, acceptors) -> np.ndarray:
+    """(B, 2) hydrogen donor and acceptor counts, standardized when the
+    architecture carries count statistics."""
+    counts = np.column_stack([donors, acceptors]).astype(np.float64)
     if model.arch.count_scale is not None:
         mean_d, std_d, mean_a, std_a = model.arch.count_scale
         counts[:, 0] = (counts[:, 0] - mean_d) / std_d
@@ -207,21 +219,26 @@ def scale_to_ranges(raw: Tensor, ranges: dict) -> tuple[Tensor, Tensor, Tensor]:
 
 def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
                     mode: str = "infer") -> tuple[Tensor, Tensor, Tensor]:
-    """Antoine parameter columns (A, B, C), each of shape (B,)."""
-    pooled = stack_rows([pool_graph(model, g) for g in graphs])
-    raw = head_raw(model, pooled, _count_features(model, graphs), mode)
+    """Antoine parameter columns (A, B, C), each of shape (B,), with the
+    molecules run through message passing and readout as one disjoint graph."""
+    batch = batch_graphs(graphs)
+    embeddings = encode(batch, model.gat)
+    if model.arch.pooling == "interaction":
+        pooled = interaction_pool(embeddings, batch, model.pool)
+    else:
+        pooled = sum_pool(embeddings, batch)
+    counts = _count_features(model, [g.h_donors for g in graphs],
+                             [g.h_acceptors for g in graphs])
+    raw = head_raw(model, pooled, counts, mode)
     return scale_to_ranges(raw, model.arch.param_ranges)
 
 
 def head_forward(h, donors: int, acceptors: int, model: GrappaModel,
                  mode: str = "infer") -> AntoineParams:
     """Head only: pooled embedding plus counts to bounded Antoine parameters."""
-    pooled = stack_rows([h if isinstance(h, Tensor) else Tensor(h)])
-    counts = np.array([[donors, acceptors]], dtype=np.float64)
-    if model.arch.count_scale is not None:
-        mean_d, std_d, mean_a, std_a = model.arch.count_scale
-        counts = np.array([[(donors - mean_d) / std_d, (acceptors - mean_a) / std_a]])
-    raw = head_raw(model, pooled, counts, mode)
+    pooled = Tensor(np.reshape(h.data if isinstance(h, Tensor) else h, (1, -1)))
+    raw = head_raw(model, pooled, _count_features(model, [donors], [acceptors]),
+                   mode)
     a, b, c = scale_to_ranges(raw, model.arch.param_ranges)
     return AntoineParams(a.item(), b.item(), c.item())
 
@@ -234,11 +251,6 @@ class Prediction:
     boiling_k: float | None = None
 
 
-def antoine_params_for_graph(model: GrappaModel, graph: MolGraph) -> AntoineParams:
-    a, b, c = forward_antoine(model, [graph], mode="infer")
-    return AntoineParams(a.item(), b.item(), c.item())
-
-
 def predict(model: GrappaModel, smiles: str, temperatures=None,
             boil_pressure_pa: float | None = None) -> Prediction:
     """Parse, check scope, and run the whole pipeline in inference mode."""
@@ -246,8 +258,8 @@ def predict(model: GrappaModel, smiles: str, temperatures=None,
     scope = validate_scope(mol)
     if not scope.accepted:
         raise ScopeError(scope.reasons)
-    graph = featurize(mol)
-    params = antoine_params_for_graph(model, graph)
+    a, b, c = forward_antoine(model, [featurize(mol)])
+    params = AntoineParams(a.item(), b.item(), c.item())
     ln_p = p = None
     if temperatures is not None:
         ln_p = ln_vapor_pressure(params, temperatures)
@@ -273,33 +285,24 @@ def predict_dataset(model: GrappaModel, dataset, split: str | None = None):
         if split is not None and dataset.split_label(component) != split:
             continue
         graph = featurize(parse_smiles(points[0].smiles))
-        params = antoine_params_for_graph(model, graph)
+        a, b, c = forward_antoine(model, [graph])
+        params = AntoineParams(a.item(), b.item(), c.item())
         params_by_component[component] = params
-        for pt in points:
-            denom = params.C + pt.temperature_k
-            if denom > 0:
-                p_pred = float(np.exp(params.A - params.B / denom) * 1000.0)
-            else:
-                p_pred = float("inf")
-            pred_points.append(PredPoint(
-                component_id=component,
-                temperature_k=pt.temperature_k,
-                p_exp_pa=pt.pressure_pa,
-                p_pred_pa=p_pred,
-                mol_weight=graph.mol_weight,
-            ))
+        p_pred = antoine(*params.as_tuple(),
+                         np.array([pt.temperature_k for pt in points]))
+        pred_points += [
+            PredPoint(component_id=component, temperature_k=pt.temperature_k,
+                      p_exp_pa=pt.pressure_pa, p_pred_pa=float(p),
+                      mol_weight=graph.mol_weight)
+            for pt, p in zip(points, p_pred)]
     return pred_points, params_by_component
 
 
 # --------------------------------------------------------------- checkpoints
 
 def to_checkpoint(model: GrappaModel) -> dict:
-    entries = {}
-    for name, tensor in model.named_parameters().items():
-        entries[name] = {"shape": list(tensor.shape),
-                         "values": tensor.data.ravel().tolist()}
-    for name, buf in model.named_buffers().items():
-        entries[name] = {"shape": list(buf.shape), "values": buf.ravel().tolist()}
+    entries = {name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+               for name, arr in model.snapshot().items()}
     return {
         "format_version": CHECKPOINT_VERSION,
         "arch": model.arch.to_dict(),
@@ -341,17 +344,6 @@ def model_from_checkpoint(data: dict) -> GrappaModel:
 def load_checkpoint(path) -> GrappaModel:
     with open(path, encoding="utf-8") as fh:
         return model_from_checkpoint(json.load(fh))
-
-
-def load_into(model: GrappaModel, checkpoint: dict):
-    """Restore parameters and buffers in place from a checkpoint dict."""
-    restored = model_from_checkpoint(checkpoint)
-    for name, tensor in model.named_parameters().items():
-        tensor.data = restored.named_parameters()[name].data
-    for (name, buf), (_, src) in zip(model.named_buffers().items(),
-                                     restored.named_buffers().items()):
-        buf[...] = src
-    return model
 
 
 def parameter_accounting_markdown(model: GrappaModel) -> str:

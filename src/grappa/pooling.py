@@ -1,7 +1,9 @@
-"""Readouts collapsing the (N, d) node-embedding matrix to one d-vector.
+"""Readouts collapsing each molecule's node embeddings to one d-vector.
 
-Both variants are invariant to node order: plain summation, and a
-self-attention readout that mixes all node pairs before summing.
+Both variants take the (N, d) embeddings of a whole batch and return one
+row per molecule, and both are invariant to node order: plain summation,
+and a self-attention readout that mixes all node pairs of a molecule before
+summing.
 """
 
 from __future__ import annotations
@@ -10,14 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    matmul,
-    row_sum,
-    scale,
-    softmax_rows,
-    transpose,
-)
+from .gnn import GraphBatch, glorot
+from .tensor import Tensor, block_attention_sum, matmul, segment_sum
 
 
 @dataclass
@@ -32,8 +28,6 @@ class InteractionPoolParams:
 
 
 def init_interaction_pool(rng: np.random.Generator, dim: int = 32) -> InteractionPoolParams:
-    from .gnn import glorot
-
     return InteractionPoolParams(
         Wq=Tensor(glorot(rng, (dim, dim)), requires_grad=True, name="pool.Wq"),
         Wk=Tensor(glorot(rng, (dim, dim)), requires_grad=True, name="pool.Wk"),
@@ -41,25 +35,25 @@ def init_interaction_pool(rng: np.random.Generator, dim: int = 32) -> Interactio
     )
 
 
-def sum_pool(x: Tensor) -> Tensor:
-    """Sum of node embeddings: (N, d) -> (d,)."""
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("sum_pool needs a non-empty (N, d) matrix")
-    return row_sum(x)
+def _check_rows(x: Tensor, batch: GraphBatch, name: str):
+    if x.ndim != 2 or x.shape[0] != batch.num_nodes:
+        raise ValueError(f"{name} needs an (N, d) matrix with one row per "
+                         f"node of the batch ({batch.num_nodes})")
 
 
-def interaction_pool(x: Tensor, params: InteractionPoolParams,
-                     return_attention: bool = False):
-    """Self-attention readout: softmax(Q K^T / sqrt(k)) V, summed over rows."""
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("interaction_pool needs a non-empty (N, d) matrix")
+def sum_pool(x: Tensor, batch: GraphBatch) -> Tensor:
+    """Sum of each molecule's node embeddings: (N, d) -> (M, d)."""
+    _check_rows(x, batch, "sum_pool")
+    return segment_sum(x, batch.molecule, batch.num_molecules)
+
+
+def interaction_pool(x: Tensor, batch: GraphBatch,
+                     params: InteractionPoolParams) -> Tensor:
+    """Self-attention readout per molecule: softmax(Q K^T / sqrt(k)) V,
+    summed over the molecule's rows; (N, d) -> (M, d)."""
+    _check_rows(x, batch, "interaction_pool")
     q = matmul(x, params.Wq)
     k = matmul(x, params.Wk)
     v = matmul(x, params.Wv)
     key_dim = params.Wk.shape[1]
-    weights = softmax_rows(scale(matmul(q, transpose(k)), 1.0 / np.sqrt(key_dim)))
-    context = matmul(weights, v)
-    pooled = row_sum(context)
-    if return_attention:
-        return pooled, weights
-    return pooled
+    return block_attention_sum(q, k, v, batch.bounds, 1.0 / np.sqrt(key_dim))

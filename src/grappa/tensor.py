@@ -58,9 +58,6 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self):
         """Fill ``grad`` on every tensor reachable from this scalar.
 
@@ -174,11 +171,6 @@ def div(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def neg(a) -> Tensor:
-    a = _t(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
-
-
 def scale(a, c: float) -> Tensor:
     a = _t(a)
     c = float(c)
@@ -201,13 +193,6 @@ def matmul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def transpose(a) -> Tensor:
-    a = _t(a)
-    if a.ndim != 2:
-        raise ShapeError("transpose expects a matrix")
-    return _make(a.data.T.copy(), (a,), lambda g: (g.T,))
-
-
 # ------------------------------------------------------------- restructuring
 
 def concat(parts, axis: int = 0) -> Tensor:
@@ -222,18 +207,6 @@ def concat(parts, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _make(out, tuple(parts), vjp)
-
-
-def stack_rows(vectors) -> Tensor:
-    vectors = [_t(v) for v in vectors]
-    if any(v.ndim != 1 for v in vectors):
-        raise ShapeError("stack_rows expects vectors")
-    out = np.stack([v.data for v in vectors], axis=0)
-
-    def vjp(g):
-        return tuple(g[i] for i in range(len(vectors)))
-
-    return _make(out, tuple(vectors), vjp)
 
 
 def as_column(v) -> Tensor:
@@ -273,42 +246,6 @@ def gather_rows(a, index) -> Tensor:
 
 # ----------------------------------------------------------------- reductions
 
-def row_sum(a) -> Tensor:
-    """Sum over rows: (N, F) -> (F,)."""
-    a = _t(a)
-    if a.ndim != 2:
-        raise ShapeError("row_sum expects a matrix")
-    out = a.data.sum(axis=0)
-
-    def vjp(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _make(out, (a,), vjp)
-
-
-def row_mean(a) -> Tensor:
-    a = _t(a)
-    if a.ndim != 2:
-        raise ShapeError("row_mean expects a matrix")
-    n = a.shape[0]
-    out = a.data.mean(axis=0)
-
-    def vjp(g):
-        return (np.broadcast_to(g / n, a.shape).copy(),)
-
-    return _make(out, (a,), vjp)
-
-
-def sum_all(a) -> Tensor:
-    a = _t(a)
-    out = np.asarray(a.data.sum())
-
-    def vjp(g):
-        return (np.broadcast_to(g, a.shape).copy(),)
-
-    return _make(out, (a,), vjp)
-
-
 def mean_all(a) -> Tensor:
     a = _t(a)
     if a.size == 0:
@@ -338,22 +275,6 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
 
 # ---------------------------------------------------------------- activations
 
-def softmax_rows(a) -> Tensor:
-    """Row-wise softmax with max subtraction; rows sum to one."""
-    a = _t(a)
-    if a.ndim != 2:
-        raise ShapeError("softmax_rows expects a matrix")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    ex = np.exp(shifted)
-    out = ex / ex.sum(axis=1, keepdims=True)
-
-    def vjp(g):
-        dot = (out * g).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _make(out, (a,), vjp)
-
-
 def segment_softmax(logits, segments, num_segments: int) -> Tensor:
     """Softmax over groups of a 1-D logit vector; each group sums to one."""
     logits = _t(logits)
@@ -375,6 +296,46 @@ def segment_softmax(logits, segments, num_segments: int) -> Tensor:
         return (out * (g - dot[segments]),)
 
     return _make(out, (logits,), vjp)
+
+
+def block_attention_sum(q, k, v, bounds, logit_scale: float) -> Tensor:
+    """Self-attention within row blocks, summed over each block's rows.
+
+    Block ``m`` holds rows ``bounds[m]:bounds[m + 1]``; with W the row-wise
+    softmax of ``logit_scale * Q K^T`` over the block, its output row is
+    ``1^T W V``: the weights' column sums times V. Shapes: (N, k), (N, k),
+    (N, d) -> (M, d).
+    """
+    q, k, v = _t(q), _t(k), _t(v)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    if bounds.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 \
+            or np.any(np.diff(bounds) < 1):
+        raise ShapeError("block bounds must rise from 0 in non-empty blocks")
+    if not q.shape[0] == k.shape[0] == v.shape[0] == bounds[-1]:
+        raise ShapeError(f"block rows {q.shape}, {k.shape}, {v.shape} do not "
+                         f"match bounds ending at {bounds[-1]}")
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    weights = []
+    out = np.empty((len(blocks), v.shape[1]))
+    for m, rows in enumerate(blocks):
+        logits = logit_scale * (q.data[rows] @ k.data[rows].T)
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        w = ex / ex.sum(axis=1, keepdims=True)
+        weights.append(w)
+        out[m] = w.sum(axis=0) @ v.data[rows]
+
+    def vjp(g):
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for m, rows in enumerate(blocks):
+            w = weights[m]
+            dv[rows] = np.outer(w.sum(axis=0), g[m])
+            dcol = v.data[rows] @ g[m]  # gradient of each column sum
+            dlogits = logit_scale * w * (dcol - (w @ dcol)[:, None])
+            dq[rows] = dlogits @ k.data[rows]
+            dk[rows] = dlogits.T @ q.data[rows]
+        return dq, dk, dv
+
+    return _make(out, (q, k, v), vjp)
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:

@@ -3,10 +3,11 @@
 Training runs in two phases: a squared-error warm-up under a one-cycle
 learning rate, then a Huber-loss main phase under a reduce-on-plateau rate.
 After every epoch the validation median percentage error is computed and the
-best checkpoint across all epochs is kept (early-stopping selection).
+weights of the best epoch are kept as array copies (early-stopping selection).
 
-Losses average over data points; a mini-batch holds whole molecules and is
-processed on a single tape so batch normalization sees the molecule batch.
+Losses average over data points; a mini-batch holds whole molecules (at least
+two) and is processed on a single tape so batch normalization sees the
+molecule batch.
 """
 
 from __future__ import annotations
@@ -20,16 +21,14 @@ from itertools import product
 
 import numpy as np
 
+from .antoine import antoine
 from .dataio import VpDataset
 from .featurize import MolGraph, featurize
 from .model import (
     Architecture,
     GrappaModel,
-    antoine_params_for_graph,
     forward_antoine,
     init_model,
-    load_into,
-    to_checkpoint,
 )
 from .smiles import parse_smiles
 from .tensor import (
@@ -81,8 +80,11 @@ class TrainConfig:
     grid_pooling: tuple[str, ...] = GRID_POOLING
 
     def validate(self):
-        for name in ("batch_size", "warmup_epochs", "main_epochs", "huber_delta",
-                     "max_lr", "plateau_factor", "plateau_patience"):
+        if self.batch_size < 2:
+            raise ValueError("batch_size must be at least 2: batch norm "
+                             "normalizes over the molecules of a batch")
+        for name in ("warmup_epochs", "main_epochs", "huber_delta", "max_lr",
+                     "plateau_factor", "plateau_patience"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if not set(self.grid_gat_layers) <= set(GRID_GAT_LAYERS):
@@ -250,12 +252,16 @@ def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return chunks
 
 
+def _points(items: list[_CompData]) -> tuple[np.ndarray, np.ndarray]:
+    """Each data point's molecule index within ``items``, and its temperature."""
+    idx = np.repeat(np.arange(len(items)), [len(it.temperatures) for it in items])
+    return idx, np.concatenate([it.temperatures for it in items])
+
+
 def _batch_loss(model: GrappaModel, items: list[_CompData], kind: str,
                 delta: float) -> Tensor:
     a, b, c = forward_antoine(model, [it.graph for it in items], mode="train")
-    idx = np.concatenate([np.full(len(it.temperatures), i, dtype=np.int64)
-                          for i, it in enumerate(items)])
-    temps = np.concatenate([it.temperatures for it in items])
+    idx, temps = _points(items)
     target = np.concatenate([it.ln_p_kpa for it in items])
     denom = add(gather_rows(c, idx), Tensor(temps))
     pred = sub(gather_rows(a, idx), div(gather_rows(b, idx), denom))
@@ -265,25 +271,17 @@ def _batch_loss(model: GrappaModel, items: list[_CompData], kind: str,
 
 
 def validation_mape_i(model: GrappaModel, items: list[_CompData]) -> float:
-    """Median absolute percentage error over all validation points."""
-    apes = []
-    for it in items:
-        params = antoine_params_for_graph(model, it.graph)
-        denom = params.C + it.temperatures
-        valid = denom > 0
-        ln_p = np.where(valid, params.A - params.B / np.where(valid, denom, 1.0),
-                        np.nan)
-        p_pred = np.exp(ln_p) * 1000.0
-        ape = np.where(valid,
-                       np.abs(p_pred - it.pressures_pa) / it.pressures_pa * 100.0,
-                       np.inf)
-        apes.append(ape)
-    return float(np.median(np.concatenate(apes)))
+    """Median absolute percentage error over all validation points; points on
+    a curve's invalid branch (C + T <= 0) count as infinite error."""
+    a, b, c = forward_antoine(model, [it.graph for it in items])
+    idx, temps = _points(items)
+    p_exp = np.concatenate([it.pressures_pa for it in items])
+    p_pred = antoine(a.data[idx], b.data[idx], c.data[idx], temps)
+    return float(np.median(np.abs(p_pred - p_exp) / p_exp * 100.0))
 
 
 @dataclass
 class FitResult:
-    best_checkpoint: dict
     history: list[dict]
     best_epoch: int
     best_valid_mape_i: float
@@ -300,16 +298,20 @@ def history_csv(history: list[dict]) -> str:
 
 def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
         cfg: TrainConfig) -> FitResult:
-    """Two-phase training; leaves ``model`` restored to the best checkpoint."""
+    """Two-phase training; leaves ``model`` restored to its best epoch."""
     cfg.validate()
-    train_items = _prepare_components(train_set)
-    valid_items = _prepare_components(valid_set)
-    if not train_items or not valid_items:
-        raise ValueError("training and validation sets must be non-empty")
-    overlap = {it.component for it in train_items} & {
-        it.component for it in valid_items}
+    train_components = set(train_set.components())
+    valid_components = set(valid_set.components())
+    if len(train_components) < 2:
+        raise ValueError("training needs at least 2 molecules: batch norm "
+                         "normalizes over the molecules of a batch")
+    if not valid_components:
+        raise ValueError("the validation set must be non-empty")
+    overlap = train_components & valid_components
     if overlap:
         raise ValueError(f"components in both train and valid: {sorted(overlap)}")
+    train_items = _prepare_components(train_set)
+    valid_items = _prepare_components(valid_set)
 
     if cfg.standardize_counts:
         donors = np.array([it.graph.h_donors for it in train_items], dtype=float)
@@ -322,7 +324,7 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
     history: list[dict] = []
     best_valid = math.inf
     best_epoch = -1
-    best_checkpoint = to_checkpoint(model)
+    best_state = model.snapshot()
     epoch = 0
     n_batches = len(_batches(np.arange(len(train_items)), cfg.batch_size))
     total_warm_steps = cfg.warmup_epochs * n_batches
@@ -373,10 +375,10 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
             if valid_mape < best_valid:
                 best_valid = valid_mape
                 best_epoch = epoch
-                best_checkpoint = to_checkpoint(model)
+                best_state = model.snapshot()
 
-    load_into(model, best_checkpoint)
-    return FitResult(best_checkpoint, history, best_epoch, best_valid)
+    model.restore(best_state)
+    return FitResult(history, best_epoch, best_valid)
 
 
 # ---------------------------------------------------------------- grid search

@@ -85,41 +85,38 @@ def _op_cases(rng):
     state.running_var = rng.uniform(0.5, 2.0, size=4)
     weights = rng.normal(size=(3, 4))
     return {
-        "add": (lambda a, b: T.sum_all(T.mul(T.add(a, b), T.add(a, b))), [m, m]),
-        "sub": (lambda a, b: T.sum_all(T.mul(T.sub(a, b), T.sub(a, b))), [m, m]),
-        "mul": (lambda a, b: T.sum_all(T.mul(a, b)), [m, m]),
-        "div": (lambda a, b: T.sum_all(T.div(a, T.add(T.mul(b, b), 1.0))), [m, m]),
-        "neg": (lambda a: T.sum_all(T.mul(T.neg(a), a)), [m]),
-        "scale": (lambda a: T.sum_all(T.mul(T.scale(a, 2.5), a)), [m]),
-        "matmul": (lambda a, b: T.sum_all(T.matmul(a, b)), [m, n]),
-        "transpose": (lambda a: T.sum_all(T.mul(T.transpose(a), n)), [m]),
-        "concat": (lambda a, b: T.sum_all(T.mul(T.concat([a, b], axis=1),
+        "add": (lambda a, b: T.mean_all(T.mul(T.add(a, b), T.add(a, b))), [m, m]),
+        "sub": (lambda a, b: T.mean_all(T.mul(T.sub(a, b), T.sub(a, b))), [m, m]),
+        "mul": (lambda a, b: T.mean_all(T.mul(a, b)), [m, m]),
+        "div": (lambda a, b: T.mean_all(T.div(a, T.add(T.mul(b, b), 1.0))), [m, m]),
+        "scale": (lambda a: T.mean_all(T.mul(T.scale(a, 2.5), a)), [m]),
+        "matmul": (lambda a, b: T.mean_all(T.matmul(a, b)), [m, n]),
+        "concat": (lambda a, b: T.mean_all(T.mul(T.concat([a, b], axis=1),
                                                 T.concat([b, a], axis=1))), [m, m]),
-        "stack_rows": (lambda a: T.sum_all(T.mul(T.stack_rows([a, a]), 2.0)), [v]),
-        "as_column": (lambda a: T.sum_all(T.mul(T.as_column(a), T.as_column(a))), [v]),
-        "take_column": (lambda a: T.sum_all(T.mul(T.take_column(a, 1),
+        "as_column": (lambda a: T.mean_all(T.mul(T.as_column(a), T.as_column(a))), [v]),
+        "take_column": (lambda a: T.mean_all(T.mul(T.take_column(a, 1),
                                                   T.take_column(a, 2))), [m]),
-        "gather_rows": (lambda a: T.sum_all(T.mul(T.gather_rows(a, idx),
+        "gather_rows": (lambda a: T.mean_all(T.mul(T.gather_rows(a, idx),
                                                   T.gather_rows(a, idx))), [m]),
-        "segment_sum": (lambda a: T.sum_all(T.mul(
+        "segment_sum": (lambda a: T.mean_all(T.mul(
             T.segment_sum(T.gather_rows(a, np.array([0, 1, 2, 0, 1])), seg, 2),
             3.0)), [m]),
-        "segment_softmax": (lambda a: T.sum_all(T.mul(
+        "segment_softmax": (lambda a: T.mean_all(T.mul(
             T.segment_softmax(T.matmul(a, v), seg[:3], 2), np.array([1.0, 2.0, 3.0]))),
             [m]),
-        "row_sum": (lambda a: T.sum_all(T.mul(T.row_sum(a), T.row_sum(a))), [m]),
-        "row_mean": (lambda a: T.sum_all(T.mul(T.row_mean(a), T.row_mean(a))), [m]),
         "mean_all": (lambda a: T.mean_all(T.mul(a, a)), [m]),
-        "softmax_rows": (lambda a: T.sum_all(T.mul(T.softmax_rows(a), weights)), [m]),
-        "leaky_relu": (lambda a: T.sum_all(T.leaky_relu(a, 0.2)), [m]),
-        "elu": (lambda a: T.sum_all(T.elu(a)), [m]),
-        "sigmoid": (lambda a: T.sum_all(T.mul(T.sigmoid(a), weights)), [m]),
-        "abs": (lambda a: T.sum_all(T.abs_(a)), [m]),
-        "huber": (lambda a: T.sum_all(T.huber(a, 0.5)), [m]),
-        "batch_norm_train": (lambda a: T.sum_all(T.mul(
+        "block_attention_sum": (lambda q, k, u: T.mean_all(T.mul(
+            T.block_attention_sum(q, k, u, [0, 1, 3], 0.5), weights[:2])),
+            [m, m[:, ::-1].copy(), n.T.copy()]),
+        "leaky_relu": (lambda a: T.mean_all(T.leaky_relu(a, 0.2)), [m]),
+        "elu": (lambda a: T.mean_all(T.elu(a)), [m]),
+        "sigmoid": (lambda a: T.mean_all(T.mul(T.sigmoid(a), weights)), [m]),
+        "abs": (lambda a: T.mean_all(T.abs_(a)), [m]),
+        "huber": (lambda a: T.mean_all(T.huber(a, 0.5)), [m]),
+        "batch_norm_train": (lambda a: T.mean_all(T.mul(
             T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
                          state.copy(), "train"), weights)), [m]),
-        "batch_norm_infer": (lambda a: T.sum_all(T.mul(
+        "batch_norm_infer": (lambda a: T.mean_all(T.mul(
             T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
                          state.copy(), "infer"), weights)), [m]),
     }
@@ -271,6 +268,49 @@ def test_permutation_invariance_of_predictions():
             worst = max(worst, float(np.max(np.abs(out - base))))
     report("permutation invariance: 50 molecules x 10 permutations",
            worst < 1e-9, f"max deviation {worst:.2e}")
+
+
+# ---------------------------------------------------------------------------
+# Criterion: a batch run as one disjoint graph gives each molecule the result
+# it gets alone, within 2e-15 of each parameter's range width, and does not
+# depend on the order of the molecules in the batch.
+# ---------------------------------------------------------------------------
+
+BATCH_TOL = np.array([2e-15 * (hi - lo) for lo, hi in PARAM_RANGES.values()])
+
+
+def test_batched_forward_matches_single_molecules():
+    graphs = [featurize(parse_smiles(s)) for s in FIFTY_MOLECULES]
+    worst = np.zeros(3)
+    for seed in range(3):
+        for pooling in ("sum", "interaction"):
+            model = init_model(Architecture(pooling=pooling), seed=seed)
+            batched = np.array([t.data for t in forward_antoine(model, graphs)])
+            single = np.array([[t.item() for t in forward_antoine(model, [g])]
+                               for g in graphs]).T
+            worst = np.maximum(worst, np.abs(batched - single).max(axis=1))
+    report("batched forward: 50 molecules x 3 seeds x 2 poolings match "
+           "one-molecule results", bool(np.all(worst <= BATCH_TOL)),
+           f"max |dA|, |dB|, |dC| = {worst[0]:.1e}, {worst[1]:.1e}, "
+           f"{worst[2]:.1e}")
+
+
+def test_batch_order_invariance():
+    rng = np.random.default_rng(1005)
+    graphs = [featurize(parse_smiles(s)) for s in FIFTY_MOLECULES]
+    worst = np.zeros(3)
+    for pooling in ("sum", "interaction"):
+        model = init_model(Architecture(pooling=pooling), seed=1005)
+        base = np.array([t.data for t in forward_antoine(model, graphs)])
+        for _ in range(5):
+            order = rng.permutation(len(graphs))
+            out = forward_antoine(model, [graphs[i] for i in order])
+            out = np.array([t.data for t in out])
+            worst = np.maximum(worst, np.abs(out - base[:, order]).max(axis=1))
+    report("batched forward: invariant to the order of molecules in a batch",
+           bool(np.all(worst <= BATCH_TOL)),
+           f"max |dA|, |dB|, |dC| = {worst[0]:.1e}, {worst[1]:.1e}, "
+           f"{worst[2]:.1e}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from grappa.antoine import (
     PARAM_RANGES,
     AntoineDomainError,
     AntoineParams,
+    antoine,
     boiling_temperature,
     ln_vapor_pressure,
     vapor_pressure,
@@ -33,6 +34,26 @@ def test_domain_guard():
     # Exactly at the pole.
     with pytest.raises(AntoineDomainError):
         ln_vapor_pressure(AntoineParams(10, 2000, -250), 250.0)
+
+
+def test_vectorized_evaluator_marks_invalid_branch_infinite():
+    # Per-point parameters: C + T is positive, zero (the pole) and negative.
+    a = np.array([10.0, 10.0, 10.0, 5.0])
+    b = np.array([2000.0, 2000.0, 2000.0, 1500.0])
+    c = np.array([-50.0, -250.0, -300.0, 0.0])
+    t = np.array([250.0, 250.0, 250.0, 300.0])
+    p = antoine(a, b, c, t)
+    np.testing.assert_array_equal(np.isinf(p), [False, True, True, False])
+    assert p[0] == vapor_pressure(AntoineParams(10, 2000, -50), 250.0)
+    assert p[3] == pytest.approx(1000.0)
+    # Broadcasting one curve over a temperature grid matches the scalar form.
+    params = AntoineParams(9.5, 2800.0, -80.0)
+    grid = np.linspace(90.0, 500.0, 12)
+    curve = antoine(*params.as_tuple(), grid)
+    valid = grid + params.C > 0
+    assert np.isinf(curve[~valid]).all()
+    np.testing.assert_array_equal(curve[valid],
+                                  vapor_pressure(params, grid[valid]))
 
 
 def test_strictly_increasing_on_valid_domain():

@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from grappa.featurize import featurize
-from grappa.gnn import attention_scores, encode, gat_forward, init_gat_layer
+from grappa.gnn import (
+    attention_scores,
+    batch_graphs,
+    encode,
+    gat_forward,
+    init_gat_layer,
+)
 from grappa.molecule import permute_molecule
 from grappa.smiles import parse_smiles
-from grappa.tensor import Tensor, sum_all, mul
+from grappa.tensor import Tensor, mean_all, mul
 
 from _oracles import finite_difference_grad, max_rel_error, naive_gat_head
 
@@ -22,8 +28,9 @@ def test_single_atom_self_loop_only():
     graph = graph_of("C")
     rng = np.random.default_rng(0)
     layer = random_layer(rng, 24, out_dim=6, heads=3)
-    out, attentions, _ = gat_forward(Tensor(graph.node_features), graph, layer,
-                                     return_attention=True)
+    out, attentions = gat_forward(Tensor(graph.node_features),
+                                  batch_graphs([graph]), layer,
+                                  return_attention=True)
     for alpha in attentions:
         np.testing.assert_allclose(alpha.data, [1.0])
     # Softmax over one element is 1, so the update is the mean of W x.
@@ -36,7 +43,8 @@ def test_two_node_path_matches_scalar_evaluation():
     graph = graph_of("CO")
     rng = np.random.default_rng(1)
     layer = random_layer(rng, 24, out_dim=5, heads=1)
-    out = gat_forward(Tensor(graph.node_features), graph, layer)
+    out = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                      layer)
     bonds = [(0, 1)]
     efeat = {(0, 1): graph.edge_features[0]}
     oracle = naive_gat_head(graph.node_features, bonds, efeat,
@@ -50,7 +58,8 @@ def test_multi_head_forward_matches_scalar_evaluation(smiles):
     graph = graph_of(smiles)
     rng = np.random.default_rng(2)
     layer = random_layer(rng, 24, out_dim=7, heads=2)
-    out = gat_forward(Tensor(graph.node_features), graph, layer)
+    out = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                      layer)
     bonds = []
     efeat = {}
     seen = set()
@@ -73,11 +82,12 @@ def test_attention_rows_sum_to_one(smiles):
     graph = graph_of(smiles)
     rng = np.random.default_rng(3)
     layer = random_layer(rng, 24, heads=2)
-    _, attentions, (dst, _) = gat_forward(Tensor(graph.node_features), graph,
-                                          layer, return_attention=True)
+    batch = batch_graphs([graph])
+    _, attentions = gat_forward(Tensor(graph.node_features), batch, layer,
+                                return_attention=True)
     for alpha in attentions:
         sums = np.zeros(graph.heavy_atom_count)
-        np.add.at(sums, dst, alpha.data)
+        np.add.at(sums, batch.dst, alpha.data)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-12)
 
 
@@ -87,11 +97,13 @@ def test_zero_edge_weights_isolate_edge_features():
     layer = random_layer(rng, 24, heads=2)
     for head in range(2):
         layer.theta_e[head].data = np.zeros_like(layer.theta_e[head].data)
-    out1 = gat_forward(Tensor(graph.node_features), graph, layer)
+    out1 = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                       layer)
     # Same topology, different edge features.
     other = graph_of("FC=CF")
     assert not np.array_equal(other.edge_features, graph.edge_features)
-    out2 = gat_forward(Tensor(other.node_features), other, layer)
+    out2 = gat_forward(Tensor(other.node_features), batch_graphs([other]),
+                       layer)
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
 
@@ -100,8 +112,10 @@ def test_edge_features_matter_otherwise():
     other = graph_of("FC=CF")
     rng = np.random.default_rng(5)
     layer = random_layer(rng, 24, heads=1)
-    out1 = gat_forward(Tensor(graph.node_features), graph, layer)
-    out2 = gat_forward(Tensor(other.node_features), other, layer)
+    out1 = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                       layer)
+    out2 = gat_forward(Tensor(other.node_features), batch_graphs([other]),
+                       layer)
     assert np.abs(out1.data - out2.data).max() > 1e-9
 
 
@@ -110,7 +124,7 @@ def test_encode_stacks_layers_and_stays_finite():
     rng = np.random.default_rng(6)
     layers = [random_layer(rng, 24, out_dim=32, heads=2)]
     layers += [random_layer(rng, 32, out_dim=32, heads=2) for _ in range(3)]
-    out = encode(graph, layers)
+    out = encode(batch_graphs([graph]), layers)
     assert out.shape == (3, 32)
     assert np.isfinite(out.data).all()
 
@@ -120,7 +134,7 @@ def test_encode_dimension_mismatch():
     rng = np.random.default_rng(7)
     layers = [random_layer(rng, 24, out_dim=16), random_layer(rng, 32, out_dim=16)]
     with pytest.raises(ValueError):
-        encode(graph, layers)
+        encode(batch_graphs([graph]), layers)
 
 
 @pytest.mark.parametrize("smiles", ["CCO", "CC(=O)Oc1ccccc1", "C1CC1CC"])
@@ -130,11 +144,11 @@ def test_permutation_equivariance(smiles):
     rng = np.random.default_rng(8)
     layers = [random_layer(rng, 24, out_dim=12, heads=2),
               random_layer(rng, 12, out_dim=12, heads=2)]
-    base = encode(graph, layers).data
+    base = encode(batch_graphs([graph]), layers).data
     for _ in range(5):
         perm = rng.permutation(len(mol.atoms)).tolist()
         permuted = featurize(permute_molecule(mol, perm))
-        out = encode(permuted, layers).data
+        out = encode(batch_graphs([permuted]), layers).data
         for old in range(len(mol.atoms)):
             np.testing.assert_allclose(out[perm[old]], base[old], atol=1e-9)
 
@@ -152,8 +166,9 @@ def test_gradient_through_one_layer():
     }
 
     def forward():
-        out = gat_forward(Tensor(graph.node_features), graph, layer)
-        return sum_all(mul(out, Tensor(weights)))
+        out = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                      layer)
+        return mean_all(mul(out, Tensor(weights)))
 
     loss = forward()
     loss.backward()
@@ -168,6 +183,63 @@ def test_gradient_through_one_layer():
         numeric = finite_difference_grad(f, tensor.data.copy())
         err = max_rel_error(tensor.grad, numeric)
         assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def test_batch_is_a_disjoint_union():
+    graphs = [graph_of(s) for s in ("CCO", "C", "c1ccccc1")]
+    batch = batch_graphs(graphs)
+    np.testing.assert_array_equal(batch.bounds, [0, 3, 4, 10])
+    np.testing.assert_array_equal(batch.molecule, [0] * 3 + [1] + [2] * 6)
+    bonds = len(graphs[0].edges) + len(graphs[2].edges)
+    # Bond edges first, offset by each molecule's first row, then every
+    # node's self-loop with zero edge features.
+    np.testing.assert_array_equal(batch.dst[:4], graphs[0].edges[:, 0])
+    np.testing.assert_array_equal(batch.src[bonds - 1], graphs[2].edges[-1, 1] + 4)
+    np.testing.assert_array_equal(batch.dst[bonds:], np.arange(10))
+    np.testing.assert_array_equal(batch.src[bonds:], np.arange(10))
+    assert not batch.edge_features[bonds:].any()
+    assert not (batch.molecule[batch.dst] != batch.molecule[batch.src]).any()
+
+
+def test_batched_encode_matches_molecules_alone():
+    smiles = ("CCO", "C", "CC(=O)Oc1ccccc1", "F/C=C/F")
+    graphs = [graph_of(s) for s in smiles]
+    rng = np.random.default_rng(15)
+    layers = [random_layer(rng, 24, out_dim=8, heads=2),
+              random_layer(rng, 8, out_dim=8, heads=2)]
+    batch = batch_graphs(graphs)
+    out = encode(batch, layers).data
+    for m, graph in enumerate(graphs):
+        alone = encode(batch_graphs([graph]), layers).data
+        rows = slice(batch.bounds[m], batch.bounds[m + 1])
+        np.testing.assert_allclose(out[rows], alone, rtol=1e-13, atol=1e-14)
+
+
+def test_gradient_through_stack_on_three_molecule_batch():
+    batch = batch_graphs([graph_of(s) for s in ("CCO", "C", "C1CC1N")])
+    rng = np.random.default_rng(16)
+    layers = [random_layer(rng, 24, out_dim=3, heads=2),
+              random_layer(rng, 3, out_dim=3, heads=2)]
+    weights = rng.normal(size=(batch.num_nodes, 3))
+
+    def forward():
+        return mean_all(mul(encode(batch, layers), Tensor(weights)))
+
+    forward().backward()
+    for li, layer in enumerate(layers):
+        for name, tensors in (("theta_v", layer.theta_v),
+                              ("theta_e", layer.theta_e), ("att", layer.att)):
+            for head, tensor in enumerate(tensors):
+                def f(x, tensor=tensor):
+                    saved = tensor.data
+                    tensor.data = x
+                    value = forward().item()
+                    tensor.data = saved
+                    return value
+
+                numeric = finite_difference_grad(f, tensor.data.copy())
+                err = max_rel_error(tensor.grad, numeric)
+                assert err < 1e-4, f"layer {li} head {head} {name}: rel err {err}"
 
 
 def test_attention_scores_benzene_symmetry():
@@ -205,7 +277,7 @@ def test_attention_scores_match_standalone_recomputation():
     scores = attention_scores(graph, layers)
 
     # Standalone: rebuild the last layer's attention with explicit loops.
-    x = encode(graph, layers[:-1]).data
+    x = encode(batch_graphs([graph]), layers[:-1]).data
     layer = layers[-1]
     n = graph.heavy_atom_count
     neighbors = {i: [] for i in range(n)}
@@ -239,4 +311,4 @@ def test_layer_shape_validation():
     rng = np.random.default_rng(14)
     layer = random_layer(rng, 24)
     with pytest.raises(ValueError):
-        gat_forward(Tensor(np.zeros((5, 24))), graph, layer)
+        gat_forward(Tensor(np.zeros((5, 24))), batch_graphs([graph]), layer)

@@ -67,6 +67,21 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     assert a.params == b.params and a.ln_p_kpa == b.ln_p_kpa
 
 
+def test_snapshot_restores_every_array_in_place():
+    model = init_model(Architecture(), seed=6)
+    saved = model.snapshot()
+    weight = model.named_parameters()["head.0.weight"].data
+    for tensor in model.named_parameters().values():
+        tensor.data += 1.0
+    for buf in model.named_buffers().values():
+        buf += 1.0
+    model.restore(saved)
+    assert model.named_parameters()["head.0.weight"].data is weight
+    current = model.snapshot()
+    assert current.keys() == saved.keys()
+    assert all((current[name] == saved[name]).all() for name in saved)
+
+
 def test_checkpoint_names_follow_convention(tmp_path):
     model = init_model(Architecture(gat_layers=2, heads=3), seed=0)
     data = to_checkpoint(model)

@@ -36,31 +36,58 @@ def test_matmul_identity():
     np.testing.assert_array_equal(out.data, m)
 
 
-def test_row_sum_of_ones():
-    out = T.row_sum(Tensor(np.ones((3, 2))))
-    np.testing.assert_array_equal(out.data, [3.0, 3.0])
-
-
 def test_concat_vectors_preserves_order():
     out = T.concat([Tensor([1.0, 2.0]), Tensor([3.0, 4.0, 5.0])])
     np.testing.assert_array_equal(out.data, [1, 2, 3, 4, 5])
 
 
-def test_softmax_rows_uniform_and_normalized():
-    out = T.softmax_rows(Tensor([[0.0, 0.0, 0.0]]))
-    np.testing.assert_allclose(out.data, [[1 / 3] * 3])
+def block_attention_reference(q, k, v, bounds, scale):
+    """Row loops over each block: softmax of scaled dot products per query
+    row, weights times V, summed over the block's query rows."""
+    out = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        total = np.zeros(v.shape[1])
+        for i in range(lo, hi):
+            raw = np.array([scale * (q[i] @ k[j]) for j in range(lo, hi)])
+            w = np.exp(raw - raw.max())
+            w /= w.sum()
+            total += sum(w[j - lo] * v[j] for j in range(lo, hi))
+        out.append(total)
+    return np.array(out)
+
+
+def test_block_attention_sum_matches_row_loops():
     rng = np.random.default_rng(3)
-    x = rng.normal(size=(5, 7))
-    out = T.softmax_rows(Tensor(x))
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-12)
+    bounds = np.array([0, 3, 4, 9])
+    q, k, v = rng.normal(size=(9, 4)), rng.normal(size=(9, 4)), rng.normal(size=(9, 5))
+    out = T.block_attention_sum(Tensor(q), Tensor(k), Tensor(v), bounds, 0.5)
+    assert out.shape == (3, 5)
+    np.testing.assert_allclose(out.data, block_attention_reference(q, k, v, bounds, 0.5),
+                               rtol=1e-12, atol=1e-12)
 
 
-def test_softmax_rows_shift_invariance():
+def test_block_attention_uniform_logits_sum_values():
+    # Zero logits weight a block's rows equally, so each column of weights
+    # sums to one and the output is the block's row sum of V.
     rng = np.random.default_rng(4)
-    x = rng.normal(size=(4, 6))
-    shifted = x + rng.normal(size=(4, 1))  # constant per row
-    a = T.softmax_rows(Tensor(x)).data
-    b = T.softmax_rows(Tensor(shifted)).data
+    v = rng.normal(size=(5, 3))
+    zeros = Tensor(np.zeros((5, 2)))
+    out = T.block_attention_sum(zeros, zeros, Tensor(v), [0, 2, 5], 1.0)
+    np.testing.assert_allclose(out.data, [v[:2].sum(axis=0), v[2:].sum(axis=0)],
+                               atol=1e-12)
+
+
+def test_block_attention_key_shift_invariance():
+    # Adding one vector to every key of a block shifts each query row's
+    # logits by a constant, which the softmax ignores.
+    rng = np.random.default_rng(5)
+    bounds = [0, 4, 7]
+    q, k, v = rng.normal(size=(7, 3)), rng.normal(size=(7, 3)), rng.normal(size=(7, 2))
+    shifted = k.copy()
+    shifted[:4] += rng.normal(size=3)
+    shifted[4:] += rng.normal(size=3)
+    a = T.block_attention_sum(Tensor(q), Tensor(k), Tensor(v), bounds, 0.7).data
+    b = T.block_attention_sum(Tensor(q), Tensor(shifted), Tensor(v), bounds, 0.7).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -96,7 +123,11 @@ def test_shape_errors():
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 2, 2)))
     with pytest.raises(ShapeError):
-        T.row_sum(Tensor(np.ones(3)))
+        T.as_column(Tensor(np.ones((2, 2))))
+    ones = Tensor(np.ones((4, 2)))
+    for bounds in ([0, 2, 2, 4], [1, 4], [0, 3], [0]):
+        with pytest.raises(ShapeError):
+            T.block_attention_sum(ones, ones, ones, bounds, 1.0)
 
 
 def test_backward_requires_scalar():
@@ -124,36 +155,31 @@ def test_segment_softmax_groups_sum_to_one():
 # ------------------------------------------------------------- gradient checks
 
 def test_grad_add_broadcast():
-    check_grad(lambda a, b: T.sum_all(T.mul(T.add(a, b), T.add(a, b))),
+    check_grad(lambda a, b: T.mean_all(T.mul(T.add(a, b), T.add(a, b))),
                (3, 4), (4,))
 
 
 def test_grad_sub_mul_div():
-    check_grad(lambda a, b: T.sum_all(T.div(T.mul(a, b), T.add(T.mul(b, b), 1.0))),
+    check_grad(lambda a, b: T.mean_all(T.div(T.mul(a, b), T.add(T.mul(b, b), 1.0))),
                (3, 3), (3, 3), seed=1)
 
 
-def test_grad_matmul_and_transpose():
-    check_grad(lambda a, b: T.sum_all(T.matmul(a, T.transpose(b))),
-               (2, 3), (4, 3), seed=2)
+def test_grad_matmul():
+    check_grad(lambda a, b: T.mean_all(T.mul(T.matmul(a, b), T.matmul(a, b))),
+               (2, 3), (3, 4), seed=2)
 
 
 def test_grad_matvec():
-    check_grad(lambda a, v: T.sum_all(T.mul(T.matmul(a, v), T.matmul(a, v))),
+    check_grad(lambda a, v: T.mean_all(T.mul(T.matmul(a, v), T.matmul(a, v))),
                (3, 4), (4,), seed=3)
 
 
 def test_grad_concat_axis1_and_take_column():
     def build(a, b):
         joined = T.concat([a, b], axis=1)
-        return T.sum_all(T.mul(T.take_column(joined, 2), T.take_column(joined, 0)))
+        return T.mean_all(T.mul(T.take_column(joined, 2), T.take_column(joined, 0)))
 
     check_grad(build, (3, 2), (3, 2), seed=4)
-
-
-def test_grad_stack_rows():
-    check_grad(lambda a, b: T.sum_all(T.mul(T.stack_rows([a, b, a]), 3.0)),
-               (4,), (4,), seed=5)
 
 
 def test_grad_gather_segment_pipeline():
@@ -163,7 +189,7 @@ def test_grad_gather_segment_pipeline():
     def build(x):
         rows = T.gather_rows(x, idx)
         pooled = T.segment_sum(rows, seg, 3)
-        return T.sum_all(T.mul(pooled, pooled))
+        return T.mean_all(T.mul(pooled, pooled))
 
     check_grad(build, (3, 4), seed=6)
 
@@ -173,29 +199,37 @@ def test_grad_segment_softmax():
 
     def build(logits, values):
         alpha = T.segment_softmax(logits, seg, 2)
-        return T.sum_all(T.mul(T.gather_rows(values, np.arange(5)),
+        return T.mean_all(T.mul(T.gather_rows(values, np.arange(5)),
                                T.as_column(alpha)))
 
     check_grad(build, (5,), (5, 3), seed=7)
 
 
-def test_grad_softmax_rows():
-    check_grad(lambda a, b: T.sum_all(T.mul(T.softmax_rows(a), b)),
-               (4, 5), (4, 5), seed=8)
+def test_grad_block_attention_sum():
+    bounds = np.array([0, 3, 4, 6])
+    weights = np.random.default_rng(8).normal(size=(3, 5))
+
+    def build(q, k, v):
+        out = T.block_attention_sum(q, k, v, bounds, 0.6)
+        return T.mean_all(T.mul(out, weights))
+
+    check_grad(build, (6, 4), (6, 4), (6, 5), seed=8)
 
 
 def test_grad_activations():
-    check_grad(lambda x: T.sum_all(T.leaky_relu(x, 0.2)), (4, 3), seed=9)
-    check_grad(lambda x: T.sum_all(T.elu(x)), (4, 3), seed=10)
-    check_grad(lambda x: T.sum_all(T.mul(T.sigmoid(x), T.sigmoid(x))),
+    check_grad(lambda x: T.mean_all(T.leaky_relu(x, 0.2)), (4, 3), seed=9)
+    check_grad(lambda x: T.mean_all(T.elu(x)), (4, 3), seed=10)
+    check_grad(lambda x: T.mean_all(T.mul(T.sigmoid(x), T.sigmoid(x))),
                (4, 3), seed=11)
-    check_grad(lambda x: T.sum_all(T.abs_(x)), (4, 3), seed=12)
-    check_grad(lambda x: T.sum_all(T.huber(x, 0.5)), (4, 3), seed=13)
+    check_grad(lambda x: T.mean_all(T.abs_(x)), (4, 3), seed=12)
+    check_grad(lambda x: T.mean_all(T.huber(x, 0.5)), (4, 3), seed=13)
 
 
 def test_grad_reductions():
     check_grad(lambda x: T.mean_all(T.mul(x, x)), (5, 2), seed=14)
-    check_grad(lambda x: T.sum_all(T.mul(T.row_mean(x), T.row_sum(x))),
+    seg = np.array([1, 0, 1, 1])
+    check_grad(lambda x: T.mean_all(T.mul(T.segment_sum(x, seg, 2),
+                                          T.segment_sum(x, seg, 2))),
                (4, 3), seed=15)
 
 
@@ -267,7 +301,7 @@ def test_batch_norm_gradients(mode):
         state.running_mean = snapshot.running_mean.copy()
         state.running_var = snapshot.running_var.copy()
         out = T.batch_norm(x, gamma, beta, state, mode=mode)
-        return T.sum_all(T.mul(out, Tensor(weights)))
+        return T.mean_all(T.mul(out, Tensor(weights)))
 
     check_grad(build, (4, 3), (3,), (3,), seed=22)
 
@@ -278,7 +312,7 @@ def test_repeated_backward_is_bitwise_identical():
     rng = np.random.default_rng(30)
     x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
     w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    out = T.mean_all(T.mul(T.softmax_rows(T.matmul(x, w)), 2.0))
+    out = T.mean_all(T.block_attention_sum(x, x, T.matmul(x, w), [0, 2, 5], 0.5))
     out.backward()
     first = (x.grad.copy(), w.grad.copy())
     x.zero_grad()

@@ -228,6 +228,24 @@ def test_fit_requires_disjoint_components():
         fit(model, train_set, train_set, cfg)
 
 
+def test_fit_rejects_a_single_training_molecule_before_featurizing(monkeypatch):
+    import grappa.train
+
+    ds, _ = synthetic_dataset(points_per_component=4)
+    one = ds.subset("train")
+    first = one.components()[0]
+    one.points = [pt for pt in one.points if pt.component_id == first]
+
+    def no_featurize(*_):
+        raise AssertionError("featurized before the size check")
+
+    monkeypatch.setattr(grappa.train, "featurize", no_featurize)
+    model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
+                       seed=0)
+    with pytest.raises(ValueError, match="at least 2"):
+        fit(model, one, ds.subset("valid"), small_cfg())
+
+
 def test_fit_history_and_best_selection():
     ds, _ = synthetic_dataset(points_per_component=5)
     cfg = small_cfg()
@@ -281,6 +299,9 @@ def test_history_csv_layout():
 def test_config_validation_and_grid_bounds():
     with pytest.raises(ValueError):
         TrainConfig(batch_size=0).validate()
+    with pytest.raises(ValueError):
+        TrainConfig(batch_size=1).validate()
+    TrainConfig(batch_size=2).validate()
     with pytest.raises(ValueError):
         TrainConfig(grid_gat_layers=(1, 2)).validate()
     with pytest.raises(ValueError):
