@@ -17,6 +17,7 @@ import numpy as np
 from .featurize import EDGE_FEATURES, MolGraph
 from .tensor import (
     Tensor,
+    _scatter_sum,
     add,
     as_column,
     gather_rows,
@@ -174,12 +175,9 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     x = encode(batch, layers[:-1])
     _, attentions = gat_forward(x, batch, layers[-1], return_attention=True)
     n = batch.num_nodes
-    totals = np.zeros(n)
-    counts = np.zeros(n)
-    for alpha in attentions:
-        np.add.at(totals, batch.src, alpha.data)
-        np.add.at(counts, batch.src, 1.0)
-    scores = totals / counts
+    src = np.tile(batch.src, len(attentions))
+    totals = _scatter_sum(src, np.concatenate([a.data for a in attentions]), n)
+    scores = totals / np.bincount(src, minlength=n)
     lo, hi = scores.min(), scores.max()
     if hi - lo < 1e-15:
         return np.ones(n)

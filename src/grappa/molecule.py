@@ -7,6 +7,7 @@ Hydrogen is never a node; it is tracked per heavy atom, either explicitly
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 ALLOWED_ELEMENTS = ("C", "N", "O", "Cl", "S", "F", "Br", "I", "P")
 
@@ -94,20 +95,23 @@ class Molecule:
                     f"aromatic bond {key} between non-aromatic atoms"
                 )
 
-    def neighbors(self, idx: int) -> list[int]:
-        out = []
+    @cached_property
+    def _incident(self) -> dict[int, list[Bond]]:
+        """Each atom's bonds in bond-tuple order, built on first use."""
+        table: dict[int, list[Bond]] = {i: [] for i in range(len(self.atoms))}
         for bond in self.bonds:
-            if bond.a == idx:
-                out.append(bond.b)
-            elif bond.b == idx:
-                out.append(bond.a)
-        return out
+            table[bond.a].append(bond)
+            table[bond.b].append(bond)
+        return table
+
+    def neighbors(self, idx: int) -> list[int]:
+        return [bond.other(idx) for bond in self._incident.get(idx, ())]
 
     def bonds_of(self, idx: int) -> list[Bond]:
-        return [b for b in self.bonds if idx in (b.a, b.b)]
+        return list(self._incident.get(idx, ()))
 
     def degree(self, idx: int) -> int:
-        return len(self.neighbors(idx))
+        return len(self._incident.get(idx, ()))
 
 
 def permute_molecule(mol: Molecule, perm: list[int] | tuple[int, ...]) -> Molecule:

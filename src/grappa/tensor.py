@@ -6,7 +6,17 @@ reachable tensor. Tapes are per-forward-pass and single-threaded; separate
 forward passes are independent.
 
 All forward results are checked for NaN/Inf and trip :class:`NonFiniteError`
-immediately, which keeps training divergence diagnosable.
+immediately, which keeps training divergence diagnosable. The check is one
+``np.isfinite(data).all()`` per op; testing the sum first is no faster and
+warns when finite values overflow.
+
+Every scatter (``segment_sum``, the ``gather_rows`` VJP, the
+``segment_softmax`` denominator and VJP) is one ``np.bincount`` call, which
+adds in input order as ``np.add.at`` does but without its per-element
+overhead, so sums are bitwise those of the plain loop. Segment maxima come
+from a stable sort and ``np.maximum.reduceat``. ``backward`` stores the
+first gradient that reaches a tensor as a fresh array and adds later ones
+to it in place, so no two tensors share a gradient buffer.
 """
 
 from __future__ import annotations
@@ -91,8 +101,11 @@ class Tensor:
                 if grad is None:
                     continue
                 if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.data)
-                parent.grad += grad
+                    # A fresh array, since a VJP may hand back ``g`` or a view
+                    # of it; ``+ 0.0`` turns -0.0 into 0.0 as ``0 + g`` would.
+                    parent.grad = grad + 0.0
+                else:
+                    parent.grad += grad
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -104,12 +117,35 @@ def _t(x) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NonFiniteError("non-finite value produced by a tensor operation")
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._vjp = vjp
+    return out
+
+
+def _scatter_sum(index: np.ndarray, values: np.ndarray,
+                 num_segments: int) -> np.ndarray:
+    """Sum ``values`` rows into ``num_segments`` rows by ``index``.
+
+    ``np.bincount`` adds its weights in input order, as ``np.add.at`` does,
+    so every sum is bitwise the same; a matrix scatters through the flat
+    index ``row * d + col``.
+    """
+    if not values.size:  # bincount of nothing counts in integers
+        return np.zeros((num_segments,) + values.shape[1:])
+    if values.ndim == 1:
+        out = np.bincount(index, weights=values, minlength=num_segments)
+    else:
+        d = values.shape[1]
+        flat = (index[:, None] * d + np.arange(d)).ravel()
+        out = np.bincount(flat, weights=values.ravel(),
+                          minlength=num_segments * d).reshape(-1, d)
+    if len(out) != num_segments:
+        raise IndexError(f"segment id {index.max()} out of range for "
+                         f"{num_segments} segments")
     return out
 
 
@@ -234,12 +270,13 @@ def gather_rows(a, index) -> Tensor:
     """Select rows (or vector elements) by integer index, with repetitions."""
     a = _t(a)
     index = np.asarray(index, dtype=np.int64)
+    if index.ndim != 1:
+        raise ShapeError("gather_rows expects a vector of row indices")
     out = a.data[index]
+    rows = index % len(a.data) if index.size and index.min() < 0 else index
 
     def vjp(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, index, g)
-        return (full,)
+        return (_scatter_sum(rows, g, len(a.data)),)
 
     return _make(out, (a,), vjp)
 
@@ -263,9 +300,7 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
     """Sum rows (or elements) of ``a`` grouped by segment id."""
     a = _t(a)
     segments = np.asarray(segments, dtype=np.int64)
-    shape = (num_segments,) + a.shape[1:]
-    out = np.zeros(shape)
-    np.add.at(out, segments, a.data)
+    out = _scatter_sum(segments, a.data, num_segments)
 
     def vjp(g):
         return (g[segments],)
@@ -282,17 +317,19 @@ def segment_softmax(logits, segments, num_segments: int) -> Tensor:
         raise ShapeError("segment_softmax expects a vector")
     segments = np.asarray(segments, dtype=np.int64)
     peak = np.full(num_segments, -np.inf)
-    np.maximum.at(peak, segments, logits.data)
+    if segments.size:
+        order = np.argsort(segments, kind="stable")
+        grouped = segments[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], grouped[1:] != grouped[:-1])))
+        peak[grouped[starts]] = np.maximum.reduceat(logits.data[order], starts)
     if not np.all(np.isfinite(peak)):
         raise ShapeError("segment_softmax: every segment needs an entry")
     ex = np.exp(logits.data - peak[segments])
-    denom = np.zeros(num_segments)
-    np.add.at(denom, segments, ex)
-    out = ex / denom[segments]
+    out = ex / _scatter_sum(segments, ex, num_segments)[segments]
 
     def vjp(g):
-        dot = np.zeros(num_segments)
-        np.add.at(dot, segments, out * g)
+        dot = _scatter_sum(segments, out * g, num_segments)
         return (out * (g - dot[segments]),)
 
     return _make(out, (logits,), vjp)

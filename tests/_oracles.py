@@ -139,6 +139,50 @@ def molecules_isomorphic(m1: Molecule, m2: Molecule) -> bool:
     return extend(0)
 
 
+def scan_bonds_of(mol: Molecule, idx: int) -> list:
+    """An atom's bonds found by scanning every bond, in bond-tuple order."""
+    return [bond for bond in mol.bonds if bond.a == idx or bond.b == idx]
+
+
+def scan_neighbors(mol: Molecule, idx: int) -> list[int]:
+    out = []
+    for bond in mol.bonds:
+        if bond.a == idx:
+            out.append(bond.b)
+        elif bond.b == idx:
+            out.append(bond.a)
+    return out
+
+
+def scan_degree(mol: Molecule, idx: int) -> int:
+    return len(scan_neighbors(mol, idx))
+
+
+# --------------------------------------------------------- scatter references
+
+def add_at_scatter(index: np.ndarray, values: np.ndarray,
+                   num_segments: int) -> np.ndarray:
+    """Row sums by segment with unbuffered ``np.add.at``, in input order."""
+    out = np.zeros((num_segments,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+def reference_segment_softmax(logits: np.ndarray, segments: np.ndarray,
+                              num_segments: int, g: np.ndarray):
+    """Segment softmax of a vector and its VJP for the upstream ``g``, with
+    the peak taken by ``np.maximum.at`` and every sum by ``np.add.at``."""
+    peak = np.full(num_segments, -np.inf)
+    np.maximum.at(peak, segments, logits)
+    ex = np.exp(logits - peak[segments])
+    denom = np.zeros(num_segments)
+    np.add.at(denom, segments, ex)
+    out = ex / denom[segments]
+    dot = np.zeros(num_segments)
+    np.add.at(dot, segments, out * g)
+    return out, out * (g - dot[segments])
+
+
 # -------------------------------------------------- scalar model re-evaluations
 
 def naive_gat_head(x: np.ndarray, mol_bonds: list[tuple[int, int]],

@@ -20,7 +20,7 @@ from grappa.model import (
     init_model,
     parameter_accounting_markdown,
 )
-from grappa.molecule import permute_molecule
+from grappa.molecule import Molecule, permute_molecule
 from grappa.smiles import parse_smiles
 from grappa.tensor import Tensor
 from grappa.train import (
@@ -38,6 +38,9 @@ from _oracles import (
     finite_difference_at,
     finite_difference_grad,
     max_rel_error,
+    scan_bonds_of,
+    scan_degree,
+    scan_neighbors,
     synthetic_dataset,
     synthetic_params,
 )
@@ -268,6 +271,37 @@ def test_permutation_invariance_of_predictions():
             worst = max(worst, float(np.max(np.abs(out - base))))
     report("permutation invariance: 50 molecules x 10 permutations",
            worst < 1e-9, f"max deviation {worst:.2e}")
+
+
+# ---------------------------------------------------------------------------
+# Criterion: the adjacency a molecule builds once gives the 50-molecule pool
+# the neighbor order and featurized arrays of a scan over every bond, bitwise.
+# ---------------------------------------------------------------------------
+
+def test_adjacency_matches_bond_scan(monkeypatch):
+    def graph_arrays(smiles):
+        mol = parse_smiles(smiles)
+        g = featurize(mol)
+        return mol, [g.node_features, g.edges, g.edge_features,
+                     np.array([g.h_donors, g.h_acceptors, g.heavy_atom_count,
+                               g.mol_weight])]
+
+    cached = {s: graph_arrays(s) for s in FIFTY_MOLECULES}
+    order_ok = all(
+        mol.neighbors(i) == scan_neighbors(mol, i)
+        and mol.bonds_of(i) == scan_bonds_of(mol, i)
+        and mol.degree(i) == scan_degree(mol, i)
+        for mol, _ in cached.values() for i in range(-1, len(mol.atoms) + 1))
+    monkeypatch.setattr(Molecule, "neighbors", scan_neighbors)
+    monkeypatch.setattr(Molecule, "bonds_of", scan_bonds_of)
+    monkeypatch.setattr(Molecule, "degree", scan_degree)
+    differ = [s for s in FIFTY_MOLECULES
+              if not all(a.dtype == b.dtype and a.shape == b.shape
+                         and a.tobytes() == b.tobytes()
+                         for a, b in zip(cached[s][1], graph_arrays(s)[1]))]
+    report("adjacency: neighbor order and featurized arrays of 50 molecules "
+           "match a bond scan bitwise", order_ok and not differ,
+           f"{len(differ)} molecules differ")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from grappa import tensor as T
 from grappa.tensor import BatchNormState, NonFiniteError, ShapeError, Tensor
 
-from _oracles import finite_difference_grad, max_rel_error
+from _oracles import (
+    add_at_scatter,
+    finite_difference_grad,
+    max_rel_error,
+    reference_segment_softmax,
+)
 
 GRAD_TOL = 1e-4
 
@@ -117,6 +124,25 @@ def test_non_finite_forward_raises():
         T.mul(big, big)
 
 
+def test_finite_check_allows_sums_that_overflow():
+    out = T.concat([Tensor([1e308]), Tensor([1e308])])
+    np.testing.assert_array_equal(out.data, [1e308, 1e308])
+    mixed = [Tensor([1e308, 1e308]), Tensor([-1e308, -1e308])]
+    assert T.concat(mixed).data.tolist() == [1e308, 1e308, -1e308, -1e308]
+    wide = Tensor(np.full((3, 4), 1e308))
+    assert T.add(wide, wide.data * 0.0).data.max() == 1e308
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_catches_nan_and_inf(bad):
+    with pytest.raises(NonFiniteError):
+        T.add(Tensor([1.0, 2.0]), Tensor([0.0, bad]))
+    with pytest.raises(NonFiniteError):
+        T.concat([Tensor(np.full((2, 2), 1e308)), Tensor([[1.0, bad]])])
+    with pytest.raises(NonFiniteError):
+        T.segment_sum(Tensor([bad, 1.0, 2.0]), [1, 0, 1], 2)
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -142,6 +168,23 @@ def test_gather_and_segment_ops():
     np.testing.assert_array_equal(picked.data, [[5, 6], [1, 2], [5, 6]])
     summed = T.segment_sum(picked, [0, 1, 0], 2)
     np.testing.assert_array_equal(summed.data, [[10, 12], [1, 2]])
+
+
+def test_gather_rows_negative_index_grad():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    picked = T.gather_rows(x, [-1, 0, 2])
+    T.mean_all(T.mul(picked, picked)).backward()
+    np.testing.assert_array_equal(
+        x.grad, add_at_scatter(np.array([-1, 0, 2]), picked.grad, 3))
+    with pytest.raises(ShapeError):
+        T.gather_rows(x, [[0, 1]])
+
+
+def test_segment_ids_out_of_range_raise():
+    with pytest.raises(IndexError):
+        T.segment_sum(Tensor(np.ones((3, 2))), [0, 2, 1], 2)
+    with pytest.raises(IndexError):
+        T.segment_softmax(Tensor(np.ones(3)), [0, 2, 1], 2)
 
 
 def test_segment_softmax_groups_sum_to_one():
@@ -327,3 +370,105 @@ def test_grad_accumulates_across_shared_uses():
     out = T.mul(x, x)  # both parents are the same tensor
     out.backward()
     assert x.grad == pytest.approx(6.0)
+
+
+def test_backward_keeps_every_grad_in_its_own_buffer():
+    # Each add hands its upstream array itself to both parents: add(x, x)
+    # twice to x, add(x, z) to x and z, add(y, ...) to y; x, y and z keep
+    # accumulating afterwards. No stored grad may alias another or be
+    # changed through one.
+    def build(x, w):
+        y = T.add(x, x)
+        z = T.add(y, T.matmul(y, w))
+        s = T.add(x, z)
+        zy = T.mul(z, y)
+        return T.mean_all(T.mul(zy, s)), (y, z, s, zy)
+
+    check_grad(lambda x, w: build(x, w)[0], (3, 2), (2, 2), seed=31)
+
+    rng = np.random.default_rng(31)
+    x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    loss, (y, z, s, zy) = build(x, w)
+    loss.backward()
+    grads = [t.grad for t in (x, w, y, z, s, zy)]
+    for i, a in enumerate(grads):
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+    n = z.size
+    np.testing.assert_allclose(s.grad, zy.data / n, rtol=1e-14)
+    np.testing.assert_allclose(zy.grad, s.data / n, rtol=1e-14)
+    gz = (y.data * s.data + zy.data) / n
+    np.testing.assert_allclose(z.grad, gz, rtol=1e-13)
+    gy = z.data * s.data / n + gz + gz @ w.data.T
+    np.testing.assert_allclose(y.grad, gy, rtol=1e-13)
+    np.testing.assert_allclose(x.grad, s.grad + 2 * gy, rtol=1e-13)
+
+
+# ------------------------------------------------------ scatter property tests
+
+FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scatter_cases(draw, width=None, min_rows=0):
+    """Unsorted segment ids with repeats; some segments may stay empty."""
+    num_segments = draw(st.integers(1, 7))
+    index = draw(st.lists(st.integers(0, num_segments - 1),
+                          min_size=min_rows, max_size=24))
+    shape = (len(index),) if width is None else (len(index), width)
+    values = draw(hnp.arrays(np.float64, shape, elements=FLOATS))
+    return np.array(index, dtype=np.int64), values, num_segments
+
+
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None)
+@given(st.one_of(scatter_cases(), scatter_cases(width=3)))
+def test_segment_sum_matches_add_at(case):
+    index, values, n = case
+    out = T.segment_sum(Tensor(values), index, n).data
+    assert bitwise_equal(out, add_at_scatter(index, values, n))
+
+
+@settings(deadline=None)
+@given(st.one_of(scatter_cases(), scatter_cases(width=3)))
+def test_gather_rows_vjp_matches_add_at(case):
+    index, upstream, n = case
+    x = Tensor(np.ones((n,) + upstream.shape[1:]), requires_grad=True)
+    (grad,) = T.gather_rows(x, index)._vjp(upstream)
+    assert bitwise_equal(grad, add_at_scatter(index, upstream, n))
+
+
+@st.composite
+def softmax_cases(draw):
+    """Segment ids covering every segment, shuffled, with repeats."""
+    num_segments = draw(st.integers(1, 7))
+    extra = draw(st.lists(st.integers(0, num_segments - 1), max_size=17))
+    index = draw(st.permutations(list(range(num_segments)) + extra))
+    logits = draw(hnp.arrays(np.float64, len(index),
+                             elements=st.floats(-30, 30)))
+    upstream = draw(hnp.arrays(np.float64, len(index), elements=FLOATS))
+    return np.array(index, dtype=np.int64), logits, upstream, num_segments
+
+
+@settings(deadline=None)
+@given(softmax_cases())
+def test_segment_softmax_matches_reference(case):
+    index, logits, upstream, n = case
+    alpha = T.segment_softmax(Tensor(logits, requires_grad=True), index, n)
+    out, vjp = reference_segment_softmax(logits, index, n, upstream)
+    assert bitwise_equal(alpha.data, out)
+    assert bitwise_equal(alpha._vjp(upstream)[0], vjp)
+
+
+@settings(deadline=None)
+@given(softmax_cases(), st.integers(0, 6))
+def test_segment_softmax_rejects_an_empty_segment(case, empty):
+    index, logits, _, n = case
+    empty = empty % n
+    keep = index != empty
+    with pytest.raises(ShapeError):
+        T.segment_softmax(Tensor(logits[keep]), index[keep], n)
