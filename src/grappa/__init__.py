@@ -46,7 +46,6 @@ from .model import (
     Architecture,
     GrappaModel,
     Prediction,
-    head_forward,
     init_model,
     load_checkpoint,
     parameter_accounting_markdown,

@@ -2,7 +2,8 @@
 
 ln(p/kPa) = A - B / (C + T/K), with the parameters box-bounded so that B > 0
 always gives a physically increasing curve. Pressures cross the module
-boundary in Pa; the correlation itself works in kPa.
+boundary in Pa; the correlation itself works in kPa. ``_ln_p_kpa`` is the one
+numpy evaluator and :func:`ln_p_tensor` its twin on the training tape.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .tensor import NonFiniteError, Tensor, _make
 
 # Bounds enforced by the prediction head's sigmoid scaling.
 PARAM_RANGES = {
@@ -48,6 +51,24 @@ def _ln_p_kpa(a, b, c, temperature_k):
     denom = c + np.asarray(temperature_k, dtype=np.float64)
     valid = denom > 0.0
     return np.where(valid, a - b / np.where(valid, denom, 1.0), np.inf), valid
+
+
+def ln_p_tensor(rows: Tensor, temperature_k) -> Tensor:
+    """ln(p/kPa) of shape (P,) on the tape, for (P, 3) rows of A, B, C.
+
+    Equals :func:`_ln_p_kpa` on the valid branch; it applies no branch mask,
+    so a point with C + T < 0 is evaluated on the other branch, and a zero
+    C + T raises :class:`NonFiniteError`.
+    """
+    a, b, c = rows.data.T
+    d = c + np.asarray(temperature_k, dtype=np.float64)
+    if np.any(d == 0.0):
+        raise NonFiniteError("division by zero")
+
+    def vjp(g):
+        return (np.column_stack([g, -g / d, g * b / (d * d)]),)
+
+    return _make(a - b / d, (rows,), vjp)
 
 
 def antoine(a, b, c, temperature_k) -> np.ndarray:

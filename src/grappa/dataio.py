@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antoine import PARAM_RANGES, AntoineParams, antoine
+from .antoine import PA_PER_KPA, PARAM_RANGES, AntoineParams, _ln_p_kpa, antoine
 from .featurize import validate_scope
 from .molecule import Molecule
 from .smiles import SmilesError, parse_smiles
@@ -149,11 +149,10 @@ def _huber_rho(r: np.ndarray, delta: float) -> np.ndarray:
 
 
 def _fit_cost(theta, t, y, delta) -> tuple[float, np.ndarray]:
-    a, b, c = theta
-    denom = c + t
-    if np.any(denom <= 0):
+    ln_p, valid = _ln_p_kpa(*theta, t)
+    if not valid.all():
         return math.inf, np.full_like(y, np.inf)
-    r = y - (a - b / denom)
+    r = y - ln_p
     return float(_huber_rho(r, delta).sum()), r
 
 
@@ -233,7 +232,7 @@ def robust_antoine_fit(temperatures_k, pressures_pa, delta: float = 0.5,
     starting points are tried and the best final cost wins.
     """
     t = np.asarray(temperatures_k, dtype=float)
-    y = np.log(np.asarray(pressures_pa, dtype=float) / 1000.0)
+    y = np.log(np.asarray(pressures_pa, dtype=float) / PA_PER_KPA)
     if t.size < 3:
         raise ValueError("robust fit needs at least 3 points")
     if float(t.max() - t.min()) <= 1.0:

@@ -11,9 +11,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .antoine import AntoineParams, boiling_temperature
-
-KPA = 1000.0
+from .antoine import PA_PER_KPA, AntoineParams, boiling_temperature
 
 DEFAULT_MIN_K_FILTERS = (1, 2, 5)
 # Decade edges in Pa over the curated pressure window.
@@ -89,8 +87,8 @@ def summarize(points: list[PredPoint],
     component APE restricted to components with at least K points."""
     if not points:
         raise ValueError("empty evaluation set")
-    ln_pred = np.log(np.array([pt.p_pred_pa for pt in points]) / KPA)
-    ln_exp = np.log(np.array([pt.p_exp_pa for pt in points]) / KPA)
+    ln_pred = np.log(np.array([pt.p_pred_pa for pt in points]) / PA_PER_KPA)
+    ln_exp = np.log(np.array([pt.p_exp_pa for pt in points]) / PA_PER_KPA)
     diff = ln_pred - ln_exp
     apes = _ape_array(points)
     comp = _component_apes(points)
@@ -206,7 +204,7 @@ def hexbin_grid(points: list[PredPoint], t_step_k: float = 25.0,
     if not points:
         return []
     temps = np.array([pt.temperature_k for pt in points])
-    ln_p = np.log(np.array([pt.p_exp_pa for pt in points]) / KPA)
+    ln_p = np.log(np.array([pt.p_exp_pa for pt in points]) / PA_PER_KPA)
     apes = _ape_array(points)
     t_idx = np.floor(temps / t_step_k).astype(int)
     p_idx = np.floor(ln_p / ln_p_step).astype(int)
@@ -248,11 +246,11 @@ def boiling_point_eval(params_by_component: dict[str, AntoineParams],
     for pt in points:
         groups.setdefault(pt.component_id, []).append(pt)
     rows = []
+    lo_pa, hi_pa = (bound * PA_PER_KPA for bound in window_kpa)
     for component, pts in sorted(groups.items()):
         if len(pts) < min_points or component not in params_by_component:
             continue
-        near = [pt for pt in pts
-                if window_kpa[0] * KPA <= pt.p_exp_pa <= window_kpa[1] * KPA]
+        near = [pt for pt in pts if lo_pa <= pt.p_exp_pa <= hi_pa]
         if not near:
             continue
         p_mean = float(np.mean([pt.p_exp_pa for pt in near]))

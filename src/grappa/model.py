@@ -3,7 +3,8 @@
 The head maps the pooled embedding plus hydrogen donor/acceptor counts
 through hidden layers (linear -> batch norm -> ELU) to three raw outputs,
 each squashed into its Antoine range with ``lo + (hi - lo) * sigmoid``, so
-every prediction is a valid vapor-pressure curve by construction.
+every prediction is a valid vapor-pressure curve by construction. The head's
+output is one (B, 3) tensor whose columns are A, B and C.
 """
 
 from __future__ import annotations
@@ -14,13 +15,14 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .antoine import (
+    PA_PER_KPA,
     PARAM_RANGES,
     AntoineParams,
     antoine,
     boiling_temperature,
     ln_vapor_pressure,
 )
-from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize, validate_scope, ScopeError
+from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize
 from .gnn import GatLayer, batch_graphs, encode, glorot, init_gat_layer
 from .pooling import InteractionPoolParams, init_interaction_pool, interaction_pool, sum_pool
 from .smiles import parse_smiles
@@ -32,9 +34,8 @@ from .tensor import (
     concat,
     elu,
     matmul,
-    scale,
+    mul,
     sigmoid,
-    take_column,
 )
 
 CHECKPOINT_VERSION = 1
@@ -208,19 +209,16 @@ def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
     return add(matmul(z, model.out_weight), model.out_bias)
 
 
-def scale_to_ranges(raw: Tensor, ranges: dict) -> tuple[Tensor, Tensor, Tensor]:
-    """Map each raw column into its bounded interval via the sigmoid."""
-    outs = []
-    for j, key in enumerate(("A", "B", "C")):
-        lo, hi = ranges[key]
-        outs.append(add(scale(sigmoid(take_column(raw, j)), hi - lo), lo))
-    return tuple(outs)
+def scale_to_ranges(raw: Tensor, ranges: dict) -> Tensor:
+    """Map each raw column (A, B, C) into its bounded interval via the sigmoid."""
+    lo, hi = np.array([ranges[key] for key in ("A", "B", "C")]).T
+    return add(mul(sigmoid(raw), hi - lo), lo)
 
 
 def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
-                    mode: str = "infer") -> tuple[Tensor, Tensor, Tensor]:
-    """Antoine parameter columns (A, B, C), each of shape (B,), with the
-    molecules run through message passing and readout as one disjoint graph."""
+                    mode: str = "infer") -> Tensor:
+    """(B, 3) Antoine parameters, columns A, B, C, with the molecules run
+    through message passing and readout as one disjoint graph."""
     batch = batch_graphs(graphs)
     embeddings = encode(batch, model.gat)
     if model.arch.pooling == "interaction":
@@ -233,16 +231,6 @@ def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
     return scale_to_ranges(raw, model.arch.param_ranges)
 
 
-def head_forward(h, donors: int, acceptors: int, model: GrappaModel,
-                 mode: str = "infer") -> AntoineParams:
-    """Head only: pooled embedding plus counts to bounded Antoine parameters."""
-    pooled = Tensor(np.reshape(h.data if isinstance(h, Tensor) else h, (1, -1)))
-    raw = head_raw(model, pooled, _count_features(model, [donors], [acceptors]),
-                   mode)
-    a, b, c = scale_to_ranges(raw, model.arch.param_ranges)
-    return AntoineParams(a.item(), b.item(), c.item())
-
-
 @dataclass(frozen=True)
 class Prediction:
     params: AntoineParams
@@ -253,17 +241,16 @@ class Prediction:
 
 def predict(model: GrappaModel, smiles: str, temperatures=None,
             boil_pressure_pa: float | None = None) -> Prediction:
-    """Parse, check scope, and run the whole pipeline in inference mode."""
-    mol = parse_smiles(smiles)
-    scope = validate_scope(mol)
-    if not scope.accepted:
-        raise ScopeError(scope.reasons)
-    a, b, c = forward_antoine(model, [featurize(mol)])
-    params = AntoineParams(a.item(), b.item(), c.item())
+    """Parse, check scope, and run the whole pipeline in inference mode;
+    out-of-scope molecules raise :class:`ScopeError` from ``featurize``."""
+    row = forward_antoine(model, [featurize(parse_smiles(smiles))]).data[0]
+    params = AntoineParams(*row.tolist())
     ln_p = p = None
     if temperatures is not None:
         ln_p = ln_vapor_pressure(params, temperatures)
-        p = np.exp(ln_p) * 1000.0 if not np.isscalar(ln_p) else float(np.exp(ln_p) * 1000.0)
+        p = np.exp(ln_p) * PA_PER_KPA
+        if np.isscalar(ln_p):
+            p = float(p)
     boiling = None
     if boil_pressure_pa is not None:
         boiling = boiling_temperature(params, boil_pressure_pa)
@@ -285,8 +272,7 @@ def predict_dataset(model: GrappaModel, dataset, split: str | None = None):
         if split is not None and dataset.split_label(component) != split:
             continue
         graph = featurize(parse_smiles(points[0].smiles))
-        a, b, c = forward_antoine(model, [graph])
-        params = AntoineParams(a.item(), b.item(), c.item())
+        params = AntoineParams(*forward_antoine(model, [graph]).data[0].tolist())
         params_by_component[component] = params
         p_pred = antoine(*params.as_tuple(),
                          np.array([pt.temperature_k for pt in points]))
@@ -321,23 +307,22 @@ def model_from_checkpoint(data: dict) -> GrappaModel:
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
     arch = Architecture.from_dict(data["arch"])
     model = init_model(arch, seed=0)
-    entries = dict(data["params"])
-    for name, tensor in model.named_parameters().items():
-        if name not in entries:
-            raise ValueError(f"checkpoint missing parameter {name!r}")
-        entry = entries.pop(name)
+    expected = model.snapshot()
+    entries = data["params"]
+    missing = sorted(expected.keys() - entries.keys())
+    if missing:
+        raise ValueError(f"checkpoint missing entries: {missing}")
+    unknown = sorted(entries.keys() - expected.keys())
+    if unknown:
+        raise ValueError(f"checkpoint has unknown entries: {unknown}")
+    arrays = {}
+    for name, entry in entries.items():
         values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        if list(values.shape) != list(tensor.shape):
-            raise ValueError(f"parameter {name!r} has shape {values.shape}, "
-                             f"expected {tensor.shape}")
-        tensor.data = values
-    for name, buf in model.named_buffers().items():
-        if name not in entries:
-            raise ValueError(f"checkpoint missing buffer {name!r}")
-        entry = entries.pop(name)
-        buf[...] = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-    if entries:
-        raise ValueError(f"checkpoint has unknown entries: {sorted(entries)}")
+        if values.shape != expected[name].shape:
+            raise ValueError(f"entry {name!r} has shape {values.shape}, "
+                             f"expected {expected[name].shape}")
+        arrays[name] = values
+    model.restore(arrays)
     return model
 
 

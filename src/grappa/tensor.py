@@ -252,20 +252,6 @@ def as_column(v) -> Tensor:
     return _make(v.data.reshape(-1, 1), (v,), lambda g: (g.reshape(-1),))
 
 
-def take_column(a, j: int) -> Tensor:
-    a = _t(a)
-    if a.ndim != 2:
-        raise ShapeError("take_column expects a matrix")
-    out = a.data[:, j].copy()
-
-    def vjp(g):
-        full = np.zeros_like(a.data)
-        full[:, j] = g
-        return (full,)
-
-    return _make(out, (a,), vjp)
-
-
 def gather_rows(a, index) -> Tensor:
     """Select rows (or vector elements) by integer index, with repetitions."""
     a = _t(a)
@@ -315,6 +301,8 @@ def segment_softmax(logits, segments, num_segments: int) -> Tensor:
     logits = _t(logits)
     if logits.ndim != 1:
         raise ShapeError("segment_softmax expects a vector")
+    if not np.isfinite(logits.data).all():
+        raise NonFiniteError("segment_softmax: non-finite logits")
     segments = np.asarray(segments, dtype=np.int64)
     peak = np.full(num_segments, -np.inf)
     if segments.size:

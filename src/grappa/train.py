@@ -21,7 +21,7 @@ from itertools import product
 
 import numpy as np
 
-from .antoine import antoine
+from .antoine import PA_PER_KPA, antoine, ln_p_tensor
 from .dataio import VpDataset
 from .featurize import MolGraph, featurize
 from .model import (
@@ -35,8 +35,6 @@ from .tensor import (
     NonFiniteError,
     Tensor,
     abs_,
-    add,
-    div,
     gather_rows,
     huber,
     mean_all,
@@ -239,7 +237,7 @@ def _prepare_components(dataset: VpDataset) -> list[_CompData]:
         graph = featurize(parse_smiles(points[0].smiles))
         t = np.array([pt.temperature_k for pt in points])
         p = np.array([pt.pressure_pa for pt in points])
-        items.append(_CompData(component, graph, t, p, np.log(p / 1000.0)))
+        items.append(_CompData(component, graph, t, p, np.log(p / PA_PER_KPA)))
     return items
 
 
@@ -260,11 +258,10 @@ def _points(items: list[_CompData]) -> tuple[np.ndarray, np.ndarray]:
 
 def _batch_loss(model: GrappaModel, items: list[_CompData], kind: str,
                 delta: float) -> Tensor:
-    a, b, c = forward_antoine(model, [it.graph for it in items], mode="train")
+    params = forward_antoine(model, [it.graph for it in items], mode="train")
     idx, temps = _points(items)
     target = np.concatenate([it.ln_p_kpa for it in items])
-    denom = add(gather_rows(c, idx), Tensor(temps))
-    pred = sub(gather_rows(a, idx), div(gather_rows(b, idx), denom))
+    pred = ln_p_tensor(gather_rows(params, idx), temps)
     if kind == "mse":
         return loss_mse(pred, target)
     return loss_huber(pred, target, delta)
@@ -273,10 +270,10 @@ def _batch_loss(model: GrappaModel, items: list[_CompData], kind: str,
 def validation_mape_i(model: GrappaModel, items: list[_CompData]) -> float:
     """Median absolute percentage error over all validation points; points on
     a curve's invalid branch (C + T <= 0) count as infinite error."""
-    a, b, c = forward_antoine(model, [it.graph for it in items])
+    params = forward_antoine(model, [it.graph for it in items])
     idx, temps = _points(items)
     p_exp = np.concatenate([it.pressures_pa for it in items])
-    p_pred = antoine(a.data[idx], b.data[idx], c.data[idx], temps)
+    p_pred = antoine(*params.data[idx].T, temps)
     return float(np.median(np.abs(p_pred - p_exp) / p_exp * 100.0))
 
 

@@ -10,7 +10,13 @@ from pathlib import Path
 import numpy as np
 
 from grappa import tensor as T
-from grappa.antoine import PARAM_RANGES, AntoineParams, boiling_temperature, vapor_pressure
+from grappa.antoine import (
+    PARAM_RANGES,
+    AntoineParams,
+    boiling_temperature,
+    ln_p_tensor,
+    vapor_pressure,
+)
 from grappa.dataio import curate, robust_antoine_fit
 from grappa.featurize import featurize
 from grappa.metrics import ape_c, ape_i, summarize, PredPoint
@@ -87,6 +93,11 @@ def _op_cases(rng):
     state.running_mean = rng.normal(size=4)
     state.running_var = rng.uniform(0.5, 2.0, size=4)
     weights = rng.normal(size=(3, 4))
+    # A, B, C rows whose denominators C + T stay near 5.
+    antoine_rows = np.column_stack([rng.normal(size=4) + 10.0,
+                                    rng.uniform(1.0, 3.0, size=4),
+                                    rng.normal(size=4)])
+    temps = np.full(4, 5.0)
     return {
         "add": (lambda a, b: T.mean_all(T.mul(T.add(a, b), T.add(a, b))), [m, m]),
         "sub": (lambda a, b: T.mean_all(T.mul(T.sub(a, b), T.sub(a, b))), [m, m]),
@@ -97,8 +108,8 @@ def _op_cases(rng):
         "concat": (lambda a, b: T.mean_all(T.mul(T.concat([a, b], axis=1),
                                                 T.concat([b, a], axis=1))), [m, m]),
         "as_column": (lambda a: T.mean_all(T.mul(T.as_column(a), T.as_column(a))), [v]),
-        "take_column": (lambda a: T.mean_all(T.mul(T.take_column(a, 1),
-                                                  T.take_column(a, 2))), [m]),
+        "ln_p_tensor": (lambda a: T.mean_all(T.mul(ln_p_tensor(a, temps),
+                                                  v)), [antoine_rows]),
         "gather_rows": (lambda a: T.mean_all(T.mul(T.gather_rows(a, idx),
                                                   T.gather_rows(a, idx))), [m]),
         "segment_sum": (lambda a: T.mean_all(T.mul(
@@ -230,9 +241,9 @@ def test_hybrid_head_guarantees():
     for model_seed in range(200):
         model = init_model(Architecture(gat_layers=2, heads=1),
                            seed=model_seed)
-        a, b, c = forward_antoine(model, graphs, mode="infer")
-        for j in range(len(graphs)):
-            params = AntoineParams(a.data[j], b.data[j], c.data[j])
+        out = forward_antoine(model, graphs, mode="infer")
+        for row in out.data:
+            params = AntoineParams(*row)
             assert PARAM_RANGES["A"][0] < params.A < PARAM_RANGES["A"][1]
             assert PARAM_RANGES["B"][0] < params.B < PARAM_RANGES["B"][1]
             assert PARAM_RANGES["C"][0] < params.C < PARAM_RANGES["C"][1]
@@ -261,13 +272,11 @@ def test_permutation_invariance_of_predictions():
     worst = 0.0
     for smiles in FIFTY_MOLECULES:
         mol = parse_smiles(smiles)
-        base = forward_antoine(model, [featurize(mol)], mode="infer")
-        base = np.array([t.item() for t in base])
+        base = forward_antoine(model, [featurize(mol)], mode="infer").data[0]
         for _ in range(10):
             perm = rng.permutation(len(mol.atoms)).tolist()
             graph = featurize(permute_molecule(mol, perm))
-            out = forward_antoine(model, [graph], mode="infer")
-            out = np.array([t.item() for t in out])
+            out = forward_antoine(model, [graph], mode="infer").data[0]
             worst = max(worst, float(np.max(np.abs(out - base))))
     report("permutation invariance: 50 molecules x 10 permutations",
            worst < 1e-9, f"max deviation {worst:.2e}")
@@ -319,10 +328,10 @@ def test_batched_forward_matches_single_molecules():
     for seed in range(3):
         for pooling in ("sum", "interaction"):
             model = init_model(Architecture(pooling=pooling), seed=seed)
-            batched = np.array([t.data for t in forward_antoine(model, graphs)])
-            single = np.array([[t.item() for t in forward_antoine(model, [g])]
-                               for g in graphs]).T
-            worst = np.maximum(worst, np.abs(batched - single).max(axis=1))
+            batched = forward_antoine(model, graphs).data
+            single = np.concatenate([forward_antoine(model, [g]).data
+                                     for g in graphs])
+            worst = np.maximum(worst, np.abs(batched - single).max(axis=0))
     report("batched forward: 50 molecules x 3 seeds x 2 poolings match "
            "one-molecule results", bool(np.all(worst <= BATCH_TOL)),
            f"max |dA|, |dB|, |dC| = {worst[0]:.1e}, {worst[1]:.1e}, "
@@ -335,12 +344,11 @@ def test_batch_order_invariance():
     worst = np.zeros(3)
     for pooling in ("sum", "interaction"):
         model = init_model(Architecture(pooling=pooling), seed=1005)
-        base = np.array([t.data for t in forward_antoine(model, graphs)])
+        base = forward_antoine(model, graphs).data
         for _ in range(5):
             order = rng.permutation(len(graphs))
-            out = forward_antoine(model, [graphs[i] for i in order])
-            out = np.array([t.data for t in out])
-            worst = np.maximum(worst, np.abs(out - base[:, order]).max(axis=1))
+            out = forward_antoine(model, [graphs[i] for i in order]).data
+            worst = np.maximum(worst, np.abs(out - base[order]).max(axis=0))
     report("batched forward: invariant to the order of molecules in a batch",
            bool(np.all(worst <= BATCH_TOL)),
            f"max |dA|, |dB|, |dC| = {worst[0]:.1e}, {worst[1]:.1e}, "

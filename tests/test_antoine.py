@@ -7,19 +7,25 @@ from grappa.antoine import (
     PARAM_RANGES,
     AntoineDomainError,
     AntoineParams,
+    _ln_p_kpa,
     antoine,
     boiling_temperature,
+    ln_p_tensor,
     ln_vapor_pressure,
     vapor_pressure,
 )
-from grappa.featurize import ScopeError
+from grappa.featurize import ScopeError, validate_scope
 from grappa.model import (
     Architecture,
-    head_forward,
+    head_raw,
     init_model,
     predict,
+    scale_to_ranges,
 )
-from grappa.tensor import ShapeError
+from grappa.smiles import parse_smiles
+from grappa.tensor import NonFiniteError, ShapeError, Tensor, mean_all, mul
+
+from _oracles import finite_difference_grad, max_rel_error
 
 
 def test_hand_arithmetic_cases():
@@ -94,7 +100,59 @@ def test_boiling_no_solution():
         boiling_temperature(params, -5.0)
 
 
+# ------------------------------------------------------------------ tape twin
+
+def random_rows(rng, n):
+    """(n, 3) parameters drawn inside PARAM_RANGES."""
+    return np.column_stack([rng.uniform(*PARAM_RANGES[key], size=n)
+                            for key in ("A", "B", "C")])
+
+
+def test_ln_p_tensor_forward_is_the_numpy_evaluator_bitwise():
+    rng = np.random.default_rng(8)
+    rows = random_rows(rng, 200)
+    temps = rng.uniform(250.0, 600.0, size=200)
+    expected, valid = _ln_p_kpa(*rows.T, temps)
+    assert valid.sum() > 100 and not valid.all()
+    got = ln_p_tensor(Tensor(rows[valid]), temps[valid]).data
+    assert got.tobytes() == expected[valid].tobytes()
+
+
+def test_ln_p_tensor_gradient_matches_finite_differences():
+    rng = np.random.default_rng(9)
+    rows = random_rows(rng, 6)
+    temps = rng.uniform(-rows[:, 2] + 20.0, 600.0)
+    weights = rng.normal(size=6)
+
+    def loss(x):
+        return mean_all(mul(ln_p_tensor(x, temps), weights))
+
+    x = Tensor(rows.copy(), requires_grad=True)
+    loss(x).backward()
+    numeric = finite_difference_grad(lambda r: loss(Tensor(r)).item(),
+                                     rows.copy(), h=1e-4)
+    assert max_rel_error(x.grad, numeric) < 1e-4
+
+
+def test_ln_p_tensor_keeps_the_loss_semantics_off_the_branch():
+    # No branch mask: C + T < 0 is evaluated on the other branch.
+    rows = np.array([[10.0, 2000.0, -299.9]])
+    assert ln_p_tensor(Tensor(rows), [260.0]).item() == pytest.approx(
+        10.0 - 2000.0 / -39.9)
+    with pytest.raises(NonFiniteError):
+        ln_p_tensor(Tensor(rows), [299.9])
+
+
 # ----------------------------------------------------------------------- head
+
+def head_params(model, h, donors: int, acceptors: int,
+                mode: str = "infer") -> AntoineParams:
+    """Head only: a pooled embedding plus raw counts to bounded parameters."""
+    raw = head_raw(model, Tensor(np.reshape(h, (1, -1))),
+                   np.array([[donors, acceptors]], dtype=np.float64), mode)
+    return AntoineParams(
+        *scale_to_ranges(raw, model.arch.param_ranges).data[0].tolist())
+
 
 def midpoints():
     return tuple((lo + hi) / 2 for lo, hi in (PARAM_RANGES["A"],
@@ -107,7 +165,7 @@ def test_zero_raw_outputs_hit_range_midpoints():
     model = init_model(Architecture(), seed=0)
     model.out_weight.data = np.zeros_like(model.out_weight.data)
     model.out_bias.data = np.zeros_like(model.out_bias.data)
-    params = head_forward(np.zeros(32), 1, 2, model, mode="infer")
+    params = head_params(model, np.zeros(32), 1, 2, mode="infer")
     a_mid, b_mid, c_mid = midpoints()
     assert params.A == pytest.approx(a_mid)  # 12.5
     assert params.B == pytest.approx(b_mid)  # 3750
@@ -118,12 +176,12 @@ def test_saturated_raw_outputs_hit_bounds():
     model = init_model(Architecture(), seed=0)
     model.out_weight.data = np.zeros_like(model.out_weight.data)
     model.out_bias.data = np.full(3, 1e3)
-    params = head_forward(np.zeros(32), 0, 0, model, mode="infer")
+    params = head_params(model, np.zeros(32), 0, 0, mode="infer")
     assert params.A == pytest.approx(20.0)
     assert params.B == pytest.approx(6000.0)
     assert params.C == pytest.approx(0.0)
     model.out_bias.data = np.full(3, -1e3)
-    params = head_forward(np.zeros(32), 0, 0, model, mode="infer")
+    params = head_params(model, np.zeros(32), 0, 0, mode="infer")
     assert params.A == pytest.approx(5.0)
     assert params.B == pytest.approx(1500.0)
     assert params.C == pytest.approx(-300.0)
@@ -134,8 +192,8 @@ def test_head_outputs_strictly_inside_open_ranges():
     for seed in range(20):
         model = init_model(Architecture(hidden_layers=2), seed=seed)
         h = rng.normal(size=32) * 10
-        params = head_forward(h, int(rng.integers(0, 5)),
-                              int(rng.integers(0, 8)), model, mode="infer")
+        params = head_params(model, h, int(rng.integers(0, 5)),
+                              int(rng.integers(0, 8)), mode="infer")
         assert PARAM_RANGES["A"][0] < params.A < PARAM_RANGES["A"][1]
         assert PARAM_RANGES["B"][0] < params.B < PARAM_RANGES["B"][1]
         assert PARAM_RANGES["C"][0] < params.C < PARAM_RANGES["C"][1]
@@ -144,7 +202,7 @@ def test_head_outputs_strictly_inside_open_ranges():
 def test_head_train_mode_needs_batch():
     model = init_model(Architecture(), seed=0)
     with pytest.raises(ShapeError):
-        head_forward(np.zeros(32), 1, 1, model, mode="train")
+        head_params(model, np.zeros(32), 1, 1, mode="train")
 
 
 # -------------------------------------------------------------------- predict
@@ -163,10 +221,11 @@ def test_predict_deterministic_and_spelling_invariant():
 
 def test_predict_rejects_out_of_scope():
     model = init_model(Architecture(), seed=4)
-    with pytest.raises(ScopeError):
-        predict(model, "O=S(=O)(O)O")
-    with pytest.raises(ScopeError):
-        predict(model, "[NH4+]")
+    for smiles in ("O=S(=O)(O)O", "[NH4+]"):
+        with pytest.raises(ScopeError) as err:
+            predict(model, smiles)
+        reasons = validate_scope(parse_smiles(smiles)).reasons
+        assert reasons and err.value.reasons == tuple(reasons)
 
 
 def test_untrained_predictions_stay_in_ranges():

@@ -115,6 +115,23 @@ def test_checkpoint_rejects_bad_payloads():
         model_from_checkpoint(bad)
 
 
+@pytest.mark.parametrize("shape", [[1], []])
+def test_checkpoint_rejects_a_wrong_shaped_buffer(shape):
+    # A one-value running variance would broadcast over all 16 entries.
+    data = to_checkpoint(init_model(Architecture(), seed=1))
+    data["params"]["head.0.bn.running_var"] = {"shape": shape, "values": [2.0]}
+    with pytest.raises(ValueError, match="head.0.bn.running_var"):
+        model_from_checkpoint(data)
+
+
+def test_checkpoint_rejects_a_wrong_shaped_parameter():
+    data = to_checkpoint(init_model(Architecture(), seed=1))
+    entry = data["params"]["head.out.weight"]
+    entry["shape"] = entry["shape"][::-1]
+    with pytest.raises(ValueError, match="head.out.weight"):
+        model_from_checkpoint(data)
+
+
 def test_accounting_markdown_totals():
     model = init_model(Architecture(), seed=2)
     text = parameter_accounting_markdown(model)
@@ -127,12 +144,11 @@ def test_accounting_markdown_totals():
 def test_forward_antoine_batch_matches_single():
     model = init_model(Architecture(), seed=3)
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1")]
-    a, b, c = forward_antoine(model, graphs, mode="infer")
+    params = forward_antoine(model, graphs, mode="infer")
+    assert params.shape == (3, 3)
     for k, graph in enumerate(graphs):
-        a1, b1, c1 = forward_antoine(model, [graph], mode="infer")
-        assert a1.item() == pytest.approx(a.data[k], abs=1e-12)
-        assert b1.item() == pytest.approx(b.data[k], abs=1e-12)
-        assert c1.item() == pytest.approx(c.data[k], abs=1e-12)
+        one = forward_antoine(model, [graph], mode="infer")
+        assert one.data[0] == pytest.approx(params.data[k], abs=1e-12)
 
 
 def test_predict_dataset_covers_split():

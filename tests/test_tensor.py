@@ -187,6 +187,14 @@ def test_segment_ids_out_of_range_raise():
         T.segment_softmax(Tensor(np.ones(3)), [0, 2, 1], 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_segment_softmax_rejects_non_finite_logits(bad):
+    with pytest.raises(NonFiniteError):
+        T.segment_softmax(Tensor([bad, 1.0]), [0, 1], 2)
+    with pytest.raises(NonFiniteError):
+        T.segment_softmax(Tensor([1.0, bad, 2.0]), [0, 0, 1], 2)
+
+
 def test_segment_softmax_groups_sum_to_one():
     logits = Tensor(np.array([0.3, -1.0, 2.0, 0.0, 0.5]))
     seg = np.array([0, 0, 1, 1, 1])
@@ -217,10 +225,12 @@ def test_grad_matvec():
                (3, 4), (4,), seed=3)
 
 
-def test_grad_concat_axis1_and_take_column():
+def test_grad_concat_axis1():
+    weights = np.arange(12.0).reshape(3, 4)
+
     def build(a, b):
         joined = T.concat([a, b], axis=1)
-        return T.mean_all(T.mul(T.take_column(joined, 2), T.take_column(joined, 0)))
+        return T.mean_all(T.mul(T.mul(joined, joined), weights))
 
     check_grad(build, (3, 2), (3, 2), seed=4)
 
