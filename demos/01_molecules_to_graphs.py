@@ -13,7 +13,7 @@ EXAMPLES = ["CCO", "c1ccccc1", "F/C=C/F", "CC(=O)Oc1ccccc1C(=O)O"]
 for smiles in EXAMPLES:
     mol = parse_smiles(smiles)
     h_counts = implicit_hydrogens(mol)
-    hybrid = hybridizations(mol)
+    hybrid = hybridizations(mol, h_counts)
     ring_atoms, _ = ring_membership(mol)
     print(f"\n=== {smiles} ===")
     for i, atom in enumerate(mol.atoms):

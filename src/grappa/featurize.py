@@ -132,11 +132,11 @@ def ring_membership(mol: Molecule) -> tuple[list[bool], list[bool]]:
     return atom_flags, bond_flags
 
 
-def hybridizations(mol: Molecule) -> list[str]:
-    """Deterministic hybridization labels from bond patterns alone:
-    SP for a triple bond or two doubles, SP2 for aromatic or one double,
-    SP3 for saturated C/N/O/S/P within their smallest valence, else OTHER."""
-    h_counts = implicit_hydrogens(mol)
+def hybridizations(mol: Molecule, h_counts: list[int]) -> list[str]:
+    """Deterministic hybridization labels from bond patterns and the
+    implicit hydrogen counts: SP for a triple bond or two doubles, SP2 for
+    aromatic or one double, SP3 for saturated C/N/O/S/P within their
+    smallest valence, else OTHER."""
     labels = []
     for idx, atom in enumerate(mol.atoms):
         n_triple = n_double = 0
@@ -201,7 +201,7 @@ def featurize(mol: Molecule) -> MolGraph:
     n = len(mol.atoms)
     h_counts = implicit_hydrogens(mol)
     atom_ring, bond_ring = ring_membership(mol)
-    hybrid = hybridizations(mol)
+    hybrid = hybridizations(mol, h_counts)
 
     x = np.zeros((n, NODE_FEATURES), dtype=np.float64)
     for idx, atom in enumerate(mol.atoms):

@@ -1,7 +1,7 @@
 """Attention-based message passing over molecular graphs.
 
 Each layer updates every node from its neighborhood plus a self-loop; the
-attention logit for an edge is ``att . leaky_relu(W x_i + W x_j + We e_ij)``
+attention logit for an edge is ``att . LeakyReLU(W x_i + W x_j + We e_ij)``
 softmax-normalized over the neighborhood, and multi-head outputs are
 averaged so the embedding width stays fixed. Self-loops carry a zero edge
 feature vector. A batch of molecules runs as one disjoint graph; the
@@ -15,19 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import EDGE_FEATURES, MolGraph
-from .tensor import (
-    Tensor,
-    _scatter_sum,
-    add,
-    as_column,
-    gather_rows,
-    matmul,
-    mul,
-    leaky_relu,
-    scale,
-    segment_softmax,
-    segment_sum,
-)
+from .tensor import Tensor, _scatter_sum, add, edge_attention_sum, matmul, scale
 
 LEAKY_SLOPE = 0.2
 
@@ -130,21 +118,15 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
     if x.shape[1] != layer.in_dim:
         raise ValueError(f"embedding width {x.shape[1]} != layer input "
                          f"{layer.in_dim}")
-    dst, src = batch.dst, batch.src
     feats_t = Tensor(batch.edge_features)
 
     head_outputs = []
     attentions = []
     for head in range(layer.heads):
-        xv = matmul(x, layer.theta_v[head])
-        received = gather_rows(xv, dst)
-        sent = gather_rows(xv, src)
-        edge_term = matmul(feats_t, layer.theta_e[head])
-        pre = leaky_relu(add(add(received, sent), edge_term), LEAKY_SLOPE)
-        logits = matmul(pre, layer.att[head])
-        alpha = segment_softmax(logits, dst, n)
-        weighted = mul(sent, as_column(alpha))
-        head_outputs.append(segment_sum(weighted, dst, n))
+        out, alpha = edge_attention_sum(
+            matmul(x, layer.theta_v[head]), matmul(feats_t, layer.theta_e[head]),
+            layer.att[head], batch.dst, batch.src, n, LEAKY_SLOPE)
+        head_outputs.append(out)
         attentions.append(alpha)
 
     out = head_outputs[0]
@@ -176,7 +158,7 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     _, attentions = gat_forward(x, batch, layers[-1], return_attention=True)
     n = batch.num_nodes
     src = np.tile(batch.src, len(attentions))
-    totals = _scatter_sum(src, np.concatenate([a.data for a in attentions]), n)
+    totals = _scatter_sum(src, np.concatenate(attentions), n)
     scores = totals / np.bincount(src, minlength=n)
     lo, hi = scores.min(), scores.max()
     if hi - lo < 1e-15:

@@ -99,6 +99,7 @@ def parse_smiles(text: str) -> Molecule:
     atoms: list[Atom] = []
     atom_offsets: list[int] = []
     bonds: list[Bond] = []
+    bonded: set[tuple[int, int]] = set()  # (min, max) atom pairs of ``bonds``
     tetra: list[tuple[int, str]] = []
     # Directional annotations in written order: (first atom, second atom, symbol).
     directed: list[tuple[int, int, str]] = []
@@ -112,7 +113,8 @@ def parse_smiles(text: str) -> Molecule:
                  ring_written_order: tuple[int, int] | None = None):
         if a == b:
             raise SmilesError("ring closure bonds an atom to itself", offset)
-        if any({x.a, x.b} == {a, b} for x in bonds):
+        pair = (min(a, b), max(a, b))
+        if pair in bonded:
             raise SmilesError(f"duplicate bond between atoms {a} and {b}", offset)
         both_aromatic = atoms[a].aromatic and atoms[b].aromatic
         if bond is None or bond.order is None:
@@ -127,6 +129,7 @@ def parse_smiles(text: str) -> Molecule:
             else:
                 directed.append((a, b, bond.direction))
         bonds.append(Bond(a, b, order))
+        bonded.add(pair)
 
     i = 0
     n = len(text)

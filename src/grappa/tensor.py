@@ -10,13 +10,14 @@ immediately, which keeps training divergence diagnosable. The check is one
 ``np.isfinite(data).all()`` per op; testing the sum first is no faster and
 warns when finite values overflow.
 
-Every scatter (``segment_sum``, the ``gather_rows`` VJP, the
-``segment_softmax`` denominator and VJP) is one ``np.bincount`` call, which
-adds in input order as ``np.add.at`` does but without its per-element
-overhead, so sums are bitwise those of the plain loop. Segment maxima come
-from a stable sort and ``np.maximum.reduceat``. ``backward`` stores the
-first gradient that reaches a tensor as a fresh array and adds later ones
-to it in place, so no two tensors share a gradient buffer.
+Every scatter (``segment_sum``, the ``gather_rows`` VJP, the softmax
+denominators and sums of ``edge_attention_sum`` and its VJP) is one
+``np.bincount`` call, which adds in input order as ``np.add.at`` does but
+without its per-element overhead, so sums are bitwise those of the plain
+loop. Segment maxima come from a stable sort and ``np.maximum.reduceat``.
+``backward`` stores the first gradient that reaches a tensor as a fresh
+array and adds later ones to it in place, so no two tensors share a
+gradient buffer.
 """
 
 from __future__ import annotations
@@ -69,7 +70,8 @@ class Tensor:
         self.grad = None
 
     def backward(self):
-        """Fill ``grad`` on every tensor reachable from this scalar.
+        """Fill ``grad`` on every tensor reachable from this scalar that
+        requires one; constants are skipped and keep ``grad`` as it was.
 
         Grads inside the tape are reset first, so repeated calls on the same
         tape are bitwise identical.
@@ -89,7 +91,7 @@ class Tensor:
             seen.add(id(node))
             stack.append((node, True))
             for parent in node._parents:
-                if id(parent) not in seen:
+                if parent.requires_grad and id(parent) not in seen:
                     stack.append((parent, False))
         for node in order:
             node.grad = None
@@ -98,7 +100,7 @@ class Tensor:
             if node._vjp is None or node.grad is None:
                 continue
             for parent, grad in zip(node._parents, node._vjp(node.grad)):
-                if grad is None:
+                if grad is None or not parent.requires_grad:
                     continue
                 if parent.grad is None:
                     # A fresh array, since a VJP may hand back ``g`` or a view
@@ -192,21 +194,6 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def div(a, b) -> Tensor:
-    a, b = _t(a), _t(b)
-    if np.any(b.data == 0.0):
-        raise NonFiniteError("division by zero")
-    out = a.data / b.data
-
-    def vjp(g):
-        return (
-            _unbroadcast(g / b.data, a.shape),
-            _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-        )
-
-    return _make(out, (a, b), vjp)
-
-
 def scale(a, c: float) -> Tensor:
     a = _t(a)
     c = float(c)
@@ -243,13 +230,6 @@ def concat(parts, axis: int = 0) -> Tensor:
         return tuple(np.split(g, splits, axis=axis))
 
     return _make(out, tuple(parts), vjp)
-
-
-def as_column(v) -> Tensor:
-    v = _t(v)
-    if v.ndim != 1:
-        raise ShapeError("as_column expects a vector")
-    return _make(v.data.reshape(-1, 1), (v,), lambda g: (g.reshape(-1),))
 
 
 def gather_rows(a, index) -> Tensor:
@@ -294,33 +274,59 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-# ---------------------------------------------------------------- activations
+# ------------------------------------------------------------------ attention
 
-def segment_softmax(logits, segments, num_segments: int) -> Tensor:
-    """Softmax over groups of a 1-D logit vector; each group sums to one."""
-    logits = _t(logits)
-    if logits.ndim != 1:
-        raise ShapeError("segment_softmax expects a vector")
-    if not np.isfinite(logits.data).all():
-        raise NonFiniteError("segment_softmax: non-finite logits")
-    segments = np.asarray(segments, dtype=np.int64)
-    peak = np.full(num_segments, -np.inf)
-    if segments.size:
-        order = np.argsort(segments, kind="stable")
-        grouped = segments[order]
+def edge_attention_sum(xv, edge_term, att, dst, src, num_nodes: int,
+                       slope: float):
+    """One GATv2 head: attention over each node's incoming edges, summed.
+
+    Edge ``k`` sends row ``src[k]`` of ``xv`` to node ``dst[k]``; its logit
+    is ``att . LeakyReLU(xv[dst] + xv[src] + edge_term)``, softmax-normalized
+    over the edges that share a ``dst``, and node ``i`` receives the
+    weighted sum of the rows sent to it. Shapes: (N, d), (E, d), (d,) ->
+    (N, d). Returns the output tensor and the (E,) weights as an array.
+    """
+    xv, edge_term, att = _t(xv), _t(edge_term), _t(att)
+    dst = np.asarray(dst, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    d = xv.shape[-1]
+    if xv.ndim != 2 or xv.shape[0] != num_nodes or dst.ndim != 1 \
+            or src.shape != dst.shape or edge_term.shape != (len(dst), d) \
+            or att.shape != (d,):
+        raise ShapeError(f"edge attention shapes {xv.shape}, {edge_term.shape}, "
+                         f"{att.shape} do not fit {num_nodes} nodes and "
+                         f"{dst.shape} edges")
+    sent = xv.data[src]
+    pre = xv.data[dst] + sent + edge_term.data
+    slopes = np.where(pre > 0, 1.0, slope)
+    act = pre * slopes
+    logits = act @ att.data
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("edge_attention_sum: non-finite logits")
+    peak = np.full(num_nodes, -np.inf)
+    if dst.size:
+        order = np.argsort(dst, kind="stable")
+        grouped = dst[order]
         starts = np.flatnonzero(
             np.concatenate(([True], grouped[1:] != grouped[:-1])))
-        peak[grouped[starts]] = np.maximum.reduceat(logits.data[order], starts)
-    if not np.all(np.isfinite(peak)):
-        raise ShapeError("segment_softmax: every segment needs an entry")
-    ex = np.exp(logits.data - peak[segments])
-    out = ex / _scatter_sum(segments, ex, num_segments)[segments]
+        peak[grouped[starts]] = np.maximum.reduceat(logits[order], starts)
+    if not np.isfinite(peak).all():
+        raise ShapeError("edge_attention_sum: every node needs an incoming edge")
+    ex = np.exp(logits - peak[dst])
+    alpha = ex / _scatter_sum(dst, ex, num_nodes)[dst]
+    out = _scatter_sum(dst, alpha[:, None] * sent, num_nodes)
 
     def vjp(g):
-        dot = _scatter_sum(segments, out * g, num_segments)
-        return (out * (g - dot[segments]),)
+        g_e = g[dst]
+        d_alpha = (g_e * sent).sum(axis=1)
+        d_logits = alpha * (d_alpha - _scatter_sum(dst, alpha * d_alpha,
+                                                   num_nodes)[dst])
+        d_pre = np.outer(d_logits, att.data) * slopes
+        d_xv = _scatter_sum(dst, d_pre, num_nodes) \
+            + _scatter_sum(src, d_pre + alpha[:, None] * g_e, num_nodes)
+        return d_xv, d_pre, act.T @ d_logits
 
-    return _make(out, (logits,), vjp)
+    return _make(out, (xv, edge_term, att), vjp), alpha
 
 
 def block_attention_sum(q, k, v, bounds, logit_scale: float) -> Tensor:
@@ -363,15 +369,7 @@ def block_attention_sum(q, k, v, bounds, logit_scale: float) -> Tensor:
     return _make(out, (q, k, v), vjp)
 
 
-def leaky_relu(a, slope: float = 0.2) -> Tensor:
-    a = _t(a)
-    out = np.where(a.data > 0, a.data, slope * a.data)
-
-    def vjp(g):
-        return (np.where(a.data > 0, g, slope * g),)
-
-    return _make(out, (a,), vjp)
-
+# ---------------------------------------------------------------- activations
 
 def elu(a) -> Tensor:
     a = _t(a)

@@ -1,8 +1,12 @@
-"""The package depends on nothing beyond the standard library and numpy."""
+"""The package depends on nothing beyond the standard library and numpy,
+and carries no tensor op that nothing in it calls."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
+
+from grappa import tensor
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "grappa"
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "grappa"}
@@ -25,3 +29,24 @@ def test_package_imports_only_stdlib_and_numpy():
     outside = {path.name: sorted(imported_roots(path) - ALLOWED)
                for path in modules}
     assert not {name: roots for name, roots in outside.items() if roots}
+
+
+def referenced_names(path: Path) -> set[str]:
+    """Every name a module uses as a variable or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_tensor_op_has_a_caller():
+    ops = {name for name, obj in vars(tensor).items()
+           if inspect.isfunction(obj) and obj.__module__ == tensor.__name__
+           and not name.startswith("_")}
+    assert "matmul" in ops
+    used = set().union(*(referenced_names(path) for path in SRC.glob("*.py")
+                         if path.name != "tensor.py"))
+    assert sorted(ops - used) == []

@@ -32,7 +32,7 @@ def test_single_atom_self_loop_only():
                                   batch_graphs([graph]), layer,
                                   return_attention=True)
     for alpha in attentions:
-        np.testing.assert_allclose(alpha.data, [1.0])
+        np.testing.assert_allclose(alpha, [1.0])
     # Softmax over one element is 1, so the update is the mean of W x.
     expected = np.mean(
         [graph.node_features @ layer.theta_v[h].data for h in range(3)], axis=0)
@@ -87,7 +87,7 @@ def test_attention_rows_sum_to_one(smiles):
                                 return_attention=True)
     for alpha in attentions:
         sums = np.zeros(graph.heavy_atom_count)
-        np.add.at(sums, batch.dst, alpha.data)
+        np.add.at(sums, batch.dst, alpha)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-12)
 
 

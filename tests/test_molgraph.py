@@ -11,7 +11,7 @@ from grappa.featurize import (
     validate_scope,
 )
 from grappa.molecule import permute_molecule
-from grappa.smiles import parse_smiles
+from grappa.smiles import implicit_hydrogens, parse_smiles
 
 from _oracles import brute_force_ring_flags
 
@@ -90,24 +90,24 @@ def test_benzene_rows_identical_and_aromatic():
 
 def test_nitrile_carbon_is_sp():
     mol = parse_smiles("C#N")
-    assert hybridizations(mol) == ["SP", "SP"]
+    assert hybridizations(mol, implicit_hydrogens(mol)) == ["SP", "SP"]
 
 
 def test_cumulated_diene_center_is_sp():
     mol = parse_smiles("C=C=C")
-    assert hybridizations(mol)[1] == "SP"
+    assert hybridizations(mol, implicit_hydrogens(mol))[1] == "SP"
 
 
 def test_halogens_fall_outside_named_hybridizations():
     mol = parse_smiles("CCCl")
-    assert hybridizations(mol)[2] == "OTHER"
+    assert hybridizations(mol, implicit_hydrogens(mol))[2] == "OTHER"
 
 
 def test_hypervalent_sulfur_is_other():
     mol = parse_smiles("CS(C)(C)C")  # four single bonds at S
-    assert hybridizations(mol)[1] == "OTHER"
+    assert hybridizations(mol, implicit_hydrogens(mol))[1] == "OTHER"
     thioether = parse_smiles("CSC")
-    assert hybridizations(thioether)[1] == "SP3"
+    assert hybridizations(thioether, implicit_hydrogens(thioether))[1] == "SP3"
 
 
 def test_conjugation_flags():

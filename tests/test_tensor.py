@@ -98,10 +98,21 @@ def test_block_attention_key_shift_invariance():
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
+# Node 0 receives from nodes 1 and 2; every node also has its self-loop.
+EDGE_DST = np.array([0, 0, 1, 2, 0, 1, 2])
+EDGE_SRC = np.array([1, 2, 2, 0, 0, 1, 2])
+
+
 def test_sigmoid_and_leaky_relu_points():
     assert T.sigmoid(Tensor(np.array(0.0))).item() == 0.5
-    assert T.leaky_relu(Tensor(np.array(-1.0)), 0.2).item() == pytest.approx(-0.2)
-    assert T.leaky_relu(Tensor(np.array(3.0)), 0.2).item() == 3.0
+    # Into node 0 the pre-activations are 3 (from 1), -1 (from 2) and 0
+    # (self); the leaky ReLU keeps 3 and 0 and scales -1 to -0.2.
+    xv = Tensor([[0.0], [3.0], [-1.0]])
+    _, alpha = T.edge_attention_sum(xv, np.zeros((7, 1)), [1.0], EDGE_DST,
+                                    EDGE_SRC, 3, 0.2)
+    logits = np.array([3.0, -0.2, 0.0])
+    np.testing.assert_allclose(alpha[[0, 1, 4]],
+                               np.exp(logits) / np.exp(logits).sum(), rtol=1e-15)
 
 
 def test_elu_matches_definition():
@@ -117,8 +128,8 @@ def test_sigmoid_extreme_inputs_stay_finite():
 
 
 def test_non_finite_forward_raises():
-    with pytest.raises(NonFiniteError):
-        T.div(Tensor([1.0]), Tensor([0.0]))
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        T.mul(Tensor([1e308]), Tensor([10.0]))
     big = Tensor(np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         T.mul(big, big)
@@ -148,8 +159,11 @@ def test_shape_errors():
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 2, 2)))
-    with pytest.raises(ShapeError):
-        T.as_column(Tensor(np.ones((2, 2))))
+    xv, edge = np.ones((3, 2)), np.ones((7, 2))
+    for args in ((xv, edge[:6], np.ones(2), 3), (xv, edge, np.ones(3), 3),
+                 (xv, edge, np.ones(2), 4), (np.ones(3), edge, np.ones(2), 3)):
+        with pytest.raises(ShapeError):
+            T.edge_attention_sum(*args[:3], EDGE_DST, EDGE_SRC, args[3], 0.2)
     ones = Tensor(np.ones((4, 2)))
     for bounds in ([0, 2, 2, 4], [1, 4], [0, 3], [0]):
         with pytest.raises(ShapeError):
@@ -184,23 +198,34 @@ def test_segment_ids_out_of_range_raise():
     with pytest.raises(IndexError):
         T.segment_sum(Tensor(np.ones((3, 2))), [0, 2, 1], 2)
     with pytest.raises(IndexError):
-        T.segment_softmax(Tensor(np.ones(3)), [0, 2, 1], 2)
+        T.edge_attention_sum(np.ones((2, 2)), np.ones((3, 2)), np.ones(2),
+                             [0, 2, 1], [0, 1, 1], 2, 0.2)
 
+
+# The softmax inside ``edge_attention_sum`` runs over each node's incoming
+# edges: a segment softmax with ``dst`` as the segment id.
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_segment_softmax_rejects_non_finite_logits(bad):
+    edge = np.zeros((7, 2))
+    edge[3, 1] = bad
     with pytest.raises(NonFiniteError):
-        T.segment_softmax(Tensor([bad, 1.0]), [0, 1], 2)
-    with pytest.raises(NonFiniteError):
-        T.segment_softmax(Tensor([1.0, bad, 2.0]), [0, 0, 1], 2)
+        T.edge_attention_sum(np.ones((3, 2)), edge, np.ones(2), EDGE_DST,
+                             EDGE_SRC, 3, 0.2)
+    # Finite inputs whose sum overflows.
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        T.edge_attention_sum(np.full((3, 2), 1e308), np.zeros((7, 2)),
+                             np.ones(2), EDGE_DST, EDGE_SRC, 3, 0.2)
 
 
 def test_segment_softmax_groups_sum_to_one():
-    logits = Tensor(np.array([0.3, -1.0, 2.0, 0.0, 0.5]))
-    seg = np.array([0, 0, 1, 1, 1])
-    out = T.segment_softmax(logits, seg, 2)
-    assert out.data[:2].sum() == pytest.approx(1.0, abs=1e-12)
-    assert out.data[2:].sum() == pytest.approx(1.0, abs=1e-12)
+    rng = np.random.default_rng(2)
+    out, alpha = T.edge_attention_sum(rng.normal(size=(3, 4)),
+                                      rng.normal(size=(7, 4)),
+                                      rng.normal(size=4), EDGE_DST, EDGE_SRC, 3, 0.2)
+    assert out.shape == (3, 4) and alpha.shape == (7,)
+    np.testing.assert_allclose(np.bincount(EDGE_DST, weights=alpha), np.ones(3),
+                               atol=1e-12)
 
 
 # ------------------------------------------------------------- gradient checks
@@ -210,8 +235,8 @@ def test_grad_add_broadcast():
                (3, 4), (4,))
 
 
-def test_grad_sub_mul_div():
-    check_grad(lambda a, b: T.mean_all(T.div(T.mul(a, b), T.add(T.mul(b, b), 1.0))),
+def test_grad_sub_mul():
+    check_grad(lambda a, b: T.mean_all(T.mul(T.sub(a, b), T.mul(b, b))),
                (3, 3), (3, 3), seed=1)
 
 
@@ -247,15 +272,19 @@ def test_grad_gather_segment_pipeline():
     check_grad(build, (3, 4), seed=6)
 
 
-def test_grad_segment_softmax():
-    seg = np.array([0, 0, 0, 1, 1])
+def test_grad_edge_attention_sum():
+    weights = np.random.default_rng(7).normal(size=(3, 4))
 
-    def build(logits, values):
-        alpha = T.segment_softmax(logits, seg, 2)
-        return T.mean_all(T.mul(T.gather_rows(values, np.arange(5)),
-                               T.as_column(alpha)))
+    def build(xv, edge, att):
+        out, _ = T.edge_attention_sum(xv, edge, att, EDGE_DST, EDGE_SRC, 3, 0.2)
+        return T.mean_all(T.mul(out, weights))
 
-    check_grad(build, (5,), (5, 3), seed=7)
+    # The seed gives edges on both sides of the leaky ReLU's kink.
+    rng = np.random.default_rng(7)
+    xv, edge = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
+    pre = xv[EDGE_DST] + xv[EDGE_SRC] + edge
+    assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-4
+    check_grad(build, (3, 4), (7, 4), (4,), seed=7)
 
 
 def test_grad_block_attention_sum():
@@ -270,7 +299,6 @@ def test_grad_block_attention_sum():
 
 
 def test_grad_activations():
-    check_grad(lambda x: T.mean_all(T.leaky_relu(x, 0.2)), (4, 3), seed=9)
     check_grad(lambda x: T.mean_all(T.elu(x)), (4, 3), seed=10)
     check_grad(lambda x: T.mean_all(T.mul(T.sigmoid(x), T.sigmoid(x))),
                (4, 3), seed=11)
@@ -375,6 +403,14 @@ def test_repeated_backward_is_bitwise_identical():
     assert (w.grad == first[1]).all()
 
 
+def test_constants_get_no_gradient():
+    a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    w = Tensor(np.array([1.0, 2.0, 3.0]))
+    T.mean_all(T.mul(a, w)).backward()
+    np.testing.assert_allclose(a.grad, [1 / 3, 2 / 3, 1.0])
+    assert w.grad is None
+
+
 def test_grad_accumulates_across_shared_uses():
     x = Tensor(np.array(3.0), requires_grad=True)
     out = T.mul(x, x)  # both parents are the same tensor
@@ -454,31 +490,44 @@ def test_gather_rows_vjp_matches_add_at(case):
 
 @st.composite
 def softmax_cases(draw):
-    """Segment ids covering every segment, shuffled, with repeats."""
-    num_segments = draw(st.integers(1, 7))
-    extra = draw(st.lists(st.integers(0, num_segments - 1), max_size=17))
-    index = draw(st.permutations(list(range(num_segments)) + extra))
-    logits = draw(hnp.arrays(np.float64, len(index),
-                             elements=st.floats(-30, 30)))
-    upstream = draw(hnp.arrays(np.float64, len(index), elements=FLOATS))
-    return np.array(index, dtype=np.int64), logits, upstream, num_segments
+    """Graphs of width-1 rows whose every node has an incoming edge: ``dst``
+    covers every node, shuffled, with repeats; ``src`` is arbitrary."""
+    num_nodes = draw(st.integers(1, 7))
+    extra = draw(st.lists(st.integers(0, num_nodes - 1), max_size=17))
+    dst = np.array(draw(st.permutations(list(range(num_nodes)) + extra)),
+                   dtype=np.int64)
+    src = np.array(draw(st.lists(st.integers(0, num_nodes - 1),
+                                 min_size=len(dst), max_size=len(dst))),
+                   dtype=np.int64)
+    xv = draw(hnp.arrays(np.float64, num_nodes, elements=st.floats(-1e3, 1e3)))
+    edge = draw(hnp.arrays(np.float64, len(dst), elements=st.floats(-30, 30)))
+    upstream = draw(hnp.arrays(np.float64, num_nodes, elements=FLOATS))
+    return dst, src, xv, edge, upstream, num_nodes
 
 
 @settings(deadline=None)
 @given(softmax_cases())
 def test_segment_softmax_matches_reference(case):
-    index, logits, upstream, n = case
-    alpha = T.segment_softmax(Tensor(logits, requires_grad=True), index, n)
-    out, vjp = reference_segment_softmax(logits, index, n, upstream)
-    assert bitwise_equal(alpha.data, out)
-    assert bitwise_equal(alpha._vjp(upstream)[0], vjp)
+    # With width 1, att = [1] and slope 1 the logits are the pre-activations
+    # themselves, and the upstream of each weight is g[dst] * xv[src], summed
+    # over its one column (which turns -0.0 into 0.0).
+    dst, src, xv, edge, g, n = case
+    edge_t = Tensor(edge[:, None], requires_grad=True)
+    out, alpha = T.edge_attention_sum(xv[:, None], edge_t, [1.0], dst, src, n, 1.0)
+    logits = xv[dst] + xv[src] + edge
+    ref, ref_vjp = reference_segment_softmax(logits, dst, n,
+                                             g[dst] * xv[src] + 0.0)
+    assert bitwise_equal(alpha, ref)
+    assert bitwise_equal(out.data, add_at_scatter(dst, (ref * xv[src])[:, None], n))
+    _, d_edge, _ = out._vjp(g[:, None])
+    assert bitwise_equal(d_edge[:, 0], ref_vjp)
 
 
 @settings(deadline=None)
 @given(softmax_cases(), st.integers(0, 6))
 def test_segment_softmax_rejects_an_empty_segment(case, empty):
-    index, logits, _, n = case
-    empty = empty % n
-    keep = index != empty
+    dst, src, xv, edge, _, n = case
+    keep = dst != empty % n
     with pytest.raises(ShapeError):
-        T.segment_softmax(Tensor(logits[keep]), index[keep], n)
+        T.edge_attention_sum(xv[:, None], edge[keep, None], [1.0], dst[keep],
+                             src[keep], n, 0.2)
