@@ -72,7 +72,6 @@ from .train import (
     fit,
     grid_search,
     loss_huber,
-    loss_mae,
     loss_mse,
     one_cycle_lr,
     plateau_lr,

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -59,13 +60,6 @@ def _emit(payload, verbose_note: str | None = None, verbose: bool = False):
         print(verbose_note, file=sys.stderr)
 
 
-def _load_dataset(args) -> dataio.VpDataset:
-    ds = dataio.load(args.data, getattr(args, "format", "csv"))
-    if getattr(args, "splits", None):
-        ds.splits = dataio.read_splits_csv(args.splits)
-    return ds
-
-
 # ------------------------------------------------------------------- commands
 
 def _cmd_curate(args) -> int:
@@ -96,10 +90,7 @@ def _cmd_split(args) -> int:
     ratios = tuple(float(x) for x in args.ratios.split(","))
     labeled = dataio.split(ds, _seed_from(args), ratios)
     dataio.write_splits_csv(labeled, args.output)
-    counts: dict[str, int] = {}
-    for component in labeled.components():
-        label = labeled.split_label(component)
-        counts[label] = counts.get(label, 0) + 1
+    counts = Counter(labeled.split_label(c) for c in labeled.components())
     _emit({"components": counts, "output": str(args.output)}, None, args.verbose)
     return 0
 
@@ -143,19 +134,21 @@ def _cmd_fit_antoine(args) -> int:
     return 0
 
 
-def _read_config(path) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
-
-
-def _cmd_train(args) -> int:
-    config = _read_config(args.config)
+def _training_setup(args):
+    """The run config, its training settings and the labelled dataset."""
+    with open(args.config, encoding="utf-8") as fh:
+        config = json.load(fh)
     cfg = TrainConfig.from_dict(config.get("train", {}))
     if getattr(args, "seed", None) is not None or os.environ.get("GRAPPA_SEED"):
         cfg.seed = _seed_from(args)
     ds = dataio.load(config["data"], config.get("format", "csv"))
     if "splits" in config:
         ds.splits = dataio.read_splits_csv(config["splits"])
+    return config, cfg, ds
+
+
+def _cmd_train(args) -> int:
+    config, cfg, ds = _training_setup(args)
     arch = Architecture.from_dict(config.get("arch", {}))
     model = init_model(arch, seed=np.random.SeedSequence([cfg.seed, 0]))
     result = fit(model, ds.subset("train"), ds.subset("valid"), cfg)
@@ -174,20 +167,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_grid_search(args) -> int:
-    config = _read_config(args.config)
-    cfg = TrainConfig.from_dict(config.get("train", {}))
-    if getattr(args, "seed", None) is not None or os.environ.get("GRAPPA_SEED"):
-        cfg.seed = _seed_from(args)
-    ds = dataio.load(config["data"], config.get("format", "csv"))
-    if "splits" in config:
-        ds.splits = dataio.read_splits_csv(config["splits"])
+    _, cfg, ds = _training_setup(args)
     rows = grid_search(cfg, ds.subset("train"), ds.subset("valid"),
                        jobs=args.jobs)
     if args.output:
-        with open(args.output, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        _write_table_csv(rows, args.output)
     _emit({"cells": len(rows), "ranking": rows}, None, args.verbose)
     return 0
 
@@ -220,12 +204,20 @@ def _cmd_boil(args) -> int:
     return 0
 
 
-def _cmd_evaluate(args) -> int:
+def _predict_split(args):
+    """Points and parameters of the checkpoint's predictions on one split."""
     model = load_checkpoint(args.model)
-    ds = _load_dataset(args)
+    ds = dataio.load(args.data, getattr(args, "format", "csv"))
+    if getattr(args, "splits", None):
+        ds.splits = dataio.read_splits_csv(args.splits)
     points, params = predict_dataset(model, ds, args.split)
     if not points:
         raise ValueError(f"no points in split {args.split!r}")
+    return points, params
+
+
+def _cmd_evaluate(args) -> int:
+    points, params = _predict_split(args)
     report = metrics.summarize(points)
     boiling = metrics.boiling_point_eval(params, points)
     payload = {"split": args.split, "metrics": report.to_dict(),
@@ -245,13 +237,9 @@ def _write_table_csv(rows: list[dict], path):
 
 
 def _cmd_report(args) -> int:
-    model = load_checkpoint(args.model)
-    ds = _load_dataset(args)
-    points, params = predict_dataset(model, ds, args.split)
-    if not points:
-        raise ValueError(f"no points in split {args.split!r}")
-    eligible = {c for c, pts in _group_sizes(points).items()
-                if pts >= args.min_points}
+    points, params = _predict_split(args)
+    sizes = Counter(pt.component_id for pt in points)
+    eligible = {c for c, pts in sizes.items() if pts >= args.min_points}
     filtered = [pt for pt in points if pt.component_id in eligible]
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -273,13 +261,6 @@ def _cmd_report(args) -> int:
     files = sorted(str(p.name) for p in outdir.iterdir())
     _emit({"outdir": str(outdir), "files": files}, None, args.verbose)
     return 0
-
-
-def _group_sizes(points) -> dict[str, int]:
-    sizes: dict[str, int] = {}
-    for pt in points:
-        sizes[pt.component_id] = sizes.get(pt.component_id, 0) + 1
-    return sizes
 
 
 def _cmd_attention(args) -> int:

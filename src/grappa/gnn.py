@@ -108,10 +108,9 @@ def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
     )
 
 
-def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
-                return_attention: bool = False):
-    """Run one layer: returns the (N, out_dim) update, optionally with the
-    per-head attention weights over ``batch.dst``/``batch.src``."""
+def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer):
+    """Run one layer: returns the (N, out_dim) update and the per-head
+    attention weights over ``batch.dst``/``batch.src``."""
     n = batch.num_nodes
     if x.shape[0] != n:
         raise ValueError(f"embedding rows {x.shape[0]} != node count {n}")
@@ -134,16 +133,14 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
         out = add(out, extra)
     if layer.heads > 1:
         out = scale(out, 1.0 / layer.heads)
-    if return_attention:
-        return out, attentions
-    return out
+    return out, attentions
 
 
 def encode(batch: GraphBatch, layers: list[GatLayer]) -> Tensor:
     """Apply the layer stack to the initial node features."""
     x = Tensor(batch.node_features)
     for layer in layers:
-        x = gat_forward(x, batch, layer)
+        x, _ = gat_forward(x, batch, layer)
     return x
 
 
@@ -155,7 +152,7 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
         raise ValueError("attention_scores needs at least one layer")
     batch = batch_graphs([graph])
     x = encode(batch, layers[:-1])
-    _, attentions = gat_forward(x, batch, layers[-1], return_attention=True)
+    _, attentions = gat_forward(x, batch, layers[-1])
     n = batch.num_nodes
     src = np.tile(batch.src, len(attentions))
     totals = _scatter_sum(src, np.concatenate(attentions), n)

@@ -35,11 +35,15 @@ from .tensor import (
     elu,
     matmul,
     mul,
+    recording,
     sigmoid,
 )
 
 CHECKPOINT_VERSION = 1
 EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
+# Molecules per inference forward. It bounds the forward's transient memory
+# and changes no output: a molecule gets the same bytes in any batch.
+INFER_CHUNK = 256
 
 
 @dataclass
@@ -136,10 +140,6 @@ class GrappaModel:
         for name, buf in self.named_buffers().items():
             buf[...] = snapshot[name]
 
-    def zero_grad(self):
-        for tensor in self.named_parameters().values():
-            tensor.zero_grad()
-
     def parameter_count(self) -> int:
         return sum(t.size for t in self.named_parameters().values())
 
@@ -218,17 +218,67 @@ def scale_to_ranges(raw: Tensor, ranges: dict) -> Tensor:
 def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
                     mode: str = "infer") -> Tensor:
     """(B, 3) Antoine parameters, columns A, B, C, with the molecules run
-    through message passing and readout as one disjoint graph."""
-    batch = batch_graphs(graphs)
-    embeddings = encode(batch, model.gat)
-    if model.arch.pooling == "interaction":
-        pooled = interaction_pool(embeddings, batch, model.pool)
-    else:
-        pooled = sum_pool(embeddings, batch)
-    counts = _count_features(model, [g.h_donors for g in graphs],
-                             [g.h_acceptors for g in graphs])
-    raw = head_raw(model, pooled, counts, mode)
-    return scale_to_ranges(raw, model.arch.param_ranges)
+    through message passing and readout as one disjoint graph. An "infer"
+    forward records no tape, so its result cannot backpropagate."""
+    with recording(mode != "infer"):
+        batch = batch_graphs(graphs)
+        embeddings = encode(batch, model.gat)
+        if model.arch.pooling == "interaction":
+            pooled = interaction_pool(embeddings, batch, model.pool)
+        else:
+            pooled = sum_pool(embeddings, batch)
+        counts = _count_features(model, [g.h_donors for g in graphs],
+                                 [g.h_acceptors for g in graphs])
+        raw = head_raw(model, pooled, counts, mode)
+        return scale_to_ranges(raw, model.arch.param_ranges)
+
+
+@dataclass(frozen=True)
+class Components:
+    """Featurized components, with their data points laid end to end in
+    component order."""
+
+    names: list[str]
+    graphs: list[MolGraph]
+    temperatures: np.ndarray  # (P,) in K
+    pressures_pa: np.ndarray  # (P,)
+    molecule: np.ndarray  # (P,) index into ``graphs`` of each point
+
+    def take(self, index) -> "Components":
+        """The components at ``index``, in that order, with their points."""
+        lo = np.searchsorted(self.molecule, index)
+        hi = np.searchsorted(self.molecule, index, side="right")
+        rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        return Components([self.names[i] for i in index],
+                          [self.graphs[i] for i in index],
+                          self.temperatures[rows], self.pressures_pa[rows],
+                          np.repeat(np.arange(len(index)), hi - lo))
+
+
+def prepare_components(dataset, split: str | None = None) -> Components:
+    """Parse and featurize each component of a dataset (optionally of one
+    split), in sorted order, and gather its points."""
+    groups = [(name, pts) for name, pts in sorted(dataset.by_component().items())
+              if split is None or dataset.split_label(name) == split]
+    points = [pt for _, group in groups for pt in group]
+    return Components(
+        names=[name for name, _ in groups],
+        graphs=[featurize(parse_smiles(group[0].smiles)) for _, group in groups],
+        temperatures=np.array([pt.temperature_k for pt in points], dtype=float),
+        pressures_pa=np.array([pt.pressure_pa for pt in points], dtype=float),
+        molecule=np.repeat(np.arange(len(groups)),
+                           [len(group) for _, group in groups]))
+
+
+def predict_components(model: GrappaModel,
+                       comps: Components) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 3) rows of A, B, C and the predicted pressure in Pa at every
+    point, from inference forwards of at most :data:`INFER_CHUNK` molecules;
+    points off a curve's valid branch get an infinite pressure."""
+    rows = np.concatenate([np.empty((0, 3))] + [
+        forward_antoine(model, comps.graphs[i : i + INFER_CHUNK]).data
+        for i in range(0, len(comps.graphs), INFER_CHUNK)])
+    return rows, antoine(*rows[comps.molecule].T, comps.temperatures)
 
 
 @dataclass(frozen=True)
@@ -266,21 +316,16 @@ def predict_dataset(model: GrappaModel, dataset, split: str | None = None):
     """
     from .metrics import PredPoint
 
-    pred_points = []
-    params_by_component = {}
-    for component, points in sorted(dataset.by_component().items()):
-        if split is not None and dataset.split_label(component) != split:
-            continue
-        graph = featurize(parse_smiles(points[0].smiles))
-        params = AntoineParams(*forward_antoine(model, [graph]).data[0].tolist())
-        params_by_component[component] = params
-        p_pred = antoine(*params.as_tuple(),
-                         np.array([pt.temperature_k for pt in points]))
-        pred_points += [
-            PredPoint(component_id=component, temperature_k=pt.temperature_k,
-                      p_exp_pa=pt.pressure_pa, p_pred_pa=float(p),
-                      mol_weight=graph.mol_weight)
-            for pt, p in zip(points, p_pred)]
+    comps = prepare_components(dataset, split)
+    rows, p_pred = predict_components(model, comps)
+    params_by_component = {name: AntoineParams(*row)
+                           for name, row in zip(comps.names, rows.tolist())}
+    pred_points = [
+        PredPoint(component_id=comps.names[m], temperature_k=t, p_exp_pa=p,
+                  p_pred_pa=q, mol_weight=comps.graphs[m].mol_weight)
+        for m, t, p, q in zip(comps.molecule.tolist(),
+                              comps.temperatures.tolist(),
+                              comps.pressures_pa.tolist(), p_pred.tolist())]
     return pred_points, params_by_component
 
 

@@ -18,10 +18,16 @@ loop. Segment maxima come from a stable sort and ``np.maximum.reduceat``.
 ``backward`` stores the first gradient that reaches a tensor as a fresh
 array and adds later ones to it in place, so no two tensors share a
 gradient buffer.
+
+Inside ``recording(False)`` ops record no tape, so an inference forward
+frees each intermediate once it is read. Forwards are batch-invariant: an
+output row is the same bytes whatever rows run beside it (see ``matmul``
+and the ``einsum`` edge logits; ``tests/test_tensor.py`` pins the BLAS).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +71,6 @@ class Tensor:
         if self.size != 1:
             raise ShapeError("item() needs a single-element tensor")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
 
     def backward(self):
         """Fill ``grad`` on every tensor reachable from this scalar that
@@ -118,10 +121,25 @@ def _t(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+_RECORDING = True
+
+
+@contextmanager
+def recording(on: bool):
+    """Record the tape (``on``) or not, for the ops run inside the block."""
+    global _RECORDING
+    saved, _RECORDING = _RECORDING, on
+    try:
+        yield
+    finally:
+        _RECORDING = saved
+
+
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     if not np.isfinite(data).all():
         raise NonFiniteError("non-finite value produced by a tensor operation")
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
+    out = Tensor(data, requires_grad=_RECORDING
+                 and any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = parents
         out._vjp = vjp
@@ -201,16 +219,21 @@ def scale(a, c: float) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
+    """(M, K) @ (K, N). The forward runs a 1-row ``a`` as 2 rows and pads
+    ``b`` with zero columns to a multiple of 16, the shapes on which the
+    BLAS gives each row the same bytes whatever M is."""
     a, b = _t(a), _t(b)
-    if a.ndim != 2 or b.ndim not in (1, 2):
-        raise ShapeError(f"matmul expects 2-D @ (1|2)-D, got {a.shape} @ {b.shape}")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = a.data @ b.data
+    (m, _), (_, n) = a.shape, b.shape
+    left = np.concatenate([a.data, a.data]) if m == 1 else a.data
+    pad = np.zeros((len(b.data), -n % 16))  # np.pad is ~20x slower here
+    right = np.concatenate([b.data, pad], axis=1) if n % 16 else b.data
+    out = np.ascontiguousarray((left @ right)[:m, :n])
 
     def vjp(g):
-        if b.ndim == 1:
-            return np.outer(g, b.data), a.data.T @ g
         return g @ b.data.T, a.data.T @ g
 
     return _make(out, (a, b), vjp)
@@ -300,7 +323,7 @@ def edge_attention_sum(xv, edge_term, att, dst, src, num_nodes: int,
     pre = xv.data[dst] + sent + edge_term.data
     slopes = np.where(pre > 0, 1.0, slope)
     act = pre * slopes
-    logits = act @ att.data
+    logits = np.einsum("ij,j->i", act, att.data)
     if not np.isfinite(logits).all():
         raise NonFiniteError("edge_attention_sum: non-finite logits")
     peak = np.full(num_nodes, -np.inf)
@@ -393,16 +416,6 @@ def sigmoid(a) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-def abs_(a) -> Tensor:
-    a = _t(a)
-    out = np.abs(a.data)
-
-    def vjp(g):
-        return (np.sign(a.data) * g,)
-
-    return _make(out, (a,), vjp)
-
-
 def huber(a, delta: float) -> Tensor:
     """Elementwise Huber value: quadratic inside ``delta``, linear outside."""
     a = _t(a)
@@ -432,10 +445,6 @@ class BatchNormState:
     @classmethod
     def fresh(cls, width: int, momentum: float = 0.1, eps: float = 1e-5):
         return cls(np.zeros(width), np.ones(width), momentum, eps)
-
-    def copy(self) -> "BatchNormState":
-        return BatchNormState(self.running_mean.copy(), self.running_var.copy(),
-                              self.momentum, self.eps)
 
 
 def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train") -> Tensor:

@@ -21,20 +21,20 @@ from itertools import product
 
 import numpy as np
 
-from .antoine import PA_PER_KPA, antoine, ln_p_tensor
+from .antoine import PA_PER_KPA, ln_p_tensor
 from .dataio import VpDataset
-from .featurize import MolGraph, featurize
 from .model import (
     Architecture,
+    Components,
     GrappaModel,
     forward_antoine,
     init_model,
+    predict_components,
+    prepare_components,
 )
-from .smiles import parse_smiles
 from .tensor import (
     NonFiniteError,
     Tensor,
-    abs_,
     gather_rows,
     huber,
     mean_all,
@@ -120,10 +120,6 @@ def _residual(pred_ln_p, exp_ln_p) -> Tensor:
 def loss_mse(pred_ln_p, exp_ln_p) -> Tensor:
     d = _residual(pred_ln_p, exp_ln_p)
     return mean_all(mul(d, d))
-
-
-def loss_mae(pred_ln_p, exp_ln_p) -> Tensor:
-    return mean_all(abs_(_residual(pred_ln_p, exp_ln_p)))
 
 
 def loss_huber(pred_ln_p, exp_ln_p, delta: float = 0.5) -> Tensor:
@@ -222,25 +218,6 @@ def plateau_lr(state: PlateauState, val_metric: float) -> float:
 
 # ------------------------------------------------------------------- fitting
 
-@dataclass
-class _CompData:
-    component: str
-    graph: MolGraph
-    temperatures: np.ndarray
-    pressures_pa: np.ndarray
-    ln_p_kpa: np.ndarray
-
-
-def _prepare_components(dataset: VpDataset) -> list[_CompData]:
-    items = []
-    for component, points in sorted(dataset.by_component().items()):
-        graph = featurize(parse_smiles(points[0].smiles))
-        t = np.array([pt.temperature_k for pt in points])
-        p = np.array([pt.pressure_pa for pt in points])
-        items.append(_CompData(component, graph, t, p, np.log(p / PA_PER_KPA)))
-    return items
-
-
 def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     chunks = [order[i : i + batch_size] for i in range(0, len(order), batch_size)]
     # Batch norm needs at least two molecules; fold a trailing singleton in.
@@ -250,30 +227,21 @@ def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return chunks
 
 
-def _points(items: list[_CompData]) -> tuple[np.ndarray, np.ndarray]:
-    """Each data point's molecule index within ``items``, and its temperature."""
-    idx = np.repeat(np.arange(len(items)), [len(it.temperatures) for it in items])
-    return idx, np.concatenate([it.temperatures for it in items])
-
-
-def _batch_loss(model: GrappaModel, items: list[_CompData], kind: str,
+def _batch_loss(model: GrappaModel, comps: Components, kind: str,
                 delta: float) -> Tensor:
-    params = forward_antoine(model, [it.graph for it in items], mode="train")
-    idx, temps = _points(items)
-    target = np.concatenate([it.ln_p_kpa for it in items])
-    pred = ln_p_tensor(gather_rows(params, idx), temps)
+    params = forward_antoine(model, comps.graphs, mode="train")
+    target = np.log(comps.pressures_pa / PA_PER_KPA)
+    pred = ln_p_tensor(gather_rows(params, comps.molecule), comps.temperatures)
     if kind == "mse":
         return loss_mse(pred, target)
     return loss_huber(pred, target, delta)
 
 
-def validation_mape_i(model: GrappaModel, items: list[_CompData]) -> float:
+def validation_mape_i(model: GrappaModel, comps: Components) -> float:
     """Median absolute percentage error over all validation points; points on
     a curve's invalid branch (C + T <= 0) count as infinite error."""
-    params = forward_antoine(model, [it.graph for it in items])
-    idx, temps = _points(items)
-    p_exp = np.concatenate([it.pressures_pa for it in items])
-    p_pred = antoine(*params.data[idx].T, temps)
+    _, p_pred = predict_components(model, comps)
+    p_exp = comps.pressures_pa
     return float(np.median(np.abs(p_pred - p_exp) / p_exp * 100.0))
 
 
@@ -307,12 +275,12 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
     overlap = train_components & valid_components
     if overlap:
         raise ValueError(f"components in both train and valid: {sorted(overlap)}")
-    train_items = _prepare_components(train_set)
-    valid_items = _prepare_components(valid_set)
+    train_comps = prepare_components(train_set)
+    valid_comps = prepare_components(valid_set)
 
     if cfg.standardize_counts:
-        donors = np.array([it.graph.h_donors for it in train_items], dtype=float)
-        accept = np.array([it.graph.h_acceptors for it in train_items], dtype=float)
+        donors = np.array([g.h_donors for g in train_comps.graphs], dtype=float)
+        accept = np.array([g.h_acceptors for g in train_comps.graphs], dtype=float)
         model.arch.count_scale = [donors.mean(), max(donors.std(), 1e-8),
                                   accept.mean(), max(accept.std(), 1e-8)]
 
@@ -323,7 +291,7 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
     best_epoch = -1
     best_state = model.snapshot()
     epoch = 0
-    n_batches = len(_batches(np.arange(len(train_items)), cfg.batch_size))
+    n_batches = len(_batches(np.arange(len(train_comps.names)), cfg.batch_size))
     total_warm_steps = cfg.warmup_epochs * n_batches
 
     for phase, n_epochs in (("warmup", cfg.warmup_epochs),
@@ -335,31 +303,31 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
         step = 0
         for _ in range(n_epochs):
             epoch += 1
-            order = rng.permutation(len(train_items))
+            order = rng.permutation(len(train_comps.names))
             lr = cfg.max_lr
             losses = []
             for batch in _batches(order, cfg.batch_size):
-                items = [train_items[i] for i in batch]
+                comps = train_comps.take(batch)
                 if phase == "warmup":
                     lr = one_cycle_lr(step, total_warm_steps, cfg.max_lr)
                 else:
                     lr = plateau.lr
                 try:
-                    loss = _batch_loss(model, items,
+                    loss = _batch_loss(model, comps,
                                        "mse" if phase == "warmup" else "huber",
                                        cfg.huber_delta)
                     loss.backward()
                 except NonFiniteError as err:
                     raise TrainingError(
                         f"non-finite loss in {phase} epoch {epoch} "
-                        f"(components {[it.component for it in items]}): {err}"
+                        f"(components {comps.names}): {err}"
                     ) from err
                 grads = {name: t.grad for name, t in params.items()}
                 adamw_step(params, grads, opt_state, lr, cfg.betas, cfg.eps,
                            cfg.weight_decay)
                 losses.append(loss.item())
                 step += 1
-            valid_mape = validation_mape_i(model, valid_items)
+            valid_mape = validation_mape_i(model, valid_comps)
             if phase == "main":
                 plateau_lr(plateau, valid_mape)
             history.append({

@@ -5,6 +5,7 @@ criteria execute. Published-scale error scores require the proprietary
 measurement database, so acceptance rests on the property checks below.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,9 +23,11 @@ from grappa.featurize import featurize
 from grappa.metrics import ape_c, ape_i, summarize, PredPoint
 from grappa.model import (
     Architecture,
+    Components,
     forward_antoine,
     init_model,
     parameter_accounting_markdown,
+    prepare_components,
 )
 from grappa.molecule import Molecule, permute_molecule
 from grappa.smiles import parse_smiles
@@ -36,7 +39,6 @@ from grappa.train import (
     grid_search,
     validation_mape_i,
     _batch_loss,
-    _prepare_components,
 )
 
 from _oracles import (
@@ -123,14 +125,13 @@ def _op_cases(rng):
             [m, m[:, ::-1].copy(), n.T.copy()]),
         "elu": (lambda a: T.mean_all(T.elu(a)), [m]),
         "sigmoid": (lambda a: T.mean_all(T.mul(T.sigmoid(a), weights)), [m]),
-        "abs": (lambda a: T.mean_all(T.abs_(a)), [m]),
         "huber": (lambda a: T.mean_all(T.huber(a, 0.5)), [m]),
         "batch_norm_train": (lambda a: T.mean_all(T.mul(
             T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         state.copy(), "train"), weights)), [m]),
+                         replace(state), "train"), weights)), [m]),
         "batch_norm_infer": (lambda a: T.mean_all(T.mul(
             T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         state.copy(), "infer"), weights)), [m]),
+                         replace(state), "infer"), weights)), [m]),
     }
 
 
@@ -158,28 +159,20 @@ def test_gradient_integrity_composed_model_loss():
     rng = np.random.default_rng(1002)
     model = init_model(Architecture(), seed=1002)
     graphs = [featurize(parse_smiles(s)) for s in SMALL_MOLECULES[:10]]
-    items = []
-    for k, graph in enumerate(graphs):
-        truth = synthetic_params(2 + k % 4, k % 2)
-        temps = np.linspace(340.0, 500.0, 4)
-        p = np.exp(truth.A - truth.B / (truth.C + temps)) * 1000.0
-        items.append((graph, temps, np.log(p / 1000.0)))
-
-    class Item:
-        def __init__(self, graph, temps, lnp):
-            self.graph = graph
-            self.temperatures = temps
-            self.ln_p_kpa = lnp
-            self.component = "x"
-
-    batch = [Item(*it) for it in items]
+    temps = np.tile(np.linspace(340.0, 500.0, 4), len(graphs))
+    truth = [synthetic_params(2 + k % 4, k % 2) for k in range(len(graphs))]
+    a, b, c = np.repeat([t.as_tuple() for t in truth], 4, axis=0).T
+    batch = Components(SMALL_MOLECULES[:10], graphs, temps,
+                       np.exp(a - b / (c + temps)) * 1000.0,
+                       np.repeat(np.arange(len(graphs)), 4))
     params = model.named_parameters()
-    bn_snapshot = [layer.bn_state.copy() for layer in model.hidden]
+    # batch_norm rebinds the running statistics rather than writing into
+    # them, so a shallow copy of each state keeps its arrays.
+    bn_snapshot = [replace(layer.bn_state) for layer in model.hidden]
 
     def forward() -> float:
         for layer, saved in zip(model.hidden, bn_snapshot):
-            layer.bn_state.running_mean = saved.running_mean.copy()
-            layer.bn_state.running_var = saved.running_var.copy()
+            layer.bn_state = replace(saved)
         return _batch_loss(model, batch, "huber", 0.5)
 
     loss = forward()
@@ -312,45 +305,41 @@ def test_adjacency_matches_bond_scan(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Criterion: a batch run as one disjoint graph gives each molecule the result
-# it gets alone, within 2e-15 of each parameter's range width, and does not
-# depend on the order of the molecules in the batch.
+# Criterion: a batch run as one disjoint graph gives each molecule the same
+# bytes it gets alone, in chunks of any size and in any order.
 # ---------------------------------------------------------------------------
-
-BATCH_TOL = np.array([2e-15 * (hi - lo) for lo, hi in PARAM_RANGES.values()])
-
 
 def test_batched_forward_matches_single_molecules():
     graphs = [featurize(parse_smiles(s)) for s in FIFTY_MOLECULES]
-    worst = np.zeros(3)
+    differ = []
     for seed in range(3):
         for pooling in ("sum", "interaction"):
             model = init_model(Architecture(pooling=pooling), seed=seed)
             batched = forward_antoine(model, graphs).data
-            single = np.concatenate([forward_antoine(model, [g]).data
-                                     for g in graphs])
-            worst = np.maximum(worst, np.abs(batched - single).max(axis=0))
-    report("batched forward: 50 molecules x 3 seeds x 2 poolings match "
-           "one-molecule results", bool(np.all(worst <= BATCH_TOL)),
-           f"max |dA|, |dB|, |dC| = {worst[0]:.1e}, {worst[1]:.1e}, "
-           f"{worst[2]:.1e}")
+            for chunk in (7, 1):
+                parts = np.concatenate([
+                    forward_antoine(model, graphs[i : i + chunk]).data
+                    for i in range(0, len(graphs), chunk)])
+                if parts.tobytes() != batched.tobytes():
+                    differ.append((seed, pooling, chunk))
+    report("batched forward: 50 molecules x 3 seeds x 2 poolings give the "
+           "same bytes in one batch, in chunks of 7 and one at a time",
+           not differ, f"differing (seed, pooling, chunk): {differ}")
 
 
 def test_batch_order_invariance():
     rng = np.random.default_rng(1005)
     graphs = [featurize(parse_smiles(s)) for s in FIFTY_MOLECULES]
-    worst = np.zeros(3)
+    differ = 0
     for pooling in ("sum", "interaction"):
         model = init_model(Architecture(pooling=pooling), seed=1005)
         base = forward_antoine(model, graphs).data
         for _ in range(5):
             order = rng.permutation(len(graphs))
             out = forward_antoine(model, [graphs[i] for i in order]).data
-            worst = np.maximum(worst, np.abs(out - base[order]).max(axis=0))
-    report("batched forward: invariant to the order of molecules in a batch",
-           bool(np.all(worst <= BATCH_TOL)),
-           f"max |dA|, |dB|, |dC| = {worst[0]:.1e}, {worst[1]:.1e}, "
-           f"{worst[2]:.1e}")
+            differ += out.tobytes() != base[order].tobytes()
+    report("batched forward: the same bytes whatever the order of molecules "
+           "in a batch", differ == 0, f"{differ} of 10 shuffles differ")
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +358,7 @@ def test_end_to_end_learnability():
     model = init_model(Architecture(), seed=np.random.SeedSequence([3, 0]))
     result = fit(model, ds.subset("train"), ds.subset("valid"), cfg)
     assert len(result.history) == 200
-    train_mape = validation_mape_i(model, _prepare_components(ds.subset("train")))
+    train_mape = validation_mape_i(model, prepare_components(ds.subset("train")))
     valid_mape = result.best_valid_mape_i
     ok = train_mape < 5.0 and valid_mape < 15.0
     report("end-to-end learnability: train < 5%, valid < 15% in 200 epochs",

@@ -29,8 +29,7 @@ def test_single_atom_self_loop_only():
     rng = np.random.default_rng(0)
     layer = random_layer(rng, 24, out_dim=6, heads=3)
     out, attentions = gat_forward(Tensor(graph.node_features),
-                                  batch_graphs([graph]), layer,
-                                  return_attention=True)
+                                  batch_graphs([graph]), layer)
     for alpha in attentions:
         np.testing.assert_allclose(alpha, [1.0])
     # Softmax over one element is 1, so the update is the mean of W x.
@@ -43,8 +42,8 @@ def test_two_node_path_matches_scalar_evaluation():
     graph = graph_of("CO")
     rng = np.random.default_rng(1)
     layer = random_layer(rng, 24, out_dim=5, heads=1)
-    out = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
-                      layer)
+    out, _ = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                         layer)
     bonds = [(0, 1)]
     efeat = {(0, 1): graph.edge_features[0]}
     oracle = naive_gat_head(graph.node_features, bonds, efeat,
@@ -58,8 +57,8 @@ def test_multi_head_forward_matches_scalar_evaluation(smiles):
     graph = graph_of(smiles)
     rng = np.random.default_rng(2)
     layer = random_layer(rng, 24, out_dim=7, heads=2)
-    out = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
-                      layer)
+    out, _ = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                         layer)
     bonds = []
     efeat = {}
     seen = set()
@@ -83,8 +82,7 @@ def test_attention_rows_sum_to_one(smiles):
     rng = np.random.default_rng(3)
     layer = random_layer(rng, 24, heads=2)
     batch = batch_graphs([graph])
-    _, attentions = gat_forward(Tensor(graph.node_features), batch, layer,
-                                return_attention=True)
+    _, attentions = gat_forward(Tensor(graph.node_features), batch, layer)
     for alpha in attentions:
         sums = np.zeros(graph.heavy_atom_count)
         np.add.at(sums, batch.dst, alpha)
@@ -97,13 +95,13 @@ def test_zero_edge_weights_isolate_edge_features():
     layer = random_layer(rng, 24, heads=2)
     for head in range(2):
         layer.theta_e[head].data = np.zeros_like(layer.theta_e[head].data)
-    out1 = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
-                       layer)
+    out1, _ = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                          layer)
     # Same topology, different edge features.
     other = graph_of("FC=CF")
     assert not np.array_equal(other.edge_features, graph.edge_features)
-    out2 = gat_forward(Tensor(other.node_features), batch_graphs([other]),
-                       layer)
+    out2, _ = gat_forward(Tensor(other.node_features), batch_graphs([other]),
+                          layer)
     np.testing.assert_allclose(out1.data, out2.data, atol=1e-12)
 
 
@@ -112,10 +110,10 @@ def test_edge_features_matter_otherwise():
     other = graph_of("FC=CF")
     rng = np.random.default_rng(5)
     layer = random_layer(rng, 24, heads=1)
-    out1 = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
-                       layer)
-    out2 = gat_forward(Tensor(other.node_features), batch_graphs([other]),
-                       layer)
+    out1, _ = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                          layer)
+    out2, _ = gat_forward(Tensor(other.node_features), batch_graphs([other]),
+                          layer)
     assert np.abs(out1.data - out2.data).max() > 1e-9
 
 
@@ -166,8 +164,8 @@ def test_gradient_through_one_layer():
     }
 
     def forward():
-        out = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
-                      layer)
+        out, _ = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
+                             layer)
         return mean_all(mul(out, Tensor(weights)))
 
     loss = forward()

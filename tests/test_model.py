@@ -1,7 +1,10 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
+import grappa.model
 from grappa.featurize import featurize
 from grappa.gnn import attention_scores
 from grappa.model import (
@@ -17,6 +20,7 @@ from grappa.model import (
     to_checkpoint,
 )
 from grappa.smiles import parse_smiles
+from grappa.tensor import mean_all
 
 from _oracles import synthetic_dataset
 
@@ -148,7 +152,24 @@ def test_forward_antoine_batch_matches_single():
     assert params.shape == (3, 3)
     for k, graph in enumerate(graphs):
         one = forward_antoine(model, [graph], mode="infer")
-        assert one.data[0] == pytest.approx(params.data[k], abs=1e-12)
+        assert one.data[0].tobytes() == params.data[k].tobytes()
+
+
+def test_infer_forward_records_no_tape():
+    model = init_model(Architecture(), seed=6)
+    graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCN")]
+    infer = forward_antoine(model, graphs, mode="infer")
+    assert infer._parents == () and infer._vjp is None
+    assert not infer.requires_grad
+    train = forward_antoine(model, graphs, mode="train")
+    assert train._parents and train.requires_grad
+    mean_all(train).backward()
+    assert all(t.grad is not None and np.any(t.grad)
+               for t in model.named_parameters().values())
+    # Recording is back on after an inference forward, even one that raised.
+    with pytest.raises(ValueError):
+        forward_antoine(model, [], mode="infer")
+    assert forward_antoine(model, graphs, mode="train").requires_grad
 
 
 def test_predict_dataset_covers_split():
@@ -161,6 +182,36 @@ def test_predict_dataset_covers_split():
     assert len(points) == 4 * len(valid_components)
     assert all(pt.p_pred_pa > 0 for pt in points)
     assert all(pt.mol_weight > 0 for pt in points)
+
+
+@pytest.mark.parametrize("chunk", [None, 3])
+def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
+    ds, _ = synthetic_dataset(points_per_component=4)
+    model = init_model(Architecture(), seed=7)
+    if chunk is not None:
+        monkeypatch.setattr(grappa.model, "INFER_CHUNK", chunk)
+    forwards = []
+    real_forward = grappa.model.forward_antoine
+
+    def counting_forward(model, graphs, mode="infer"):
+        forwards.append(len(graphs))
+        return real_forward(model, graphs, mode)
+
+    monkeypatch.setattr(grappa.model, "forward_antoine", counting_forward)
+    points, params = predict_dataset(model, ds)
+    groups = ds.by_component()
+    assert len(forwards) == math.ceil(len(groups) / grappa.model.INFER_CHUNK)
+    assert sorted(params) == sorted(groups)
+    for component, row in params.items():
+        one = predict(model, groups[component][0].smiles).params
+        assert np.array(one.as_tuple()).tobytes() \
+            == np.array(row.as_tuple()).tobytes()
+    # Each component's curve, evaluated alone as the per-component loop did.
+    for component, group in groups.items():
+        temps = np.array([pt.temperature_k for pt in group])
+        alone = grappa.model.antoine(*params[component].as_tuple(), temps)
+        got = [pt.p_pred_pa for pt in points if pt.component_id == component]
+        assert np.array(got).tobytes() == alone.tobytes()
 
 
 def test_attention_scores_work_on_model_layers():

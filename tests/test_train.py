@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from grappa.model import Architecture, init_model
+from grappa.model import Architecture, init_model, prepare_components
 from grappa.tensor import NonFiniteError, Tensor
 from grappa.train import (
     AdamWState,
@@ -14,13 +14,11 @@ from grappa.train import (
     grid_cells,
     history_csv,
     loss_huber,
-    loss_mae,
     loss_mse,
     one_cycle_lr,
     one_cycle_peak_step,
     plateau_lr,
     validation_mape_i,
-    _prepare_components,
 )
 
 from _oracles import synthetic_dataset
@@ -31,7 +29,6 @@ from _oracles import synthetic_dataset
 def test_losses_on_identical_vectors_are_zero():
     x = np.array([0.1, -2.0, 3.5])
     assert loss_mse(x, x).item() == 0.0
-    assert loss_mae(x, x).item() == 0.0
     assert loss_huber(x, x).item() == 0.0
 
 
@@ -39,7 +36,6 @@ def test_loss_values_for_unit_residuals():
     pred = np.array([1.0, -1.0])
     target = np.zeros(2)
     assert loss_mse(pred, target).item() == pytest.approx(1.0)
-    assert loss_mae(pred, target).item() == pytest.approx(1.0)
 
 
 def test_mse_half_residual():
@@ -81,7 +77,7 @@ def test_losses_reject_empty_and_mismatched():
     with pytest.raises(ValueError):
         loss_mse(np.zeros(0), np.zeros(0))
     with pytest.raises(ValueError):
-        loss_mae(np.zeros(3), np.zeros(2))
+        loss_mse(np.zeros(3), np.zeros(2))
 
 
 # ------------------------------------------------------------------- optimizer
@@ -131,8 +127,8 @@ def test_one_step_descends_on_convex_toy():
     # Linear model, quadratic loss: a single small-lr step must improve.
     rng = np.random.default_rng(5)
     features = rng.normal(size=(20, 3))
-    target = features @ np.array([1.0, -2.0, 0.5])
-    w = Tensor(rng.normal(size=3), requires_grad=True)
+    target = features @ np.array([[1.0], [-2.0], [0.5]])
+    w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
 
     def loss_value():
         from grappa.tensor import matmul, sub, mul, mean_all
@@ -229,7 +225,7 @@ def test_fit_requires_disjoint_components():
 
 
 def test_fit_rejects_a_single_training_molecule_before_featurizing(monkeypatch):
-    import grappa.train
+    import grappa.model
 
     ds, _ = synthetic_dataset(points_per_component=4)
     one = ds.subset("train")
@@ -239,7 +235,7 @@ def test_fit_rejects_a_single_training_molecule_before_featurizing(monkeypatch):
     def no_featurize(*_):
         raise AssertionError("featurized before the size check")
 
-    monkeypatch.setattr(grappa.train, "featurize", no_featurize)
+    monkeypatch.setattr(grappa.model, "featurize", no_featurize)
     model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
                        seed=0)
     with pytest.raises(ValueError, match="at least 2"):
@@ -259,8 +255,8 @@ def test_fit_history_and_best_selection():
     assert result.best_valid_mape_i == pytest.approx(min(recorded))
     assert result.best_valid_mape_i <= recorded[-1]
     # The model was left restored to the best checkpoint.
-    valid_items = _prepare_components(ds.subset("valid"))
-    assert validation_mape_i(model, valid_items) == pytest.approx(
+    valid_comps = prepare_components(ds.subset("valid"))
+    assert validation_mape_i(model, valid_comps) == pytest.approx(
         result.best_valid_mape_i)
 
 
