@@ -77,6 +77,7 @@ def _cmd_curate(args) -> int:
         "points_dropped": len(ds) - len(result.dataset),
         "rows_rejected_on_load": len(ds.rejects),
         "conflicts": len(result.conflicts),
+        "audit_rules": Counter(e["rule"] for e in result.audit),
         "output": str(args.output),
     }
     note = "\n".join(f"{e['rule']}: row={e['row']} component={e['component']}"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +24,7 @@ TEMPERATURE_RANGE_K = (250.0, 600.0)
 PRESSURE_RANGE_PA = (1.0, 1e7)
 OUTLIER_REL_DEV = 0.5
 MIN_POINTS_FOR_OUTLIER_PASS = 5
+MIN_FIT_SPREAD_K = 1.0  # a robust fit needs a wider temperature window
 SMALL_MOLECULE_CARBONS = 5
 
 REQUIRED_COLUMNS = ("component_id", "smiles", "temperature_K", "pressure_Pa",
@@ -148,94 +148,146 @@ def _huber_rho(r: np.ndarray, delta: float) -> np.ndarray:
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
 
 
-def _fit_cost(theta, t, y, delta) -> tuple[float, np.ndarray]:
-    ln_p, valid = _ln_p_kpa(*theta, t)
-    if not valid.all():
-        return math.inf, np.full_like(y, np.inf)
+def _fit_cost(theta, t, y, delta) -> tuple[np.ndarray, np.ndarray]:
+    """Huber cost (K,) and residuals (K, n) of a (K, 3) stack of parameter
+    rows; a row that puts any point off the valid branch costs inf, with inf
+    residuals."""
+    ln_p, valid = _ln_p_kpa(theta[:, :1], theta[:, 1:2], theta[:, 2:], t)
     r = y - ln_p
-    return float(_huber_rho(r, delta).sum()), r
+    cost = _huber_rho(r, delta).sum(axis=1)
+    off = ~valid.all(axis=1)
+    cost[off] = np.inf
+    r[off] = np.inf
+    return cost, r
 
 
-def _lm_solve(theta0, t, y, box, delta, max_iter=200):
-    """Damped least squares with Huber reweighting and box projection."""
-    theta = np.clip(np.asarray(theta0, dtype=float), box[:, 0], box[:, 1])
+def _solve_each(lhs, rhs) -> tuple[np.ndarray, np.ndarray]:
+    """Batched solve of (m, 3, 3) systems; if one is singular, solve them one
+    at a time so only the singular ones fail. Returns (m, 3) steps (zero where
+    unsolved) and the (m,) solved mask."""
+    try:
+        return np.linalg.solve(lhs, rhs)[..., 0], np.ones(len(lhs), dtype=bool)
+    except np.linalg.LinAlgError:
+        step = np.zeros(rhs.shape[:2])
+        solved = np.ones(len(lhs), dtype=bool)
+        for s in range(len(lhs)):
+            try:
+                step[s] = np.linalg.solve(lhs[s], rhs[s])[:, 0]
+            except np.linalg.LinAlgError:
+                solved[s] = False
+        return step, solved
+
+
+def _lm_solve(starts, t, y, box, delta, max_iter=200):
+    """Damped least squares with Huber reweighting and box projection, run on
+    a (K, 3) stack of starts at once.
+
+    Every start keeps its own damping, slow-step count, stopping rule and
+    cost trace, and only the starts still iterating are computed, so each
+    ends exactly where it would alone. Returns the per-start parameters
+    (K, 3), costs (K,), residuals (K, n), converged flags, iteration counts
+    and cost traces.
+    """
+    lo, hi = box[:, 0], box[:, 1]
+    theta = np.clip(np.asarray(starts, dtype=float), lo, hi)
     cost, r = _fit_cost(theta, t, y, delta)
-    lam = 1e-3
-    trace = [cost]
-    converged = False
-    iterations = 0
-    slow_steps = 0
-    for iterations in range(1, max_iter + 1):
-        if not math.isfinite(cost):
+    k = len(theta)
+    converged = np.zeros(k, dtype=bool)
+    finite = np.isfinite(cost)
+    # A start off the valid branch stops in its first iteration.
+    iterations = np.where(finite, max_iter, min(max_iter, 1))
+    traces = [[c] for c in cost.tolist()]
+    # The state of the starts still iterating, one row each; a row is written
+    # back to theta, cost and r when its start stops. Accepted costs only
+    # fall, so every live cost stays finite.
+    live = np.flatnonzero(finite)
+    th, old, res = theta[live], cost[live], r[live]
+    lam = np.full(len(live), 1e-3)
+    slow_steps = np.zeros(len(live), dtype=int)
+    diag = np.arange(3)
+    ridge = 1e-12 * np.eye(3)
+    for it in range(1, max_iter + 1):
+        if not live.size:
             break
-        a, b, c = theta
+        b, c = th[:, 1:2], th[:, 2:]
         denom = c + t
         # Jacobian of the residual r = y - (a - b/(c+t)) w.r.t. (a, b, c).
-        jac = np.column_stack([-np.ones_like(t), 1.0 / denom, -b / denom**2])
-        absr = np.abs(r)
-        w = np.ones_like(r)
+        jac = np.empty(denom.shape + (3,))
+        jac[..., 0] = -1.0
+        jac[..., 1] = 1.0 / denom
+        jac[..., 2] = -b / denom**2
+        absr = np.abs(res)
+        w = np.ones_like(res)
         heavy = absr > delta
         w[heavy] = delta / absr[heavy]
-        jtw = jac.T * w
+        jtw = (jac * w[..., None]).transpose(0, 2, 1)
         hess = jtw @ jac
-        grad = jtw @ r
-        try:
-            step = np.linalg.solve(hess + lam * np.diag(np.diag(hess)) +
-                                   1e-12 * np.eye(3), -grad)
-        except np.linalg.LinAlgError:
-            lam *= 10.0
-            continue
-        candidate = np.clip(theta + step, box[:, 0], box[:, 1])
+        grad = jtw @ res[..., None]
+        damp = np.zeros_like(hess)
+        damp[:, diag, diag] = hess[:, diag, diag]
+        step, solved = _solve_each(hess + lam[:, None, None] * damp + ridge, -grad)
+        candidate = np.clip(th + step, lo, hi)
         new_cost, new_r = _fit_cost(candidate, t, y, delta)
-        if new_cost < cost:
-            rel_drop = (cost - new_cost) / max(cost, 1e-30)
-            theta, cost, r = candidate, new_cost, new_r
-            trace.append(cost)
-            lam = max(lam / 10.0, 1e-12)
-            if rel_drop < 1e-9 or cost < 1e-24:
-                converged = True
-                break
-            # Creep along a box boundary counts as converged after a while.
-            slow_steps = slow_steps + 1 if rel_drop < 1e-5 else 0
-            if slow_steps >= 5:
-                converged = True
-                break
-        else:
-            lam *= 10.0
-            if lam > 1e10:
-                converged = True  # stalled at a (possibly flat) minimum
-                break
-    return theta, cost, r, converged, iterations, trace
+
+        better = solved & (new_cost < old)
+        rel_drop = (old - new_cost) / np.maximum(old, 1e-30)
+        for s, value in zip(live[better].tolist(), new_cost[better].tolist()):
+            traces[s].append(value)
+        th = np.where(better[:, None], candidate, th)
+        old = np.where(better, new_cost, old)
+        res = np.where(better[:, None], new_r, res)
+        # A failed solve only raises the damping, a rejected step raises it too.
+        lam = np.where(better, np.maximum(lam / 10.0, 1e-12), lam * 10.0)
+        # Creep along a box boundary counts as converged after a while.
+        slow_steps = np.where(better, np.where(rel_drop < 1e-5, slow_steps + 1, 0),
+                              slow_steps)
+        stop = np.where(better,
+                        (rel_drop < 1e-9) | (old < 1e-24) | (slow_steps >= 5),
+                        solved & (lam > 1e10))  # stalled at a flat minimum
+        if stop.any():
+            done = live[stop]
+            theta[done], cost[done], r[done] = th[stop], old[stop], res[stop]
+            converged[done] = True
+            iterations[done] = it
+            keep = ~stop
+            live, th, old, res = live[keep], th[keep], old[keep], res[keep]
+            lam, slow_steps = lam[keep], slow_steps[keep]
+    theta[live], cost[live], r[live] = th, old, res
+    return theta, cost, r, converged, iterations, traces
 
 
-def _start_points(t: np.ndarray, y: np.ndarray) -> list[np.ndarray]:
-    starts = []
+def _start_points(t: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The (5, 3) starting parameters: one data-driven, four fixed."""
     # Data-driven start: linear fit of y against 1/(t + c0).
     c0 = max(-50.0, -float(t.min()) + 25.0)
     x = 1.0 / (c0 + t)
     slope, intercept = np.polyfit(x, y, 1)
-    starts.append(np.array([intercept, -slope, c0]))
-    starts.extend([
-        np.array([8.0, 2500.0, -30.0]),
-        np.array([12.0, 3500.0, -100.0]),
-        np.array([15.0, 4800.0, -150.0]),
-        np.array([10.0, 3000.0, -60.0]),
+    return np.array([
+        [intercept, -slope, c0],
+        [8.0, 2500.0, -30.0],
+        [12.0, 3500.0, -100.0],
+        [15.0, 4800.0, -150.0],
+        [10.0, 3000.0, -60.0],
     ])
-    return starts
+
+
+def _fit_spread_ok(t: np.ndarray) -> bool:
+    return float(t.max() - t.min()) > MIN_FIT_SPREAD_K
 
 
 def robust_antoine_fit(temperatures_k, pressures_pa, delta: float = 0.5,
                        max_iter: int = 200) -> AntoineFit:
     """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost and box-bounded search.
 
-    Needs at least three points spanning more than 1 K; five deterministic
-    starting points are tried and the best final cost wins.
+    Needs at least three points spanning more than ``MIN_FIT_SPREAD_K``;
+    five deterministic starting points are solved as one stack and the first
+    with the lowest final cost wins.
     """
     t = np.asarray(temperatures_k, dtype=float)
     y = np.log(np.asarray(pressures_pa, dtype=float) / PA_PER_KPA)
     if t.size < 3:
         raise ValueError("robust fit needs at least 3 points")
-    if float(t.max() - t.min()) <= 1.0:
+    if not _fit_spread_ok(t):
         raise ValueError("temperature spread must exceed 1 K")
     box = np.array([
         PARAM_RANGES["A"],
@@ -243,14 +295,11 @@ def robust_antoine_fit(temperatures_k, pressures_pa, delta: float = 0.5,
         # Keep the pole C = -T out of the data window.
         (max(PARAM_RANGES["C"][0], -float(t.min()) + 1.0), PARAM_RANGES["C"][1]),
     ])
-    best = None
-    for theta0 in _start_points(t, y):
-        theta, cost, r, converged, iters, trace = _lm_solve(
-            theta0, t, y, box, delta, max_iter)
-        if best is None or cost < best[1]:
-            best = (theta, cost, r, converged, iters, trace)
-    theta, cost, r, converged, iters, trace = best
-    return AntoineFit(AntoineParams(*theta), r, cost, converged, iters, trace)
+    theta, cost, r, converged, iters, traces = _lm_solve(
+        _start_points(t, y), t, y, box, delta, max_iter)
+    best = int(np.argmin(cost))
+    return AntoineFit(AntoineParams(*theta[best]), r[best], float(cost[best]),
+                      bool(converged[best]), int(iters[best]), traces[best])
 
 
 # ------------------------------------------------------------------ curation
@@ -309,6 +358,11 @@ def curate(ds: VpDataset) -> CurationResult:
             continue
         t = np.array([pt.temperature_k for pt in points])
         p = np.array([pt.pressure_pa for pt in points])
+        if not _fit_spread_ok(t):
+            audit.append({"row": None, "component": component,
+                          "rule": "fit_skipped_narrow_range", "action": "kept"})
+            final.extend(points)
+            continue
         fit = robust_antoine_fit(t, p)
         if not fit.converged:
             audit.append({"row": None, "component": component,
@@ -344,7 +398,7 @@ def _source_conflict(component: str, points: list[VpPoint]) -> dict | None:
     fits = {}
     for source, pts in usable.items():
         t = np.array([pt.temperature_k for pt in pts])
-        if t.max() - t.min() <= 1.0:
+        if not _fit_spread_ok(t):
             continue
         fits[source] = robust_antoine_fit(
             t, np.array([pt.pressure_pa for pt in pts])).params

@@ -17,6 +17,7 @@ Edge vector layout:
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,7 @@ from .molecule import (
     Molecule,
     molecular_weight,
 )
-from .smiles import bond_order_sum, implicit_hydrogens
+from .smiles import bond_order_sum
 
 NODE_FEATURES = 24
 EDGE_FEATURES = 9
@@ -132,7 +133,7 @@ def ring_membership(mol: Molecule) -> tuple[list[bool], list[bool]]:
     return atom_flags, bond_flags
 
 
-def hybridizations(mol: Molecule, h_counts: list[int]) -> list[str]:
+def hybridizations(mol: Molecule, h_counts: Sequence[int]) -> list[str]:
     """Deterministic hybridization labels from bond patterns and the
     implicit hydrogen counts: SP for a triple bond or two doubles, SP2 for
     aromatic or one double, SP3 for saturated C/N/O/S/P within their
@@ -199,7 +200,7 @@ def featurize(mol: Molecule) -> MolGraph:
         raise ScopeError(scope.reasons)
 
     n = len(mol.atoms)
-    h_counts = implicit_hydrogens(mol)
+    h_counts = mol.hydrogen_counts
     atom_ring, bond_ring = ring_membership(mol)
     hybrid = hybridizations(mol, h_counts)
 

@@ -6,6 +6,7 @@ Hydrogen is never a node; it is tracked per heavy atom, either explicitly
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -104,6 +105,15 @@ class Molecule:
             table[bond.b].append(bond)
         return table
 
+    @cached_property
+    def hydrogen_counts(self) -> tuple[int, ...]:
+        """Hydrogen count per atom (``smiles.implicit_hydrogens``), computed
+        once: ``parse_smiles`` checks valences with it and ``featurize``
+        reuses it."""
+        from .smiles import implicit_hydrogens  # smiles builds on this module
+
+        return tuple(implicit_hydrogens(self))
+
     def neighbors(self, idx: int) -> list[int]:
         return [bond.other(idx) for bond in self._incident.get(idx, ())]
 
@@ -129,7 +139,7 @@ def permute_molecule(mol: Molecule, perm: list[int] | tuple[int, ...]) -> Molecu
     return Molecule(tuple(atoms), bonds, tetra)
 
 
-def molecular_weight(mol: Molecule, h_counts: list[int]) -> float:
+def molecular_weight(mol: Molecule, h_counts: Sequence[int]) -> float:
     """Mass in g/mol from heavy atoms plus the given hydrogen counts."""
     total = sum(ATOMIC_WEIGHTS[a.element] for a in mol.atoms)
     total += ATOMIC_WEIGHTS["H"] * sum(h_counts)

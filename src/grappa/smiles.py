@@ -227,7 +227,7 @@ def parse_smiles(text: str) -> Molecule:
     bonds = _resolve_double_bond_stereo(atoms, bonds, directed)
     mol = Molecule(tuple(atoms), tuple(bonds), tuple(tetra))
     try:
-        implicit_hydrogens(mol)  # trips ValenceError eagerly
+        mol.hydrogen_counts  # trips ValenceError eagerly; kept for featurize
     except ValenceError as err:
         if err.atom_index is not None and err.offset is None:
             raise ValenceError(str(err), offset=atom_offsets[err.atom_index],

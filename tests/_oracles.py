@@ -301,3 +301,89 @@ def contaminate(ds: VpDataset, factor: float = 2.0) -> tuple[VpDataset, set[int]
             else:
                 out.append(pt)
     return VpDataset(out, dict(ds.splits)), injected
+
+
+# --------------------------------------------------------- robust Antoine fit
+
+def reference_lm_solve(theta0, t, y, box, delta, max_iter=200):
+    """One start of the damped least-squares fit, run alone: the loop the
+    library's stacked solver must reproduce byte for byte."""
+    def cost_of(theta):
+        a, b, c = theta
+        denom = c + t
+        if not (denom > 0.0).all():
+            return math.inf, np.full_like(y, np.inf)
+        r = y - (a - b / denom)
+        absr = np.abs(r)
+        rho = np.where(absr <= delta, 0.5 * r * r, delta * (absr - 0.5 * delta))
+        return float(rho.sum()), r
+
+    theta = np.clip(np.asarray(theta0, dtype=float), box[:, 0], box[:, 1])
+    cost, r = cost_of(theta)
+    lam = 1e-3
+    trace = [cost]
+    converged = False
+    iterations = 0
+    slow_steps = 0
+    for iterations in range(1, max_iter + 1):
+        if not math.isfinite(cost):
+            break
+        a, b, c = theta
+        denom = c + t
+        jac = np.column_stack([-np.ones_like(t), 1.0 / denom, -b / denom**2])
+        absr = np.abs(r)
+        w = np.ones_like(r)
+        heavy = absr > delta
+        w[heavy] = delta / absr[heavy]
+        jtw = jac.T * w
+        hess = jtw @ jac
+        grad = jtw @ r
+        try:
+            step = np.linalg.solve(hess + lam * np.diag(np.diag(hess)) +
+                                   1e-12 * np.eye(3), -grad)
+        except np.linalg.LinAlgError:
+            lam *= 10.0
+            continue
+        candidate = np.clip(theta + step, box[:, 0], box[:, 1])
+        new_cost, new_r = cost_of(candidate)
+        if new_cost < cost:
+            rel_drop = (cost - new_cost) / max(cost, 1e-30)
+            theta, cost, r = candidate, new_cost, new_r
+            trace.append(cost)
+            lam = max(lam / 10.0, 1e-12)
+            if rel_drop < 1e-9 or cost < 1e-24:
+                converged = True
+                break
+            slow_steps = slow_steps + 1 if rel_drop < 1e-5 else 0
+            if slow_steps >= 5:
+                converged = True
+                break
+        else:
+            lam *= 10.0
+            if lam > 1e10:
+                converged = True
+                break
+    return theta, cost, r, converged, iterations, trace
+
+
+def reference_antoine_fit(temperatures_k, pressures_pa, delta=0.5, max_iter=200):
+    """The robust fit with its five starts solved one after another; the
+    first strictly lower final cost wins. Returns (params, cost, residuals,
+    converged, iterations, cost_trace)."""
+    t = np.asarray(temperatures_k, dtype=float)
+    y = np.log(np.asarray(pressures_pa, dtype=float) / 1000.0)
+    box = np.array([(5.0, 20.0), (1500.0, 6000.0),
+                    (max(-300.0, -float(t.min()) + 1.0), 0.0)])
+    c0 = max(-50.0, -float(t.min()) + 25.0)
+    slope, intercept = np.polyfit(1.0 / (c0 + t), y, 1)
+    starts = [np.array([intercept, -slope, c0]),
+              np.array([8.0, 2500.0, -30.0]),
+              np.array([12.0, 3500.0, -100.0]),
+              np.array([15.0, 4800.0, -150.0]),
+              np.array([10.0, 3000.0, -60.0])]
+    best = None
+    for theta0 in starts:
+        result = reference_lm_solve(theta0, t, y, box, delta, max_iter)
+        if best is None or result[1] < best[1]:
+            best = result
+    return best

@@ -1,11 +1,12 @@
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from grappa.cli import main
-from grappa.dataio import write_csv, write_splits_csv
+from grappa.dataio import VpDataset, VpPoint, write_csv, write_splits_csv
 from grappa.model import Architecture, init_model, save_checkpoint
 
 from _oracles import contaminate, synthetic_dataset
@@ -119,6 +120,29 @@ def test_curate_names_injected_outliers(capsys, tmp_path):
     for k, pt in enumerate(sorted(dirty.points, key=lambda p: p.row)):
         loaded_rows[k + 2] = pt.row  # CSV rows start after the header
     assert {loaded_rows[r] for r in dropped} == injected
+    assert payload["audit_rules"] == {"outlier_vs_antoine_fit": len(injected)}
+
+
+def test_curate_summary_counts_audit_rules(capsys, tmp_path):
+    ds, _ = synthetic_dataset(points_per_component=8)
+    dirty, _ = contaminate(ds, factor=2.0)
+    points = list(dirty.points)
+    points[0] = VpPoint(points[0].component_id, points[0].smiles,
+                        points[0].temperature_k, points[0].pressure_pa,
+                        quality="poor", row=points[0].row)
+    # Six points within 0.5 K: too narrow to fit, so kept as they are.
+    points += [VpPoint("narrow", "CCCO", 300.0 + 0.1 * k, 2000.0 + k)
+               for k in range(6)]
+    src = tmp_path / "dirty.csv"
+    write_csv(VpDataset(points, dict(dirty.splits)), src)
+    audit = tmp_path / "audit.jsonl"
+    code, payload = run(capsys, "curate", "--input", str(src), "--output",
+                        str(tmp_path / "clean.csv"), "--audit", str(audit))
+    assert code == 0
+    entries = [json.loads(line) for line in audit.read_text().splitlines()]
+    assert payload["audit_rules"] == dict(Counter(e["rule"] for e in entries))
+    assert payload["audit_rules"]["poor_quality"] == 1
+    assert payload["audit_rules"]["fit_skipped_narrow_range"] == 1
 
 
 def test_split_respects_seed_and_writes_csv(capsys, tmp_path, data_path):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from grappa import dataio
 from grappa.antoine import AntoineParams
 from grappa.dataio import (
     VpDataset,
@@ -18,7 +20,12 @@ from grappa.dataio import (
 )
 from grappa.smiles import parse_smiles
 
-from _oracles import contaminate, synthetic_dataset
+from _oracles import (
+    contaminate,
+    reference_antoine_fit,
+    reference_lm_solve,
+    synthetic_dataset,
+)
 
 
 def curve_points(component, smiles, params, temps, **kw):
@@ -149,6 +156,102 @@ def test_fit_respects_parameter_box():
     assert -300.0 <= fit.params.C <= 0.0
 
 
+def assert_fit_bytes_equal(fit, reference):
+    """The library's fit against an oracle result tuple, compared by bytes."""
+    theta, cost, residuals, converged, iterations, trace = reference
+    assert np.array(fit.params.as_tuple()).tobytes() == np.asarray(theta).tobytes()
+    assert type(fit.cost) is float and np.float64(fit.cost).tobytes() == (
+        np.float64(cost).tobytes())
+    assert fit.residuals.tobytes() == residuals.tobytes()
+    assert fit.converged is converged
+    assert fit.iterations == iterations
+    assert np.array(fit.cost_trace).tobytes() == np.array(trace).tobytes()
+
+
+@st.composite
+def fit_problems(draw):
+    """3-15 points on an Antoine curve, with noise or outliers, or garbage
+    pressures; windows starting below 301 K narrow the C box."""
+    n = draw(st.integers(3, 15))
+    t_lo = draw(st.floats(250.0, 450.0))
+    width = draw(st.floats(1.5, 250.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = np.sort(np.r_[t_lo, t_lo + width, rng.uniform(t_lo, t_lo + width, n - 2)])
+    kind = draw(st.sampled_from(["clean", "noisy", "outliers", "garbage"]))
+    if kind == "garbage":
+        return t, np.exp(rng.uniform(-5.0, 8.0, n)) * 1000.0
+    a = draw(st.floats(7.0, 15.0))
+    b = draw(st.floats(1800.0, 5000.0))
+    c = draw(st.floats(-200.0, -10.0))
+    ln_p = a - b / (c + t)
+    if kind != "clean":
+        ln_p = ln_p + rng.normal(0.0, draw(st.floats(0.0, 0.2)), n)
+    if kind == "outliers":
+        hit = rng.choice(n, size=draw(st.integers(1, min(3, n))), replace=False)
+        ln_p[hit] += rng.choice([-1.0, 1.0], hit.size) * rng.uniform(0.7, 2.5, hit.size)
+    return t, np.exp(ln_p) * 1000.0
+
+
+@settings(deadline=None, max_examples=80)
+@given(fit_problems())
+def test_stacked_fit_matches_one_start_at_a_time(problem):
+    t, p = problem
+    assert_fit_bytes_equal(robust_antoine_fit(t, p), reference_antoine_fit(t, p))
+
+
+def test_stacked_fit_matches_on_the_narrowed_c_box_and_small_budgets():
+    t = np.array([252.0, 260.0, 275.0, 290.0])  # C >= -251
+    p = np.exp(9.0 - 2000.0 / (t - 40.0)) * 1000.0
+    for max_iter in (0, 1, 2, 5, 200):
+        assert_fit_bytes_equal(robust_antoine_fit(t, p, max_iter=max_iter),
+                               reference_antoine_fit(t, p, max_iter=max_iter))
+
+
+def test_a_singular_solve_fails_only_its_own_start(monkeypatch):
+    """One start's system, at its third iteration, is made to raise
+    ``LinAlgError``; the stacked solver must give that start alone a failed
+    step (damping x10) and every start the result it gets when run alone
+    with the same failure."""
+    rng = np.random.default_rng(3)
+    t = np.linspace(300.0, 420.0, 8)
+    y = 10.0 - 2600.0 / (t - 55.0) + rng.normal(0.0, 0.05, t.size)
+    box = np.array([(5.0, 20.0), (1500.0, 6000.0), (-299.0, 0.0)])
+    starts = dataio._start_points(t, y)
+    real_solve = np.linalg.solve
+    seen = []
+
+    def recording(a, b):
+        seen.append(np.array(a, copy=True))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    reference_lm_solve(starts[2], t, y, box, 0.5)
+    target = seen[2].tobytes()
+    raised = []
+
+    def failing(a, b):
+        stack = a.reshape(-1, 3, 3)
+        if any(m.tobytes() == target for m in stack):
+            raised.append(a.ndim)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    expected = [reference_lm_solve(s, t, y, box, 0.5) for s in starts]
+    raised.clear()
+    theta, cost, r, converged, iterations, traces = dataio._lm_solve(
+        starts, t, y, box, 0.5)
+    monkeypatch.setattr(np.linalg, "solve", real_solve)
+    assert raised == [3, 2]  # the batch failed, then that one start alone
+    for k, ref in enumerate(expected):
+        assert theta[k].tobytes() == ref[0].tobytes()
+        assert np.float64(cost[k]).tobytes() == np.float64(ref[1]).tobytes()
+        assert r[k].tobytes() == ref[2].tobytes()
+        assert (converged[k], iterations[k], traces[k]) == ref[3:]
+    alone = reference_lm_solve(starts[2], t, y, box, 0.5)
+    assert traces[2] != alone[5] or iterations[2] != alone[4]
+
+
 # ------------------------------------------------------------------- curation
 
 def base_rules_dataset():
@@ -240,6 +343,45 @@ def test_agreeing_sources_do_not_conflict():
     points += curve_points("ok", "CCO", truth, temps + 3.0, source="lab-b")
     result = curate(VpDataset(points))
     assert result.conflicts == []
+
+
+def test_curate_keeps_a_component_with_a_narrow_temperature_window():
+    truth = AntoineParams(10.0, 2500.0, -60.0)
+    points = curve_points("narrow", "CCO", truth, np.linspace(300.0, 300.5, 6))
+    points += curve_points("wide", "CCC", truth, np.linspace(300.0, 400.0, 6))
+    result = curate(VpDataset(points))
+    assert len(result.dataset) == 12
+    assert result.audit == [{"row": None, "component": "narrow",
+                             "rule": "fit_skipped_narrow_range",
+                             "action": "kept"}]
+
+
+def test_curate_fits_once_per_component_and_usable_source(monkeypatch):
+    """Pins the call pattern the benchmark's traced ``dataio.fit`` counts:
+    one robust fit per component with enough points, plus one per usable
+    source (>= 3 points over more than 1 K) of a multi-source component."""
+    truth = AntoineParams(10.0, 2500.0, -60.0)
+    temps = np.linspace(310.0, 400.0, 4)
+    points = curve_points("multi", "CCO", truth, temps, source="a")
+    points += curve_points("multi", "CCO", truth, temps + 2.0, source="b")
+    points += curve_points("multi", "CCO", truth, temps[:2] + 1.0, source="c")
+    points += curve_points("multi", "CCO", truth, [330.0, 330.4, 330.8],
+                           source="narrow")
+    points += curve_points("single", "CCC", truth, np.linspace(300, 380, 6),
+                           source="a")
+    points += curve_points("short", "CCCC", truth, temps)
+    calls = []
+    real_fit = dataio.robust_antoine_fit
+
+    def counting(t, p, *args, **kwargs):
+        calls.append(len(t))
+        return real_fit(t, p, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "robust_antoine_fit", counting)
+    result = curate(VpDataset(points))
+    # multi: its 13 points, then sources a and b; single: its 6 points.
+    assert calls == [13, 4, 4, 6]
+    assert len(result.dataset) == len(points)
 
 
 # ---------------------------------------------------------------------- split

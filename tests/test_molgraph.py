@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import grappa.featurize
+import grappa.smiles
 from grappa.featurize import (
     EDGE_FEATURES,
     NODE_FEATURES,
@@ -222,3 +224,23 @@ def test_graph_arrays_are_frozen():
     graph = featurize(parse_smiles("CCO"))
     with pytest.raises(ValueError):
         graph.node_features[0, 0] = 5.0
+
+
+def test_hydrogen_counts_are_computed_once_per_molecule(monkeypatch):
+    calls = []
+    real = grappa.smiles.implicit_hydrogens
+
+    def counting(mol):
+        calls.append(mol)
+        return real(mol)
+
+    # Wherever the library looks the function up.
+    monkeypatch.setattr(grappa.smiles, "implicit_hydrogens", counting)
+    monkeypatch.setattr(grappa.featurize, "implicit_hydrogens", counting,
+                        raising=False)
+    for smiles in CORPUS:
+        calls.clear()
+        mol = parse_smiles(smiles)
+        featurize(mol)
+        assert len(calls) == 1, smiles
+        assert list(mol.hydrogen_counts) == real(mol)
