@@ -47,21 +47,6 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def init_gat_layer(rng: np.random.Generator, in_dim: int, out_dim: int = 32,
-                   heads: int = 2, edge_dim: int = EDGE_FEATURES,
-                   layer_index: int = 0) -> GatLayer:
-    theta_v, theta_e, att = [], [], []
-    for head in range(heads):
-        prefix = f"gat.{layer_index}.{head}"
-        theta_v.append(Tensor(glorot(rng, (in_dim, out_dim)), requires_grad=True,
-                              name=f"{prefix}.theta_v"))
-        theta_e.append(Tensor(glorot(rng, (edge_dim, out_dim)), requires_grad=True,
-                              name=f"{prefix}.theta_e"))
-        att.append(Tensor(glorot(rng, (out_dim,)), requires_grad=True,
-                          name=f"{prefix}.att"))
-    return GatLayer(theta_v, theta_e, att)
-
-
 @dataclass(frozen=True)
 class GraphBatch:
     """Molecules run as one disjoint graph.

@@ -9,8 +9,10 @@ output is one (B, 3) tensor whose columns are A, B and C.
 
 from __future__ import annotations
 
+import base64
 import json
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -23,8 +25,8 @@ from .antoine import (
     ln_vapor_pressure,
 )
 from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize
-from .gnn import GatLayer, batch_graphs, encode, glorot, init_gat_layer
-from .pooling import InteractionPoolParams, init_interaction_pool, interaction_pool, sum_pool
+from .gnn import GatLayer, batch_graphs, encode, glorot
+from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
 from .tensor import (
     BatchNormState,
@@ -39,7 +41,7 @@ from .tensor import (
     sigmoid,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
 # Molecules per inference forward. It bounds the forward's transient memory
 # and changes no output: a molecule gets the same bytes in any batch.
@@ -60,18 +62,43 @@ class Architecture:
     count_scale: list | None = None  # (mean_d, std_d, mean_a, std_a), optional
 
     def validate(self):
+        for key in ("gat_layers", "heads", "embed_dim", "hidden_layers",
+                    "hidden_width", "node_features", "edge_features"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"arch {key} must be an integer, got {value!r}")
         if self.gat_layers < 2:
             raise ValueError("at least two message-passing layers are required")
         if self.heads < 1:
             raise ValueError("heads must be >= 1")
         if self.hidden_layers < 1:
             raise ValueError("hidden_layers must be >= 1")
+        if self.embed_dim < 1 or self.hidden_width < 1:
+            raise ValueError("embed_dim and hidden_width must be >= 1")
+        if (self.node_features, self.edge_features) != (NODE_FEATURES, EDGE_FEATURES):
+            raise ValueError(f"node_features and edge_features must be the "
+                             f"featurizer's {NODE_FEATURES} and {EDGE_FEATURES}")
         if self.pooling not in ("sum", "interaction"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
+        ranges = self.param_ranges
+        if not isinstance(ranges, dict) or set(ranges) != {"A", "B", "C"}:
+            raise ValueError(f"param_ranges must map A, B and C, got {ranges!r}")
         for key in ("A", "B", "C"):
-            lo, hi = self.param_ranges[key]
+            bounds = ranges[key]
+            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
+                    and all(map(_is_finite_number, bounds))):
+                raise ValueError(f"param_ranges {key} must be two finite "
+                                 f"numbers, got {bounds!r}")
+            lo, hi = bounds
             if not lo < hi:
                 raise ValueError(f"empty range for {key}")
+        scale = self.count_scale
+        if scale is not None and not (
+                isinstance(scale, (list, tuple)) and len(scale) == 4
+                and all(map(_is_finite_number, scale))
+                and scale[1] > 0 and scale[3] > 0):
+            raise ValueError("count_scale must be null or four finite numbers "
+                             f"with positive standard deviations, got {scale!r}")
         return self
 
     def to_dict(self) -> dict:
@@ -79,7 +106,17 @@ class Architecture:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Architecture":
+        if not isinstance(data, dict):
+            raise ValueError(f"arch must be an object, got {type(data).__name__}")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown arch keys: {unknown}")
         return cls(**data).validate()
+
+
+def _is_finite_number(value) -> bool:
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 @dataclass
@@ -151,37 +188,66 @@ class GrappaModel:
         return rows
 
 
-def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> GrappaModel:
-    arch.validate()
-    rng = np.random.default_rng(seed)
-    gat = []
+def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None]]:
+    """``(name, shape, fill)`` of every parameter and buffer array, in the
+    order :func:`init_model` draws them; a ``None`` fill is a Glorot draw."""
+    d, w = arch.embed_dim, arch.hidden_width
+    specs = []
     in_dim = arch.node_features
     for li in range(arch.gat_layers):
-        gat.append(init_gat_layer(rng, in_dim, arch.embed_dim, arch.heads,
-                                  arch.edge_features, layer_index=li))
-        in_dim = arch.embed_dim
+        for hi in range(arch.heads):
+            specs += [(f"gat.{li}.{hi}.theta_v", (in_dim, d), None),
+                      (f"gat.{li}.{hi}.theta_e", (arch.edge_features, d), None),
+                      (f"gat.{li}.{hi}.att", (d,), None)]
+        in_dim = d
+    if arch.pooling == "interaction":
+        specs += [(f"pool.{key}", (d, d), None) for key in ("Wq", "Wk", "Wv")]
+    width_in = d + EXTRA_HEAD_INPUTS
+    for i in range(arch.hidden_layers):
+        specs += [(f"head.{i}.weight", (width_in, w), None),
+                  (f"head.{i}.bias", (w,), 0.0),
+                  (f"head.{i}.bn.gamma", (w,), 1.0),
+                  (f"head.{i}.bn.beta", (w,), 0.0),
+                  (f"head.{i}.bn.running_mean", (w,), 0.0),
+                  (f"head.{i}.bn.running_var", (w,), 1.0)]
+        width_in = w
+    specs += [("head.out.weight", (width_in, 3), None),
+              ("head.out.bias", (3,), 0.0)]
+    return specs
+
+
+def _assemble(arch: Architecture, arrays: dict[str, np.ndarray]) -> GrappaModel:
+    """A model whose parameters and buffers are ``arrays`` themselves (by
+    checkpoint name), not copies: training updates them in place."""
+    def param(name):
+        return Tensor(arrays[name], requires_grad=True, name=name)
+
+    gat = [GatLayer(*([param(f"gat.{li}.{hi}.{key}") for hi in range(arch.heads)]
+                      for key in ("theta_v", "theta_e", "att")))
+           for li in range(arch.gat_layers)]
     pool = None
     if arch.pooling == "interaction":
-        pool = init_interaction_pool(rng, arch.embed_dim)
-    hidden = []
-    width_in = arch.embed_dim + EXTRA_HEAD_INPUTS
-    for i in range(arch.hidden_layers):
-        hidden.append(HeadLayer(
-            weight=Tensor(glorot(rng, (width_in, arch.hidden_width)),
-                          requires_grad=True, name=f"head.{i}.weight"),
-            bias=Tensor(np.zeros(arch.hidden_width), requires_grad=True,
-                        name=f"head.{i}.bias"),
-            bn_gamma=Tensor(np.ones(arch.hidden_width), requires_grad=True,
-                            name=f"head.{i}.bn.gamma"),
-            bn_beta=Tensor(np.zeros(arch.hidden_width), requires_grad=True,
-                           name=f"head.{i}.bn.beta"),
-            bn_state=BatchNormState.fresh(arch.hidden_width),
-        ))
-        width_in = arch.hidden_width
-    out_weight = Tensor(glorot(rng, (width_in, 3)), requires_grad=True,
-                        name="head.out.weight")
-    out_bias = Tensor(np.zeros(3), requires_grad=True, name="head.out.bias")
-    return GrappaModel(arch, gat, pool, hidden, out_weight, out_bias)
+        pool = InteractionPoolParams(*(param(f"pool.{key}")
+                                       for key in ("Wq", "Wk", "Wv")))
+    hidden = [HeadLayer(weight=param(f"head.{i}.weight"),
+                        bias=param(f"head.{i}.bias"),
+                        bn_gamma=param(f"head.{i}.bn.gamma"),
+                        bn_beta=param(f"head.{i}.bn.beta"),
+                        bn_state=BatchNormState(arrays[f"head.{i}.bn.running_mean"],
+                                                arrays[f"head.{i}.bn.running_var"]))
+              for i in range(arch.hidden_layers)]
+    return GrappaModel(arch, gat, pool, hidden, param("head.out.weight"),
+                       param("head.out.bias"))
+
+
+def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> GrappaModel:
+    """A fresh model: Glorot-uniform weights drawn from ``seed``, zero biases,
+    unit batch-norm scales and fresh running statistics."""
+    arch.validate()
+    rng = np.random.default_rng(seed)
+    return _assemble(arch, {
+        name: glorot(rng, shape) if fill is None else np.full(shape, fill)
+        for name, shape, fill in _array_specs(arch)})
 
 
 # ------------------------------------------------------------------ forward
@@ -331,13 +397,56 @@ def predict_dataset(model: GrappaModel, dataset, split: str | None = None):
 
 # --------------------------------------------------------------- checkpoints
 
+def encode_entry(arr: np.ndarray) -> dict:
+    """A ``params`` entry: the shape and the base64 of the array's
+    little-endian float64 bytes, row-major."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
+    """The writable float64 array of one ``params`` entry: base64 ``data``
+    in format 2, a flat ``values`` list in format 1. Raises ``ValueError``
+    naming the entry for any defect."""
+    if not isinstance(entry, dict):
+        raise ValueError(f"entry {name!r} must be an object")
+    stored = entry.get("shape")
+    if not isinstance(stored, list) or tuple(stored) != shape:
+        raise ValueError(f"entry {name!r} has shape {stored!r}, "
+                         f"expected {list(shape)}")
+    size = math.prod(shape)
+    if version == 1:
+        values = entry.get("values")
+        try:
+            flat = np.array(values, dtype=np.float64)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"entry {name!r} values are not numbers ({err})") from None
+        if not isinstance(values, list) or flat.shape != (size,):
+            raise ValueError(f"entry {name!r} values must be a flat list of "
+                             f"{size} numbers")
+    else:
+        try:
+            raw = base64.b64decode(entry.get("data"), validate=True)
+        except (TypeError, ValueError) as err:
+            raise ValueError(f"entry {name!r} data is not base64 ({err})") from None
+        if len(raw) != 8 * size:
+            raise ValueError(f"entry {name!r} holds {len(raw)} bytes, expected "
+                             f"{8 * size} for shape {shape}")
+        flat = np.frombuffer(raw, dtype="<f8")
+    arr = flat.reshape(shape).astype(np.float64)  # owned, writable, native order
+    if not np.isfinite(arr).all():
+        raise ValueError(f"entry {name!r} holds a non-finite value")
+    if name.endswith(".running_var") and (arr < 0).any():
+        raise ValueError(f"entry {name!r} holds a negative variance")
+    return arr
+
+
 def to_checkpoint(model: GrappaModel) -> dict:
-    entries = {name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
-               for name, arr in model.snapshot().items()}
     return {
         "format_version": CHECKPOINT_VERSION,
         "arch": model.arch.to_dict(),
-        "params": entries,
+        "params": {name: encode_entry(arr)
+                   for name, arr in model.snapshot().items()},
     }
 
 
@@ -347,28 +456,29 @@ def save_checkpoint(model: GrappaModel, path):
 
 
 def model_from_checkpoint(data: dict) -> GrappaModel:
+    """Build the model a checkpoint document describes, from its arrays
+    (format 2, or format 1 as older versions wrote). Any defect in the
+    document raises ``ValueError``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"a checkpoint must be an object, got {type(data).__name__}")
     version = data.get("format_version")
-    if version != CHECKPOINT_VERSION:
+    if version not in (1, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    if "arch" not in data:
+        raise ValueError("checkpoint has no 'arch'")
     arch = Architecture.from_dict(data["arch"])
-    model = init_model(arch, seed=0)
-    expected = model.snapshot()
-    entries = data["params"]
-    missing = sorted(expected.keys() - entries.keys())
+    entries = data.get("params")
+    if not isinstance(entries, dict):
+        raise ValueError("checkpoint 'params' must be an object")
+    shapes = {name: shape for name, shape, _ in _array_specs(arch)}
+    missing = sorted(shapes.keys() - entries.keys())
     if missing:
         raise ValueError(f"checkpoint missing entries: {missing}")
-    unknown = sorted(entries.keys() - expected.keys())
+    unknown = sorted(entries.keys() - shapes.keys())
     if unknown:
         raise ValueError(f"checkpoint has unknown entries: {unknown}")
-    arrays = {}
-    for name, entry in entries.items():
-        values = np.array(entry["values"], dtype=np.float64).reshape(entry["shape"])
-        if values.shape != expected[name].shape:
-            raise ValueError(f"entry {name!r} has shape {values.shape}, "
-                             f"expected {expected[name].shape}")
-        arrays[name] = values
-    model.restore(arrays)
-    return model
+    return _assemble(arch, {name: _decode_entry(name, entries[name], version, shape)
+                            for name, shape in shapes.items()})
 
 
 def load_checkpoint(path) -> GrappaModel:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import GraphBatch, glorot
+from .gnn import GraphBatch
 from .tensor import Tensor, block_attention_sum, matmul, segment_sum
 
 
@@ -25,14 +25,6 @@ class InteractionPoolParams:
     @property
     def dim(self) -> int:
         return self.Wq.shape[0]
-
-
-def init_interaction_pool(rng: np.random.Generator, dim: int = 32) -> InteractionPoolParams:
-    return InteractionPoolParams(
-        Wq=Tensor(glorot(rng, (dim, dim)), requires_grad=True, name="pool.Wq"),
-        Wk=Tensor(glorot(rng, (dim, dim)), requires_grad=True, name="pool.Wk"),
-        Wv=Tensor(glorot(rng, (dim, dim)), requires_grad=True, name="pool.Wv"),
-    )
 
 
 def _check_rows(x: Tensor, batch: GraphBatch, name: str):

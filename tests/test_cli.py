@@ -1,13 +1,14 @@
 import json
 import os
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from grappa.cli import main
 from grappa.dataio import VpDataset, VpPoint, write_csv, write_splits_csv
-from grappa.model import Architecture, init_model, save_checkpoint
+from grappa.model import Architecture, encode_entry, init_model, save_checkpoint
 
 from _oracles import contaminate, synthetic_dataset
 
@@ -191,6 +192,27 @@ def test_fit_antoine_unknown_component(capsys, data_path):
                  "--component", "nope"]) == 1
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda d: [d],
+    lambda d: {k: v for k, v in d.items() if k != "arch"},
+    lambda d: {**d, "arch": {**d["arch"], "mystery": 1}},
+    lambda d: {**d, "arch": {**d["arch"], "heads": "2"}},
+    lambda d: {**d, "params": {**d["params"], "head.out.bias":
+                               encode_entry(np.array([0.0, np.inf, 0.0]))}},
+    lambda d: {**d, "params": {**d["params"], "head.0.bn.running_var":
+                               encode_entry(np.full(16, -1.0))}},
+], ids=["list", "no-arch", "unknown-arch-key", "heads-text", "inf-param",
+        "negative-variance"])
+def test_predict_with_a_malformed_checkpoint_exits_1(capsys, tmp_path,
+                                                      model_path, corrupt):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(corrupt(json.loads(Path(model_path).read_text()))))
+    code = main(["predict", "--model", str(bad), "--smiles", "CCO"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_evaluate_and_report(capsys, tmp_path, model_path, data_path):
     data, splits = data_path
     code, payload = run(capsys, "evaluate", "--model", model_path,
@@ -214,10 +236,10 @@ def test_evaluate_and_report(capsys, tmp_path, model_path, data_path):
 
 def test_evaluate_never_mutates_inputs(capsys, model_path, data_path):
     data, splits = data_path
-    before = (open(data).read(), open(splits).read())
+    before = (Path(data).read_text(), Path(splits).read_text())
     run(capsys, "evaluate", "--model", model_path, "--data", data,
         "--splits", splits, "--split", "valid")
-    assert (open(data).read(), open(splits).read()) == before
+    assert (Path(data).read_text(), Path(splits).read_text()) == before
 
 
 def test_attention_scores_payload(capsys, model_path):
@@ -246,7 +268,7 @@ def test_train_command_end_to_end(capsys, tmp_path, data_path):
     code, payload = run(capsys, "train", "--config", str(cfg_path))
     assert code == 0
     assert os.path.exists(config["output_model"])
-    history = open(config["history"]).read().splitlines()
+    history = Path(config["history"]).read_text().splitlines()
     assert history[0] == "epoch,phase,lr,train_loss,valid_mape_i"
     assert len(history) == 1 + 4
 

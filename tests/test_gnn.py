@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from grappa.featurize import featurize
+from grappa.featurize import EDGE_FEATURES, featurize
 from grappa.gnn import (
+    GatLayer,
     attention_scores,
     batch_graphs,
     encode,
     gat_forward,
-    init_gat_layer,
+    glorot,
 )
 from grappa.molecule import permute_molecule
 from grappa.smiles import parse_smiles
@@ -21,7 +22,11 @@ def graph_of(smiles):
 
 
 def random_layer(rng, in_dim, out_dim=8, heads=2):
-    return init_gat_layer(rng, in_dim, out_dim, heads)
+    per_head = [[Tensor(glorot(rng, shape), requires_grad=True)
+                 for shape in ((in_dim, out_dim), (EDGE_FEATURES, out_dim),
+                               (out_dim,))]
+                for _ in range(heads)]
+    return GatLayer(*map(list, zip(*per_head)))
 
 
 def test_single_atom_self_loop_only():

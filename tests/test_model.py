@@ -1,14 +1,21 @@
+import base64
+import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import grappa.gnn
 import grappa.model
 from grappa.featurize import featurize
 from grappa.gnn import attention_scores
 from grappa.model import (
     Architecture,
+    encode_entry,
     forward_antoine,
     init_model,
     load_checkpoint,
@@ -21,6 +28,7 @@ from grappa.model import (
 )
 from grappa.smiles import parse_smiles
 from grappa.tensor import mean_all
+from grappa.train import AdamWState, adamw_step
 
 from _oracles import synthetic_dataset
 
@@ -89,7 +97,7 @@ def test_snapshot_restores_every_array_in_place():
 def test_checkpoint_names_follow_convention(tmp_path):
     model = init_model(Architecture(gat_layers=2, heads=3), seed=0)
     data = to_checkpoint(model)
-    assert data["format_version"] == 1
+    assert data["format_version"] == 2
     names = set(data["params"])
     assert "gat.0.0.theta_v" in names
     assert "gat.1.2.att" in names
@@ -111,11 +119,11 @@ def test_checkpoint_rejects_bad_payloads():
         model_from_checkpoint(bad)
     bad = json.loads(json.dumps(good))
     del bad["params"]["pool.Wq"]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="pool.Wq"):
         model_from_checkpoint(bad)
     bad = json.loads(json.dumps(good))
-    bad["params"]["mystery"] = {"shape": [1], "values": [0.0]}
-    with pytest.raises(ValueError):
+    bad["params"]["mystery"] = encode_entry(np.zeros(1))
+    with pytest.raises(ValueError, match="mystery"):
         model_from_checkpoint(bad)
 
 
@@ -123,7 +131,8 @@ def test_checkpoint_rejects_bad_payloads():
 def test_checkpoint_rejects_a_wrong_shaped_buffer(shape):
     # A one-value running variance would broadcast over all 16 entries.
     data = to_checkpoint(init_model(Architecture(), seed=1))
-    data["params"]["head.0.bn.running_var"] = {"shape": shape, "values": [2.0]}
+    data["params"]["head.0.bn.running_var"] = encode_entry(
+        np.full(shape, 2.0))
     with pytest.raises(ValueError, match="head.0.bn.running_var"):
         model_from_checkpoint(data)
 
@@ -134,6 +143,201 @@ def test_checkpoint_rejects_a_wrong_shaped_parameter():
     entry["shape"] = entry["shape"][::-1]
     with pytest.raises(ValueError, match="head.out.weight"):
         model_from_checkpoint(data)
+
+
+def _arrays(model) -> dict[str, np.ndarray]:
+    """Every parameter and buffer array of a model itself, by name."""
+    arrays = {name: t.data for name, t in model.named_parameters().items()}
+    arrays.update(model.named_buffers())
+    return arrays
+
+
+def _same_bytes(a, b) -> bool:
+    arrays_a, arrays_b = _arrays(a), _arrays(b)
+    return arrays_a.keys() == arrays_b.keys() and all(
+        arrays_a[name].shape == arrays_b[name].shape
+        and arrays_a[name].tobytes() == arrays_b[name].tobytes()
+        for name in arrays_a)
+
+
+@pytest.mark.parametrize("arch, seed, digest", [
+    (Architecture(), 0,
+     "3e5f09b6eb7b623bc80a472ded4848ea6ef9a3f2c5ca83e1a5a5a4c43ce04f37"),
+    (Architecture(), 5,
+     "b9a805556e5fef785c1e2c5acc5223fa7d6c4b922abe4226c02ca1b7148392a2"),
+    (Architecture(pooling="sum", heads=3, gat_layers=2, hidden_layers=2), 0,
+     "e3ff49c0eddabcb6d09901875fa12f9fe01832126b05487c47692e94da57415c"),
+])
+def test_init_model_draws_are_pinned(arch, seed, digest):
+    # The digests were taken from the per-layer initialisation that
+    # init_model replaced; a seed must keep giving the same weights.
+    h = hashlib.sha256()
+    for name, arr in init_model(arch, seed=seed).snapshot().items():
+        h.update(name.encode())
+        h.update(arr.tobytes())
+    assert h.hexdigest() == digest
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3,
+               1.7e308, -1.7e308]
+
+
+@settings(deadline=None, max_examples=25)
+@given(pooling=st.sampled_from(["sum", "interaction"]),
+       heads=st.integers(1, 3), gat_layers=st.integers(2, 4),
+       hidden_layers=st.integers(1, 3),
+       values=st.lists(st.one_of(st.sampled_from(EDGE_FLOATS),
+                                 st.floats(allow_nan=False, allow_infinity=False)),
+                       min_size=1, max_size=40),
+       count_scale=st.one_of(st.none(), st.tuples(
+           st.floats(-1e3, 1e3), st.floats(1e-8, 1e3),
+           st.floats(-1e3, 1e3), st.floats(1e-8, 1e3)).map(list)))
+def test_checkpoint_roundtrip_restores_random_models_bytewise(
+        pooling, heads, gat_layers, hidden_layers, values, count_scale):
+    arch = Architecture(pooling=pooling, heads=heads, gat_layers=gat_layers,
+                        hidden_layers=hidden_layers, count_scale=count_scale)
+    model = init_model(arch, seed=0)
+    for k, (name, arr) in enumerate(_arrays(model).items()):
+        fill = np.resize(np.roll(values, k), arr.shape)
+        arr[...] = np.abs(fill) if name.endswith("running_var") else fill
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_checkpoint(model, path)
+        restored = load_checkpoint(path)
+    assert restored.arch == model.arch
+    assert _same_bytes(model, restored)
+
+
+def _as_format_1(doc: dict) -> dict:
+    """The document as format 1 wrote it: flat ``values`` lists, decoded
+    here from the documented little-endian float64 base64 layout."""
+    params = {}
+    for name, entry in doc["params"].items():
+        flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
+        params[name] = {"shape": entry["shape"], "values": flat.tolist()}
+    return {**doc, "format_version": 1, "params": params}
+
+
+@pytest.mark.parametrize("pooling", ["sum", "interaction"])
+def test_checkpoint_reads_format_1_values_lists(pooling):
+    model = init_model(Architecture(pooling=pooling), seed=9)
+    for arr in _arrays(model).values():
+        arr.flat[0] = -0.0
+    doc = json.loads(json.dumps(_as_format_1(to_checkpoint(model))))
+    assert _same_bytes(model, model_from_checkpoint(doc))
+
+
+def test_two_saves_of_a_model_are_identical(tmp_path):
+    model = init_model(Architecture(count_scale=[1.5, 0.3, 2.0, 1.1]), seed=4)
+    save_checkpoint(model, tmp_path / "a.json")
+    save_checkpoint(model, tmp_path / "b.json")
+    assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_loading_draws_no_random_init(monkeypatch, tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model(Architecture(), seed=2), path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("glorot called while loading a checkpoint")
+
+    monkeypatch.setattr(grappa.gnn, "glorot", refuse)
+    monkeypatch.setattr(grappa.model, "glorot", refuse)
+    load_checkpoint(path)
+
+
+def test_a_loaded_model_trains_in_place(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model(Architecture(), seed=8), path)
+    loaded = load_checkpoint(path)
+    assert all(arr.flags.writeable and arr.flags.owndata
+               for arr in _arrays(loaded).values())
+    params = loaded.named_parameters()
+    before = loaded.snapshot()
+    graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1")]
+    mean_all(forward_antoine(loaded, graphs, mode="train")).backward()
+    adamw_step(params, {name: t.grad for name, t in params.items()},
+               AdamWState.for_params(params), lr=1e-3)
+    after = loaded.snapshot()
+    assert all(not np.array_equal(after[name], before[name]) for name in after)
+
+
+def _arch(doc, **changes):
+    return {**doc, "arch": {**doc["arch"], **changes}}
+
+
+def _entry(doc, name, entry):
+    return {**doc, "params": {**doc["params"], name: entry}}
+
+
+_NAN_BIAS = encode_entry(np.array([0.0, np.nan, 0.0]))
+_INF_WEIGHT = encode_entry(np.full((16, 3), -np.inf))
+
+BAD_CHECKPOINTS = {
+    "top-level list": (lambda d: [d], "object"),
+    "missing arch": (lambda d: {k: v for k, v in d.items() if k != "arch"},
+                     "arch"),
+    "arch not an object": (lambda d: {**d, "arch": [4, 2]}, "arch"),
+    "unknown arch key": (lambda d: _arch(d, mystery=1), "mystery"),
+    "heads as text": (lambda d: _arch(d, heads="2"), "heads"),
+    "embed_dim as float": (lambda d: _arch(d, embed_dim=32.0), "embed_dim"),
+    "node_features off the featurizer": (lambda d: _arch(d, node_features=10),
+                                         "node_features"),
+    "param_ranges missing C": (lambda d: _arch(
+        d, param_ranges={"A": [5.0, 20.0], "B": [1500.0, 6000.0]}),
+        "param_ranges"),
+    "param_ranges bound as text": (lambda d: _arch(
+        d, param_ranges={**d["arch"]["param_ranges"], "C": ["-300", 0.0]}),
+        "param_ranges"),
+    "count_scale of three": (lambda d: _arch(d, count_scale=[0.0, 1.0, 0.0]),
+                             "count_scale"),
+    "count_scale zero std": (lambda d: _arch(
+        d, count_scale=[0.0, 0.0, 0.0, 1.0]), "count_scale"),
+    "count_scale NaN": (lambda d: _arch(
+        d, count_scale=[float("nan"), 1.0, 0.0, 1.0]), "count_scale"),
+    "params not an object": (lambda d: {**d, "params": []}, "params"),
+    "entry not an object": (lambda d: _entry(d, "head.out.bias", [0.0] * 3),
+                            "head.out.bias"),
+    "shape not a list": (lambda d: _entry(
+        d, "head.out.bias", {**encode_entry(np.zeros(3)), "shape": "3"}),
+        "head.out.bias"),
+    "bad base64": (lambda d: _entry(
+        d, "head.out.bias", {"shape": [3], "data": "AAAA*AAA"}),
+        "head.out.bias"),
+    "data not text": (lambda d: _entry(
+        d, "head.out.bias", {"shape": [3], "data": 7}), "head.out.bias"),
+    "byte length off the shape": (lambda d: _entry(
+        d, "head.out.bias",
+        {"shape": [3], "data": encode_entry(np.zeros(2))["data"]}),
+        "head.out.bias"),
+    "NaN value": (lambda d: _entry(d, "head.out.bias", _NAN_BIAS),
+                  "head.out.bias"),
+    "infinite value": (lambda d: _entry(d, "head.out.weight", _INF_WEIGHT),
+                       "head.out.weight"),
+    "negative running variance": (lambda d: _entry(
+        d, "head.0.bn.running_var", encode_entry(np.full(16, -1e-3))),
+        "head.0.bn.running_var"),
+    "format 1 values in a format 2 document": (lambda d: _entry(
+        d, "head.out.bias", {"shape": [3], "values": [0.0, 0.0, 0.0]}),
+        "head.out.bias"),
+    "format 1 values not numbers": (lambda d: _entry(
+        _as_format_1(d), "head.out.bias",
+        {"shape": [3], "values": ["x", 0.0, 0.0]}), "head.out.bias"),
+    "format 1 values off the shape": (lambda d: _entry(
+        _as_format_1(d), "head.out.bias", {"shape": [3], "values": [0.0]}),
+        "head.out.bias"),
+    "format 1 NaN value": (lambda d: _entry(
+        _as_format_1(d), "head.out.bias",
+        {"shape": [3], "values": [0.0, float("nan"), 0.0]}), "head.out.bias"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CHECKPOINTS))
+def test_checkpoint_rejects_malformed_documents(case):
+    mutate, names = BAD_CHECKPOINTS[case]
+    good = to_checkpoint(init_model(Architecture(), seed=1))
+    with pytest.raises(ValueError, match=names):
+        model_from_checkpoint(mutate(good))
 
 
 def test_accounting_markdown_totals():

@@ -3,9 +3,9 @@ import pytest
 
 from grappa.featurize import featurize
 from grappa.gnn import batch_graphs
+from grappa.model import Architecture, init_model
 from grappa.pooling import (
     InteractionPoolParams,
-    init_interaction_pool,
     interaction_pool,
     sum_pool,
 )
@@ -149,8 +149,7 @@ def test_gradients_match_finite_differences():
 
 
 def test_init_shapes_and_names():
-    rng = np.random.default_rng(8)
-    params = init_interaction_pool(rng, dim=32)
+    params = init_model(Architecture(), seed=8).pool
     assert params.Wq.shape == (32, 32)
     assert params.Wk.shape == (32, 32)
     assert params.Wv.shape == (32, 32)
