@@ -108,10 +108,12 @@ def _cmd_fit_antoine(args) -> int:
     for component, points in sorted(groups.items()):
         t = np.array([pt.temperature_k for pt in points])
         p = np.array([pt.pressure_pa for pt in points])
-        if len(points) < 3 or t.max() - t.min() <= 1.0:
+        if not dataio.fit_window_ok(t):
             if args.component:
                 raise ValueError(
-                    f"component {component!r} needs >=3 points spanning >1 K")
+                    f"component {component!r} needs at least "
+                    f"{dataio.MIN_FIT_POINTS} points spanning more than "
+                    f"{dataio.MIN_FIT_SPREAD_K} K")
             skipped.append(component)
             continue
         fit_result = dataio.robust_antoine_fit(t, p)
@@ -139,6 +141,11 @@ def _training_setup(args):
     """The run config, its training settings and the labelled dataset."""
     with open(args.config, encoding="utf-8") as fh:
         config = json.load(fh)
+    if not isinstance(config, dict) or "data" not in config:
+        raise ValueError("the config must be an object with a 'data' path")
+    for key in ("data", "splits", "output_model", "history"):
+        if not isinstance(config.get(key, ""), str):
+            raise ValueError(f"config {key!r} must be a path, got {config[key]!r}")
     cfg = TrainConfig.from_dict(config.get("train", {}))
     if getattr(args, "seed", None) is not None or os.environ.get("GRAPPA_SEED"):
         cfg.seed = _seed_from(args)

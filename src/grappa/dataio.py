@@ -24,6 +24,7 @@ TEMPERATURE_RANGE_K = (250.0, 600.0)
 PRESSURE_RANGE_PA = (1.0, 1e7)
 OUTLIER_REL_DEV = 0.5
 MIN_POINTS_FOR_OUTLIER_PASS = 5
+MIN_FIT_POINTS = 3
 MIN_FIT_SPREAD_K = 1.0  # a robust fit needs a wider temperature window
 SMALL_MOLECULE_CARBONS = 5
 
@@ -271,24 +272,25 @@ def _start_points(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     ])
 
 
-def _fit_spread_ok(t: np.ndarray) -> bool:
-    return float(t.max() - t.min()) > MIN_FIT_SPREAD_K
+def fit_window_ok(t: np.ndarray) -> bool:
+    """Whether temperatures ``t`` admit a robust fit: at least
+    ``MIN_FIT_POINTS`` points spanning more than ``MIN_FIT_SPREAD_K``."""
+    return len(t) >= MIN_FIT_POINTS and float(t.max() - t.min()) > MIN_FIT_SPREAD_K
 
 
 def robust_antoine_fit(temperatures_k, pressures_pa, delta: float = 0.5,
                        max_iter: int = 200) -> AntoineFit:
     """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost and box-bounded search.
 
-    Needs at least three points spanning more than ``MIN_FIT_SPREAD_K``;
+    Needs a window that passes :func:`fit_window_ok`;
     five deterministic starting points are solved as one stack and the first
     with the lowest final cost wins.
     """
     t = np.asarray(temperatures_k, dtype=float)
     y = np.log(np.asarray(pressures_pa, dtype=float) / PA_PER_KPA)
-    if t.size < 3:
-        raise ValueError("robust fit needs at least 3 points")
-    if not _fit_spread_ok(t):
-        raise ValueError("temperature spread must exceed 1 K")
+    if not fit_window_ok(t):
+        raise ValueError(f"robust fit needs at least {MIN_FIT_POINTS} points "
+                         f"spanning more than {MIN_FIT_SPREAD_K} K")
     box = np.array([
         PARAM_RANGES["A"],
         PARAM_RANGES["B"],
@@ -358,7 +360,7 @@ def curate(ds: VpDataset) -> CurationResult:
             continue
         t = np.array([pt.temperature_k for pt in points])
         p = np.array([pt.pressure_pa for pt in points])
-        if not _fit_spread_ok(t):
+        if not fit_window_ok(t):
             audit.append({"row": None, "component": component,
                           "rule": "fit_skipped_narrow_range", "action": "kept"})
             final.extend(points)
@@ -392,18 +394,14 @@ def _source_conflict(component: str, points: list[VpPoint]) -> dict | None:
     for pt in points:
         if pt.source:
             by_source.setdefault(pt.source, []).append(pt)
-    usable = {s: pts for s, pts in by_source.items() if len(pts) >= 3}
+    temps = {s: np.array([pt.temperature_k for pt in pts])
+             for s, pts in by_source.items()}
+    usable = {s: t for s, t in temps.items() if fit_window_ok(t)}
     if len(usable) < 2:
         return None
-    fits = {}
-    for source, pts in usable.items():
-        t = np.array([pt.temperature_k for pt in pts])
-        if not _fit_spread_ok(t):
-            continue
-        fits[source] = robust_antoine_fit(
-            t, np.array([pt.pressure_pa for pt in pts])).params
-    if len(fits) < 2:
-        return None
+    fits = {s: robust_antoine_fit(
+                t, np.array([pt.pressure_pa for pt in by_source[s]])).params
+            for s, t in usable.items()}
     t_all = np.array([pt.temperature_k for pt in points])
     grid = np.linspace(t_all.min(), t_all.max(), 7)
     sources = sorted(fits)

@@ -51,10 +51,14 @@ def ape_c(point_apes) -> float:
     return float(arr.mean())
 
 
+def ape_i_array(pred_p: np.ndarray, exp_p: np.ndarray) -> np.ndarray:
+    """Absolute percentage error of every point, elementwise."""
+    return np.abs(pred_p - exp_p) / exp_p * 100.0
+
+
 def _ape_array(points: list[PredPoint]) -> np.ndarray:
-    pred = np.array([pt.p_pred_pa for pt in points])
-    exp = np.array([pt.p_exp_pa for pt in points])
-    return np.abs(pred - exp) / exp * 100.0
+    return ape_i_array(np.array([pt.p_pred_pa for pt in points]),
+                       np.array([pt.p_exp_pa for pt in points]))
 
 
 def _component_apes(points: list[PredPoint]) -> dict[str, np.ndarray]:

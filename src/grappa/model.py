@@ -29,7 +29,6 @@ from .gnn import GatLayer, batch_graphs, encode, glorot
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
 from .tensor import (
-    BatchNormState,
     Tensor,
     add,
     batch_norm,
@@ -120,72 +119,53 @@ def _is_finite_number(value) -> bool:
 
 
 @dataclass
-class HeadLayer:
-    weight: Tensor
-    bias: Tensor
-    bn_gamma: Tensor
-    bn_beta: Tensor
-    bn_state: BatchNormState
-
-
-@dataclass
 class GrappaModel:
+    """The architecture and its arrays, keyed by checkpoint name in
+    :func:`_array_specs` order: trainable ``params`` and the batch-norm
+    running statistics in ``buffers``. ``gat`` and ``pool`` are views of
+    the same parameter tensors, in the layout the forward reads."""
+
     arch: Architecture
-    gat: list[GatLayer]
-    pool: InteractionPoolParams | None
-    hidden: list[HeadLayer]
-    out_weight: Tensor
-    out_bias: Tensor
+    params: dict[str, Tensor]
+    buffers: dict[str, np.ndarray]
+    gat: list[GatLayer] = field(init=False, repr=False)
+    pool: InteractionPoolParams | None = field(init=False, repr=False)
+
+    def __post_init__(self):
+        p, heads = self.params, range(self.arch.heads)
+        self.gat = [GatLayer(*([p[f"gat.{li}.{hi}.{key}"] for hi in heads]
+                               for key in ("theta_v", "theta_e", "att")))
+                    for li in range(self.arch.gat_layers)]
+        self.pool = None
+        if self.arch.pooling == "interaction":
+            self.pool = InteractionPoolParams(p["pool.Wq"], p["pool.Wk"],
+                                              p["pool.Wv"])
 
     def named_parameters(self) -> dict[str, Tensor]:
-        params: dict[str, Tensor] = {}
-        for li, layer in enumerate(self.gat):
-            for hi in range(layer.heads):
-                params[f"gat.{li}.{hi}.theta_v"] = layer.theta_v[hi]
-                params[f"gat.{li}.{hi}.theta_e"] = layer.theta_e[hi]
-                params[f"gat.{li}.{hi}.att"] = layer.att[hi]
-        if self.pool is not None:
-            params["pool.Wq"] = self.pool.Wq
-            params["pool.Wk"] = self.pool.Wk
-            params["pool.Wv"] = self.pool.Wv
-        for i, layer in enumerate(self.hidden):
-            params[f"head.{i}.weight"] = layer.weight
-            params[f"head.{i}.bias"] = layer.bias
-            params[f"head.{i}.bn.gamma"] = layer.bn_gamma
-            params[f"head.{i}.bn.beta"] = layer.bn_beta
-        params["head.out.weight"] = self.out_weight
-        params["head.out.bias"] = self.out_bias
-        return params
+        return self.params
 
     def named_buffers(self) -> dict[str, np.ndarray]:
-        buffers: dict[str, np.ndarray] = {}
-        for i, layer in enumerate(self.hidden):
-            buffers[f"head.{i}.bn.running_mean"] = layer.bn_state.running_mean
-            buffers[f"head.{i}.bn.running_var"] = layer.bn_state.running_var
-        return buffers
+        return self.buffers
 
     def snapshot(self) -> dict[str, np.ndarray]:
         """Copies of every parameter and buffer array, by checkpoint name."""
-        arrays = {name: t.data for name, t in self.named_parameters().items()}
-        arrays.update(self.named_buffers())
+        arrays = {name: t.data for name, t in self.params.items()}
+        arrays.update(self.buffers)
         return {name: arr.copy() for name, arr in arrays.items()}
 
     def restore(self, snapshot: dict[str, np.ndarray]):
         """Copy a :meth:`snapshot` back into the model's arrays in place."""
-        for name, tensor in self.named_parameters().items():
+        for name, tensor in self.params.items():
             tensor.data[...] = snapshot[name]
-        for name, buf in self.named_buffers().items():
+        for name, buf in self.buffers.items():
             buf[...] = snapshot[name]
 
     def parameter_count(self) -> int:
-        return sum(t.size for t in self.named_parameters().values())
+        return sum(t.size for t in self.params.values())
 
     def accounting(self) -> list[dict]:
-        rows = [
-            {"name": name, "shape": list(t.shape), "count": int(t.size)}
-            for name, t in self.named_parameters().items()
-        ]
-        return rows
+        return [{"name": name, "shape": list(t.shape), "count": int(t.size)}
+                for name, t in self.params.items()]
 
 
 def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None]]:
@@ -219,25 +199,11 @@ def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None]]:
 def _assemble(arch: Architecture, arrays: dict[str, np.ndarray]) -> GrappaModel:
     """A model whose parameters and buffers are ``arrays`` themselves (by
     checkpoint name), not copies: training updates them in place."""
-    def param(name):
-        return Tensor(arrays[name], requires_grad=True, name=name)
-
-    gat = [GatLayer(*([param(f"gat.{li}.{hi}.{key}") for hi in range(arch.heads)]
-                      for key in ("theta_v", "theta_e", "att")))
-           for li in range(arch.gat_layers)]
-    pool = None
-    if arch.pooling == "interaction":
-        pool = InteractionPoolParams(*(param(f"pool.{key}")
-                                       for key in ("Wq", "Wk", "Wv")))
-    hidden = [HeadLayer(weight=param(f"head.{i}.weight"),
-                        bias=param(f"head.{i}.bias"),
-                        bn_gamma=param(f"head.{i}.bn.gamma"),
-                        bn_beta=param(f"head.{i}.bn.beta"),
-                        bn_state=BatchNormState(arrays[f"head.{i}.bn.running_mean"],
-                                                arrays[f"head.{i}.bn.running_var"]))
-              for i in range(arch.hidden_layers)]
-    return GrappaModel(arch, gat, pool, hidden, param("head.out.weight"),
-                       param("head.out.bias"))
+    buffers = {name: arr for name, arr in arrays.items()
+               if name.endswith((".running_mean", ".running_var"))}
+    params = {name: Tensor(arr, requires_grad=True, name=name)
+              for name, arr in arrays.items() if name not in buffers}
+    return GrappaModel(arch, params, buffers)
 
 
 def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> GrappaModel:
@@ -265,14 +231,17 @@ def _count_features(model: GrappaModel, donors, acceptors) -> np.ndarray:
 
 def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
              mode: str = "infer") -> Tensor:
-    """Hidden stack on (B, d + 2) input; returns the (B, 3) raw outputs."""
+    """Hidden stack on (B, d + 2) input; returns the (B, 3) raw outputs.
+    A "train" forward moves the running statistics in ``model.buffers``."""
+    p, buf = model.params, model.buffers
     z = concat([pooled, Tensor(counts)], axis=1)
-    for layer in model.hidden:
-        z = matmul(z, layer.weight)
-        z = add(z, layer.bias)
-        z = batch_norm(z, layer.bn_gamma, layer.bn_beta, layer.bn_state, mode)
+    for i in range(model.arch.hidden_layers):
+        z = add(matmul(z, p[f"head.{i}.weight"]), p[f"head.{i}.bias"])
+        z = batch_norm(z, p[f"head.{i}.bn.gamma"], p[f"head.{i}.bn.beta"],
+                       buf[f"head.{i}.bn.running_mean"],
+                       buf[f"head.{i}.bn.running_var"], mode)
         z = elu(z)
-    return add(matmul(z, model.out_weight), model.out_bias)
+    return add(matmul(z, p["head.out.weight"]), p["head.out.bias"])
 
 
 def scale_to_ranges(raw: Tensor, ranges: dict) -> Tensor:

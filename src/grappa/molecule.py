@@ -42,7 +42,6 @@ SINGLE = "single"
 DOUBLE = "double"
 TRIPLE = "triple"
 AROMATIC = "aromatic"
-BOND_ORDERS = (SINGLE, DOUBLE, TRIPLE, AROMATIC)
 
 STEREO_NONE = "none"
 STEREO_Z = "Z"

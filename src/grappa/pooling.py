@@ -22,10 +22,6 @@ class InteractionPoolParams:
     Wk: Tensor  # (d, k)
     Wv: Tensor  # (d, d)
 
-    @property
-    def dim(self) -> int:
-        return self.Wq.shape[0]
-
 
 def _check_rows(x: Tensor, batch: GraphBatch, name: str):
     if x.ndim != 2 or x.shape[0] != batch.num_nodes:

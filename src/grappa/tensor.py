@@ -28,7 +28,6 @@ and the ``einsum`` edge logits; ``tests/test_tensor.py`` pins the BLAS).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -433,32 +432,24 @@ def huber(a, delta: float) -> Tensor:
 
 # ----------------------------------------------------------------- batch norm
 
-@dataclass
-class BatchNormState:
-    """Running statistics; updated in train mode, read in infer mode."""
-
-    running_mean: np.ndarray
-    running_var: np.ndarray
-    momentum: float = 0.1
-    eps: float = 1e-5
-
-    @classmethod
-    def fresh(cls, width: int, momentum: float = 0.1, eps: float = 1e-5):
-        return cls(np.zeros(width), np.ones(width), momentum, eps)
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 
 
-def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train") -> Tensor:
-    """Feature-wise normalization over the batch axis of a (B, F) matrix."""
+def batch_norm(x, gamma, beta, running_mean: np.ndarray,
+               running_var: np.ndarray, mode: str = "train") -> Tensor:
+    """Feature-wise normalization over the batch axis of a (B, F) matrix.
+    Train mode moves the running statistics toward the batch's in place;
+    infer mode normalizes by them."""
     x, gamma, beta = _t(x), _t(gamma), _t(beta)
     if x.ndim != 2:
         raise ShapeError("batch_norm expects a (B, F) matrix")
     if mode not in ("train", "infer"):
         raise ValueError(f"unknown batch_norm mode {mode!r}")
-    eps = state.eps
 
     if mode == "infer":
-        inv = 1.0 / np.sqrt(state.running_var + eps)
-        xhat = (x.data - state.running_mean) * inv
+        inv = 1.0 / np.sqrt(running_var + BN_EPS)
+        xhat = (x.data - running_mean) * inv
         out = gamma.data * xhat + beta.data
 
         def vjp(g):
@@ -475,13 +466,14 @@ def batch_norm(x, gamma, beta, state: BatchNormState, mode: str = "train") -> Te
         raise ShapeError("batch_norm train mode needs a batch of at least 2")
     mean = x.data.mean(axis=0)
     var = x.data.var(axis=0)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean) * inv
     out = gamma.data * xhat + beta.data
 
-    m = state.momentum
-    state.running_mean = (1 - m) * state.running_mean + m * mean
-    state.running_var = (1 - m) * state.running_var + m * var * b / max(b - 1, 1)
+    running_mean *= 1 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var * b / max(b - 1, 1)
 
     def vjp(g):
         dxhat = g * gamma.data

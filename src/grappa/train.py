@@ -16,17 +16,19 @@ import csv
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 from itertools import product
 
 import numpy as np
 
 from .antoine import PA_PER_KPA, ln_p_tensor
 from .dataio import VpDataset
+from .metrics import ape_i_array
 from .model import (
     Architecture,
     Components,
     GrappaModel,
+    _is_finite_number,
     forward_antoine,
     init_model,
     predict_components,
@@ -78,6 +80,10 @@ class TrainConfig:
     grid_pooling: tuple[str, ...] = GRID_POOLING
 
     def validate(self):
+        for name, (ok, kind) in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"train {name} must be {kind}, got {value!r}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2: batch norm "
                              "normalizes over the molecules of a batch")
@@ -100,9 +106,43 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"train must be an object, got {type(data).__name__}")
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown train keys: {unknown}")
         cfg = cls(**{k: tuple(v) if isinstance(v, list) else v
                      for k, v in data.items()})
         return cfg.validate()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_seq(item_ok, length=None):
+    return lambda value: (isinstance(value, (list, tuple))
+                          and length in (None, len(value))
+                          and all(map(item_ok, value)))
+
+
+_INT = (_is_int, "an integer")
+_REAL = (_is_finite_number, "a finite number")
+# The type of every TrainConfig field, checked before any range.
+_FIELD_TYPES = {
+    "batch_size": _INT, "warmup_epochs": _INT, "main_epochs": _INT,
+    "huber_delta": _REAL, "max_lr": _REAL,
+    "main_lr": (lambda v: v is None or _is_finite_number(v),
+                "null or a finite number"),
+    "plateau_factor": _REAL, "plateau_patience": _INT, "weight_decay": _REAL,
+    "betas": (_is_seq(_is_finite_number, 2), "two finite numbers"),
+    "eps": _REAL, "seed": _INT,
+    "standardize_counts": (lambda v: isinstance(v, bool), "true or false"),
+    "grid_gat_layers": (_is_seq(_is_int), "a list of integers"),
+    "grid_heads": (_is_seq(_is_int), "a list of integers"),
+    "grid_hidden_layers": (_is_seq(_is_int), "a list of integers"),
+    "grid_pooling": (_is_seq(lambda v: isinstance(v, str)), "a list of strings"),
+}
 
 
 # -------------------------------------------------------------------- losses
@@ -241,8 +281,7 @@ def validation_mape_i(model: GrappaModel, comps: Components) -> float:
     """Median absolute percentage error over all validation points; points on
     a curve's invalid branch (C + T <= 0) count as infinite error."""
     _, p_pred = predict_components(model, comps)
-    p_exp = comps.pressures_pa
-    return float(np.median(np.abs(p_pred - p_exp) / p_exp * 100.0))
+    return float(np.median(ape_i_array(p_pred, comps.pressures_pa)))
 
 
 @dataclass

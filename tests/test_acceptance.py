@@ -5,7 +5,6 @@ criteria execute. Published-scale error scores require the proprietary
 measurement database, so acceptance rests on the property checks below.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -92,9 +91,8 @@ def _op_cases(rng):
     seg = np.array([0, 0, 1, 1, 1])
     idx = np.array([0, 2, 1, 0])
     dst = np.array([1, 0, 2, 0])
-    state = T.BatchNormState.fresh(4)
-    state.running_mean = rng.normal(size=4)
-    state.running_var = rng.uniform(0.5, 2.0, size=4)
+    running_mean = rng.normal(size=4)
+    running_var = rng.uniform(0.5, 2.0, size=4)
     weights = rng.normal(size=(3, 4))
     # A, B, C rows whose denominators C + T stay near 5.
     antoine_rows = np.column_stack([rng.normal(size=4) + 10.0,
@@ -128,10 +126,12 @@ def _op_cases(rng):
         "huber": (lambda a: T.mean_all(T.huber(a, 0.5)), [m]),
         "batch_norm_train": (lambda a: T.mean_all(T.mul(
             T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         replace(state), "train"), weights)), [m]),
+                         running_mean.copy(), running_var.copy(), "train"),
+            weights)), [m]),
         "batch_norm_infer": (lambda a: T.mean_all(T.mul(
             T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         replace(state), "infer"), weights)), [m]),
+                         running_mean.copy(), running_var.copy(), "infer"),
+            weights)), [m]),
     }
 
 
@@ -166,13 +166,14 @@ def test_gradient_integrity_composed_model_loss():
                        np.exp(a - b / (c + temps)) * 1000.0,
                        np.repeat(np.arange(len(graphs)), 4))
     params = model.named_parameters()
-    # batch_norm rebinds the running statistics rather than writing into
-    # them, so a shallow copy of each state keeps its arrays.
-    bn_snapshot = [replace(layer.bn_state) for layer in model.hidden]
+    # A train forward moves the running statistics in place, so every
+    # forward starts from the same values by copying them back.
+    buffers = model.named_buffers()
+    bn_snapshot = {name: buf.copy() for name, buf in buffers.items()}
 
     def forward() -> float:
-        for layer, saved in zip(model.hidden, bn_snapshot):
-            layer.bn_state = replace(saved)
+        for name, saved in bn_snapshot.items():
+            buffers[name][...] = saved
         return _batch_loss(model, batch, "huber", 0.5)
 
     loss = forward()

@@ -163,8 +163,8 @@ def midpoints():
 def test_zero_raw_outputs_hit_range_midpoints():
     # Zero weights in the output layer leave the raw outputs at zero.
     model = init_model(Architecture(), seed=0)
-    model.out_weight.data = np.zeros_like(model.out_weight.data)
-    model.out_bias.data = np.zeros_like(model.out_bias.data)
+    model.params["head.out.weight"].data[...] = 0.0
+    model.params["head.out.bias"].data[...] = 0.0
     params = head_params(model, np.zeros(32), 1, 2, mode="infer")
     a_mid, b_mid, c_mid = midpoints()
     assert params.A == pytest.approx(a_mid)  # 12.5
@@ -174,13 +174,13 @@ def test_zero_raw_outputs_hit_range_midpoints():
 
 def test_saturated_raw_outputs_hit_bounds():
     model = init_model(Architecture(), seed=0)
-    model.out_weight.data = np.zeros_like(model.out_weight.data)
-    model.out_bias.data = np.full(3, 1e3)
+    model.params["head.out.weight"].data[...] = 0.0
+    model.params["head.out.bias"].data[...] = 1e3
     params = head_params(model, np.zeros(32), 0, 0, mode="infer")
     assert params.A == pytest.approx(20.0)
     assert params.B == pytest.approx(6000.0)
     assert params.C == pytest.approx(0.0)
-    model.out_bias.data = np.full(3, -1e3)
+    model.params["head.out.bias"].data[...] = -1e3
     params = head_params(model, np.zeros(32), 0, 0, mode="infer")
     assert params.A == pytest.approx(5.0)
     assert params.B == pytest.approx(1500.0)

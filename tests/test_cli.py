@@ -192,6 +192,48 @@ def test_fit_antoine_unknown_component(capsys, data_path):
                  "--component", "nope"]) == 1
 
 
+def test_fit_antoine_skips_components_outside_the_fit_window(capsys, tmp_path):
+    def points(component, temps):
+        return [VpPoint(component, "CCCCC", t,
+                        float(1000.0 * np.exp(14.0 - 3000.0 / (t - 40.0))))
+                for t in temps]
+
+    ds = VpDataset(points("wide", [300.0, 320.0, 340.0, 360.0])
+                   + points("two-points", [300.0, 340.0])
+                   + points("narrow", [300.0, 300.5, 301.0]))
+    path = tmp_path / "window.csv"
+    write_csv(ds, path)
+    code, payload = run(capsys, "fit-antoine", "--input", str(path))
+    assert code == 0
+    assert [row["component_id"] for row in payload["fits"]] == ["wide"]
+    assert payload["skipped"] == ["narrow", "two-points"]
+    for component in ("narrow", "two-points"):
+        assert main(["fit-antoine", "--input", str(path),
+                     "--component", component]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["train", "grid-search"])
+@pytest.mark.parametrize("config", [
+    lambda data: {"data": data, "train": {"batch_sise": 16}},
+    lambda data: {"data": data, "train": {"batch_size": "16"}},
+    lambda data: {"data": data, "train": {"max_lr": None}},
+    lambda data: {"data": data, "train": [8]},
+    lambda data: {"train": {"batch_size": 8}},
+    lambda data: {"data": [data]},
+    lambda data: {"data": data, "splits": [data]},
+    lambda data: [data],
+])
+def test_training_with_a_malformed_config_exits_1(capsys, tmp_path, data_path,
+                                                  command, config):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config(data_path[0])))
+    code = main([command, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("corrupt", [
     lambda d: [d],
     lambda d: {k: v for k, v in d.items() if k != "arch"},

@@ -94,6 +94,22 @@ def test_snapshot_restores_every_array_in_place():
     assert all((current[name] == saved[name]).all() for name in saved)
 
 
+@pytest.mark.parametrize("pooling", ["interaction", "sum"])
+def test_train_forward_moves_buffers_in_place(pooling):
+    model = init_model(Architecture(pooling=pooling), seed=9)
+    graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1O")]
+    buffers = dict(model.named_buffers())
+    saved = model.snapshot()
+    forward_antoine(model, graphs, mode="train")
+    assert model.named_buffers().keys() == buffers.keys()
+    for name, buf in model.named_buffers().items():
+        assert buf is buffers[name], name
+        assert not np.array_equal(buf, saved[name]), name
+    model.restore(saved)
+    for name, buf in model.named_buffers().items():
+        assert buf.tobytes() == saved[name].tobytes(), name
+
+
 def test_checkpoint_names_follow_convention(tmp_path):
     model = init_model(Architecture(gat_layers=2, heads=3), seed=0)
     data = to_checkpoint(model)

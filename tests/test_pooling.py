@@ -149,8 +149,9 @@ def test_gradients_match_finite_differences():
 
 
 def test_init_shapes_and_names():
-    params = init_model(Architecture(), seed=8).pool
-    assert params.Wq.shape == (32, 32)
-    assert params.Wk.shape == (32, 32)
-    assert params.Wv.shape == (32, 32)
-    assert params.Wq.name == "pool.Wq"
+    model = init_model(Architecture(), seed=8)
+    for key in ("Wq", "Wk", "Wv"):
+        tensor = model.params[f"pool.{key}"]
+        assert tensor.shape == (32, 32)
+        assert tensor.name == f"pool.{key}"
+        assert getattr(model.pool, key) is tensor

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from grappa import tensor as T
-from grappa.tensor import BatchNormState, NonFiniteError, ShapeError, Tensor
+from grappa.tensor import NonFiniteError, ShapeError, Tensor
 
 from _oracles import (
     add_at_scatter,
@@ -379,56 +379,49 @@ def test_grad_sigmoid_at_zero():
 # ------------------------------------------------------------------ batch norm
 
 def test_batch_norm_infer_identity():
-    state = BatchNormState.fresh(3)
     x = np.random.default_rng(0).normal(size=(4, 3))
     out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                       state, mode="infer")
+                       np.zeros(3), np.ones(3), mode="infer")
     np.testing.assert_allclose(out.data, x, atol=1e-5)
 
 
 def test_batch_norm_train_constant_column():
-    state = BatchNormState.fresh(1)
     out = T.batch_norm(Tensor([[5.0], [5.0], [5.0]]), Tensor(np.ones(1)),
-                       Tensor(np.zeros(1)), state, mode="train")
+                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1), mode="train")
     np.testing.assert_allclose(out.data, np.zeros((3, 1)), atol=1e-9)
 
 
 def test_batch_norm_train_two_point_batch():
-    state = BatchNormState.fresh(1)
     out = T.batch_norm(Tensor([[1.0], [3.0]]), Tensor(np.ones(1)),
-                       Tensor(np.zeros(1)), state, mode="train")
+                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1), mode="train")
     np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
 
 
 def test_batch_norm_updates_running_stats():
-    state = BatchNormState.fresh(1)
+    running_mean, running_var = np.zeros(1), np.ones(1)
     x = np.array([[1.0], [3.0]])
-    T.batch_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)), state,
-                 mode="train")
-    assert state.running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
+    T.batch_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+                 running_mean, running_var, mode="train")
+    assert running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
     # Unbiased batch variance: 2 * biased (B=2).
-    assert state.running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
+    assert running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
 
 
 def test_batch_norm_train_rejects_singleton_batch():
-    state = BatchNormState.fresh(2)
     with pytest.raises(ShapeError):
         T.batch_norm(Tensor(np.ones((1, 2))), Tensor(np.ones(2)),
-                     Tensor(np.zeros(2)), state, mode="train")
+                     Tensor(np.zeros(2)), np.zeros(2), np.ones(2), mode="train")
 
 
 @pytest.mark.parametrize("mode", ["train", "infer"])
 def test_batch_norm_gradients(mode):
     rng = np.random.default_rng(21)
-    state = BatchNormState.fresh(3)
-    state.running_mean = rng.normal(size=3)
-    state.running_var = rng.uniform(0.5, 2.0, size=3)
-    mean, var = state.running_mean.copy(), state.running_var.copy()
+    mean = rng.normal(size=3)
+    var = rng.uniform(0.5, 2.0, size=3)
     weights = rng.normal(size=(4, 3))
 
     def build(x, gamma, beta):
-        state.running_mean, state.running_var = mean.copy(), var.copy()
-        out = T.batch_norm(x, gamma, beta, state, mode=mode)
+        out = T.batch_norm(x, gamma, beta, mean.copy(), var.copy(), mode=mode)
         return T.mean_all(T.mul(out, Tensor(weights)))
 
     check_grad(build, (4, 3), (3,), (3,), seed=22)
