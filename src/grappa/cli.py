@@ -35,6 +35,9 @@ from .smiles import SmilesError, parse_smiles
 from .tensor import NonFiniteError
 from .train import TrainConfig, TrainingError, fit, grid_search, history_csv
 
+CONFIG_KEYS = ("data", "format", "splits", "output_model", "history", "arch",
+               "train")
+
 
 def _seed_from(args) -> int:
     if getattr(args, "seed", None) is not None:
@@ -92,7 +95,8 @@ def _cmd_split(args) -> int:
     labeled = dataio.split(ds, _seed_from(args), ratios)
     dataio.write_splits_csv(labeled, args.output)
     counts = Counter(labeled.split_label(c) for c in labeled.components())
-    _emit({"components": counts, "output": str(args.output)}, None, args.verbose)
+    _emit({"components": counts, "output": str(args.output),
+           "rows_rejected_on_load": len(ds.rejects)}, None, args.verbose)
     return 0
 
 
@@ -133,7 +137,8 @@ def _cmd_fit_antoine(args) -> int:
                                      "converged", "n_points"])
             writer.writeheader()
             writer.writerows(rows)
-    _emit({"fits": rows, "skipped": skipped}, None, args.verbose)
+    _emit({"fits": rows, "skipped": skipped,
+           "rows_rejected_on_load": len(ds.rejects)}, None, args.verbose)
     return 0
 
 
@@ -143,6 +148,9 @@ def _training_setup(args):
         config = json.load(fh)
     if not isinstance(config, dict) or "data" not in config:
         raise ValueError("the config must be an object with a 'data' path")
+    unknown = sorted(set(config) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("data", "splits", "output_model", "history"):
         if not isinstance(config.get(key, ""), str):
             raise ValueError(f"config {key!r} must be a path, got {config[key]!r}")
@@ -170,6 +178,7 @@ def _cmd_train(args) -> int:
         "model": str(model_path),
         "history": str(history_path),
         "trainable_parameters": model.parameter_count(),
+        "rows_rejected_on_load": len(ds.rejects),
     }, f"trained {len(result.history)} epochs", args.verbose)
     return 0
 
@@ -180,7 +189,8 @@ def _cmd_grid_search(args) -> int:
                        jobs=args.jobs)
     if args.output:
         _write_table_csv(rows, args.output)
-    _emit({"cells": len(rows), "ranking": rows}, None, args.verbose)
+    _emit({"cells": len(rows), "ranking": rows,
+           "rows_rejected_on_load": len(ds.rejects)}, None, args.verbose)
     return 0
 
 
@@ -213,7 +223,8 @@ def _cmd_boil(args) -> int:
 
 
 def _predict_split(args):
-    """Points and parameters of the checkpoint's predictions on one split."""
+    """Points and parameters of the checkpoint's predictions on one split,
+    and the number of rows rejected on load."""
     model = load_checkpoint(args.model)
     ds = dataio.load(args.data, getattr(args, "format", "csv"))
     if getattr(args, "splits", None):
@@ -221,17 +232,18 @@ def _predict_split(args):
     points, params = predict_dataset(model, ds, args.split)
     if not points:
         raise ValueError(f"no points in split {args.split!r}")
-    return points, params
+    return points, params, len(ds.rejects)
 
 
 def _cmd_evaluate(args) -> int:
-    points, params = _predict_split(args)
+    points, params, rejected = _predict_split(args)
     report = metrics.summarize(points)
     boiling = metrics.boiling_point_eval(params, points)
     payload = {"split": args.split, "metrics": report.to_dict(),
                "boiling": {"mae_k": boiling.mae_k,
                            "mean_rel_err_pct": boiling.mean_rel_err_pct,
-                           "n_components": boiling.n_components}}
+                           "n_components": boiling.n_components},
+               "rows_rejected_on_load": rejected}
     _emit(payload, None, args.verbose)
     return 0
 
@@ -245,7 +257,7 @@ def _write_table_csv(rows: list[dict], path):
 
 
 def _cmd_report(args) -> int:
-    points, params = _predict_split(args)
+    points, params, rejected = _predict_split(args)
     sizes = Counter(pt.component_id for pt in points)
     eligible = {c for c, pts in sizes.items() if pts >= args.min_points}
     filtered = [pt for pt in points if pt.component_id in eligible]
@@ -267,7 +279,8 @@ def _cmd_report(args) -> int:
     (outdir / "boiling.json").write_text(
         json.dumps(boiling.to_dict(), indent=2), encoding="utf-8")
     files = sorted(str(p.name) for p in outdir.iterdir())
-    _emit({"outdir": str(outdir), "files": files}, None, args.verbose)
+    _emit({"outdir": str(outdir), "files": files,
+           "rows_rejected_on_load": rejected}, None, args.verbose)
     return 0
 
 

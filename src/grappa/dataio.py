@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,8 +45,9 @@ class VpPoint:
     row: int | None = None
 
     def __post_init__(self):
-        if self.temperature_k <= 0 or self.pressure_pa <= 0:
-            raise ValueError("temperature and pressure must be positive")
+        if not (0.0 < self.temperature_k < math.inf
+                and 0.0 < self.pressure_pa < math.inf):
+            raise ValueError("temperature and pressure must be finite and positive")
 
 
 @dataclass
@@ -151,15 +153,9 @@ def _huber_rho(r: np.ndarray, delta: float) -> np.ndarray:
 
 def _fit_cost(theta, t, y, delta) -> tuple[np.ndarray, np.ndarray]:
     """Huber cost (K,) and residuals (K, n) of a (K, 3) stack of parameter
-    rows; a row that puts any point off the valid branch costs inf, with inf
-    residuals."""
-    ln_p, valid = _ln_p_kpa(theta[:, :1], theta[:, 1:2], theta[:, 2:], t)
-    r = y - ln_p
-    cost = _huber_rho(r, delta).sum(axis=1)
-    off = ~valid.all(axis=1)
-    cost[off] = np.inf
-    r[off] = np.inf
-    return cost, r
+    rows, each with C + T > 0 on every point."""
+    r = y - _ln_p_kpa(theta[:, :1], theta[:, 1:2], theta[:, 2:], t)[0]
+    return _huber_rho(r, delta).sum(axis=1), r
 
 
 def _solve_each(lhs, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -185,23 +181,23 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
 
     Every start keeps its own damping, slow-step count, stopping rule and
     cost trace, and only the starts still iterating are computed, so each
-    ends exactly where it would alone. Returns the per-start parameters
-    (K, 3), costs (K,), residuals (K, n), converged flags, iteration counts
-    and cost traces.
+    ends exactly where it would alone. The C box must keep C + T positive
+    on every point, so every parameter row it admits is on the valid
+    branch. Returns the per-start parameters (K, 3), costs (K,), residuals
+    (K, n), converged flags, iteration counts and cost traces.
     """
     lo, hi = box[:, 0], box[:, 1]
+    if lo[2] + t.min() <= 0.0:
+        raise ValueError("the C box must keep C + T positive on every point")
     theta = np.clip(np.asarray(starts, dtype=float), lo, hi)
     cost, r = _fit_cost(theta, t, y, delta)
     k = len(theta)
     converged = np.zeros(k, dtype=bool)
-    finite = np.isfinite(cost)
-    # A start off the valid branch stops in its first iteration.
-    iterations = np.where(finite, max_iter, min(max_iter, 1))
+    iterations = np.full(k, max_iter)
     traces = [[c] for c in cost.tolist()]
     # The state of the starts still iterating, one row each; a row is written
-    # back to theta, cost and r when its start stops. Accepted costs only
-    # fall, so every live cost stays finite.
-    live = np.flatnonzero(finite)
+    # back to theta, cost and r when its start stops.
+    live = np.arange(k)
     th, old, res = theta[live], cost[live], r[live]
     lam = np.full(len(live), 1e-3)
     slow_steps = np.zeros(len(live), dtype=int)
@@ -287,7 +283,11 @@ def robust_antoine_fit(temperatures_k, pressures_pa, delta: float = 0.5,
     with the lowest final cost wins.
     """
     t = np.asarray(temperatures_k, dtype=float)
-    y = np.log(np.asarray(pressures_pa, dtype=float) / PA_PER_KPA)
+    p = np.asarray(pressures_pa, dtype=float)
+    if not (np.isfinite(t).all() and ((p > 0.0) & (p < np.inf)).all()):
+        raise ValueError("robust fit needs finite temperatures and finite, "
+                         "positive pressures")
+    y = np.log(p / PA_PER_KPA)
     if not fit_window_ok(t):
         raise ValueError(f"robust fit needs at least {MIN_FIT_POINTS} points "
                          f"spanning more than {MIN_FIT_SPREAD_K} K")
@@ -426,8 +426,10 @@ def carbon_count(mol: Molecule) -> int:
 def split(ds: VpDataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> VpDataset:
     """Component-wise split; molecules with fewer than five carbons always
     train, the rest are shuffled and partitioned by the ratios."""
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("ratios must sum to 1")
+    if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
+            or abs(sum(ratios) - 1.0) > 1e-9):
+        raise ValueError("ratios must be three finite, non-negative numbers "
+                         "that sum to 1")
     groups = ds.by_component()
     small, rest = [], []
     for component, points in groups.items():
@@ -458,8 +460,9 @@ def write_csv(ds: VpDataset, path):
         writer = csv.writer(fh)
         writer.writerow(list(REQUIRED_COLUMNS) + ["source", "stereo_ok"])
         for pt in ds.points:
-            writer.writerow([pt.component_id, pt.smiles, repr(pt.temperature_k),
-                             repr(pt.pressure_pa), pt.quality, pt.source,
+            writer.writerow([pt.component_id, pt.smiles,
+                             repr(float(pt.temperature_k)),
+                             repr(float(pt.pressure_pa)), pt.quality, pt.source,
                              "true" if pt.stereo_ok else "false"])
 
 
@@ -472,11 +475,13 @@ def write_splits_csv(ds: VpDataset, path):
 
 
 def read_splits_csv(path) -> dict[str, str]:
-    out = {}
     with open(path, newline="", encoding="utf-8") as fh:
-        for record in csv.DictReader(fh):
-            out[record["component_id"]] = record["split"]
-    return out
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("component_id", "split")
+                   if c not in (reader.fieldnames or [])]
+        if missing:
+            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
+        return {record["component_id"]: record["split"] for record in reader}
 
 
 def write_audit_jsonl(audit: list[dict], path):

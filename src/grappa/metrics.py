@@ -40,7 +40,7 @@ def ape_i(pred_p, exp_p) -> float:
     """Absolute percentage error of a single point."""
     if exp_p <= 0:
         raise ValueError("experimental pressure must be positive")
-    return abs(pred_p - exp_p) / exp_p * 100.0
+    return float(ape_i_array(pred_p, exp_p))
 
 
 def ape_c(point_apes) -> float:
@@ -56,17 +56,39 @@ def ape_i_array(pred_p: np.ndarray, exp_p: np.ndarray) -> np.ndarray:
     return np.abs(pred_p - exp_p) / exp_p * 100.0
 
 
-def _ape_array(points: list[PredPoint]) -> np.ndarray:
-    return ape_i_array(np.array([pt.p_pred_pa for pt in points]),
-                       np.array([pt.p_exp_pa for pt in points]))
+def _groups(keys) -> dict:
+    """Each distinct key, in order of first appearance, mapped to its row
+    indices in input order."""
+    first: dict = {}
+    codes = np.array([first.setdefault(k, len(first)) for k in keys], dtype=int)
+    rows = np.argsort(codes, kind="stable")
+    return dict(zip(first, np.split(rows, np.cumsum(np.bincount(codes))[:-1])))
 
 
-def _component_apes(points: list[PredPoint]) -> dict[str, np.ndarray]:
-    apes = _ape_array(points)
-    groups: dict[str, list[float]] = {}
-    for pt, value in zip(points, apes):
-        groups.setdefault(pt.component_id, []).append(value)
-    return {c: np.asarray(v) for c, v in groups.items()}
+@dataclass(frozen=True)
+class _Columns:
+    """The evaluated points as arrays, and their components: each one's
+    rows, point count and score, in order of first appearance."""
+
+    p_pred: np.ndarray
+    p_exp: np.ndarray
+    temperature: np.ndarray
+    ape: np.ndarray
+    groups: dict[str, np.ndarray]
+    sizes: np.ndarray
+    scores: np.ndarray
+
+
+def _columns(points: list[PredPoint]) -> _Columns:
+    if not points:
+        raise ValueError("empty evaluation set")
+    p_pred = np.array([pt.p_pred_pa for pt in points])
+    p_exp = np.array([pt.p_exp_pa for pt in points])
+    apes = ape_i_array(p_pred, p_exp)
+    groups = _groups(pt.component_id for pt in points)
+    return _Columns(p_pred, p_exp, np.array([pt.temperature_k for pt in points]),
+                    apes, groups, np.array([r.size for r in groups.values()]),
+                    np.array([ape_c(apes[r]) for r in groups.values()]))
 
 
 @dataclass
@@ -89,60 +111,45 @@ def summarize(points: list[PredPoint],
               min_k_filters=DEFAULT_MIN_K_FILTERS) -> EvalReport:
     """Dataset scores: MAE/MSE on ln(p/kPa), median point APE, and median
     component APE restricted to components with at least K points."""
-    if not points:
-        raise ValueError("empty evaluation set")
-    ln_pred = np.log(np.array([pt.p_pred_pa for pt in points]) / PA_PER_KPA)
-    ln_exp = np.log(np.array([pt.p_exp_pa for pt in points]) / PA_PER_KPA)
-    diff = ln_pred - ln_exp
-    apes = _ape_array(points)
-    comp = _component_apes(points)
-    comp_scores = {c: float(v.mean()) for c, v in comp.items()}
-    mape_c = {}
-    n_components = {}
-    for k in min_k_filters:
-        eligible = [score for c, score in comp_scores.items()
-                    if len(comp[c]) >= k]
-        n_components[k] = len(eligible)
-        mape_c[k] = float(np.median(eligible)) if eligible else float("nan")
+    cols = _columns(points)
+    diff = np.log(cols.p_pred / PA_PER_KPA) - np.log(cols.p_exp / PA_PER_KPA)
+    eligible = {k: cols.scores[cols.sizes >= k] for k in min_k_filters}
     return EvalReport(
         mae=float(np.abs(diff).mean()),
         mse=float((diff ** 2).mean()),
-        mape_i=float(np.median(apes)),
-        mape_c=mape_c,
+        mape_i=float(np.median(cols.ape)),
+        mape_c={k: float(np.median(s)) if s.size else float("nan")
+                for k, s in eligible.items()},
         n_points=len(points),
-        n_components=n_components,
+        n_components={k: s.size for k, s in eligible.items()},
     )
 
 
 # ----------------------------------------------------------------- bin tables
 
-def _quartile_stats(sample: np.ndarray) -> dict:
-    q1, med, q3 = (float(np.percentile(sample, q)) for q in (25, 50, 75))
+def _stats_row(sample: np.ndarray) -> dict:
+    """Quartiles and 1.5-IQR whiskers of a bin; all None for an empty bin."""
+    if not sample.size:
+        return dict.fromkeys(("q1", "median", "q3", "whisker_lo", "whisker_hi"))
+    q1, med, q3 = (float(q) for q in np.percentile(sample, (25, 50, 75)))
     iqr = q3 - q1
-    lo_fence, hi_fence = q1 - 1.5 * iqr, q3 + 1.5 * iqr
-    inside = sample[(sample >= lo_fence) & (sample <= hi_fence)]
-    whisker_lo = float(inside.min()) if inside.size else q1
-    whisker_hi = float(inside.max()) if inside.size else q3
+    inside = sample[(sample >= q1 - 1.5 * iqr) & (sample <= q3 + 1.5 * iqr)]
     return {"q1": q1, "median": med, "q3": q3,
-            "whisker_lo": whisker_lo, "whisker_hi": whisker_hi}
+            "whisker_lo": float(inside.min()) if inside.size else q1,
+            "whisker_hi": float(inside.max()) if inside.size else q3}
+
+
+def _bin_row(key: dict, mask: np.ndarray, scores: np.ndarray) -> dict:
+    return {**key, "count": int(mask.sum()), "pct": 100.0 * mask.sum() / mask.size,
+            **_stats_row(scores[mask])}
 
 
 def _interval_table(values: np.ndarray, scores: np.ndarray, edges) -> list[dict]:
     edges = list(edges)
-    total = len(values)
     rows = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        last = hi == edges[-1]
-        mask = (values >= lo) & ((values <= hi) if last else (values < hi))
-        sample = scores[mask]
-        row = {"lo": lo, "hi": hi, "count": int(mask.sum()),
-               "pct": 100.0 * mask.sum() / total if total else 0.0}
-        if sample.size:
-            row.update(_quartile_stats(sample))
-        else:
-            row.update({"q1": None, "median": None, "q3": None,
-                        "whisker_lo": None, "whisker_hi": None})
-        rows.append(row)
+        below = (values <= hi) if hi == edges[-1] else (values < hi)
+        rows.append(_bin_row({"lo": lo, "hi": hi}, (values >= lo) & below, scores))
     return rows
 
 
@@ -164,39 +171,14 @@ def binned_reports(points: list[PredPoint],
                    min_points_levels=DEFAULT_MIN_POINTS_LEVELS) -> BinnedReports:
     """Boxplot-style tables: point APE by pressure and temperature interval,
     component APE by molecular weight and by minimum point count."""
-    if not points:
-        raise ValueError("empty evaluation set")
-    apes = _ape_array(points)
-    pressures = np.array([pt.p_exp_pa for pt in points])
-    temps = np.array([pt.temperature_k for pt in points])
-
-    comp = _component_apes(points)
-    comp_scores = np.array([v.mean() for v in comp.values()])
-    comp_sizes = np.array([len(v) for v in comp.values()])
-    comp_weights = {}
-    for pt in points:
-        comp_weights.setdefault(pt.component_id, pt.mol_weight)
-    weights = np.array([comp_weights[c] for c in comp])
-
-    min_points_rows = []
-    n_comp = len(comp)
-    for level in min_points_levels:
-        mask = comp_sizes >= level
-        sample = comp_scores[mask]
-        row = {"min_points": level, "count": int(mask.sum()),
-               "pct": 100.0 * mask.sum() / n_comp if n_comp else 0.0}
-        if sample.size:
-            row.update(_quartile_stats(sample))
-        else:
-            row.update({"q1": None, "median": None, "q3": None,
-                        "whisker_lo": None, "whisker_hi": None})
-        min_points_rows.append(row)
-
+    cols = _columns(points)
+    weights = np.array([points[r[0]].mol_weight for r in cols.groups.values()])
     return BinnedReports(
-        pressure=_interval_table(pressures, apes, pressure_edges_pa),
-        temperature=_interval_table(temps, apes, temperature_edges_k),
-        mol_weight=_interval_table(weights, comp_scores, mol_weight_edges),
-        min_points=min_points_rows,
+        pressure=_interval_table(cols.p_exp, cols.ape, pressure_edges_pa),
+        temperature=_interval_table(cols.temperature, cols.ape, temperature_edges_k),
+        mol_weight=_interval_table(weights, cols.scores, mol_weight_edges),
+        min_points=[_bin_row({"min_points": level}, cols.sizes >= level, cols.scores)
+                    for level in min_points_levels],
     )
 
 
@@ -207,23 +189,15 @@ def hexbin_grid(points: list[PredPoint], t_step_k: float = 25.0,
     display; rows are (T_center, lnp_center, MAPE_i, count)."""
     if not points:
         return []
-    temps = np.array([pt.temperature_k for pt in points])
-    ln_p = np.log(np.array([pt.p_exp_pa for pt in points]) / PA_PER_KPA)
-    apes = _ape_array(points)
-    t_idx = np.floor(temps / t_step_k).astype(int)
-    p_idx = np.floor(ln_p / ln_p_step).astype(int)
-    cells: dict[tuple[int, int], list[float]] = {}
-    for ti, pi, ape in zip(t_idx, p_idx, apes):
-        cells.setdefault((ti, pi), []).append(ape)
-    rows = []
-    for (ti, pi), sample in sorted(cells.items()):
-        rows.append({
-            "T_center": (ti + 0.5) * t_step_k,
-            "lnp_center": (pi + 0.5) * ln_p_step,
-            "MAPE_i": min(float(np.median(sample)), clip_percent),
-            "count": len(sample),
-        })
-    return rows
+    cols = _columns(points)
+    t_idx = np.floor(cols.temperature / t_step_k).astype(int)
+    p_idx = np.floor(np.log(cols.p_exp / PA_PER_KPA) / ln_p_step).astype(int)
+    cells = _groups(zip(t_idx.tolist(), p_idx.tolist()))
+    return [{"T_center": (ti + 0.5) * t_step_k,
+             "lnp_center": (pi + 0.5) * ln_p_step,
+             "MAPE_i": min(float(np.median(cols.ape[r])), clip_percent),
+             "count": r.size}
+            for (ti, pi), r in sorted(cells.items())]
 
 
 # ------------------------------------------------------------- boiling points
@@ -246,19 +220,19 @@ def boiling_point_eval(params_by_component: dict[str, AntoineParams],
     """Normal-boiling-point check: take each component's points inside the
     ambient-pressure window, average duplicates, and invert the predicted
     curve at the mean pressure."""
-    groups: dict[str, list[PredPoint]] = {}
-    for pt in points:
-        groups.setdefault(pt.component_id, []).append(pt)
+    if not points:
+        return BoilingReport([], float("nan"), float("nan"), 0)
+    cols = _columns(points)
     rows = []
     lo_pa, hi_pa = (bound * PA_PER_KPA for bound in window_kpa)
-    for component, pts in sorted(groups.items()):
-        if len(pts) < min_points or component not in params_by_component:
+    for component, idx in sorted(cols.groups.items()):
+        if idx.size < min_points or component not in params_by_component:
             continue
-        near = [pt for pt in pts if lo_pa <= pt.p_exp_pa <= hi_pa]
-        if not near:
+        near = idx[(cols.p_exp[idx] >= lo_pa) & (cols.p_exp[idx] <= hi_pa)]
+        if not near.size:
             continue
-        p_mean = float(np.mean([pt.p_exp_pa for pt in near]))
-        t_mean = float(np.mean([pt.temperature_k for pt in near]))
+        p_mean = float(np.mean(cols.p_exp[near]))
+        t_mean = float(np.mean(cols.temperature[near]))
         t_pred = boiling_temperature(params_by_component[component], p_mean)
         rows.append({
             "component_id": component,

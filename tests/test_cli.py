@@ -213,6 +213,37 @@ def test_fit_antoine_skips_components_outside_the_fit_window(capsys, tmp_path):
         assert capsys.readouterr().err.startswith("error:")
 
 
+def test_fit_antoine_and_train_count_rows_rejected_on_load(capsys, tmp_path,
+                                                          data_path):
+    data, splits = data_path
+    with open(data, "a", encoding="utf-8") as fh:
+        fh.write("alkane-5,CCCCC,nan,1000.0,ok,,true\n"
+                 "alkane-5,CCCCC,300.0,inf,ok,,true\n"
+                 "alkane-5,CCCCC,warm,1000.0,ok,,true\n")
+    code, payload = run(capsys, "fit-antoine", "--input", data)
+    assert code == 0 and payload["rows_rejected_on_load"] == 3
+    assert payload["fits"]
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": data, "splits": splits,
+        "output_model": str(tmp_path / "trained.json"),
+        "history": str(tmp_path / "history.csv"),
+        "arch": {"gat_layers": 2, "heads": 1, "hidden_layers": 1},
+        "train": {"batch_size": 8, "warmup_epochs": 1, "main_epochs": 1}}))
+    code, payload = run(capsys, "train", "--config", str(config))
+    assert code == 0 and payload["rows_rejected_on_load"] == 3
+
+    every_row_bad = tmp_path / "bad.csv"
+    every_row_bad.write_text(
+        "component_id,smiles,temperature_K,pressure_Pa,quality\n"
+        "a,CCO,300.0,-5.0,ok\n"
+        "a,CCO,nan,1000.0,ok\n")
+    code, payload = run(capsys, "fit-antoine", "--input", str(every_row_bad))
+    assert code == 0
+    assert payload == {"fits": [], "skipped": [], "rows_rejected_on_load": 2}
+
+
 @pytest.mark.parametrize("command", ["train", "grid-search"])
 @pytest.mark.parametrize("config", [
     lambda data: {"data": data, "train": {"batch_sise": 16}},
@@ -229,6 +260,29 @@ def test_training_with_a_malformed_config_exits_1(capsys, tmp_path, data_path,
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config(data_path[0])))
     code = main([command, "--config", str(cfg_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    lambda f: ["split", "--input", f["data"], "--output", f["out"],
+               "--ratios", "0.5,0.5"],
+    lambda f: ["split", "--input", f["data"], "--output", f["out"],
+               "--ratios=-0.5,0.5,1.0"],
+    lambda f: ["evaluate", "--model", f["model"], "--data", f["data"],
+               "--splits", f["data"], "--split", "valid"],
+    lambda f: ["train", "--config", f["config"]],
+], ids=["two-ratios", "negative-ratio", "splits-without-columns",
+        "unknown-config-key"])
+def test_bad_outside_input_exits_1(capsys, tmp_path, data_path, model_path,
+                                   argv):
+    data, splits = data_path
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": data, "splits": splits,
+                                  "output_modle": str(tmp_path / "m.json")}))
+    code = main(argv({"data": data, "model": model_path, "config": str(config),
+                      "out": str(tmp_path / "out.csv")}))
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err

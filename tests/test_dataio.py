@@ -74,10 +74,26 @@ def test_load_rejects_bad_rows_with_row_numbers(tmp_path):
         "a,CCO,300.0,1000.0,ok\n"
         "b,CCO,300.0,-5.0,ok\n"
         "c,CCO,not_a_number,1000.0,ok\n"
-        "d,CCO,310.0,,ok\n")
+        "d,CCO,310.0,,ok\n"
+        "e,CCO,inf,1000.0,ok\n"
+        "f,CCO,300.0,nan,ok\n")
     ds = load(path)
     assert len(ds) == 1
-    assert [r["row"] for r in ds.rejects] == [3, 4, 5]
+    assert [r["row"] for r in ds.rejects] == [3, 4, 5, 6, 7]
+    assert all("finite" in r["reason"] for r in ds.rejects[-2:])
+
+
+def test_write_csv_round_trips_numpy_floats(tmp_path):
+    temps = np.array([300.0, 325.5, 351.25])
+    points = [VpPoint("a", "CCCCC", t, p)
+              for t, p in zip(temps, np.exp(14.0 - 3000.0 / (temps - 40.0)))]
+    assert all(type(pt.pressure_pa) is np.float64 for pt in points)
+    path = tmp_path / "numpy.csv"
+    write_csv(VpDataset(points), path)
+    loaded = load(path)
+    assert not loaded.rejects
+    assert [(pt.temperature_k, pt.pressure_pa) for pt in loaded.points] == [
+        (pt.temperature_k, pt.pressure_pa) for pt in points]
 
 
 def test_load_missing_column_raises(tmp_path):
@@ -133,6 +149,19 @@ def test_fit_preconditions():
         robust_antoine_fit([300.0, 310.0], [1000.0, 2000.0])
     with pytest.raises(ValueError):
         robust_antoine_fit([300.0, 300.2, 300.4], [1000.0, 1100.0, 1200.0])
+    for t, p in (([300.0, 320.0, 340.0], [1000.0, np.nan, 3000.0]),
+                 ([300.0, 320.0, 340.0], [1000.0, 0.0, 3000.0]),
+                 ([300.0, np.inf, 340.0], [1000.0, 2000.0, 3000.0])):
+        with pytest.raises(ValueError, match="finite"):
+            robust_antoine_fit(t, p)
+
+
+def test_lm_solve_rejects_a_c_box_that_reaches_the_pole():
+    t = np.array([300.0, 320.0, 340.0])
+    y = 10.0 - 2600.0 / (t - 55.0)
+    box = np.array([(5.0, 20.0), (1500.0, 6000.0), (-300.0, 0.0)])
+    with pytest.raises(ValueError, match="C \\+ T"):
+        dataio._lm_solve(dataio._start_points(t, y), t, y, box, 0.5)
 
 
 def test_fit_cost_trace_never_increases():
@@ -430,8 +459,17 @@ def test_split_ratio_tolerance():
 
 def test_split_rejects_bad_ratios():
     ds = VpDataset([VpPoint("a", "CCCCCC", 300.0, 1000.0)])
-    with pytest.raises(ValueError):
-        split(ds, seed=0, ratios=(0.5, 0.2, 0.2))
+    for ratios in ((0.5, 0.2, 0.2), (0.5, 0.5), (0.25, 0.25, 0.25, 0.25),
+                   (-0.5, 0.5, 1.0), (math.nan, 0.5, 0.5)):
+        with pytest.raises(ValueError):
+            split(ds, seed=0, ratios=ratios)
+
+
+def test_read_splits_csv_names_missing_columns(tmp_path):
+    path = tmp_path / "splits.csv"
+    path.write_text("component,label\na,train\n")
+    with pytest.raises(ValueError, match="component_id, split"):
+        read_splits_csv(path)
 
 
 def test_split_file_roundtrip(tmp_path):
