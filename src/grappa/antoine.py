@@ -34,13 +34,10 @@ class AntoineParams:
     B: float
     C: float
 
-    def in_ranges(self, ranges=None) -> bool:
-        ranges = ranges or PARAM_RANGES
-        return (
-            ranges["A"][0] <= self.A <= ranges["A"][1]
-            and ranges["B"][0] <= self.B <= ranges["B"][1]
-            and ranges["C"][0] <= self.C <= ranges["C"][1]
-        )
+    def in_ranges(self) -> bool:
+        """Whether A, B and C all lie inside :data:`PARAM_RANGES`."""
+        return all(PARAM_RANGES[key][0] <= getattr(self, key) <= PARAM_RANGES[key][1]
+                   for key in "ABC")
 
     def as_tuple(self):
         return (self.A, self.B, self.C)

@@ -40,7 +40,7 @@ CONFIG_KEYS = ("data", "format", "splits", "output_model", "history", "arch",
 
 
 def _seed_from(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     env = os.environ.get("GRAPPA_SEED")
     return int(env) if env else 0
@@ -155,7 +155,7 @@ def _training_setup(args):
         if not isinstance(config.get(key, ""), str):
             raise ValueError(f"config {key!r} must be a path, got {config[key]!r}")
     cfg = TrainConfig.from_dict(config.get("train", {}))
-    if getattr(args, "seed", None) is not None or os.environ.get("GRAPPA_SEED"):
+    if args.seed is not None or os.environ.get("GRAPPA_SEED"):
         cfg.seed = _seed_from(args)
     ds = dataio.load(config["data"], config.get("format", "csv"))
     if "splits" in config:
@@ -226,8 +226,8 @@ def _predict_split(args):
     """Points and parameters of the checkpoint's predictions on one split,
     and the number of rows rejected on load."""
     model = load_checkpoint(args.model)
-    ds = dataio.load(args.data, getattr(args, "format", "csv"))
-    if getattr(args, "splits", None):
+    ds = dataio.load(args.data, args.format)
+    if args.splits:
         ds.splits = dataio.read_splits_csv(args.splits)
     points, params = predict_dataset(model, ds, args.split)
     if not points:

@@ -27,6 +27,8 @@ OUTLIER_REL_DEV = 0.5
 MIN_POINTS_FOR_OUTLIER_PASS = 5
 MIN_FIT_POINTS = 3
 MIN_FIT_SPREAD_K = 1.0  # a robust fit needs a wider temperature window
+FIT_HUBER_DELTA = 0.5  # on ln(p/kPa)
+FIT_MAX_ITER = 200
 SMALL_MOLECULE_CARBONS = 5
 
 REQUIRED_COLUMNS = ("component_id", "smiles", "temperature_K", "pressure_Pa",
@@ -274,9 +276,9 @@ def fit_window_ok(t: np.ndarray) -> bool:
     return len(t) >= MIN_FIT_POINTS and float(t.max() - t.min()) > MIN_FIT_SPREAD_K
 
 
-def robust_antoine_fit(temperatures_k, pressures_pa, delta: float = 0.5,
-                       max_iter: int = 200) -> AntoineFit:
-    """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost and box-bounded search.
+def robust_antoine_fit(temperatures_k, pressures_pa) -> AntoineFit:
+    """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost (:data:`FIT_HUBER_DELTA`)
+    and box-bounded search of at most :data:`FIT_MAX_ITER` iterations.
 
     Needs a window that passes :func:`fit_window_ok`;
     five deterministic starting points are solved as one stack and the first
@@ -298,7 +300,7 @@ def robust_antoine_fit(temperatures_k, pressures_pa, delta: float = 0.5,
         (max(PARAM_RANGES["C"][0], -float(t.min()) + 1.0), PARAM_RANGES["C"][1]),
     ])
     theta, cost, r, converged, iters, traces = _lm_solve(
-        _start_points(t, y), t, y, box, delta, max_iter)
+        _start_points(t, y), t, y, box, FIT_HUBER_DELTA, FIT_MAX_ITER)
     best = int(np.argmin(cost))
     return AntoineFit(AntoineParams(*theta[best]), r[best], float(cost[best]),
                       bool(converged[best]), int(iters[best]), traces[best])

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import EDGE_FEATURES, MolGraph
-from .tensor import Tensor, _scatter_sum, add, edge_attention_sum, matmul, scale
+from .tensor import (Tensor, _scatter_sum, add, edge_attention_sum, matmul,
+                     recording, scale)
 
 LEAKY_SLOPE = 0.2
 
@@ -132,12 +133,14 @@ def encode(batch: GraphBatch, layers: list[GatLayer]) -> Tensor:
 def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     """Per-atom importance in [0, 1]: mean outgoing attention weight in the
     last layer (heads averaged), min-max normalized per molecule. All-equal
-    scores (single atoms, perfect symmetry) map to 1.0."""
+    scores (single atoms, perfect symmetry) map to 1.0. The forward records
+    no tape, as an inference forward does."""
     if not layers:
         raise ValueError("attention_scores needs at least one layer")
     batch = batch_graphs([graph])
-    x = encode(batch, layers[:-1])
-    _, attentions = gat_forward(x, batch, layers[-1])
+    with recording(False):
+        x = encode(batch, layers[:-1])
+        _, attentions = gat_forward(x, batch, layers[-1])
     n = batch.num_nodes
     src = np.tile(batch.src, len(attentions))
     totals = _scatter_sum(src, np.concatenate(attentions), n)

@@ -1,39 +1,51 @@
 """Error metrics and the binned evaluation tables.
 
-MAE/MSE work on ln(p/kPa); percentage errors work on the pressures
+MAE/MSE work on the model's ln(p/kPa), so a pressure that underflows to
+0 Pa still scores finitely; percentage errors work on the pressures
 themselves. Dataset-level scores use medians (even-length samples take the
 mean of the two central order statistics, numpy's convention).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .antoine import PA_PER_KPA, AntoineParams, boiling_temperature
 
-DEFAULT_MIN_K_FILTERS = (1, 2, 5)
+MIN_K_FILTERS = (1, 2, 5)
 # Decade edges in Pa over the curated pressure window.
-DEFAULT_PRESSURE_EDGES_PA = tuple(10.0 ** k for k in range(0, 8))
+PRESSURE_EDGES_PA = tuple(10.0 ** k for k in range(0, 8))
 # 50 K intervals over the curated temperature window.
-DEFAULT_TEMPERATURE_EDGES_K = tuple(float(t) for t in range(250, 650, 50))
-# Molecular-weight intervals; figure-derived defaults, override as needed.
-DEFAULT_MOL_WEIGHT_EDGES = (0.0, 100.0, 150.0, 200.0, 250.0, 300.0, 400.0,
-                            float("inf"))
-DEFAULT_MIN_POINTS_LEVELS = (1, 2, 3, 5, 10)
+TEMPERATURE_EDGES_K = tuple(float(t) for t in range(250, 650, 50))
+# Molecular-weight intervals, read off the paper's figure.
+MOL_WEIGHT_EDGES = (0.0, 100.0, 150.0, 200.0, 250.0, 300.0, 400.0, float("inf"))
+MIN_POINTS_LEVELS = (1, 2, 3, 5, 10)
+HEXBIN_T_STEP_K = 25.0
+HEXBIN_LN_P_STEP = 1.0
 HEXBIN_CLIP_PERCENT = 50.0
+BOILING_WINDOW_KPA = (99.0, 102.0)
+BOILING_MIN_POINTS = 2
 
 
 @dataclass(frozen=True)
 class PredPoint:
-    """One evaluated measurement: experiment vs. model."""
+    """One evaluated measurement: experiment vs. model. ``ln_p_pred_kpa``
+    is the model's ln(p/kPa); left out, it is the log of ``p_pred_pa``."""
 
     component_id: str
     temperature_k: float
     p_exp_pa: float
     p_pred_pa: float
     mol_weight: float = 0.0
+    ln_p_pred_kpa: float | None = None
+
+    def __post_init__(self):
+        if self.ln_p_pred_kpa is None:
+            object.__setattr__(self, "ln_p_pred_kpa",
+                               math.log(self.p_pred_pa / PA_PER_KPA))
 
 
 def ape_i(pred_p, exp_p) -> float:
@@ -70,7 +82,7 @@ class _Columns:
     """The evaluated points as arrays, and their components: each one's
     rows, point count and score, in order of first appearance."""
 
-    p_pred: np.ndarray
+    ln_p_pred: np.ndarray
     p_exp: np.ndarray
     temperature: np.ndarray
     ape: np.ndarray
@@ -86,7 +98,8 @@ def _columns(points: list[PredPoint]) -> _Columns:
     p_exp = np.array([pt.p_exp_pa for pt in points])
     apes = ape_i_array(p_pred, p_exp)
     groups = _groups(pt.component_id for pt in points)
-    return _Columns(p_pred, p_exp, np.array([pt.temperature_k for pt in points]),
+    return _Columns(np.array([pt.ln_p_pred_kpa for pt in points]), p_exp,
+                    np.array([pt.temperature_k for pt in points]),
                     apes, groups, np.array([r.size for r in groups.values()]),
                     np.array([ape_c(apes[r]) for r in groups.values()]))
 
@@ -107,13 +120,12 @@ class EvalReport:
         return data
 
 
-def summarize(points: list[PredPoint],
-              min_k_filters=DEFAULT_MIN_K_FILTERS) -> EvalReport:
+def summarize(points: list[PredPoint]) -> EvalReport:
     """Dataset scores: MAE/MSE on ln(p/kPa), median point APE, and median
-    component APE restricted to components with at least K points."""
+    component APE over components with at least K points, K in MIN_K_FILTERS."""
     cols = _columns(points)
-    diff = np.log(cols.p_pred / PA_PER_KPA) - np.log(cols.p_exp / PA_PER_KPA)
-    eligible = {k: cols.scores[cols.sizes >= k] for k in min_k_filters}
+    diff = cols.ln_p_pred - np.log(cols.p_exp / PA_PER_KPA)
+    eligible = {k: cols.scores[cols.sizes >= k] for k in MIN_K_FILTERS}
     return EvalReport(
         mae=float(np.abs(diff).mean()),
         mse=float((diff ** 2).mean()),
@@ -164,38 +176,32 @@ class BinnedReports:
         return asdict(self)
 
 
-def binned_reports(points: list[PredPoint],
-                   pressure_edges_pa=DEFAULT_PRESSURE_EDGES_PA,
-                   temperature_edges_k=DEFAULT_TEMPERATURE_EDGES_K,
-                   mol_weight_edges=DEFAULT_MOL_WEIGHT_EDGES,
-                   min_points_levels=DEFAULT_MIN_POINTS_LEVELS) -> BinnedReports:
+def binned_reports(points: list[PredPoint]) -> BinnedReports:
     """Boxplot-style tables: point APE by pressure and temperature interval,
     component APE by molecular weight and by minimum point count."""
     cols = _columns(points)
     weights = np.array([points[r[0]].mol_weight for r in cols.groups.values()])
     return BinnedReports(
-        pressure=_interval_table(cols.p_exp, cols.ape, pressure_edges_pa),
-        temperature=_interval_table(cols.temperature, cols.ape, temperature_edges_k),
-        mol_weight=_interval_table(weights, cols.scores, mol_weight_edges),
+        pressure=_interval_table(cols.p_exp, cols.ape, PRESSURE_EDGES_PA),
+        temperature=_interval_table(cols.temperature, cols.ape, TEMPERATURE_EDGES_K),
+        mol_weight=_interval_table(weights, cols.scores, MOL_WEIGHT_EDGES),
         min_points=[_bin_row({"min_points": level}, cols.sizes >= level, cols.scores)
-                    for level in min_points_levels],
+                    for level in MIN_POINTS_LEVELS],
     )
 
 
-def hexbin_grid(points: list[PredPoint], t_step_k: float = 25.0,
-                ln_p_step: float = 1.0,
-                clip_percent: float = HEXBIN_CLIP_PERCENT) -> list[dict]:
+def hexbin_grid(points: list[PredPoint]) -> list[dict]:
     """Median point APE on a temperature x ln-pressure grid, clipped for
     display; rows are (T_center, lnp_center, MAPE_i, count)."""
     if not points:
         return []
     cols = _columns(points)
-    t_idx = np.floor(cols.temperature / t_step_k).astype(int)
-    p_idx = np.floor(np.log(cols.p_exp / PA_PER_KPA) / ln_p_step).astype(int)
+    t_idx = np.floor(cols.temperature / HEXBIN_T_STEP_K).astype(int)
+    p_idx = np.floor(np.log(cols.p_exp / PA_PER_KPA) / HEXBIN_LN_P_STEP).astype(int)
     cells = _groups(zip(t_idx.tolist(), p_idx.tolist()))
-    return [{"T_center": (ti + 0.5) * t_step_k,
-             "lnp_center": (pi + 0.5) * ln_p_step,
-             "MAPE_i": min(float(np.median(cols.ape[r])), clip_percent),
+    return [{"T_center": (ti + 0.5) * HEXBIN_T_STEP_K,
+             "lnp_center": (pi + 0.5) * HEXBIN_LN_P_STEP,
+             "MAPE_i": min(float(np.median(cols.ape[r])), HEXBIN_CLIP_PERCENT),
              "count": r.size}
             for (ti, pi), r in sorted(cells.items())]
 
@@ -214,19 +220,17 @@ class BoilingReport:
 
 
 def boiling_point_eval(params_by_component: dict[str, AntoineParams],
-                       points: list[PredPoint],
-                       window_kpa=(99.0, 102.0),
-                       min_points: int = 2) -> BoilingReport:
-    """Normal-boiling-point check: take each component's points inside the
-    ambient-pressure window, average duplicates, and invert the predicted
+                       points: list[PredPoint]) -> BoilingReport:
+    """Normal-boiling-point check: take each component's points inside
+    :data:`BOILING_WINDOW_KPA`, average duplicates, and invert the predicted
     curve at the mean pressure."""
     if not points:
         return BoilingReport([], float("nan"), float("nan"), 0)
     cols = _columns(points)
     rows = []
-    lo_pa, hi_pa = (bound * PA_PER_KPA for bound in window_kpa)
+    lo_pa, hi_pa = (bound * PA_PER_KPA for bound in BOILING_WINDOW_KPA)
     for component, idx in sorted(cols.groups.items()):
-        if idx.size < min_points or component not in params_by_component:
+        if idx.size < BOILING_MIN_POINTS or component not in params_by_component:
             continue
         near = idx[(cols.p_exp[idx] >= lo_pa) & (cols.p_exp[idx] <= hi_pa)]
         if not near.size:

@@ -20,7 +20,7 @@ from .antoine import (
     PA_PER_KPA,
     PARAM_RANGES,
     AntoineParams,
-    antoine,
+    _ln_p_kpa,
     boiling_temperature,
     ln_vapor_pressure,
 )
@@ -45,6 +45,8 @@ EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
 # Molecules per inference forward. It bounds the forward's transient memory
 # and changes no output: a molecule gets the same bytes in any batch.
 INFER_CHUNK = 256
+# Arch keys of older checkpoints and configs, accepted at these widths only.
+_FEATURE_WIDTHS = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES}
 
 
 @dataclass
@@ -55,14 +57,12 @@ class Architecture:
     pooling: str = "interaction"
     hidden_layers: int = 3
     hidden_width: int = 16
-    node_features: int = NODE_FEATURES
-    edge_features: int = EDGE_FEATURES
     param_ranges: dict = field(default_factory=lambda: {k: list(v) for k, v in PARAM_RANGES.items()})
     count_scale: list | None = None  # (mean_d, std_d, mean_a, std_a), optional
 
     def validate(self):
         for key in ("gat_layers", "heads", "embed_dim", "hidden_layers",
-                    "hidden_width", "node_features", "edge_features"):
+                    "hidden_width"):
             value = getattr(self, key)
             if not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"arch {key} must be an integer, got {value!r}")
@@ -74,9 +74,6 @@ class Architecture:
             raise ValueError("hidden_layers must be >= 1")
         if self.embed_dim < 1 or self.hidden_width < 1:
             raise ValueError("embed_dim and hidden_width must be >= 1")
-        if (self.node_features, self.edge_features) != (NODE_FEATURES, EDGE_FEATURES):
-            raise ValueError(f"node_features and edge_features must be the "
-                             f"featurizer's {NODE_FEATURES} and {EDGE_FEATURES}")
         if self.pooling not in ("sum", "interaction"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
         ranges = self.param_ranges
@@ -107,10 +104,17 @@ class Architecture:
     def from_dict(cls, data: dict) -> "Architecture":
         if not isinstance(data, dict):
             raise ValueError(f"arch must be an object, got {type(data).__name__}")
-        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
+        unknown = sorted(data.keys() - {f.name for f in fields(cls)}
+                         - _FEATURE_WIDTHS.keys())
         if unknown:
             raise ValueError(f"unknown arch keys: {unknown}")
-        return cls(**data).validate()
+        for key, width in _FEATURE_WIDTHS.items():
+            value = data.get(key, width)
+            if type(value) is not int or value != width:
+                raise ValueError(f"node_features and edge_features must be the "
+                                 f"featurizer's {NODE_FEATURES} and {EDGE_FEATURES}")
+        return cls(**{key: value for key, value in data.items()
+                      if key not in _FEATURE_WIDTHS}).validate()
 
 
 def _is_finite_number(value) -> bool:
@@ -173,11 +177,11 @@ def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None]]:
     order :func:`init_model` draws them; a ``None`` fill is a Glorot draw."""
     d, w = arch.embed_dim, arch.hidden_width
     specs = []
-    in_dim = arch.node_features
+    in_dim = NODE_FEATURES
     for li in range(arch.gat_layers):
         for hi in range(arch.heads):
             specs += [(f"gat.{li}.{hi}.theta_v", (in_dim, d), None),
-                      (f"gat.{li}.{hi}.theta_e", (arch.edge_features, d), None),
+                      (f"gat.{li}.{hi}.theta_e", (EDGE_FEATURES, d), None),
                       (f"gat.{li}.{hi}.att", (d,), None)]
         in_dim = d
     if arch.pooling == "interaction":
@@ -305,15 +309,16 @@ def prepare_components(dataset, split: str | None = None) -> Components:
                            [len(group) for _, group in groups]))
 
 
-def predict_components(model: GrappaModel,
-                       comps: Components) -> tuple[np.ndarray, np.ndarray]:
-    """(M, 3) rows of A, B, C and the predicted pressure in Pa at every
-    point, from inference forwards of at most :data:`INFER_CHUNK` molecules;
-    points off a curve's valid branch get an infinite pressure."""
+def predict_components(model: GrappaModel, comps: Components
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(M, 3) rows of A, B, C, and the predicted ln(p/kPa) and pressure in Pa
+    at every point, from inference forwards of at most :data:`INFER_CHUNK`
+    molecules; points off a curve's valid branch get an infinite pressure."""
     rows = np.concatenate([np.empty((0, 3))] + [
         forward_antoine(model, comps.graphs[i : i + INFER_CHUNK]).data
         for i in range(0, len(comps.graphs), INFER_CHUNK)])
-    return rows, antoine(*rows[comps.molecule].T, comps.temperatures)
+    ln_p = _ln_p_kpa(*rows[comps.molecule].T, comps.temperatures)[0]
+    return rows, ln_p, np.exp(ln_p) * PA_PER_KPA
 
 
 @dataclass(frozen=True)
@@ -352,15 +357,17 @@ def predict_dataset(model: GrappaModel, dataset, split: str | None = None):
     from .metrics import PredPoint
 
     comps = prepare_components(dataset, split)
-    rows, p_pred = predict_components(model, comps)
+    rows, ln_p, p_pred = predict_components(model, comps)
     params_by_component = {name: AntoineParams(*row)
                            for name, row in zip(comps.names, rows.tolist())}
     pred_points = [
         PredPoint(component_id=comps.names[m], temperature_k=t, p_exp_pa=p,
-                  p_pred_pa=q, mol_weight=comps.graphs[m].mol_weight)
-        for m, t, p, q in zip(comps.molecule.tolist(),
-                              comps.temperatures.tolist(),
-                              comps.pressures_pa.tolist(), p_pred.tolist())]
+                  p_pred_pa=q, mol_weight=comps.graphs[m].mol_weight,
+                  ln_p_pred_kpa=ln)
+        for m, t, p, q, ln in zip(comps.molecule.tolist(),
+                                  comps.temperatures.tolist(),
+                                  comps.pressures_pa.tolist(), p_pred.tolist(),
+                                  ln_p.tolist())]
     return pred_points, params_by_component
 
 

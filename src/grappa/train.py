@@ -208,22 +208,25 @@ def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
 
 # ------------------------------------------------------------------ schedules
 
-def one_cycle_peak_step(total_steps: int, pct_start: float = 0.3) -> float:
-    return pct_start * (total_steps - 1)
+ONE_CYCLE_PCT_START = 0.3
+ONE_CYCLE_DIV_FACTOR = 25.0
+ONE_CYCLE_FINAL_DIV_FACTOR = 1e4
 
 
-def one_cycle_lr(step: float, total_steps: int, max_lr: float,
-                 pct_start: float = 0.3, div_factor: float = 25.0,
-                 final_div_factor: float = 1e4) -> float:
-    """Cosine warm-up to ``max_lr`` over the first 30% of steps, then cosine
-    anneal down to ``max_lr / final_div_factor``."""
+def one_cycle_peak_step(total_steps: int) -> float:
+    return ONE_CYCLE_PCT_START * (total_steps - 1)
+
+
+def one_cycle_lr(step: float, total_steps: int, max_lr: float) -> float:
+    """Cosine warm-up from ``max_lr / 25`` to ``max_lr`` over the first 30%
+    of steps, then cosine anneal down to ``max_lr / 1e4``."""
     if total_steps <= 0:
         raise ValueError("total_steps must be positive")
     if total_steps == 1:
         return max_lr
-    start = max_lr / div_factor
-    final = max_lr / final_div_factor
-    peak = one_cycle_peak_step(total_steps, pct_start)
+    start = max_lr / ONE_CYCLE_DIV_FACTOR
+    final = max_lr / ONE_CYCLE_FINAL_DIV_FACTOR
+    peak = one_cycle_peak_step(total_steps)
     s = min(max(float(step), 0.0), float(total_steps - 1))
     if s <= peak:
         if peak == 0:
@@ -280,7 +283,7 @@ def _batch_loss(model: GrappaModel, comps: Components, kind: str,
 def validation_mape_i(model: GrappaModel, comps: Components) -> float:
     """Median absolute percentage error over all validation points; points on
     a curve's invalid branch (C + T <= 0) count as infinite error."""
-    _, p_pred = predict_components(model, comps)
+    _, _, p_pred = predict_components(model, comps)
     return float(np.median(ape_i_array(p_pred, comps.pressures_pa)))
 
 

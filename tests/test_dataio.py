@@ -228,11 +228,12 @@ def test_stacked_fit_matches_one_start_at_a_time(problem):
     assert_fit_bytes_equal(robust_antoine_fit(t, p), reference_antoine_fit(t, p))
 
 
-def test_stacked_fit_matches_on_the_narrowed_c_box_and_small_budgets():
+def test_stacked_fit_matches_on_the_narrowed_c_box_and_small_budgets(monkeypatch):
     t = np.array([252.0, 260.0, 275.0, 290.0])  # C >= -251
     p = np.exp(9.0 - 2000.0 / (t - 40.0)) * 1000.0
     for max_iter in (0, 1, 2, 5, 200):
-        assert_fit_bytes_equal(robust_antoine_fit(t, p, max_iter=max_iter),
+        monkeypatch.setattr(dataio, "FIT_MAX_ITER", max_iter)
+        assert_fit_bytes_equal(robust_antoine_fit(t, p),
                                reference_antoine_fit(t, p, max_iter=max_iter))
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -59,6 +60,27 @@ def test_mae_mse_work_on_ln_kpa():
     report = summarize(points)
     assert report.mae == pytest.approx(1.0)
     assert report.mse == pytest.approx(1.0)
+
+
+def test_mae_mse_stay_finite_when_a_pressure_underflows():
+    # A curve far below the data: its pressure underflows to 0 Pa on the
+    # colder points, but its ln p stays finite.
+    temps = np.array([300.0, 350.0, 400.0])
+    ln_p = 5.0 - 6000.0 / (-299.0 + temps)
+    p_pred = np.exp(ln_p) * 1000.0
+    assert p_pred[0] == 0.0
+    points = [PredPoint("a", t, 1000.0, p, 100.0, ln_p_pred_kpa=ln)
+              for t, p, ln in zip(temps.tolist(), p_pred.tolist(), ln_p.tolist())]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = summarize(points)
+    assert report.mae == pytest.approx(np.abs(ln_p).mean())
+    assert report.mse == pytest.approx((ln_p ** 2).mean())
+    assert report.mape_i == 100.0
+
+
+def test_point_ln_p_defaults_to_log_of_pressure():
+    assert mk("a", 1000.0, 1000.0 * math.e).ln_p_pred_kpa == pytest.approx(1.0)
 
 
 def test_median_of_two_components():
@@ -122,13 +144,17 @@ def test_summarize_rejects_empty():
 
 # -------------------------------------------------------------------- binning
 
+def _row_from(rows, lo):
+    return next(row for row in rows if row["lo"] == lo)
+
+
 def test_single_bin_holds_everything():
+    # All points sit in the 100-1000 Pa decade and the 300-350 K interval.
     points = [mk("a", 150.0, 180.0, t=300.0 + i) for i in range(10)]
-    reports = binned_reports(points, pressure_edges_pa=(1.0, 1e7),
-                             temperature_edges_k=(250.0, 600.0))
-    assert len(reports.pressure) == 1
-    row = reports.pressure[0]
-    assert row["count"] == 10
+    reports = binned_reports(points)
+    for rows, lo in ((reports.pressure, 100.0), (reports.temperature, 300.0)):
+        assert sum(row["count"] for row in rows) == _row_from(rows, lo)["count"] == 10
+    row = _row_from(reports.pressure, 100.0)
     assert row["pct"] == pytest.approx(100.0)
     assert row["median"] == pytest.approx(20.0)
 
@@ -148,9 +174,7 @@ def test_quartiles_match_sort_based_oracle():
         sample = rng.uniform(0, 50, size=rng.integers(2, 30))
         points = [mk("a", 100.0, 100.0 * (1 + s / 100.0), t=300.0)
                   for s in sample]
-        reports = binned_reports(points, pressure_edges_pa=(1.0, 1e7),
-                                 temperature_edges_k=(250.0, 600.0))
-        row = reports.pressure[0]
+        row = _row_from(binned_reports(points).pressure, 100.0)
         assert row["q1"] == pytest.approx(sorted_percentile(sample, 25), abs=1e-9)
         assert row["median"] == pytest.approx(sorted_percentile(sample, 50), abs=1e-9)
         assert row["q3"] == pytest.approx(sorted_percentile(sample, 75), abs=1e-9)
@@ -159,9 +183,7 @@ def test_quartiles_match_sort_based_oracle():
 def test_whiskers_follow_iqr_fences():
     sample = [1.0, 2.0, 3.0, 4.0, 100.0]  # 100 is outside the upper fence
     points = [mk("a", 100.0, 100.0 * (1 + s / 100.0), t=300.0) for s in sample]
-    reports = binned_reports(points, pressure_edges_pa=(1.0, 1e7),
-                             temperature_edges_k=(250.0, 600.0))
-    row = reports.pressure[0]
+    row = _row_from(binned_reports(points).pressure, 100.0)
     assert row["whisker_hi"] == pytest.approx(4.0)
     assert row["whisker_lo"] == pytest.approx(1.0)
 
@@ -179,16 +201,16 @@ def test_min_points_rows_are_cumulative():
 def test_mol_weight_table_groups_components():
     points = [mk("light", 100.0, 120.0, mw=80.0),
               mk("heavy", 100.0, 150.0, mw=320.0)]
-    reports = binned_reports(points,
-                             mol_weight_edges=(0.0, 100.0, float("inf")))
-    assert [row["count"] for row in reports.mol_weight] == [1, 1]
+    # 80 falls in [0, 100) and 320 in [300, 400).
+    reports = binned_reports(points)
+    assert [row["count"] for row in reports.mol_weight] == [1, 0, 0, 0, 0, 1, 0]
 
 
 def test_hexbin_grid_cells():
     points = [mk("a", 1000.0, 1100.0, t=260.0),
               mk("a", 1000.0, 1100.0, t=262.0),
               mk("b", 1000.0, 5000.0, t=400.0)]
-    rows = hexbin_grid(points, t_step_k=25.0, ln_p_step=1.0)
+    rows = hexbin_grid(points)
     assert len(rows) == 2
     first = rows[0]
     assert first["count"] == 2
@@ -208,9 +230,9 @@ def test_boiling_eval_window_and_averaging():
     params = {"a": AntoineParams(10.0, 2000.0, -50.0)}
     t_b = 2000.0 / (10.0 - math.log(100.0)) + 50.0  # exact at 100 kPa
     points = [
-        mk("a", 100_000.0, 0.0, t=t_b - 1.0),
-        mk("a", 100_000.0, 0.0, t=t_b + 1.0),
-        mk("a", 5_000.0, 0.0, t=250.0),  # outside the window
+        mk("a", 100_000.0, 1.0, t=t_b - 1.0),
+        mk("a", 100_000.0, 1.0, t=t_b + 1.0),
+        mk("a", 5_000.0, 1.0, t=250.0),  # outside the window
     ]
     report = boiling_point_eval(params, points)
     assert report.n_components == 1
@@ -222,7 +244,7 @@ def test_boiling_eval_window_and_averaging():
 
 def test_boiling_eval_skips_single_point_components():
     params = {"a": AntoineParams(10.0, 2000.0, -50.0)}
-    points = [mk("a", 100_000.0, 0.0, t=400.0)]
+    points = [mk("a", 100_000.0, 1.0, t=400.0)]
     report = boiling_point_eval(params, points)
     assert report.n_components == 0
     assert math.isnan(report.mae_k)
@@ -230,6 +252,6 @@ def test_boiling_eval_skips_single_point_components():
 
 def test_boiling_eval_requires_window_points():
     params = {"a": AntoineParams(10.0, 2000.0, -50.0)}
-    points = [mk("a", 5000.0, 0.0, t=300.0), mk("a", 6000.0, 0.0, t=310.0)]
+    points = [mk("a", 5000.0, 1.0, t=300.0), mk("a", 6000.0, 1.0, t=310.0)]
     report = boiling_point_eval(params, points)
     assert report.rows == []

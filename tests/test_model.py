@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import grappa.gnn
 import grappa.model
+from grappa.antoine import _ln_p_kpa, antoine
 from grappa.featurize import featurize
 from grappa.gnn import attention_scores
 from grappa.model import (
@@ -226,12 +227,14 @@ def test_checkpoint_roundtrip_restores_random_models_bytewise(
 
 def _as_format_1(doc: dict) -> dict:
     """The document as format 1 wrote it: flat ``values`` lists, decoded
-    here from the documented little-endian float64 base64 layout."""
+    here from the documented little-endian float64 base64 layout, and the
+    featurizer's widths in ``arch``."""
     params = {}
     for name, entry in doc["params"].items():
         flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
         params[name] = {"shape": entry["shape"], "values": flat.tolist()}
-    return {**doc, "format_version": 1, "params": params}
+    arch = {**doc["arch"], "node_features": 24, "edge_features": 9}
+    return {**doc, "format_version": 1, "arch": arch, "params": params}
 
 
 @pytest.mark.parametrize("pooling", ["sum", "interaction"])
@@ -241,6 +244,14 @@ def test_checkpoint_reads_format_1_values_lists(pooling):
         arr.flat[0] = -0.0
     doc = json.loads(json.dumps(_as_format_1(to_checkpoint(model))))
     assert _same_bytes(model, model_from_checkpoint(doc))
+
+
+def test_checkpoint_accepts_the_featurizer_widths_of_older_documents():
+    model = init_model(Architecture(), seed=3)
+    doc = to_checkpoint(model)
+    assert not {"node_features", "edge_features"} & doc["arch"].keys()
+    old = _arch(doc, node_features=24, edge_features=9)
+    assert _same_bytes(model, model_from_checkpoint(old))
 
 
 def test_two_saves_of_a_model_are_identical(tmp_path):
@@ -299,6 +310,10 @@ BAD_CHECKPOINTS = {
     "embed_dim as float": (lambda d: _arch(d, embed_dim=32.0), "embed_dim"),
     "node_features off the featurizer": (lambda d: _arch(d, node_features=10),
                                          "node_features"),
+    "edge_features off the featurizer": (lambda d: _arch(d, edge_features=10),
+                                         "edge_features"),
+    "node_features as float": (lambda d: _arch(d, node_features=24.0),
+                               "node_features"),
     "param_ranges missing C": (lambda d: _arch(
         d, param_ranges={"A": [5.0, 20.0], "B": [1500.0, 6000.0]}),
         "param_ranges"),
@@ -426,12 +441,16 @@ def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
         one = predict(model, groups[component][0].smiles).params
         assert np.array(one.as_tuple()).tobytes() \
             == np.array(row.as_tuple()).tobytes()
-    # Each component's curve, evaluated alone as the per-component loop did.
+    # Each component's curve, evaluated alone as the per-component loop did;
+    # every point also carries the curve's ln(p/kPa) itself.
     for component, group in groups.items():
         temps = np.array([pt.temperature_k for pt in group])
-        alone = grappa.model.antoine(*params[component].as_tuple(), temps)
+        alone = antoine(*params[component].as_tuple(), temps)
         got = [pt.p_pred_pa for pt in points if pt.component_id == component]
         assert np.array(got).tobytes() == alone.tobytes()
+        ln_p = [pt.ln_p_pred_kpa for pt in points if pt.component_id == component]
+        assert np.array(ln_p).tobytes() \
+            == _ln_p_kpa(*params[component].as_tuple(), temps)[0].tobytes()
 
 
 def test_attention_scores_work_on_model_layers():
@@ -440,3 +459,19 @@ def test_attention_scores_work_on_model_layers():
     scores = attention_scores(graph, model.gat)
     assert scores.shape == (4,)
     assert ((scores >= 0) & (scores <= 1)).all()
+
+
+def test_attention_scores_record_no_tape(monkeypatch):
+    model = init_model(Architecture(), seed=5)
+    outputs = []
+    real_forward = grappa.gnn.gat_forward
+
+    def spy(x, batch, layer):
+        out, attentions = real_forward(x, batch, layer)
+        outputs.append(out)
+        return out, attentions
+
+    monkeypatch.setattr(grappa.gnn, "gat_forward", spy)
+    attention_scores(featurize(parse_smiles("CC(=O)O")), model.gat)
+    assert len(outputs) == model.arch.gat_layers
+    assert not any(out.requires_grad for out in outputs)
