@@ -5,7 +5,9 @@ attention logit for an edge is ``att . LeakyReLU(W x_i + W x_j + We e_ij)``
 softmax-normalized over the neighborhood, and multi-head outputs are
 averaged so the embedding width stays fixed. Self-loops carry a zero edge
 feature vector. A batch of molecules runs as one disjoint graph; the
-softmax over each node's neighborhood keeps the molecules apart.
+softmax over each node's neighborhood keeps the molecules apart. A layer
+runs all its heads as one tape op, ``tensor.gat_layer_sum``, while its
+weights stay per-head tensors.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import EDGE_FEATURES, MolGraph
-from .tensor import (Tensor, _scatter_sum, add, edge_attention_sum, matmul,
-                     recording, scale)
+from .tensor import ScatterPlan, Tensor, gat_layer_sum, recording
 
 LEAKY_SLOPE = 0.2
 
@@ -55,15 +56,25 @@ class GraphBatch:
     Bond edges are offset per molecule and followed by one self-loop per
     node (zero edge features), so every node sums its messages in the same
     order as it would alone. ``molecule`` maps nodes to their molecule, whose
-    rows are ``bounds[m]:bounds[m + 1]``.
+    rows are ``bounds[m]:bounds[m + 1]``. ``plan`` holds the edges' ends
+    and the scatter indices that every layer and its VJP share.
     """
 
     node_features: np.ndarray  # (N, node_dim)
-    dst: np.ndarray  # (E + N,) receiving node of each edge
-    src: np.ndarray  # (E + N,) sending node of each edge
     edge_features: np.ndarray  # (E + N, edge_dim)
     molecule: np.ndarray  # (N,)
     bounds: np.ndarray  # (M + 1,)
+    plan: ScatterPlan
+
+    @property
+    def dst(self) -> np.ndarray:
+        """(E + N,) receiving node of each edge."""
+        return self.plan.dst
+
+    @property
+    def src(self) -> np.ndarray:
+        """(E + N,) sending node of each edge."""
+        return self.plan.src
 
     @property
     def num_nodes(self) -> int:
@@ -85,17 +96,17 @@ def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
     edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, bounds)])
     return GraphBatch(
         node_features=np.concatenate([g.node_features for g in graphs]),
-        dst=np.concatenate([edges[:, 0], loops]),
-        src=np.concatenate([edges[:, 1], loops]),
         edge_features=np.concatenate([g.edge_features for g in graphs]
                                      + [np.zeros((n, EDGE_FEATURES))]),
         molecule=np.repeat(np.arange(len(graphs)), sizes),
         bounds=bounds,
+        plan=ScatterPlan(np.concatenate([edges[:, 0], loops]),
+                         np.concatenate([edges[:, 1], loops]), n),
     )
 
 
 def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer):
-    """Run one layer: returns the (N, out_dim) update and the per-head
+    """Run one layer: returns the (N, out_dim) update and the (E, H)
     attention weights over ``batch.dst``/``batch.src``."""
     n = batch.num_nodes
     if x.shape[0] != n:
@@ -103,23 +114,8 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer):
     if x.shape[1] != layer.in_dim:
         raise ValueError(f"embedding width {x.shape[1]} != layer input "
                          f"{layer.in_dim}")
-    feats_t = Tensor(batch.edge_features)
-
-    head_outputs = []
-    attentions = []
-    for head in range(layer.heads):
-        out, alpha = edge_attention_sum(
-            matmul(x, layer.theta_v[head]), matmul(feats_t, layer.theta_e[head]),
-            layer.att[head], batch.dst, batch.src, n, LEAKY_SLOPE)
-        head_outputs.append(out)
-        attentions.append(alpha)
-
-    out = head_outputs[0]
-    for extra in head_outputs[1:]:
-        out = add(out, extra)
-    if layer.heads > 1:
-        out = scale(out, 1.0 / layer.heads)
-    return out, attentions
+    return gat_layer_sum(x, batch.edge_features, layer.theta_v, layer.theta_e,
+                         layer.att, batch.plan, LEAKY_SLOPE)
 
 
 def encode(batch: GraphBatch, layers: list[GatLayer]) -> Tensor:
@@ -140,11 +136,13 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     batch = batch_graphs([graph])
     with recording(False):
         x = encode(batch, layers[:-1])
-        _, attentions = gat_forward(x, batch, layers[-1])
-    n = batch.num_nodes
-    src = np.tile(batch.src, len(attentions))
-    totals = _scatter_sum(src, np.concatenate(attentions), n)
-    scores = totals / np.bincount(src, minlength=n)
+        _, alpha = gat_forward(x, batch, layers[-1])
+    n, heads = batch.num_nodes, alpha.shape[1]
+    # Each node's outgoing weights, added head by head in edge order.
+    totals = np.zeros(n)
+    for weights in alpha.T:
+        np.add.at(totals, batch.src, weights)
+    scores = totals / (heads * np.bincount(batch.src, minlength=n))
     lo, hi = scores.min(), scores.max()
     if hi - lo < 1e-15:
         return np.ones(n)

@@ -10,19 +10,27 @@ immediately, which keeps training divergence diagnosable. The check is one
 ``np.isfinite(data).all()`` per op; testing the sum first is no faster and
 warns when finite values overflow.
 
-Every scatter (``segment_sum``, the ``gather_rows`` VJP, the softmax
-denominators and sums of ``edge_attention_sum`` and its VJP) is one
+Every scatter (``segment_sum``, the ``gather_rows`` VJP, and the softmax
+denominators and sums of ``gat_layer_sum`` and its VJP) is one
 ``np.bincount`` call, which adds in input order as ``np.add.at`` does but
 without its per-element overhead, so sums are bitwise those of the plain
-loop. Segment maxima come from a stable sort and ``np.maximum.reduceat``.
+loop. ``gat_layer_sum`` runs a whole attention layer, every head at once, as
+one op on (E, H, d) edge arrays; its outputs and gradients are the bytes of
+the same heads run as separate ops. It scatters through the
+:class:`ScatterPlan` of its graph batch, built once per batch: the stable
+``dst`` order and its segment starts, so one ``np.maximum.reduceat`` takes
+the segment maxima, and the flat ``dst * w + col`` and ``src * w + col``
+indices, each built at the first scatter of its width ``w`` and kept. No
+later layer or VJP sorts or builds an index again.
 ``backward`` stores the first gradient that reaches a tensor as a fresh
 array and adds later ones to it in place, so no two tensors share a
 gradient buffer.
 
 Inside ``recording(False)`` ops record no tape, so an inference forward
 frees each intermediate once it is read. Forwards are batch-invariant: an
-output row is the same bytes whatever rows run beside it (see ``matmul``
-and the ``einsum`` edge logits; ``tests/test_tensor.py`` pins the BLAS).
+output row is the same bytes whatever rows run beside it (see
+``_row_invariant_product`` and the ``einsum`` edge logits;
+``tests/test_tensor.py`` pins the BLAS).
 """
 
 from __future__ import annotations
@@ -168,6 +176,52 @@ def _scatter_sum(index: np.ndarray, values: np.ndarray,
     return out
 
 
+class ScatterPlan:
+    """Where each edge of a graph sends its values, built once per graph.
+
+    Edge ``k`` runs from node ``src[k]`` to node ``dst[k]``, and every node
+    has an incoming edge. ``order`` sorts the edges stably by ``dst`` and
+    ``starts`` opens each node's run in that order, so one
+    ``np.maximum.reduceat`` takes every node's maximum. ``scatter`` sums an
+    edge array onto the nodes in one ``np.bincount`` through the flat index
+    ``dst * w + col`` (or ``src * w + col``) for its ``w`` values per edge;
+    each index is built the first time its width is scattered and kept for
+    every later layer and VJP.
+    """
+
+    __slots__ = ("dst", "src", "num_nodes", "order", "starts", "_flat")
+
+    def __init__(self, dst, src, num_nodes: int):
+        dst = np.asarray(dst, dtype=np.int64)
+        src = np.asarray(src, dtype=np.int64)
+        if dst.ndim != 1 or src.shape != dst.shape:
+            raise ShapeError(f"edge ends {dst.shape} and {src.shape} must be "
+                             f"vectors of one length")
+        if dst.size and (min(dst.min(), src.min()) < 0
+                         or max(dst.max(), src.max()) >= num_nodes):
+            raise IndexError(f"edge node id out of range for {num_nodes} nodes")
+        incoming = np.bincount(dst, minlength=num_nodes)
+        if num_nodes < 1 or not incoming.all():
+            raise ShapeError("every node needs an incoming edge")
+        self.dst, self.src, self.num_nodes = dst, src, num_nodes
+        self.order = np.argsort(dst, kind="stable")
+        self.starts = np.cumsum(incoming) - incoming
+        self._flat: dict[tuple[bool, int], np.ndarray] = {}
+
+    def scatter(self, values: np.ndarray, by_src: bool = False) -> np.ndarray:
+        """Sum an (E, ...) edge array onto each edge's ``dst`` node (or its
+        ``src`` node), adding in edge order: (E, ...) -> (N, ...)."""
+        width = values[0].size
+        flat = self._flat.get((by_src, width))
+        if flat is None:
+            ends = self.src if by_src else self.dst
+            flat = (ends[:, None] * width + np.arange(width)).ravel()
+            self._flat[by_src, width] = flat
+        out = np.bincount(flat, weights=values.ravel(),
+                          minlength=self.num_nodes * width)
+        return out.reshape((self.num_nodes,) + values.shape[1:])
+
+
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     if grad.shape == shape:
         return grad
@@ -211,26 +265,28 @@ def mul(a, b) -> Tensor:
     return _make(out, (a, b), vjp)
 
 
-def scale(a, c: float) -> Tensor:
-    a = _t(a)
-    c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
+def _row_invariant_product(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
+    """``a @ [b_0 | b_1 | ...]`` for (M, K) ``a`` and (K, n_i) blocks. A
+    1-row ``a`` runs as 2 rows and the columns are padded with zeros to a
+    multiple of 16: the shapes on which the BLAS gives each row the same
+    bytes whatever M is, and each block's columns the bytes of its own
+    product."""
+    m, n = len(a), sum(b.shape[1] for b in blocks)
+    left = np.concatenate([a, a]) if m == 1 else a
+    pad = [np.zeros((len(blocks[0]), -n % 16))] if n % 16 else []  # np.pad is ~20x slower here
+    right = np.concatenate(blocks + pad, axis=1) if len(blocks) > 1 or pad \
+        else blocks[0]
+    return (left @ right)[:m, :n]
 
 
 def matmul(a, b) -> Tensor:
-    """(M, K) @ (K, N). The forward runs a 1-row ``a`` as 2 rows and pads
-    ``b`` with zero columns to a multiple of 16, the shapes on which the
-    BLAS gives each row the same bytes whatever M is."""
+    """(M, K) @ (K, N), row-invariant (see ``_row_invariant_product``)."""
     a, b = _t(a), _t(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    (m, _), (_, n) = a.shape, b.shape
-    left = np.concatenate([a.data, a.data]) if m == 1 else a.data
-    pad = np.zeros((len(b.data), -n % 16))  # np.pad is ~20x slower here
-    right = np.concatenate([b.data, pad], axis=1) if n % 16 else b.data
-    out = np.ascontiguousarray((left @ right)[:m, :n])
+    out = np.ascontiguousarray(_row_invariant_product(a.data, [b.data]))
 
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
@@ -298,57 +354,92 @@ def segment_sum(a, segments, num_segments: int) -> Tensor:
 
 # ------------------------------------------------------------------ attention
 
-def edge_attention_sum(xv, edge_term, att, dst, src, num_nodes: int,
-                       slope: float):
-    """One GATv2 head: attention over each node's incoming edges, summed.
+def gat_layer_sum(x, edge_features: np.ndarray, theta_v, theta_e, att,
+                  plan: ScatterPlan, slope: float):
+    """One GATv2 layer, all heads at once: attention over each node's
+    incoming edges, summed, then averaged over the heads.
 
-    Edge ``k`` sends row ``src[k]`` of ``xv`` to node ``dst[k]``; its logit
-    is ``att . LeakyReLU(xv[dst] + xv[src] + edge_term)``, softmax-normalized
-    over the edges that share a ``dst``, and node ``i`` receives the
-    weighted sum of the rows sent to it. Shapes: (N, d), (E, d), (d,) ->
-    (N, d). Returns the output tensor and the (E,) weights as an array.
+    Head ``h`` projects ``xv = x @ theta_v[h]`` and ``et = edge_features @
+    theta_e[h]``. Edge ``k`` of ``plan`` sends row ``src[k]`` of ``xv`` to
+    node ``dst[k]``; its logit is ``att[h] . LeakyReLU(xv[dst] + xv[src] +
+    et[k])``, softmax-normalized over the edges that share a ``dst``, and
+    node ``i`` receives the weighted sum of the rows sent to it. The heads'
+    sums are added in head order and divided by H. Shapes: (N, in),
+    (E, edge_dim), H x (in, d), H x (edge_dim, d), H x (d,) -> (N, d).
+    Returns the output tensor and the (E, H) weights as an array; the edge
+    features are a constant.
     """
-    xv, edge_term, att = _t(xv), _t(edge_term), _t(att)
-    dst = np.asarray(dst, dtype=np.int64)
-    src = np.asarray(src, dtype=np.int64)
-    d = xv.shape[-1]
-    if xv.ndim != 2 or xv.shape[0] != num_nodes or dst.ndim != 1 \
-            or src.shape != dst.shape or edge_term.shape != (len(dst), d) \
-            or att.shape != (d,):
-        raise ShapeError(f"edge attention shapes {xv.shape}, {edge_term.shape}, "
-                         f"{att.shape} do not fit {num_nodes} nodes and "
-                         f"{dst.shape} edges")
-    sent = xv.data[src]
-    pre = xv.data[dst] + sent + edge_term.data
-    slopes = np.where(pre > 0, 1.0, slope)
-    act = pre * slopes
-    logits = np.einsum("ij,j->i", act, att.data)
+    if not 0.0 <= slope <= 1.0:
+        raise ValueError(f"LeakyReLU slope {slope} is outside [0, 1]")
+    x, edge_features = _t(x), np.asarray(edge_features, dtype=np.float64)
+    theta_v, theta_e, att = ([_t(p) for p in ps] for ps in (theta_v, theta_e, att))
+    heads, n, e = len(theta_v), plan.num_nodes, len(plan.dst)
+    d = theta_v[0].shape[-1] if heads else 0
+    if not heads or len(theta_e) != heads or len(att) != heads \
+            or x.ndim != 2 or x.shape[0] != n or edge_features.ndim != 2 \
+            or len(edge_features) != e \
+            or any(p.shape != (x.shape[1], d) for p in theta_v) \
+            or any(p.shape != (edge_features.shape[1], d) for p in theta_e) \
+            or any(p.shape != (d,) for p in att):
+        raise ShapeError(f"attention layer shapes {x.shape}, "
+                         f"{edge_features.shape}, "
+                         f"{[p.shape for p in theta_v + theta_e + att]} do "
+                         f"not fit {n} nodes, {e} edges and {heads} heads")
+    xv = _row_invariant_product(x.data, [p.data for p in theta_v])
+    xv = xv.reshape(n, heads, d)
+    sent = xv[plan.src]
+    act = xv[plan.dst]
+    act += sent
+    # The edge projections' (E, H, d) array then holds each later temporary
+    # of that size, which spares a large batch most of its allocations.
+    scratch = _row_invariant_product(edge_features, [p.data for p in theta_e]
+                                     ).reshape(e, heads, d)
+    act += scratch
+    # LeakyReLU; for 0 <= slope <= 1 the maximum is the bytes of the
+    # pre-activation times the VJP's ``slopes``.
+    np.maximum(act, np.multiply(act, slope, out=scratch), out=act)
+    att_rows = np.concatenate([p.data for p in att]).reshape(heads, d)
+    logits = np.einsum("ehd,hd->eh", act, att_rows)
     if not np.isfinite(logits).all():
-        raise NonFiniteError("edge_attention_sum: non-finite logits")
-    peak = np.full(num_nodes, -np.inf)
-    if dst.size:
-        order = np.argsort(dst, kind="stable")
-        grouped = dst[order]
-        starts = np.flatnonzero(
-            np.concatenate(([True], grouped[1:] != grouped[:-1])))
-        peak[grouped[starts]] = np.maximum.reduceat(logits[order], starts)
-    if not np.isfinite(peak).all():
-        raise ShapeError("edge_attention_sum: every node needs an incoming edge")
-    ex = np.exp(logits - peak[dst])
-    alpha = ex / _scatter_sum(dst, ex, num_nodes)[dst]
-    out = _scatter_sum(dst, alpha[:, None] * sent, num_nodes)
+        raise NonFiniteError("gat_layer_sum: non-finite logits")
+    peak = np.maximum.reduceat(logits[plan.order], plan.starts)
+    ex = np.exp(logits - peak[plan.dst])
+    alpha = ex / plan.scatter(ex)[plan.dst]
+    per_head = plan.scatter(np.multiply(alpha[:, :, None], sent, out=scratch))
+    out = per_head[:, 0]
+    for h in range(1, heads):
+        out = out + per_head[:, h]
+    if heads > 1:
+        out *= 1.0 / heads
 
     def vjp(g):
-        g_e = g[dst]
-        d_alpha = (g_e * sent).sum(axis=1)
-        d_logits = alpha * (d_alpha - _scatter_sum(dst, alpha * d_alpha,
-                                                   num_nodes)[dst])
-        d_pre = np.outer(d_logits, att.data) * slopes
-        d_xv = _scatter_sum(dst, d_pre, num_nodes) \
-            + _scatter_sum(src, d_pre + alpha[:, None] * g_e, num_nodes)
-        return d_xv, d_pre, act.T @ d_logits
+        # Every head receives the upstream of the mean.
+        g_e = (g * (1.0 / heads) if heads > 1 else g)[plan.dst][:, None]
+        d_alpha = (g_e * sent).sum(axis=2)
+        d_logits = alpha * (d_alpha - plan.scatter(alpha * d_alpha)[plan.dst])
+        slopes = (act > 0) * (1.0 - slope) + slope
+        d_pre = d_logits[:, :, None] * att_rows * slopes
+        d_xv = plan.scatter(d_pre) \
+            + plan.scatter(d_pre + alpha[:, :, None] * g_e, by_src=True)
+        # Per-head products on contiguous slices, and the heads' input
+        # gradients added in head order, give the bytes of per-head ops. A
+        # constant input gets no gradient.
+        d_x, d_v, d_e, d_att = None, [], [], []
+        for h in range(heads):
+            d_xv_h = np.ascontiguousarray(d_xv[:, h])
+            d_v.append(x.data.T @ d_xv_h)
+            d_e.append(edge_features.T @ np.ascontiguousarray(d_pre[:, h]))
+            d_att.append(np.ascontiguousarray(act[:, h]).T
+                         @ np.ascontiguousarray(d_logits[:, h]))
+            if x.requires_grad:
+                part = d_xv_h @ theta_v[h].data.T
+                if d_x is None:
+                    d_x = part
+                else:
+                    d_x += part
+        return (d_x, *d_v, *d_e, *d_att)
 
-    return _make(out, (xv, edge_term, att), vjp), alpha
+    return _make(out, (x, *theta_v, *theta_e, *att), vjp), alpha
 
 
 def block_attention_sum(q, k, v, bounds, logit_scale: float) -> Tensor:

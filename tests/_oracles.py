@@ -4,7 +4,9 @@ Everything here is deliberately written in a different style from the
 library (plain loops, no shared helpers) so the two sides cannot share a
 bug: finite differences for gradients, connectivity checks for ring
 membership, backtracking isomorphism, and scalar re-evaluations of the
-attention and pooling math.
+attention and pooling math. The one exception is the per-head attention
+layer, kept as the tape ops it used to be built from, so the fused layer op
+can be checked against it byte for byte.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 from grappa.antoine import AntoineParams
 from grappa.dataio import VpDataset, VpPoint
 from grappa.molecule import Molecule
+from grappa.tensor import _make, _scatter_sum, _t, add, matmul, mul
 
 
 # ------------------------------------------------------------ finite differences
@@ -160,6 +163,11 @@ def scan_degree(mol: Molecule, idx: int) -> int:
 
 # --------------------------------------------------------- scatter references
 
+def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same shape, dtype and bytes: no tolerance."""
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def add_at_scatter(index: np.ndarray, values: np.ndarray,
                    num_segments: int) -> np.ndarray:
     """Row sums by segment with unbuffered ``np.add.at``, in input order."""
@@ -234,6 +242,64 @@ def naive_interaction_pool(x: np.ndarray, wq: np.ndarray, wk: np.ndarray,
         z_i = sum(w[j] * v[j] for j in range(n))
         pooled += z_i
     return pooled
+
+
+# ------------------------------------------------- per-head attention layer
+
+def edge_attention_sum(xv, edge_term, att, dst, src, num_nodes: int,
+                       slope: float):
+    """One GATv2 head as one tape op: attention over each node's incoming
+    edges, summed. Shapes: (N, d), (E, d), (d,) -> (N, d). Returns the
+    output tensor and the (E,) weights as an array."""
+    xv, edge_term, att = _t(xv), _t(edge_term), _t(att)
+    dst = np.asarray(dst, dtype=np.int64)
+    src = np.asarray(src, dtype=np.int64)
+    sent = xv.data[src]
+    pre = xv.data[dst] + sent + edge_term.data
+    slopes = np.where(pre > 0, 1.0, slope)
+    act = pre * slopes
+    logits = np.einsum("ij,j->i", act, att.data)
+    peak = np.full(num_nodes, -np.inf)
+    order = np.argsort(dst, kind="stable")
+    grouped = dst[order]
+    starts = np.flatnonzero(
+        np.concatenate(([True], grouped[1:] != grouped[:-1])))
+    peak[grouped[starts]] = np.maximum.reduceat(logits[order], starts)
+    ex = np.exp(logits - peak[dst])
+    alpha = ex / _scatter_sum(dst, ex, num_nodes)[dst]
+    out = _scatter_sum(dst, alpha[:, None] * sent, num_nodes)
+
+    def vjp(g):
+        g_e = g[dst]
+        d_alpha = (g_e * sent).sum(axis=1)
+        d_logits = alpha * (d_alpha - _scatter_sum(dst, alpha * d_alpha,
+                                                   num_nodes)[dst])
+        d_pre = np.outer(d_logits, att.data) * slopes
+        d_xv = _scatter_sum(dst, d_pre, num_nodes) \
+            + _scatter_sum(src, d_pre + alpha[:, None] * g_e, num_nodes)
+        return d_xv, d_pre, act.T @ d_logits
+
+    return _make(out, (xv, edge_term, att), vjp), alpha
+
+
+def per_head_gat_forward(x, batch, layer, slope: float = 0.2):
+    """One attention layer as separate tape ops: per head, two ``matmul``
+    projections and one ``edge_attention_sum``; then the heads added in
+    order and scaled by 1/H. Returns the output and the (E, H) weights."""
+    feats = _t(batch.edge_features)
+    outs, weights = [], []
+    for h in range(layer.heads):
+        out, alpha = edge_attention_sum(
+            matmul(x, layer.theta_v[h]), matmul(feats, layer.theta_e[h]),
+            layer.att[h], batch.dst, batch.src, batch.num_nodes, slope)
+        outs.append(out)
+        weights.append(alpha)
+    total = outs[0]
+    for out in outs[1:]:
+        total = add(total, out)
+    if layer.heads > 1:
+        total = mul(total, 1.0 / layer.heads)
+    return total, np.stack(weights, axis=1)
 
 
 def sorted_percentile(sample, q: float) -> float:

@@ -99,12 +99,15 @@ def _op_cases(rng):
                                     rng.uniform(1.0, 3.0, size=4),
                                     rng.normal(size=4)])
     temps = np.full(4, 5.0)
-    edge_terms = rng.normal(size=(4, 4))
+    edge_features = rng.normal(size=(4, 4))
+    plan = T.ScatterPlan(dst, idx, 3)
+    # Two heads: their node and edge weights, then their attention vectors.
+    projections = list(rng.normal(size=(4, 4, 4)))
+    atts = list(rng.normal(size=(2, 4)))
     return {
         "add": (lambda a, b: T.mean_all(T.mul(T.add(a, b), T.add(a, b))), [m, m]),
         "sub": (lambda a, b: T.mean_all(T.mul(T.sub(a, b), T.sub(a, b))), [m, m]),
         "mul": (lambda a, b: T.mean_all(T.mul(a, b)), [m, m]),
-        "scale": (lambda a: T.mean_all(T.mul(T.scale(a, 2.5), a)), [m]),
         "matmul": (lambda a, b: T.mean_all(T.matmul(a, b)), [m, n]),
         "concat": (lambda a, b: T.mean_all(T.mul(T.concat([a, b], axis=1),
                                                 T.concat([b, a], axis=1))), [m, m]),
@@ -115,8 +118,10 @@ def _op_cases(rng):
         "segment_sum": (lambda a: T.mean_all(T.mul(
             T.segment_sum(T.gather_rows(a, np.array([0, 1, 2, 0, 1])), seg, 2),
             3.0)), [m]),
-        "edge_attention_sum": (lambda a, e, u: T.mean_all(T.mul(T.edge_attention_sum(
-            a, e, u, dst, idx, 3, 0.2)[0], weights)), [m, edge_terms, v]),
+        "gat_layer_sum": (lambda a, v0, v1, e0, e1, u0, u1: T.mean_all(T.mul(
+            T.gat_layer_sum(a, edge_features, [v0, v1], [e0, e1], [u0, u1],
+                            plan, 0.2)[0], weights)),
+            [m, *projections, *atts]),
         "mean_all": (lambda a: T.mean_all(T.mul(a, a)), [m]),
         "block_attention_sum": (lambda q, k, u: T.mean_all(T.mul(
             T.block_attention_sum(q, k, u, [0, 1, 3], 0.5), weights[:2])),

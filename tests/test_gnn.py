@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from grappa.featurize import EDGE_FEATURES, featurize
 from grappa.gnn import (
@@ -14,7 +15,13 @@ from grappa.molecule import permute_molecule
 from grappa.smiles import parse_smiles
 from grappa.tensor import Tensor, mean_all, mul
 
-from _oracles import finite_difference_grad, max_rel_error, naive_gat_head
+from _oracles import (
+    bitwise_equal,
+    finite_difference_grad,
+    max_rel_error,
+    naive_gat_head,
+    per_head_gat_forward,
+)
 
 
 def graph_of(smiles):
@@ -35,8 +42,8 @@ def test_single_atom_self_loop_only():
     layer = random_layer(rng, 24, out_dim=6, heads=3)
     out, attentions = gat_forward(Tensor(graph.node_features),
                                   batch_graphs([graph]), layer)
-    for alpha in attentions:
-        np.testing.assert_allclose(alpha, [1.0])
+    assert attentions.shape == (1, 3)
+    np.testing.assert_allclose(attentions, [[1.0] * 3])
     # Softmax over one element is 1, so the update is the mean of W x.
     expected = np.mean(
         [graph.node_features @ layer.theta_v[h].data for h in range(3)], axis=0)
@@ -88,7 +95,8 @@ def test_attention_rows_sum_to_one(smiles):
     layer = random_layer(rng, 24, heads=2)
     batch = batch_graphs([graph])
     _, attentions = gat_forward(Tensor(graph.node_features), batch, layer)
-    for alpha in attentions:
+    assert attentions.shape == (len(batch.dst), 2)
+    for alpha in attentions.T:
         sums = np.zeros(graph.heavy_atom_count)
         np.add.at(sums, batch.dst, alpha)
         np.testing.assert_allclose(sums, np.ones_like(sums), atol=1e-12)
@@ -315,3 +323,63 @@ def test_layer_shape_validation():
     layer = random_layer(rng, 24)
     with pytest.raises(ValueError):
         gat_forward(Tensor(np.zeros((5, 24))), batch_graphs([graph]), layer)
+
+
+# ``gat_forward`` runs a layer as one op over all heads; the oracle runs the
+# same layer as separate per-head tape ops. The two must agree byte for byte,
+# forward and backward.
+
+ORACLE_SMILES = ["C", "CO", "CCO", "C=C", "c1ccccc1", "CC(=O)O", "C1CC1N",
+                 "FC(F)F", "CC(C)(C)C"]
+
+
+def copy_layer(layer):
+    return GatLayer(*([Tensor(t.data.copy(), requires_grad=True) for t in ts]
+                      for ts in (layer.theta_v, layer.theta_e, layer.att)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(smiles=st.lists(st.sampled_from(ORACLE_SMILES), min_size=1, max_size=4),
+       heads=st.integers(1, 5), width=st.sampled_from([1, 5, 8, 16, 23, 32]),
+       node_input=st.booleans(), seed=st.integers(0, 2**16))
+@example(smiles=["C"], heads=5, width=16, node_input=True, seed=0)
+@example(smiles=["C"], heads=2, width=5, node_input=False, seed=1)
+def test_fused_layer_matches_per_head_ops(smiles, heads, width, node_input, seed):
+    # Widths that are and are not multiples of 16, with 1-atom molecules
+    # alone and in batches; the input is either the node features or an
+    # embedding of the layer's own width.
+    batch = batch_graphs([graph_of(s) for s in smiles])
+    rng = np.random.default_rng(seed)
+    x = batch.node_features if node_input \
+        else rng.normal(size=(batch.num_nodes, width))
+    layer = random_layer(rng, x.shape[1], out_dim=width, heads=heads)
+    out, weights = gat_forward(Tensor(x), batch, layer)
+    ref_out, ref_weights = per_head_gat_forward(Tensor(x), batch, layer)
+    assert bitwise_equal(out.data, ref_out.data)
+    assert bitwise_equal(weights, ref_weights)
+
+
+@pytest.mark.parametrize("width", [7, 16])
+@pytest.mark.parametrize("heads", [1, 2, 3, 5])
+def test_fused_stack_gradients_match_per_head_ops(heads, width):
+    # One backward through two layers, with a trainable input: every
+    # parameter and the input get the gradient bytes of the per-head tape.
+    batch = batch_graphs([graph_of(s) for s in ("CCO", "C", "c1ccccc1", "CC(=O)O")])
+    rng = np.random.default_rng(100 + heads)
+    layers = [random_layer(rng, 24, out_dim=width, heads=heads),
+              random_layer(rng, width, out_dim=width, heads=heads)]
+    weights = Tensor(rng.normal(size=(batch.num_nodes, width)))
+    grads = []
+    for forward in (gat_forward, per_head_gat_forward):
+        stack = [copy_layer(layer) for layer in layers]
+        x = Tensor(batch.node_features.copy(), requires_grad=True)
+        h = x
+        for layer in stack:
+            h, _ = forward(h, batch, layer)
+        mean_all(mul(h, weights)).backward()
+        grads.append([x.grad] + [t.grad for layer in stack
+                                 for ts in (layer.theta_v, layer.theta_e, layer.att)
+                                 for t in ts])
+    assert len(grads[0]) == 1 + 2 * 3 * heads
+    for fused, reference in zip(*grads):
+        assert bitwise_equal(fused, reference)

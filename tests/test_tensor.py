@@ -4,10 +4,11 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from grappa import tensor as T
-from grappa.tensor import NonFiniteError, ShapeError, Tensor
+from grappa.tensor import NonFiniteError, ScatterPlan, ShapeError, Tensor
 
 from _oracles import (
     add_at_scatter,
+    bitwise_equal,
     finite_difference_grad,
     max_rel_error,
     reference_segment_softmax,
@@ -69,6 +70,39 @@ def test_blas_gemm_rows_are_batch_invariant():
                     f"BLAS gemm of {m} x {k} @ {k} x {n} (M >= 2, N a multiple "
                     f"of 16) is not row-invariant: batched forwards would "
                     f"depend on the batch")
+
+
+def test_blas_gemm_column_blocks_match_their_own_products():
+    # One layer projects every head at once: the heads' weights side by side,
+    # zero-padded to a multiple of 16 columns. Each head's columns must be
+    # the bytes of its own padded product.
+    rng = np.random.default_rng(43)
+    for k in (24, 9, 32):
+        for d in (5, 8, 16, 32):
+            for heads in (2, 3, 5):
+                x = rng.normal(size=(300, k))
+                blocks = [rng.normal(size=(k, d)) for _ in range(heads)]
+                wide = T._row_invariant_product(x, blocks)
+                for h, block in enumerate(blocks):
+                    own = T._row_invariant_product(x, [block])
+                    assert own.tobytes() == np.ascontiguousarray(
+                        wide[:, h * d : (h + 1) * d]).tobytes(), (
+                        f"BLAS gemm of {k} x {heads * d} differs from its "
+                        f"{k} x {d} column blocks: the fused attention layer "
+                        f"would not match its heads run alone")
+
+
+def test_einsum_head_logits_match_per_head_matvecs():
+    # The fused layer takes every head's edge logits in one einsum over
+    # (E, H, d) activations; each head must get the bytes of its own.
+    rng = np.random.default_rng(44)
+    for d in (1, 5, 8, 16, 32):
+        for heads in (1, 2, 3, 5):
+            act, att = rng.normal(size=(700, heads, d)), rng.normal(size=(heads, d))
+            fused = np.einsum("ehd,hd->eh", act, att)
+            for h in range(heads):
+                own = np.einsum("ij,j->i", np.ascontiguousarray(act[:, h]), att[h])
+                assert own.tobytes() == np.ascontiguousarray(fused[:, h]).tobytes()
 
 
 def test_einsum_matvec_rows_are_batch_invariant():
@@ -155,18 +189,31 @@ def test_block_attention_key_shift_invariance():
 # Node 0 receives from nodes 1 and 2; every node also has its self-loop.
 EDGE_DST = np.array([0, 0, 1, 2, 0, 1, 2])
 EDGE_SRC = np.array([1, 2, 2, 0, 0, 1, 2])
+EDGE_PLAN = ScatterPlan(EDGE_DST, EDGE_SRC, 3)
+
+
+def one_head_layer(x, edge_features, att, plan=EDGE_PLAN, slope=0.2):
+    """``gat_layer_sum`` with one head whose projections are the identity,
+    so ``x`` and the edge features are the head's own terms."""
+    x, edge_features = np.asarray(x, dtype=float), np.asarray(edge_features)
+    return T.gat_layer_sum(x, edge_features, [np.eye(x.shape[1])],
+                           [np.eye(edge_features.shape[1])], [att], plan, slope)
 
 
 def test_sigmoid_and_leaky_relu_points():
     assert T.sigmoid(Tensor(np.array(0.0))).item() == 0.5
     # Into node 0 the pre-activations are 3 (from 1), -1 (from 2) and 0
     # (self); the leaky ReLU keeps 3 and 0 and scales -1 to -0.2.
-    xv = Tensor([[0.0], [3.0], [-1.0]])
-    _, alpha = T.edge_attention_sum(xv, np.zeros((7, 1)), [1.0], EDGE_DST,
-                                    EDGE_SRC, 3, 0.2)
+    _, alpha = one_head_layer([[0.0], [3.0], [-1.0]], np.zeros((7, 1)), [1.0])
+    assert alpha.shape == (7, 1)
     logits = np.array([3.0, -0.2, 0.0])
-    np.testing.assert_allclose(alpha[[0, 1, 4]],
+    np.testing.assert_allclose(alpha[[0, 1, 4], 0],
                                np.exp(logits) / np.exp(logits).sum(), rtol=1e-15)
+    # The maximum form of the LeakyReLU needs a slope in [0, 1].
+    for slope in (-0.1, 1.5):
+        with pytest.raises(ValueError, match="slope"):
+            one_head_layer([[0.0], [3.0], [-1.0]], np.zeros((7, 1)), [1.0],
+                           slope=slope)
 
 
 def test_elu_matches_definition():
@@ -213,11 +260,19 @@ def test_shape_errors():
         T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 2, 2)))
-    xv, edge = np.ones((3, 2)), np.ones((7, 2))
-    for args in ((xv, edge[:6], np.ones(2), 3), (xv, edge, np.ones(3), 3),
-                 (xv, edge, np.ones(2), 4), (np.ones(3), edge, np.ones(2), 3)):
+    x, edge, tv, te, att = (np.ones((3, 2)), np.ones((7, 4)), np.ones((2, 5)),
+                            np.ones((4, 5)), np.ones(5))
+    for args in ((x, edge[:6], [tv], [te], [att]),
+                 (x, edge, [tv], [te], [np.ones(4)]),
+                 (x, edge, [tv], [te[:3]], [att]),
+                 (x, edge, [tv, tv], [te], [att, att]),
+                 (x, edge, [], [], []),
+                 (x[:2], edge, [tv], [te], [att]),
+                 (np.ones(3), edge, [tv], [te], [att])):
         with pytest.raises(ShapeError):
-            T.edge_attention_sum(*args[:3], EDGE_DST, EDGE_SRC, args[3], 0.2)
+            T.gat_layer_sum(*args, EDGE_PLAN, 0.2)
+    with pytest.raises(ShapeError):
+        ScatterPlan(EDGE_DST, EDGE_SRC[:6], 3)
     ones = Tensor(np.ones((4, 2)))
     for bounds in ([0, 2, 2, 4], [1, 4], [0, 3], [0]):
         with pytest.raises(ShapeError):
@@ -227,7 +282,7 @@ def test_shape_errors():
 def test_backward_requires_scalar():
     x = Tensor(np.ones(3), requires_grad=True)
     with pytest.raises(ShapeError):
-        T.scale(x, 2.0).backward()
+        T.mul(x, 2.0).backward()
 
 
 def test_gather_and_segment_ops():
@@ -251,35 +306,39 @@ def test_gather_rows_negative_index_grad():
 def test_segment_ids_out_of_range_raise():
     with pytest.raises(IndexError):
         T.segment_sum(Tensor(np.ones((3, 2))), [0, 2, 1], 2)
-    with pytest.raises(IndexError):
-        T.edge_attention_sum(np.ones((2, 2)), np.ones((3, 2)), np.ones(2),
-                             [0, 2, 1], [0, 1, 1], 2, 0.2)
+    for dst, src in (([0, 2, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, 2]),
+                     ([0, -1, 1], [0, 1, 1])):
+        with pytest.raises(IndexError):
+            ScatterPlan(dst, src, 2)
 
 
-# The softmax inside ``edge_attention_sum`` runs over each node's incoming
-# edges: a segment softmax with ``dst`` as the segment id.
+# The softmax inside ``gat_layer_sum`` runs over each node's incoming edges:
+# a segment softmax with ``dst`` as the segment id.
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_segment_softmax_rejects_non_finite_logits(bad):
     edge = np.zeros((7, 2))
     edge[3, 1] = bad
-    with pytest.raises(NonFiniteError):
-        T.edge_attention_sum(np.ones((3, 2)), edge, np.ones(2), EDGE_DST,
-                             EDGE_SRC, 3, 0.2)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(NonFiniteError, match="non-finite logits"):
+        one_head_layer(np.ones((3, 2)), edge, np.ones(2))
     # Finite inputs whose sum overflows.
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        T.edge_attention_sum(np.full((3, 2), 1e308), np.zeros((7, 2)),
-                             np.ones(2), EDGE_DST, EDGE_SRC, 3, 0.2)
+        one_head_layer(np.full((3, 2), 1e308), np.zeros((7, 2)), np.ones(2))
 
 
 def test_segment_softmax_groups_sum_to_one():
     rng = np.random.default_rng(2)
-    out, alpha = T.edge_attention_sum(rng.normal(size=(3, 4)),
-                                      rng.normal(size=(7, 4)),
-                                      rng.normal(size=4), EDGE_DST, EDGE_SRC, 3, 0.2)
-    assert out.shape == (3, 4) and alpha.shape == (7,)
-    np.testing.assert_allclose(np.bincount(EDGE_DST, weights=alpha), np.ones(3),
-                               atol=1e-12)
+    heads = 3
+    out, alpha = T.gat_layer_sum(
+        rng.normal(size=(3, 4)), rng.normal(size=(7, 2)),
+        [rng.normal(size=(4, 5)) for _ in range(heads)],
+        [rng.normal(size=(2, 5)) for _ in range(heads)],
+        [rng.normal(size=5) for _ in range(heads)], EDGE_PLAN, 0.2)
+    assert out.shape == (3, 5) and alpha.shape == (7, heads)
+    for weights in alpha.T:
+        np.testing.assert_allclose(np.bincount(EDGE_DST, weights=weights),
+                                   np.ones(3), atol=1e-12)
 
 
 # ------------------------------------------------------------- gradient checks
@@ -321,19 +380,24 @@ def test_grad_gather_segment_pipeline():
     check_grad(build, (3, 4), seed=6)
 
 
-def test_grad_edge_attention_sum():
-    weights = np.random.default_rng(7).normal(size=(3, 4))
+def test_grad_gat_layer_sum():
+    rng = np.random.default_rng(7)
+    weights, edge = rng.normal(size=(3, 4)), rng.normal(size=(7, 2))
 
-    def build(xv, edge, att):
-        out, _ = T.edge_attention_sum(xv, edge, att, EDGE_DST, EDGE_SRC, 3, 0.2)
+    def build(x, v0, v1, e0, e1, a0, a1):
+        out, _ = T.gat_layer_sum(x, edge, [v0, v1], [e0, e1], [a0, a1],
+                                 EDGE_PLAN, 0.2)
         return T.mean_all(T.mul(out, weights))
 
-    # The seed gives edges on both sides of the leaky ReLU's kink.
-    rng = np.random.default_rng(7)
-    xv, edge = rng.normal(size=(3, 4)), rng.normal(size=(7, 4))
-    pre = xv[EDGE_DST] + xv[EDGE_SRC] + edge
-    assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-4
-    check_grad(build, (3, 4), (7, 4), (4,), seed=7)
+    # The seed gives edges on both sides of the leaky ReLU's kink in each
+    # head (check_grad draws its inputs in this order).
+    shapes = [(3, 5), (5, 4), (5, 4), (2, 4), (2, 4), (4,), (4,)]
+    draw = np.random.default_rng(8)
+    x, v0, v1, e0, e1 = (draw.normal(size=s) for s in shapes[:5])
+    for v, e in ((v0, e0), (v1, e1)):
+        pre = (x @ v)[EDGE_DST] + (x @ v)[EDGE_SRC] + edge @ e
+        assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-4
+    check_grad(build, *shapes, seed=8)
 
 
 def test_grad_block_attention_sum():
@@ -505,10 +569,6 @@ def scatter_cases(draw, width=None, min_rows=0):
     return np.array(index, dtype=np.int64), values, num_segments
 
 
-def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-
-
 @settings(deadline=None)
 @given(st.one_of(scatter_cases(), scatter_cases(width=3)))
 def test_segment_sum_matches_add_at(case):
@@ -546,26 +606,30 @@ def softmax_cases(draw):
 @settings(deadline=None)
 @given(softmax_cases())
 def test_segment_softmax_matches_reference(case):
-    # With width 1, att = [1] and slope 1 the logits are the pre-activations
-    # themselves, and the upstream of each weight is g[dst] * xv[src], summed
-    # over its one column (which turns -0.0 into 0.0).
+    # With width 1, identity projections, att = [1] and slope 1 the logits
+    # are the pre-activations themselves, and the upstream of each weight is
+    # g[dst] * xv[src], summed over its one column (which turns -0.0 into
+    # 0.0). The edge features are the identity and the edge weights a column
+    # holding the edge terms, so the gradient of that column is the logits'
+    # gradient, edge by edge.
     dst, src, xv, edge, g, n = case
-    edge_t = Tensor(edge[:, None], requires_grad=True)
-    out, alpha = T.edge_attention_sum(xv[:, None], edge_t, [1.0], dst, src, n, 1.0)
+    eye = np.eye(len(dst))
+    out, alpha = T.gat_layer_sum(xv[:, None], eye, [np.ones((1, 1))],
+                                 [Tensor(edge[:, None], requires_grad=True)],
+                                 [np.ones(1)], ScatterPlan(dst, src, n), 1.0)
     logits = xv[dst] + xv[src] + edge
     ref, ref_vjp = reference_segment_softmax(logits, dst, n,
                                              g[dst] * xv[src] + 0.0)
-    assert bitwise_equal(alpha, ref)
+    assert bitwise_equal(alpha[:, 0], ref)
     assert bitwise_equal(out.data, add_at_scatter(dst, (ref * xv[src])[:, None], n))
-    _, d_edge, _ = out._vjp(g[:, None])
-    assert bitwise_equal(d_edge[:, 0], ref_vjp)
+    _, _, d_edge, _ = out._vjp(g[:, None])
+    assert bitwise_equal(d_edge[:, 0] + 0.0, ref_vjp + 0.0)
 
 
 @settings(deadline=None)
 @given(softmax_cases(), st.integers(0, 6))
 def test_segment_softmax_rejects_an_empty_segment(case, empty):
-    dst, src, xv, edge, _, n = case
+    dst, src, _, _, _, n = case
     keep = dst != empty % n
-    with pytest.raises(ShapeError):
-        T.edge_attention_sum(xv[:, None], edge[keep, None], [1.0], dst[keep],
-                             src[keep], n, 0.2)
+    with pytest.raises(ShapeError, match="incoming edge"):
+        ScatterPlan(dst[keep], src[keep], n)
