@@ -34,7 +34,7 @@ from .featurize import (
 from .gnn import GatLayer, attention_scores, encode, gat_forward
 from .metrics import (
     EvalReport,
-    PredPoint,
+    PredictedPoints,
     ape_c,
     ape_i,
     binned_reports,

@@ -258,14 +258,12 @@ def _write_table_csv(rows: list[dict], path):
 
 def _cmd_report(args) -> int:
     points, params, rejected = _predict_split(args)
-    sizes = Counter(pt.component_id for pt in points)
-    eligible = {c for c, pts in sizes.items() if pts >= args.min_points}
-    filtered = [pt for pt in points if pt.component_id in eligible]
+    kept = points.select(points.sizes >= args.min_points)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     report = metrics.summarize(points)
-    bins = metrics.binned_reports(filtered)
-    grid = metrics.hexbin_grid(filtered)
+    bins = metrics.binned_reports(kept)
+    grid = metrics.hexbin_grid(kept)
     boiling = metrics.boiling_point_eval(params, points)
     (outdir / "metrics.json").write_text(
         json.dumps(report.to_dict(), indent=2), encoding="utf-8")

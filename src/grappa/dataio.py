@@ -84,7 +84,9 @@ class VpDataset:
 
 # ---------------------------------------------------------------------- load
 
-def _parse_row(record: dict, row: int) -> VpPoint:
+def _parse_row(record, row: int) -> VpPoint:
+    if not isinstance(record, dict):
+        raise ValueError("row is not an object")
     missing = [c for c in REQUIRED_COLUMNS if record.get(c) in (None, "")]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")

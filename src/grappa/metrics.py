@@ -4,12 +4,18 @@ MAE/MSE work on the model's ln(p/kPa), so a pressure that underflows to
 0 Pa still scores finitely; percentage errors work on the pressures
 themselves. Dataset-level scores use medians (even-length samples take the
 mean of the two central order statistics, numpy's convention).
+
+Every report reads one :class:`PredictedPoints` table: ``predict_dataset``
+builds it once from the model's arrays, with each point's APE and each
+component's rows, point count and score, and ``grappa report`` filters it
+to the components with enough points through ``select``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
+from functools import partial
+from itertools import compress
 
 import numpy as np
 
@@ -28,24 +34,6 @@ HEXBIN_LN_P_STEP = 1.0
 HEXBIN_CLIP_PERCENT = 50.0
 BOILING_WINDOW_KPA = (99.0, 102.0)
 BOILING_MIN_POINTS = 2
-
-
-@dataclass(frozen=True)
-class PredPoint:
-    """One evaluated measurement: experiment vs. model. ``ln_p_pred_kpa``
-    is the model's ln(p/kPa); left out, it is the log of ``p_pred_pa``."""
-
-    component_id: str
-    temperature_k: float
-    p_exp_pa: float
-    p_pred_pa: float
-    mol_weight: float = 0.0
-    ln_p_pred_kpa: float | None = None
-
-    def __post_init__(self):
-        if self.ln_p_pred_kpa is None:
-            object.__setattr__(self, "ln_p_pred_kpa",
-                               math.log(self.p_pred_pa / PA_PER_KPA))
 
 
 def ape_i(pred_p, exp_p) -> float:
@@ -77,31 +65,46 @@ def _groups(keys) -> dict:
     return dict(zip(first, np.split(rows, np.cumsum(np.bincount(codes))[:-1])))
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """The evaluated points as arrays, and their components: each one's
-    rows, point count and score, in order of first appearance."""
+@dataclass(frozen=True, eq=False)
+class PredictedPoints:
+    """The evaluated points as columns of one length (``ln_p_pred_kpa`` left
+    out is the log of ``p_pred_pa``). Construction derives every point's
+    ``ape`` and each component's rows in input order (``groups``), point
+    count (``sizes``) and score (``scores``), by first appearance."""
 
-    ln_p_pred: np.ndarray
-    p_exp: np.ndarray
-    temperature: np.ndarray
-    ape: np.ndarray
-    groups: dict[str, np.ndarray]
-    sizes: np.ndarray
-    scores: np.ndarray
+    component_id: np.ndarray
+    temperature_k: np.ndarray
+    p_exp_pa: np.ndarray
+    p_pred_pa: np.ndarray
+    mol_weight: np.ndarray
+    ln_p_pred_kpa: np.ndarray | None = None
 
+    def __post_init__(self):
+        put = partial(object.__setattr__, self)
+        put("component_id", np.asarray(self.component_id, dtype=object))
+        for name in ("temperature_k", "p_exp_pa", "p_pred_pa", "mol_weight"):
+            put(name, np.asarray(getattr(self, name), dtype=float))
+        put("ln_p_pred_kpa", np.log(self.p_pred_pa / PA_PER_KPA)
+            if self.ln_p_pred_kpa is None
+            else np.asarray(self.ln_p_pred_kpa, dtype=float))
+        if {getattr(self, f.name).shape for f in fields(self)} != {(len(self),)}:
+            raise ValueError("predicted-point columns must be vectors of one length")
+        put("ape", ape_i_array(self.p_pred_pa, self.p_exp_pa))
+        put("groups", _groups(self.component_id))
+        put("sizes", np.array([r.size for r in self.groups.values()], dtype=int))
+        put("scores", np.array([ape_c(self.ape[r]) for r in self.groups.values()]))
 
-def _columns(points: list[PredPoint]) -> _Columns:
-    if not points:
-        raise ValueError("empty evaluation set")
-    p_pred = np.array([pt.p_pred_pa for pt in points])
-    p_exp = np.array([pt.p_exp_pa for pt in points])
-    apes = ape_i_array(p_pred, p_exp)
-    groups = _groups(pt.component_id for pt in points)
-    return _Columns(np.array([pt.ln_p_pred_kpa for pt in points]), p_exp,
-                    np.array([pt.temperature_k for pt in points]),
-                    apes, groups, np.array([r.size for r in groups.values()]),
-                    np.array([ape_c(apes[r]) for r in groups.values()]))
+    def __len__(self) -> int:
+        return self.component_id.size
+
+    def select(self, component_mask) -> "PredictedPoints":
+        """The points, in input order, of the components where
+        ``component_mask`` (one entry per component of ``groups``) is true."""
+        if len(component_mask) != self.sizes.size:
+            raise ValueError("select needs one mask entry per component")
+        chosen = compress(self.groups.values(), component_mask)
+        rows = np.sort(np.concatenate([np.empty(0, dtype=int), *chosen]))
+        return PredictedPoints(*(getattr(self, f.name)[rows] for f in fields(self)))
 
 
 @dataclass
@@ -120,16 +123,17 @@ class EvalReport:
         return data
 
 
-def summarize(points: list[PredPoint]) -> EvalReport:
+def summarize(points: PredictedPoints) -> EvalReport:
     """Dataset scores: MAE/MSE on ln(p/kPa), median point APE, and median
     component APE over components with at least K points, K in MIN_K_FILTERS."""
-    cols = _columns(points)
-    diff = cols.ln_p_pred - np.log(cols.p_exp / PA_PER_KPA)
-    eligible = {k: cols.scores[cols.sizes >= k] for k in MIN_K_FILTERS}
+    if not points:
+        raise ValueError("empty evaluation set")
+    diff = points.ln_p_pred_kpa - np.log(points.p_exp_pa / PA_PER_KPA)
+    eligible = {k: points.scores[points.sizes >= k] for k in MIN_K_FILTERS}
     return EvalReport(
         mae=float(np.abs(diff).mean()),
         mse=float((diff ** 2).mean()),
-        mape_i=float(np.median(cols.ape)),
+        mape_i=float(np.median(points.ape)),
         mape_c={k: float(np.median(s)) if s.size else float("nan")
                 for k, s in eligible.items()},
         n_points=len(points),
@@ -176,32 +180,33 @@ class BinnedReports:
         return asdict(self)
 
 
-def binned_reports(points: list[PredPoint]) -> BinnedReports:
+def binned_reports(points: PredictedPoints) -> BinnedReports:
     """Boxplot-style tables: point APE by pressure and temperature interval,
     component APE by molecular weight and by minimum point count."""
-    cols = _columns(points)
-    weights = np.array([points[r[0]].mol_weight for r in cols.groups.values()])
+    if not points:
+        raise ValueError("empty evaluation set")
+    weights = points.mol_weight[[r[0] for r in points.groups.values()]]
     return BinnedReports(
-        pressure=_interval_table(cols.p_exp, cols.ape, PRESSURE_EDGES_PA),
-        temperature=_interval_table(cols.temperature, cols.ape, TEMPERATURE_EDGES_K),
-        mol_weight=_interval_table(weights, cols.scores, MOL_WEIGHT_EDGES),
-        min_points=[_bin_row({"min_points": level}, cols.sizes >= level, cols.scores)
+        pressure=_interval_table(points.p_exp_pa, points.ape, PRESSURE_EDGES_PA),
+        temperature=_interval_table(points.temperature_k, points.ape,
+                                    TEMPERATURE_EDGES_K),
+        mol_weight=_interval_table(weights, points.scores, MOL_WEIGHT_EDGES),
+        min_points=[_bin_row({"min_points": level}, points.sizes >= level,
+                             points.scores)
                     for level in MIN_POINTS_LEVELS],
     )
 
 
-def hexbin_grid(points: list[PredPoint]) -> list[dict]:
+def hexbin_grid(points: PredictedPoints) -> list[dict]:
     """Median point APE on a temperature x ln-pressure grid, clipped for
     display; rows are (T_center, lnp_center, MAPE_i, count)."""
-    if not points:
-        return []
-    cols = _columns(points)
-    t_idx = np.floor(cols.temperature / HEXBIN_T_STEP_K).astype(int)
-    p_idx = np.floor(np.log(cols.p_exp / PA_PER_KPA) / HEXBIN_LN_P_STEP).astype(int)
+    t_idx = np.floor(points.temperature_k / HEXBIN_T_STEP_K).astype(int)
+    p_idx = np.floor(np.log(points.p_exp_pa / PA_PER_KPA)
+                     / HEXBIN_LN_P_STEP).astype(int)
     cells = _groups(zip(t_idx.tolist(), p_idx.tolist()))
     return [{"T_center": (ti + 0.5) * HEXBIN_T_STEP_K,
              "lnp_center": (pi + 0.5) * HEXBIN_LN_P_STEP,
-             "MAPE_i": min(float(np.median(cols.ape[r])), HEXBIN_CLIP_PERCENT),
+             "MAPE_i": min(float(np.median(points.ape[r])), HEXBIN_CLIP_PERCENT),
              "count": r.size}
             for (ti, pi), r in sorted(cells.items())]
 
@@ -220,23 +225,21 @@ class BoilingReport:
 
 
 def boiling_point_eval(params_by_component: dict[str, AntoineParams],
-                       points: list[PredPoint]) -> BoilingReport:
+                       points: PredictedPoints) -> BoilingReport:
     """Normal-boiling-point check: take each component's points inside
     :data:`BOILING_WINDOW_KPA`, average duplicates, and invert the predicted
     curve at the mean pressure."""
-    if not points:
-        return BoilingReport([], float("nan"), float("nan"), 0)
-    cols = _columns(points)
     rows = []
     lo_pa, hi_pa = (bound * PA_PER_KPA for bound in BOILING_WINDOW_KPA)
-    for component, idx in sorted(cols.groups.items()):
+    p_exp = points.p_exp_pa
+    for component, idx in sorted(points.groups.items()):
         if idx.size < BOILING_MIN_POINTS or component not in params_by_component:
             continue
-        near = idx[(cols.p_exp[idx] >= lo_pa) & (cols.p_exp[idx] <= hi_pa)]
+        near = idx[(p_exp[idx] >= lo_pa) & (p_exp[idx] <= hi_pa)]
         if not near.size:
             continue
-        p_mean = float(np.mean(cols.p_exp[near]))
-        t_mean = float(np.mean(cols.temperature[near]))
+        p_mean = float(np.mean(p_exp[near]))
+        t_mean = float(np.mean(points.temperature_k[near]))
         t_pred = boiling_temperature(params_by_component[component], p_mean)
         rows.append({
             "component_id": component,

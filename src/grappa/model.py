@@ -26,6 +26,7 @@ from .antoine import (
 )
 from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize
 from .gnn import GatLayer, batch_graphs, encode, glorot
+from .metrics import PredictedPoints
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
 from .tensor import (
@@ -347,28 +348,25 @@ def predict(model: GrappaModel, smiles: str, temperatures=None,
     return Prediction(params, ln_p, p, boiling)
 
 
-def predict_dataset(model: GrappaModel, dataset, split: str | None = None):
+def predict_dataset(model: GrappaModel, dataset, split: str | None = None
+                    ) -> tuple[PredictedPoints, dict[str, AntoineParams]]:
     """Inference over every component of a dataset (optionally one split).
 
-    Returns ``(pred_points, params_by_component)`` ready for the metrics
-    layer; points whose temperature falls outside a predicted curve's valid
-    branch get an infinite predicted pressure.
+    Returns ``(points, params_by_component)`` ready for the metrics layer;
+    points whose temperature falls outside a predicted curve's valid branch
+    get an infinite predicted pressure.
     """
-    from .metrics import PredPoint
-
     comps = prepare_components(dataset, split)
     rows, ln_p, p_pred = predict_components(model, comps)
     params_by_component = {name: AntoineParams(*row)
                            for name, row in zip(comps.names, rows.tolist())}
-    pred_points = [
-        PredPoint(component_id=comps.names[m], temperature_k=t, p_exp_pa=p,
-                  p_pred_pa=q, mol_weight=comps.graphs[m].mol_weight,
-                  ln_p_pred_kpa=ln)
-        for m, t, p, q, ln in zip(comps.molecule.tolist(),
-                                  comps.temperatures.tolist(),
-                                  comps.pressures_pa.tolist(), p_pred.tolist(),
-                                  ln_p.tolist())]
-    return pred_points, params_by_component
+    points = PredictedPoints(
+        component_id=np.array(comps.names, dtype=object)[comps.molecule],
+        temperature_k=comps.temperatures, p_exp_pa=comps.pressures_pa,
+        p_pred_pa=p_pred,
+        mol_weight=np.array([g.mol_weight for g in comps.graphs])[comps.molecule],
+        ln_p_pred_kpa=ln_p)
+    return points, params_by_component
 
 
 # --------------------------------------------------------------- checkpoints

@@ -6,9 +6,10 @@ reachable tensor. Tapes are per-forward-pass and single-threaded; separate
 forward passes are independent.
 
 All forward results are checked for NaN/Inf and trip :class:`NonFiniteError`
-immediately, which keeps training divergence diagnosable. The check is one
-``np.isfinite(data).all()`` per op; testing the sum first is no faster and
-warns when finite values overflow.
+immediately, which keeps training divergence diagnosable; the error names
+the op and every named input (model parameters carry their checkpoint
+names). The check is one ``np.isfinite(data).all()`` per op; testing the
+sum first is no faster and warns when finite values overflow.
 
 Every scatter (``segment_sum``, the ``gather_rows`` VJP, and the softmax
 denominators and sums of ``gat_layer_sum`` and its VJP) is one
@@ -144,7 +145,11 @@ def recording(on: bool):
 
 def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
     if not np.isfinite(data).all():
-        raise NonFiniteError("non-finite value produced by a tensor operation")
+        # The op is the function that defines the VJP closure.
+        op = vjp.__qualname__.split(".")[0]
+        names = ", ".join(repr(p.name) for p in parents if p.name)
+        raise NonFiniteError(f"non-finite value produced by {op}"
+                             + (f" (inputs {names})" if names else ""))
     out = Tensor(data, requires_grad=_RECORDING
                  and any(p.requires_grad for p in parents))
     if out.requires_grad:

@@ -88,9 +88,17 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 2: batch norm "
                              "normalizes over the molecules of a batch")
         for name in ("warmup_epochs", "main_epochs", "huber_delta", "max_lr",
-                     "plateau_factor", "plateau_patience"):
+                     "plateau_patience", "eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.main_lr is not None and self.main_lr <= 0:
+            raise ValueError("main_lr must be positive")
+        if self.weight_decay < 0:
+            raise ValueError("weight_decay must not be negative")
+        if not all(0 <= beta < 1 for beta in self.betas):
+            raise ValueError("betas must each lie in [0, 1)")
+        if not 0 < self.plateau_factor < 1:
+            raise ValueError("plateau_factor must lie in (0, 1)")
         if not set(self.grid_gat_layers) <= set(GRID_GAT_LAYERS):
             raise ValueError("grid_gat_layers outside the supported set")
         if not set(self.grid_heads) <= set(GRID_HEADS):

@@ -17,6 +17,7 @@ import numpy as np
 
 from grappa.antoine import AntoineParams
 from grappa.dataio import VpDataset, VpPoint
+from grappa.metrics import PredictedPoints
 from grappa.molecule import Molecule
 from grappa.tensor import _make, _scatter_sum, _t, add, matmul, mul
 
@@ -349,6 +350,13 @@ def synthetic_dataset(points_per_component: int = 10,
     splits = {component: ("valid" if component in valid_components else "train")
               for component, _, _, _ in specs}
     return VpDataset(points, splits), truth
+
+
+def points_table(rows, ln_p_pred_kpa=None) -> PredictedPoints:
+    """One table from hand-written ``(component_id, temperature_k, p_exp_pa,
+    p_pred_pa, mol_weight)`` rows, transposed into its columns."""
+    columns = [list(column) for column in zip(*rows)] or [[]] * 5
+    return PredictedPoints(*columns, ln_p_pred_kpa=ln_p_pred_kpa)
 
 
 def contaminate(ds: VpDataset, factor: float = 2.0) -> tuple[VpDataset, set[int]]:

@@ -19,7 +19,7 @@ from grappa.antoine import (
 )
 from grappa.dataio import curate, robust_antoine_fit
 from grappa.featurize import featurize
-from grappa.metrics import ape_c, ape_i, summarize, PredPoint
+from grappa.metrics import ape_c, ape_i, summarize
 from grappa.model import (
     Architecture,
     Components,
@@ -45,6 +45,7 @@ from _oracles import (
     finite_difference_at,
     finite_difference_grad,
     max_rel_error,
+    points_table,
     scan_bonds_of,
     scan_degree,
     scan_neighbors,
@@ -407,11 +408,11 @@ def test_curation_oracle():
 
 def test_metric_correctness():
     ok = (ape_i(110.0, 100.0) == 10.0 and ape_c([10.0, 20.0]) == 15.0)
-    points = [PredPoint("a", 300.0, 100.0, 110.0)]
-    points += [PredPoint("b", 300.0 + i, 100.0, 120.0) for i in range(2)]
-    points += [PredPoint("c", 300.0 + i, 100.0, 90.0) for i in range(5)]
-    points += [PredPoint("d", 300.0 + i, 100.0, 105.0) for i in range(3)]
-    rep = summarize(points)
+    points = [("a", 300.0, 100.0, 110.0, 0.0)]
+    points += [("b", 300.0 + i, 100.0, 120.0, 0.0) for i in range(2)]
+    points += [("c", 300.0 + i, 100.0, 90.0, 0.0) for i in range(5)]
+    points += [("d", 300.0 + i, 100.0, 105.0, 0.0) for i in range(3)]
+    rep = summarize(points_table(points))
     shrinking = (rep.n_components[1] >= rep.n_components[2]
                  >= rep.n_components[5])
     counts_right = (rep.n_components[1] == 4 and rep.n_components[2] == 3

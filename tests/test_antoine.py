@@ -141,6 +141,9 @@ def test_ln_p_tensor_keeps_the_loss_semantics_off_the_branch():
         10.0 - 2000.0 / -39.9)
     with pytest.raises(NonFiniteError):
         ln_p_tensor(Tensor(rows), [299.9])
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match="produced by ln_p_tensor$"):
+        ln_p_tensor(Tensor([[10.0, 1e308, 0.0]]), [0.5])
 
 
 # ----------------------------------------------------------------------- head

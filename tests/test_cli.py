@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from grappa import dataio, metrics
 from grappa.cli import main
 from grappa.dataio import VpDataset, VpPoint, write_csv, write_splits_csv
 from grappa.model import Architecture, encode_entry, init_model, save_checkpoint
@@ -244,6 +245,20 @@ def test_fit_antoine_and_train_count_rows_rejected_on_load(capsys, tmp_path,
     assert payload == {"fits": [], "skipped": [], "rows_rejected_on_load": 2}
 
 
+def test_jsonl_rows_that_are_not_objects_are_counted_rejects(capsys, tmp_path):
+    base = {"component_id": "a", "smiles": "CCCCC", "quality": "ok"}
+    rows = [json.dumps({**base, "temperature_K": t,
+                        "pressure_Pa": 1000.0 * np.exp(14.0 - 3000.0 / (t - 40.0))})
+            for t in (300.0, 320.0, 340.0, 360.0)]
+    path = tmp_path / "data.jsonl"
+    path.write_text("\n".join(["[1, 2]", *rows, "null", "7"]) + "\n")
+    code, payload = run(capsys, "fit-antoine", "--input", str(path),
+                        "--format", "jsonl")
+    assert code == 0
+    assert payload["rows_rejected_on_load"] == 3
+    assert [row["component_id"] for row in payload["fits"]] == ["a"]
+
+
 @pytest.mark.parametrize("command", ["train", "grid-search"])
 @pytest.mark.parametrize("config", [
     lambda data: {"data": data, "train": {"batch_sise": 16}},
@@ -263,6 +278,28 @@ def test_training_with_a_malformed_config_exits_1(capsys, tmp_path, data_path,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("setting", [
+    {"main_lr": -0.01}, {"weight_decay": -1.0}, {"eps": 0.0},
+    {"betas": [1.5, 0.999]}, {"plateau_factor": 2.0},
+], ids=lambda setting: next(iter(setting)))
+def test_train_with_an_out_of_range_setting_exits_1(capsys, tmp_path,
+                                                     data_path, setting):
+    # A config that trains (one epoch per phase) but for the one setting.
+    data, splits = data_path
+    output = tmp_path / "trained.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": data, "splits": splits, "output_model": str(output),
+        "arch": {"gat_layers": 2, "heads": 1, "hidden_layers": 1},
+        "train": {"batch_size": 8, "warmup_epochs": 1, "main_epochs": 1,
+                  **setting}}))
+    code = main(["train", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and next(iter(setting)) in err
+    assert "Traceback" not in err and not output.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -328,6 +365,70 @@ def test_evaluate_and_report(capsys, tmp_path, model_path, data_path):
             "binned.json", "boiling.json"} <= names
     header = (outdir / "hexbin.csv").read_text().splitlines()[0]
     assert header == "T_center,lnp_center,MAPE_i,count"
+
+
+def test_report_min_points_filters_only_the_binned_tables(capsys, tmp_path,
+                                                          model_path, data_path):
+    data, splits = data_path
+    # Valid components keep 6, 2, 6 and 1 of their points.
+    short = {"alkane-10": 2, "alcohol-9": 1}
+    groups = dataio.load(data).by_component()
+    trimmed = [pt for c, pts in groups.items() for pt in pts[:short.get(c, 6)]]
+    every = tmp_path / "every.csv"
+    write_csv(VpDataset(trimmed), every)
+    kept = tmp_path / "kept.csv"
+    write_csv(VpDataset([pt for pt in trimmed
+                         if pt.component_id not in short]), kept)
+
+    def report(path, min_points, name):
+        outdir = tmp_path / name
+        code = main(["report", "--model", model_path, "--data", str(path),
+                     "--splits", splits, "--split", "valid",
+                     "--outdir", str(outdir), "--min-points", str(min_points)])
+        capsys.readouterr()
+        assert code == 0
+        return {p.name: p.read_text() for p in outdir.iterdir()}
+
+    filtered = report(every, 3, "filtered")
+    unfiltered = report(every, 1, "unfiltered")
+    alone = report(kept, 1, "alone")
+    for name in ("ape_by_pressure.csv", "ape_by_temperature.csv",
+                 "ape_by_mol_weight.csv", "ape_by_min_points.csv",
+                 "hexbin.csv", "binned.json"):
+        assert filtered[name] == alone[name] != unfiltered[name]
+    for name in ("metrics.json", "boiling.json"):
+        assert filtered[name] == unfiltered[name]
+    counts = json.loads(filtered["metrics.json"])
+    assert counts["n_points"] == 6 + 2 + 6 + 1
+    assert counts["n_components"] == {"1": 4, "2": 3, "5": 2}
+
+    outdir = tmp_path / "none"
+    code = main(["report", "--model", model_path, "--data", str(every),
+                 "--splits", splits, "--split", "valid",
+                 "--outdir", str(outdir), "--min-points", "7"])
+    assert code == 1
+    assert capsys.readouterr().err.strip() == "error: empty evaluation set"
+
+
+def test_evaluate_builds_one_table_and_report_two(capsys, tmp_path,
+                                                  monkeypatch, model_path,
+                                                  data_path):
+    built = []
+    real_post_init = metrics.PredictedPoints.__post_init__
+
+    def counting_post_init(self):
+        built.append(self)
+        real_post_init(self)
+
+    monkeypatch.setattr(metrics.PredictedPoints, "__post_init__",
+                        counting_post_init)
+    data, splits = data_path
+    common = ["--model", model_path, "--data", data, "--splits", splits,
+              "--split", "valid"]
+    assert main(["evaluate", *common]) == 0
+    assert len(built) == 1
+    assert main(["report", *common, "--outdir", str(tmp_path / "out")]) == 0
+    assert len(built) == 3
 
 
 def test_evaluate_never_mutates_inputs(capsys, model_path, data_path):

@@ -109,10 +109,14 @@ def test_load_jsonl(tmp_path):
         '{"component_id": "a", "smiles": "CCO", "temperature_K": 300,'
         ' "pressure_Pa": 1000, "quality": "ok"}\n'
         '{"component_id": "b", "smiles": "CC", "temperature_K": 0,'
-        ' "pressure_Pa": 1000, "quality": "ok"}\n')
+        ' "pressure_Pa": 1000, "quality": "ok"}\n'
+        # Valid JSON that is not an object: a list, a number, a string, null.
+        '[1, 2]\n3.5\n"a,CCO,300,1000,ok"\nnull\n')
     ds = load(path, fmt="jsonl")
     assert len(ds) == 1
-    assert len(ds.rejects) == 1
+    assert len(ds.rejects) == 5
+    assert ds.rejects[1:] == [{"row": row, "reason": "row is not an object"}
+                              for row in (3, 4, 5, 6)]
 
 
 # ---------------------------------------------------------------- robust fit

@@ -6,7 +6,7 @@ import pytest
 
 from grappa.antoine import AntoineParams
 from grappa.metrics import (
-    PredPoint,
+    PredictedPoints,
     ape_c,
     ape_i,
     binned_reports,
@@ -15,11 +15,12 @@ from grappa.metrics import (
     summarize,
 )
 
-from _oracles import sorted_percentile
+from _oracles import points_table, sorted_percentile
 
 
 def mk(component, p_exp, p_pred, t=300.0, mw=100.0):
-    return PredPoint(component, t, p_exp, p_pred, mw)
+    """One hand-written row for :func:`points_table`."""
+    return component, t, p_exp, p_pred, mw
 
 
 # --------------------------------------------------------------- point scores
@@ -43,12 +44,61 @@ def test_ape_c_hand_cases():
         ape_c([])
 
 
+# ------------------------------------------------------------------ the table
+
+def test_table_derives_components_in_order_of_first_appearance():
+    rows = [mk("b", 100.0, 110.0), mk("a", 200.0, 260.0, t=310.0),
+            mk("b", 400.0, 300.0, t=320.0), mk("c", 50.0, 50.0),
+            mk("a", 100.0, 101.0, t=330.0)]
+    points = points_table(rows)
+    assert len(points) == 5
+    assert list(points.groups) == ["b", "a", "c"]
+    assert [r.tolist() for r in points.groups.values()] == [[0, 2], [1, 4], [3]]
+    assert points.sizes.tolist() == [2, 2, 1]
+    for i, (_, _, p_exp, p_pred, _) in enumerate(rows):
+        assert points.ape[i] == ape_i(p_pred, p_exp)
+    for score, component in zip(points.scores, points.groups):
+        apes = [ape_i(p_pred, p_exp) for c, _, p_exp, p_pred, _ in rows
+                if c == component]
+        assert score == ape_c(apes)
+
+
+def test_select_keeps_the_chosen_components_in_input_order():
+    rows = [mk(f"c{i % 3}", 100.0 + i, 90.0 + 3 * i, t=280.0 + i, mw=50.0 * i)
+            for i in range(9)]
+    ln_p = np.linspace(-2.0, 2.0, 9)
+    points = points_table(rows, ln_p_pred_kpa=ln_p)
+    kept = points.select([True, False, True])
+    want = [i for i, row in enumerate(rows) if row[0] != "c1"]
+    assert kept.component_id.tolist() == [rows[i][0] for i in want]
+    assert kept.temperature_k.tolist() == [rows[i][1] for i in want]
+    assert kept.mol_weight.tolist() == [rows[i][4] for i in want]
+    assert kept.ln_p_pred_kpa.tolist() == ln_p[want].tolist()
+    assert list(kept.groups) == ["c0", "c2"]
+    assert kept.scores.tolist() == points.scores[[0, 2]].tolist()
+    alone = points_table([rows[i] for i in want], ln_p_pred_kpa=ln_p[want])
+    assert repr(summarize(kept)) == repr(summarize(alone))
+    none = points.select(np.zeros(3, dtype=bool))
+    assert len(none) == 0 and none.groups == {}
+
+
+def test_table_shape_errors():
+    with pytest.raises(ValueError, match="one length"):
+        PredictedPoints(["a", "a"], [300.0], [100.0, 100.0], [110.0, 110.0],
+                        [0.0, 0.0])
+    with pytest.raises(ValueError, match="one length"):
+        PredictedPoints(["a"], [300.0], [100.0], [110.0], [0.0],
+                        ln_p_pred_kpa=[0.1, 0.2])
+    with pytest.raises(ValueError, match="one mask entry per component"):
+        points_table([mk("a", 100.0, 110.0)]).select([True, False])
+
+
 # ----------------------------------------------------------------- summarize
 
 def test_perfect_predictions_zero_everywhere():
     points = [mk("a", 1000.0, 1000.0), mk("a", 2000.0, 2000.0),
               mk("b", 500.0, 500.0)]
-    report = summarize(points)
+    report = summarize(points_table(points))
     assert report.mae == 0.0 and report.mse == 0.0
     assert report.mape_i == 0.0
     assert report.mape_c[1] == 0.0
@@ -57,7 +107,7 @@ def test_perfect_predictions_zero_everywhere():
 def test_mae_mse_work_on_ln_kpa():
     # Prediction off by a factor e: |delta ln p| = 1 regardless of units.
     points = [mk("a", 1000.0, 1000.0 * math.e)]
-    report = summarize(points)
+    report = summarize(points_table(points))
     assert report.mae == pytest.approx(1.0)
     assert report.mse == pytest.approx(1.0)
 
@@ -69,8 +119,9 @@ def test_mae_mse_stay_finite_when_a_pressure_underflows():
     ln_p = 5.0 - 6000.0 / (-299.0 + temps)
     p_pred = np.exp(ln_p) * 1000.0
     assert p_pred[0] == 0.0
-    points = [PredPoint("a", t, 1000.0, p, 100.0, ln_p_pred_kpa=ln)
-              for t, p, ln in zip(temps.tolist(), p_pred.tolist(), ln_p.tolist())]
+    points = points_table([("a", t, 1000.0, p, 100.0)
+                           for t, p in zip(temps.tolist(), p_pred.tolist())],
+                          ln_p_pred_kpa=ln_p)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = summarize(points)
@@ -80,12 +131,13 @@ def test_mae_mse_stay_finite_when_a_pressure_underflows():
 
 
 def test_point_ln_p_defaults_to_log_of_pressure():
-    assert mk("a", 1000.0, 1000.0 * math.e).ln_p_pred_kpa == pytest.approx(1.0)
+    points = points_table([mk("a", 1000.0, 1000.0 * math.e)])
+    assert points.ln_p_pred_kpa[0] == pytest.approx(1.0)
 
 
 def test_median_of_two_components():
     points = [mk("a", 100.0, 110.0), mk("b", 100.0, 130.0)]
-    report = summarize(points)
+    report = summarize(points_table(points))
     assert report.mape_c[1] == pytest.approx((10.0 + 30.0) / 2)
 
 
@@ -93,7 +145,7 @@ def test_min_k_filters_shrink_component_sets():
     points = [mk("a", 100.0, 110.0)]
     points += [mk("b", 100.0, 120.0, t=300.0 + i) for i in range(2)]
     points += [mk("c", 100.0, 90.0, t=300.0 + i) for i in range(5)]
-    report = summarize(points)
+    report = summarize(points_table(points))
     assert report.n_components[1] == 3
     assert report.n_components[2] == 2
     assert report.n_components[5] == 1
@@ -103,9 +155,9 @@ def test_min_k_filters_shrink_component_sets():
 
 def test_median_is_robust_to_one_wild_point():
     base = [mk(f"c{i}", 100.0, 100.0 + i) for i in range(1, 10)]
-    report_before = summarize(base)
+    report_before = summarize(points_table(base))
     wild = base + [mk("wild", 100.0, 1e8)]
-    report_after = summarize(wild)
+    report_after = summarize(points_table(wild))
     apes = sorted(i for i in range(1, 10))
     # One extra huge value moves the median by at most one order statistic.
     assert report_after.mape_i <= apes[len(apes) // 2] + 1
@@ -116,10 +168,10 @@ def test_reordering_invariance():
     rng = np.random.default_rng(0)
     points = [mk(f"c{i % 4}", 100.0 + i, 90.0 + 2 * i, t=280.0 + i)
               for i in range(12)]
-    report = summarize(points)
+    report = summarize(points_table(points))
     for _ in range(4):
         shuffled = [points[i] for i in rng.permutation(len(points))]
-        other = summarize(shuffled)
+        other = summarize(points_table(shuffled))
         assert other.mape_i == report.mape_i
         assert other.mae == report.mae
         for k, value in report.mape_c.items():
@@ -133,13 +185,13 @@ def test_mae_squared_below_mse():
     rng = np.random.default_rng(1)
     points = [mk("a", 1000.0, float(1000.0 * np.exp(rng.normal())),
                  t=280.0 + i) for i in range(20)]
-    report = summarize(points)
+    report = summarize(points_table(points))
     assert report.mae ** 2 <= report.mse + 1e-12
 
 
 def test_summarize_rejects_empty():
     with pytest.raises(ValueError):
-        summarize([])
+        summarize(points_table([]))
 
 
 # -------------------------------------------------------------------- binning
@@ -151,7 +203,7 @@ def _row_from(rows, lo):
 def test_single_bin_holds_everything():
     # All points sit in the 100-1000 Pa decade and the 300-350 K interval.
     points = [mk("a", 150.0, 180.0, t=300.0 + i) for i in range(10)]
-    reports = binned_reports(points)
+    reports = binned_reports(points_table(points))
     for rows, lo in ((reports.pressure, 100.0), (reports.temperature, 300.0)):
         assert sum(row["count"] for row in rows) == _row_from(rows, lo)["count"] == 10
     row = _row_from(reports.pressure, 100.0)
@@ -163,7 +215,7 @@ def test_bin_percentages_sum_to_100():
     rng = np.random.default_rng(2)
     points = [mk("a", float(10 ** rng.uniform(0.5, 6.5)), 120.0,
                  t=float(rng.uniform(255, 595))) for _ in range(60)]
-    reports = binned_reports(points)
+    reports = binned_reports(points_table(points))
     assert sum(r["pct"] for r in reports.pressure) == pytest.approx(100.0)
     assert sum(r["pct"] for r in reports.temperature) == pytest.approx(100.0)
 
@@ -174,7 +226,7 @@ def test_quartiles_match_sort_based_oracle():
         sample = rng.uniform(0, 50, size=rng.integers(2, 30))
         points = [mk("a", 100.0, 100.0 * (1 + s / 100.0), t=300.0)
                   for s in sample]
-        row = _row_from(binned_reports(points).pressure, 100.0)
+        row = _row_from(binned_reports(points_table(points)).pressure, 100.0)
         assert row["q1"] == pytest.approx(sorted_percentile(sample, 25), abs=1e-9)
         assert row["median"] == pytest.approx(sorted_percentile(sample, 50), abs=1e-9)
         assert row["q3"] == pytest.approx(sorted_percentile(sample, 75), abs=1e-9)
@@ -183,7 +235,7 @@ def test_quartiles_match_sort_based_oracle():
 def test_whiskers_follow_iqr_fences():
     sample = [1.0, 2.0, 3.0, 4.0, 100.0]  # 100 is outside the upper fence
     points = [mk("a", 100.0, 100.0 * (1 + s / 100.0), t=300.0) for s in sample]
-    row = _row_from(binned_reports(points).pressure, 100.0)
+    row = _row_from(binned_reports(points_table(points)).pressure, 100.0)
     assert row["whisker_hi"] == pytest.approx(4.0)
     assert row["whisker_lo"] == pytest.approx(1.0)
 
@@ -192,7 +244,7 @@ def test_min_points_rows_are_cumulative():
     points = [mk("a", 100.0, 110.0)]
     points += [mk("b", 100.0, 120.0, t=300.0 + i) for i in range(3)]
     points += [mk("c", 100.0, 130.0, t=300.0 + i) for i in range(10)]
-    reports = binned_reports(points)
+    reports = binned_reports(points_table(points))
     counts = {row["min_points"]: row["count"] for row in reports.min_points}
     assert counts[1] == 3 and counts[2] == 2 and counts[3] == 2
     assert counts[5] == 1 and counts[10] == 1
@@ -202,7 +254,7 @@ def test_mol_weight_table_groups_components():
     points = [mk("light", 100.0, 120.0, mw=80.0),
               mk("heavy", 100.0, 150.0, mw=320.0)]
     # 80 falls in [0, 100) and 320 in [300, 400).
-    reports = binned_reports(points)
+    reports = binned_reports(points_table(points))
     assert [row["count"] for row in reports.mol_weight] == [1, 0, 0, 0, 0, 1, 0]
 
 
@@ -210,7 +262,7 @@ def test_hexbin_grid_cells():
     points = [mk("a", 1000.0, 1100.0, t=260.0),
               mk("a", 1000.0, 1100.0, t=262.0),
               mk("b", 1000.0, 5000.0, t=400.0)]
-    rows = hexbin_grid(points)
+    rows = hexbin_grid(points_table(points))
     assert len(rows) == 2
     first = rows[0]
     assert first["count"] == 2
@@ -221,7 +273,7 @@ def test_hexbin_grid_cells():
 
 
 def test_hexbin_empty():
-    assert hexbin_grid([]) == []
+    assert hexbin_grid(points_table([])) == []
 
 
 # ------------------------------------------------------------- boiling points
@@ -234,7 +286,7 @@ def test_boiling_eval_window_and_averaging():
         mk("a", 100_000.0, 1.0, t=t_b + 1.0),
         mk("a", 5_000.0, 1.0, t=250.0),  # outside the window
     ]
-    report = boiling_point_eval(params, points)
+    report = boiling_point_eval(params, points_table(points))
     assert report.n_components == 1
     row = report.rows[0]
     assert row["t_exp_k"] == pytest.approx(t_b)
@@ -245,7 +297,7 @@ def test_boiling_eval_window_and_averaging():
 def test_boiling_eval_skips_single_point_components():
     params = {"a": AntoineParams(10.0, 2000.0, -50.0)}
     points = [mk("a", 100_000.0, 1.0, t=400.0)]
-    report = boiling_point_eval(params, points)
+    report = boiling_point_eval(params, points_table(points))
     assert report.n_components == 0
     assert math.isnan(report.mae_k)
 
@@ -253,5 +305,5 @@ def test_boiling_eval_skips_single_point_components():
 def test_boiling_eval_requires_window_points():
     params = {"a": AntoineParams(10.0, 2000.0, -50.0)}
     points = [mk("a", 5000.0, 1.0, t=300.0), mk("a", 6000.0, 1.0, t=310.0)]
-    report = boiling_point_eval(params, points)
+    report = boiling_point_eval(params, points_table(points))
     assert report.rows == []

@@ -415,8 +415,8 @@ def test_predict_dataset_covers_split():
     valid_components = {c for c, s in ds.splits.items() if s == "valid"}
     assert set(params) == valid_components
     assert len(points) == 4 * len(valid_components)
-    assert all(pt.p_pred_pa > 0 for pt in points)
-    assert all(pt.mol_weight > 0 for pt in points)
+    assert (points.p_pred_pa > 0).all()
+    assert (points.mol_weight > 0).all()
 
 
 @pytest.mark.parametrize("chunk", [None, 3])
@@ -446,10 +446,9 @@ def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
     for component, group in groups.items():
         temps = np.array([pt.temperature_k for pt in group])
         alone = antoine(*params[component].as_tuple(), temps)
-        got = [pt.p_pred_pa for pt in points if pt.component_id == component]
-        assert np.array(got).tobytes() == alone.tobytes()
-        ln_p = [pt.ln_p_pred_kpa for pt in points if pt.component_id == component]
-        assert np.array(ln_p).tobytes() \
+        mine = points.component_id == component
+        assert points.p_pred_pa[mine].tobytes() == alone.tobytes()
+        assert points.ln_p_pred_kpa[mine].tobytes() \
             == _ln_p_kpa(*params[component].as_tuple(), temps)[0].tobytes()
 
 

@@ -229,11 +229,19 @@ def test_sigmoid_extreme_inputs_stay_finite():
 
 
 def test_non_finite_forward_raises():
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+    # The error names the op and every named input.
+    with np.errstate(over="ignore"), pytest.raises(
+            NonFiniteError, match=r"^non-finite value produced by mul$"):
         T.mul(Tensor([1e308]), Tensor([10.0]))
     big = Tensor(np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         T.mul(big, big)
+    weight = Tensor(np.full((2, 2), 1e200), requires_grad=True,
+                    name="gat.0.0.theta_v")
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+        T.matmul(Tensor(np.full((1, 2), 1e200)), weight)
+    assert str(info.value) == ("non-finite value produced by matmul "
+                               "(inputs 'gat.0.0.theta_v')")
 
 
 def test_finite_check_allows_sums_that_overflow():

@@ -302,6 +302,15 @@ def test_config_validation_and_grid_bounds():
         TrainConfig(grid_gat_layers=(1, 2)).validate()
     with pytest.raises(ValueError):
         TrainConfig(grid_pooling=("mean",)).validate()
+    for setting in ({"main_lr": -0.01}, {"main_lr": 0.0},
+                    {"weight_decay": -1.0}, {"eps": 0.0}, {"eps": -1e-8},
+                    {"betas": (1.5, 0.999)}, {"betas": (0.9, 1.0)},
+                    {"betas": (-0.1, 0.999)}, {"plateau_factor": 2.0},
+                    {"plateau_factor": 1.0}, {"plateau_factor": 0.0}):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            TrainConfig(**setting).validate()
+    TrainConfig(weight_decay=0.0, betas=(0.0, 0.0), main_lr=1e-9, eps=1e-300,
+                plateau_factor=0.999).validate()
     cfg = TrainConfig.from_dict({"batch_size": 16, "betas": [0.9, 0.99]})
     assert cfg.batch_size == 16 and cfg.betas == (0.9, 0.99)
 
