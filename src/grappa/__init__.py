@@ -21,6 +21,7 @@ from .dataio import (
     curate,
     load,
     robust_antoine_fit,
+    robust_antoine_fits,
     split,
 )
 from .featurize import (

@@ -95,7 +95,11 @@ def _cmd_split(args) -> int:
     labeled = dataio.split(ds, _seed_from(args), ratios)
     dataio.write_splits_csv(labeled, args.output)
     counts = Counter(labeled.split_label(c) for c in labeled.components())
-    _emit({"components": counts, "output": str(args.output),
+    # split leaves only the components whose SMILES does not parse unlabelled.
+    skipped = Counter("smiles" for c in labeled.components()
+                      if c not in labeled.splits)
+    _emit({"components": counts, "components_skipped": skipped,
+           "output": str(args.output),
            "rows_rejected_on_load": len(ds.rejects)}, None, args.verbose)
     return 0
 
@@ -107,11 +111,10 @@ def _cmd_fit_antoine(args) -> int:
         if args.component not in groups:
             raise ValueError(f"unknown component {args.component!r}")
         groups = {args.component: groups[args.component]}
-    rows = []
+    windows = {}
     skipped = []
     for component, points in sorted(groups.items()):
         t = np.array([pt.temperature_k for pt in points])
-        p = np.array([pt.pressure_pa for pt in points])
         if not dataio.fit_window_ok(t):
             if args.component:
                 raise ValueError(
@@ -120,16 +123,17 @@ def _cmd_fit_antoine(args) -> int:
                     f"{dataio.MIN_FIT_SPREAD_K} K")
             skipped.append(component)
             continue
-        fit_result = dataio.robust_antoine_fit(t, p)
-        rows.append({
-            "component_id": component,
-            "A": fit_result.params.A,
-            "B": fit_result.params.B,
-            "C": fit_result.params.C,
-            "cost": fit_result.cost,
-            "converged": fit_result.converged,
-            "n_points": len(points),
-        })
+        windows[component] = (t, np.array([pt.pressure_pa for pt in points]))
+    fits = dataio.robust_antoine_fits(list(windows.values()))
+    rows = [{
+        "component_id": component,
+        "A": fit_result.params.A,
+        "B": fit_result.params.B,
+        "C": fit_result.params.C,
+        "cost": fit_result.cost,
+        "converged": fit_result.converged,
+        "n_points": len(t),
+    } for (component, (t, _)), fit_result in zip(windows.items(), fits)]
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else

@@ -90,6 +90,9 @@ def _parse_row(record, row: int) -> VpPoint:
     missing = [c for c in REQUIRED_COLUMNS if record.get(c) in (None, "")]
     if missing:
         raise ValueError(f"missing fields: {', '.join(missing)}")
+    for key in ("temperature_K", "pressure_Pa"):
+        if isinstance(record[key], bool):  # JSON true/false would read as 1/0
+            raise ValueError(f"{key} is not a number")
     t = float(record["temperature_K"])
     p = float(record["pressure_Pa"])
     stereo_raw = record.get("stereo_ok", True)
@@ -183,19 +186,25 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
     """Damped least squares with Huber reweighting and box projection, run on
     a (K, 3) stack of starts at once.
 
-    Every start keeps its own damping, slow-step count, stopping rule and
-    cost trace, and only the starts still iterating are computed, so each
-    ends exactly where it would alone. The C box must keep C + T positive
-    on every point, so every parameter row it admits is on the valid
-    branch. Returns the per-start parameters (K, 3), costs (K,), residuals
-    (K, n), converged flags, iteration counts and cost traces.
+    Each start has its own window: ``t`` and ``y`` are (K, n) rows and
+    ``box`` is (K, 3, 2); a shared (n,) window or (3, 2) box broadcasts to
+    every start. Every start keeps its own damping, slow-step count,
+    stopping rule and cost trace, and only the starts still iterating are
+    computed, so each ends exactly where it would alone. The C box must keep
+    C + T positive on every point, so every parameter row it admits is on
+    the valid branch. Returns the per-start parameters (K, 3), costs (K,),
+    residuals (K, n), converged flags, iteration counts and cost traces.
     """
-    lo, hi = box[:, 0], box[:, 1]
-    if lo[2] + t.min() <= 0.0:
-        raise ValueError("the C box must keep C + T positive on every point")
-    theta = np.clip(np.asarray(starts, dtype=float), lo, hi)
-    cost, r = _fit_cost(theta, t, y, delta)
+    theta = np.asarray(starts, dtype=float)
     k = len(theta)
+    t = np.broadcast_to(np.asarray(t, dtype=float), (k, np.shape(t)[-1]))
+    y = np.broadcast_to(np.asarray(y, dtype=float), t.shape)
+    box = np.broadcast_to(np.asarray(box, dtype=float), (k, 3, 2))
+    lo, hi = box[..., 0], box[..., 1]
+    if (lo[:, 2] + t.min(axis=1) <= 0.0).any():
+        raise ValueError("the C box must keep C + T positive on every point")
+    theta = np.clip(theta, lo, hi)
+    cost, r = _fit_cost(theta, t, y, delta)
     converged = np.zeros(k, dtype=bool)
     iterations = np.full(k, max_iter)
     traces = [[c] for c in cost.tolist()]
@@ -203,6 +212,7 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
     # back to theta, cost and r when its start stops.
     live = np.arange(k)
     th, old, res = theta[live], cost[live], r[live]
+    tl, yl, lol, hil = t[live], y[live], lo[live], hi[live]
     lam = np.full(len(live), 1e-3)
     slow_steps = np.zeros(len(live), dtype=int)
     diag = np.arange(3)
@@ -211,7 +221,7 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
         if not live.size:
             break
         b, c = th[:, 1:2], th[:, 2:]
-        denom = c + t
+        denom = c + tl
         # Jacobian of the residual r = y - (a - b/(c+t)) w.r.t. (a, b, c).
         jac = np.empty(denom.shape + (3,))
         jac[..., 0] = -1.0
@@ -227,8 +237,8 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
         damp = np.zeros_like(hess)
         damp[:, diag, diag] = hess[:, diag, diag]
         step, solved = _solve_each(hess + lam[:, None, None] * damp + ridge, -grad)
-        candidate = np.clip(th + step, lo, hi)
-        new_cost, new_r = _fit_cost(candidate, t, y, delta)
+        candidate = np.clip(th + step, lol, hil)
+        new_cost, new_r = _fit_cost(candidate, tl, yl, delta)
 
         better = solved & (new_cost < old)
         rel_drop = (old - new_cost) / np.maximum(old, 1e-30)
@@ -252,6 +262,7 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
             iterations[done] = it
             keep = ~stop
             live, th, old, res = live[keep], th[keep], old[keep], res[keep]
+            tl, yl, lol, hil = tl[keep], yl[keep], lol[keep], hil[keep]
             lam, slow_steps = lam[keep], slow_steps[keep]
     theta[live], cost[live], r[live] = th, old, res
     return theta, cost, r, converged, iterations, traces
@@ -278,14 +289,9 @@ def fit_window_ok(t: np.ndarray) -> bool:
     return len(t) >= MIN_FIT_POINTS and float(t.max() - t.min()) > MIN_FIT_SPREAD_K
 
 
-def robust_antoine_fit(temperatures_k, pressures_pa) -> AntoineFit:
-    """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost (:data:`FIT_HUBER_DELTA`)
-    and box-bounded search of at most :data:`FIT_MAX_ITER` iterations.
-
-    Needs a window that passes :func:`fit_window_ok`;
-    five deterministic starting points are solved as one stack and the first
-    with the lowest final cost wins.
-    """
+def _fit_window(temperatures_k, pressures_pa):
+    """A window's temperatures, ln(p/kPa) and parameter box; raises
+    ``ValueError`` if it cannot be fitted."""
     t = np.asarray(temperatures_k, dtype=float)
     p = np.asarray(pressures_pa, dtype=float)
     if not (np.isfinite(t).all() and ((p > 0.0) & (p < np.inf)).all()):
@@ -301,11 +307,47 @@ def robust_antoine_fit(temperatures_k, pressures_pa) -> AntoineFit:
         # Keep the pole C = -T out of the data window.
         (max(PARAM_RANGES["C"][0], -float(t.min()) + 1.0), PARAM_RANGES["C"][1]),
     ])
-    theta, cost, r, converged, iters, traces = _lm_solve(
-        _start_points(t, y), t, y, box, FIT_HUBER_DELTA, FIT_MAX_ITER)
-    best = int(np.argmin(cost))
-    return AntoineFit(AntoineParams(*theta[best]), r[best], float(cost[best]),
-                      bool(converged[best]), int(iters[best]), traces[best])
+    return t, y, box
+
+
+def robust_antoine_fits(windows) -> list[AntoineFit]:
+    """Robust fits of many ``(temperatures_k, pressures_pa)`` windows, in
+    order; each is the fit :func:`robust_antoine_fit` gives it alone.
+
+    Every window is checked before any is solved. The windows with the same
+    point count are solved as one stack of the five starts of each; windows
+    are grouped rather than padded, since padding would change the order of
+    numpy's pairwise sums and so the bytes of the result.
+    """
+    prepared = [_fit_window(t, p) for t, p in windows]
+    by_count: dict[int, list[int]] = {}
+    for i, (t, _, _) in enumerate(prepared):
+        by_count.setdefault(len(t), []).append(i)
+    fits: list[AntoineFit] = [None] * len(prepared)
+    for members in by_count.values():
+        group = [prepared[i] for i in members]
+        starts = [_start_points(t, y) for t, y, _ in group]
+        per = len(starts[0])
+        t, y, box = (np.repeat(np.stack(rows), per, axis=0) for rows in zip(*group))
+        theta, cost, r, converged, iters, traces = _lm_solve(
+            np.concatenate(starts), t, y, box, FIT_HUBER_DELTA, FIT_MAX_ITER)
+        for row, i in zip(range(0, len(theta), per), members):
+            best = row + int(np.argmin(cost[row:row + per]))
+            fits[i] = AntoineFit(AntoineParams(*theta[best]), r[best],
+                                 float(cost[best]), bool(converged[best]),
+                                 int(iters[best]), traces[best])
+    return fits
+
+
+def robust_antoine_fit(temperatures_k, pressures_pa) -> AntoineFit:
+    """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost (:data:`FIT_HUBER_DELTA`)
+    and box-bounded search of at most :data:`FIT_MAX_ITER` iterations.
+
+    Needs a window that passes :func:`fit_window_ok`;
+    five deterministic starting points are solved as one stack and the first
+    with the lowest final cost wins.
+    """
+    return robust_antoine_fits([(temperatures_k, pressures_pa)])[0]
 
 
 # ------------------------------------------------------------------ curation
@@ -356,25 +398,36 @@ def curate(ds: VpDataset) -> CurationResult:
     for pt in kept:
         groups.setdefault(pt.component_id, []).append(pt)
 
+    # One call fits every component with enough points over a wide enough
+    # window, a second the usable per-source windows of each whose fit
+    # converged; the audit, conflicts and dataset then follow component order.
+    windows = {c: _window(points) for c, points in groups.items()
+               if len(points) >= MIN_POINTS_FOR_OUTLIER_PASS}
+    fitted = [c for c, (t, _) in windows.items() if fit_window_ok(t)]
+    fit_of = dict(zip(fitted, robust_antoine_fits([windows[c] for c in fitted])))
+    sources = {c: _usable_sources(groups[c]) for c in fitted
+               if fit_of[c].converged}
+    pairs = [(c, s) for c, usable in sources.items() if len(usable) >= 2
+             for s in usable]
+    source_fits: dict[str, dict[str, AntoineParams]] = {}
+    for (c, s), fit in zip(pairs, robust_antoine_fits(
+            [sources[c][s] for c, s in pairs])):
+        source_fits.setdefault(c, {})[s] = fit.params
+
     final: list[VpPoint] = []
     conflicts: list[dict] = []
     for component, points in groups.items():
-        if len(points) < MIN_POINTS_FOR_OUTLIER_PASS:
+        if component not in windows:
             final.extend(points)
             continue
-        t = np.array([pt.temperature_k for pt in points])
-        p = np.array([pt.pressure_pa for pt in points])
-        if not fit_window_ok(t):
+        fit = fit_of.get(component)
+        if fit is None or not fit.converged:
+            rule = "fit_skipped_narrow_range" if fit is None else "fit_not_converged"
             audit.append({"row": None, "component": component,
-                          "rule": "fit_skipped_narrow_range", "action": "kept"})
+                          "rule": rule, "action": "kept"})
             final.extend(points)
             continue
-        fit = robust_antoine_fit(t, p)
-        if not fit.converged:
-            audit.append({"row": None, "component": component,
-                          "rule": "fit_not_converged", "action": "kept"})
-            final.extend(points)
-            continue
+        t, p = windows[component]
         p_fit = antoine(*fit.params.as_tuple(), t)
         rel_dev = np.abs(p - p_fit) / p_fit  # deviation measured from the fit
         for pt, dev in zip(points, rel_dev):
@@ -384,7 +437,7 @@ def curate(ds: VpDataset) -> CurationResult:
                               "action": "dropped"})
             else:
                 final.append(pt)
-        conflict = _source_conflict(component, points)
+        conflict = _source_conflict(component, t, source_fits.get(component, {}))
         if conflict is not None:
             conflicts.append(conflict)
 
@@ -392,21 +445,29 @@ def curate(ds: VpDataset) -> CurationResult:
     return CurationResult(out, audit, conflicts)
 
 
-def _source_conflict(component: str, points: list[VpPoint]) -> dict | None:
-    """Flag components whose per-source fits disagree by more than 50%."""
+def _window(points: list[VpPoint]) -> tuple[np.ndarray, np.ndarray]:
+    """The temperatures and pressures of ``points`` as two arrays."""
+    return (np.array([pt.temperature_k for pt in points]),
+            np.array([pt.pressure_pa for pt in points]))
+
+
+def _usable_sources(points: list[VpPoint]) -> dict[str, tuple]:
+    """The window of each named source whose points pass
+    :func:`fit_window_ok`, in order of first appearance."""
     by_source: dict[str, list[VpPoint]] = {}
     for pt in points:
         if pt.source:
             by_source.setdefault(pt.source, []).append(pt)
-    temps = {s: np.array([pt.temperature_k for pt in pts])
-             for s, pts in by_source.items()}
-    usable = {s: t for s, t in temps.items() if fit_window_ok(t)}
-    if len(usable) < 2:
+    windows = {s: _window(pts) for s, pts in by_source.items()}
+    return {s: w for s, w in windows.items() if fit_window_ok(w[0])}
+
+
+def _source_conflict(component: str, t_all: np.ndarray,
+                     fits: dict[str, AntoineParams]) -> dict | None:
+    """Flag a component whose per-source fits disagree by more than 50% on
+    its temperature window ``t_all``; fewer than two fits never conflict."""
+    if len(fits) < 2:
         return None
-    fits = {s: robust_antoine_fit(
-                t, np.array([pt.pressure_pa for pt in by_source[s]])).params
-            for s, t in usable.items()}
-    t_all = np.array([pt.temperature_k for pt in points])
     grid = np.linspace(t_all.min(), t_all.max(), 7)
     sources = sorted(fits)
     worst = 0.0
@@ -429,7 +490,8 @@ def carbon_count(mol: Molecule) -> int:
 
 def split(ds: VpDataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> VpDataset:
     """Component-wise split; molecules with fewer than five carbons always
-    train, the rest are shuffled and partitioned by the ratios."""
+    train, the rest are shuffled and partitioned by the ratios. A component
+    whose SMILES does not parse gets no label (``unassigned``)."""
     if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
             or abs(sum(ratios) - 1.0) > 1e-9):
         raise ValueError("ratios must be three finite, non-negative numbers "
@@ -437,7 +499,10 @@ def split(ds: VpDataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> VpDataset:
     groups = ds.by_component()
     small, rest = [], []
     for component, points in groups.items():
-        mol = parse_smiles(points[0].smiles)
+        try:
+            mol = parse_smiles(points[0].smiles)
+        except SmilesError:
+            continue
         (small if carbon_count(mol) < SMALL_MOLECULE_CARBONS else rest).append(
             component)
     rest = sorted(rest)

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -158,6 +160,33 @@ def test_split_respects_seed_and_writes_csv(capsys, tmp_path, data_path):
                   "--seed", "5")
     assert out.read_text() == first
     assert payload["components"]["train"] >= 1
+
+
+def test_split_leaves_an_unparseable_smiles_unassigned(capsys, tmp_path):
+    path = tmp_path / "data.csv"
+    path.write_text("component_id,smiles,temperature_K,pressure_Pa,quality\n"
+                    "bad,C(C,300,1000,ok\n"
+                    "hexane,CCCCCC,300,1000,ok\n")
+    out = tmp_path / "sp.csv"
+    code, payload = run(capsys, "split", "--input", str(path), "--output",
+                        str(out))
+    assert code == 0
+    assert payload["components"] == {"unassigned": 1, "train": 1}
+    assert payload["components_skipped"] == {"smiles": 1}
+    assert out.read_text().splitlines()[1] == "bad,unassigned"
+
+
+def test_python_m_grappa_runs_the_command_line(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(src), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "grappa", "--help"],
+                          capture_output=True, text=True, env=env,
+                          cwd=tmp_path, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: grappa")
+    assert "fit-antoine" in done.stdout
 
 
 def test_split_seed_env_fallback(capsys, tmp_path, data_path, monkeypatch):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from grappa.dataio import (
     load,
     read_splits_csv,
     robust_antoine_fit,
+    robust_antoine_fits,
     split,
     write_csv,
     write_splits_csv,
@@ -119,6 +121,23 @@ def test_load_jsonl(tmp_path):
                               for row in (3, 4, 5, 6)]
 
 
+def test_load_rejects_boolean_temperatures_and_pressures(tmp_path):
+    path = tmp_path / "bools.jsonl"
+    rows = [{"temperature_K": 300, "pressure_Pa": 1000},
+            {"temperature_K": True, "pressure_Pa": 1000},
+            {"temperature_K": 300, "pressure_Pa": False},
+            {"temperature_K": False, "pressure_Pa": True}]
+    path.write_text("".join(
+        json.dumps({"component_id": "a", "smiles": "CCO", "quality": "ok",
+                    **row}) + "\n" for row in rows))
+    ds = load(path, fmt="jsonl")
+    assert len(ds) == 1
+    assert ds.rejects == [
+        {"row": 2, "reason": "temperature_K is not a number"},
+        {"row": 3, "reason": "pressure_Pa is not a number"},
+        {"row": 4, "reason": "temperature_K is not a number"}]
+
+
 # ---------------------------------------------------------------- robust fit
 
 def test_fit_recovers_noiseless_parameters():
@@ -202,10 +221,11 @@ def assert_fit_bytes_equal(fit, reference):
 
 
 @st.composite
-def fit_problems(draw):
-    """3-15 points on an Antoine curve, with noise or outliers, or garbage
-    pressures; windows starting below 301 K narrow the C box."""
-    n = draw(st.integers(3, 15))
+def fit_problems(draw, n=None):
+    """3-15 points (or ``n``) on an Antoine curve, with noise or outliers, or
+    garbage pressures; windows starting below 301 K narrow the C box."""
+    if n is None:
+        n = draw(st.integers(3, 15))
     t_lo = draw(st.floats(250.0, 450.0))
     width = draw(st.floats(1.5, 250.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -230,6 +250,40 @@ def fit_problems(draw):
 def test_stacked_fit_matches_one_start_at_a_time(problem):
     t, p = problem
     assert_fit_bytes_equal(robust_antoine_fit(t, p), reference_antoine_fit(t, p))
+
+
+@st.composite
+def window_batches(draw):
+    """1-6 fit problems whose point counts come from at most three values,
+    so windows both share and differ in length; one window always starts
+    below 301 K, narrowing its C box."""
+    counts = draw(st.lists(st.integers(3, 15), min_size=1, max_size=3))
+    size = draw(st.integers(1, 6))
+    batch = [draw(fit_problems(draw(st.sampled_from(counts))))
+             for _ in range(size)]
+    narrow = draw(st.integers(0, size - 1))
+    t, p = batch[narrow]
+    batch[narrow] = (t - t[0] + draw(st.floats(250.0, 295.0)), p)
+    return batch
+
+
+@settings(deadline=None, max_examples=25)
+@given(window_batches())
+def test_batched_fits_match_each_window_alone(windows):
+    fits = robust_antoine_fits(windows)
+    assert len(fits) == len(windows)
+    for fit, (t, p) in zip(fits, windows):
+        assert_fit_bytes_equal(fit, reference_antoine_fit(t, p))
+
+
+def test_batched_fits_check_every_window_before_solving(monkeypatch):
+    good = (np.linspace(300.0, 400.0, 5), np.linspace(1e3, 9e3, 5))
+    monkeypatch.setattr(dataio, "_lm_solve", None)  # any solve would fail
+    with pytest.raises(ValueError, match="spanning"):
+        robust_antoine_fits([good, ([300.0, 310.0], [1000.0, 2000.0])])
+    with pytest.raises(ValueError, match="finite"):
+        robust_antoine_fits([good, ([300.0, 320.0, 340.0], [1e3, 0.0, 3e3])])
+    assert robust_antoine_fits([]) == []
 
 
 def test_stacked_fit_matches_on_the_narrowed_c_box_and_small_budgets(monkeypatch):
@@ -284,6 +338,48 @@ def test_a_singular_solve_fails_only_its_own_start(monkeypatch):
         assert (converged[k], iterations[k], traces[k]) == ref[3:]
     alone = reference_lm_solve(starts[2], t, y, box, 0.5)
     assert traces[2] != alone[5] or iterations[2] != alone[4]
+
+
+def test_a_singular_solve_in_one_window_fails_only_its_own_start(monkeypatch):
+    """In a batch of four windows, three of one point count and so stacked
+    together, one start of the second window gets a singular system at its
+    third iteration; only that start fails, and every window gets the fit
+    the one-at-a-time oracle gives it with the same failure."""
+    rng = np.random.default_rng(5)
+    windows = []
+    for n, c in ((8, -55.0), (8, -70.0), (6, -40.0), (8, -90.0)):
+        t = np.linspace(300.0, 420.0, n)
+        windows.append((t, np.exp(10.0 - 2600.0 / (t + c)
+                                  + rng.normal(0.0, 0.05, n)) * 1000.0))
+    t, p = windows[1]
+    y = np.log(p / 1000.0)
+    box = np.array([(5.0, 20.0), (1500.0, 6000.0), (-299.0, 0.0)])
+    real_solve = np.linalg.solve
+    seen = []
+
+    def recording(a, b):
+        seen.append(np.array(a, copy=True))
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    reference_lm_solve(dataio._start_points(t, y)[0], t, y, box, 0.5)
+    target = seen[2].tobytes()
+    raised = []
+
+    def failing(a, b):
+        if any(m.tobytes() == target for m in a.reshape(-1, 3, 3)):
+            raised.append(a.ndim)
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", failing)
+    expected = [reference_antoine_fit(t, p) for t, p in windows]
+    raised.clear()
+    fits = robust_antoine_fits(windows)
+    monkeypatch.setattr(np.linalg, "solve", real_solve)
+    assert raised == [3, 2]  # the stack failed, then that one start alone
+    for fit, ref in zip(fits, expected):
+        assert_fit_bytes_equal(fit, ref)
 
 
 # ------------------------------------------------------------------- curation
@@ -391,9 +487,9 @@ def test_curate_keeps_a_component_with_a_narrow_temperature_window():
 
 
 def test_curate_fits_once_per_component_and_usable_source(monkeypatch):
-    """Pins the call pattern the benchmark's traced ``dataio.fit`` counts:
-    one robust fit per component with enough points, plus one per usable
-    source (>= 3 points over more than 1 K) of a multi-source component."""
+    """Pins the windows curate fits, in two batched calls: one robust fit per
+    component with enough points, then one per usable source (>= 3 points
+    over more than 1 K) of a multi-source component."""
     truth = AntoineParams(10.0, 2500.0, -60.0)
     temps = np.linspace(310.0, 400.0, 4)
     points = curve_points("multi", "CCO", truth, temps, source="a")
@@ -405,16 +501,16 @@ def test_curate_fits_once_per_component_and_usable_source(monkeypatch):
                            source="a")
     points += curve_points("short", "CCCC", truth, temps)
     calls = []
-    real_fit = dataio.robust_antoine_fit
+    real_fits = dataio.robust_antoine_fits
 
-    def counting(t, p, *args, **kwargs):
-        calls.append(len(t))
-        return real_fit(t, p, *args, **kwargs)
+    def counting(windows):
+        calls.append([len(t) for t, _ in windows])
+        return real_fits(windows)
 
-    monkeypatch.setattr(dataio, "robust_antoine_fit", counting)
+    monkeypatch.setattr(dataio, "robust_antoine_fits", counting)
     result = curate(VpDataset(points))
-    # multi: its 13 points, then sources a and b; single: its 6 points.
-    assert calls == [13, 4, 4, 6]
+    # multi: its 13 points, single: its 6; then multi's sources a and b.
+    assert calls == [[13, 6], [4, 4]]
     assert len(result.dataset) == len(points)
 
 
@@ -432,6 +528,16 @@ def test_small_molecules_always_train():
         labeled = split(ds, seed)
         for comp in ("methane", "ethane", "propane", "butane"):
             assert labeled.split_label(comp) == "train"
+
+
+def test_split_leaves_a_component_with_unparseable_smiles_unlabelled():
+    points = [VpPoint("bad", "C(C", 300.0, 1000.0)]
+    points += [VpPoint(f"c{n}", "C" * n, 300.0, 1000.0) for n in range(3, 8)]
+    labeled = split(VpDataset(points), seed=0)
+    assert "bad" not in labeled.splits
+    assert labeled.split_label("bad") == "unassigned"
+    assert set(labeled.splits) == {f"c{n}" for n in range(3, 8)}
+    assert len(labeled) == len(points)
 
 
 def test_split_is_deterministic_and_partitioning():
