@@ -74,9 +74,21 @@ def antoine(a, b, c, temperature_k) -> np.ndarray:
     return np.exp(_ln_p_kpa(a, b, c, temperature_k)[0]) * PA_PER_KPA
 
 
+def _finite_positive(values, what: str) -> np.ndarray:
+    """``values`` as floats; names the first non-finite or non-positive one."""
+    arr = np.asarray(values, dtype=np.float64)
+    ok = np.isfinite(arr) & (arr > 0.0)
+    if not ok.all():
+        raise AntoineDomainError(
+            f"{what} must be finite and positive, got {float(arr[~ok][0])}")
+    return arr
+
+
 def ln_vapor_pressure(params: AntoineParams, temperature_k):
-    """ln(p/kPa) at the given temperature(s); requires C + T > 0."""
-    out, valid = _ln_p_kpa(params.A, params.B, params.C, temperature_k)
+    """ln(p/kPa) at the given temperature(s), each finite and positive;
+    requires C + T > 0."""
+    t = _finite_positive(temperature_k, "temperature")
+    out, valid = _ln_p_kpa(params.A, params.B, params.C, t)
     if not np.all(valid):
         raise AntoineDomainError(
             f"C + T must be positive (C={params.C}, T={temperature_k})"
@@ -92,12 +104,10 @@ def vapor_pressure(params: AntoineParams, temperature_k):
 def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     """Temperature at which the curve reaches the given pressure.
 
-    Exact algebraic inverse of :func:`ln_vapor_pressure`; no solution exists
-    once ln(p/kPa) reaches A.
+    Exact algebraic inverse of :func:`ln_vapor_pressure`; the pressure must
+    be finite and positive, and no solution exists once ln(p/kPa) reaches A.
     """
-    p = np.asarray(pressure_pa, dtype=np.float64)
-    if np.any(p <= 0.0):
-        raise AntoineDomainError("pressure must be positive")
+    p = _finite_positive(pressure_pa, "pressure")
     ln_p = np.log(p / PA_PER_KPA)
     if np.any(ln_p >= params.A):
         raise AntoineDomainError(

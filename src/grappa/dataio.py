@@ -113,10 +113,11 @@ def _parse_row(record, row: int) -> VpPoint:
 
 
 def load(path, fmt: str = "csv") -> VpDataset:
-    """Read a dataset file; malformed rows land in ``dataset.rejects``."""
+    """Read a UTF-8 dataset file, with or without a byte-order mark;
+    malformed rows land in ``dataset.rejects``."""
     ds = VpDataset()
     if fmt == "csv":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.DictReader(fh)
             header = reader.fieldnames or []
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -128,7 +129,7 @@ def load(path, fmt: str = "csv") -> VpDataset:
                 except (ValueError, TypeError) as err:
                     ds.rejects.append({"row": row, "reason": str(err)})
     elif fmt == "jsonl":
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for row, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
@@ -544,7 +545,7 @@ def write_splits_csv(ds: VpDataset, path):
 
 
 def read_splits_csv(path) -> dict[str, str]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("component_id", "split")
                    if c not in (reader.fieldnames or [])]

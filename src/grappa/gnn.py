@@ -139,9 +139,8 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
         _, alpha = gat_forward(x, batch, layers[-1])
     n, heads = batch.num_nodes, alpha.shape[1]
     # Each node's outgoing weights, added head by head in edge order.
-    totals = np.zeros(n)
-    for weights in alpha.T:
-        np.add.at(totals, batch.src, weights)
+    totals = np.bincount(np.tile(batch.src, heads), weights=alpha.T.ravel(),
+                         minlength=n)
     scores = totals / (heads * np.bincount(batch.src, minlength=n))
     lo, hi = scores.min(), scores.max()
     if hi - lo < 1e-15:

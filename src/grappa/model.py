@@ -234,17 +234,17 @@ def _count_features(model: GrappaModel, donors, acceptors) -> np.ndarray:
     return counts
 
 
-def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
-             mode: str = "infer") -> Tensor:
+def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray) -> Tensor:
     """Hidden stack on (B, d + 2) input; returns the (B, 3) raw outputs.
-    A "train" forward moves the running statistics in ``model.buffers``."""
+    While the tape records, batch norm moves the running statistics in
+    ``model.buffers``."""
     p, buf = model.params, model.buffers
     z = concat([pooled, Tensor(counts)], axis=1)
     for i in range(model.arch.hidden_layers):
         z = add(matmul(z, p[f"head.{i}.weight"]), p[f"head.{i}.bias"])
         z = batch_norm(z, p[f"head.{i}.bn.gamma"], p[f"head.{i}.bn.beta"],
                        buf[f"head.{i}.bn.running_mean"],
-                       buf[f"head.{i}.bn.running_var"], mode)
+                       buf[f"head.{i}.bn.running_var"])
         z = elu(z)
     return add(matmul(z, p["head.out.weight"]), p["head.out.bias"])
 
@@ -256,11 +256,12 @@ def scale_to_ranges(raw: Tensor, ranges: dict) -> Tensor:
 
 
 def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
-                    mode: str = "infer") -> Tensor:
+                    train: bool = False) -> Tensor:
     """(B, 3) Antoine parameters, columns A, B, C, with the molecules run
-    through message passing and readout as one disjoint graph. An "infer"
+    through message passing and readout as one disjoint graph. ``train``
+    sets the tape's recording, which batch norm follows; an inference
     forward records no tape, so its result cannot backpropagate."""
-    with recording(mode != "infer"):
+    with recording(train):
         batch = batch_graphs(graphs)
         embeddings = encode(batch, model.gat)
         if model.arch.pooling == "interaction":
@@ -269,7 +270,7 @@ def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
             pooled = sum_pool(embeddings, batch)
         counts = _count_features(model, [g.h_donors for g in graphs],
                                  [g.h_acceptors for g in graphs])
-        raw = head_raw(model, pooled, counts, mode)
+        raw = head_raw(model, pooled, counts)
         return scale_to_ranges(raw, model.arch.param_ranges)
 
 

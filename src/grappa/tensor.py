@@ -27,9 +27,11 @@ later layer or VJP sorts or builds an index again.
 array and adds later ones to it in place, so no two tensors share a
 gradient buffer.
 
-Inside ``recording(False)`` ops record no tape, so an inference forward
-frees each intermediate once it is read. Forwards are batch-invariant: an
-output row is the same bytes whatever rows run beside it (see
+The tape's recording is the one train/infer switch. Inside
+``recording(False)`` ops record no tape, so an inference forward frees each
+intermediate once it is read, and ``batch_norm`` uses its running
+statistics, with no gradient. Forwards are batch-invariant: an output row
+is the same bytes whatever rows run beside it (see
 ``_row_invariant_product`` and the ``einsum`` edge logits;
 ``tests/test_tensor.py`` pins the BLAS).
 """
@@ -533,43 +535,29 @@ BN_EPS = 1e-5
 
 
 def batch_norm(x, gamma, beta, running_mean: np.ndarray,
-               running_var: np.ndarray, mode: str = "train") -> Tensor:
+               running_var: np.ndarray) -> Tensor:
     """Feature-wise normalization over the batch axis of a (B, F) matrix.
-    Train mode moves the running statistics toward the batch's in place;
-    infer mode normalizes by them."""
+    While the tape records, the batch's statistics normalize it and move the
+    running statistics toward them in place; inside ``recording(False)`` the
+    running statistics normalize it, and the result has no gradient."""
     x, gamma, beta = _t(x), _t(gamma), _t(beta)
     if x.ndim != 2:
         raise ShapeError("batch_norm expects a (B, F) matrix")
-    if mode not in ("train", "infer"):
-        raise ValueError(f"unknown batch_norm mode {mode!r}")
-
-    if mode == "infer":
-        inv = 1.0 / np.sqrt(running_var + BN_EPS)
-        xhat = (x.data - running_mean) * inv
-        out = gamma.data * xhat + beta.data
-
-        def vjp(g):
-            return (
-                g * gamma.data * inv,
-                (g * xhat).sum(axis=0),
-                g.sum(axis=0),
-            )
-
-        return _make(out, (x, gamma, beta), vjp)
-
     b = x.shape[0]
-    if b < 2:
-        raise ShapeError("batch_norm train mode needs a batch of at least 2")
-    mean = x.data.mean(axis=0)
-    var = x.data.var(axis=0)
+    if _RECORDING:
+        if b < 2:
+            raise ShapeError("recording batch_norm needs a batch of at least 2")
+        mean = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
+        running_mean *= 1 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * b / (b - 1)
+    else:
+        mean, var = running_mean, running_var
     inv = 1.0 / np.sqrt(var + BN_EPS)
     xhat = (x.data - mean) * inv
     out = gamma.data * xhat + beta.data
-
-    running_mean *= 1 - BN_MOMENTUM
-    running_mean += BN_MOMENTUM * mean
-    running_var *= 1 - BN_MOMENTUM
-    running_var += BN_MOMENTUM * var * b / max(b - 1, 1)
 
     def vjp(g):
         dxhat = g * gamma.data

@@ -17,6 +17,7 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
+from functools import partial
 from itertools import product
 
 import numpy as np
@@ -278,14 +279,13 @@ def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
     return chunks
 
 
-def _batch_loss(model: GrappaModel, comps: Components, kind: str,
-                delta: float) -> Tensor:
-    params = forward_antoine(model, comps.graphs, mode="train")
+def _batch_loss(model: GrappaModel, comps: Components, loss) -> Tensor:
+    """``loss(pred, target)`` of a training forward over the batch, in
+    ln(p/kPa) at every point."""
+    params = forward_antoine(model, comps.graphs, train=True)
     target = np.log(comps.pressures_pa / PA_PER_KPA)
     pred = ln_p_tensor(gather_rows(params, comps.molecule), comps.temperatures)
-    if kind == "mse":
-        return loss_mse(pred, target)
-    return loss_huber(pred, target, delta)
+    return loss(pred, target)
 
 
 def validation_mape_i(model: GrappaModel, comps: Components) -> float:
@@ -344,8 +344,10 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
     n_batches = len(_batches(np.arange(len(train_comps.names)), cfg.batch_size))
     total_warm_steps = cfg.warmup_epochs * n_batches
 
-    for phase, n_epochs in (("warmup", cfg.warmup_epochs),
-                            ("main", cfg.main_epochs)):
+    phases = (("warmup", cfg.warmup_epochs, loss_mse),
+              ("main", cfg.main_epochs,
+               partial(loss_huber, delta=cfg.huber_delta)))
+    for phase, n_epochs, loss_fn in phases:
         opt_state = AdamWState.for_params(params)
         plateau = PlateauState(cfg.main_lr if cfg.main_lr is not None
                                else cfg.max_lr,
@@ -354,7 +356,6 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
         for _ in range(n_epochs):
             epoch += 1
             order = rng.permutation(len(train_comps.names))
-            lr = cfg.max_lr
             losses = []
             for batch in _batches(order, cfg.batch_size):
                 comps = train_comps.take(batch)
@@ -363,9 +364,7 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
                 else:
                     lr = plateau.lr
                 try:
-                    loss = _batch_loss(model, comps,
-                                       "mse" if phase == "warmup" else "huber",
-                                       cfg.huber_delta)
+                    loss = _batch_loss(model, comps, loss_fn)
                     loss.backward()
                 except NonFiniteError as err:
                     raise TrainingError(

@@ -5,6 +5,7 @@ criteria execute. Published-scale error scores require the proprietary
 measurement database, so acceptance rests on the property checks below.
 """
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +37,7 @@ from grappa.train import (
     fit,
     grid_cells,
     grid_search,
+    loss_huber,
     validation_mape_i,
     _batch_loss,
 )
@@ -130,13 +132,9 @@ def _op_cases(rng):
         "elu": (lambda a: T.mean_all(T.elu(a)), [m]),
         "sigmoid": (lambda a: T.mean_all(T.mul(T.sigmoid(a), weights)), [m]),
         "huber": (lambda a: T.mean_all(T.huber(a, 0.5)), [m]),
-        "batch_norm_train": (lambda a: T.mean_all(T.mul(
+        "batch_norm": (lambda a: T.mean_all(T.mul(
             T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         running_mean.copy(), running_var.copy(), "train"),
-            weights)), [m]),
-        "batch_norm_infer": (lambda a: T.mean_all(T.mul(
-            T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         running_mean.copy(), running_var.copy(), "infer"),
+                         running_mean.copy(), running_var.copy()),
             weights)), [m]),
     }
 
@@ -180,7 +178,7 @@ def test_gradient_integrity_composed_model_loss():
     def forward() -> float:
         for name, saved in bn_snapshot.items():
             buffers[name][...] = saved
-        return _batch_loss(model, batch, "huber", 0.5)
+        return _batch_loss(model, batch, partial(loss_huber, delta=0.5))
 
     loss = forward()
     loss.backward()
@@ -239,7 +237,7 @@ def test_hybrid_head_guarantees():
     for model_seed in range(200):
         model = init_model(Architecture(gat_layers=2, heads=1),
                            seed=model_seed)
-        out = forward_antoine(model, graphs, mode="infer")
+        out = forward_antoine(model, graphs)
         for row in out.data:
             params = AntoineParams(*row)
             assert PARAM_RANGES["A"][0] < params.A < PARAM_RANGES["A"][1]
@@ -270,11 +268,11 @@ def test_permutation_invariance_of_predictions():
     worst = 0.0
     for smiles in FIFTY_MOLECULES:
         mol = parse_smiles(smiles)
-        base = forward_antoine(model, [featurize(mol)], mode="infer").data[0]
+        base = forward_antoine(model, [featurize(mol)]).data[0]
         for _ in range(10):
             perm = rng.permutation(len(mol.atoms)).tolist()
             graph = featurize(permute_molecule(mol, perm))
-            out = forward_antoine(model, [graph], mode="infer").data[0]
+            out = forward_antoine(model, [graph]).data[0]
             worst = max(worst, float(np.max(np.abs(out - base))))
     report("permutation invariance: 50 molecules x 10 permutations",
            worst < 1e-9, f"max deviation {worst:.2e}")

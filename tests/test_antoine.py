@@ -23,7 +23,8 @@ from grappa.model import (
     scale_to_ranges,
 )
 from grappa.smiles import parse_smiles
-from grappa.tensor import NonFiniteError, ShapeError, Tensor, mean_all, mul
+from grappa.tensor import (NonFiniteError, ShapeError, Tensor, mean_all, mul,
+                           recording)
 
 from _oracles import finite_difference_grad, max_rel_error
 
@@ -149,10 +150,11 @@ def test_ln_p_tensor_keeps_the_loss_semantics_off_the_branch():
 # ----------------------------------------------------------------------- head
 
 def head_params(model, h, donors: int, acceptors: int,
-                mode: str = "infer") -> AntoineParams:
+                train: bool = False) -> AntoineParams:
     """Head only: a pooled embedding plus raw counts to bounded parameters."""
-    raw = head_raw(model, Tensor(np.reshape(h, (1, -1))),
-                   np.array([[donors, acceptors]], dtype=np.float64), mode)
+    with recording(train):
+        raw = head_raw(model, Tensor(np.reshape(h, (1, -1))),
+                       np.array([[donors, acceptors]], dtype=np.float64))
     return AntoineParams(
         *scale_to_ranges(raw, model.arch.param_ranges).data[0].tolist())
 
@@ -168,7 +170,7 @@ def test_zero_raw_outputs_hit_range_midpoints():
     model = init_model(Architecture(), seed=0)
     model.params["head.out.weight"].data[...] = 0.0
     model.params["head.out.bias"].data[...] = 0.0
-    params = head_params(model, np.zeros(32), 1, 2, mode="infer")
+    params = head_params(model, np.zeros(32), 1, 2)
     a_mid, b_mid, c_mid = midpoints()
     assert params.A == pytest.approx(a_mid)  # 12.5
     assert params.B == pytest.approx(b_mid)  # 3750
@@ -179,12 +181,12 @@ def test_saturated_raw_outputs_hit_bounds():
     model = init_model(Architecture(), seed=0)
     model.params["head.out.weight"].data[...] = 0.0
     model.params["head.out.bias"].data[...] = 1e3
-    params = head_params(model, np.zeros(32), 0, 0, mode="infer")
+    params = head_params(model, np.zeros(32), 0, 0)
     assert params.A == pytest.approx(20.0)
     assert params.B == pytest.approx(6000.0)
     assert params.C == pytest.approx(0.0)
     model.params["head.out.bias"].data[...] = -1e3
-    params = head_params(model, np.zeros(32), 0, 0, mode="infer")
+    params = head_params(model, np.zeros(32), 0, 0)
     assert params.A == pytest.approx(5.0)
     assert params.B == pytest.approx(1500.0)
     assert params.C == pytest.approx(-300.0)
@@ -196,7 +198,7 @@ def test_head_outputs_strictly_inside_open_ranges():
         model = init_model(Architecture(hidden_layers=2), seed=seed)
         h = rng.normal(size=32) * 10
         params = head_params(model, h, int(rng.integers(0, 5)),
-                              int(rng.integers(0, 8)), mode="infer")
+                              int(rng.integers(0, 8)))
         assert PARAM_RANGES["A"][0] < params.A < PARAM_RANGES["A"][1]
         assert PARAM_RANGES["B"][0] < params.B < PARAM_RANGES["B"][1]
         assert PARAM_RANGES["C"][0] < params.C < PARAM_RANGES["C"][1]
@@ -205,7 +207,7 @@ def test_head_outputs_strictly_inside_open_ranges():
 def test_head_train_mode_needs_batch():
     model = init_model(Architecture(), seed=0)
     with pytest.raises(ShapeError):
-        head_params(model, np.zeros(32), 1, 1, mode="train")
+        head_params(model, np.zeros(32), 1, 1, train=True)
 
 
 # -------------------------------------------------------------------- predict

@@ -90,6 +90,27 @@ def test_boil_with_model(capsys, model_path):
     assert {"A", "B", "C", "T_b_K"} <= set(payload)
 
 
+@pytest.mark.parametrize("temp", ["inf", "nan", "0"])
+def test_predict_rejects_a_temperature_off_the_kelvin_scale(capsys, model_path,
+                                                           temp):
+    code = main(["predict", "--model", model_path, "--smiles", "CCO",
+                 "--temp", temp])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: temperature must be finite and positive")
+    assert temp in err
+
+
+@pytest.mark.parametrize("pressure", ["nan", "inf"])
+def test_boil_rejects_a_non_finite_pressure(capsys, pressure):
+    code = main(["boil", "--A", "10", "--B", "3000", "--C", "-50",
+                 "--pressure", pressure])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: pressure must be finite and positive")
+
+
 def test_boil_without_enough_arguments(capsys):
     code = main(["boil", "--pressure", "1000"])
     assert code == 1
@@ -272,6 +293,34 @@ def test_fit_antoine_and_train_count_rows_rejected_on_load(capsys, tmp_path,
     code, payload = run(capsys, "fit-antoine", "--input", str(every_row_bad))
     assert code == 0
     assert payload == {"fits": [], "skipped": [], "rows_rejected_on_load": 2}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_files_saved_with_a_byte_order_mark_load(capsys, tmp_path, fmt):
+    # Spreadsheets export UTF-8 with a leading byte-order mark.
+    points = [VpPoint("a", "CCCCC", t,
+                      float(1000.0 * np.exp(14.0 - 3000.0 / (t - 40.0))))
+              for t in (300.0, 320.0, 340.0)]
+    plain = tmp_path / f"plain.{fmt}"
+    if fmt == "csv":
+        write_csv(VpDataset(points), plain)
+    else:
+        plain.write_text("".join(
+            json.dumps({"component_id": pt.component_id, "smiles": pt.smiles,
+                        "temperature_K": pt.temperature_k,
+                        "pressure_Pa": pt.pressure_pa, "quality": "ok"}) + "\n"
+            for pt in points))
+    marked = tmp_path / f"marked.{fmt}"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    outputs = []
+    for path in (plain, marked):
+        code, payload = run(capsys, "fit-antoine", "--input", str(path),
+                            "--format", fmt)
+        assert code == 0
+        outputs.append(payload)
+    assert outputs[1] == outputs[0]
+    assert [row["component_id"] for row in outputs[1]["fits"]] == ["a"]
+    assert outputs[1]["rows_rejected_on_load"] == 0
 
 
 def test_jsonl_rows_that_are_not_objects_are_counted_rejects(capsys, tmp_path):

@@ -591,6 +591,12 @@ def test_split_file_roundtrip(tmp_path):
     assert read_splits_csv(path) == labeled.splits
 
 
+def test_read_splits_csv_reads_a_byte_order_mark(tmp_path):
+    path = tmp_path / "splits.csv"
+    path.write_bytes(b"\xef\xbb\xbfcomponent_id,split\r\na,train\r\n")
+    assert read_splits_csv(path) == {"a": "train"}
+
+
 def test_carbon_count():
     assert carbon_count(parse_smiles("CCO")) == 2
     assert carbon_count(parse_smiles("c1ccccc1")) == 6

@@ -13,7 +13,7 @@ from grappa.gnn import (
 )
 from grappa.molecule import permute_molecule
 from grappa.smiles import parse_smiles
-from grappa.tensor import Tensor, mean_all, mul
+from grappa.tensor import Tensor, mean_all, mul, recording
 
 from _oracles import (
     bitwise_equal,
@@ -278,6 +278,26 @@ def test_attention_scores_range_and_extremes():
     assert scores.min() == 0.0
     assert scores.max() == 1.0
     assert ((scores >= 0) & (scores <= 1)).all()
+
+
+def test_attention_scores_are_the_bytes_of_the_per_head_loop():
+    rng = np.random.default_rng(14)
+    layers = [random_layer(rng, 24, out_dim=8, heads=3),
+              random_layer(rng, 8, out_dim=8, heads=3)]
+    for smiles in ("CCO", "CC(=O)Oc1ccccc1", "OCCN", "CCCCCCCl", "c1ccncc1"):
+        graph = graph_of(smiles)
+        batch = batch_graphs([graph])
+        with recording(False):
+            x = encode(batch, layers[:-1])
+            _, alpha = gat_forward(x, batch, layers[-1])
+        # One unbuffered add per head, in edge order.
+        n = batch.num_nodes
+        totals = np.zeros(n)
+        for weights in alpha.T:
+            np.add.at(totals, batch.src, weights)
+        scores = totals / (alpha.shape[1] * np.bincount(batch.src, minlength=n))
+        want = (scores - scores.min()) / (scores.max() - scores.min())
+        assert attention_scores(graph, layers).tobytes() == want.tobytes(), smiles
 
 
 def test_attention_scores_match_standalone_recomputation():

@@ -101,7 +101,7 @@ def test_train_forward_moves_buffers_in_place(pooling):
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1O")]
     buffers = dict(model.named_buffers())
     saved = model.snapshot()
-    forward_antoine(model, graphs, mode="train")
+    forward_antoine(model, graphs, train=True)
     assert model.named_buffers().keys() == buffers.keys()
     for name, buf in model.named_buffers().items():
         assert buf is buffers[name], name
@@ -282,7 +282,7 @@ def test_a_loaded_model_trains_in_place(tmp_path):
     params = loaded.named_parameters()
     before = loaded.snapshot()
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1")]
-    mean_all(forward_antoine(loaded, graphs, mode="train")).backward()
+    mean_all(forward_antoine(loaded, graphs, train=True)).backward()
     adamw_step(params, {name: t.grad for name, t in params.items()},
                AdamWState.for_params(params), lr=1e-3)
     after = loaded.snapshot()
@@ -383,28 +383,28 @@ def test_accounting_markdown_totals():
 def test_forward_antoine_batch_matches_single():
     model = init_model(Architecture(), seed=3)
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1")]
-    params = forward_antoine(model, graphs, mode="infer")
+    params = forward_antoine(model, graphs)
     assert params.shape == (3, 3)
     for k, graph in enumerate(graphs):
-        one = forward_antoine(model, [graph], mode="infer")
+        one = forward_antoine(model, [graph])
         assert one.data[0].tobytes() == params.data[k].tobytes()
 
 
 def test_infer_forward_records_no_tape():
     model = init_model(Architecture(), seed=6)
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCN")]
-    infer = forward_antoine(model, graphs, mode="infer")
+    infer = forward_antoine(model, graphs)
     assert infer._parents == () and infer._vjp is None
     assert not infer.requires_grad
-    train = forward_antoine(model, graphs, mode="train")
+    train = forward_antoine(model, graphs, train=True)
     assert train._parents and train.requires_grad
     mean_all(train).backward()
     assert all(t.grad is not None and np.any(t.grad)
                for t in model.named_parameters().values())
     # Recording is back on after an inference forward, even one that raised.
     with pytest.raises(ValueError):
-        forward_antoine(model, [], mode="infer")
-    assert forward_antoine(model, graphs, mode="train").requires_grad
+        forward_antoine(model, [])
+    assert forward_antoine(model, graphs, train=True).requires_grad
 
 
 def test_predict_dataset_covers_split():
@@ -428,9 +428,9 @@ def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
     forwards = []
     real_forward = grappa.model.forward_antoine
 
-    def counting_forward(model, graphs, mode="infer"):
+    def counting_forward(model, graphs, train=False):
         forwards.append(len(graphs))
-        return real_forward(model, graphs, mode)
+        return real_forward(model, graphs, train)
 
     monkeypatch.setattr(grappa.model, "forward_antoine", counting_forward)
     points, params = predict_dataset(model, ds)

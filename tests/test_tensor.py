@@ -452,20 +452,47 @@ def test_grad_sigmoid_at_zero():
 
 def test_batch_norm_infer_identity():
     x = np.random.default_rng(0).normal(size=(4, 3))
-    out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                       np.zeros(3), np.ones(3), mode="infer")
+    with T.recording(False):
+        out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                           np.zeros(3), np.ones(3))
     np.testing.assert_allclose(out.data, x, atol=1e-5)
+
+
+def test_batch_norm_follows_the_tape():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(7, 16)), requires_grad=True)
+    gamma = Tensor(rng.normal(size=16), requires_grad=True)
+    beta = Tensor(rng.normal(size=16), requires_grad=True)
+    running_mean = rng.normal(size=16)
+    running_var = rng.uniform(0.5, 2.0, size=16)
+    saved = running_mean.copy(), running_var.copy()
+    with T.recording(False):
+        out = T.batch_norm(x, gamma, beta, running_mean, running_var)
+    # Not recording: the running statistics normalize, stay as they were,
+    # and the result has no gradient.
+    want = (gamma.data * ((x.data - saved[0]) / np.sqrt(saved[1] + T.BN_EPS))
+            + beta.data)
+    np.testing.assert_allclose(out.data, want, rtol=1e-12)
+    assert not out.requires_grad
+    assert np.array_equal(running_mean, saved[0])
+    assert np.array_equal(running_var, saved[1])
+    # Recording: the batch normalizes and the running statistics move.
+    out = T.batch_norm(x, gamma, beta, running_mean, running_var)
+    np.testing.assert_allclose(out.data.mean(axis=0), beta.data, atol=1e-12)
+    assert out.requires_grad
+    assert not np.array_equal(running_mean, saved[0])
+    assert not np.array_equal(running_var, saved[1])
 
 
 def test_batch_norm_train_constant_column():
     out = T.batch_norm(Tensor([[5.0], [5.0], [5.0]]), Tensor(np.ones(1)),
-                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1), mode="train")
+                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
     np.testing.assert_allclose(out.data, np.zeros((3, 1)), atol=1e-9)
 
 
 def test_batch_norm_train_two_point_batch():
     out = T.batch_norm(Tensor([[1.0], [3.0]]), Tensor(np.ones(1)),
-                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1), mode="train")
+                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
     np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
 
 
@@ -473,7 +500,7 @@ def test_batch_norm_updates_running_stats():
     running_mean, running_var = np.zeros(1), np.ones(1)
     x = np.array([[1.0], [3.0]])
     T.batch_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                 running_mean, running_var, mode="train")
+                 running_mean, running_var)
     assert running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
     # Unbiased batch variance: 2 * biased (B=2).
     assert running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
@@ -482,18 +509,17 @@ def test_batch_norm_updates_running_stats():
 def test_batch_norm_train_rejects_singleton_batch():
     with pytest.raises(ShapeError):
         T.batch_norm(Tensor(np.ones((1, 2))), Tensor(np.ones(2)),
-                     Tensor(np.zeros(2)), np.zeros(2), np.ones(2), mode="train")
+                     Tensor(np.zeros(2)), np.zeros(2), np.ones(2))
 
 
-@pytest.mark.parametrize("mode", ["train", "infer"])
-def test_batch_norm_gradients(mode):
+def test_batch_norm_gradients():
     rng = np.random.default_rng(21)
     mean = rng.normal(size=3)
     var = rng.uniform(0.5, 2.0, size=3)
     weights = rng.normal(size=(4, 3))
 
     def build(x, gamma, beta):
-        out = T.batch_norm(x, gamma, beta, mean.copy(), var.copy(), mode=mode)
+        out = T.batch_norm(x, gamma, beta, mean.copy(), var.copy())
         return T.mean_all(T.mul(out, Tensor(weights)))
 
     check_grad(build, (4, 3), (3,), (3,), seed=22)
