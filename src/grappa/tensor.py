@@ -13,16 +13,17 @@ sum first is no faster and warns when finite values overflow.
 
 Every scatter (``segment_sum``, the ``gather_rows`` VJP, and the softmax
 denominators and sums of ``gat_layer_sum`` and its VJP) is one
-``np.bincount`` call, which adds in input order as ``np.add.at`` does but
-without its per-element overhead, so sums are bitwise those of the plain
-loop. ``gat_layer_sum`` runs a whole attention layer, every head at once, as
-one op on (E, H, d) edge arrays; its outputs and gradients are the bytes of
-the same heads run as separate ops. It scatters through the
-:class:`ScatterPlan` of its graph batch, built once per batch: the stable
-``dst`` order and its segment starts, so one ``np.maximum.reduceat`` takes
-the segment maxima, and the flat ``dst * w + col`` and ``src * w + col``
-indices, each built at the first scatter of its width ``w`` and kept. No
-later layer or VJP sorts or builds an index again.
+``np.bincount`` call, which adds in input order as an unbuffered
+``ufunc.at`` add does but without its per-element overhead, so sums are
+bitwise those of the plain loop. ``gat_layer_sum`` runs a whole attention
+layer, every head at once, as one op on (E, H, d) edge arrays; its outputs
+and gradients are the bytes of the same heads run as separate ops. It
+scatters through the :class:`ScatterPlan` of its graph batch, built once per
+batch: the stable ``dst`` order and its segment starts, so one
+``np.maximum.reduceat`` takes the segment maxima, and the flat
+``dst * w + col`` and ``src * w + col`` indices, each built at the first
+scatter of its width ``w`` and kept. No later layer or VJP sorts or builds
+an index again.
 ``backward`` stores the first gradient that reaches a tensor as a fresh
 array and adds later ones to it in place, so no two tensors share a
 gradient buffer.
@@ -164,8 +165,8 @@ def _scatter_sum(index: np.ndarray, values: np.ndarray,
                  num_segments: int) -> np.ndarray:
     """Sum ``values`` rows into ``num_segments`` rows by ``index``.
 
-    ``np.bincount`` adds its weights in input order, as ``np.add.at`` does,
-    so every sum is bitwise the same; a matrix scatters through the flat
+    ``np.bincount`` adds its weights in input order, as an unbuffered
+    ``ufunc.at`` add does, so every sum is bitwise the same; a matrix scatters through the flat
     index ``row * d + col``.
     """
     if not values.size:  # bincount of nothing counts in integers
