@@ -63,6 +63,12 @@ def _emit(payload, verbose_note: str | None = None, verbose: bool = False):
         print(verbose_note, file=sys.stderr)
 
 
+def _write_json(path, payload):
+    """Write ``payload`` as strict JSON, as :func:`_emit` prints it."""
+    Path(path).write_text(json.dumps(_json_safe(payload), indent=2),
+                          encoding="utf-8")
+
+
 # ------------------------------------------------------------------- commands
 
 def _cmd_curate(args) -> int:
@@ -72,8 +78,7 @@ def _cmd_curate(args) -> int:
     if args.audit:
         dataio.write_audit_jsonl(result.audit, args.audit)
     if args.conflicts:
-        Path(args.conflicts).write_text(json.dumps(result.conflicts, indent=2),
-                                        encoding="utf-8")
+        _write_json(args.conflicts, result.conflicts)
     summary = {
         "points_in": len(ds),
         "points_kept": len(result.dataset),
@@ -148,7 +153,7 @@ def _cmd_fit_antoine(args) -> int:
 
 def _training_setup(args):
     """The run config, its training settings and the labelled dataset."""
-    with open(args.config, encoding="utf-8") as fh:
+    with open(args.config, encoding="utf-8-sig") as fh:
         config = json.load(fh)
     if not isinstance(config, dict) or "data" not in config:
         raise ValueError("the config must be an object with a 'data' path")
@@ -269,17 +274,14 @@ def _cmd_report(args) -> int:
     bins = metrics.binned_reports(kept)
     grid = metrics.hexbin_grid(kept)
     boiling = metrics.boiling_point_eval(params, points)
-    (outdir / "metrics.json").write_text(
-        json.dumps(report.to_dict(), indent=2), encoding="utf-8")
-    (outdir / "binned.json").write_text(
-        json.dumps(bins.to_dict(), indent=2), encoding="utf-8")
+    _write_json(outdir / "metrics.json", report.to_dict())
+    _write_json(outdir / "binned.json", bins.to_dict())
     _write_table_csv(bins.pressure, outdir / "ape_by_pressure.csv")
     _write_table_csv(bins.temperature, outdir / "ape_by_temperature.csv")
     _write_table_csv(bins.mol_weight, outdir / "ape_by_mol_weight.csv")
     _write_table_csv(bins.min_points, outdir / "ape_by_min_points.csv")
     _write_table_csv(grid, outdir / "hexbin.csv")
-    (outdir / "boiling.json").write_text(
-        json.dumps(boiling.to_dict(), indent=2), encoding="utf-8")
+    _write_json(outdir / "boiling.json", boiling.to_dict())
     files = sorted(str(p.name) for p in outdir.iterdir())
     _emit({"outdir": str(outdir), "files": files,
            "rows_rejected_on_load": rejected}, None, args.verbose)

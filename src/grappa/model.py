@@ -10,6 +10,7 @@ output is one (B, 3) tensor whose columns are A, B and C.
 from __future__ import annotations
 
 import base64
+import functools
 import json
 import math
 from dataclasses import dataclass, field, fields, asdict
@@ -46,6 +47,9 @@ EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
 # Molecules per inference forward. It bounds the forward's transient memory
 # and changes no output: a molecule gets the same bytes in any batch.
 INFER_CHUNK = 256
+# Distinct SMILES whose graph ``predict`` keeps, least recently used first
+# out: ~8 KB each at ~22 heavy atoms, so ~2 MB when full.
+GRAPH_CACHE_SIZE = 256
 # Arch keys of older checkpoints and configs, accepted at these widths only.
 _FEATURE_WIDTHS = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES}
 
@@ -331,11 +335,22 @@ class Prediction:
     boiling_k: float | None = None
 
 
+@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
+def smiles_graph(smiles: str) -> MolGraph:
+    """The graph of ``smiles``, parsed and featurized once while it stays
+    among the last :data:`GRAPH_CACHE_SIZE` distinct strings asked for.
+
+    A graph depends on its SMILES alone and is immutable, so every model
+    shares it. Errors propagate and are never cached."""
+    return featurize(parse_smiles(smiles))
+
+
 def predict(model: GrappaModel, smiles: str, temperatures=None,
             boil_pressure_pa: float | None = None) -> Prediction:
     """Parse, check scope, and run the whole pipeline in inference mode;
-    out-of-scope molecules raise :class:`ScopeError` from ``featurize``."""
-    row = forward_antoine(model, [featurize(parse_smiles(smiles))]).data[0]
+    out-of-scope molecules raise :class:`ScopeError` from ``featurize``.
+    The graph comes from :func:`smiles_graph`."""
+    row = forward_antoine(model, [smiles_graph(smiles)]).data[0]
     params = AntoineParams(*row.tolist())
     ln_p = p = None
     if temperatures is not None:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
 from functools import partial
 from itertools import product
@@ -432,6 +431,9 @@ def grid_search(cfg: TrainConfig, train_set: VpDataset, valid_set: VpDataset,
     args = [(i, cell, cfg.to_dict(), train_set, valid_set)
             for i, cell in enumerate(cells)]
     if jobs > 1:
+        # Imported here: it loads multiprocessing, which nothing else needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_run_cell, args))
     else:

@@ -445,6 +445,39 @@ def test_evaluate_and_report(capsys, tmp_path, model_path, data_path):
     assert header == "T_center,lnp_center,MAPE_i,count"
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _strict_report(capsys, outdir, model_path, data, splits) -> dict:
+    """Every JSON file ``report`` writes, loaded as strict JSON."""
+    code, _ = run(capsys, "report", "--model", model_path, "--data", data,
+                  "--splits", splits, "--split", "valid",
+                  "--outdir", str(outdir))
+    assert code == 0
+    written = sorted(outdir.glob("*.json"))
+    assert [p.name for p in written] == ["binned.json", "boiling.json",
+                                         "metrics.json"]
+    return {p.name: json.loads(p.read_text(encoding="utf-8"),
+                               parse_constant=_refuse_constant)
+            for p in written}
+
+
+def test_report_files_are_strict_json(capsys, tmp_path, model_path, data_path):
+    files = _strict_report(capsys, tmp_path / "reports", model_path, *data_path)
+    # The last molecular-weight bin is open above: its edge reads null.
+    assert files["binned.json"]["mol_weight"][-1]["hi"] is None
+    # An empty aggregate reads null too: no component has five points here.
+    ds, _ = synthetic_dataset(points_per_component=4)
+    write_csv(ds, tmp_path / "four.csv")
+    write_splits_csv(ds, tmp_path / "four_splits.csv")
+    files = _strict_report(capsys, tmp_path / "four", model_path,
+                           str(tmp_path / "four.csv"),
+                           str(tmp_path / "four_splits.csv"))
+    assert files["metrics.json"]["mape_c"]["5"] is None
+    assert files["metrics.json"]["n_components"]["5"] == 0
+
+
 def test_report_min_points_filters_only_the_binned_tables(capsys, tmp_path,
                                                           model_path, data_path):
     data, splits = data_path
@@ -551,6 +584,25 @@ def test_train_command_end_to_end(capsys, tmp_path, data_path):
                           config["output_model"], "--smiles", "CCCCC",
                           "--temp", "400")
     assert code2 == 0
+
+
+def test_train_reads_a_config_saved_with_a_byte_order_mark(capsys, tmp_path,
+                                                           data_path):
+    data, splits = data_path
+    config = {
+        "data": data,
+        "splits": splits,
+        "output_model": str(tmp_path / "trained.json"),
+        "history": str(tmp_path / "history.csv"),
+        "arch": {"gat_layers": 2, "heads": 1, "hidden_layers": 1},
+        "train": {"batch_size": 8, "warmup_epochs": 1, "main_epochs": 1},
+    }
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8-sig")
+    assert cfg_path.read_bytes().startswith(b"\xef\xbb\xbf")
+    code, payload = run(capsys, "train", "--config", str(cfg_path))
+    assert code == 0
+    assert Path(payload["model"]).exists()
 
 
 def test_grid_search_command(capsys, tmp_path, data_path):

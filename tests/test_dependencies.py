@@ -1,8 +1,11 @@
 """The package depends on nothing beyond the standard library and numpy,
-and carries no tensor op that nothing in it calls."""
+carries no tensor op that nothing in it calls, and loads no
+``multiprocessing`` on import."""
 
 import ast
 import inspect
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -50,3 +53,15 @@ def test_every_tensor_op_has_a_caller():
     used = set().union(*(referenced_names(path) for path in SRC.glob("*.py")
                          if path.name != "tensor.py"))
     assert sorted(ops - used) == []
+
+
+def test_importing_the_package_loads_no_multiprocessing():
+    """Only a parallel grid search needs a process pool; importing grappa
+    must not pay for loading ``multiprocessing``."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    probe = ("import grappa, sys; "
+             "print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'multiprocessing'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

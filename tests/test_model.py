@@ -12,9 +12,10 @@ from hypothesis import given, settings, strategies as st
 import grappa.gnn
 import grappa.model
 from grappa.antoine import _ln_p_kpa, antoine
-from grappa.featurize import featurize
+from grappa.featurize import ScopeError, featurize
 from grappa.gnn import attention_scores
 from grappa.model import (
+    GRAPH_CACHE_SIZE,
     Architecture,
     encode_entry,
     forward_antoine,
@@ -25,9 +26,10 @@ from grappa.model import (
     predict,
     predict_dataset,
     save_checkpoint,
+    smiles_graph,
     to_checkpoint,
 )
-from grappa.smiles import parse_smiles
+from grappa.smiles import SmilesError, parse_smiles
 from grappa.tensor import mean_all
 from grappa.train import AdamWState, adamw_step
 
@@ -450,6 +452,95 @@ def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
         assert points.p_pred_pa[mine].tobytes() == alone.tobytes()
         assert points.ln_p_pred_kpa[mine].tobytes() \
             == _ln_p_kpa(*params[component].as_tuple(), temps)[0].tobytes()
+
+
+def counting_featurize(monkeypatch) -> list[int]:
+    """Empty ``predict``'s graph cache and record the heavy-atom count of
+    every graph it builds from then on."""
+    smiles_graph.cache_clear()
+    built = []
+    real_featurize = grappa.model.featurize
+
+    def spy(mol):
+        built.append(len(mol.atoms))
+        return real_featurize(mol)
+
+    monkeypatch.setattr(grappa.model, "featurize", spy)
+    return built
+
+
+def test_repeated_predict_parses_and_featurizes_once(monkeypatch):
+    built = counting_featurize(monkeypatch)
+    parsed = []
+    real_parse = grappa.model.parse_smiles
+    monkeypatch.setattr(grappa.model, "parse_smiles",
+                        lambda text: parsed.append(text) or real_parse(text))
+    model = init_model(Architecture(), seed=3)
+    for _ in range(3):
+        predict(model, "CC(=O)OCC", [300.0, 350.0], 101325.0)
+    assert parsed == ["CC(=O)OCC"] and built == [6]
+    predict(init_model(Architecture(), seed=4), "CC(=O)OCC")
+    predict(model, "CCO")
+    assert parsed == ["CC(=O)OCC", "CCO"] and built == [6, 3]
+
+
+def _prediction_bytes(model, smiles) -> bytes:
+    out = predict(model, smiles, [260.0, 330.0, 480.0], 101325.0)
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in
+                    (out.params.as_tuple(), out.ln_p_kpa, out.p_pa,
+                     out.boiling_k))
+
+
+def test_cached_predict_is_the_bytes_of_an_uncached_one():
+    models = [init_model(Architecture(), seed=11),
+              init_model(Architecture(gat_layers=3, heads=1,
+                                      pooling="sum"), seed=12)]
+    molecules = ("CCO", "c1ccccc1O", "CC(=O)OCC", "OCCO", "CCCCCCN")
+    cold = {}
+    for mi, model in enumerate(models):
+        for smiles in molecules:
+            smiles_graph.cache_clear()
+            cold[mi, smiles] = _prediction_bytes(model, smiles)
+    # Every graph is cached by the first model's calls, then served to both.
+    smiles_graph.cache_clear()
+    for mi, model in enumerate(models):
+        for smiles in molecules:
+            assert _prediction_bytes(model, smiles) == cold[mi, smiles]
+    assert smiles_graph.cache_info().hits == len(molecules)
+    assert cold[0, "CCO"] != cold[1, "CCO"]
+
+
+@pytest.mark.parametrize("smiles, error", [("C((", SmilesError),
+                                           ("", SmilesError),
+                                           ("[NH4+]", ScopeError),
+                                           ("O", ScopeError)])
+def test_a_rejected_smiles_fails_alike_on_every_call(smiles, error):
+    smiles_graph.cache_clear()
+    model = init_model(Architecture(), seed=3)
+    messages = set()
+    for _ in range(3):
+        with pytest.raises(error) as caught:
+            predict(model, smiles)
+        messages.add((type(caught.value), str(caught.value)))
+    assert len(messages) == 1
+    assert smiles_graph.cache_info().currsize == 0
+
+
+def test_the_graph_cache_holds_at_most_its_bound(monkeypatch):
+    built = counting_featurize(monkeypatch)
+    assert smiles_graph.cache_parameters()["maxsize"] == GRAPH_CACHE_SIZE
+    model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
+                       seed=0)
+    distinct = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
+                for i in range(GRAPH_CACHE_SIZE + 8)]
+    for smiles in distinct:
+        predict(model, smiles)
+    assert len(built) == len(distinct)
+    assert smiles_graph.cache_info().currsize == GRAPH_CACHE_SIZE
+    predict(model, distinct[-1])  # still held
+    assert len(built) == len(distinct)
+    predict(model, distinct[0])  # evicted, so built again
+    assert len(built) == len(distinct) + 1
 
 
 def test_attention_scores_work_on_model_layers():
