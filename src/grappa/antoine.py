@@ -8,6 +8,7 @@ numpy evaluator and :func:`ln_p_tensor` its twin on the training tape.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +85,18 @@ def _finite_positive(values, what: str) -> np.ndarray:
     return arr
 
 
+def _check_finite(params: AntoineParams) -> None:
+    """Name the first of A, B and C that is not a finite number."""
+    for key, value in zip("ABC", params.as_tuple()):
+        if not math.isfinite(value):
+            raise AntoineDomainError(f"Antoine parameter {key} must be finite, "
+                                     f"got {value}")
+
+
 def ln_vapor_pressure(params: AntoineParams, temperature_k):
-    """ln(p/kPa) at the given temperature(s), each finite and positive;
-    requires C + T > 0."""
+    """ln(p/kPa) at the given temperature(s), each finite and positive,
+    for finite parameters; requires C + T > 0."""
+    _check_finite(params)
     t = _finite_positive(temperature_k, "temperature")
     out, valid = _ln_p_kpa(params.A, params.B, params.C, t)
     if not np.all(valid):
@@ -104,9 +114,11 @@ def vapor_pressure(params: AntoineParams, temperature_k):
 def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     """Temperature at which the curve reaches the given pressure.
 
-    Exact algebraic inverse of :func:`ln_vapor_pressure`; the pressure must
-    be finite and positive, and no solution exists once ln(p/kPa) reaches A.
+    Exact algebraic inverse of :func:`ln_vapor_pressure`; the parameters
+    must be finite, the pressure finite and positive, and no solution exists
+    once ln(p/kPa) reaches A.
     """
+    _check_finite(params)
     p = _finite_positive(pressure_pa, "pressure")
     ln_p = np.log(p / PA_PER_KPA)
     if np.any(ln_p >= params.A):

@@ -13,7 +13,7 @@ import base64
 import functools
 import json
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import InitVar, dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -129,18 +129,34 @@ def _is_finite_number(value) -> bool:
 
 @dataclass
 class GrappaModel:
-    """The architecture and its arrays, keyed by checkpoint name in
-    :func:`_array_specs` order: trainable ``params`` and the batch-norm
-    running statistics in ``buffers``. ``gat`` and ``pool`` are views of
-    the same parameter tensors, in the layout the forward reads."""
+    """The architecture and one float64 vector, ``values``, laid out as
+    :func:`_array_specs` and filled from ``initial`` (an array or a number
+    by checkpoint name). ``params`` (tensors) and ``buffers`` name reshaped
+    views of it, ``weights`` is its trainable part, and ``gat`` and ``pool``
+    hold the tensors as the forward reads them."""
 
     arch: Architecture
-    params: dict[str, Tensor]
-    buffers: dict[str, np.ndarray]
+    initial: InitVar[dict]
+    values: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
+    params: dict[str, Tensor] = field(init=False, repr=False)
+    buffers: dict[str, np.ndarray] = field(init=False, repr=False)
     gat: list[GatLayer] = field(init=False, repr=False)
     pool: InteractionPoolParams | None = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, initial: dict):
+        specs = _array_specs(self.arch)
+        self.values = np.empty(sum(math.prod(shape) for _, shape, _ in specs))
+        self.params, self.buffers, start = {}, {}, 0
+        for name, shape, _ in specs:
+            view = self.values[start : start + math.prod(shape)].reshape(shape)
+            view[...] = initial[name]
+            start += view.size
+            if ".bn.running_" in name:
+                self.buffers[name] = view
+            else:
+                self.params[name] = Tensor(view, requires_grad=True, name=name)
+        self.weights = self.values[: sum(t.size for t in self.params.values())]
         p, heads = self.params, range(self.arch.heads)
         self.gat = [GatLayer(*([p[f"gat.{li}.{hi}.{key}"] for hi in heads]
                                for key in ("theta_v", "theta_e", "att")))
@@ -156,21 +172,16 @@ class GrappaModel:
     def named_buffers(self) -> dict[str, np.ndarray]:
         return self.buffers
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        """Copies of every parameter and buffer array, by checkpoint name."""
-        arrays = {name: t.data for name, t in self.params.items()}
-        arrays.update(self.buffers)
-        return {name: arr.copy() for name, arr in arrays.items()}
+    def snapshot(self) -> np.ndarray:
+        """A copy of :attr:`values`."""
+        return self.values.copy()
 
-    def restore(self, snapshot: dict[str, np.ndarray]):
-        """Copy a :meth:`snapshot` back into the model's arrays in place."""
-        for name, tensor in self.params.items():
-            tensor.data[...] = snapshot[name]
-        for name, buf in self.buffers.items():
-            buf[...] = snapshot[name]
+    def restore(self, snapshot: np.ndarray):
+        """Copy a :meth:`snapshot` back into :attr:`values` in place."""
+        self.values[...] = snapshot
 
     def parameter_count(self) -> int:
-        return sum(t.size for t in self.params.values())
+        return self.weights.size
 
     def accounting(self) -> list[dict]:
         return [{"name": name, "shape": list(t.shape), "count": int(t.size)}
@@ -178,10 +189,11 @@ class GrappaModel:
 
 
 def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None]]:
-    """``(name, shape, fill)`` of every parameter and buffer array, in the
-    order :func:`init_model` draws them; a ``None`` fill is a Glorot draw."""
+    """``(name, shape, fill)`` of every array in vector order: the trainable
+    parameters, in the order :func:`init_model` draws them, then the
+    batch-norm running statistics. A ``None`` fill is a Glorot draw."""
     d, w = arch.embed_dim, arch.hidden_width
-    specs = []
+    specs, stats = [], []
     in_dim = NODE_FEATURES
     for li in range(arch.gat_layers):
         for hi in range(arch.heads):
@@ -196,23 +208,13 @@ def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None]]:
         specs += [(f"head.{i}.weight", (width_in, w), None),
                   (f"head.{i}.bias", (w,), 0.0),
                   (f"head.{i}.bn.gamma", (w,), 1.0),
-                  (f"head.{i}.bn.beta", (w,), 0.0),
-                  (f"head.{i}.bn.running_mean", (w,), 0.0),
+                  (f"head.{i}.bn.beta", (w,), 0.0)]
+        stats += [(f"head.{i}.bn.running_mean", (w,), 0.0),
                   (f"head.{i}.bn.running_var", (w,), 1.0)]
         width_in = w
     specs += [("head.out.weight", (width_in, 3), None),
               ("head.out.bias", (3,), 0.0)]
-    return specs
-
-
-def _assemble(arch: Architecture, arrays: dict[str, np.ndarray]) -> GrappaModel:
-    """A model whose parameters and buffers are ``arrays`` themselves (by
-    checkpoint name), not copies: training updates them in place."""
-    buffers = {name: arr for name, arr in arrays.items()
-               if name.endswith((".running_mean", ".running_var"))}
-    params = {name: Tensor(arr, requires_grad=True, name=name)
-              for name, arr in arrays.items() if name not in buffers}
-    return GrappaModel(arch, params, buffers)
+    return specs + stats
 
 
 def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> GrappaModel:
@@ -220,9 +222,8 @@ def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> Gr
     unit batch-norm scales and fresh running statistics."""
     arch.validate()
     rng = np.random.default_rng(seed)
-    return _assemble(arch, {
-        name: glorot(rng, shape) if fill is None else np.full(shape, fill)
-        for name, shape, fill in _array_specs(arch)})
+    return GrappaModel(arch, {name: glorot(rng, shape) if fill is None else fill
+                              for name, shape, fill in _array_specs(arch)})
 
 
 # ------------------------------------------------------------------ forward
@@ -395,9 +396,9 @@ def encode_entry(arr: np.ndarray) -> dict:
 
 
 def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
-    """The writable float64 array of one ``params`` entry: base64 ``data``
-    in format 2, a flat ``values`` list in format 1. Raises ``ValueError``
-    naming the entry for any defect."""
+    """The float64 array of one ``params`` entry, possibly read-only: base64
+    ``data`` in format 2, a flat ``values`` list in format 1. Raises
+    ``ValueError`` naming the entry for any defect."""
     if not isinstance(entry, dict):
         raise ValueError(f"entry {name!r} must be an object")
     stored = entry.get("shape")
@@ -423,20 +424,19 @@ def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
             raise ValueError(f"entry {name!r} holds {len(raw)} bytes, expected "
                              f"{8 * size} for shape {shape}")
         flat = np.frombuffer(raw, dtype="<f8")
-    arr = flat.reshape(shape).astype(np.float64)  # owned, writable, native order
-    if not np.isfinite(arr).all():
+    if not np.isfinite(flat).all():
         raise ValueError(f"entry {name!r} holds a non-finite value")
-    if name.endswith(".running_var") and (arr < 0).any():
+    if name.endswith(".running_var") and (flat < 0).any():
         raise ValueError(f"entry {name!r} holds a negative variance")
-    return arr
+    return flat.reshape(shape)
 
 
 def to_checkpoint(model: GrappaModel) -> dict:
+    arrays = {name: t.data for name, t in model.params.items()} | model.buffers
     return {
         "format_version": CHECKPOINT_VERSION,
         "arch": model.arch.to_dict(),
-        "params": {name: encode_entry(arr)
-                   for name, arr in model.snapshot().items()},
+        "params": {name: encode_entry(arr) for name, arr in arrays.items()},
     }
 
 
@@ -467,8 +467,8 @@ def model_from_checkpoint(data: dict) -> GrappaModel:
     unknown = sorted(entries.keys() - shapes.keys())
     if unknown:
         raise ValueError(f"checkpoint has unknown entries: {unknown}")
-    return _assemble(arch, {name: _decode_entry(name, entries[name], version, shape)
-                            for name, shape in shapes.items()})
+    return GrappaModel(arch, {name: _decode_entry(name, entries[name], version, shape)
+                              for name, shape in shapes.items()})
 
 
 def load_checkpoint(path) -> GrappaModel:

@@ -2,8 +2,8 @@
 
 Training runs in two phases: a squared-error warm-up under a one-cycle
 learning rate, then a Huber-loss main phase under a reduce-on-plateau rate.
-After every epoch the validation median percentage error is computed and the
-weights of the best epoch are kept as array copies (early-stopping selection).
+After every epoch the validation median percentage error is computed and a
+copy of the best epoch's weight vector is kept (early-stopping selection).
 
 Losses average over data points; a mini-batch holds whole molecules (at least
 two) and is processed on a single tape so batch normalization sees the
@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, fields, asdict
 from functools import partial
 from itertools import product
 
@@ -178,40 +178,27 @@ def loss_huber(pred_ln_p, exp_ln_p, delta: float = 0.5) -> Tensor:
 
 @dataclass
 class AdamWState:
+    m: np.ndarray  # first moment, one entry per weight
+    v: np.ndarray  # second moment, one entry per weight
     step: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-    @classmethod
-    def for_params(cls, params: dict) -> "AdamWState":
-        state = cls()
-        for name, value in params.items():
-            arr = value.data if isinstance(value, Tensor) else np.asarray(value)
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
 
 
-def adamw_step(params: dict, grads: dict, state: AdamWState, lr: float,
-               betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
-               weight_decay: float = 0.01) -> dict:
-    """One decoupled-weight-decay Adam update, in place on the param arrays."""
+def adamw_step(weights: np.ndarray, grad: np.ndarray, state: AdamWState,
+               lr: float, betas: tuple[float, float] = (0.9, 0.999),
+               eps: float = 1e-8, weight_decay: float = 0.01):
+    """One decoupled-weight-decay Adam update of the ``weights`` vector, in
+    place. Each operation is elementwise, so a concatenation of arrays gets
+    the bytes that the arrays would get one by one."""
+    if not np.isfinite(grad).all():
+        raise NonFiniteError("non-finite gradient")
     b1, b2 = betas
     state.step += 1
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
-    for name, value in params.items():
-        p = value.data if isinstance(value, Tensor) else value
-        g = grads[name]
-        if g is None:
-            g = np.zeros_like(p)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteError(f"non-finite gradient for {name!r}")
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
-        p *= 1.0 - lr * weight_decay
-        p -= lr * (state.m[name] / bc1) / (np.sqrt(state.v[name] / bc2) + eps)
-    return params
+    state.m = b1 * state.m + (1.0 - b1) * grad
+    state.v = b2 * state.v + (1.0 - b2) * grad * grad
+    weights *= 1.0 - lr * weight_decay
+    weights -= lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + eps)
 
 
 # ------------------------------------------------------------------ schedules
@@ -334,7 +321,7 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
                                   accept.mean(), max(accept.std(), 1e-8)]
 
     rng = np.random.default_rng(cfg.seed)
-    params = model.named_parameters()
+    params, weights = model.named_parameters(), model.weights
     history: list[dict] = []
     best_valid = math.inf
     best_epoch = -1
@@ -347,7 +334,7 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
               ("main", cfg.main_epochs,
                partial(loss_huber, delta=cfg.huber_delta)))
     for phase, n_epochs, loss_fn in phases:
-        opt_state = AdamWState.for_params(params)
+        opt_state = AdamWState(np.zeros_like(weights), np.zeros_like(weights))
         plateau = PlateauState(cfg.main_lr if cfg.main_lr is not None
                                else cfg.max_lr,
                                cfg.plateau_factor, cfg.plateau_patience)
@@ -370,9 +357,18 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
                         f"non-finite loss in {phase} epoch {epoch} "
                         f"(components {comps.names}): {err}"
                     ) from err
-                grads = {name: t.grad for name, t in params.items()}
-                adamw_step(params, grads, opt_state, lr, cfg.betas, cfg.eps,
-                           cfg.weight_decay)
+                grad = np.concatenate([t.grad for t in params.values()],
+                                      axis=None)
+                try:
+                    adamw_step(weights, grad, opt_state, lr, cfg.betas,
+                               cfg.eps, cfg.weight_decay)
+                except NonFiniteError as err:
+                    name = next(name for name, t in params.items()
+                                if not np.isfinite(t.grad).all())
+                    raise TrainingError(
+                        f"non-finite gradient of {name!r} in {phase} epoch "
+                        f"{epoch} (components {comps.names})"
+                    ) from err
                 losses.append(loss.item())
                 step += 1
             valid_mape = validation_mape_i(model, valid_comps)

@@ -461,3 +461,23 @@ def reference_antoine_fit(temperatures_k, pressures_pa, delta=0.5, max_iter=200)
         if best is None or result[1] < best[1]:
             best = result
     return best
+
+
+# ------------------------------------------------------------------- AdamW
+
+def reference_adamw_step(params: dict, grads: dict, state: dict, lr: float,
+                         betas=(0.9, 0.999), eps=1e-8, weight_decay=0.01):
+    """One AdamW update, tensor by tensor, in place on the ``params``
+    arrays. ``state`` holds ``step`` and per-name ``m`` and ``v`` dicts,
+    filled with zeros on the first step."""
+    b1, b2 = betas
+    state["step"] = state.get("step", 0) + 1
+    bc1 = 1.0 - b1 ** state["step"]
+    bc2 = 1.0 - b2 ** state["step"]
+    m, v = state.setdefault("m", {}), state.setdefault("v", {})
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = b1 * m.get(name, np.zeros_like(p)) + (1.0 - b1) * g
+        v[name] = b2 * v.get(name, np.zeros_like(p)) + (1.0 - b2) * g * g
+        p *= 1.0 - lr * weight_decay
+        p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)

@@ -101,6 +101,21 @@ def test_boiling_no_solution():
         boiling_temperature(params, -5.0)
 
 
+
+@pytest.mark.parametrize("params, key", [
+    (AntoineParams(math.inf, 2000.0, -50.0), "A"),
+    (AntoineParams(10.0, math.nan, -50.0), "B"),
+    (AntoineParams(10.0, 2000.0, math.nan), "C"),
+    (AntoineParams(10.0, 2000.0, -math.inf), "C"),
+])
+def test_non_finite_parameters_are_a_domain_error(params, key):
+    for evaluate in (lambda: ln_vapor_pressure(params, 300.0),
+                     lambda: vapor_pressure(params, np.array([300.0, 350.0])),
+                     lambda: boiling_temperature(params, 101325.0)):
+        with pytest.raises(AntoineDomainError,
+                           match=f"Antoine parameter {key} must be finite"):
+            evaluate()
+
 # ------------------------------------------------------------------ tape twin
 
 def random_rows(rng, n):

@@ -111,6 +111,19 @@ def test_boil_rejects_a_non_finite_pressure(capsys, pressure):
     assert captured.err.startswith("error: pressure must be finite and positive")
 
 
+@pytest.mark.parametrize("flag, value", [("--A", "inf"), ("--B", "nan"),
+                                         ("--C", "nan"), ("--C", "-inf")])
+def test_boil_rejects_non_finite_antoine_parameters(capsys, flag, value):
+    given = {"--A": "10", "--B": "3000", "--C": "-50", flag: value}
+    code = main(["boil", *(f"{k}={v}" for k, v in given.items()),
+                 "--pressure", "101325"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: Antoine parameter {flag[-1]} must be finite, got {value}")
+
+
 def test_boil_without_enough_arguments(capsys):
     code = main(["boil", "--pressure", "1000"])
     assert code == 1

@@ -84,17 +84,19 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
 
 def test_snapshot_restores_every_array_in_place():
     model = init_model(Architecture(), seed=6)
+    arrays = _arrays(model)
     saved = model.snapshot()
-    weight = model.named_parameters()["head.0.weight"].data
-    for tensor in model.named_parameters().values():
-        tensor.data += 1.0
-    for buf in model.named_buffers().values():
-        buf += 1.0
+    assert saved.shape == model.values.shape
+    assert not np.shares_memory(saved, model.values)
+    for arr in arrays.values():
+        arr += 1.0
+    assert not (model.values == saved).any()
     model.restore(saved)
-    assert model.named_parameters()["head.0.weight"].data is weight
-    current = model.snapshot()
-    assert current.keys() == saved.keys()
-    assert all((current[name] == saved[name]).all() for name in saved)
+    assert model.values.tobytes() == saved.tobytes()
+    for name, arr in _arrays(model).items():
+        assert arr is arrays[name], name
+    assert model.gat[0].theta_v[0] is model.params["gat.0.0.theta_v"]
+    assert model.pool.Wq is model.params["pool.Wq"]
 
 
 @pytest.mark.parametrize("pooling", ["interaction", "sum"])
@@ -102,21 +104,29 @@ def test_train_forward_moves_buffers_in_place(pooling):
     model = init_model(Architecture(pooling=pooling), seed=9)
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1O")]
     buffers = dict(model.named_buffers())
+    before = {name: buf.copy() for name, buf in buffers.items()}
     saved = model.snapshot()
     forward_antoine(model, graphs, train=True)
     assert model.named_buffers().keys() == buffers.keys()
     for name, buf in model.named_buffers().items():
         assert buf is buffers[name], name
-        assert not np.array_equal(buf, saved[name]), name
+        assert np.shares_memory(buf, model.values), name
+        assert not np.array_equal(buf, before[name]), name
+    # The statistics follow the trainable part, which the forward left alone.
+    n = model.parameter_count()
+    assert model.values[:n].tobytes() == saved[:n].tobytes()
     model.restore(saved)
     for name, buf in model.named_buffers().items():
-        assert buf.tobytes() == saved[name].tobytes(), name
+        assert buf.tobytes() == before[name].tobytes(), name
 
 
 def test_checkpoint_names_follow_convention(tmp_path):
     model = init_model(Architecture(gat_layers=2, heads=3), seed=0)
     data = to_checkpoint(model)
     assert data["format_version"] == 2
+    # Entries follow the weight vector: every parameter, then every buffer.
+    assert list(data["params"]) == [*model.named_parameters(),
+                                    *model.named_buffers()]
     names = set(data["params"])
     assert "gat.0.0.theta_v" in names
     assert "gat.1.2.att" in names
@@ -191,7 +201,7 @@ def test_init_model_draws_are_pinned(arch, seed, digest):
     # The digests were taken from the per-layer initialisation that
     # init_model replaced; a seed must keep giving the same weights.
     h = hashlib.sha256()
-    for name, arr in init_model(arch, seed=seed).snapshot().items():
+    for name, arr in _arrays(init_model(arch, seed=seed)).items():
         h.update(name.encode())
         h.update(arr.tobytes())
     assert h.hexdigest() == digest
@@ -279,15 +289,17 @@ def test_a_loaded_model_trains_in_place(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(init_model(Architecture(), seed=8), path)
     loaded = load_checkpoint(path)
-    assert all(arr.flags.writeable and arr.flags.owndata
+    assert all(arr.flags.writeable and arr.base is loaded.values
                for arr in _arrays(loaded).values())
     params = loaded.named_parameters()
-    before = loaded.snapshot()
+    before = {name: arr.copy() for name, arr in _arrays(loaded).items()}
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1")]
     mean_all(forward_antoine(loaded, graphs, train=True)).backward()
-    adamw_step(params, {name: t.grad for name, t in params.items()},
-               AdamWState.for_params(params), lr=1e-3)
-    after = loaded.snapshot()
+    n = loaded.parameter_count()
+    adamw_step(loaded.weights,
+               np.concatenate([t.grad for t in params.values()], axis=None),
+               AdamWState(np.zeros(n), np.zeros(n)), lr=1e-3)
+    after = _arrays(loaded)
     assert all(not np.array_equal(after[name], before[name]) for name in after)
 
 

@@ -9,6 +9,8 @@ from grappa.train import (
     AdamWState,
     PlateauState,
     TrainConfig,
+    TrainingError,
+    _batch_loss,
     adamw_step,
     fit,
     grid_cells,
@@ -21,7 +23,7 @@ from grappa.train import (
     validation_mape_i,
 )
 
-from _oracles import synthetic_dataset
+from _oracles import reference_adamw_step, synthetic_dataset
 
 
 # -------------------------------------------------------------------- losses
@@ -82,18 +84,22 @@ def test_losses_reject_empty_and_mismatched():
 
 # ------------------------------------------------------------------- optimizer
 
+def zero_state(size: int) -> AdamWState:
+    return AdamWState(np.zeros(size), np.zeros(size))
+
+
 def test_adamw_zero_grad_no_decay_is_identity():
-    params = {"w": np.array([1.0, -2.0])}
-    state = AdamWState.for_params(params)
-    adamw_step(params, {"w": np.zeros(2)}, state, lr=0.1, weight_decay=0.0)
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+    weights = np.array([1.0, -2.0])
+    adamw_step(weights, np.zeros(2), zero_state(2), lr=0.1,
+               weight_decay=0.0)
+    np.testing.assert_array_equal(weights, [1.0, -2.0])
 
 
 def test_adamw_decay_only_shrinks_by_factor():
-    params = {"w": np.array([2.0])}
-    state = AdamWState.for_params(params)
-    adamw_step(params, {"w": np.zeros(1)}, state, lr=0.1, weight_decay=0.01)
-    assert params["w"][0] == pytest.approx(2.0 * (1 - 0.1 * 0.01))
+    weights = np.array([2.0])
+    adamw_step(weights, np.zeros(1), zero_state(1), lr=0.1,
+               weight_decay=0.01)
+    assert weights[0] == pytest.approx(2.0 * (1 - 0.1 * 0.01))
 
 
 def test_adamw_single_step_matches_hand_reference():
@@ -107,20 +113,19 @@ def test_adamw_single_step_matches_hand_reference():
     vhat = v / (1 - b2)
     expected = x * (1 - lr * wd) - lr * mhat / (math.sqrt(vhat) + eps)
 
-    params = {"x": np.array([1.0])}
-    state = AdamWState.for_params(params)
-    adamw_step(params, {"x": np.array([2.0])}, state, lr=lr,
+    weights = np.array([1.0])
+    adamw_step(weights, np.array([2.0]), zero_state(1), lr=lr,
                betas=(b1, b2), eps=eps, weight_decay=wd)
-    assert params["x"][0] == pytest.approx(expected, rel=1e-15)
+    assert weights[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_adamw_converges_on_quadratic():
-    params = {"x": np.array([5.0])}
-    state = AdamWState.for_params(params)
+    weights = np.array([5.0])
+    state = zero_state(1)
     for _ in range(500):
-        grad = {"x": 2.0 * params["x"]}
-        adamw_step(params, grad, state, lr=0.05, weight_decay=0.0)
-    assert abs(params["x"][0]) < 1e-2
+        adamw_step(weights, 2.0 * weights, state, lr=0.05, weight_decay=0.0)
+    assert state.step == 500
+    assert abs(weights[0]) < 1e-2
 
 
 def test_one_step_descends_on_convex_toy():
@@ -138,25 +143,48 @@ def test_one_step_descends_on_convex_toy():
 
     before = loss_value()
     before.backward()
-    params = {"w": w}
-    state = AdamWState.for_params(params)
-    adamw_step(params, {"w": w.grad}, state, lr=1e-3, weight_decay=0.0)
+    adamw_step(w.data.reshape(-1), w.grad.reshape(-1), zero_state(3),
+               lr=1e-3, weight_decay=0.0)
     assert loss_value().item() < before.item()
 
 
 def test_adamw_rejects_non_finite_grads():
-    params = {"x": np.array([1.0])}
-    state = AdamWState.for_params(params)
-    with pytest.raises(NonFiniteError):
-        adamw_step(params, {"x": np.array([np.nan])}, state, lr=0.1)
+    for bad in (np.nan, np.inf, -np.inf):
+        weights = np.array([1.0, 2.0])
+        state = zero_state(2)
+        with pytest.raises(NonFiniteError):
+            adamw_step(weights, np.array([0.5, bad]), state, lr=0.1)
+        # Nothing moved: not the weights, the moments or the step count.
+        np.testing.assert_array_equal(weights, [1.0, 2.0])
+        assert state.step == 0 and not state.m.any() and not state.v.any()
 
 
-def test_adamw_accepts_tensor_params():
-    t = Tensor(np.array([1.0]), requires_grad=True)
-    params = {"x": t}
-    state = AdamWState.for_params(params)
-    adamw_step(params, {"x": np.array([1.0])}, state, lr=0.1, weight_decay=0.0)
-    assert t.data[0] < 1.0
+@pytest.mark.parametrize("pooling", ["interaction", "sum"])
+def test_flat_adamw_is_the_bytes_of_the_per_tensor_update(pooling):
+    model = init_model(Architecture(pooling=pooling, gat_layers=2, heads=2,
+                                    hidden_layers=2), seed=11)
+    params = model.named_parameters()
+    expected = {name: t.data.copy() for name, t in params.items()}
+    reference_state = {}
+    state = zero_state(model.weights.size)
+    comps = prepare_components(synthetic_dataset(points_per_component=3)[0])
+    comps = comps.take(np.arange(6))
+    for step in range(4):
+        _batch_loss(model, comps, loss_mse).backward()
+        running = {name: buf.copy()
+                   for name, buf in model.named_buffers().items()}
+        grads = {name: t.grad.copy() for name, t in params.items()}
+        lr = 0.01 * (step + 1)
+        reference_adamw_step(expected, grads, reference_state, lr,
+                             weight_decay=0.05)
+        adamw_step(model.weights,
+                   np.concatenate(list(grads.values()), axis=None), state,
+                   lr, weight_decay=0.05)
+        for name, tensor in params.items():
+            assert tensor.data.tobytes() == expected[name].tobytes(), (step, name)
+        # The step leaves the batch-norm statistics where the forward put them.
+        for name, buf in model.named_buffers().items():
+            assert buf.tobytes() == running[name].tobytes(), name
 
 
 # ------------------------------------------------------------------- schedules
@@ -240,6 +268,35 @@ def test_fit_rejects_a_single_training_molecule_before_featurizing(monkeypatch):
                        seed=0)
     with pytest.raises(ValueError, match="at least 2"):
         fit(model, one, ds.subset("valid"), small_cfg())
+
+
+def test_a_non_finite_gradient_fails_fit_with_its_context(monkeypatch):
+    import grappa.train
+    from grappa.tensor import _make
+
+    real = grappa.train._batch_loss
+
+    def poisoned(model, comps, loss):
+        # A finite loss whose VJP sends inf to one parameter only.
+        value = real(model, comps, loss)
+        bias = model.params["head.0.bias"]
+        return _make(value.data.copy(), (value, bias),
+                     lambda g: (g, np.full(bias.shape, np.inf)))
+
+    monkeypatch.setattr(grappa.train, "_batch_loss", poisoned)
+    ds, _ = synthetic_dataset(points_per_component=4)
+    model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
+                       seed=0)
+    before = model.snapshot()
+    with pytest.raises(TrainingError, match=r"non-finite gradient of "
+                       r"'head\.0\.bias' in warmup epoch 1 \(components \[") \
+            as caught:
+        fit(model, ds.subset("train"), ds.subset("valid"), small_cfg())
+    assert isinstance(caught.value.__cause__, NonFiniteError)
+    # The failed step moved no weight; the forward moved the running
+    # statistics, which follow the weights in the vector.
+    n = model.parameter_count()
+    assert model.values[:n].tobytes() == before[:n].tobytes()
 
 
 def test_fit_history_and_best_selection():
