@@ -35,6 +35,9 @@ from .smiles import SmilesError, parse_smiles
 from .tensor import NonFiniteError
 from .train import TrainConfig, TrainingError, fit, grid_search, history_csv
 
+# Options that take a number. argparse reads a value such as ``-5.2e1`` or
+# ``-inf`` as an option, so ``main`` joins such a value to its flag.
+FLOAT_OPTIONS = ("--A", "--B", "--C", "--pressure", "--temp")
 CONFIG_KEYS = ("data", "format", "splits", "output_model", "history", "arch",
                "train")
 
@@ -396,10 +399,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_float_values(argv: list[str]) -> list[str]:
+    """``argv`` with each value that follows a :data:`FLOAT_OPTIONS` flag,
+    starts with ``-`` and parses as a float joined to it: ``--C=-5.2e1``."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in FLOAT_OPTIONS and token.startswith("-") \
+                and _is_float(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_float_values(
+            sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

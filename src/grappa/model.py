@@ -4,7 +4,9 @@ The head maps the pooled embedding plus hydrogen donor/acceptor counts
 through hidden layers (linear -> batch norm -> ELU) to three raw outputs,
 each squashed into its Antoine range with ``lo + (hi - lo) * sigmoid``, so
 every prediction is a valid vapor-pressure curve by construction. The head's
-output is one (B, 3) tensor whose columns are A, B and C.
+output is one (B, 3) tensor whose columns are A, B and C. Its two stages,
+``head_raw`` and ``scale_to_ranges``, are one tape op each
+(``tensor.mlp_head`` and ``tensor.range_sigmoid``).
 """
 
 from __future__ import annotations
@@ -30,17 +32,7 @@ from .gnn import GatLayer, batch_graphs, encode, glorot
 from .metrics import PredictedPoints
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
-from .tensor import (
-    Tensor,
-    add,
-    batch_norm,
-    concat,
-    elu,
-    matmul,
-    mul,
-    recording,
-    sigmoid,
-)
+from .tensor import Tensor, mlp_head, range_sigmoid, recording
 
 CHECKPOINT_VERSION = 2
 EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
@@ -132,8 +124,10 @@ class GrappaModel:
     """The architecture and one float64 vector, ``values``, laid out as
     :func:`_array_specs` and filled from ``initial`` (an array or a number
     by checkpoint name). ``params`` (tensors) and ``buffers`` name reshaped
-    views of it, ``weights`` is its trainable part, and ``gat`` and ``pool``
-    hold the tensors as the forward reads them."""
+    views of it, ``weights`` is its trainable part, and ``gat``, ``pool``
+    and ``head`` hold the tensors as the forward reads them: ``head`` is the
+    hidden layers, output weight and bias, and running statistics that
+    :func:`tensor.mlp_head` takes."""
 
     arch: Architecture
     initial: InitVar[dict]
@@ -143,6 +137,7 @@ class GrappaModel:
     buffers: dict[str, np.ndarray] = field(init=False, repr=False)
     gat: list[GatLayer] = field(init=False, repr=False)
     pool: InteractionPoolParams | None = field(init=False, repr=False)
+    head: tuple = field(init=False, repr=False)
 
     def __post_init__(self, initial: dict):
         specs = _array_specs(self.arch)
@@ -165,6 +160,13 @@ class GrappaModel:
         if self.arch.pooling == "interaction":
             self.pool = InteractionPoolParams(p["pool.Wq"], p["pool.Wk"],
                                               p["pool.Wv"])
+        layers = [f"head.{i}" for i in range(self.arch.hidden_layers)]
+        self.head = (
+            [[p[f"{layer}.{key}"] for key in ("weight", "bias", "bn.gamma",
+                                              "bn.beta")] for layer in layers],
+            p["head.out.weight"], p["head.out.bias"],
+            [[self.buffers[f"{layer}.bn.running_{key}"] for key in ("mean", "var")]
+             for layer in layers])
 
     def named_parameters(self) -> dict[str, Tensor]:
         return self.params
@@ -243,21 +245,13 @@ def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray) -> Tensor:
     """Hidden stack on (B, d + 2) input; returns the (B, 3) raw outputs.
     While the tape records, batch norm moves the running statistics in
     ``model.buffers``."""
-    p, buf = model.params, model.buffers
-    z = concat([pooled, Tensor(counts)], axis=1)
-    for i in range(model.arch.hidden_layers):
-        z = add(matmul(z, p[f"head.{i}.weight"]), p[f"head.{i}.bias"])
-        z = batch_norm(z, p[f"head.{i}.bn.gamma"], p[f"head.{i}.bn.beta"],
-                       buf[f"head.{i}.bn.running_mean"],
-                       buf[f"head.{i}.bn.running_var"])
-        z = elu(z)
-    return add(matmul(z, p["head.out.weight"]), p["head.out.bias"])
+    return mlp_head(pooled, counts, *model.head)
 
 
 def scale_to_ranges(raw: Tensor, ranges: dict) -> Tensor:
     """Map each raw column (A, B, C) into its bounded interval via the sigmoid."""
     lo, hi = np.array([ranges[key] for key in ("A", "B", "C")]).T
-    return add(mul(sigmoid(raw), hi - lo), lo)
+    return range_sigmoid(raw, lo, hi)
 
 
 def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
@@ -398,7 +392,8 @@ def encode_entry(arr: np.ndarray) -> dict:
 def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
     """The float64 array of one ``params`` entry, possibly read-only: base64
     ``data`` in format 2, a flat ``values`` list in format 1. Raises
-    ``ValueError`` naming the entry for any defect."""
+    ``ValueError`` naming the entry for any defect of its form; the values
+    themselves are checked once loaded (:func:`_check_values`)."""
     if not isinstance(entry, dict):
         raise ValueError(f"entry {name!r} must be an object")
     stored = entry.get("shape")
@@ -424,11 +419,25 @@ def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
             raise ValueError(f"entry {name!r} holds {len(raw)} bytes, expected "
                              f"{8 * size} for shape {shape}")
         flat = np.frombuffer(raw, dtype="<f8")
-    if not np.isfinite(flat).all():
-        raise ValueError(f"entry {name!r} holds a non-finite value")
-    if name.endswith(".running_var") and (flat < 0).any():
-        raise ValueError(f"entry {name!r} holds a negative variance")
     return flat.reshape(shape)
+
+
+def _check_values(model: GrappaModel):
+    """Raise ``ValueError`` naming the first entry, in vector order, that
+    holds a non-finite value or a negative running variance. One pass over
+    the vector and one over its variances find whether there is one; the
+    entries are searched only then."""
+    arch = model.arch
+    stats = model.values[model.weights.size :].reshape(
+        arch.hidden_layers, 2, arch.hidden_width)  # mean, then var, per layer
+    if np.isfinite(model.values).all() and not (stats[:, 1] < 0).any():
+        return
+    arrays = {name: t.data for name, t in model.params.items()} | model.buffers
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"entry {name!r} holds a non-finite value")
+        if name.endswith(".running_var") and (arr < 0).any():
+            raise ValueError(f"entry {name!r} holds a negative variance")
 
 
 def to_checkpoint(model: GrappaModel) -> dict:
@@ -467,8 +476,11 @@ def model_from_checkpoint(data: dict) -> GrappaModel:
     unknown = sorted(entries.keys() - shapes.keys())
     if unknown:
         raise ValueError(f"checkpoint has unknown entries: {unknown}")
-    return GrappaModel(arch, {name: _decode_entry(name, entries[name], version, shape)
-                              for name, shape in shapes.items()})
+    model = GrappaModel(arch, {name: _decode_entry(name, entries[name], version,
+                                                   shape)
+                               for name, shape in shapes.items()})
+    _check_values(model)
+    return model
 
 
 def load_checkpoint(path) -> GrappaModel:

@@ -268,6 +268,11 @@ def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int]:
     if sym2 in _ORGANIC_TWO:
         element, aromatic = sym2, False
         j += 2
+    elif len(sym2) == 2 and sym2[0].isupper() and sym2[1].islower():
+        # A two-letter element outside the subset, such as Na or Se, whose
+        # first letter alone would read as N or S.
+        raise UnknownAtomError(f"unknown bracket atom symbol {sym2!r}",
+                               start + 1 + j)
     elif sym1 in _ORGANIC_ONE:
         element, aromatic = sym1, False
         j += 1

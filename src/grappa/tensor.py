@@ -23,15 +23,19 @@ batch: the stable ``dst`` order and its segment starts, so one
 ``np.maximum.reduceat`` takes the segment maxima, and the flat
 ``dst * w + col`` and ``src * w + col`` indices, each built at the first
 scatter of its width ``w`` and kept. No later layer or VJP sorts or builds
-an index again.
+an index again. The parameter head is two ops: ``mlp_head`` (the hidden
+linear, batch-norm and ELU layers and the output linear) and
+``range_sigmoid``; they check every linear and batch-norm output inside,
+and their outputs and gradients are the bytes of the same steps run as
+separate ops.
 ``backward`` stores the first gradient that reaches a tensor as a fresh
 array and adds later ones to it in place, so no two tensors share a
 gradient buffer.
 
 The tape's recording is the one train/infer switch. Inside
 ``recording(False)`` ops record no tape, so an inference forward frees each
-intermediate once it is read, and ``batch_norm`` uses its running
-statistics, with no gradient. Forwards are batch-invariant: an output row
+intermediate once it is read, and the batch norm of ``mlp_head`` uses
+its running statistics, with no gradient. Forwards are batch-invariant: an output row
 is the same bytes whatever rows run beside it (see
 ``_row_invariant_product`` and the ``einsum`` edge logits;
 ``tests/test_tensor.py`` pins the BLAS).
@@ -146,13 +150,18 @@ def recording(on: bool):
         _RECORDING = saved
 
 
-def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+def _check_finite(data: np.ndarray, op: str, inputs: tuple[Tensor, ...]):
+    """Raise :class:`NonFiniteError` naming ``op`` and every named input
+    unless ``data`` is all finite."""
     if not np.isfinite(data).all():
-        # The op is the function that defines the VJP closure.
-        op = vjp.__qualname__.split(".")[0]
-        names = ", ".join(repr(p.name) for p in parents if p.name)
+        names = ", ".join(repr(p.name) for p in inputs if p.name)
         raise NonFiniteError(f"non-finite value produced by {op}"
                              + (f" (inputs {names})" if names else ""))
+
+
+def _make(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
+    # The op is the function that defines the VJP closure.
+    _check_finite(data, vjp.__qualname__.split(".")[0], parents)
     out = Tensor(data, requires_grad=_RECORDING
                  and any(p.requires_grad for p in parents))
     if out.requires_grad:
@@ -243,16 +252,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 # ---------------------------------------------------------------- arithmetic
 
-def add(a, b) -> Tensor:
-    a, b = _t(a), _t(b)
-    out = a.data + b.data
-
-    def vjp(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
-
-    return _make(out, (a, b), vjp)
-
-
 def sub(a, b) -> Tensor:
     a, b = _t(a), _t(b)
     out = a.data - b.data
@@ -303,20 +302,6 @@ def matmul(a, b) -> Tensor:
 
 
 # ------------------------------------------------------------- restructuring
-
-def concat(parts, axis: int = 0) -> Tensor:
-    parts = [_t(p) for p in parts]
-    if not parts:
-        raise ShapeError("concat of nothing")
-    out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return _make(out, tuple(parts), vjp)
-
 
 def gather_rows(a, index) -> Tensor:
     """Select rows (or vector elements) by integer index, with repetitions."""
@@ -490,29 +475,7 @@ def block_attention_sum(q, k, v, bounds, logit_scale: float) -> Tensor:
     return _make(out, (q, k, v), vjp)
 
 
-# ---------------------------------------------------------------- activations
-
-def elu(a) -> Tensor:
-    a = _t(a)
-    out = np.where(a.data > 0, a.data, np.expm1(np.minimum(a.data, 0.0)))
-
-    def vjp(g):
-        return (np.where(a.data > 0, g, (out + 1.0) * g),)
-
-    return _make(out, (a,), vjp)
-
-
-def sigmoid(a) -> Tensor:
-    a = _t(a)
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-
-    def vjp(g):
-        return (out * (1.0 - out) * g,)
-
-    return _make(out, (a,), vjp)
-
+# ----------------------------------------------------------------------- loss
 
 def huber(a, delta: float) -> Tensor:
     """Elementwise Huber value: quadratic inside ``delta``, linear outside."""
@@ -529,42 +492,101 @@ def huber(a, delta: float) -> Tensor:
     return _make(out, (a,), vjp)
 
 
-# ----------------------------------------------------------------- batch norm
+# ----------------------------------------------------------------------- head
 
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def batch_norm(x, gamma, beta, running_mean: np.ndarray,
-               running_var: np.ndarray) -> Tensor:
-    """Feature-wise normalization over the batch axis of a (B, F) matrix.
-    While the tape records, the batch's statistics normalize it and move the
-    running statistics toward them in place; inside ``recording(False)`` the
-    running statistics normalize it, and the result has no gradient."""
-    x, gamma, beta = _t(x), _t(gamma), _t(beta)
-    if x.ndim != 2:
-        raise ShapeError("batch_norm expects a (B, F) matrix")
-    b = x.shape[0]
-    if _RECORDING:
-        if b < 2:
-            raise ShapeError("recording batch_norm needs a batch of at least 2")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        running_mean *= 1 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean
-        running_var *= 1 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var * b / (b - 1)
-    else:
-        mean, var = running_mean, running_var
-    inv = 1.0 / np.sqrt(var + BN_EPS)
-    xhat = (x.data - mean) * inv
-    out = gamma.data * xhat + beta.data
+def mlp_head(x, extra: np.ndarray, hidden, out_weight, out_bias,
+             stats) -> Tensor:
+    """A multilayer perceptron on ``[x | extra]``: hidden layers of linear,
+    batch norm and ELU, then an output linear; (B, F) and (B, k) -> (B, n).
+
+    ``hidden`` holds each hidden layer's (weight, bias, gamma, beta) and
+    ``stats`` its batch norm's (running_mean, running_var) arrays; ``extra``
+    is a constant. While the tape records, batch norm normalizes by the
+    batch, which needs at least 2 rows, and moves the running statistics in
+    place; inside ``recording(False)`` the running statistics normalize.
+    Every linear and batch-norm output is checked, since the ELU could hide
+    a non-finite value, and the error names the layer and its parameters.
+    Outputs and gradients are the bytes of the same steps run as separate
+    ops, each product row-invariant (see ``_row_invariant_product``).
+    """
+    x, out_weight, out_bias = _t(x), _t(out_weight), _t(out_bias)
+    hidden = [[_t(p) for p in layer] for layer in hidden]
+    extra = np.asarray(extra, dtype=np.float64)
+    b = len(x.data)
+    z = np.concatenate([x.data, extra], axis=1)
+    inputs, normed = [z], []
+    for i, ((weight, bias, gamma, beta), (running_mean, running_var)) in \
+            enumerate(zip(hidden, stats)):
+        a = _row_invariant_product(z, [weight.data]) + bias.data
+        _check_finite(a, f"mlp_head hidden layer {i} linear", (weight, bias))
+        if _RECORDING:
+            if b < 2:
+                raise ShapeError("recording batch norm needs a batch of at "
+                                 "least 2")
+            mean = a.mean(axis=0)
+            var = a.var(axis=0)
+            running_mean *= 1 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean
+            running_var *= 1 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var * b / (b - 1)
+        else:
+            mean, var = running_mean, running_var
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (a - mean) * inv
+        y = gamma.data * xhat + beta.data
+        _check_finite(y, f"mlp_head hidden layer {i} batch norm", (gamma, beta))
+        z = np.where(y > 0, y, np.expm1(np.minimum(y, 0.0)))  # ELU
+        inputs.append(z)
+        normed.append((y, inv, xhat))
+    out = _row_invariant_product(z, [out_weight.data]) + out_bias.data
+    _check_finite(out, "mlp_head output layer", (out_weight, out_bias))
 
     def vjp(g):
-        dxhat = g * gamma.data
-        dx = (inv / b) * (
-            b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
-        )
-        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+        # Walked back layer by layer as the tape walks the separate ops,
+        # with its ``+ 0.0`` on each intermediate's first gradient (twice in
+        # a row changes nothing, so the linear's sum and product share one).
+        grads = [g.sum(axis=0)]
+        g = g + 0.0
+        grads.append(inputs[-1].T @ g)
+        g = g @ out_weight.data.T + 0.0
+        for i in reversed(range(len(hidden))):
+            (weight, _, gamma, _), (y, inv, xhat) = hidden[i], normed[i]
+            g = np.where(y > 0, g, (inputs[i + 1] + 1.0) * g) + 0.0
+            dxhat = g * gamma.data
+            dx = (inv / b) * (
+                b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+            )
+            grads += [g.sum(axis=0), (g * xhat).sum(axis=0)]
+            g = dx + 0.0
+            grads += [g.sum(axis=0), inputs[i].T @ g]
+            g = g @ weight.data.T + 0.0
+        grads.append(g[:, : x.shape[1]])
+        return grads[::-1]
 
-    return _make(out, (x, gamma, beta), vjp)
+    return _make(out, (x, *[p for layer in hidden for p in layer], out_weight,
+                       out_bias), vjp)
+
+
+def range_sigmoid(raw, lo, hi) -> Tensor:
+    """``lo + (hi - lo) * sigmoid(raw)``, which maps each column of ``raw``
+    into the open interval between its ``lo`` and ``hi``. Output and
+    gradient are the bytes of the sigmoid, product and sum run as separate
+    ops."""
+    raw = _t(raw)
+    lo, hi = np.asarray(lo), np.asarray(hi)
+    width = np.asarray(hi - lo, dtype=np.float64)
+    lo = np.asarray(lo, dtype=np.float64)
+    x = raw.data
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    s = np.where(x >= 0, 1.0 / d, e / d)
+    out = s * width + lo
+
+    def vjp(g):
+        return (s * (1.0 - s) * (g * width + 0.0),)
+
+    return _make(out, (raw,), vjp)

