@@ -159,11 +159,34 @@ def _huber_rho(r: np.ndarray, delta: float) -> np.ndarray:
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
 
 
-def _fit_cost(theta, t, y, delta) -> tuple[np.ndarray, np.ndarray]:
-    """Huber cost (K,) and residuals (K, n) of a (K, 3) stack of parameter
-    rows, each with C + T > 0 on every point."""
-    r = y - _ln_p_kpa(theta[:, :1], theta[:, 1:2], theta[:, 2:], t)[0]
-    return _huber_rho(r, delta).sum(axis=1), r
+def _residuals(theta, rows, t, y) -> np.ndarray:
+    """Packed residuals (P,) of a (K, 3) stack of parameter rows, each with
+    C + T > 0 on its points; point p belongs to row ``rows[p]``."""
+    a, b, c = theta.take(rows, axis=0).T
+    return y - _ln_p_kpa(a, b, c, t)[0]
+
+
+def _fit_cost(theta, rows, t, y, delta, runs) -> tuple[np.ndarray, np.ndarray]:
+    """Huber cost (K,) and packed residuals (P,) of a (K, 3) stack of
+    parameter rows (see :func:`_residuals`). Each row's cost sums its own
+    points in their order: the rows ``i:j`` of a run ``(i, j, p, q, n)`` in
+    ``runs`` sum the points ``p:q``, n each."""
+    r = _residuals(theta, rows, t, y)
+    rho = _huber_rho(r, delta)
+    cost = np.empty(len(theta))
+    for i, j, p, q, n in runs:
+        cost[i:j] = rho[p:q].reshape(j - i, n).sum(axis=1)
+    return cost, r
+
+
+def _runs(counts: np.ndarray) -> list[tuple[int, int, int, int, int]]:
+    """``(i, j, p, q, n)`` of each run of equal values n in ``counts``: rows
+    ``i:j`` whose points, packed end to end, are ``p:q``."""
+    cuts = np.r_[0, np.flatnonzero(np.diff(counts)) + 1, len(counts)]
+    ends = np.r_[0, np.cumsum(counts)][cuts].tolist()
+    cuts = cuts.tolist()
+    return [(i, j, p, q, int(counts[i]))
+            for i, j, p, q in zip(cuts, cuts[1:], ends, ends[1:]) if i < j]
 
 
 def _solve_each(lhs, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -187,59 +210,75 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
     """Damped least squares with Huber reweighting and box projection, run on
     a (K, 3) stack of starts at once.
 
-    Each start has its own window: ``t`` and ``y`` are (K, n) rows and
-    ``box`` is (K, 3, 2); a shared (n,) window or (3, 2) box broadcasts to
-    every start. Every start keeps its own damping, slow-step count,
-    stopping rule and cost trace, and only the starts still iterating are
+    Each start has its own window: ``t`` and ``y`` are sequences of K 1-D
+    windows, which may differ in length, and ``box`` is (K, 3, 2); a shared
+    window or (3, 2) box serves every start. The windows are packed end to
+    end, unpadded, so every elementwise step runs on the real points only
+    and its cost grows with their number, not with the widest window. The
+    three sums (the Huber cost, J'WJ and J'Wr) run on each run of
+    consecutive starts with the same point count n, whose packed points
+    reshape to (starts, n), so each has the length and order it has for the
+    window alone; ordering the starts by point count keeps the runs few.
+    Every start keeps its own damping, slow-step count, stopping rule and
+    cost trace, and only the starts still iterating, and their points, are
     computed, so each ends exactly where it would alone. The C box must keep
     C + T positive on every point, so every parameter row it admits is on
     the valid branch. Returns the per-start parameters (K, 3), costs (K,),
-    residuals (K, n), converged flags, iteration counts and cost traces.
+    residuals (K views of one packed array), converged flags, iteration
+    counts and cost traces.
     """
     theta = np.asarray(starts, dtype=float)
     k = len(theta)
-    t = np.broadcast_to(np.asarray(t, dtype=float), (k, np.shape(t)[-1]))
-    y = np.broadcast_to(np.asarray(y, dtype=float), t.shape)
+    t, y = ([w] * k if np.ndim(w[0]) == 0 else w for w in (t, y))
+    counts = np.array([len(w) for w in t])
+    first = np.cumsum(counts) - counts
+    t = np.concatenate(t, dtype=float)
+    y = np.concatenate(y, dtype=float)
     box = np.broadcast_to(np.asarray(box, dtype=float), (k, 3, 2))
     lo, hi = box[..., 0], box[..., 1]
-    if (lo[:, 2] + t.min(axis=1) <= 0.0).any():
+    if (lo[:, 2] + np.minimum.reduceat(t, first) <= 0.0).any():
         raise ValueError("the C box must keep C + T positive on every point")
-    theta = np.clip(theta, lo, hi)
-    cost, r = _fit_cost(theta, t, y, delta)
+    theta = np.minimum(np.maximum(theta, lo), hi)
+    # The start of each packed point; rows numbers it among the live starts.
+    owner = rows = np.repeat(np.arange(k), counts)
+    runs = _runs(counts)
+    cost, r = _fit_cost(theta, owner, t, y, delta, runs)
     converged = np.zeros(k, dtype=bool)
     iterations = np.full(k, max_iter)
     traces = [[c] for c in cost.tolist()]
-    # The state of the starts still iterating, one row each; a row is written
-    # back to theta, cost and r when its start stops.
+    # The state of the starts still iterating, one row each, and of their
+    # packed points; a start's row is written back to theta and cost when it
+    # stops, and the residuals of every start are those of its final row.
     live = np.arange(k)
-    th, old, res = theta[live], cost[live], r[live]
-    tl, yl, lol, hil = t[live], y[live], lo[live], hi[live]
+    th, old, res = theta[live], cost[live], r
+    tl, yl, lol, hil = t, y, lo[live], hi[live]
     lam = np.full(len(live), 1e-3)
     slow_steps = np.zeros(len(live), dtype=int)
     diag = np.arange(3)
-    ridge = 1e-12 * np.eye(3)
     for it in range(1, max_iter + 1):
         if not live.size:
             break
-        b, c = th[:, 1:2], th[:, 2:]
+        b, c = th.take(rows, axis=0)[:, 1:].T
         denom = c + tl
         # Jacobian of the residual r = y - (a - b/(c+t)) w.r.t. (a, b, c).
         jac = np.empty(denom.shape + (3,))
-        jac[..., 0] = -1.0
-        jac[..., 1] = 1.0 / denom
-        jac[..., 2] = -b / denom**2
-        absr = np.abs(res)
-        w = np.ones_like(res)
-        heavy = absr > delta
-        w[heavy] = delta / absr[heavy]
-        jtw = (jac * w[..., None]).transpose(0, 2, 1)
-        hess = jtw @ jac
-        grad = jtw @ res[..., None]
-        damp = np.zeros_like(hess)
-        damp[:, diag, diag] = hess[:, diag, diag]
-        step, solved = _solve_each(hess + lam[:, None, None] * damp + ridge, -grad)
-        candidate = np.clip(th + step, lol, hil)
-        new_cost, new_r = _fit_cost(candidate, tl, yl, delta)
+        jac[:, 0] = -1.0
+        jac[:, 1] = 1.0 / denom
+        jac[:, 2] = -b / denom**2
+        w = delta / np.maximum(np.abs(res), delta)  # exactly 1 where |r| <= delta
+        jtw = jac * w[:, None]
+        hess = np.empty((len(live), 3, 3))
+        grad = np.empty((len(live), 3, 1))
+        for i, j, p, q, n in runs:
+            jt = jtw[p:q].reshape(j - i, n, 3).transpose(0, 2, 1)
+            hess[i:j] = jt @ jac[p:q].reshape(j - i, n, 3)
+            grad[i:j] = jt @ res[p:q].reshape(j - i, n, 1)
+        # Damping and ridge in the oracle's order: (h + lam h) + 1e-12.
+        h = hess[:, diag, diag]
+        hess[:, diag, diag] = h + lam[:, None] * h + 1e-12
+        step, solved = _solve_each(hess, -grad)
+        candidate = np.minimum(np.maximum(th + step, lol), hil)
+        new_cost, new_r = _fit_cost(candidate, rows, tl, yl, delta, runs)
 
         better = solved & (new_cost < old)
         rel_drop = (old - new_cost) / np.maximum(old, 1e-30)
@@ -247,7 +286,7 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
             traces[s].append(value)
         th = np.where(better[:, None], candidate, th)
         old = np.where(better, new_cost, old)
-        res = np.where(better[:, None], new_r, res)
+        res = np.where(better[rows], new_r, res)
         # A failed solve only raises the damping, a rejected step raises it too.
         lam = np.where(better, np.maximum(lam / 10.0, 1e-12), lam * 10.0)
         # Creep along a box boundary counts as converged after a while.
@@ -258,15 +297,21 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
                         solved & (lam > 1e10))  # stalled at a flat minimum
         if stop.any():
             done = live[stop]
-            theta[done], cost[done], r[done] = th[stop], old[stop], res[stop]
+            theta[done], cost[done] = th[stop], old[stop]
             converged[done] = True
             iterations[done] = it
             keep = ~stop
-            live, th, old, res = live[keep], th[keep], old[keep], res[keep]
-            tl, yl, lol, hil = tl[keep], yl[keep], lol[keep], hil[keep]
-            lam, slow_steps = lam[keep], slow_steps[keep]
-    theta[live], cost[live], r[live] = th, old, res
-    return theta, cost, r, converged, iterations, traces
+            kept = keep[rows]
+            live, th, old = live[keep], th[keep], old[keep]
+            lol, hil, lam, slow_steps = lol[keep], hil[keep], lam[keep], slow_steps[keep]
+            tl, yl, res = tl[kept], yl[kept], res[kept]
+            rows = np.repeat(np.arange(len(live)), counts[live])
+            runs = _runs(counts[live])
+    theta[live], cost[live] = th, old
+    r = _residuals(theta, owner, t, y)
+    ends = (first + counts).tolist()
+    return (theta, cost, [r[i:j] for i, j in zip(first.tolist(), ends)],
+            converged, iterations, traces)
 
 
 def _start_points(t: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -315,28 +360,29 @@ def robust_antoine_fits(windows) -> list[AntoineFit]:
     """Robust fits of many ``(temperatures_k, pressures_pa)`` windows, in
     order; each is the fit :func:`robust_antoine_fit` gives it alone.
 
-    Every window is checked before any is solved. The windows with the same
-    point count are solved as one stack of the five starts of each; windows
-    are grouped rather than padded, since padding would change the order of
-    numpy's pairwise sums and so the bytes of the result.
+    Every window is checked before any is solved. Then one
+    :func:`_lm_solve` loop solves the five starts of every window, ordered
+    stably by point count: the windows are packed end to end without
+    padding, and each sum runs on the starts of one point count over their
+    own points, so it keeps the length and order it has for the window
+    alone.
     """
     prepared = [_fit_window(t, p) for t, p in windows]
-    by_count: dict[int, list[int]] = {}
-    for i, (t, _, _) in enumerate(prepared):
-        by_count.setdefault(len(t), []).append(i)
+    if not prepared:
+        return []
+    order = sorted(range(len(prepared)), key=lambda i: len(prepared[i][0]))
+    starts = [_start_points(*prepared[i][:2]) for i in order]
+    per = len(starts[0])
+    t, y, box = zip(*(prepared[i] for i in order for _ in range(per)))
+    theta, cost, r, converged, iters, traces = _lm_solve(
+        np.concatenate(starts), t, y, np.stack(box), FIT_HUBER_DELTA,
+        FIT_MAX_ITER)
     fits: list[AntoineFit] = [None] * len(prepared)
-    for members in by_count.values():
-        group = [prepared[i] for i in members]
-        starts = [_start_points(t, y) for t, y, _ in group]
-        per = len(starts[0])
-        t, y, box = (np.repeat(np.stack(rows), per, axis=0) for rows in zip(*group))
-        theta, cost, r, converged, iters, traces = _lm_solve(
-            np.concatenate(starts), t, y, box, FIT_HUBER_DELTA, FIT_MAX_ITER)
-        for row, i in zip(range(0, len(theta), per), members):
-            best = row + int(np.argmin(cost[row:row + per]))
-            fits[i] = AntoineFit(AntoineParams(*theta[best]), r[best],
-                                 float(cost[best]), bool(converged[best]),
-                                 int(iters[best]), traces[best])
+    for row, i in zip(range(0, len(theta), per), order):
+        best = row + int(np.argmin(cost[row:row + per]))
+        fits[i] = AntoineFit(AntoineParams(*theta[best]), r[best].copy(),
+                             float(cost[best]), bool(converged[best]),
+                             int(iters[best]), traces[best])
     return fits
 
 

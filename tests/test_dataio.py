@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,9 +256,10 @@ def test_stacked_fit_matches_one_start_at_a_time(problem):
 @st.composite
 def window_batches(draw):
     """1-6 fit problems whose point counts come from at most three values,
-    so windows both share and differ in length; one window always starts
-    below 301 K, narrowing its C box."""
-    counts = draw(st.lists(st.integers(3, 15), min_size=1, max_size=3))
+    so windows both share and differ in length, and the per-window sums
+    reach past numpy's 8-element pairwise-sum blocks and 16; one window
+    always starts below 301 K, narrowing its C box."""
+    counts = draw(st.lists(st.integers(3, 40), min_size=1, max_size=3))
     size = draw(st.integers(1, 6))
     batch = [draw(fit_problems(draw(st.sampled_from(counts))))
              for _ in range(size)]
@@ -273,6 +275,55 @@ def test_batched_fits_match_each_window_alone(windows):
     fits = robust_antoine_fits(windows)
     assert len(fits) == len(windows)
     for fit, (t, p) in zip(fits, windows):
+        assert_fit_bytes_equal(fit, reference_antoine_fit(t, p))
+
+
+def test_one_lm_loop_solves_windows_of_every_point_count(monkeypatch):
+    """Windows of 3, 4, 9 and 12 points, given out of order, are solved in
+    one ``_lm_solve`` call over their twenty starts, and each fit is
+    byte-equal to the one-at-a-time oracle, with residuals of its own."""
+    rng = np.random.default_rng(11)
+    windows = []
+    for n in (9, 3, 12, 4):
+        t = np.sort(rng.uniform(290.0, 430.0, n))
+        windows.append((t, np.exp(11.0 - 3000.0 / (t - 60.0)
+                                  + rng.normal(0.0, 0.05, n)) * 1000.0))
+    real_solve = dataio._lm_solve
+    calls = []
+
+    def counting(starts, *args):
+        calls.append(len(starts))
+        return real_solve(starts, *args)
+
+    monkeypatch.setattr(dataio, "_lm_solve", counting)
+    fits = robust_antoine_fits(windows)
+    assert calls == [20]
+    for fit, (t, p) in zip(fits, windows):
+        assert_fit_bytes_equal(fit, reference_antoine_fit(t, p))
+        assert fit.residuals.flags.owndata
+
+
+def test_one_wide_window_does_not_widen_the_others():
+    """The windows of a call are packed end to end, not padded to the
+    widest: beside one window of 2,000 points, 100 windows of 3 points keep
+    the call's peak traced memory near what its 11,500 start points need
+    (the Jacobian of the 505 starts padded to 2,000 points would be 24 MB
+    alone), and the fits checked, the wide one among them, are byte-equal
+    to the one-at-a-time oracle."""
+    rng = np.random.default_rng(17)
+    windows = []
+    for n in [3] * 100 + [2000]:
+        t = np.sort(rng.uniform(290.0, 450.0, n))
+        windows.append((t, np.exp(11.0 - 3000.0 / (t - 60.0)
+                                  + rng.normal(0.0, 0.05, n)) * 1000.0))
+    tracemalloc.start()
+    try:
+        fits = robust_antoine_fits(windows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    for fit, (t, p) in list(zip(fits, windows))[::25]:
         assert_fit_bytes_equal(fit, reference_antoine_fit(t, p))
 
 
@@ -341,8 +392,8 @@ def test_a_singular_solve_fails_only_its_own_start(monkeypatch):
 
 
 def test_a_singular_solve_in_one_window_fails_only_its_own_start(monkeypatch):
-    """In a batch of four windows, three of one point count and so stacked
-    together, one start of the second window gets a singular system at its
+    """In a batch of four windows of two point counts, all solved as one
+    stack, one start of the second window gets a singular system at its
     third iteration; only that start fails, and every window gets the fit
     the one-at-a-time oracle gives it with the same failure."""
     rng = np.random.default_rng(5)
