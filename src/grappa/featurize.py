@@ -18,7 +18,8 @@ Edge vector layout:
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +36,9 @@ from .molecule import (
     molecular_weight,
 )
 from .smiles import bond_order_sum
+
+if TYPE_CHECKING:
+    from .gnn import GraphBatch
 
 NODE_FEATURES = 24
 EDGE_FEATURES = 9
@@ -71,6 +75,10 @@ class MolGraph:
     h_acceptors: int
     heavy_atom_count: int
     mol_weight: float
+    # The graph's one-molecule batch, built by ``gnn.molecule_batch`` at its
+    # first call and kept as long as the graph is.
+    kept_batch: GraphBatch | None = field(default=None, init=False,
+                                          repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.node_features, self.edges, self.edge_features):

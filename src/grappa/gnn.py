@@ -12,6 +12,8 @@ weights stay per-head tensors.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,7 +88,8 @@ class GraphBatch:
 
 
 def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
-    """Join molecular graphs into one :class:`GraphBatch`, in list order."""
+    """Join molecular graphs into one :class:`GraphBatch`, in list order. A
+    lone graph's batch shares its node features."""
     sizes = np.array([g.heavy_atom_count for g in graphs], dtype=np.int64)
     if not len(sizes) or np.any(sizes < 1):
         raise ValueError("a batch needs molecules with at least one atom each")
@@ -95,7 +98,8 @@ def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
     loops = np.arange(n, dtype=np.int64)
     edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, bounds)])
     return GraphBatch(
-        node_features=np.concatenate([g.node_features for g in graphs]),
+        node_features=graphs[0].node_features if len(graphs) == 1
+        else np.concatenate([g.node_features for g in graphs]),
         edge_features=np.concatenate([g.edge_features for g in graphs]
                                      + [np.zeros((n, EDGE_FEATURES))]),
         molecule=np.repeat(np.arange(len(graphs)), sizes),
@@ -103,6 +107,23 @@ def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
         plan=ScatterPlan(np.concatenate([edges[:, 0], loops]),
                          np.concatenate([edges[:, 1], loops]), n),
     )
+
+
+@contextmanager
+def molecule_batch(graph: MolGraph) -> Iterator[GraphBatch]:
+    """The one-molecule batch of ``graph`` for one forward: built at the
+    first call and kept on the graph (``kept_batch``), so a graph served
+    again, as ``predict``'s cache serves one, skips the batching. The plan
+    forgets its flat indices when the block exits, so an idle graph keeps
+    only its edge arrays."""
+    batch = graph.kept_batch
+    if batch is None:
+        batch = batch_graphs([graph])
+        object.__setattr__(graph, "kept_batch", batch)  # MolGraph is frozen
+    try:
+        yield batch
+    finally:
+        batch.plan.forget()
 
 
 def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer):
@@ -130,11 +151,11 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     """Per-atom importance in [0, 1]: mean outgoing attention weight in the
     last layer (heads averaged), min-max normalized per molecule. All-equal
     scores (single atoms, perfect symmetry) map to 1.0. The forward records
-    no tape, as an inference forward does."""
+    no tape, as an inference forward does, and runs on the graph's
+    :func:`molecule_batch`."""
     if not layers:
         raise ValueError("attention_scores needs at least one layer")
-    batch = batch_graphs([graph])
-    with recording(False):
+    with recording(False), molecule_batch(graph) as batch:
         x = encode(batch, layers[:-1])
         _, alpha = gat_forward(x, batch, layers[-1])
     n, heads = batch.num_nodes, alpha.shape[1]

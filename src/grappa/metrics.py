@@ -143,11 +143,27 @@ def summarize(points: PredictedPoints) -> EvalReport:
 
 # ----------------------------------------------------------------- bin tables
 
+def _quartiles(sample: np.ndarray) -> np.ndarray:
+    """``np.percentile``'s linear quartiles of a non-empty sample, except
+    where an infinite value (a point off its curve's valid branch) makes it
+    compute ``inf * 0`` or ``inf - inf``: there a zero interpolation weight
+    gives the order statistic itself, and interpolating toward an infinite
+    value gives inf. Finite samples keep numpy's bytes."""
+    with np.errstate(invalid="ignore"):
+        quartiles = np.percentile(sample, (25, 50, 75))
+    lost = np.isnan(quartiles)
+    if lost.any():
+        at = (sample.size - 1) * np.array([0.25, 0.5, 0.75])
+        exact = np.sort(sample)[at.astype(int)]
+        quartiles[lost] = np.where(at % 1 == 0, exact, np.inf)[lost]
+    return quartiles
+
+
 def _stats_row(sample: np.ndarray) -> dict:
     """Quartiles and 1.5-IQR whiskers of a bin; all None for an empty bin."""
     if not sample.size:
         return dict.fromkeys(("q1", "median", "q3", "whisker_lo", "whisker_hi"))
-    q1, med, q3 = (float(q) for q in np.percentile(sample, (25, 50, 75)))
+    q1, med, q3 = (float(q) for q in _quartiles(sample))
     iqr = q3 - q1
     inside = sample[(sample >= q1 - 1.5 * iqr) & (sample <= q3 + 1.5 * iqr)]
     return {"q1": q1, "median": med, "q3": q3,
@@ -156,7 +172,10 @@ def _stats_row(sample: np.ndarray) -> dict:
 
 
 def _bin_row(key: dict, mask: np.ndarray, scores: np.ndarray) -> dict:
-    return {**key, "count": int(mask.sum()), "pct": 100.0 * mask.sum() / mask.size,
+    """A bin's count, its share of the table (None for an empty table) and
+    :func:`_stats_row`."""
+    return {**key, "count": int(mask.sum()),
+            "pct": 100.0 * mask.sum() / mask.size if mask.size else None,
             **_stats_row(scores[mask])}
 
 
@@ -182,9 +201,8 @@ class BinnedReports:
 
 def binned_reports(points: PredictedPoints) -> BinnedReports:
     """Boxplot-style tables: point APE by pressure and temperature interval,
-    component APE by molecular weight and by minimum point count."""
-    if not points:
-        raise ValueError("empty evaluation set")
+    component APE by molecular weight and by minimum point count. With no
+    points every bin counts 0 and its share and statistics are None."""
     weights = points.mol_weight[[r[0] for r in points.groups.values()]]
     return BinnedReports(
         pressure=_interval_table(points.p_exp_pa, points.ape, PRESSURE_EDGES_PA),

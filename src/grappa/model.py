@@ -15,6 +15,7 @@ import base64
 import functools
 import json
 import math
+from contextlib import nullcontext
 from dataclasses import InitVar, dataclass, field, fields, asdict
 
 import numpy as np
@@ -28,7 +29,7 @@ from .antoine import (
     ln_vapor_pressure,
 )
 from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize
-from .gnn import GatLayer, batch_graphs, encode, glorot
+from .gnn import GatLayer, batch_graphs, encode, glorot, molecule_batch
 from .metrics import PredictedPoints
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
@@ -40,7 +41,9 @@ EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
 # and changes no output: a molecule gets the same bytes in any batch.
 INFER_CHUNK = 256
 # Distinct SMILES whose graph ``predict`` keeps, least recently used first
-# out: ~8 KB each at ~22 heavy atoms, so ~2 MB when full.
+# out, each with its one-molecule batch once it has run (flat scatter
+# indices excluded): ~8.6 KB of graph and ~7.5 KB of batch at ~19 heavy
+# atoms, so ~4 MB when full. A miss pays what it did without the cache.
 GRAPH_CACHE_SIZE = 256
 # Arch keys of older checkpoints and configs, accepted at these widths only.
 _FEATURE_WIDTHS = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES}
@@ -259,9 +262,12 @@ def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
     """(B, 3) Antoine parameters, columns A, B, C, with the molecules run
     through message passing and readout as one disjoint graph. ``train``
     sets the tape's recording, which batch norm follows; an inference
-    forward records no tape, so its result cannot backpropagate."""
-    with recording(train):
-        batch = batch_graphs(graphs)
+    forward records no tape, so its result cannot backpropagate. A lone
+    graph runs on its kept :func:`gnn.molecule_batch`, any other list on a
+    batch built for the call."""
+    scope = (molecule_batch(graphs[0]) if len(graphs) == 1
+             else nullcontext(batch_graphs(graphs)))
+    with recording(train), scope as batch:
         embeddings = encode(batch, model.gat)
         if model.arch.pooling == "interaction":
             pooled = interaction_pool(embeddings, batch, model.pool)
@@ -333,7 +339,8 @@ class Prediction:
 @functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def smiles_graph(smiles: str) -> MolGraph:
     """The graph of ``smiles``, parsed and featurized once while it stays
-    among the last :data:`GRAPH_CACHE_SIZE` distinct strings asked for.
+    among the last :data:`GRAPH_CACHE_SIZE` distinct strings asked for;
+    its one-molecule batch stays with it (:func:`gnn.molecule_batch`).
 
     A graph depends on its SMILES alone and is immutable, so every model
     shares it. Errors propagate and are never cached."""
@@ -344,7 +351,8 @@ def predict(model: GrappaModel, smiles: str, temperatures=None,
             boil_pressure_pa: float | None = None) -> Prediction:
     """Parse, check scope, and run the whole pipeline in inference mode;
     out-of-scope molecules raise :class:`ScopeError` from ``featurize``.
-    The graph comes from :func:`smiles_graph`."""
+    The graph, and with it the molecule's batch, comes from
+    :func:`smiles_graph`."""
     row = forward_antoine(model, [smiles_graph(smiles)]).data[0]
     params = AntoineParams(*row.tolist())
     ln_p = p = None

@@ -22,12 +22,12 @@ scatters through the :class:`ScatterPlan` of its graph batch, built once per
 batch: the stable ``dst`` order and its segment starts, so one
 ``np.maximum.reduceat`` takes the segment maxima, and the flat
 ``dst * w + col`` and ``src * w + col`` indices, each built at the first
-scatter of its width ``w`` and kept. No later layer or VJP sorts or builds
-an index again. The parameter head is two ops: ``mlp_head`` (the hidden
-linear, batch-norm and ELU layers and the output linear) and
-``range_sigmoid``; they check every linear and batch-norm output inside,
-and their outputs and gradients are the bytes of the same steps run as
-separate ops.
+scatter of its width ``w`` and kept until ``forget``. No later layer or VJP
+of the batch sorts or builds an index again. The parameter head is two
+ops: ``mlp_head`` (the hidden linear, batch-norm and ELU layers and the
+output linear) and ``range_sigmoid``; they check every linear and
+batch-norm output inside, and their outputs and gradients are the bytes
+of the same steps run as separate ops.
 ``backward`` stores the first gradient that reaches a tensor as a fresh
 array and adds later ones to it in place, so no two tensors share a
 gradient buffer.
@@ -203,7 +203,7 @@ class ScatterPlan:
     edge array onto the nodes in one ``np.bincount`` through the flat index
     ``dst * w + col`` (or ``src * w + col``) for its ``w`` values per edge;
     each index is built the first time its width is scattered and kept for
-    every later layer and VJP.
+    every later layer and VJP until :meth:`forget`.
     """
 
     __slots__ = ("dst", "src", "num_nodes", "order", "starts", "_flat")
@@ -237,6 +237,13 @@ class ScatterPlan:
         out = np.bincount(flat, weights=values.ravel(),
                           minlength=self.num_nodes * width)
         return out.reshape((self.num_nodes,) + values.shape[1:])
+
+    def forget(self):
+        """Drop the flat indices built so far and keep the rest. Whoever
+        keeps a plan between forwards calls this after each, so the plan
+        holds no (E * w) index while idle: at width H * d that index alone
+        is several times the bytes of the rest of the plan."""
+        self._flat = {}
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

@@ -549,12 +549,37 @@ def test_report_min_points_filters_only_the_binned_tables(capsys, tmp_path,
     assert counts["n_points"] == 6 + 2 + 6 + 1
     assert counts["n_components"] == {"1": 4, "2": 3, "5": 2}
 
-    outdir = tmp_path / "none"
-    code = main(["report", "--model", model_path, "--data", str(every),
-                 "--splits", splits, "--split", "valid",
-                 "--outdir", str(outdir), "--min-points", "7"])
-    assert code == 1
-    assert capsys.readouterr().err.strip() == "error: empty evaluation set"
+
+def test_report_min_points_above_every_component_writes_empty_tables(
+        capsys, tmp_path, model_path, data_path):
+    data, splits = data_path  # every valid component has 6 points
+
+    def report(min_points):
+        outdir = tmp_path / f"min{min_points}"
+        code, payload = run(capsys, "report", "--model", model_path,
+                            "--data", data, "--splits", splits,
+                            "--split", "valid", "--outdir", str(outdir),
+                            "--min-points", str(min_points))
+        assert code == 0
+        assert payload["files"] == sorted(p.name for p in outdir.iterdir())
+        return {p.name: p.read_text(encoding="utf-8")
+                for p in outdir.iterdir()}
+
+    everything, nothing = report(1), report(7)
+    assert nothing.keys() == everything.keys()
+    for name in ("metrics.json", "boiling.json"):
+        assert nothing[name] == everything[name]
+    assert nothing["hexbin.csv"] == ""
+    binned = json.loads(nothing["binned.json"], parse_constant=_refuse_constant)
+    rows = [row for table in binned.values() for row in table]
+    assert len(rows) == 7 + 7 + 7 + 5
+    for row in rows:
+        assert row["count"] == 0
+        assert all(row[key] is None for key in ("pct", "q1", "median", "q3",
+                                                "whisker_lo", "whisker_hi"))
+    table = nothing["ape_by_pressure.csv"].splitlines()
+    assert table[0] == "lo,hi,count,pct,q1,median,q3,whisker_lo,whisker_hi"
+    assert table[1] == "1.0,10.0,0,,,,,,"
 
 
 def test_evaluate_builds_one_table_and_report_two(capsys, tmp_path,

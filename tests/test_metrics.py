@@ -232,6 +232,28 @@ def test_quartiles_match_sort_based_oracle():
         assert row["q3"] == pytest.approx(sorted_percentile(sample, 75), abs=1e-9)
 
 
+def test_an_infinite_ape_reads_inf_not_nan_in_the_quartiles():
+    # Component a's third point is off its curve's valid branch.
+    points = [mk("a", 100.0, p) for p in (105.0, 110.0, math.inf)]
+    points += [mk("b", 5000.0, p, t=310.0 + i)
+               for i, p in enumerate((6000.0, 6500.0))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = binned_reports(points_table(points))
+    row = _row_from(reports.pressure, 100.0)
+    assert (row["q1"], row["median"], row["q3"]) == (7.5, 10.0, math.inf)
+    assert (row["whisker_lo"], row["whisker_hi"]) == (5.0, math.inf)
+    # A finite bin keeps numpy's quartiles, byte for byte.
+    row = _row_from(reports.pressure, 1000.0)
+    assert [row[k] for k in ("q1", "median", "q3")] \
+        == np.percentile([20.0, 30.0], (25, 50, 75)).tolist()
+    q3 = {row["min_points"]: row["q3"] for row in reports.min_points}
+    assert q3 == {1: math.inf, 2: math.inf, 3: math.inf, 5: None, 10: None}
+    medians = {row["min_points"]: row["median"] for row in reports.min_points}
+    assert medians == {1: math.inf, 2: math.inf, 3: math.inf, 5: None,
+                       10: None}
+
+
 def test_whiskers_follow_iqr_fences():
     sample = [1.0, 2.0, 3.0, 4.0, 100.0]  # 100 is outside the upper fence
     points = [mk("a", 100.0, 100.0 * (1 + s / 100.0), t=300.0) for s in sample]

@@ -1,8 +1,10 @@
 import base64
+import gc
 import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import grappa.gnn
 import grappa.model
 from grappa.antoine import _ln_p_kpa, antoine
+from grappa.dataio import VpDataset, VpPoint
 from grappa.featurize import ScopeError, featurize
 from grappa.gnn import attention_scores
 from grappa.model import (
@@ -553,6 +556,94 @@ def test_the_graph_cache_holds_at_most_its_bound(monkeypatch):
     assert len(built) == len(distinct)
     predict(model, distinct[0])  # evicted, so built again
     assert len(built) == len(distinct) + 1
+
+
+def test_a_repeated_molecule_builds_no_batch(monkeypatch):
+    smiles_graph.cache_clear()
+    built = []
+    for name in ("GraphBatch", "ScatterPlan"):
+        real = getattr(grappa.gnn, name)
+        monkeypatch.setattr(grappa.gnn, name,
+                            lambda *a, _real=real, _name=name, **k:
+                            built.append(_name) or _real(*a, **k))
+    model = init_model(Architecture(), seed=3)
+    predict(model, "CC(=O)OCC")
+    assert built == ["ScatterPlan", "GraphBatch"]
+    # Later predicts and attention scores of the molecule reuse its batch.
+    predict(model, "CC(=O)OCC", [300.0, 350.0], 101325.0)
+    predict(init_model(Architecture(gat_layers=3, pooling="sum"), seed=4),
+            "CC(=O)OCC")
+    attention_scores(smiles_graph("CC(=O)OCC"), model.gat)
+    assert len(built) == 2
+    predict(model, "CCO")
+    assert len(built) == 4
+    # A forward of several molecules builds its batch on every call.
+    for _ in range(2):
+        forward_antoine(model, [smiles_graph("CCO"), smiles_graph("CC(=O)OCC")])
+    assert len(built) == 8
+
+
+# In-scope molecules from one atom to two fused rings, with stereo bonds,
+# halogens, phosphorus and sulfur.
+MIXED_MOLECULES = ("C", "CCO", "OCCO", "CCCl", "CCBr", "CP(C)C", "CCSC",
+                   "F/C=C/F", "c1ccccc1O", "c1ccc2ccccc2c1", "CN1CCCC1",
+                   "CC(=O)Nc1ccc(O)cc1", "CCCCCCCCCCCC")
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_hit_miss_and_predict_dataset_agree_bytewise(seed):
+    ds, _ = synthetic_dataset(points_per_component=4)
+    temps = [300.0, 380.0, 460.0]
+    extra = [VpPoint(smiles, smiles, t, 1000.0) for smiles in MIXED_MOLECULES
+             for t in temps]
+    ds = VpDataset(ds.points + extra)
+    model = init_model(Architecture(), seed=seed)
+    points, params = predict_dataset(model, ds)
+    for component, group in ds.by_component().items():
+        smiles = group[0].smiles
+        smiles_graph.cache_clear()
+        miss = _prediction_bytes(model, smiles)
+        assert _prediction_bytes(model, smiles) == miss
+        assert smiles_graph.cache_info().hits == 1
+        hit = predict(model, smiles, [pt.temperature_k for pt in group])
+        assert np.array(hit.params.as_tuple()).tobytes() \
+            == np.array(params[component].as_tuple()).tobytes()
+        mine = points.component_id == component
+        assert hit.ln_p_kpa.tobytes() == points.ln_p_pred_kpa[mine].tobytes()
+
+
+def test_kept_batches_stay_small_and_leave_with_their_graphs():
+    model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
+                       seed=0)
+    first = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
+             for i in range(GRAPH_CACHE_SIZE)]
+    second = ["F" + smiles for smiles in first]
+    smiles_graph.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for smiles in first:
+            smiles_graph(smiles)
+        graphs = tracemalloc.get_traced_memory()[0] - base
+        for smiles in first:
+            predict(model, smiles)
+        batches = tracemalloc.get_traced_memory()[0] - base - graphs
+        for smiles in second:  # evicts every graph of ``first``
+            smiles_graph(smiles)
+        evicted = tracemalloc.get_traced_memory()[0] - base
+        smiles_graph.cache_clear()
+        gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    # A kept batch holds fewer bytes than its graph. Its plan keeps no flat
+    # index between forwards: the (E * H * d) one alone would hold about
+    # twice the graph here.
+    assert 0 < batches < graphs
+    # The batches leave with their graphs, and the graphs with the cache.
+    assert evicted < graphs + batches / 4
+    assert left < 0.02 * graphs
 
 
 def test_attention_scores_work_on_model_layers():
