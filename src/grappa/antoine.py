@@ -3,7 +3,8 @@
 ln(p/kPa) = A - B / (C + T/K), with the parameters box-bounded so that B > 0
 always gives a physically increasing curve. Pressures cross the module
 boundary in Pa; the correlation itself works in kPa. ``_ln_p_kpa`` is the one
-numpy evaluator and :func:`ln_p_tensor` its twin on the training tape.
+numpy evaluator and :func:`ln_p_points` its twin, the Antoine stage of the
+training chain.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor, _make
+from .tensor import NonFiniteError, Tensor, _scatter_sum, _stage
 
 # Bounds enforced by the prediction head's sigmoid scaling.
 PARAM_RANGES = {
@@ -51,22 +52,25 @@ def _ln_p_kpa(a, b, c, temperature_k):
     return np.where(valid, a - b / np.where(valid, denom, 1.0), np.inf), valid
 
 
-def ln_p_tensor(rows: Tensor, temperature_k) -> Tensor:
-    """ln(p/kPa) of shape (P,) on the tape, for (P, 3) rows of A, B, C.
+def ln_p_points(rows: Tensor, molecule, temperature_k) -> Tensor:
+    """ln(p/kPa) of shape (P,) as a training stage: point ``i`` takes row
+    ``molecule[i]`` of the (M, 3) rows of A, B, C and its temperature.
 
     Equals :func:`_ln_p_kpa` on the valid branch; it applies no branch mask,
     so a point with C + T < 0 is evaluated on the other branch, and a zero
     C + T raises :class:`NonFiniteError`.
     """
-    a, b, c = rows.data.T
+    molecule = np.asarray(molecule, dtype=np.int64)
+    a, b, c = rows.data[molecule].T
     d = c + np.asarray(temperature_k, dtype=np.float64)
     if np.any(d == 0.0):
-        raise NonFiniteError("division by zero")
+        raise NonFiniteError("division by zero in ln_p_points: C + T = 0")
 
-    def vjp(g):
-        return (np.column_stack([g, -g / d, g * b / (d * d)]),)
+    def backward(g):
+        return _scatter_sum(molecule, np.column_stack([g, -g / d, g * b / (d * d)]),
+                            len(rows.data))
 
-    return _make(a - b / d, (rows,), vjp)
+    return _stage(rows, a - b / d, "ln_p_points", (), backward)
 
 
 def antoine(a, b, c, temperature_k) -> np.ndarray:
@@ -100,9 +104,8 @@ def ln_vapor_pressure(params: AntoineParams, temperature_k):
     t = _finite_positive(temperature_k, "temperature")
     out, valid = _ln_p_kpa(params.A, params.B, params.C, t)
     if not np.all(valid):
-        raise AntoineDomainError(
-            f"C + T must be positive (C={params.C}, T={temperature_k})"
-        )
+        raise AntoineDomainError(f"C + T must be positive (C={params.C}, "
+                                 f"T={float(t[~valid][0])})")
     return float(out) if np.isscalar(temperature_k) else out
 
 
@@ -121,9 +124,9 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     _check_finite(params)
     p = _finite_positive(pressure_pa, "pressure")
     ln_p = np.log(p / PA_PER_KPA)
-    if np.any(ln_p >= params.A):
-        raise AntoineDomainError(
-            f"no boiling point: ln(p/kPa)={ln_p} reaches A={params.A}"
-        )
+    reached = ln_p >= params.A
+    if np.any(reached):
+        raise AntoineDomainError(f"no boiling point: ln(p/kPa)="
+                                 f"{float(ln_p[reached][0])} reaches A={params.A}")
     t = params.B / (params.A - ln_p) - params.C
     return float(t) if np.isscalar(pressure_pa) else t

@@ -4,9 +4,14 @@ The head maps the pooled embedding plus hydrogen donor/acceptor counts
 through hidden layers (linear -> batch norm -> ELU) to three raw outputs,
 each squashed into its Antoine range with ``lo + (hi - lo) * sigmoid``, so
 every prediction is a valid vapor-pressure curve by construction. The head's
-output is one (B, 3) tensor whose columns are A, B and C. Its two stages,
-``head_raw`` and ``scale_to_ranges``, are one tape op each
-(``tensor.mlp_head`` and ``tensor.range_sigmoid``).
+output is one (B, 3) tensor whose columns are A, B and C.
+
+:func:`forward_antoine` runs the model as one linear chain of stages
+(``tensor``): one ``gat_layer_sum`` per message-passing layer, one pooling
+stage, then ``mlp_head`` (``head_raw``) and ``range_sigmoid``
+(``scale_to_ranges``). A training forward's stages write the gradients of
+every weight into :attr:`GrappaModel.grad`, one vector laid out like
+:attr:`GrappaModel.weights`.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .gnn import GatLayer, batch_graphs, encode, glorot, molecule_batch
 from .metrics import PredictedPoints
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
-from .tensor import Tensor, mlp_head, range_sigmoid, recording
+from .tensor import Param, Tensor, mlp_head, range_sigmoid
 
 CHECKPOINT_VERSION = 2
 EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
@@ -126,17 +131,21 @@ def _is_finite_number(value) -> bool:
 class GrappaModel:
     """The architecture and one float64 vector, ``values``, laid out as
     :func:`_array_specs` and filled from ``initial`` (an array or a number
-    by checkpoint name). ``params`` (tensors) and ``buffers`` name reshaped
-    views of it, ``weights`` is its trainable part, and ``gat``, ``pool``
-    and ``head`` hold the tensors as the forward reads them: ``head`` is the
-    hidden layers, output weight and bias, and running statistics that
-    :func:`tensor.mlp_head` takes."""
+    by checkpoint name). ``params`` and ``buffers`` name reshaped views of
+    it, and ``weights`` is its trainable part. ``grad`` is laid out like
+    ``weights``, and ``grads`` names its views. ``gat``, ``pool`` and
+    ``head`` hold each parameter's value and gradient views as the stages
+    read them (:class:`tensor.Param`): ``head`` is the hidden layers, output
+    weight and bias, and running statistics that :func:`tensor.mlp_head`
+    takes."""
 
     arch: Architecture
     initial: InitVar[dict]
     values: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
-    params: dict[str, Tensor] = field(init=False, repr=False)
+    grad: np.ndarray = field(init=False, repr=False)
+    params: dict[str, np.ndarray] = field(init=False, repr=False)
+    grads: dict[str, np.ndarray] = field(init=False, repr=False)
     buffers: dict[str, np.ndarray] = field(init=False, repr=False)
     gat: list[GatLayer] = field(init=False, repr=False)
     pool: InteractionPoolParams | None = field(init=False, repr=False)
@@ -145,17 +154,25 @@ class GrappaModel:
     def __post_init__(self, initial: dict):
         specs = _array_specs(self.arch)
         self.values = np.empty(sum(math.prod(shape) for _, shape, _ in specs))
-        self.params, self.buffers, start = {}, {}, 0
+        # The parameters lead the vector, so each one's gradient sits at the
+        # same offset of ``grad``.
+        self.grad = np.zeros(sum(math.prod(shape) for name, shape, _ in specs
+                                 if ".bn.running_" not in name))
+        self.weights = self.values[: self.grad.size]
+        self.params, self.grads, self.buffers, start = {}, {}, {}, 0
         for name, shape, _ in specs:
-            view = self.values[start : start + math.prod(shape)].reshape(shape)
+            end = start + math.prod(shape)
+            view = self.values[start:end].reshape(shape)
             view[...] = initial[name]
-            start += view.size
             if ".bn.running_" in name:
                 self.buffers[name] = view
             else:
-                self.params[name] = Tensor(view, requires_grad=True, name=name)
-        self.weights = self.values[: sum(t.size for t in self.params.values())]
-        p, heads = self.params, range(self.arch.heads)
+                self.params[name] = view
+                self.grads[name] = self.grad[start:end].reshape(shape)
+            start = end
+        p = {name: Param(value, self.grads[name], name)
+             for name, value in self.params.items()}
+        heads = range(self.arch.heads)
         self.gat = [GatLayer(*([p[f"gat.{li}.{hi}.{key}"] for hi in heads]
                                for key in ("theta_v", "theta_e", "att")))
                     for li in range(self.arch.gat_layers)]
@@ -171,7 +188,7 @@ class GrappaModel:
             [[self.buffers[f"{layer}.bn.running_{key}"] for key in ("mean", "var")]
              for layer in layers])
 
-    def named_parameters(self) -> dict[str, Tensor]:
+    def named_parameters(self) -> dict[str, np.ndarray]:
         return self.params
 
     def named_buffers(self) -> dict[str, np.ndarray]:
@@ -244,39 +261,40 @@ def _count_features(model: GrappaModel, donors, acceptors) -> np.ndarray:
     return counts
 
 
-def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray) -> Tensor:
+def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
+             train: bool = False) -> Tensor:
     """Hidden stack on (B, d + 2) input; returns the (B, 3) raw outputs.
-    While the tape records, batch norm moves the running statistics in
+    In training, batch norm moves the running statistics in
     ``model.buffers``."""
-    return mlp_head(pooled, counts, *model.head)
+    return mlp_head(pooled, counts, *model.head, train)
 
 
-def scale_to_ranges(raw: Tensor, ranges: dict) -> Tensor:
+def scale_to_ranges(raw: Tensor, ranges: dict, train: bool = False) -> Tensor:
     """Map each raw column (A, B, C) into its bounded interval via the sigmoid."""
     lo, hi = np.array([ranges[key] for key in ("A", "B", "C")]).T
-    return range_sigmoid(raw, lo, hi)
+    return range_sigmoid(raw, lo, hi, train)
 
 
 def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
                     train: bool = False) -> Tensor:
     """(B, 3) Antoine parameters, columns A, B, C, with the molecules run
-    through message passing and readout as one disjoint graph. ``train``
-    sets the tape's recording, which batch norm follows; an inference
-    forward records no tape, so its result cannot backpropagate. A lone
-    graph runs on its kept :func:`gnn.molecule_batch`, any other list on a
-    batch built for the call."""
+    through message passing and readout as one disjoint graph. With
+    ``train`` every stage keeps its backward and batch norm normalizes by
+    the batch; an inference forward keeps no backward, so its result cannot
+    backpropagate. A lone graph runs on its kept :func:`gnn.molecule_batch`,
+    any other list on a batch built for the call."""
     scope = (molecule_batch(graphs[0]) if len(graphs) == 1
              else nullcontext(batch_graphs(graphs)))
-    with recording(train), scope as batch:
-        embeddings = encode(batch, model.gat)
+    with scope as batch:
+        embeddings = encode(batch, model.gat, train)
         if model.arch.pooling == "interaction":
-            pooled = interaction_pool(embeddings, batch, model.pool)
+            pooled = interaction_pool(embeddings, batch, model.pool, train)
         else:
-            pooled = sum_pool(embeddings, batch)
+            pooled = sum_pool(embeddings, batch, train)
         counts = _count_features(model, [g.h_donors for g in graphs],
                                  [g.h_acceptors for g in graphs])
-        raw = head_raw(model, pooled, counts)
-        return scale_to_ranges(raw, model.arch.param_ranges)
+        raw = head_raw(model, pooled, counts, train)
+        return scale_to_ranges(raw, model.arch.param_ranges, train)
 
 
 @dataclass(frozen=True)
@@ -440,8 +458,7 @@ def _check_values(model: GrappaModel):
         arch.hidden_layers, 2, arch.hidden_width)  # mean, then var, per layer
     if np.isfinite(model.values).all() and not (stats[:, 1] < 0).any():
         return
-    arrays = {name: t.data for name, t in model.params.items()} | model.buffers
-    for name, arr in arrays.items():
+    for name, arr in (model.params | model.buffers).items():
         if not np.isfinite(arr).all():
             raise ValueError(f"entry {name!r} holds a non-finite value")
         if name.endswith(".running_var") and (arr < 0).any():
@@ -449,7 +466,7 @@ def _check_values(model: GrappaModel):
 
 
 def to_checkpoint(model: GrappaModel) -> dict:
-    arrays = {name: t.data for name, t in model.params.items()} | model.buffers
+    arrays = model.params | model.buffers
     return {
         "format_version": CHECKPOINT_VERSION,
         "arch": model.arch.to_dict(),

@@ -5,9 +5,12 @@ learning rate, then a Huber-loss main phase under a reduce-on-plateau rate.
 After every epoch the validation median percentage error is computed and a
 copy of the best epoch's weight vector is kept (early-stopping selection).
 
-Losses average over data points; a mini-batch holds whole molecules (at least
-two) and is processed on a single tape so batch normalization sees the
-molecule batch.
+A training batch holds whole molecules (at least two, so batch
+normalization sees a molecule batch) and runs as one linear chain of stages:
+the model's forward, one Antoine stage (``antoine.ln_p_points``) and one
+loss stage, which averages over the data points. ``Tensor.backward`` on the
+loss writes every weight's gradient into ``GrappaModel.grad``, which
+``adamw_step`` takes as it is.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from itertools import product
 
 import numpy as np
 
-from .antoine import PA_PER_KPA, ln_p_tensor
+from .antoine import PA_PER_KPA, ln_p_points
 from .dataio import VpDataset
 from .metrics import ape_i_array
 from .model import (
@@ -34,15 +37,7 @@ from .model import (
     predict_components,
     prepare_components,
 )
-from .tensor import (
-    NonFiniteError,
-    Tensor,
-    gather_rows,
-    huber,
-    mean_all,
-    mul,
-    sub,
-)
+from .tensor import NonFiniteError, Tensor, _stage
 
 GRID_GAT_LAYERS = (2, 3, 4, 5)
 GRID_HEADS = (1, 2, 3, 4, 5)
@@ -155,23 +150,42 @@ _FIELD_TYPES = {
 
 # -------------------------------------------------------------------- losses
 
-def _residual(pred_ln_p, exp_ln_p) -> Tensor:
+def _residual(pred_ln_p, exp_ln_p) -> tuple[Tensor, np.ndarray]:
+    """The prediction as a tensor, and its residual against the target."""
     pred = pred_ln_p if isinstance(pred_ln_p, Tensor) else Tensor(pred_ln_p)
     target = np.asarray(exp_ln_p, dtype=np.float64)
     if pred.size == 0:
         raise ValueError("empty batch")
     if pred.shape != target.shape:
         raise ValueError(f"length mismatch: {pred.shape} vs {target.shape}")
-    return sub(pred, Tensor(target))
+    return pred, pred.data - target
 
 
 def loss_mse(pred_ln_p, exp_ln_p) -> Tensor:
-    d = _residual(pred_ln_p, exp_ln_p)
-    return mean_all(mul(d, d))
+    """Mean squared residual, as the loss stage after ``pred_ln_p``."""
+    pred, d = _residual(pred_ln_p, exp_ln_p)
+
+    def backward(g):
+        half = g / d.size * d  # each factor of d * d sends this half
+        return half + half
+
+    return _stage(pred, np.asarray((d * d).mean()), "loss_mse", (), backward)
 
 
 def loss_huber(pred_ln_p, exp_ln_p, delta: float = 0.5) -> Tensor:
-    return mean_all(huber(_residual(pred_ln_p, exp_ln_p), delta))
+    """Mean Huber value of the residual, quadratic inside ``delta`` and
+    linear outside, as the loss stage after ``pred_ln_p``."""
+    pred, d = _residual(pred_ln_p, exp_ln_p)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    absd = np.abs(d)
+    inside = absd <= delta
+    value = np.where(inside, 0.5 * d**2, delta * (absd - 0.5 * delta))
+
+    def backward(g):
+        return np.where(inside, d, delta * np.sign(d)) * (g / d.size)
+
+    return _stage(pred, np.asarray(value.mean()), "loss_huber", (), backward)
 
 
 # ------------------------------------------------------------------ optimizer
@@ -267,10 +281,10 @@ def _batches(order: np.ndarray, batch_size: int) -> list[np.ndarray]:
 
 def _batch_loss(model: GrappaModel, comps: Components, loss) -> Tensor:
     """``loss(pred, target)`` of a training forward over the batch, in
-    ln(p/kPa) at every point."""
+    ln(p/kPa) at every point: the end of the batch's chain of stages."""
     params = forward_antoine(model, comps.graphs, train=True)
     target = np.log(comps.pressures_pa / PA_PER_KPA)
-    pred = ln_p_tensor(gather_rows(params, comps.molecule), comps.temperatures)
+    pred = ln_p_points(params, comps.molecule, comps.temperatures)
     return loss(pred, target)
 
 
@@ -321,7 +335,7 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
                                   accept.mean(), max(accept.std(), 1e-8)]
 
     rng = np.random.default_rng(cfg.seed)
-    params, weights = model.named_parameters(), model.weights
+    weights, grad = model.weights, model.grad
     history: list[dict] = []
     best_valid = math.inf
     best_epoch = -1
@@ -357,14 +371,12 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
                         f"non-finite loss in {phase} epoch {epoch} "
                         f"(components {comps.names}): {err}"
                     ) from err
-                grad = np.concatenate([t.grad for t in params.values()],
-                                      axis=None)
                 try:
                     adamw_step(weights, grad, opt_state, lr, cfg.betas,
                                cfg.eps, cfg.weight_decay)
                 except NonFiniteError as err:
-                    name = next(name for name, t in params.items()
-                                if not np.isfinite(t.grad).all())
+                    name = next(name for name, g in model.grads.items()
+                                if not np.isfinite(g).all())
                     raise TrainingError(
                         f"non-finite gradient of {name!r} in {phase} epoch "
                         f"{epoch} (components {comps.names})"

@@ -4,9 +4,11 @@ Everything here is deliberately written in a different style from the
 library (plain loops, no shared helpers) so the two sides cannot share a
 bug: finite differences for gradients, connectivity checks for ring
 membership, backtracking isomorphism, and scalar re-evaluations of the
-attention and pooling math. The exceptions are the per-head attention
-layer and the parameter head, kept as the tape ops they used to be built
-from, so the fused ops can be checked against them byte for byte.
+attention and pooling math. The exception is the general reverse-mode
+tape the library's stage chain replaced: ``TapeTensor`` and its ops, the
+per-head attention layer and the parameter head built from them, and the
+whole model and loss composed op by op (``tape_batch_loss``), kept so the
+fused stages can be checked against them byte for byte.
 """
 
 from __future__ import annotations
@@ -15,13 +17,291 @@ import math
 
 import numpy as np
 
-from grappa.antoine import AntoineParams
+from contextlib import contextmanager
+
+from grappa.antoine import PA_PER_KPA, AntoineParams
 from grappa.dataio import VpDataset, VpPoint
+from grappa.gnn import GatLayer, batch_graphs
 from grappa.metrics import PredictedPoints
+from grappa.model import _count_features
 from grappa.molecule import Molecule
-from grappa import tensor as _tensor
-from grappa.tensor import (BN_EPS, BN_MOMENTUM, ShapeError, _make,
-                           _scatter_sum, _t, _unbroadcast, matmul, mul)
+from grappa.tensor import (BN_EPS, BN_MOMENTUM, NonFiniteError, Param,
+                           ShapeError, Tensor, _row_invariant_product,
+                           _scatter_sum)
+
+
+# --------------------------------------------------------- stage-chain helpers
+
+def param(value, name: str = "") -> Param:
+    """A stand-alone parameter: a copy of ``value`` and a NaN-filled
+    gradient array, so a backward that skips an entry shows."""
+    value = np.array(value, dtype=np.float64)
+    return Param(value, np.full_like(value, np.nan), name)
+
+
+def weighted_mean(t: Tensor, weights) -> Tensor:
+    """``mean(t * weights)`` appended to ``t``'s chain as one more stage,
+    with the gradient the tape's ``mean_all(mul(t, weights))`` sent."""
+    weights = np.asarray(weights, dtype=np.float64)
+    n = t.size
+
+    def backward(g):
+        return g / n * weights
+
+    return Tensor(np.asarray((t.data * weights).mean()), t.stages + (backward,))
+
+
+# ------------------------------------------------ the general reverse-mode tape
+
+class TapeTensor:
+    """A tensor on the general tape: every op records its inputs and a
+    vector-Jacobian closure on the value it returns, so ``backward()`` on a
+    scalar fills ``grad`` on every reachable tensor that requires one."""
+
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_vjp")
+
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        arr = np.asarray(data, dtype=np.float64)
+        if arr.ndim > 2:
+            raise ShapeError(f"tensors are at most 2-D, got shape {arr.shape}")
+        self.data = arr
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.name = name
+        self._parents: tuple[TapeTensor, ...] = ()
+        self._vjp = None
+
+    @property
+    def shape(self):
+        return self.data.shape
+
+    @property
+    def ndim(self):
+        return self.data.ndim
+
+    @property
+    def size(self):
+        return self.data.size
+
+    def item(self) -> float:
+        if self.size != 1:
+            raise ShapeError("item() needs a single-element tensor")
+        return float(self.data.reshape(()))
+
+    def backward(self):
+        """Fill ``grad`` on every tensor reachable from this scalar that
+        requires one, walking a topological order; grads inside the tape are
+        reset first, so repeated calls are bitwise identical."""
+        if self.size != 1:
+            raise ShapeError("backward() requires a scalar output")
+        order: list[TapeTensor] = []
+        seen: set[int] = set()
+        stack: list[tuple[TapeTensor, bool]] = [(self, False)]
+        while stack:
+            node, processed = stack.pop()
+            if processed:
+                order.append(node)
+                continue
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            stack.append((node, True))
+            for parent in node._parents:
+                if parent.requires_grad and id(parent) not in seen:
+                    stack.append((parent, False))
+        for node in order:
+            node.grad = None
+        self.grad = np.ones_like(self.data)
+        for node in reversed(order):
+            if node._vjp is None or node.grad is None:
+                continue
+            for parent, grad in zip(node._parents, node._vjp(node.grad)):
+                if grad is None or not parent.requires_grad:
+                    continue
+                if parent.grad is None:
+                    # A fresh array, since a VJP may hand back ``g`` or a view
+                    # of it; ``+ 0.0`` turns -0.0 into 0.0 as ``0 + g`` would.
+                    parent.grad = grad + 0.0
+                else:
+                    parent.grad += grad
+
+
+def _t(x) -> TapeTensor:
+    return x if isinstance(x, TapeTensor) else TapeTensor(x)
+
+
+_RECORDING = True
+
+
+@contextmanager
+def recording(on: bool):
+    """Record the tape (``on``) or not, for the ops run inside the block."""
+    global _RECORDING
+    saved, _RECORDING = _RECORDING, on
+    try:
+        yield
+    finally:
+        _RECORDING = saved
+
+
+def _make(data: np.ndarray, parents: tuple[TapeTensor, ...], vjp) -> TapeTensor:
+    # The op is the function that defines the VJP closure.
+    op = vjp.__qualname__.split(".")[0]
+    if not np.isfinite(data).all():
+        names = ", ".join(repr(p.name) for p in parents if p.name)
+        raise NonFiniteError(f"non-finite value produced by {op}"
+                             + (f" (inputs {names})" if names else ""))
+    out = TapeTensor(data, requires_grad=_RECORDING
+                     and any(p.requires_grad for p in parents))
+    if out.requires_grad:
+        out._parents = parents
+        out._vjp = vjp
+    return out
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, n in enumerate(shape):
+        if n == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
+
+
+def sub(a, b):
+    a, b = _t(a), _t(b)
+    out = a.data - b.data
+
+    def vjp(g):
+        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+
+    return _make(out, (a, b), vjp)
+
+
+def mul(a, b):
+    a, b = _t(a), _t(b)
+    out = a.data * b.data
+
+    def vjp(g):
+        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+
+    return _make(out, (a, b), vjp)
+
+
+def matmul(a, b):
+    """(M, K) @ (K, N), row-invariant as the library's products are."""
+    a, b = _t(a), _t(b)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
+    if a.shape[1] != b.shape[0]:
+        raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    out = np.ascontiguousarray(_row_invariant_product(a.data, [b.data]))
+
+    def vjp(g):
+        return g @ b.data.T, a.data.T @ g
+
+    return _make(out, (a, b), vjp)
+
+
+def gather_rows(a, index):
+    """Select rows (or vector elements) by integer index, with repetitions."""
+    a = _t(a)
+    index = np.asarray(index, dtype=np.int64)
+    if index.ndim != 1:
+        raise ShapeError("gather_rows expects a vector of row indices")
+    out = a.data[index]
+    rows = index % len(a.data) if index.size and index.min() < 0 else index
+
+    def vjp(g):
+        return (_scatter_sum(rows, g, len(a.data)),)
+
+    return _make(out, (a,), vjp)
+
+
+def mean_all(a):
+    a = _t(a)
+    if a.size == 0:
+        raise ShapeError("mean of an empty tensor")
+    n = a.size
+    out = np.asarray(a.data.mean())
+
+    def vjp(g):
+        return (np.broadcast_to(g / n, a.shape).copy(),)
+
+    return _make(out, (a,), vjp)
+
+
+def segment_sum(a, segments, num_segments: int):
+    """Sum rows (or elements) of ``a`` grouped by segment id."""
+    a = _t(a)
+    segments = np.asarray(segments, dtype=np.int64)
+    out = _scatter_sum(segments, a.data, num_segments)
+
+    def vjp(g):
+        return (g[segments],)
+
+    return _make(out, (a,), vjp)
+
+
+def block_attention_sum(q, k, v, bounds, logit_scale: float):
+    """Self-attention within row blocks ``bounds[m]:bounds[m + 1]``, summed
+    over each block's rows: (N, k), (N, k), (N, d) -> (M, d)."""
+    q, k, v = _t(q), _t(k), _t(v)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    blocks = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    weights = []
+    out = np.empty((len(blocks), v.shape[1]))
+    for m, rows in enumerate(blocks):
+        logits = logit_scale * (q.data[rows] @ k.data[rows].T)
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        w = ex / ex.sum(axis=1, keepdims=True)
+        weights.append(w)
+        out[m] = w.sum(axis=0) @ v.data[rows]
+
+    def vjp(g):
+        dq, dk, dv = np.empty_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        for m, rows in enumerate(blocks):
+            w = weights[m]
+            dv[rows] = np.outer(w.sum(axis=0), g[m])
+            dcol = v.data[rows] @ g[m]
+            dlogits = logit_scale * w * (dcol - (w @ dcol)[:, None])
+            dq[rows] = dlogits @ k.data[rows]
+            dk[rows] = dlogits.T @ q.data[rows]
+        return dq, dk, dv
+
+    return _make(out, (q, k, v), vjp)
+
+
+def huber(a, delta: float):
+    """Elementwise Huber value: quadratic inside ``delta``, linear outside."""
+    a = _t(a)
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    absd = np.abs(a.data)
+    inside = absd <= delta
+    out = np.where(inside, 0.5 * a.data**2, delta * (absd - 0.5 * delta))
+
+    def vjp(g):
+        return (np.where(inside, a.data, delta * np.sign(a.data)) * g,)
+
+    return _make(out, (a,), vjp)
+
+
+def ln_p_tensor(rows, temperature_k):
+    """ln(p/kPa) of shape (P,) on the tape for (P, 3) rows of A, B, C, with
+    no branch mask; a zero C + T raises."""
+    rows = _t(rows)
+    a, b, c = rows.data.T
+    d = c + np.asarray(temperature_k, dtype=np.float64)
+    if np.any(d == 0.0):
+        raise NonFiniteError("division by zero")
+
+    def vjp(g):
+        return (np.column_stack([g, -g / d, g * b / (d * d)]),)
+
+    return _make(a - b / d, (rows,), vjp)
 
 
 # ------------------------------------------------------------ finite differences
@@ -305,6 +585,14 @@ def per_head_gat_forward(x, batch, layer, slope: float = 0.2):
     return total, np.stack(weights, axis=1)
 
 
+def tape_layer(layer: GatLayer) -> GatLayer:
+    """A layer of trainable tape tensors on the values of ``layer``'s
+    parameters."""
+    return GatLayer(*([TapeTensor(p.value, requires_grad=True, name=p.name)
+                       for p in ps]
+                      for ps in (layer.theta_v, layer.theta_e, layer.att)))
+
+
 # ------------------------------------------------ parameter head as tape ops
 
 def add(a, b):
@@ -363,7 +651,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray,
     if x.ndim != 2:
         raise ShapeError("batch_norm expects a (B, F) matrix")
     b = x.shape[0]
-    if _tensor._RECORDING:
+    if _RECORDING:
         if b < 2:
             raise ShapeError("recording batch_norm needs a batch of at least 2")
         mean = x.data.mean(axis=0)
@@ -401,6 +689,52 @@ def composed_mlp_head(x, extra, hidden, out_weight, out_bias, stats):
 def composed_range_sigmoid(raw, lo, hi):
     """``tensor.range_sigmoid`` as the separate tape ops it was built from."""
     return add(mul(sigmoid(raw), hi - lo), lo)
+
+
+# --------------------------------------------- the model and loss as tape ops
+
+def tape_forward_antoine(model, graphs, params: dict):
+    """``model.forward_antoine`` as separate tape ops on ``params``, tape
+    tensors by checkpoint name: per-head attention layers, the readout's
+    three products and block attention (or a segment sum), and the composed
+    head and range map. While the tape records, batch norm moves the model's
+    running statistics."""
+    arch = model.arch
+    batch = batch_graphs(graphs)
+    x = TapeTensor(batch.node_features)
+    heads = range(arch.heads)
+    for li in range(arch.gat_layers):
+        layer = GatLayer(*([params[f"gat.{li}.{h}.{key}"] for h in heads]
+                           for key in ("theta_v", "theta_e", "att")))
+        x, _ = per_head_gat_forward(x, batch, layer)
+    if arch.pooling == "interaction":
+        q, k, v = (matmul(x, params[f"pool.{key}"]) for key in ("Wq", "Wk", "Wv"))
+        pooled = block_attention_sum(q, k, v, batch.bounds,
+                                     1.0 / np.sqrt(arch.embed_dim))
+    else:
+        pooled = segment_sum(x, batch.molecule, batch.num_molecules)
+    counts = _count_features(model, [g.h_donors for g in graphs],
+                             [g.h_acceptors for g in graphs])
+    hidden = [[params[f"head.{i}.{key}"]
+               for key in ("weight", "bias", "bn.gamma", "bn.beta")]
+              for i in range(arch.hidden_layers)]
+    raw = composed_mlp_head(pooled, counts, hidden, params["head.out.weight"],
+                            params["head.out.bias"], model.head[3])
+    lo, hi = np.array([arch.param_ranges[key] for key in "ABC"]).T
+    return composed_range_sigmoid(raw, lo, hi)
+
+
+def tape_batch_loss(model, comps, delta: float | None = None):
+    """A batch's training loss as separate tape ops (squared error, or
+    Huber with ``delta``) and the trainable tape tensor on each of the
+    model's parameter views, by name."""
+    params = {name: TapeTensor(value, requires_grad=True, name=name)
+              for name, value in model.params.items()}
+    rows = tape_forward_antoine(model, comps.graphs, params)
+    pred = ln_p_tensor(gather_rows(rows, comps.molecule), comps.temperatures)
+    d = sub(pred, TapeTensor(np.log(comps.pressures_pa / PA_PER_KPA)))
+    loss = mean_all(mul(d, d)) if delta is None else mean_all(huber(d, delta))
+    return loss, params
 
 
 def sorted_percentile(sample, q: float) -> float:

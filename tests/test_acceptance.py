@@ -15,7 +15,7 @@ from grappa.antoine import (
     PARAM_RANGES,
     AntoineParams,
     boiling_temperature,
-    ln_p_tensor,
+    ln_p_points,
     vapor_pressure,
 )
 from grappa.dataio import curate, robust_antoine_fit
@@ -38,16 +38,13 @@ from grappa.train import (
     grid_cells,
     grid_search,
     loss_huber,
+    loss_mse,
     validation_mape_i,
     _batch_loss,
 )
 
 from _oracles import (
-    add,
-    batch_norm,
-    concat,
     contaminate,
-    elu,
     finite_difference_at,
     finite_difference_grad,
     max_rel_error,
@@ -55,7 +52,7 @@ from _oracles import (
     scan_bonds_of,
     scan_degree,
     scan_neighbors,
-    sigmoid,
+    param,
     synthetic_dataset,
     synthetic_params,
 )
@@ -88,15 +85,17 @@ def report(name: str, ok: bool, detail: str = ""):
 
 # ---------------------------------------------------------------------------
 # Criterion: analytic gradients match central finite differences, for every
-# differentiable operation and for the composed model loss on >= 10 random
+# stage of the model's chain and for the composed model loss on >= 10 random
 # small molecules.
 # ---------------------------------------------------------------------------
 
-def _op_cases(rng):
+def _stage_cases(rng):
+    """Each stage as ``build(x, params)`` on a :class:`Tensor` and a list of
+    parameters, its input array, its parameter arrays, and the weights of
+    the mean of its output that the check differentiates."""
     m = rng.normal(size=(3, 4))
     n = rng.normal(size=(4, 3))
     v = rng.normal(size=4)
-    seg = np.array([0, 0, 1, 1, 1])
     idx = np.array([0, 2, 1, 0])
     dst = np.array([1, 0, 2, 0])
     running_mean = rng.normal(size=4)
@@ -115,62 +114,51 @@ def _op_cases(rng):
     # One hidden layer of width 4 on 4 + 2 inputs, then 3 outputs.
     extra, hidden_weight = rng.normal(size=(3, 2)), rng.normal(size=(6, 4))
     lo, hi = rng.normal(size=4), rng.normal(size=4) + 5.0
+    # Residuals on both sides of the Huber threshold 0.5.
+    target = rng.normal(size=4)
+    residual = np.array([0.1, -0.3, 1.2, -2.0])
     return {
-        "add": (lambda a, b: T.mean_all(T.mul(add(a, b), add(a, b))), [m, m]),
-        "sub": (lambda a, b: T.mean_all(T.mul(T.sub(a, b), T.sub(a, b))), [m, m]),
-        "mul": (lambda a, b: T.mean_all(T.mul(a, b)), [m, m]),
-        "matmul": (lambda a, b: T.mean_all(T.matmul(a, b)), [m, n]),
-        "concat": (lambda a, b: T.mean_all(T.mul(concat([a, b], axis=1),
-                                                concat([b, a], axis=1))), [m, m]),
-        "ln_p_tensor": (lambda a: T.mean_all(T.mul(ln_p_tensor(a, temps),
-                                                  v)), [antoine_rows]),
-        "gather_rows": (lambda a: T.mean_all(T.mul(T.gather_rows(a, idx),
-                                                  T.gather_rows(a, idx))), [m]),
-        "segment_sum": (lambda a: T.mean_all(T.mul(
-            T.segment_sum(T.gather_rows(a, np.array([0, 1, 2, 0, 1])), seg, 2),
-            3.0)), [m]),
-        "gat_layer_sum": (lambda a, v0, v1, e0, e1, u0, u1: T.mean_all(T.mul(
-            T.gat_layer_sum(a, edge_features, [v0, v1], [e0, e1], [u0, u1],
-                            plan, 0.2)[0], weights)),
-            [m, *projections, *atts]),
-        "mean_all": (lambda a: T.mean_all(T.mul(a, a)), [m]),
-        "block_attention_sum": (lambda q, k, u: T.mean_all(T.mul(
-            T.block_attention_sum(q, k, u, [0, 1, 3], 0.5), weights[:2])),
-            [m, m[:, ::-1].copy(), n.T.copy()]),
-        "elu": (lambda a: T.mean_all(elu(a)), [m]),
-        "sigmoid": (lambda a: T.mean_all(T.mul(sigmoid(a), weights)), [m]),
-        "huber": (lambda a: T.mean_all(T.huber(a, 0.5)), [m]),
-        "mlp_head": (lambda a, w, b, gamma, beta, w_out, b_out: T.mean_all(T.mul(
-            T.mlp_head(a, extra, [[w, b, gamma, beta]], w_out, b_out,
-                       [[running_mean.copy(), running_var.copy()]]),
-            weights[:, :3])), [m, hidden_weight, v, v + 1.0, v[::-1].copy(),
-                               n, v[:3].copy()]),
-        "range_sigmoid": (lambda a: T.mean_all(T.mul(T.range_sigmoid(a, lo, hi),
-                                                    weights)), [m]),
-        "batch_norm": (lambda a: T.mean_all(T.mul(
-            batch_norm(a, Tensor(np.ones(4)), Tensor(np.zeros(4)),
-                       running_mean.copy(), running_var.copy()),
-            weights)), [m]),
+        "gat_layer_sum": (lambda x, p: T.gat_layer_sum(
+            x, edge_features, p[0:2], p[2:4], p[4:6], plan, 0.2, True)[0],
+            m, [*projections, *atts], weights),
+        "segment_sum": (lambda x, p: T.segment_sum(x, [1, 0, 1], 2, True),
+                        m, [], weights[:2]),
+        "block_attention_pool": (lambda x, p: T.block_attention_pool(
+            x, *p, (slice(0, 1), slice(1, 3)), True),
+            m, [np.eye(4), np.eye(4)[::-1], projections[2]], weights[:2]),
+        "mlp_head": (lambda x, p: T.mlp_head(
+            x, extra, [p[:4]], p[4], p[5],
+            [[running_mean.copy(), running_var.copy()]], True),
+            m, [hidden_weight, v, v + 1.0, v[::-1].copy(), n, v[:3].copy()],
+            weights[:, :3]),
+        "range_sigmoid": (lambda x, p: T.range_sigmoid(x, lo, hi, True),
+                          m, [], weights),
+        "ln_p_points": (lambda x, p: ln_p_points(x, idx, temps),
+                        antoine_rows, [], v),
+        "loss_mse": (lambda x, p: loss_mse(x, target), v, [], 1.0),
+        "loss_huber": (lambda x, p: loss_huber(x, target, 0.5),
+                       target + residual, [], 1.0),
     }
 
 
 def test_gradient_integrity_per_operation():
     rng = np.random.default_rng(1001)
     worst = 0.0
-    for name, (build, arrays) in _op_cases(rng).items():
-        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        build(*tensors).backward()
-        for k, (arr, tens) in enumerate(zip(arrays, tensors)):
-            def f(x, k=k):
-                args = [Tensor(a.copy()) for a in arrays]
-                args[k] = Tensor(x)
-                return build(*args).item()
-
-            numeric = finite_difference_grad(f, arr.copy(), h=FD_STEP)
-            err = max_rel_error(tens.grad, numeric)
+    for name, (build, x, arrays, weights) in _stage_cases(rng).items():
+        x, params = x.copy(), [param(a) for a in arrays]
+        out = build(Tensor(x), params)
+        # The stage's backward, given the upstream of mean(out * weights).
+        analytic = [out.stages[-1](weights / out.size)] \
+            + [p.grad.copy() for p in params]
+        for k, arr in enumerate([x] + [p.value for p in params]):
+            # The differences perturb each array in place.
+            numeric = finite_difference_grad(
+                lambda _: float((build(Tensor(x), params).data * weights).mean()),
+                arr, h=FD_STEP)
+            err = max_rel_error(analytic[k], numeric)
             assert err < GRAD_TOL, f"{name} input {k}: rel err {err}"
             worst = max(worst, err)
-    report("gradient integrity: every differentiable operation", worst < GRAD_TOL,
+    report("gradient integrity: every stage of the chain", worst < GRAD_TOL,
            f"max rel err {worst:.2e}")
 
 
@@ -197,17 +185,17 @@ def test_gradient_integrity_composed_model_loss():
 
     loss = forward()
     loss.backward()
-    analytic = {name: t.grad.copy() for name, t in params.items()}
+    analytic = {name: grad.copy() for name, grad in model.grads.items()}
 
     rng_coords = np.random.default_rng(7)
     worst = 0.0
-    for name, tensor in params.items():
-        flat = tensor.data.ravel()
+    for name, value in params.items():
+        flat = value.ravel()
         coords = rng_coords.choice(flat.size, size=min(3, flat.size),
                                    replace=False)
         for c in coords:
             numeric = finite_difference_at(lambda: forward().item(),
-                                           tensor.data, int(c), h=FD_STEP)
+                                           value, int(c), h=FD_STEP)
             a = analytic[name].ravel()[c]
             # Floor at the gradients' representative scale: coordinates far
             # below it are checked absolutely at 1e-7, still three orders

@@ -10,17 +10,24 @@ from grappa.gnn import (
     encode,
     gat_forward,
     glorot,
+    row_blocks,
 )
 from grappa.molecule import permute_molecule
 from grappa.smiles import parse_smiles
-from grappa.tensor import Tensor, mean_all, mul, recording
+from grappa.tensor import ShapeError, Tensor
 
 from _oracles import (
+    TapeTensor,
     bitwise_equal,
     finite_difference_grad,
     max_rel_error,
+    mean_all,
+    mul,
     naive_gat_head,
+    param,
     per_head_gat_forward,
+    tape_layer,
+    weighted_mean,
 )
 
 
@@ -29,7 +36,7 @@ def graph_of(smiles):
 
 
 def random_layer(rng, in_dim, out_dim=8, heads=2):
-    per_head = [[Tensor(glorot(rng, shape), requires_grad=True)
+    per_head = [[param(glorot(rng, shape))
                  for shape in ((in_dim, out_dim), (EDGE_FEATURES, out_dim),
                                (out_dim,))]
                 for _ in range(heads)]
@@ -46,7 +53,7 @@ def test_single_atom_self_loop_only():
     np.testing.assert_allclose(attentions, [[1.0] * 3])
     # Softmax over one element is 1, so the update is the mean of W x.
     expected = np.mean(
-        [graph.node_features @ layer.theta_v[h].data for h in range(3)], axis=0)
+        [graph.node_features @ layer.theta_v[h].value for h in range(3)], axis=0)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
 
 
@@ -59,8 +66,8 @@ def test_two_node_path_matches_scalar_evaluation():
     bonds = [(0, 1)]
     efeat = {(0, 1): graph.edge_features[0]}
     oracle = naive_gat_head(graph.node_features, bonds, efeat,
-                            layer.theta_v[0].data, layer.theta_e[0].data,
-                            layer.att[0].data)
+                            layer.theta_v[0].value, layer.theta_e[0].value,
+                            layer.att[0].value)
     np.testing.assert_allclose(out.data, oracle, atol=1e-10)
 
 
@@ -81,8 +88,8 @@ def test_multi_head_forward_matches_scalar_evaluation(smiles):
         efeat[(i, j)] = feat
     per_head = [
         naive_gat_head(graph.node_features, bonds, efeat,
-                       layer.theta_v[h].data, layer.theta_e[h].data,
-                       layer.att[h].data)
+                       layer.theta_v[h].value, layer.theta_e[h].value,
+                       layer.att[h].value)
         for h in range(2)
     ]
     np.testing.assert_allclose(out.data, np.mean(per_head, axis=0), atol=1e-10)
@@ -107,7 +114,7 @@ def test_zero_edge_weights_isolate_edge_features():
     rng = np.random.default_rng(4)
     layer = random_layer(rng, 24, heads=2)
     for head in range(2):
-        layer.theta_e[head].data = np.zeros_like(layer.theta_e[head].data)
+        layer.theta_e[head].value[...] = 0.0
     out1, _ = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
                           layer)
     # Same topology, different edge features.
@@ -176,23 +183,16 @@ def test_gradient_through_one_layer():
         "a0": layer.att[0], "a1": layer.att[1],
     }
 
-    def forward():
+    def forward(train=False):
         out, _ = gat_forward(Tensor(graph.node_features), batch_graphs([graph]),
-                             layer)
-        return mean_all(mul(out, Tensor(weights)))
+                             layer, train)
+        return weighted_mean(out, weights)
 
-    loss = forward()
-    loss.backward()
-    for name, tensor in params.items():
-        def f(x, tensor=tensor):
-            saved = tensor.data
-            tensor.data = x
-            value = forward().item()
-            tensor.data = saved
-            return value
-
-        numeric = finite_difference_grad(f, tensor.data.copy())
-        err = max_rel_error(tensor.grad, numeric)
+    forward(train=True).backward()
+    for name, p in params.items():
+        # The differences perturb the parameter's values in place.
+        numeric = finite_difference_grad(lambda _: forward().item(), p.value)
+        err = max_rel_error(p.grad, numeric)
         assert err < 1e-4, f"{name}: rel err {err}"
 
 
@@ -233,23 +233,17 @@ def test_gradient_through_stack_on_three_molecule_batch():
               random_layer(rng, 3, out_dim=3, heads=2)]
     weights = rng.normal(size=(batch.num_nodes, 3))
 
-    def forward():
-        return mean_all(mul(encode(batch, layers), Tensor(weights)))
+    def forward(train=False):
+        return weighted_mean(encode(batch, layers, train), weights)
 
-    forward().backward()
+    forward(train=True).backward()
     for li, layer in enumerate(layers):
-        for name, tensors in (("theta_v", layer.theta_v),
-                              ("theta_e", layer.theta_e), ("att", layer.att)):
-            for head, tensor in enumerate(tensors):
-                def f(x, tensor=tensor):
-                    saved = tensor.data
-                    tensor.data = x
-                    value = forward().item()
-                    tensor.data = saved
-                    return value
-
-                numeric = finite_difference_grad(f, tensor.data.copy())
-                err = max_rel_error(tensor.grad, numeric)
+        for name, params in (("theta_v", layer.theta_v),
+                             ("theta_e", layer.theta_e), ("att", layer.att)):
+            for head, p in enumerate(params):
+                numeric = finite_difference_grad(lambda _: forward().item(),
+                                                 p.value)
+                err = max_rel_error(p.grad, numeric)
                 assert err < 1e-4, f"layer {li} head {head} {name}: rel err {err}"
 
 
@@ -287,9 +281,8 @@ def test_attention_scores_are_the_bytes_of_the_per_head_loop():
     for smiles in ("CCO", "CC(=O)Oc1ccccc1", "OCCN", "CCCCCCCl", "c1ccncc1"):
         graph = graph_of(smiles)
         batch = batch_graphs([graph])
-        with recording(False):
-            x = encode(batch, layers[:-1])
-            _, alpha = gat_forward(x, batch, layers[-1])
+        x = encode(batch, layers[:-1])
+        _, alpha = gat_forward(x, batch, layers[-1])
         # One unbuffered add per head, in edge order.
         n = batch.num_nodes
         totals = np.zeros(n)
@@ -318,8 +311,8 @@ def test_attention_scores_match_standalone_recomputation():
         efeat[(i, j)] = feat
     outgoing = {i: [] for i in range(n)}
     for head in range(layer.heads):
-        tv, te, att = (layer.theta_v[head].data, layer.theta_e[head].data,
-                       layer.att[head].data)
+        tv, te, att = (layer.theta_v[head].value, layer.theta_e[head].value,
+                       layer.att[head].value)
         for i in range(n):
             js = neighbors[i] + [i]
             raw = []
@@ -345,17 +338,19 @@ def test_layer_shape_validation():
         gat_forward(Tensor(np.zeros((5, 24))), batch_graphs([graph]), layer)
 
 
-# ``gat_forward`` runs a layer as one op over all heads; the oracle runs the
-# same layer as separate per-head tape ops. The two must agree byte for byte,
-# forward and backward.
+def test_row_blocks_check_their_bounds():
+    assert row_blocks([0, 3, 4, 10]) == (slice(0, 3), slice(3, 4), slice(4, 10))
+    for bounds in ([0, 2, 2, 4], [1, 4], [0], [[0, 1]]):
+        with pytest.raises(ShapeError):
+            row_blocks(bounds)
+
+
+# ``gat_forward`` runs a layer as one stage over all heads; the oracle runs
+# the same layer as separate per-head tape ops. The two must agree byte for
+# byte, forward and backward.
 
 ORACLE_SMILES = ["C", "CO", "CCO", "C=C", "c1ccccc1", "CC(=O)O", "C1CC1N",
                  "FC(F)F", "CC(C)(C)C"]
-
-
-def copy_layer(layer):
-    return GatLayer(*([Tensor(t.data.copy(), requires_grad=True) for t in ts]
-                      for ts in (layer.theta_v, layer.theta_e, layer.att)))
 
 
 @settings(deadline=None, max_examples=60)
@@ -374,7 +369,8 @@ def test_fused_layer_matches_per_head_ops(smiles, heads, width, node_input, seed
         else rng.normal(size=(batch.num_nodes, width))
     layer = random_layer(rng, x.shape[1], out_dim=width, heads=heads)
     out, weights = gat_forward(Tensor(x), batch, layer)
-    ref_out, ref_weights = per_head_gat_forward(Tensor(x), batch, layer)
+    ref_out, ref_weights = per_head_gat_forward(TapeTensor(x), batch,
+                                                tape_layer(layer))
     assert bitwise_equal(out.data, ref_out.data)
     assert bitwise_equal(weights, ref_weights)
 
@@ -388,18 +384,22 @@ def test_fused_stack_gradients_match_per_head_ops(heads, width):
     rng = np.random.default_rng(100 + heads)
     layers = [random_layer(rng, 24, out_dim=width, heads=heads),
               random_layer(rng, width, out_dim=width, heads=heads)]
-    weights = Tensor(rng.normal(size=(batch.num_nodes, width)))
-    grads = []
-    for forward in (gat_forward, per_head_gat_forward):
-        stack = [copy_layer(layer) for layer in layers]
-        x = Tensor(batch.node_features.copy(), requires_grad=True)
-        h = x
-        for layer in stack:
-            h, _ = forward(h, batch, layer)
-        mean_all(mul(h, weights)).backward()
-        grads.append([x.grad] + [t.grad for layer in stack
-                                 for ts in (layer.theta_v, layer.theta_e, layer.att)
-                                 for t in ts])
-    assert len(grads[0]) == 1 + 2 * 3 * heads
-    for fused, reference in zip(*grads):
-        assert bitwise_equal(fused, reference)
+    weights = rng.normal(size=(batch.num_nodes, width))
+    x = batch.node_features
+    h = Tensor(x)
+    for layer in layers:
+        h, _ = gat_forward(h, batch, layer, train=True)
+    fused = [weighted_mean(h, weights).backward()] + [
+        p.grad for layer in layers
+        for ps in (layer.theta_v, layer.theta_e, layer.att) for p in ps]
+    stack = [tape_layer(layer) for layer in layers]
+    h = x = TapeTensor(x, requires_grad=True)
+    for layer in stack:
+        h, _ = per_head_gat_forward(h, batch, layer)
+    mean_all(mul(h, weights)).backward()
+    reference = [x.grad] + [t.grad for layer in stack
+                            for ts in (layer.theta_v, layer.theta_e, layer.att)
+                            for t in ts]
+    assert len(fused) == 1 + 2 * 3 * heads
+    for ours, theirs in zip(fused, reference):
+        assert bitwise_equal(ours, theirs)

@@ -1,7 +1,8 @@
-"""The parameter head runs as two tape ops, ``mlp_head`` and
-``range_sigmoid``; each must give the bytes of the separate ops it replaces
-(``_oracles.composed_mlp_head`` and ``composed_range_sigmoid``): outputs,
-running statistics and every gradient, and the same non-finite errors."""
+"""The parameter head runs as two stages, ``mlp_head`` and
+``range_sigmoid``; each must give the bytes of the separate tape ops it
+replaces (``_oracles.composed_mlp_head`` and ``composed_range_sigmoid``):
+outputs, running statistics and every gradient, and the same non-finite
+errors."""
 
 from functools import partial
 
@@ -9,8 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import grappa.antoine
-import grappa.tensor
 from grappa.model import (
     Architecture,
     _count_features,
@@ -20,14 +19,19 @@ from grappa.model import (
     prepare_components,
     scale_to_ranges,
 )
-from grappa.tensor import NonFiniteError, Tensor, mean_all, mul, recording
+from grappa.tensor import NonFiniteError, Tensor
 from grappa.train import _batch_loss, loss_huber
 
 from _oracles import (
+    TapeTensor,
     bitwise_equal,
     composed_mlp_head,
     composed_range_sigmoid,
+    mean_all,
+    mul,
+    recording,
     synthetic_dataset,
+    weighted_mean,
 )
 
 COUNT_SCALE = [1.5, 0.8, 2.0, 1.3]
@@ -55,21 +59,26 @@ def _run(model, pooled, counts, weights, train, fused):
     """The head's (B, 3) output bytes, and after a backward on a weighted
     mean the gradient bytes of the pooled input and every head parameter,
     and the running statistics' bytes."""
-    x = Tensor(pooled, requires_grad=True)
     hidden, w_out, b_out, stats = model.head
-    with recording(train):
-        if fused:
-            out = scale_to_ranges(head_raw(model, x, counts),
-                                  model.arch.param_ranges)
-        else:
-            out = composed_range_sigmoid(
-                composed_mlp_head(x, counts, hidden, w_out, b_out, stats),
-                *_ranges(model))
-        grads = []
+    grads = []
+    if fused:
+        out = scale_to_ranges(head_raw(model, Tensor(pooled), counts, train),
+                              model.arch.param_ranges, train)
         if train:
-            mean_all(mul(out, weights)).backward()
-            grads = [x.grad] + [t.grad for layer in hidden for t in layer] \
-                + [w_out.grad, b_out.grad]
+            grads = [weighted_mean(out, weights).backward()] + [
+                p.grad.copy() for p in [*sum(hidden, []), w_out, b_out]]
+    else:
+        x = TapeTensor(pooled, requires_grad=True)
+        tape = [TapeTensor(p.value, requires_grad=True, name=p.name)
+                for p in [*sum(hidden, []), w_out, b_out]]
+        layers = [tape[i : i + 4] for i in range(0, len(tape) - 2, 4)]
+        with recording(train):
+            out = composed_range_sigmoid(
+                composed_mlp_head(x, counts, layers, tape[-2], tape[-1], stats),
+                *_ranges(model))
+            if train:
+                mean_all(mul(out, weights)).backward()
+                grads = [x.grad] + [t.grad for t in tape]
     return out.data, grads, model.snapshot()[model.parameter_count():]
 
 
@@ -123,13 +132,13 @@ def test_a_non_finite_head_parameter_names_its_layer(name, where, names, bad,
                                                      train):
     model = _head_model(2, 4, False, 5)
     rng = np.random.default_rng(6)
-    target = model.params[name].data
+    target = model.params[name]
     target.reshape(-1)[rng.integers(target.size)] = bad
     inputs = ", ".join(map(repr, names))
-    with np.errstate(all="ignore"), recording(train), pytest.raises(
+    with np.errstate(all="ignore"), pytest.raises(
             NonFiniteError, match=rf"^non-finite value produced by mlp_head "
                                   rf"{where} \(inputs {inputs}\)$"):
-        head_raw(model, Tensor(rng.normal(size=(3, 8))), np.ones((3, 2)))
+        head_raw(model, Tensor(rng.normal(size=(3, 8))), np.ones((3, 2)), train)
 
 
 @settings(deadline=None, max_examples=60)
@@ -142,7 +151,7 @@ def test_the_fused_head_raises_where_the_separate_ops_raise(named, train, bad,
     # if the sigmoid saturates first; either way as the separate ops do,
     # with the running statistics moved as far as theirs.
     model = _head_model(3, 4, True, seed)
-    target = model.params[named[0]].data
+    target = model.params[named[0]]
     rng = np.random.default_rng(seed)
     target.reshape(-1)[rng.integers(target.size)] = bad
     pooled = rng.normal(size=(4, 8)) * 10.0
@@ -164,34 +173,26 @@ def test_the_fused_head_raises_where_the_separate_ops_raise(named, train, bad,
 
 def test_an_overflowing_head_product_raises():
     model = _head_model(1, 4, False, 2)
-    model.params["head.0.weight"].data[...] = 1e308
+    model.params["head.0.weight"][...] = 1e308
     for train in (False, True):
-        with np.errstate(over="ignore", invalid="ignore"), recording(train), \
+        with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(NonFiniteError, match="hidden layer 0 linear"):
-            head_raw(model, Tensor(np.full((2, 8), 10.0)), np.ones((2, 2)))
+            head_raw(model, Tensor(np.full((2, 8), 10.0)), np.ones((2, 2)),
+                     train)
 
 
-@pytest.fixture
-def op_count(monkeypatch):
-    """How many tape ops run: every op ends in one ``_make``."""
-    calls = []
-    for module in (grappa.tensor, grappa.antoine):
-        def counting(*args, _make=module._make):
-            calls.append(1)
-            return _make(*args)
-        monkeypatch.setattr(module, "_make", counting)
-    return calls
-
-
-def test_tape_op_counts_stay_pinned(op_count):
-    # 4 attention layers, 3 readout products and the readout, the head and
-    # the range map; a training loss adds a gather, the Antoine equation,
-    # the residual, the Huber value and the mean.
-    model = init_model(Architecture(), seed=4)
+@pytest.mark.parametrize("arch", [{}, {"gat_layers": 2, "pooling": "sum"},
+                                  {"gat_layers": 5, "heads": 1}])
+def test_stage_counts_stay_pinned(arch):
+    # One stage per attention layer, the readout, the head and the range
+    # map; a training loss adds the Antoine equation and the loss.
+    model = init_model(Architecture(**arch), seed=4)
     comps = prepare_components(synthetic_dataset(points_per_component=3)[0])
-    one = comps.take(np.arange(1))
-    forward_antoine(model, one.graphs)
-    assert len(op_count) <= 10
-    op_count.clear()
-    _batch_loss(model, comps.take(np.arange(16)), partial(loss_huber, delta=0.5))
-    assert len(op_count) <= 15
+    layers = model.arch.gat_layers
+    infer = forward_antoine(model, comps.take(np.arange(1)).graphs)
+    assert len(infer.stages) == layers + 3
+    assert all(stage is None for stage in infer.stages)
+    loss = _batch_loss(model, comps.take(np.arange(16)),
+                       partial(loss_huber, delta=0.5))
+    assert len(loss.stages) == layers + 5
+    assert all(callable(stage) for stage in loss.stages)

@@ -33,10 +33,9 @@ from grappa.model import (
     to_checkpoint,
 )
 from grappa.smiles import SmilesError, parse_smiles
-from grappa.tensor import mean_all
 from grappa.train import AdamWState, adamw_step
 
-from _oracles import synthetic_dataset
+from _oracles import synthetic_dataset, weighted_mean
 
 
 def test_final_architecture_parameter_count():
@@ -76,8 +75,8 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     path = tmp_path / "model.json"
     save_checkpoint(model, path)
     restored = load_checkpoint(path)
-    for name, tensor in model.named_parameters().items():
-        assert (restored.named_parameters()[name].data == tensor.data).all(), name
+    for name, value in model.named_parameters().items():
+        assert (restored.named_parameters()[name] == value).all(), name
     for name, buf in model.named_buffers().items():
         assert (restored.named_buffers()[name] == buf).all(), name
     a = predict(model, "CC(=O)OC", temperatures=350.0)
@@ -98,8 +97,9 @@ def test_snapshot_restores_every_array_in_place():
     assert model.values.tobytes() == saved.tobytes()
     for name, arr in _arrays(model).items():
         assert arr is arrays[name], name
-    assert model.gat[0].theta_v[0] is model.params["gat.0.0.theta_v"]
-    assert model.pool.Wq is model.params["pool.Wq"]
+    assert model.gat[0].theta_v[0].value is model.params["gat.0.0.theta_v"]
+    assert model.gat[0].theta_v[0].grad is model.grads["gat.0.0.theta_v"]
+    assert model.pool.Wq.value is model.params["pool.Wq"]
 
 
 @pytest.mark.parametrize("pooling", ["interaction", "sum"])
@@ -179,9 +179,7 @@ def test_checkpoint_rejects_a_wrong_shaped_parameter():
 
 def _arrays(model) -> dict[str, np.ndarray]:
     """Every parameter and buffer array of a model itself, by name."""
-    arrays = {name: t.data for name, t in model.named_parameters().items()}
-    arrays.update(model.named_buffers())
-    return arrays
+    return model.named_parameters() | model.named_buffers()
 
 
 def _same_bytes(a, b) -> bool:
@@ -294,13 +292,11 @@ def test_a_loaded_model_trains_in_place(tmp_path):
     loaded = load_checkpoint(path)
     assert all(arr.flags.writeable and arr.base is loaded.values
                for arr in _arrays(loaded).values())
-    params = loaded.named_parameters()
     before = {name: arr.copy() for name, arr in _arrays(loaded).items()}
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCCC", "c1ccccc1")]
-    mean_all(forward_antoine(loaded, graphs, train=True)).backward()
+    weighted_mean(forward_antoine(loaded, graphs, train=True), 1.0).backward()
     n = loaded.parameter_count()
-    adamw_step(loaded.weights,
-               np.concatenate([t.grad for t in params.values()], axis=None),
+    adamw_step(loaded.weights, loaded.grad,
                AdamWState(np.zeros(n), np.zeros(n)), lr=1e-3)
     after = _arrays(loaded)
     assert all(not np.array_equal(after[name], before[name]) for name in after)
@@ -407,21 +403,23 @@ def test_forward_antoine_batch_matches_single():
         assert one.data[0].tobytes() == params.data[k].tobytes()
 
 
-def test_infer_forward_records_no_tape():
+def test_infer_forward_keeps_no_backward():
     model = init_model(Architecture(), seed=6)
     graphs = [featurize(parse_smiles(s)) for s in ("CCO", "CCN")]
     infer = forward_antoine(model, graphs)
-    assert infer._parents == () and infer._vjp is None
-    assert not infer.requires_grad
+    assert infer.stages and all(stage is None for stage in infer.stages)
+    with pytest.raises(ValueError, match="inference"):
+        weighted_mean(infer, 1.0).backward()
     train = forward_antoine(model, graphs, train=True)
-    assert train._parents and train.requires_grad
-    mean_all(train).backward()
-    assert all(t.grad is not None and np.any(t.grad)
-               for t in model.named_parameters().values())
-    # Recording is back on after an inference forward, even one that raised.
+    assert all(callable(stage) for stage in train.stages)
+    model.grad[...] = np.nan
+    weighted_mean(train, 1.0).backward()
+    assert np.isfinite(model.grad).all()
+    assert all(np.any(grad) for grad in model.grads.values())
+    # A forward that raised leaves no mode behind.
     with pytest.raises(ValueError):
         forward_antoine(model, [])
-    assert forward_antoine(model, graphs, train=True).requires_grad
+    assert all(forward_antoine(model, graphs, train=True).stages)
 
 
 def test_predict_dataset_covers_split():
@@ -654,17 +652,17 @@ def test_attention_scores_work_on_model_layers():
     assert ((scores >= 0) & (scores <= 1)).all()
 
 
-def test_attention_scores_record_no_tape(monkeypatch):
+def test_attention_scores_keep_no_backward(monkeypatch):
     model = init_model(Architecture(), seed=5)
     outputs = []
     real_forward = grappa.gnn.gat_forward
 
-    def spy(x, batch, layer):
-        out, attentions = real_forward(x, batch, layer)
+    def spy(*args):
+        out, attentions = real_forward(*args)
         outputs.append(out)
         return out, attentions
 
     monkeypatch.setattr(grappa.gnn, "gat_forward", spy)
     attention_scores(featurize(parse_smiles("CC(=O)O")), model.gat)
     assert len(outputs) == model.arch.gat_layers
-    assert not any(out.requires_grad for out in outputs)
+    assert all(stage is None for out in outputs for stage in out.stages)

@@ -10,17 +10,20 @@ from grappa.pooling import (
     sum_pool,
 )
 from grappa.smiles import parse_smiles
-from grappa.tensor import Tensor, mean_all, mul
+from grappa.tensor import Tensor
 
-from _oracles import finite_difference_grad, max_rel_error, naive_interaction_pool
+from _oracles import (
+    finite_difference_grad,
+    max_rel_error,
+    naive_interaction_pool,
+    param,
+    weighted_mean,
+)
 
 
 def random_params(rng, dim=6):
     return InteractionPoolParams(
-        Wq=Tensor(rng.normal(size=(dim, dim)), requires_grad=True),
-        Wk=Tensor(rng.normal(size=(dim, dim)), requires_grad=True),
-        Wv=Tensor(rng.normal(size=(dim, dim)), requires_grad=True),
-    )
+        *(param(rng.normal(size=(dim, dim))) for _ in range(3)))
 
 
 def batch_of(*sizes):
@@ -66,16 +69,16 @@ def test_interaction_pool_single_row_is_value_projection():
     params = random_params(rng, dim=6)
     x = rng.normal(size=(1, 6))
     out = interaction_pool(Tensor(x), batch_of(1), params)
-    np.testing.assert_allclose(out.data, x @ params.Wv.data, atol=1e-12)
+    np.testing.assert_allclose(out.data, x @ params.Wv.value, atol=1e-12)
 
 
 def test_uniform_attention_collapses_to_sum_pool():
     rng = np.random.default_rng(3)
     dim = 6
     params = InteractionPoolParams(
-        Wq=Tensor(np.zeros((dim, dim))),
-        Wk=Tensor(np.zeros((dim, dim))),
-        Wv=Tensor(np.eye(dim)),
+        Wq=param(np.zeros((dim, dim))),
+        Wk=param(np.zeros((dim, dim))),
+        Wv=param(np.eye(dim)),
     )
     x = rng.normal(size=(9, dim))
     batch = batch_of(5, 4)
@@ -92,8 +95,8 @@ def test_matches_naive_reimplementation():
     out = interaction_pool(Tensor(x), batch_of(*sizes), params)
     bounds = np.cumsum((0,) + sizes)
     for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        oracle = naive_interaction_pool(x[lo:hi], params.Wq.data,
-                                        params.Wk.data, params.Wv.data)
+        oracle = naive_interaction_pool(x[lo:hi], params.Wq.value,
+                                        params.Wk.value, params.Wv.value)
         np.testing.assert_allclose(out.data[m], oracle, atol=1e-10)
 
 
@@ -103,8 +106,8 @@ def test_attention_weight_rows_sum_to_one():
     # molecule: its row count exactly when every row of weights sums to one.
     rng = np.random.default_rng(5)
     params = random_params(rng, dim=8)
-    params.Wv.data[:] = 0.0
-    params.Wv.data[0, 0] = 1.0
+    params.Wv.value[:] = 0.0
+    params.Wv.value[0, 0] = 1.0
     x = rng.normal(size=(10, 8))
     x[:, 0] = 1.0
     out = interaction_pool(Tensor(x), batch_of(6, 1, 3), params)
@@ -123,35 +126,36 @@ def test_interaction_pool_permutation_invariance():
         np.testing.assert_allclose(out, base, atol=1e-9)
 
 
-def test_gradients_match_finite_differences():
+@pytest.mark.parametrize("interaction", [True, False], ids=["interaction", "sum"])
+def test_gradients_match_finite_differences(interaction):
     rng = np.random.default_rng(7)
     params = random_params(rng, dim=5)
     batch = batch_of(4, 1, 3)
-    x = Tensor(rng.normal(size=(8, 5)), requires_grad=True)
+    x = rng.normal(size=(8, 5))
     weights = rng.normal(size=(3, 5))
 
-    def forward():
-        return mean_all(mul(interaction_pool(x, batch, params), Tensor(weights)))
+    def forward(train=False):
+        pooled = interaction_pool(Tensor(x), batch, params, train) \
+            if interaction else sum_pool(Tensor(x), batch, train)
+        return weighted_mean(pooled, weights)
 
-    forward().backward()
-    for name, tensor in (("x", x), ("Wq", params.Wq), ("Wk", params.Wk),
-                         ("Wv", params.Wv)):
-        def f(value, tensor=tensor):
-            saved = tensor.data
-            tensor.data = value
-            result = forward().item()
-            tensor.data = saved
-            return result
-
-        numeric = finite_difference_grad(f, tensor.data.copy())
-        err = max_rel_error(tensor.grad, numeric)
+    analytic = {"x": forward(train=True).backward()}
+    arrays = {"x": x}
+    if interaction:
+        analytic |= {key: getattr(params, key).grad for key in ("Wq", "Wk", "Wv")}
+        arrays |= {key: getattr(params, key).value for key in ("Wq", "Wk", "Wv")}
+    for name, arr in arrays.items():
+        # The differences perturb each array in place.
+        numeric = finite_difference_grad(lambda _: forward().item(), arr)
+        err = max_rel_error(analytic[name], numeric)
         assert err < 1e-4, f"{name}: rel err {err}"
 
 
 def test_init_shapes_and_names():
     model = init_model(Architecture(), seed=8)
     for key in ("Wq", "Wk", "Wv"):
-        tensor = model.params[f"pool.{key}"]
-        assert tensor.shape == (32, 32)
-        assert tensor.name == f"pool.{key}"
-        assert getattr(model.pool, key) is tensor
+        value = model.params[f"pool.{key}"]
+        assert value.shape == (32, 32)
+        assert getattr(model.pool, key).name == f"pool.{key}"
+        assert getattr(model.pool, key).value is value
+        assert getattr(model.pool, key).grad is model.grads[f"pool.{key}"]

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import _oracles as tape
 from grappa import tensor as T
 from grappa.tensor import NonFiniteError, ScatterPlan, ShapeError, Tensor
 
 from _oracles import (
+    TapeTensor,
     add,
     add_at_scatter,
     batch_norm,
@@ -15,6 +17,7 @@ from _oracles import (
     elu,
     finite_difference_grad,
     max_rel_error,
+    param,
     reference_segment_softmax,
     sigmoid,
 )
@@ -23,16 +26,17 @@ GRAD_TOL = 1e-4
 
 
 def check_grad(build, *shapes, seed=0, h=1e-6):
-    """Compare backward() against central differences for every input."""
+    """Compare the oracle tape's backward() against central differences for
+    every input."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=s) if s else np.asarray(rng.normal()) for s in shapes]
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    tensors = [TapeTensor(a.copy(), requires_grad=True) for a in arrays]
     out = build(*tensors)
     out.backward()
     for k, (arr, tens) in enumerate(zip(arrays, tensors)):
         def f(x, k=k):
-            args = [Tensor(a.copy()) for a in arrays]
-            args[k] = Tensor(x)
+            args = [TapeTensor(a.copy()) for a in arrays]
+            args[k] = TapeTensor(x)
             return build(*args).item()
 
         numeric = finite_difference_grad(f, arr.copy(), h=h)
@@ -41,17 +45,34 @@ def check_grad(build, *shapes, seed=0, h=1e-6):
         assert err < GRAD_TOL, f"input {k}: rel err {err}"
 
 
+def check_stage_grad(stage, x, params, seed=0, h=1e-6):
+    """Compare a stage's backward against central differences of a weighted
+    sum of its output, for its input ``x`` and every parameter.
+    ``stage(x_tensor, train)`` runs the stage on ``params``, which the
+    differences perturb in place."""
+    x = np.array(x, dtype=float)
+    out = stage(Tensor(x), True)
+    weights = np.random.default_rng(seed).normal(size=out.shape)
+    grads = [out.stages[-1](weights)] + [p.grad.copy() for p in params]
+    for k, (arr, grad) in enumerate(zip([x] + [p.value for p in params], grads)):
+        numeric = finite_difference_grad(
+            lambda _: float((stage(Tensor(x), False).data * weights).sum()),
+            arr, h=h)
+        err = max_rel_error(grad, numeric)
+        assert err < GRAD_TOL, f"input {k}: rel err {err}"
+
+
 # ------------------------------------------------------------------ semantics
 
 def test_matmul_identity():
     m = np.arange(6, dtype=float).reshape(2, 3)
-    out = T.matmul(Tensor(np.eye(2)), Tensor(m))
+    out = tape.matmul(TapeTensor(np.eye(2)), TapeTensor(m))
     np.testing.assert_array_equal(out.data, m)
 
 
 def test_matmul_takes_matrices_only():
     with pytest.raises(ShapeError, match="2-D @ 2-D"):
-        T.matmul(Tensor(np.ones((3, 4))), Tensor(np.ones(4)))
+        tape.matmul(TapeTensor(np.ones((3, 4))), TapeTensor(np.ones(4)))
 
 
 # The forward is batch-invariant only while the BLAS and einsum give each row
@@ -123,21 +144,20 @@ def test_einsum_matvec_rows_are_batch_invariant():
                 f"the batch")
 
 
-def test_matmul_rows_are_batch_invariant():
+def test_row_invariant_products_are_batch_invariant():
     # One row and three columns are the shapes of predict's head output.
     rng = np.random.default_rng(42)
-    x, w = Tensor(rng.normal(size=(300, 16))), Tensor(rng.normal(size=(16, 3)))
-    full = T.matmul(x, w).data
+    x, w = rng.normal(size=(300, 16)), rng.normal(size=(16, 3))
+    full = np.ascontiguousarray(T._row_invariant_product(x, [w]))
     for lo, m in INVARIANCE_ROWS[:5]:
-        part = T.matmul(Tensor(x.data[lo : lo + m]), w).data
-        assert part.flags.c_contiguous
+        part = np.ascontiguousarray(T._row_invariant_product(x[lo : lo + m], [w]))
         assert part.tobytes() == full[lo : lo + m].tobytes(), (
             f"matmul of {m} rows @ 16 x 3 differs from the same rows in a "
             f"batch of 300")
 
 
 def test_concat_vectors_preserves_order():
-    out = concat([Tensor([1.0, 2.0]), Tensor([3.0, 4.0, 5.0])])
+    out = concat([TapeTensor([1.0, 2.0]), TapeTensor([3.0, 4.0, 5.0])])
     np.testing.assert_array_equal(out.data, [1, 2, 3, 4, 5])
 
 
@@ -156,11 +176,24 @@ def block_attention_reference(q, k, v, bounds, scale):
     return np.array(out)
 
 
-def test_block_attention_sum_matches_row_loops():
+def pool_stage(q, k, v, bounds):
+    """``block_attention_pool`` on rows ``[q | k | v]`` whose projections
+    pick each block of columns, so Q, K and V are ``q``, ``k`` and ``v``;
+    the logit scale is then 1 / sqrt(q.shape[1])."""
+    x = np.hstack([q, k, v])
+    widths = [q.shape[1], k.shape[1], v.shape[1]]
+    starts = np.cumsum([0] + widths)
+    pick = [param(np.eye(x.shape[1])[:, lo : lo + w])
+            for lo, w in zip(starts, widths)]
+    blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return T.block_attention_pool(Tensor(x), *pick, blocks)
+
+
+def test_block_attention_pool_matches_row_loops():
     rng = np.random.default_rng(3)
     bounds = np.array([0, 3, 4, 9])
     q, k, v = rng.normal(size=(9, 4)), rng.normal(size=(9, 4)), rng.normal(size=(9, 5))
-    out = T.block_attention_sum(Tensor(q), Tensor(k), Tensor(v), bounds, 0.5)
+    out = pool_stage(q, k, v, bounds)
     assert out.shape == (3, 5)
     np.testing.assert_allclose(out.data, block_attention_reference(q, k, v, bounds, 0.5),
                                rtol=1e-12, atol=1e-12)
@@ -171,8 +204,8 @@ def test_block_attention_uniform_logits_sum_values():
     # sums to one and the output is the block's row sum of V.
     rng = np.random.default_rng(4)
     v = rng.normal(size=(5, 3))
-    zeros = Tensor(np.zeros((5, 2)))
-    out = T.block_attention_sum(zeros, zeros, Tensor(v), [0, 2, 5], 1.0)
+    zeros = np.zeros((5, 2))
+    out = pool_stage(zeros, zeros, v, [0, 2, 5])
     np.testing.assert_allclose(out.data, [v[:2].sum(axis=0), v[2:].sum(axis=0)],
                                atol=1e-12)
 
@@ -186,8 +219,8 @@ def test_block_attention_key_shift_invariance():
     shifted = k.copy()
     shifted[:4] += rng.normal(size=3)
     shifted[4:] += rng.normal(size=3)
-    a = T.block_attention_sum(Tensor(q), Tensor(k), Tensor(v), bounds, 0.7).data
-    b = T.block_attention_sum(Tensor(q), Tensor(shifted), Tensor(v), bounds, 0.7).data
+    a = pool_stage(q, k, v, bounds).data
+    b = pool_stage(q, shifted, v, bounds).data
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -201,12 +234,13 @@ def one_head_layer(x, edge_features, att, plan=EDGE_PLAN, slope=0.2):
     """``gat_layer_sum`` with one head whose projections are the identity,
     so ``x`` and the edge features are the head's own terms."""
     x, edge_features = np.asarray(x, dtype=float), np.asarray(edge_features)
-    return T.gat_layer_sum(x, edge_features, [np.eye(x.shape[1])],
-                           [np.eye(edge_features.shape[1])], [att], plan, slope)
+    return T.gat_layer_sum(Tensor(x), edge_features, [param(np.eye(x.shape[1]))],
+                           [param(np.eye(edge_features.shape[1]))], [param(att)],
+                           plan, slope)
 
 
 def test_sigmoid_and_leaky_relu_points():
-    assert sigmoid(Tensor(np.array(0.0))).item() == 0.5
+    assert sigmoid(TapeTensor(np.array(0.0))).item() == 0.5
     # Into node 0 the pre-activations are 3 (from 1), -1 (from 2) and 0
     # (self); the leaky ReLU keeps 3 and 0 and scales -1 to -0.2.
     _, alpha = one_head_layer([[0.0], [3.0], [-1.0]], np.zeros((7, 1)), [1.0])
@@ -223,13 +257,13 @@ def test_sigmoid_and_leaky_relu_points():
 
 def test_elu_matches_definition():
     x = np.array([-2.0, -0.5, 0.0, 1.5])
-    out = elu(Tensor(x)).data
+    out = elu(TapeTensor(x)).data
     expected = np.where(x > 0, x, np.exp(x) - 1.0)
     np.testing.assert_allclose(out, expected)
 
 
 def test_sigmoid_extreme_inputs_stay_finite():
-    out = sigmoid(Tensor(np.array([-1000.0, 1000.0]))).data
+    out = sigmoid(TapeTensor(np.array([-1000.0, 1000.0]))).data
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
     out = T.range_sigmoid(Tensor([[-1000.0, 1000.0]]), [-3.0, 2.0], [1.0, 7.0])
     np.testing.assert_allclose(out.data, [[-3.0, 7.0]], atol=1e-12)
@@ -239,40 +273,43 @@ def test_non_finite_forward_raises():
     # The error names the op and every named input.
     with np.errstate(over="ignore"), pytest.raises(
             NonFiniteError, match=r"^non-finite value produced by mul$"):
-        T.mul(Tensor([1e308]), Tensor([10.0]))
-    big = Tensor(np.array([1e308]))
+        tape.mul(TapeTensor([1e308]), TapeTensor([10.0]))
+    big = TapeTensor(np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-        T.mul(big, big)
-    weight = Tensor(np.full((2, 2), 1e200), requires_grad=True,
-                    name="gat.0.0.theta_v")
-    with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
-        T.matmul(Tensor(np.full((1, 2), 1e200)), weight)
-    assert str(info.value) == ("non-finite value produced by matmul "
-                               "(inputs 'gat.0.0.theta_v')")
+        tape.mul(big, big)
+    # A stage names itself and its parameters.
+    pool = [param(np.eye(2), f"pool.{key}") for key in ("Wq", "Wk", "Wv")]
+    pool[2].value[...] = 1e200
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+        T.block_attention_pool(Tensor(np.full((1, 2), 1e200)), *pool,
+                               (slice(0, 1),))
+    assert str(info.value) == ("non-finite value produced by "
+                               "block_attention_pool (inputs 'pool.Wq', "
+                               "'pool.Wk', 'pool.Wv')")
 
 
 def test_finite_check_allows_sums_that_overflow():
-    out = concat([Tensor([1e308]), Tensor([1e308])])
+    out = concat([TapeTensor([1e308]), TapeTensor([1e308])])
     np.testing.assert_array_equal(out.data, [1e308, 1e308])
-    mixed = [Tensor([1e308, 1e308]), Tensor([-1e308, -1e308])]
+    mixed = [TapeTensor([1e308, 1e308]), TapeTensor([-1e308, -1e308])]
     assert concat(mixed).data.tolist() == [1e308, 1e308, -1e308, -1e308]
-    wide = Tensor(np.full((3, 4), 1e308))
+    wide = TapeTensor(np.full((3, 4), 1e308))
     assert add(wide, wide.data * 0.0).data.max() == 1e308
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_finite_check_catches_nan_and_inf(bad):
     with pytest.raises(NonFiniteError):
-        add(Tensor([1.0, 2.0]), Tensor([0.0, bad]))
+        add(TapeTensor([1.0, 2.0]), TapeTensor([0.0, bad]))
     with pytest.raises(NonFiniteError):
-        concat([Tensor(np.full((2, 2), 1e308)), Tensor([[1.0, bad]])])
+        concat([TapeTensor(np.full((2, 2), 1e308)), TapeTensor([[1.0, bad]])])
     with pytest.raises(NonFiniteError):
         T.segment_sum(Tensor([bad, 1.0, 2.0]), [1, 0, 1], 2)
 
 
 def test_shape_errors():
     with pytest.raises(ShapeError):
-        T.matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
+        tape.matmul(TapeTensor(np.ones((2, 3))), TapeTensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 2, 2)))
     x, edge, tv, te, att = (np.ones((3, 2)), np.ones((7, 4)), np.ones((2, 5)),
@@ -284,38 +321,47 @@ def test_shape_errors():
                  (x, edge, [], [], []),
                  (x[:2], edge, [tv], [te], [att]),
                  (np.ones(3), edge, [tv], [te], [att])):
+        x_in, edges, *weights = args
         with pytest.raises(ShapeError):
-            T.gat_layer_sum(*args, EDGE_PLAN, 0.2)
+            T.gat_layer_sum(Tensor(x_in), edges,
+                            *([param(w) for w in ws] for ws in weights),
+                            EDGE_PLAN, 0.2)
     with pytest.raises(ShapeError):
         ScatterPlan(EDGE_DST, EDGE_SRC[:6], 3)
-    ones = Tensor(np.ones((4, 2)))
-    for bounds in ([0, 2, 2, 4], [1, 4], [0, 3], [0]):
+    # Blocks come checked from ``gnn.row_blocks``; the stage checks that
+    # they cover its rows.
+    pool = [param(np.ones((2, 2))) for _ in range(3)]
+    for blocks in ((slice(0, 3),), ()):
         with pytest.raises(ShapeError):
-            T.block_attention_sum(ones, ones, ones, bounds, 1.0)
+            T.block_attention_pool(Tensor(np.ones((4, 2))), *pool, blocks)
 
 
-def test_backward_requires_scalar():
-    x = Tensor(np.ones(3), requires_grad=True)
+def test_backward_requires_scalar_and_a_training_chain():
+    x = Tensor(np.ones(3))
     with pytest.raises(ShapeError):
-        T.mul(x, 2.0).backward()
+        T.segment_sum(x, [0, 1, 1], 2, train=True).backward()
+    inference = T.segment_sum(x, [0, 0, 0], 1)
+    assert inference.stages == (None,)
+    with pytest.raises(ValueError, match="inference"):
+        inference.backward()
 
 
 def test_gather_and_segment_ops():
-    x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    picked = T.gather_rows(x, [2, 0, 2])
+    x = TapeTensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    picked = tape.gather_rows(x, [2, 0, 2])
     np.testing.assert_array_equal(picked.data, [[5, 6], [1, 2], [5, 6]])
-    summed = T.segment_sum(picked, [0, 1, 0], 2)
+    summed = T.segment_sum(Tensor(picked.data), [0, 1, 0], 2)
     np.testing.assert_array_equal(summed.data, [[10, 12], [1, 2]])
 
 
 def test_gather_rows_negative_index_grad():
-    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
-    picked = T.gather_rows(x, [-1, 0, 2])
-    T.mean_all(T.mul(picked, picked)).backward()
+    x = TapeTensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    picked = tape.gather_rows(x, [-1, 0, 2])
+    tape.mean_all(tape.mul(picked, picked)).backward()
     np.testing.assert_array_equal(
         x.grad, add_at_scatter(np.array([-1, 0, 2]), picked.grad, 3))
     with pytest.raises(ShapeError):
-        T.gather_rows(x, [[0, 1]])
+        tape.gather_rows(x, [[0, 1]])
 
 
 def test_segment_ids_out_of_range_raise():
@@ -346,10 +392,10 @@ def test_segment_softmax_groups_sum_to_one():
     rng = np.random.default_rng(2)
     heads = 3
     out, alpha = T.gat_layer_sum(
-        rng.normal(size=(3, 4)), rng.normal(size=(7, 2)),
-        [rng.normal(size=(4, 5)) for _ in range(heads)],
-        [rng.normal(size=(2, 5)) for _ in range(heads)],
-        [rng.normal(size=5) for _ in range(heads)], EDGE_PLAN, 0.2)
+        Tensor(rng.normal(size=(3, 4))), rng.normal(size=(7, 2)),
+        [param(rng.normal(size=(4, 5))) for _ in range(heads)],
+        [param(rng.normal(size=(2, 5))) for _ in range(heads)],
+        [param(rng.normal(size=5)) for _ in range(heads)], EDGE_PLAN, 0.2)
     assert out.shape == (3, 5) and alpha.shape == (7, heads)
     for weights in alpha.T:
         np.testing.assert_allclose(np.bincount(EDGE_DST, weights=weights),
@@ -359,17 +405,18 @@ def test_segment_softmax_groups_sum_to_one():
 # ------------------------------------------------------------- gradient checks
 
 def test_grad_add_broadcast():
-    check_grad(lambda a, b: T.mean_all(T.mul(add(a, b), add(a, b))),
+    check_grad(lambda a, b: tape.mean_all(tape.mul(add(a, b), add(a, b))),
                (3, 4), (4,))
 
 
 def test_grad_sub_mul():
-    check_grad(lambda a, b: T.mean_all(T.mul(T.sub(a, b), T.mul(b, b))),
+    check_grad(lambda a, b: tape.mean_all(tape.mul(tape.sub(a, b), tape.mul(b, b))),
                (3, 3), (3, 3), seed=1)
 
 
 def test_grad_matmul():
-    check_grad(lambda a, b: T.mean_all(T.mul(T.matmul(a, b), T.matmul(a, b))),
+    check_grad(lambda a, b: tape.mean_all(tape.mul(tape.matmul(a, b),
+                                                   tape.matmul(a, b))),
                (2, 3), (3, 4), seed=2)
 
 
@@ -378,7 +425,7 @@ def test_grad_concat_axis1():
 
     def build(a, b):
         joined = concat([a, b], axis=1)
-        return T.mean_all(T.mul(T.mul(joined, joined), weights))
+        return tape.mean_all(tape.mul(tape.mul(joined, joined), weights))
 
     check_grad(build, (3, 2), (3, 2), seed=4)
 
@@ -388,69 +435,63 @@ def test_grad_gather_segment_pipeline():
     seg = np.array([0, 0, 1, 2, 2])
 
     def build(x):
-        rows = T.gather_rows(x, idx)
-        pooled = T.segment_sum(rows, seg, 3)
-        return T.mean_all(T.mul(pooled, pooled))
+        rows = tape.gather_rows(x, idx)
+        pooled = tape.segment_sum(rows, seg, 3)
+        return tape.mean_all(tape.mul(pooled, pooled))
 
     check_grad(build, (3, 4), seed=6)
 
 
 def test_grad_gat_layer_sum():
     rng = np.random.default_rng(7)
-    weights, edge = rng.normal(size=(3, 4)), rng.normal(size=(7, 2))
-
-    def build(x, v0, v1, e0, e1, a0, a1):
-        out, _ = T.gat_layer_sum(x, edge, [v0, v1], [e0, e1], [a0, a1],
-                                 EDGE_PLAN, 0.2)
-        return T.mean_all(T.mul(out, weights))
-
+    edge = rng.normal(size=(7, 2))
     # The seed gives edges on both sides of the leaky ReLU's kink in each
-    # head (check_grad draws its inputs in this order).
+    # head.
     shapes = [(3, 5), (5, 4), (5, 4), (2, 4), (2, 4), (4,), (4,)]
     draw = np.random.default_rng(8)
-    x, v0, v1, e0, e1 = (draw.normal(size=s) for s in shapes[:5])
+    x, v0, v1, e0, e1, a0, a1 = (draw.normal(size=s) for s in shapes)
     for v, e in ((v0, e0), (v1, e1)):
         pre = (x @ v)[EDGE_DST] + (x @ v)[EDGE_SRC] + edge @ e
         assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-4
-    check_grad(build, *shapes, seed=8)
+    v0, v1, e0, e1, a0, a1 = map(param, (v0, v1, e0, e1, a0, a1))
+    check_stage_grad(lambda t, train: T.gat_layer_sum(
+        t, edge, [v0, v1], [e0, e1], [a0, a1], EDGE_PLAN, 0.2, train)[0],
+        x, [v0, v1, e0, e1, a0, a1], seed=8)
 
 
-def test_grad_block_attention_sum():
-    bounds = np.array([0, 3, 4, 6])
-    weights = np.random.default_rng(8).normal(size=(3, 5))
-
-    def build(q, k, v):
-        out = T.block_attention_sum(q, k, v, bounds, 0.6)
-        return T.mean_all(T.mul(out, weights))
-
-    check_grad(build, (6, 4), (6, 4), (6, 5), seed=8)
+def test_grad_block_attention_pool():
+    rng = np.random.default_rng(8)
+    blocks = (slice(0, 3), slice(3, 4), slice(4, 6))
+    wq, wk, wv = (param(rng.normal(size=s)) for s in ((4, 3), (4, 3), (4, 5)))
+    check_stage_grad(lambda t, train: T.block_attention_pool(
+        t, wq, wk, wv, blocks, train), rng.normal(size=(6, 4)), [wq, wk, wv],
+        seed=8)
 
 
 def test_grad_activations():
-    check_grad(lambda x: T.mean_all(elu(x)), (4, 3), seed=10)
-    check_grad(lambda x: T.mean_all(T.mul(sigmoid(x), sigmoid(x))),
+    check_grad(lambda x: tape.mean_all(elu(x)), (4, 3), seed=10)
+    check_grad(lambda x: tape.mean_all(tape.mul(sigmoid(x), sigmoid(x))),
                (4, 3), seed=11)
-    check_grad(lambda x: T.mean_all(T.huber(x, 0.5)), (4, 3), seed=13)
+    check_grad(lambda x: tape.mean_all(tape.huber(x, 0.5)), (4, 3), seed=13)
 
 
 def test_grad_reductions():
-    check_grad(lambda x: T.mean_all(T.mul(x, x)), (5, 2), seed=14)
+    check_grad(lambda x: tape.mean_all(tape.mul(x, x)), (5, 2), seed=14)
     seg = np.array([1, 0, 1, 1])
-    check_grad(lambda x: T.mean_all(T.mul(T.segment_sum(x, seg, 2),
-                                          T.segment_sum(x, seg, 2))),
-               (4, 3), seed=15)
+    check_stage_grad(lambda t, train: T.segment_sum(t, seg, 2, train),
+                     np.random.default_rng(15).normal(size=(4, 3)), [], seed=15)
 
 
 def test_grad_simple_products():
-    x = Tensor(np.array(2.0), requires_grad=True)
-    y = Tensor(np.array(3.0), requires_grad=True)
-    T.mul(x, y).backward()
+    x = TapeTensor(np.array(2.0), requires_grad=True)
+    y = TapeTensor(np.array(3.0), requires_grad=True)
+    tape.mul(x, y).backward()
     assert x.grad == pytest.approx(3.0)
     assert y.grad == pytest.approx(2.0)
 
 
 def test_grad_sigmoid_at_zero():
-    x = Tensor(np.array(0.0), requires_grad=True)
+    x = TapeTensor(np.array(0.0), requires_grad=True)
     sigmoid(x).backward()
     assert x.grad == pytest.approx(0.25)
 
@@ -459,21 +500,21 @@ def test_grad_sigmoid_at_zero():
 
 def test_batch_norm_infer_identity():
     x = np.random.default_rng(0).normal(size=(4, 3))
-    with T.recording(False):
-        out = batch_norm(Tensor(x), Tensor(np.ones(3)), Tensor(np.zeros(3)),
+    with tape.recording(False):
+        out = batch_norm(TapeTensor(x), TapeTensor(np.ones(3)), TapeTensor(np.zeros(3)),
                          np.zeros(3), np.ones(3))
     np.testing.assert_allclose(out.data, x, atol=1e-5)
 
 
 def test_batch_norm_follows_the_tape():
     rng = np.random.default_rng(23)
-    x = Tensor(rng.normal(size=(7, 16)), requires_grad=True)
-    gamma = Tensor(rng.normal(size=16), requires_grad=True)
-    beta = Tensor(rng.normal(size=16), requires_grad=True)
+    x = TapeTensor(rng.normal(size=(7, 16)), requires_grad=True)
+    gamma = TapeTensor(rng.normal(size=16), requires_grad=True)
+    beta = TapeTensor(rng.normal(size=16), requires_grad=True)
     running_mean = rng.normal(size=16)
     running_var = rng.uniform(0.5, 2.0, size=16)
     saved = running_mean.copy(), running_var.copy()
-    with T.recording(False):
+    with tape.recording(False):
         out = batch_norm(x, gamma, beta, running_mean, running_var)
     # Not recording: the running statistics normalize, stay as they were,
     # and the result has no gradient.
@@ -492,21 +533,21 @@ def test_batch_norm_follows_the_tape():
 
 
 def test_batch_norm_train_constant_column():
-    out = batch_norm(Tensor([[5.0], [5.0], [5.0]]), Tensor(np.ones(1)),
-                     Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
+    out = batch_norm(TapeTensor([[5.0], [5.0], [5.0]]), TapeTensor(np.ones(1)),
+                     TapeTensor(np.zeros(1)), np.zeros(1), np.ones(1))
     np.testing.assert_allclose(out.data, np.zeros((3, 1)), atol=1e-9)
 
 
 def test_batch_norm_train_two_point_batch():
-    out = batch_norm(Tensor([[1.0], [3.0]]), Tensor(np.ones(1)),
-                     Tensor(np.zeros(1)), np.zeros(1), np.ones(1))
+    out = batch_norm(TapeTensor([[1.0], [3.0]]), TapeTensor(np.ones(1)),
+                     TapeTensor(np.zeros(1)), np.zeros(1), np.ones(1))
     np.testing.assert_allclose(out.data, [[-1.0], [1.0]], atol=1e-4)
 
 
 def test_batch_norm_updates_running_stats():
     running_mean, running_var = np.zeros(1), np.ones(1)
     x = np.array([[1.0], [3.0]])
-    batch_norm(Tensor(x), Tensor(np.ones(1)), Tensor(np.zeros(1)),
+    batch_norm(TapeTensor(x), TapeTensor(np.ones(1)), TapeTensor(np.zeros(1)),
                running_mean, running_var)
     assert running_mean[0] == pytest.approx(0.9 * 0.0 + 0.1 * 2.0)
     # Unbiased batch variance: 2 * biased (B=2).
@@ -515,8 +556,8 @@ def test_batch_norm_updates_running_stats():
 
 def test_batch_norm_train_rejects_singleton_batch():
     with pytest.raises(ShapeError):
-        batch_norm(Tensor(np.ones((1, 2))), Tensor(np.ones(2)),
-                   Tensor(np.zeros(2)), np.zeros(2), np.ones(2))
+        batch_norm(TapeTensor(np.ones((1, 2))), TapeTensor(np.ones(2)),
+                   TapeTensor(np.zeros(2)), np.zeros(2), np.ones(2))
 
 
 def test_batch_norm_gradients():
@@ -527,7 +568,7 @@ def test_batch_norm_gradients():
 
     def build(x, gamma, beta):
         out = batch_norm(x, gamma, beta, mean.copy(), var.copy())
-        return T.mean_all(T.mul(out, Tensor(weights)))
+        return tape.mean_all(tape.mul(out, TapeTensor(weights)))
 
     check_grad(build, (4, 3), (3,), (3,), seed=22)
 
@@ -536,27 +577,29 @@ def test_batch_norm_gradients():
 
 def test_repeated_backward_is_bitwise_identical():
     rng = np.random.default_rng(30)
-    x = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    out = T.mean_all(T.block_attention_sum(x, x, T.matmul(x, w), [0, 2, 5], 0.5))
-    out.backward()
-    first = (x.grad.copy(), w.grad.copy())
-    out.backward()
-    assert (x.grad == first[0]).all()
-    assert (w.grad == first[1]).all()
+    wq, wk, wv = (param(rng.normal(size=(4, 3))) for _ in range(3))
+    x = Tensor(rng.normal(size=(5, 4)))
+    pooled = T.block_attention_pool(x, wq, wk, wv, (slice(0, 2), slice(2, 5)),
+                                    train=True)
+    out = T.range_sigmoid(pooled, -1.0, 2.0, train=True)
+    loss = Tensor(out.data.sum(), out.stages + (lambda g: g * np.ones((2, 3)),))
+    first = [loss.backward()] + [p.grad.copy() for p in (wq, wk, wv)]
+    assert all(np.isfinite(a).all() for a in first)
+    second = [loss.backward()] + [p.grad for p in (wq, wk, wv)]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
 
 def test_constants_get_no_gradient():
-    a = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-    w = Tensor(np.array([1.0, 2.0, 3.0]))
-    T.mean_all(T.mul(a, w)).backward()
+    a = TapeTensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    w = TapeTensor(np.array([1.0, 2.0, 3.0]))
+    tape.mean_all(tape.mul(a, w)).backward()
     np.testing.assert_allclose(a.grad, [1 / 3, 2 / 3, 1.0])
     assert w.grad is None
 
 
 def test_grad_accumulates_across_shared_uses():
-    x = Tensor(np.array(3.0), requires_grad=True)
-    out = T.mul(x, x)  # both parents are the same tensor
+    x = TapeTensor(np.array(3.0), requires_grad=True)
+    out = tape.mul(x, x)  # both parents are the same tensor
     out.backward()
     assert x.grad == pytest.approx(6.0)
 
@@ -568,16 +611,16 @@ def test_backward_keeps_every_grad_in_its_own_buffer():
     # changed through one.
     def build(x, w):
         y = add(x, x)
-        z = add(y, T.matmul(y, w))
+        z = add(y, tape.matmul(y, w))
         s = add(x, z)
-        zy = T.mul(z, y)
-        return T.mean_all(T.mul(zy, s)), (y, z, s, zy)
+        zy = tape.mul(z, y)
+        return tape.mean_all(tape.mul(zy, s)), (y, z, s, zy)
 
     check_grad(lambda x, w: build(x, w)[0], (3, 2), (2, 2), seed=31)
 
     rng = np.random.default_rng(31)
-    x = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-    w = Tensor(rng.normal(size=(2, 2)), requires_grad=True)
+    x = TapeTensor(rng.normal(size=(3, 2)), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(2, 2)), requires_grad=True)
     loss, (y, z, s, zy) = build(x, w)
     loss.backward()
     grads = [t.grad for t in (x, w, y, z, s, zy)]
@@ -622,8 +665,8 @@ def test_segment_sum_matches_add_at(case):
 @given(st.one_of(scatter_cases(), scatter_cases(width=3)))
 def test_gather_rows_vjp_matches_add_at(case):
     index, upstream, n = case
-    x = Tensor(np.ones((n,) + upstream.shape[1:]), requires_grad=True)
-    (grad,) = T.gather_rows(x, index)._vjp(upstream)
+    x = TapeTensor(np.ones((n,) + upstream.shape[1:]), requires_grad=True)
+    (grad,) = tape.gather_rows(x, index)._vjp(upstream)
     assert bitwise_equal(grad, add_at_scatter(index, upstream, n))
 
 
@@ -655,16 +698,17 @@ def test_segment_softmax_matches_reference(case):
     # gradient, edge by edge.
     dst, src, xv, edge, g, n = case
     eye = np.eye(len(dst))
-    out, alpha = T.gat_layer_sum(xv[:, None], eye, [np.ones((1, 1))],
-                                 [Tensor(edge[:, None], requires_grad=True)],
-                                 [np.ones(1)], ScatterPlan(dst, src, n), 1.0)
+    edge_weights = param(edge[:, None])
+    out, alpha = T.gat_layer_sum(Tensor(xv[:, None]), eye, [param(np.ones((1, 1)))],
+                                 [edge_weights], [param(np.ones(1))],
+                                 ScatterPlan(dst, src, n), 1.0, train=True)
     logits = xv[dst] + xv[src] + edge
     ref, ref_vjp = reference_segment_softmax(logits, dst, n,
                                              g[dst] * xv[src] + 0.0)
     assert bitwise_equal(alpha[:, 0], ref)
     assert bitwise_equal(out.data, add_at_scatter(dst, (ref * xv[src])[:, None], n))
-    _, _, d_edge, _ = out._vjp(g[:, None])
-    assert bitwise_equal(d_edge[:, 0] + 0.0, ref_vjp + 0.0)
+    out.stages[-1](g[:, None])
+    assert bitwise_equal(edge_weights.grad[:, 0], ref_vjp + 0.0)
 
 
 @settings(deadline=None)

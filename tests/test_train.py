@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -23,7 +24,16 @@ from grappa.train import (
     validation_mape_i,
 )
 
-from _oracles import reference_adamw_step, synthetic_dataset
+from _oracles import (
+    TapeTensor,
+    matmul,
+    mean_all,
+    mul,
+    reference_adamw_step,
+    sub,
+    synthetic_dataset,
+    tape_batch_loss,
+)
 
 
 # -------------------------------------------------------------------- losses
@@ -133,12 +143,10 @@ def test_one_step_descends_on_convex_toy():
     rng = np.random.default_rng(5)
     features = rng.normal(size=(20, 3))
     target = features @ np.array([[1.0], [-2.0], [0.5]])
-    w = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    w = TapeTensor(rng.normal(size=(3, 1)), requires_grad=True)
 
     def loss_value():
-        from grappa.tensor import matmul, sub, mul, mean_all
-
-        d = sub(matmul(Tensor(features), w), Tensor(target))
+        d = sub(matmul(TapeTensor(features), w), TapeTensor(target))
         return mean_all(mul(d, d))
 
     before = loss_value()
@@ -164,7 +172,7 @@ def test_flat_adamw_is_the_bytes_of_the_per_tensor_update(pooling):
     model = init_model(Architecture(pooling=pooling, gat_layers=2, heads=2,
                                     hidden_layers=2), seed=11)
     params = model.named_parameters()
-    expected = {name: t.data.copy() for name, t in params.items()}
+    expected = {name: arr.copy() for name, arr in params.items()}
     reference_state = {}
     state = zero_state(model.weights.size)
     comps = prepare_components(synthetic_dataset(points_per_component=3)[0])
@@ -173,18 +181,55 @@ def test_flat_adamw_is_the_bytes_of_the_per_tensor_update(pooling):
         _batch_loss(model, comps, loss_mse).backward()
         running = {name: buf.copy()
                    for name, buf in model.named_buffers().items()}
-        grads = {name: t.grad.copy() for name, t in params.items()}
+        grads = {name: g.copy() for name, g in model.grads.items()}
         lr = 0.01 * (step + 1)
         reference_adamw_step(expected, grads, reference_state, lr,
                              weight_decay=0.05)
         adamw_step(model.weights,
                    np.concatenate(list(grads.values()), axis=None), state,
                    lr, weight_decay=0.05)
-        for name, tensor in params.items():
-            assert tensor.data.tobytes() == expected[name].tobytes(), (step, name)
+        for name, arr in params.items():
+            assert arr.tobytes() == expected[name].tobytes(), (step, name)
         # The step leaves the batch-norm statistics where the forward put them.
         for name, buf in model.named_buffers().items():
             assert buf.tobytes() == running[name].tobytes(), name
+
+
+GRID_ARCHS = {
+    "default": {},
+    "sum-pooling": {"pooling": "sum"},
+    "heads-1": {"heads": 1},
+    "heads-5": {"heads": 5},
+    "gat-layers-2": {"gat_layers": 2},
+    "gat-layers-5": {"gat_layers": 5},
+    "hidden-layers-1": {"hidden_layers": 1},
+}
+
+
+@pytest.mark.parametrize("delta", [None, 0.5], ids=["mse", "huber"])
+@pytest.mark.parametrize("arch", GRID_ARCHS.values(), ids=GRID_ARCHS.keys())
+def test_backward_writes_the_oracle_tape_gradient_bytes(arch, delta):
+    # The grid-search architectures, not just the default the fixed-seed fit
+    # digest covers: one backward of a training loss writes every entry of
+    # the gradient vector, with the bytes of the general tape's per-parameter
+    # grads, and moves the running statistics as the tape's forward did.
+    model = init_model(Architecture(**arch), seed=21)
+    comps = prepare_components(synthetic_dataset(points_per_component=3)[0])
+    comps = comps.take(np.arange(7))
+    start = model.snapshot()
+    loss, tape_params = tape_batch_loss(model, comps, delta)
+    loss.backward()
+    want = np.concatenate([t.grad for t in tape_params.values()], axis=None)
+    tape_values = model.snapshot()
+    model.restore(start)
+    model.grad[...] = np.nan
+    loss_fn = loss_mse if delta is None else partial(loss_huber, delta=delta)
+    ours = _batch_loss(model, comps, loss_fn)
+    assert ours.data.tobytes() == loss.data.tobytes()
+    ours.backward()
+    assert np.isfinite(model.grad).all()
+    assert model.grad.tobytes() == want.tobytes()
+    assert model.values.tobytes() == tape_values.tobytes()
 
 
 # ------------------------------------------------------------------- schedules
@@ -272,16 +317,18 @@ def test_fit_rejects_a_single_training_molecule_before_featurizing(monkeypatch):
 
 def test_a_non_finite_gradient_fails_fit_with_its_context(monkeypatch):
     import grappa.train
-    from grappa.tensor import _make
 
     real = grappa.train._batch_loss
 
     def poisoned(model, comps, loss):
-        # A finite loss whose VJP sends inf to one parameter only.
+        # A finite loss whose backward ends by sending inf to one parameter.
         value = real(model, comps, loss)
-        bias = model.params["head.0.bias"]
-        return _make(value.data.copy(), (value, bias),
-                     lambda g: (g, np.full(bias.shape, np.inf)))
+
+        def poison(g):
+            model.grads["head.0.bias"][...] = np.inf
+            return g
+
+        return Tensor(value.data, (poison,) + value.stages)
 
     monkeypatch.setattr(grappa.train, "_batch_loss", poisoned)
     ds, _ = synthetic_dataset(points_per_component=4)
