@@ -46,7 +46,18 @@ def _seed_from(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("GRAPPA_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env or 0)
+    except ValueError:
+        raise ValueError(f"GRAPPA_SEED must be an integer, got {env!r}") from None
+
+
+def _positive_int(text: str) -> int:
+    """An argparse type: an integer of at least 1."""
+    if not text.strip().isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
 
 
 def _json_safe(value):
@@ -122,26 +133,18 @@ def _cmd_fit_antoine(args) -> int:
     windows = {}
     skipped = []
     for component, points in sorted(groups.items()):
-        t = np.array([pt.temperature_k for pt in points])
-        if not dataio.fit_window_ok(t):
-            if args.component:
-                raise ValueError(
-                    f"component {component!r} needs at least "
-                    f"{dataio.MIN_FIT_POINTS} points spanning more than "
-                    f"{dataio.MIN_FIT_SPREAD_K} K")
+        t, p = dataio._window(points)
+        if args.component:
+            dataio.require_fit_window(t, f"component {component!r}")
+        elif not dataio.fit_window_ok(t):
             skipped.append(component)
             continue
-        windows[component] = (t, np.array([pt.pressure_pa for pt in points]))
+        windows[component] = (t, p)
     fits = dataio.robust_antoine_fits(list(windows.values()))
-    rows = [{
-        "component_id": component,
-        "A": fit_result.params.A,
-        "B": fit_result.params.B,
-        "C": fit_result.params.C,
-        "cost": fit_result.cost,
-        "converged": fit_result.converged,
-        "n_points": len(t),
-    } for (component, (t, _)), fit_result in zip(windows.items(), fits)]
+    rows = [{"component_id": c, "A": res.params.A, "B": res.params.B,
+             "C": res.params.C, "cost": res.cost, "converged": res.converged,
+             "n_points": len(t)}
+            for (c, (t, _)), res in zip(windows.items(), fits)]
     if args.output:
         with open(args.output, "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else
@@ -279,10 +282,8 @@ def _cmd_report(args) -> int:
     boiling = metrics.boiling_point_eval(params, points)
     _write_json(outdir / "metrics.json", report.to_dict())
     _write_json(outdir / "binned.json", bins.to_dict())
-    _write_table_csv(bins.pressure, outdir / "ape_by_pressure.csv")
-    _write_table_csv(bins.temperature, outdir / "ape_by_temperature.csv")
-    _write_table_csv(bins.mol_weight, outdir / "ape_by_mol_weight.csv")
-    _write_table_csv(bins.min_points, outdir / "ape_by_min_points.csv")
+    for table in ("pressure", "temperature", "mol_weight", "min_points"):
+        _write_table_csv(getattr(bins, table), outdir / f"ape_by_{table}.csv")
     _write_table_csv(grid, outdir / "hexbin.csv")
     _write_json(outdir / "boiling.json", boiling.to_dict())
     files = sorted(str(p.name) for p in outdir.iterdir())
@@ -352,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="hyperparameter grid search")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--output", help="CSV of the ranking")
     common_seed(p)
     p.set_defaults(func=_cmd_grid_search)

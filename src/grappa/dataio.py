@@ -59,14 +59,10 @@ class VpDataset:
     rejects: list[dict] = field(default_factory=list)
 
     def components(self) -> list[str]:
-        seen = dict.fromkeys(pt.component_id for pt in self.points)
-        return list(seen)
+        return list(dict.fromkeys(pt.component_id for pt in self.points))
 
     def by_component(self) -> dict[str, list[VpPoint]]:
-        groups: dict[str, list[VpPoint]] = {}
-        for pt in self.points:
-            groups.setdefault(pt.component_id, []).append(pt)
-        return groups
+        return _grouped(self.points, "component_id")
 
     def split_label(self, component: str) -> str:
         return self.splits.get(component, "unassigned")
@@ -80,6 +76,14 @@ class VpDataset:
 
     def __len__(self) -> int:
         return len(self.points)
+
+
+def _grouped(points, key: str) -> dict[str, list[VpPoint]]:
+    """``points`` grouped by their attribute ``key``, in first-seen order."""
+    groups: dict[str, list[VpPoint]] = {}
+    for pt in points:
+        groups.setdefault(getattr(pt, key), []).append(pt)
+    return groups
 
 
 # ---------------------------------------------------------------------- load
@@ -115,30 +119,27 @@ def _parse_row(record, row: int) -> VpPoint:
 def load(path, fmt: str = "csv") -> VpDataset:
     """Read a UTF-8 dataset file, with or without a byte-order mark;
     malformed rows land in ``dataset.rejects``."""
+    if fmt not in ("csv", "jsonl"):
+        raise ValueError(f"unknown format {fmt!r}")
     ds = VpDataset()
-    if fmt == "csv":
-        with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        if fmt == "csv":
             reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in REQUIRED_COLUMNS if c not in header]
+            missing = [c for c in REQUIRED_COLUMNS
+                       if c not in (reader.fieldnames or [])]
             if missing:
                 raise ValueError(f"missing columns: {', '.join(missing)}")
-            for row, record in enumerate(reader, start=2):  # 1 = header line
-                try:
-                    ds.points.append(_parse_row(record, row))
-                except (ValueError, TypeError) as err:
-                    ds.rejects.append({"row": row, "reason": str(err)})
-    elif fmt == "jsonl":
-        with open(path, encoding="utf-8-sig") as fh:
-            for row, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    ds.points.append(_parse_row(json.loads(line), row))
-                except (ValueError, TypeError) as err:
-                    ds.rejects.append({"row": row, "reason": str(err)})
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+            records = enumerate(reader, start=2)  # 1 = header line
+        else:
+            records = ((row, line) for row, line in enumerate(fh, start=1)
+                       if line.strip())
+        for row, record in records:
+            try:
+                if fmt == "jsonl":
+                    record = json.loads(record)
+                ds.points.append(_parse_row(record, row))
+            except (ValueError, TypeError) as err:
+                ds.rejects.append({"row": row, "reason": str(err)})
     return ds
 
 
@@ -154,7 +155,9 @@ class AntoineFit:
     cost_trace: list[float]
 
 
-def _huber_rho(r: np.ndarray, delta: float) -> np.ndarray:
+def huber_rho(r: np.ndarray, delta: float) -> np.ndarray:
+    """Elementwise Huber value of residuals ``r``, quadratic inside ``delta``
+    and linear outside: the robust fit's cost and the training loss."""
     a = np.abs(r)
     return np.where(a <= delta, 0.5 * r * r, delta * (a - 0.5 * delta))
 
@@ -172,7 +175,7 @@ def _fit_cost(theta, rows, t, y, delta, runs) -> tuple[np.ndarray, np.ndarray]:
     points in their order: the rows ``i:j`` of a run ``(i, j, p, q, n)`` in
     ``runs`` sum the points ``p:q``, n each."""
     r = _residuals(theta, rows, t, y)
-    rho = _huber_rho(r, delta)
+    rho = huber_rho(r, delta)
     cost = np.empty(len(theta))
     for i, j, p, q, n in runs:
         cost[i:j] = rho[p:q].reshape(j - i, n).sum(axis=1)
@@ -335,6 +338,14 @@ def fit_window_ok(t: np.ndarray) -> bool:
     return len(t) >= MIN_FIT_POINTS and float(t.max() - t.min()) > MIN_FIT_SPREAD_K
 
 
+def require_fit_window(t: np.ndarray, subject: str = "robust fit"):
+    """Raise ``ValueError`` naming ``subject`` unless temperatures ``t`` pass
+    :func:`fit_window_ok`."""
+    if not fit_window_ok(t):
+        raise ValueError(f"{subject} needs at least {MIN_FIT_POINTS} points "
+                         f"spanning more than {MIN_FIT_SPREAD_K} K")
+
+
 def _fit_window(temperatures_k, pressures_pa):
     """A window's temperatures, ln(p/kPa) and parameter box; raises
     ``ValueError`` if it cannot be fitted."""
@@ -344,9 +355,7 @@ def _fit_window(temperatures_k, pressures_pa):
         raise ValueError("robust fit needs finite temperatures and finite, "
                          "positive pressures")
     y = np.log(p / PA_PER_KPA)
-    if not fit_window_ok(t):
-        raise ValueError(f"robust fit needs at least {MIN_FIT_POINTS} points "
-                         f"spanning more than {MIN_FIT_SPREAD_K} K")
+    require_fit_window(t)
     box = np.array([
         PARAM_RANGES["A"],
         PARAM_RANGES["B"],
@@ -441,24 +450,24 @@ def curate(ds: VpDataset) -> CurationResult:
             audit.append({"row": pt.row, "component": pt.component_id,
                           "rule": reason, "action": "dropped"})
 
-    groups: dict[str, list[VpPoint]] = {}
-    for pt in kept:
-        groups.setdefault(pt.component_id, []).append(pt)
+    groups = _grouped(kept, "component_id")
 
     # One call fits every component with enough points over a wide enough
-    # window, a second the usable per-source windows of each whose fit
-    # converged; the audit, conflicts and dataset then follow component order.
+    # window, then the usable per-source windows of each such component with
+    # two or more; only a component whose own fit converged is judged, for
+    # outliers and conflicts. The audit, conflicts and dataset then follow
+    # component order.
     windows = {c: _window(points) for c, points in groups.items()
                if len(points) >= MIN_POINTS_FOR_OUTLIER_PASS}
     fitted = [c for c, (t, _) in windows.items() if fit_window_ok(t)]
-    fit_of = dict(zip(fitted, robust_antoine_fits([windows[c] for c in fitted])))
-    sources = {c: _usable_sources(groups[c]) for c in fitted
-               if fit_of[c].converged}
+    sources = {c: _usable_sources(groups[c]) for c in fitted}
     pairs = [(c, s) for c, usable in sources.items() if len(usable) >= 2
              for s in usable]
+    fits = robust_antoine_fits([windows[c] for c in fitted]
+                               + [sources[c][s] for c, s in pairs])
+    fit_of = dict(zip(fitted, fits))
     source_fits: dict[str, dict[str, AntoineParams]] = {}
-    for (c, s), fit in zip(pairs, robust_antoine_fits(
-            [sources[c][s] for c, s in pairs])):
+    for (c, s), fit in zip(pairs, fits[len(fitted):]):
         source_fits.setdefault(c, {})[s] = fit.params
 
     final: list[VpPoint] = []
@@ -501,10 +510,7 @@ def _window(points: list[VpPoint]) -> tuple[np.ndarray, np.ndarray]:
 def _usable_sources(points: list[VpPoint]) -> dict[str, tuple]:
     """The window of each named source whose points pass
     :func:`fit_window_ok`, in order of first appearance."""
-    by_source: dict[str, list[VpPoint]] = {}
-    for pt in points:
-        if pt.source:
-            by_source.setdefault(pt.source, []).append(pt)
+    by_source = _grouped([pt for pt in points if pt.source], "source")
     windows = {s: _window(pts) for s, pts in by_source.items()}
     return {s: w for s, w in windows.items() if fit_window_ok(w[0])}
 
@@ -517,11 +523,10 @@ def _source_conflict(component: str, t_all: np.ndarray,
         return None
     grid = np.linspace(t_all.min(), t_all.max(), 7)
     sources = sorted(fits)
+    curves = [antoine(*fits[s].as_tuple(), grid) for s in sources]
     worst = 0.0
-    for i, s1 in enumerate(sources):
-        for s2 in sources[i + 1:]:
-            p1 = antoine(*fits[s1].as_tuple(), grid)
-            p2 = antoine(*fits[s2].as_tuple(), grid)
+    for i, p1 in enumerate(curves):
+        for p2 in curves[i + 1:]:
             worst = max(worst, float(np.max(np.abs(p1 - p2) / np.minimum(p1, p2))))
     if worst > OUTLIER_REL_DEV:
         return {"component": component, "sources": sources,
@@ -559,13 +564,9 @@ def split(ds: VpDataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> VpDataset:
     n_valid = int(round(ratios[1] * n))
     n_test = int(round(ratios[2] * n))
     n_train = n - n_valid - n_test
-    labels = dict.fromkeys(small, "train")
-    for component in order[:n_train]:
-        labels[component] = "train"
-    for component in order[n_train : n_train + n_valid]:
-        labels[component] = "valid"
-    for component in order[n_train + n_valid :]:
-        labels[component] = "test"
+    labels = dict.fromkeys(small + order[:n_train], "train")
+    labels.update(dict.fromkeys(order[n_train : n_train + n_valid], "valid"))
+    labels.update(dict.fromkeys(order[n_train + n_valid :], "test"))
     return VpDataset(list(ds.points), labels, list(ds.rejects))
 
 

@@ -25,7 +25,7 @@ from itertools import product
 import numpy as np
 
 from .antoine import PA_PER_KPA, ln_p_points
-from .dataio import VpDataset
+from .dataio import VpDataset, huber_rho
 from .metrics import ape_i_array
 from .model import (
     Architecture,
@@ -94,14 +94,12 @@ class TrainConfig:
             raise ValueError("betas must each lie in [0, 1)")
         if not 0 < self.plateau_factor < 1:
             raise ValueError("plateau_factor must lie in (0, 1)")
-        if not set(self.grid_gat_layers) <= set(GRID_GAT_LAYERS):
-            raise ValueError("grid_gat_layers outside the supported set")
-        if not set(self.grid_heads) <= set(GRID_HEADS):
-            raise ValueError("grid_heads outside the supported set")
-        if not set(self.grid_hidden_layers) <= set(GRID_HIDDEN_LAYERS):
-            raise ValueError("grid_hidden_layers outside the supported set")
-        if not set(self.grid_pooling) <= set(GRID_POOLING):
-            raise ValueError("grid_pooling outside the supported set")
+        for name, supported in (("grid_gat_layers", GRID_GAT_LAYERS),
+                                ("grid_heads", GRID_HEADS),
+                                ("grid_hidden_layers", GRID_HIDDEN_LAYERS),
+                                ("grid_pooling", GRID_POOLING)):
+            if not set(getattr(self, name)) <= set(supported):
+                raise ValueError(f"{name} outside the supported set")
         return self
 
     def to_dict(self) -> dict:
@@ -178,14 +176,12 @@ def loss_huber(pred_ln_p, exp_ln_p, delta: float = 0.5) -> Tensor:
     pred, d = _residual(pred_ln_p, exp_ln_p)
     if delta <= 0:
         raise ValueError("delta must be positive")
-    absd = np.abs(d)
-    inside = absd <= delta
-    value = np.where(inside, 0.5 * d**2, delta * (absd - 0.5 * delta))
 
     def backward(g):
-        return np.where(inside, d, delta * np.sign(d)) * (g / d.size)
+        return np.clip(d, -delta, delta) * (g / d.size)
 
-    return _stage(pred, np.asarray(value.mean()), "loss_huber", (), backward)
+    return _stage(pred, np.asarray(huber_rho(d, delta).mean()), "loss_huber",
+                  (), backward)
 
 
 # ------------------------------------------------------------------ optimizer
@@ -359,10 +355,8 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
             losses = []
             for batch in _batches(order, cfg.batch_size):
                 comps = train_comps.take(batch)
-                if phase == "warmup":
-                    lr = one_cycle_lr(step, total_warm_steps, cfg.max_lr)
-                else:
-                    lr = plateau.lr
+                lr = (one_cycle_lr(step, total_warm_steps, cfg.max_lr)
+                      if phase == "warmup" else plateau.lr)
                 try:
                     loss = _batch_loss(model, comps, loss_fn)
                     loss.backward()
@@ -434,6 +428,8 @@ def grid_search(cfg: TrainConfig, train_set: VpDataset, valid_set: VpDataset,
 
     The ranking is total and deterministic: ties break on cell index.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     cfg.validate()
     cells = grid_cells(cfg)
     args = [(i, cell, cfg.to_dict(), train_set, valid_set)

@@ -259,6 +259,22 @@ def test_split_seed_env_fallback(capsys, tmp_path, data_path, monkeypatch):
     assert out_a.read_text() != out_b.read_text()
 
 
+def test_a_seed_variable_that_is_not_an_integer_is_named(capsys, tmp_path,
+                                                         data_path, monkeypatch):
+    data, _ = data_path
+    out = tmp_path / "splits.csv"
+    monkeypatch.setenv("GRAPPA_SEED", "abc")
+    assert main(["split", "--input", data, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: GRAPPA_SEED must be an integer, got 'abc'\n")
+    monkeypatch.setenv("GRAPPA_SEED", " 17 ")
+    run(capsys, "split", "--input", data, "--output", str(out))
+    padded = out.read_text()
+    monkeypatch.setenv("GRAPPA_SEED", "17")
+    run(capsys, "split", "--input", data, "--output", str(out))
+    assert out.read_text() == padded
+
+
 def test_fit_antoine_single_component(capsys, data_path):
     from _oracles import synthetic_params
 
@@ -686,3 +702,11 @@ def test_grid_search_command(capsys, tmp_path, data_path):
     ranks = [row["rank"] for row in payload["ranking"]]
     assert ranks == [1, 2]
     assert out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_grid_search_rejects_jobs_below_one(capsys, tmp_path, jobs):
+    # The value is refused before the config is read.
+    assert main(["grid-search", "--config", str(tmp_path / "absent.json"),
+                 "--jobs", jobs]) == 2
+    assert "argument --jobs" in capsys.readouterr().err

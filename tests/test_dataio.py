@@ -505,7 +505,8 @@ def test_curation_is_idempotent_on_synthetic_data():
         pt.row for pt in once.dataset.points]
 
 
-def test_conflict_report_flags_disagreeing_sources():
+def disagreeing_sources_dataset() -> VpDataset:
+    """One component whose two sources differ by 4x in pressure."""
     low = AntoineParams(9.0, 2200.0, -50.0)
     high = AntoineParams(9.0 + math.log(4.0), 2200.0, -50.0)  # 4x pressure
     temps = np.linspace(310.0, 420.0, 6)
@@ -513,8 +514,23 @@ def test_conflict_report_flags_disagreeing_sources():
     points += curve_points("dup", "CCO", high, temps, source="lab-b")
     for i, pt in enumerate(points):
         object.__setattr__(pt, "row", i + 1)
-    result = curate(VpDataset(points))
-    assert any(c["component"] == "dup" for c in result.conflicts)
+    return VpDataset(points)
+
+
+def test_conflict_report_flags_disagreeing_sources():
+    result = curate(disagreeing_sources_dataset())
+    assert not any(e["rule"] == "fit_not_converged" for e in result.audit)
+    assert [c["component"] for c in result.conflicts] == ["dup"]
+
+
+def test_a_component_fit_that_did_not_converge_gets_no_conflict(monkeypatch):
+    """The per-source fits ride in the component fits' call, but a component
+    whose own fit did not converge is kept unjudged, with no conflict."""
+    monkeypatch.setattr(dataio, "FIT_MAX_ITER", 1)
+    result = curate(disagreeing_sources_dataset())
+    assert result.audit == [{"row": None, "component": "dup",
+                             "rule": "fit_not_converged", "action": "kept"}]
+    assert result.conflicts == []
 
 
 def test_agreeing_sources_do_not_conflict():
@@ -538,7 +554,7 @@ def test_curate_keeps_a_component_with_a_narrow_temperature_window():
 
 
 def test_curate_fits_once_per_component_and_usable_source(monkeypatch):
-    """Pins the windows curate fits, in two batched calls: one robust fit per
+    """Pins the windows curate fits, in one batched call: one robust fit per
     component with enough points, then one per usable source (>= 3 points
     over more than 1 K) of a multi-source component."""
     truth = AntoineParams(10.0, 2500.0, -60.0)
@@ -561,8 +577,27 @@ def test_curate_fits_once_per_component_and_usable_source(monkeypatch):
     monkeypatch.setattr(dataio, "robust_antoine_fits", counting)
     result = curate(VpDataset(points))
     # multi: its 13 points, single: its 6; then multi's sources a and b.
-    assert calls == [[13, 6], [4, 4]]
+    assert calls == [[13, 6, 4, 4]]
     assert len(result.dataset) == len(points)
+
+
+def test_curate_runs_one_lm_loop(monkeypatch):
+    """Every component fit and every per-source fit of a curate share one
+    ``_lm_solve`` loop."""
+    ds, _ = synthetic_dataset(points_per_component=9)
+    for i, pt in enumerate(ds.points):
+        object.__setattr__(pt, "source", "ab"[i % 2])
+    calls = []
+    real_solve = dataio._lm_solve
+
+    def counting(starts, *args):
+        calls.append(len(starts))
+        return real_solve(starts, *args)
+
+    monkeypatch.setattr(dataio, "_lm_solve", counting)
+    curate(ds)
+    # Five starts for each component's window and each of its two sources'.
+    assert calls == [5 * 3 * len(ds.components())]
 
 
 # ---------------------------------------------------------------------- split

@@ -438,3 +438,14 @@ def test_grid_of_one_matches_single_fit():
     result = fit(model, ds.subset("train"), ds.subset("valid"), cfg)
     assert rows[0]["best_valid_mape_i"] == result.best_valid_mape_i
     assert rows[0]["rank"] == 1
+
+
+def test_grid_search_rejects_jobs_below_one():
+    from grappa.train import grid_search
+
+    ds, _ = synthetic_dataset(points_per_component=4)
+    cfg = small_cfg(warmup_epochs=1, main_epochs=1, grid_gat_layers=(2,),
+                    grid_heads=(1,), grid_hidden_layers=(1,),
+                    grid_pooling=("sum",))
+    with pytest.raises(ValueError, match="jobs must be at least 1"):
+        grid_search(cfg, ds.subset("train"), ds.subset("valid"), jobs=0)
