@@ -47,17 +47,22 @@ def _seed_from(args) -> int:
         return args.seed
     env = os.environ.get("GRAPPA_SEED")
     try:
-        return int(env or 0)
+        seed = int(env or 0)
     except ValueError:
         raise ValueError(f"GRAPPA_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise ValueError(f"GRAPPA_SEED must not be negative, got {env!r}")
+    return seed
 
 
-def _positive_int(text: str) -> int:
-    """An argparse type: an integer of at least 1."""
-    if not text.strip().isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(low: int):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.strip().isdecimal() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _json_safe(value):
@@ -320,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common_seed(p):
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_int_at_least(0), default=None,
                        help="random seed (fallback: GRAPPA_SEED, then 0)")
 
     p = sub.add_parser("curate", help="filter a raw dataset")
@@ -353,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid-search", help="hyperparameter grid search")
     p.add_argument("--config", required=True)
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--jobs", type=_int_at_least(1), default=1)
     p.add_argument("--output", help="CSV of the ranking")
     common_seed(p)
     p.set_defaults(func=_cmd_grid_search)

@@ -5,9 +5,23 @@ attention logit for an edge is ``att . LeakyReLU(W x_i + W x_j + We e_ij)``
 softmax-normalized over the neighborhood, and multi-head outputs are
 averaged so the embedding width stays fixed. Self-loops carry a zero edge
 feature vector. A batch of molecules runs as one disjoint graph; the
-softmax over each node's neighborhood keeps the molecules apart. A layer
-runs all its heads as one stage of the model's chain,
-``tensor.gat_layer_sum``, while its weights stay per-head parameters.
+softmax over each node's neighborhood keeps the molecules apart.
+
+:func:`gat_forward` runs a whole layer, every head at once, as one stage of
+the model's chain (``tensor``), on (E, H, d) edge arrays, while its weights
+stay per-head parameters; its outputs and gradients are the bytes of the
+same heads run as separate ops. It scatters through the
+:class:`tensor.ScatterPlan` of its graph batch, built once per batch: the
+stable ``dst`` order and its segment starts, so one ``np.maximum.reduceat``
+takes the segment maxima, and the flat ``dst * w + col`` and
+``src * w + col`` indices, each built at the first scatter of its width
+``w`` and kept until ``forget``. No later layer or backward of the batch
+sorts or builds an index again. Every scatter (the softmax denominators and
+sums and their backward) is one ``np.bincount`` call, which adds in input
+order as an unbuffered ``ufunc.at`` add does but without its per-element
+overhead, so sums are bitwise those of the plain loop. The projections use
+``tensor._row_invariant_product`` and the edge logits ``np.einsum``, so an
+output row is the same bytes whatever rows run beside it.
 """
 
 from __future__ import annotations
@@ -19,9 +33,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .featurize import EDGE_FEATURES, MolGraph
-from .tensor import Param, ScatterPlan, ShapeError, Tensor, gat_layer_sum
+from .tensor import (NonFiniteError, Param, ScatterPlan, ShapeError, Tensor,
+                     _put, _row_invariant_product, _stage)
 
-LEAKY_SLOPE = 0.2
+LEAKY_SLOPE = 0.2  # the maximum form of the LeakyReLU needs it in [0, 1]
 
 
 @dataclass
@@ -35,14 +50,6 @@ class GatLayer:
     @property
     def heads(self) -> int:
         return len(self.theta_v)
-
-    @property
-    def in_dim(self) -> int:
-        return self.theta_v[0].value.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.theta_v[0].value.shape[1]
 
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -143,16 +150,89 @@ def molecule_batch(graph: MolGraph) -> Iterator[GraphBatch]:
 
 def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
                 train: bool = False):
-    """Run one layer as the next stage after ``x``: returns the (N, out_dim)
-    update and the (E, H) attention weights over ``batch.dst``/``batch.src``."""
-    n = batch.num_nodes
-    if x.shape[0] != n:
-        raise ValueError(f"embedding rows {x.shape[0]} != node count {n}")
-    if x.shape[1] != layer.in_dim:
-        raise ValueError(f"embedding width {x.shape[1]} != layer input "
-                         f"{layer.in_dim}")
-    return gat_layer_sum(x, batch.edge_features, layer.theta_v, layer.theta_e,
-                         layer.att, batch.plan, LEAKY_SLOPE, train)
+    """Run one GATv2 layer, all heads at once, as the next stage after
+    ``x``: attention over each node's incoming edges, summed, then averaged
+    over the heads.
+
+    Head ``h`` projects ``xv = x @ theta_v[h]`` and ``et = edge_features @
+    theta_e[h]``. Edge ``k`` of ``batch.plan`` sends row ``src[k]`` of ``xv``
+    to node ``dst[k]``; its logit is ``att[h] . LeakyReLU(xv[dst] + xv[src] +
+    et[k])``, softmax-normalized over the edges that share a ``dst``, and
+    node ``i`` receives the weighted sum of the rows sent to it. The heads'
+    sums are added in head order and divided by H. Shapes: (N, in),
+    (E, edge_dim), H x (in, d), H x (edge_dim, d), H x (d,) -> (N, d).
+    Returns the output tensor and the (E, H) attention weights as an array;
+    the edge features are a constant.
+    """
+    theta_v, theta_e, att = layer.theta_v, layer.theta_e, layer.att
+    xd, edge_features, plan = x.data, batch.edge_features, batch.plan
+    heads, n, e = layer.heads, plan.num_nodes, len(plan.dst)
+    params = [*theta_v, *theta_e, *att]
+    d = theta_v[0].value.shape[-1] if heads else 0
+    if not heads or len(theta_e) != heads or len(att) != heads \
+            or xd.ndim != 2 or len(xd) != n or edge_features.ndim != 2 \
+            or len(edge_features) != e \
+            or any(p.value.shape != (xd.shape[1], d) for p in theta_v) \
+            or any(p.value.shape != (edge_features.shape[1], d) for p in theta_e) \
+            or any(p.value.shape != (d,) for p in att):
+        raise ShapeError(f"attention layer shapes {xd.shape}, "
+                         f"{edge_features.shape}, "
+                         f"{[p.value.shape for p in params]} do not fit {n} "
+                         f"nodes, {e} edges and {heads} heads")
+    xv = _row_invariant_product(xd, [p.value for p in theta_v])
+    xv = xv.reshape(n, heads, d)
+    sent = xv[plan.src]
+    act = xv[plan.dst]
+    act += sent
+    # The edge projections' (E, H, d) array then holds each later temporary
+    # of that size, which spares a large batch most of its allocations.
+    scratch = _row_invariant_product(edge_features, [p.value for p in theta_e]
+                                     ).reshape(e, heads, d)
+    act += scratch
+    # LeakyReLU; as the slope lies in [0, 1], the maximum is the bytes of
+    # the pre-activation times the backward's ``slopes``.
+    np.maximum(act, np.multiply(act, LEAKY_SLOPE, out=scratch), out=act)
+    att_rows = np.concatenate([p.value for p in att]).reshape(heads, d)
+    logits = np.einsum("ehd,hd->eh", act, att_rows)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError("gat_forward: non-finite logits")
+    peak = np.maximum.reduceat(logits[plan.order], plan.starts)
+    ex = np.exp(logits - peak[plan.dst])
+    alpha = ex / plan.scatter(ex)[plan.dst]
+    per_head = plan.scatter(np.multiply(alpha[:, :, None], sent, out=scratch))
+    out = per_head[:, 0]
+    for h in range(1, heads):
+        out = out + per_head[:, h]
+    if heads > 1:
+        out *= 1.0 / heads
+
+    def backward(g):
+        # Every head receives the upstream of the mean.
+        g_e = (g * (1.0 / heads) if heads > 1 else g)[plan.dst][:, None]
+        d_alpha = (g_e * sent).sum(axis=2)
+        d_logits = alpha * (d_alpha - plan.scatter(alpha * d_alpha)[plan.dst])
+        slopes = (act > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
+        d_pre = d_logits[:, :, None] * att_rows * slopes
+        d_xv = plan.scatter(d_pre) \
+            + plan.scatter(d_pre + alpha[:, :, None] * g_e, by_src=True)
+        # Per-head products on contiguous slices, and the heads' input
+        # gradients added in head order, give the bytes of per-head ops.
+        d_x = None
+        for h in range(heads):
+            d_xv_h = np.ascontiguousarray(d_xv[:, h])
+            _put(theta_v[h], xd.T @ d_xv_h)
+            _put(theta_e[h], edge_features.T @ np.ascontiguousarray(d_pre[:, h]))
+            _put(att[h], np.ascontiguousarray(act[:, h]).T
+                 @ np.ascontiguousarray(d_logits[:, h]))
+            part = d_xv_h @ theta_v[h].value.T
+            if d_x is None:
+                d_x = part
+            else:
+                d_x += part
+        return d_x
+
+    return _stage(x, out, "gat_forward", params,
+                  backward if train else None), alpha
 
 
 def encode(batch: GraphBatch, layers: list[GatLayer],

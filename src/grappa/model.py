@@ -7,10 +7,12 @@ every prediction is a valid vapor-pressure curve by construction. The head's
 output is one (B, 3) tensor whose columns are A, B and C.
 
 :func:`forward_antoine` runs the model as one linear chain of stages
-(``tensor``): one ``gat_layer_sum`` per message-passing layer, one pooling
-stage, then ``mlp_head`` (``head_raw``) and ``range_sigmoid``
-(``scale_to_ranges``). A training forward's stages write the gradients of
-every weight into :attr:`GrappaModel.grad`, one vector laid out like
+(``tensor``): one ``gnn.gat_forward`` per message-passing layer, one
+pooling stage (``pooling.interaction_pool`` or ``sum_pool``), then the
+head's two stages, defined here: :func:`head_raw`, the hidden stack with
+its batch norms, and :func:`scale_to_ranges`, the sigmoid range map. A
+training forward's stages write the gradients of every weight into
+:attr:`GrappaModel.grad`, one vector laid out like
 :attr:`GrappaModel.weights`.
 """
 
@@ -38,13 +40,18 @@ from .gnn import GatLayer, batch_graphs, encode, glorot, molecule_batch
 from .metrics import PredictedPoints
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
-from .tensor import Param, Tensor, mlp_head, range_sigmoid
+from .tensor import (Param, ShapeError, Tensor, _check_finite, _put,
+                     _row_invariant_product, _stage)
 
 CHECKPOINT_VERSION = 2
 EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
 # Molecules per inference forward. It bounds the forward's transient memory
 # and changes no output: a molecule gets the same bytes in any batch.
 INFER_CHUNK = 256
+# The head's batch norm: the weight of each batch in the running statistics,
+# and the variance floor.
+BN_MOMENTUM = 0.1
+BN_EPS = 1e-5
 # Distinct SMILES whose graph ``predict`` keeps, least recently used first
 # out, each with its one-molecule batch once it has run (flat scatter
 # indices excluded): ~8.6 KB of graph and ~7.5 KB of batch at ~19 heavy
@@ -136,8 +143,7 @@ class GrappaModel:
     ``weights``, and ``grads`` names its views. ``gat``, ``pool`` and
     ``head`` hold each parameter's value and gradient views as the stages
     read them (:class:`tensor.Param`): ``head`` is the hidden layers, output
-    weight and bias, and running statistics that :func:`tensor.mlp_head`
-    takes."""
+    weight and bias, and running statistics that :func:`head_raw` reads."""
 
     arch: Architecture
     initial: InitVar[dict]
@@ -263,16 +269,92 @@ def _count_features(model: GrappaModel, donors, acceptors) -> np.ndarray:
 
 def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
              train: bool = False) -> Tensor:
-    """Hidden stack on (B, d + 2) input; returns the (B, 3) raw outputs.
-    In training, batch norm moves the running statistics in
-    ``model.buffers``."""
-    return mlp_head(pooled, counts, *model.head, train)
+    """The hidden stack on ``[pooled | counts]``: hidden layers of linear,
+    batch norm and ELU, then an output linear; (B, d) and (B, 2) -> the
+    (B, 3) raw outputs.
+
+    ``model.head`` holds each hidden layer's (weight, bias, gamma, beta)
+    :class:`Param`, the output weight and bias, and each batch norm's
+    (running_mean, running_var) arrays; ``counts`` is a constant. In
+    training, batch norm normalizes by the batch, which needs at least 2
+    rows, and moves the running statistics in ``model.buffers`` in place; in
+    inference the running statistics normalize. Every linear and batch-norm
+    output is checked, since the ELU could hide a non-finite value, and the
+    error names the layer and its parameters. Outputs and gradients are the
+    bytes of the same steps run as separate ops, each product row-invariant
+    (see ``tensor._row_invariant_product``).
+    """
+    hidden, out_weight, out_bias, stats = model.head
+    extra = np.asarray(counts, dtype=np.float64)
+    b = len(pooled.data)
+    z = np.concatenate([pooled.data, extra], axis=1)
+    inputs, normed = [z], []
+    for i, ((weight, bias, gamma, beta), (running_mean, running_var)) in \
+            enumerate(zip(hidden, stats)):
+        a = _row_invariant_product(z, [weight.value]) + bias.value
+        _check_finite(a, f"head_raw hidden layer {i} linear", (weight, bias))
+        if train:
+            if b < 2:
+                raise ShapeError("training batch norm needs a batch of at "
+                                 "least 2")
+            mean = a.mean(axis=0)
+            var = a.var(axis=0)
+            running_mean *= 1 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean
+            running_var *= 1 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var * b / (b - 1)
+        else:
+            mean, var = running_mean, running_var
+        inv = 1.0 / np.sqrt(var + BN_EPS)
+        xhat = (a - mean) * inv
+        y = gamma.value * xhat + beta.value
+        _check_finite(y, f"head_raw hidden layer {i} batch norm", (gamma, beta))
+        z = np.where(y > 0, y, np.expm1(np.minimum(y, 0.0)))  # ELU
+        inputs.append(z)
+        normed.append((y, inv, xhat))
+    out = _row_invariant_product(z, [out_weight.value]) + out_bias.value
+
+    def backward(g):
+        # Walked back layer by layer as the tape walked the separate ops.
+        _put(out_bias, g.sum(axis=0))
+        _put(out_weight, inputs[-1].T @ g)
+        g = g @ out_weight.value.T
+        for i in reversed(range(len(hidden))):
+            (weight, bias, gamma, beta), (y, inv, xhat) = hidden[i], normed[i]
+            g = np.where(y > 0, g, (inputs[i + 1] + 1.0) * g)
+            dxhat = g * gamma.value
+            _put(beta, g.sum(axis=0))
+            _put(gamma, (g * xhat).sum(axis=0))
+            g = (inv / b) * (
+                b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
+            )
+            _put(bias, g.sum(axis=0))
+            _put(weight, inputs[i].T @ g)
+            g = g @ weight.value.T
+        return g[:, : pooled.shape[1]]
+
+    return _stage(pooled, out, "head_raw output layer", (out_weight, out_bias),
+                  backward if train else None)
 
 
 def scale_to_ranges(raw: Tensor, ranges: dict, train: bool = False) -> Tensor:
-    """Map each raw column (A, B, C) into its bounded interval via the sigmoid."""
-    lo, hi = np.array([ranges[key] for key in ("A", "B", "C")]).T
-    return range_sigmoid(raw, lo, hi, train)
+    """``lo + (hi - lo) * sigmoid(raw)``, which maps each raw column (A, B,
+    C) into the open interval of its ``ranges`` entry ``[lo, hi]``. Output
+    and gradient are the bytes of the sigmoid, product and sum run as
+    separate ops."""
+    lo, hi = np.array([ranges[key] for key in ("A", "B", "C")],
+                      dtype=np.float64).T
+    width = hi - lo
+    x = raw.data
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    s = np.where(x >= 0, 1.0 / d, e / d)
+    out = s * width + lo
+
+    def backward(g):
+        return s * (1.0 - s) * (g * width)
+
+    return _stage(raw, out, "scale_to_ranges", (), backward if train else None)
 
 
 def forward_antoine(model: GrappaModel, graphs: list[MolGraph],

@@ -1,17 +1,23 @@
 """Readouts collapsing each molecule's node embeddings to one d-vector.
 
 Both variants take the (N, d) embeddings of a whole batch and return one
-row per molecule as one stage of the model's chain, and both are invariant
-to node order: plain summation, and a self-attention readout that mixes all
-node pairs of a molecule before summing.
+row per molecule as one stage of the model's chain (``tensor``), and both
+are invariant to node order: :func:`sum_pool` sums each molecule's rows in
+one scatter over the batch's molecule ids, and :func:`interaction_pool`
+mixes all node pairs of a molecule by self-attention within its block of
+rows before summing, with the readout's three projections fused into one
+row-invariant product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .gnn import GraphBatch
-from .tensor import Param, Tensor, block_attention_pool, segment_sum
+from .tensor import (Param, ShapeError, Tensor, _put, _row_invariant_product,
+                     _scatter_sum, _stage)
 
 
 @dataclass
@@ -23,21 +29,65 @@ class InteractionPoolParams:
 
 def _check_rows(x: Tensor, batch: GraphBatch, name: str):
     if x.ndim != 2 or x.shape[0] != batch.num_nodes:
-        raise ValueError(f"{name} needs an (N, d) matrix with one row per "
+        raise ShapeError(f"{name} needs an (N, d) matrix with one row per "
                          f"node of the batch ({batch.num_nodes})")
 
 
 def sum_pool(x: Tensor, batch: GraphBatch, train: bool = False) -> Tensor:
     """Sum of each molecule's node embeddings: (N, d) -> (M, d)."""
     _check_rows(x, batch, "sum_pool")
-    return segment_sum(x, batch.molecule, batch.num_molecules, train)
+    molecule = batch.molecule
+    out = _scatter_sum(molecule, x.data, batch.num_molecules)
+
+    def backward(g):
+        return g[molecule]
+
+    return _stage(x, out, "sum_pool", (), backward if train else None)
 
 
 def interaction_pool(x: Tensor, batch: GraphBatch,
                      params: InteractionPoolParams,
                      train: bool = False) -> Tensor:
-    """Self-attention readout per molecule: softmax(Q K^T / sqrt(k)) V,
-    summed over the molecule's rows; (N, d) -> (M, d)."""
+    """Self-attention readout per molecule, summed over its rows.
+
+    Q, K and V are ``x`` projected by ``Wq``, ``Wk`` and ``Wv``. For
+    molecule ``m``, which holds rows ``batch.blocks[m]``, W is the row-wise
+    softmax of ``Q K^T / sqrt(k)`` over the block, and output row ``m`` is
+    ``1^T W V``: the weights' column sums times V. Shapes: (N, d), (d, k),
+    (d, k), (d, d') -> (M, d').
+    """
     _check_rows(x, batch, "interaction_pool")
-    return block_attention_pool(x, params.Wq, params.Wk, params.Wv,
-                                batch.blocks, train)
+    xd, blocks = x.data, batch.blocks
+    wq, wk, wv = params.Wq, params.Wk, params.Wv
+    # One product for all three; each block of columns is the bytes of its
+    # own product (see ``_row_invariant_product``).
+    qkv = _row_invariant_product(xd, [wq.value, wk.value, wv.value])
+    cuts = np.cumsum([0] + [p.value.shape[1] for p in (wq, wk, wv)])
+    q, k, v = (np.ascontiguousarray(qkv[:, lo:hi])
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
+    scale = 1.0 / np.sqrt(wk.value.shape[1])
+    weights = []
+    out = np.empty((len(blocks), v.shape[1]))
+    for m, rows in enumerate(blocks):
+        logits = scale * (q[rows] @ k[rows].T)
+        ex = np.exp(logits - logits.max(axis=1, keepdims=True))
+        w = ex / ex.sum(axis=1, keepdims=True)
+        weights.append(w)
+        out[m] = w.sum(axis=0) @ v[rows]
+
+    def backward(g):
+        dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for m, rows in enumerate(blocks):
+            w = weights[m]
+            dv[rows] = np.outer(w.sum(axis=0), g[m])
+            dcol = v[rows] @ g[m]  # gradient of each column sum
+            dlogits = scale * w * (dcol - (w @ dcol)[:, None])
+            dq[rows] = dlogits @ k[rows]
+            dk[rows] = dlogits.T @ q[rows]
+        # The input's parts added in the tape's order: Q, K, then V.
+        for p, d in ((wq, dq), (wk, dk), (wv, dv)):
+            _put(p, xd.T @ d)
+        return dq @ wq.value.T + dk @ wk.value.T + dv @ wv.value.T
+
+    return _stage(x, out, "interaction_pool", (wq, wk, wv),
+                  backward if train else None)

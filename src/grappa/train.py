@@ -90,6 +90,8 @@ class TrainConfig:
             raise ValueError("main_lr must be positive")
         if self.weight_decay < 0:
             raise ValueError("weight_decay must not be negative")
+        if self.seed < 0:
+            raise ValueError("seed must not be negative")
         if not all(0 <= beta < 1 for beta in self.betas):
             raise ValueError("betas must each lie in [0, 1)")
         if not 0 < self.plateau_factor < 1:
@@ -98,6 +100,8 @@ class TrainConfig:
                                 ("grid_heads", GRID_HEADS),
                                 ("grid_hidden_layers", GRID_HIDDEN_LAYERS),
                                 ("grid_pooling", GRID_POOLING)):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
             if not set(getattr(self, name)) <= set(supported):
                 raise ValueError(f"{name} outside the supported set")
         return self

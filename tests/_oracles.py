@@ -23,11 +23,10 @@ from grappa.antoine import PA_PER_KPA, AntoineParams
 from grappa.dataio import VpDataset, VpPoint
 from grappa.gnn import GatLayer, batch_graphs
 from grappa.metrics import PredictedPoints
-from grappa.model import _count_features
+from grappa.model import BN_EPS, BN_MOMENTUM, _count_features
 from grappa.molecule import Molecule
-from grappa.tensor import (BN_EPS, BN_MOMENTUM, NonFiniteError, Param,
-                           ShapeError, Tensor, _row_invariant_product,
-                           _scatter_sum)
+from grappa.tensor import (NonFiniteError, Param, ShapeError, Tensor,
+                           _row_invariant_product, _scatter_sum)
 
 
 # --------------------------------------------------------- stage-chain helpers
@@ -677,7 +676,7 @@ def batch_norm(x, gamma, beta, running_mean: np.ndarray,
 
 
 def composed_mlp_head(x, extra, hidden, out_weight, out_bias, stats):
-    """``tensor.mlp_head`` as the separate tape ops it was built from."""
+    """``model.head_raw`` as the separate tape ops it was built from."""
     z = concat([x, _t(extra)], axis=1)
     for (weight, bias, gamma, beta), (running_mean, running_var) in zip(
             hidden, stats):
@@ -687,7 +686,8 @@ def composed_mlp_head(x, extra, hidden, out_weight, out_bias, stats):
 
 
 def composed_range_sigmoid(raw, lo, hi):
-    """``tensor.range_sigmoid`` as the separate tape ops it was built from."""
+    """``model.scale_to_ranges`` as the separate tape ops it was built
+    from."""
     return add(mul(sigmoid(raw), hi - lo), lo)
 
 

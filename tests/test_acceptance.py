@@ -7,10 +7,10 @@ measurement database, so acceptance rests on the property checks below.
 
 from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from grappa import tensor as T
 from grappa.antoine import (
     PARAM_RANGES,
     AntoineParams,
@@ -20,18 +20,22 @@ from grappa.antoine import (
 )
 from grappa.dataio import curate, robust_antoine_fit
 from grappa.featurize import featurize
+from grappa.gnn import GatLayer, GraphBatch, gat_forward
 from grappa.metrics import ape_c, ape_i, summarize
 from grappa.model import (
     Architecture,
     Components,
     forward_antoine,
+    head_raw,
     init_model,
     parameter_accounting_markdown,
     prepare_components,
+    scale_to_ranges,
 )
 from grappa.molecule import Molecule, permute_molecule
+from grappa.pooling import InteractionPoolParams, interaction_pool, sum_pool
 from grappa.smiles import parse_smiles
-from grappa.tensor import Tensor
+from grappa.tensor import ScatterPlan, Tensor
 from grappa.train import (
     TrainConfig,
     fit,
@@ -107,32 +111,37 @@ def _stage_cases(rng):
                                     rng.normal(size=4)])
     temps = np.full(4, 5.0)
     edge_features = rng.normal(size=(4, 4))
-    plan = T.ScatterPlan(dst, idx, 3)
+    plan = ScatterPlan(dst, idx, 3)
     # Two heads: their node and edge weights, then their attention vectors.
     projections = list(rng.normal(size=(4, 4, 4)))
     atts = list(rng.normal(size=(2, 4)))
     # One hidden layer of width 4 on 4 + 2 inputs, then 3 outputs.
     extra, hidden_weight = rng.normal(size=(3, 2)), rng.normal(size=(6, 4))
     lo, hi = rng.normal(size=4), rng.normal(size=4) + 5.0
+    ranges = dict(zip("ABC", zip(lo, hi)))
     # Residuals on both sides of the Huber threshold 0.5.
     target = rng.normal(size=4)
     residual = np.array([0.1, -0.3, 1.2, -2.0])
+    # Each stage reads only its own fields of the batch: the plan and edge
+    # features, the molecule ids, or the blocks.
+    batch = GraphBatch(None, edge_features, np.array([1, 0, 1]),
+                       np.array([0, 1, 3]), (slice(0, 1), slice(1, 3)), plan)
     return {
-        "gat_layer_sum": (lambda x, p: T.gat_layer_sum(
-            x, edge_features, p[0:2], p[2:4], p[4:6], plan, 0.2, True)[0],
+        "gat_forward": (lambda x, p: gat_forward(
+            x, batch, GatLayer(p[0:2], p[2:4], p[4:6]), True)[0],
             m, [*projections, *atts], weights),
-        "segment_sum": (lambda x, p: T.segment_sum(x, [1, 0, 1], 2, True),
-                        m, [], weights[:2]),
-        "block_attention_pool": (lambda x, p: T.block_attention_pool(
-            x, *p, (slice(0, 1), slice(1, 3)), True),
+        "sum_pool": (lambda x, p: sum_pool(x, batch, True),
+                     m, [], weights[:2]),
+        "interaction_pool": (lambda x, p: interaction_pool(
+            x, batch, InteractionPoolParams(*p), True),
             m, [np.eye(4), np.eye(4)[::-1], projections[2]], weights[:2]),
-        "mlp_head": (lambda x, p: T.mlp_head(
-            x, extra, [p[:4]], p[4], p[5],
-            [[running_mean.copy(), running_var.copy()]], True),
+        "head_raw": (lambda x, p: head_raw(SimpleNamespace(head=(
+            [p[:4]], p[4], p[5], [[running_mean.copy(), running_var.copy()]])),
+            x, extra, True),
             m, [hidden_weight, v, v + 1.0, v[::-1].copy(), n, v[:3].copy()],
             weights[:, :3]),
-        "range_sigmoid": (lambda x, p: T.range_sigmoid(x, lo, hi, True),
-                          m, [], weights),
+        "scale_to_ranges": (lambda x, p: scale_to_ranges(x, ranges, True),
+                            m[:, :3].copy(), [], weights[:, :3]),
         "ln_p_points": (lambda x, p: ln_p_points(x, idx, temps),
                         antoine_rows, [], v),
         "loss_mse": (lambda x, p: loss_mse(x, target), v, [], 1.0),

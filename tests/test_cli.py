@@ -275,6 +275,40 @@ def test_a_seed_variable_that_is_not_an_integer_is_named(capsys, tmp_path,
     assert out.read_text() == padded
 
 
+def test_a_negative_seed_is_named(capsys, tmp_path, data_path, monkeypatch):
+    data, splits = data_path
+    out = tmp_path / "labels.csv"
+    assert main(["split", "--input", data, "--output", str(out),
+                 "--seed", "-1"]) == 2
+    assert "argument --seed" in capsys.readouterr().err
+    monkeypatch.setenv("GRAPPA_SEED", "-4")
+    assert main(["split", "--input", data, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: GRAPPA_SEED must not be negative, got '-4'\n")
+    assert not out.exists()
+    monkeypatch.delenv("GRAPPA_SEED")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"data": data, "splits": splits,
+                                    "train": {"seed": -3}}))
+    assert main(["train", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: seed must not be negative\n"
+
+
+@pytest.mark.parametrize("axis", ["grid_gat_layers", "grid_heads",
+                                  "grid_hidden_layers", "grid_pooling"])
+def test_grid_search_rejects_an_empty_grid_axis(capsys, tmp_path, data_path,
+                                                axis):
+    data, splits = data_path
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"data": data, "splits": splits,
+                                    "train": {axis: []}}))
+    out = tmp_path / "grid.csv"
+    assert main(["grid-search", "--config", str(cfg_path),
+                 "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {axis} must not be empty\n"
+    assert not out.exists()
+
+
 def test_fit_antoine_single_component(capsys, data_path):
     from _oracles import synthetic_params
 

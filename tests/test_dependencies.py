@@ -1,5 +1,5 @@
 """The package depends on nothing beyond the standard library and numpy,
-carries no tensor op that nothing in it calls, and loads no
+defines nothing in ``tensor`` that no other module of it uses, and loads no
 ``multiprocessing`` on import."""
 
 import ast
@@ -34,25 +34,28 @@ def test_package_imports_only_stdlib_and_numpy():
     assert not {name: roots for name, roots in outside.items() if roots}
 
 
-def referenced_names(path: Path) -> set[str]:
-    """Every name a module uses as a variable or an attribute."""
+def tensor_imports(path: Path) -> set[str]:
+    """Every name a module takes from ``tensor``: by ``from .tensor import``
+    or as an attribute of the module ``tensor``."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.ImportFrom) and node.module == "tensor" \
+                and node.level == 1:
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) and node.value.id == "tensor":
             names.add(node.attr)
     return names
 
 
-def test_every_tensor_op_has_a_caller():
-    ops = {name for name, obj in vars(tensor).items()
-           if inspect.isfunction(obj) and obj.__module__ == tensor.__name__
-           and not name.startswith("_")}
-    assert "gat_layer_sum" in ops
-    used = set().union(*(referenced_names(path) for path in SRC.glob("*.py")
+def test_everything_tensor_defines_has_a_caller():
+    defined = {name for name, obj in vars(tensor).items()
+               if (inspect.isfunction(obj) or inspect.isclass(obj))
+               and obj.__module__ == tensor.__name__}
+    assert {"Tensor", "ScatterPlan", "_stage", "_scatter_sum"} <= defined
+    used = set().union(*(tensor_imports(path) for path in SRC.glob("*.py")
                          if path.name != "tensor.py"))
-    assert sorted(ops - used) == []
+    assert sorted(defined - used) == []
 
 
 def test_importing_the_package_loads_no_multiprocessing():

@@ -1,5 +1,5 @@
-"""The parameter head runs as two stages, ``mlp_head`` and
-``range_sigmoid``; each must give the bytes of the separate tape ops it
+"""The parameter head runs as two stages, ``head_raw`` and
+``scale_to_ranges``; each must give the bytes of the separate tape ops it
 replaces (``_oracles.composed_mlp_head`` and ``composed_range_sigmoid``):
 outputs, running statistics and every gradient, and the same non-finite
 errors."""
@@ -136,7 +136,7 @@ def test_a_non_finite_head_parameter_names_its_layer(name, where, names, bad,
     target.reshape(-1)[rng.integers(target.size)] = bad
     inputs = ", ".join(map(repr, names))
     with np.errstate(all="ignore"), pytest.raises(
-            NonFiniteError, match=rf"^non-finite value produced by mlp_head "
+            NonFiniteError, match=rf"^non-finite value produced by head_raw "
                                   rf"{where} \(inputs {inputs}\)$"):
         head_raw(model, Tensor(rng.normal(size=(3, 8))), np.ones((3, 2)), train)
 

@@ -1,11 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import _oracles as tape
-from grappa import tensor as T
+from grappa import gnn, tensor as T
+from grappa.antoine import ln_p_points
+from grappa.featurize import featurize
+from grappa.gnn import GatLayer, GraphBatch, batch_graphs, gat_forward, row_blocks
+from grappa.model import (BN_EPS, Architecture, head_raw, init_model,
+                          scale_to_ranges)
+from grappa.pooling import InteractionPoolParams, interaction_pool, sum_pool
+from grappa.smiles import parse_smiles
 from grappa.tensor import NonFiniteError, ScatterPlan, ShapeError, Tensor
+from grappa.train import loss_huber, loss_mse
 
 from _oracles import (
     TapeTensor,
@@ -43,6 +53,30 @@ def check_grad(build, *shapes, seed=0, h=1e-6):
         assert tens.grad is not None
         err = max_rel_error(tens.grad, numeric)
         assert err < GRAD_TOL, f"input {k}: rel err {err}"
+
+
+def molecule_batch(molecule, num_molecules):
+    """A batch whose node ``i`` belongs to molecule ``molecule[i]``, for
+    ``sum_pool``, which reads only its molecule ids and their count."""
+    return GraphBatch(None, None, np.asarray(molecule, dtype=np.int64),
+                      np.arange(num_molecules + 1), (), None)
+
+
+def block_batch(bounds):
+    """A batch of molecules on rows ``bounds[m]:bounds[m + 1]``, for
+    ``interaction_pool``, which reads only its molecule ids and blocks."""
+    bounds = np.asarray(bounds)
+    return GraphBatch(None, None, np.repeat(np.arange(len(bounds) - 1),
+                                            np.diff(bounds)),
+                      bounds, row_blocks(bounds), None)
+
+
+def edge_batch(edge_features, plan):
+    """A batch of ``plan``'s graph, for ``gat_forward``, which reads only
+    its edge features and plan."""
+    n = plan.num_nodes
+    return GraphBatch(None, np.asarray(edge_features), np.zeros(n, dtype=np.int64),
+                      np.array([0, n]), (slice(0, n),), plan)
 
 
 def check_stage_grad(stage, x, params, seed=0, h=1e-6):
@@ -177,7 +211,7 @@ def block_attention_reference(q, k, v, bounds, scale):
 
 
 def pool_stage(q, k, v, bounds):
-    """``block_attention_pool`` on rows ``[q | k | v]`` whose projections
+    """``interaction_pool`` on rows ``[q | k | v]`` whose projections
     pick each block of columns, so Q, K and V are ``q``, ``k`` and ``v``;
     the logit scale is then 1 / sqrt(q.shape[1])."""
     x = np.hstack([q, k, v])
@@ -185,11 +219,11 @@ def pool_stage(q, k, v, bounds):
     starts = np.cumsum([0] + widths)
     pick = [param(np.eye(x.shape[1])[:, lo : lo + w])
             for lo, w in zip(starts, widths)]
-    blocks = tuple(slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return T.block_attention_pool(Tensor(x), *pick, blocks)
+    return interaction_pool(Tensor(x), block_batch(bounds),
+                            InteractionPoolParams(*pick))
 
 
-def test_block_attention_pool_matches_row_loops():
+def test_interaction_pool_matches_row_loops():
     rng = np.random.default_rng(3)
     bounds = np.array([0, 3, 4, 9])
     q, k, v = rng.normal(size=(9, 4)), rng.normal(size=(9, 4)), rng.normal(size=(9, 5))
@@ -230,13 +264,13 @@ EDGE_SRC = np.array([1, 2, 2, 0, 0, 1, 2])
 EDGE_PLAN = ScatterPlan(EDGE_DST, EDGE_SRC, 3)
 
 
-def one_head_layer(x, edge_features, att, plan=EDGE_PLAN, slope=0.2):
-    """``gat_layer_sum`` with one head whose projections are the identity,
+def one_head_layer(x, edge_features, att, plan=EDGE_PLAN):
+    """``gat_forward`` with one head whose projections are the identity,
     so ``x`` and the edge features are the head's own terms."""
     x, edge_features = np.asarray(x, dtype=float), np.asarray(edge_features)
-    return T.gat_layer_sum(Tensor(x), edge_features, [param(np.eye(x.shape[1]))],
-                           [param(np.eye(edge_features.shape[1]))], [param(att)],
-                           plan, slope)
+    layer = GatLayer([param(np.eye(x.shape[1]))],
+                     [param(np.eye(edge_features.shape[1]))], [param(att)])
+    return gat_forward(Tensor(x), edge_batch(edge_features, plan), layer)
 
 
 def test_sigmoid_and_leaky_relu_points():
@@ -248,11 +282,6 @@ def test_sigmoid_and_leaky_relu_points():
     logits = np.array([3.0, -0.2, 0.0])
     np.testing.assert_allclose(alpha[[0, 1, 4], 0],
                                np.exp(logits) / np.exp(logits).sum(), rtol=1e-15)
-    # The maximum form of the LeakyReLU needs a slope in [0, 1].
-    for slope in (-0.1, 1.5):
-        with pytest.raises(ValueError, match="slope"):
-            one_head_layer([[0.0], [3.0], [-1.0]], np.zeros((7, 1)), [1.0],
-                           slope=slope)
 
 
 def test_elu_matches_definition():
@@ -265,8 +294,9 @@ def test_elu_matches_definition():
 def test_sigmoid_extreme_inputs_stay_finite():
     out = sigmoid(TapeTensor(np.array([-1000.0, 1000.0]))).data
     np.testing.assert_allclose(out, [0.0, 1.0], atol=1e-12)
-    out = T.range_sigmoid(Tensor([[-1000.0, 1000.0]]), [-3.0, 2.0], [1.0, 7.0])
-    np.testing.assert_allclose(out.data, [[-3.0, 7.0]], atol=1e-12)
+    out = scale_to_ranges(Tensor([[-1000.0, 1000.0, 0.0]]),
+                          {"A": [-3.0, 1.0], "B": [2.0, 7.0], "C": [0.0, 4.0]})
+    np.testing.assert_allclose(out.data, [[-3.0, 7.0, 2.0]], atol=1e-12)
 
 
 def test_non_finite_forward_raises():
@@ -281,11 +311,48 @@ def test_non_finite_forward_raises():
     pool = [param(np.eye(2), f"pool.{key}") for key in ("Wq", "Wk", "Wv")]
     pool[2].value[...] = 1e200
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
-        T.block_attention_pool(Tensor(np.full((1, 2), 1e200)), *pool,
-                               (slice(0, 1),))
+        interaction_pool(Tensor(np.full((1, 2), 1e200)), block_batch([0, 1]),
+                         InteractionPoolParams(*pool))
     assert str(info.value) == ("non-finite value produced by "
-                               "block_attention_pool (inputs 'pool.Wq', "
+                               "interaction_pool (inputs 'pool.Wq', "
                                "'pool.Wk', 'pool.Wv')")
+
+
+def _stage_calls():
+    """Each stage of the chain as ``call(x, train)`` on a two-molecule batch
+    of a small model, and the shape of its input."""
+    model = init_model(Architecture(gat_layers=2, embed_dim=8, hidden_layers=2,
+                                    hidden_width=4), seed=3)
+    batch = batch_graphs([featurize(parse_smiles(s)) for s in ("CCO", "C=C")])
+    n, m = batch.num_nodes, batch.num_molecules
+    return {
+        gat_forward: (lambda x, t: gat_forward(x, batch, model.gat[0], t),
+                      batch.node_features.shape),
+        sum_pool: (lambda x, t: sum_pool(x, batch, t), (n, 8)),
+        interaction_pool: (
+            lambda x, t: interaction_pool(x, batch, model.pool, t), (n, 8)),
+        head_raw: (lambda x, t: head_raw(model, x, np.ones((m, 2)), t), (m, 8)),
+        scale_to_ranges: (lambda x, t: scale_to_ranges(
+            x, model.arch.param_ranges, t), (m, 3)),
+        ln_p_points: (lambda x, t: ln_p_points(
+            Tensor(x.data + [10.0, 2000.0, -50.0]), [0, 1, 1],
+            [300.0, 350.0, 400.0]), (m, 3)),
+        loss_mse: (lambda x, t: loss_mse(x, np.zeros(3)), (3,)),
+        loss_huber: (lambda x, t: loss_huber(x, np.zeros(3)), (3,)),
+    }
+
+
+@pytest.mark.parametrize("train", [False, True])
+@pytest.mark.parametrize("stage", list(_stage_calls()), ids=lambda f: f.__name__)
+def test_a_non_finite_input_names_its_stage(stage, train):
+    # The name a reader opens, the tracer times and the error prints is
+    # the stage's function.
+    call, shape = _stage_calls()[stage]
+    x = np.random.default_rng(len(shape)).normal(size=shape)
+    x.flat[0] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
+        call(Tensor(x), train)
+    assert stage.__name__ in str(info.value).replace(":", " ").split()
 
 
 def test_finite_check_allows_sums_that_overflow():
@@ -304,7 +371,7 @@ def test_finite_check_catches_nan_and_inf(bad):
     with pytest.raises(NonFiniteError):
         concat([TapeTensor(np.full((2, 2), 1e308)), TapeTensor([[1.0, bad]])])
     with pytest.raises(NonFiniteError):
-        T.segment_sum(Tensor([bad, 1.0, 2.0]), [1, 0, 1], 2)
+        sum_pool(Tensor([[bad], [1.0], [2.0]]), molecule_batch([1, 0, 1], 2))
 
 
 def test_shape_errors():
@@ -323,24 +390,23 @@ def test_shape_errors():
                  (np.ones(3), edge, [tv], [te], [att])):
         x_in, edges, *weights = args
         with pytest.raises(ShapeError):
-            T.gat_layer_sum(Tensor(x_in), edges,
-                            *([param(w) for w in ws] for ws in weights),
-                            EDGE_PLAN, 0.2)
+            gat_forward(Tensor(x_in), edge_batch(edges, EDGE_PLAN),
+                        GatLayer(*([param(w) for w in ws] for ws in weights)))
     with pytest.raises(ShapeError):
         ScatterPlan(EDGE_DST, EDGE_SRC[:6], 3)
-    # Blocks come checked from ``gnn.row_blocks``; the stage checks that
-    # they cover its rows.
-    pool = [param(np.ones((2, 2))) for _ in range(3)]
-    for blocks in ((slice(0, 3),), ()):
+    # Blocks come checked from ``gnn.row_blocks`` and tile the batch's
+    # nodes; the stage checks that its input has one row per node.
+    pool = InteractionPoolParams(*(param(np.ones((2, 2))) for _ in range(3)))
+    for x_in in (np.ones((4, 2)), np.ones(3)):
         with pytest.raises(ShapeError):
-            T.block_attention_pool(Tensor(np.ones((4, 2))), *pool, blocks)
+            interaction_pool(Tensor(x_in), block_batch([0, 3]), pool)
 
 
 def test_backward_requires_scalar_and_a_training_chain():
-    x = Tensor(np.ones(3))
+    x = Tensor(np.ones((3, 1)))
     with pytest.raises(ShapeError):
-        T.segment_sum(x, [0, 1, 1], 2, train=True).backward()
-    inference = T.segment_sum(x, [0, 0, 0], 1)
+        sum_pool(x, molecule_batch([0, 1, 1], 2), train=True).backward()
+    inference = sum_pool(x, molecule_batch([0, 0, 0], 1))
     assert inference.stages == (None,)
     with pytest.raises(ValueError, match="inference"):
         inference.backward()
@@ -350,7 +416,7 @@ def test_gather_and_segment_ops():
     x = TapeTensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
     picked = tape.gather_rows(x, [2, 0, 2])
     np.testing.assert_array_equal(picked.data, [[5, 6], [1, 2], [5, 6]])
-    summed = T.segment_sum(Tensor(picked.data), [0, 1, 0], 2)
+    summed = sum_pool(Tensor(picked.data), molecule_batch([0, 1, 0], 2))
     np.testing.assert_array_equal(summed.data, [[10, 12], [1, 2]])
 
 
@@ -366,14 +432,14 @@ def test_gather_rows_negative_index_grad():
 
 def test_segment_ids_out_of_range_raise():
     with pytest.raises(IndexError):
-        T.segment_sum(Tensor(np.ones((3, 2))), [0, 2, 1], 2)
+        sum_pool(Tensor(np.ones((3, 2))), molecule_batch([0, 2, 1], 2))
     for dst, src in (([0, 2, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, 2]),
                      ([0, -1, 1], [0, 1, 1])):
         with pytest.raises(IndexError):
             ScatterPlan(dst, src, 2)
 
 
-# The softmax inside ``gat_layer_sum`` runs over each node's incoming edges:
+# The softmax inside ``gat_forward`` runs over each node's incoming edges:
 # a segment softmax with ``dst`` as the segment id.
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -391,11 +457,11 @@ def test_segment_softmax_rejects_non_finite_logits(bad):
 def test_segment_softmax_groups_sum_to_one():
     rng = np.random.default_rng(2)
     heads = 3
-    out, alpha = T.gat_layer_sum(
-        Tensor(rng.normal(size=(3, 4))), rng.normal(size=(7, 2)),
+    x, edge = rng.normal(size=(3, 4)), rng.normal(size=(7, 2))
+    out, alpha = gat_forward(Tensor(x), edge_batch(edge, EDGE_PLAN), GatLayer(
         [param(rng.normal(size=(4, 5))) for _ in range(heads)],
         [param(rng.normal(size=(2, 5))) for _ in range(heads)],
-        [param(rng.normal(size=5)) for _ in range(heads)], EDGE_PLAN, 0.2)
+        [param(rng.normal(size=5)) for _ in range(heads)]))
     assert out.shape == (3, 5) and alpha.shape == (7, heads)
     for weights in alpha.T:
         np.testing.assert_allclose(np.bincount(EDGE_DST, weights=weights),
@@ -442,7 +508,7 @@ def test_grad_gather_segment_pipeline():
     check_grad(build, (3, 4), seed=6)
 
 
-def test_grad_gat_layer_sum():
+def test_grad_gat_forward():
     rng = np.random.default_rng(7)
     edge = rng.normal(size=(7, 2))
     # The seed gives edges on both sides of the leaky ReLU's kink in each
@@ -454,18 +520,19 @@ def test_grad_gat_layer_sum():
         pre = (x @ v)[EDGE_DST] + (x @ v)[EDGE_SRC] + edge @ e
         assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-4
     v0, v1, e0, e1, a0, a1 = map(param, (v0, v1, e0, e1, a0, a1))
-    check_stage_grad(lambda t, train: T.gat_layer_sum(
-        t, edge, [v0, v1], [e0, e1], [a0, a1], EDGE_PLAN, 0.2, train)[0],
-        x, [v0, v1, e0, e1, a0, a1], seed=8)
+    batch, layer = edge_batch(edge, EDGE_PLAN), GatLayer([v0, v1], [e0, e1],
+                                                         [a0, a1])
+    check_stage_grad(lambda t, train: gat_forward(t, batch, layer, train)[0],
+                     x, [v0, v1, e0, e1, a0, a1], seed=8)
 
 
-def test_grad_block_attention_pool():
+def test_grad_interaction_pool():
     rng = np.random.default_rng(8)
-    blocks = (slice(0, 3), slice(3, 4), slice(4, 6))
+    batch = block_batch([0, 3, 4, 6])
     wq, wk, wv = (param(rng.normal(size=s)) for s in ((4, 3), (4, 3), (4, 5)))
-    check_stage_grad(lambda t, train: T.block_attention_pool(
-        t, wq, wk, wv, blocks, train), rng.normal(size=(6, 4)), [wq, wk, wv],
-        seed=8)
+    check_stage_grad(lambda t, train: interaction_pool(
+        t, batch, InteractionPoolParams(wq, wk, wv), train),
+        rng.normal(size=(6, 4)), [wq, wk, wv], seed=8)
 
 
 def test_grad_activations():
@@ -477,8 +544,8 @@ def test_grad_activations():
 
 def test_grad_reductions():
     check_grad(lambda x: tape.mean_all(tape.mul(x, x)), (5, 2), seed=14)
-    seg = np.array([1, 0, 1, 1])
-    check_stage_grad(lambda t, train: T.segment_sum(t, seg, 2, train),
+    batch = molecule_batch([1, 0, 1, 1], 2)
+    check_stage_grad(lambda t, train: sum_pool(t, batch, train),
                      np.random.default_rng(15).normal(size=(4, 3)), [], seed=15)
 
 
@@ -518,7 +585,7 @@ def test_batch_norm_follows_the_tape():
         out = batch_norm(x, gamma, beta, running_mean, running_var)
     # Not recording: the running statistics normalize, stay as they were,
     # and the result has no gradient.
-    want = (gamma.data * ((x.data - saved[0]) / np.sqrt(saved[1] + T.BN_EPS))
+    want = (gamma.data * ((x.data - saved[0]) / np.sqrt(saved[1] + BN_EPS))
             + beta.data)
     np.testing.assert_allclose(out.data, want, rtol=1e-12)
     assert not out.requires_grad
@@ -579,9 +646,9 @@ def test_repeated_backward_is_bitwise_identical():
     rng = np.random.default_rng(30)
     wq, wk, wv = (param(rng.normal(size=(4, 3))) for _ in range(3))
     x = Tensor(rng.normal(size=(5, 4)))
-    pooled = T.block_attention_pool(x, wq, wk, wv, (slice(0, 2), slice(2, 5)),
-                                    train=True)
-    out = T.range_sigmoid(pooled, -1.0, 2.0, train=True)
+    pooled = interaction_pool(x, block_batch([0, 2, 5]),
+                              InteractionPoolParams(wq, wk, wv), train=True)
+    out = scale_to_ranges(pooled, dict.fromkeys("ABC", [-1.0, 2.0]), train=True)
     loss = Tensor(out.data.sum(), out.stages + (lambda g: g * np.ones((2, 3)),))
     first = [loss.backward()] + [p.grad.copy() for p in (wq, wk, wv)]
     assert all(np.isfinite(a).all() for a in first)
@@ -655,10 +722,13 @@ def scatter_cases(draw, width=None, min_rows=0):
 
 @settings(deadline=None)
 @given(st.one_of(scatter_cases(), scatter_cases(width=3)))
-def test_segment_sum_matches_add_at(case):
+def test_sum_pool_matches_add_at(case):
+    # A vector of values sums as a one-column matrix.
     index, values, n = case
-    out = T.segment_sum(Tensor(values), index, n).data
-    assert bitwise_equal(out, add_at_scatter(index, values, n))
+    want = add_at_scatter(index, values, n)
+    columns = values if values.ndim == 2 else values[:, None]
+    out = sum_pool(Tensor(columns), molecule_batch(index, n)).data
+    assert bitwise_equal(out.reshape(want.shape), want)
 
 
 @settings(deadline=None)
@@ -697,17 +767,18 @@ def test_segment_softmax_matches_reference(case):
     # holding the edge terms, so the gradient of that column is the logits'
     # gradient, edge by edge.
     dst, src, xv, edge, g, n = case
-    eye = np.eye(len(dst))
     edge_weights = param(edge[:, None])
-    out, alpha = T.gat_layer_sum(Tensor(xv[:, None]), eye, [param(np.ones((1, 1)))],
-                                 [edge_weights], [param(np.ones(1))],
-                                 ScatterPlan(dst, src, n), 1.0, train=True)
+    layer = GatLayer([param(np.ones((1, 1)))], [edge_weights], [param(np.ones(1))])
+    with mock.patch.object(gnn, "LEAKY_SLOPE", 1.0):
+        out, alpha = gat_forward(Tensor(xv[:, None]),
+                                 edge_batch(np.eye(len(dst)), ScatterPlan(dst, src, n)),
+                                 layer, train=True)
+        out.stages[-1](g[:, None])
     logits = xv[dst] + xv[src] + edge
     ref, ref_vjp = reference_segment_softmax(logits, dst, n,
                                              g[dst] * xv[src] + 0.0)
     assert bitwise_equal(alpha[:, 0], ref)
     assert bitwise_equal(out.data, add_at_scatter(dst, (ref * xv[src])[:, None], n))
-    out.stages[-1](g[:, None])
     assert bitwise_equal(edge_weights.grad[:, 0], ref_vjp + 0.0)
 
 
