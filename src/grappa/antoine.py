@@ -119,7 +119,8 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
 
     Exact algebraic inverse of :func:`ln_vapor_pressure`; the parameters
     must be finite, the pressure finite and positive, and no solution exists
-    once ln(p/kPa) reaches A.
+    once ln(p/kPa) reaches A. A solution must lie on the curve's domain,
+    T > 0 and C + T > 0, as in-range parameters (B > 0, C <= 0) always give.
     """
     _check_finite(params)
     p = _finite_positive(pressure_pa, "pressure")
@@ -129,4 +130,9 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
         raise AntoineDomainError(f"no boiling point: ln(p/kPa)="
                                  f"{float(ln_p[reached][0])} reaches A={params.A}")
     t = params.B / (params.A - ln_p) - params.C
+    off = (t <= 0.0) | (params.C + t <= 0.0)
+    if np.any(off):
+        raise AntoineDomainError(f"no boiling point: T={float(t[off][0])} is "
+                                 f"off the curve, which needs T > 0 and "
+                                 f"C + T > 0 (C={params.C})")
     return float(t) if np.isscalar(pressure_pa) else t

@@ -13,6 +13,12 @@ Edge vector layout:
   [4]      conjugated (both endpoints SP or SP2)
   [5]      in ring
   [6..8]   double-bond stereo (none, Z, E)
+
+Ring flags and hybridization walk the molecule's one adjacency
+(``Molecule.adjacency``) and reuse its hydrogen counts. One pass over the
+atoms writes the node rows and counts H-bond donors and acceptors; one pass
+over the bonds writes each bond's row in place and copies it to the reverse
+edge.
 """
 
 from __future__ import annotations
@@ -92,11 +98,7 @@ def ring_membership(mol: Molecule) -> tuple[list[bool], list[bool]]:
     iff one of its bonds does.
     """
     n = len(mol.atoms)
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for bi, bond in enumerate(mol.bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
-
+    adj = mol.adjacency
     visited = [False] * n
     disc = [0] * n
     low = [0] * n
@@ -144,23 +146,21 @@ def ring_membership(mol: Molecule) -> tuple[list[bool], list[bool]]:
 def hybridizations(mol: Molecule, h_counts: Sequence[int]) -> list[str]:
     """Deterministic hybridization labels from bond patterns and the
     implicit hydrogen counts: SP for a triple bond or two doubles, SP2 for
-    aromatic or one double, SP3 for saturated C/N/O/S/P within their
-    smallest valence, else OTHER."""
+    aromatic or one double, SP3 for C/N/O/S/P whose degree plus hydrogens
+    stays within the smallest standard valence, else OTHER. An atom that
+    reaches the SP3 test has only single bonds, so its degree is its bond
+    order sum."""
     labels = []
-    for idx, atom in enumerate(mol.atoms):
-        n_triple = n_double = 0
-        for bond in mol.bonds_of(idx):
-            if bond.order == TRIPLE:
-                n_triple += 1
-            elif bond.order == DOUBLE:
-                n_double += 1
+    for idx, (atom, pairs) in enumerate(zip(mol.atoms, mol.adjacency)):
+        orders = [mol.bonds[bi].order for _, bi in pairs]
+        n_triple = orders.count(TRIPLE)
+        n_double = orders.count(DOUBLE)
         if n_triple >= 1 or n_double >= 2:
             labels.append(SP)
         elif atom.aromatic or n_double >= 1:
             labels.append(SP2)
         elif atom.element in ("C", "N", "O", "S", "P") and (
-            bond_order_sum(mol, idx) + h_counts[idx]
-            <= STANDARD_VALENCES[atom.element][0]
+            len(pairs) + h_counts[idx] <= STANDARD_VALENCES[atom.element][0]
         ):
             labels.append(SP3)
         else:
@@ -213,39 +213,35 @@ def featurize(mol: Molecule) -> MolGraph:
     hybrid = hybridizations(mol, h_counts)
 
     x = np.zeros((n, NODE_FEATURES), dtype=np.float64)
+    donors = acceptors = 0
     for idx, atom in enumerate(mol.atoms):
         x[idx, _ELEMENT_SLOT[atom.element]] = 1.0
-        degree = mol.degree(idx)
-        x[idx, 9 + min(degree, 4)] = 1.0
+        x[idx, 9 + min(mol.degree(idx), 4)] = 1.0
         x[idx, 14 + min(h_counts[idx], 3)] = 1.0
         x[idx, 18 + (SP, SP2, SP3, OTHER).index(hybrid[idx])] = 1.0
         if atom.aromatic:
             x[idx, 22] = 1.0
         if atom_ring[idx]:
             x[idx, 23] = 1.0
+        if atom.element in ("N", "O"):
+            acceptors += 1
+            if h_counts[idx] >= 1:
+                donors += 1
 
     edges = np.zeros((2 * len(mol.bonds), 2), dtype=np.int64)
     efeat = np.zeros((2 * len(mol.bonds), EDGE_FEATURES), dtype=np.float64)
     pi_like = {SP, SP2}
     for bi, bond in enumerate(mol.bonds):
-        vec = np.zeros(EDGE_FEATURES)
-        vec[_ORDER_SLOT[bond.order]] = 1.0
+        row = efeat[2 * bi]
+        row[_ORDER_SLOT[bond.order]] = 1.0
         if hybrid[bond.a] in pi_like and hybrid[bond.b] in pi_like:
-            vec[4] = 1.0
+            row[4] = 1.0
         if bond_ring[bi]:
-            vec[5] = 1.0
-        vec[6 + _STEREO_SLOT[bond.stereo]] = 1.0
+            row[5] = 1.0
+        row[6 + _STEREO_SLOT[bond.stereo]] = 1.0
+        efeat[2 * bi + 1] = row
         edges[2 * bi] = (bond.a, bond.b)
         edges[2 * bi + 1] = (bond.b, bond.a)
-        efeat[2 * bi] = vec
-        efeat[2 * bi + 1] = vec
-
-    donors = acceptors = 0
-    for idx, atom in enumerate(mol.atoms):
-        if atom.element in ("N", "O"):
-            acceptors += 1
-            if h_counts[idx] >= 1:
-                donors += 1
 
     return MolGraph(
         node_features=x,

@@ -100,6 +100,10 @@ class Architecture:
             lo, hi = bounds
             if not lo < hi:
                 raise ValueError(f"empty range for {key}")
+        if ranges["B"][0] <= 0:
+            # B > 0 makes every predicted curve strictly increasing in T.
+            raise ValueError("param_ranges B must lie above 0, got "
+                             f"{ranges['B']!r}")
         scale = self.count_scale
         if scale is not None and not (
                 isinstance(scale, (list, tuple)) and len(scale) == 4

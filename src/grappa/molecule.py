@@ -1,7 +1,9 @@
 """Chemical structures: atoms, bonds, and parsed molecules.
 
 Hydrogen is never a node; it is tracked per heavy atom, either explicitly
-(bracket atoms) or implicitly from standard valences.
+(bracket atoms) or implicitly from standard valences. A molecule builds one
+adjacency, each atom's (neighbor, bond index) pairs, which neighbor queries,
+valence sums, hybridization and ring perception all read.
 """
 
 from __future__ import annotations
@@ -96,13 +98,15 @@ class Molecule:
                 )
 
     @cached_property
-    def _incident(self) -> dict[int, list[Bond]]:
-        """Each atom's bonds in bond-tuple order, built on first use."""
-        table: dict[int, list[Bond]] = {i: [] for i in range(len(self.atoms))}
-        for bond in self.bonds:
-            table[bond.a].append(bond)
-            table[bond.b].append(bond)
-        return table
+    def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per atom, its (neighbor, bond index) pairs in bond-tuple order,
+        built on first use: the one adjacency that neighbor queries, valence
+        sums, hybridization and ring perception read."""
+        table: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
+        for bi, bond in enumerate(self.bonds):
+            table[bond.a].append((bond.b, bi))
+            table[bond.b].append((bond.a, bi))
+        return tuple(map(tuple, table))
 
     @cached_property
     def hydrogen_counts(self) -> tuple[int, ...]:
@@ -113,14 +117,17 @@ class Molecule:
 
         return tuple(implicit_hydrogens(self))
 
+    def _pairs(self, idx: int) -> tuple[tuple[int, int], ...]:
+        return self.adjacency[idx] if 0 <= idx < len(self.atoms) else ()
+
     def neighbors(self, idx: int) -> list[int]:
-        return [bond.other(idx) for bond in self._incident.get(idx, ())]
+        return [nb for nb, _ in self._pairs(idx)]
 
     def bonds_of(self, idx: int) -> list[Bond]:
-        return list(self._incident.get(idx, ()))
+        return [self.bonds[bi] for _, bi in self._pairs(idx)]
 
     def degree(self, idx: int) -> int:
-        return len(self._incident.get(idx, ()))
+        return len(self._pairs(idx))
 
 
 def permute_molecule(mol: Molecule, perm: list[int] | tuple[int, ...]) -> Molecule:

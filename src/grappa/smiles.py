@@ -191,23 +191,15 @@ def parse_smiles(text: str) -> Molecule:
             continue
 
         if ch == "[":
-            atom, width = _parse_bracket_atom(text, i)
-            idx = _append_atom(atoms, atom)
-            atom_offsets.append(i)
-            if atom_stereo := _bracket_stereo(text, i, width):
-                tetra.append((idx, atom_stereo))
-            if anchor is not None:
-                add_bond(anchor, idx, pending, i)
-            elif pending is not None:
-                raise DanglingBondError("bond symbol before first atom", pending.offset)
-            pending = None
-            anchor = idx
-            i += width
-            continue
-
-        atom, width = _parse_organic_atom(text, i)
-        idx = _append_atom(atoms, atom)
+            atom, width, chirality = _parse_bracket_atom(text, i)
+        else:
+            atom, width = _parse_organic_atom(text, i)
+            chirality = None
+        idx = len(atoms)
+        atoms.append(atom)
         atom_offsets.append(i)
+        if chirality:
+            tetra.append((idx, chirality))
         if anchor is not None:
             add_bond(anchor, idx, pending, i)
         elif pending is not None:
@@ -236,11 +228,6 @@ def parse_smiles(text: str) -> Molecule:
     return mol
 
 
-def _append_atom(atoms: list[Atom], atom: Atom) -> int:
-    atoms.append(atom)
-    return len(atoms) - 1
-
-
 def _parse_organic_atom(text: str, i: int) -> tuple[Atom, int]:
     two = text[i : i + 2]
     if two in _ORGANIC_TWO:
@@ -253,7 +240,9 @@ def _parse_organic_atom(text: str, i: int) -> tuple[Atom, int]:
     raise UnknownAtomError(f"unknown symbol {ch!r}", i)
 
 
-def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int]:
+def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int, str | None]:
+    """The atom, the bracket's width and its tetrahedral marker (``@``, or
+    ``@@`` for a run of two or more), if any."""
     end = text.find("]", start)
     if end < 0:
         raise UnbalancedSmilesError("unterminated bracket atom", start)
@@ -283,8 +272,10 @@ def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int]:
         raise UnknownAtomError(
             f"unknown bracket atom symbol {body[j:] or body!r}", start + 1 + j
         )
+    marks = j
     while j < len(body) and body[j] == "@":
         j += 1
+    chirality = body[marks:j][:2] or None
     hcount = 0
     if j < len(body) and body[j] == "H":
         j += 1
@@ -310,16 +301,7 @@ def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int]:
     if j != len(body):
         raise UnknownAtomError(f"unexpected {body[j:]!r} in bracket atom", start + 1 + j)
     return Atom(element, aromatic, explicit_h=hcount, formal_charge=charge,
-                isotope=isotope), end - start + 1
-
-
-def _bracket_stereo(text: str, start: int, width: int) -> str | None:
-    body = text[start : start + width]
-    if "@@" in body:
-        return "@@"
-    if "@" in body:
-        return "@"
-    return None
+                isotope=isotope), end - start + 1, chirality
 
 
 def _merge_ring_bonds(opening: _PendingBond | None, closing: _PendingBond | None,
@@ -391,11 +373,12 @@ def bond_order_sum(mol: Molecule, idx: int) -> float:
     atom = mol.atoms[idx]
     total = 0.0
     n_aromatic = 0
-    for bond in mol.bonds_of(idx):
-        if bond.order == AROMATIC:
+    for _, bi in mol.adjacency[idx]:
+        order = mol.bonds[bi].order
+        if order == AROMATIC:
             n_aromatic += 1
         else:
-            total += _ORDER_VALUE[bond.order]
+            total += _ORDER_VALUE[order]
     if n_aromatic:
         total += n_aromatic
         pi_donor = atom.element in ("O", "S") or (

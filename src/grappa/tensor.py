@@ -135,21 +135,19 @@ def _put(param: Param, grad: np.ndarray):
 
 def _scatter_sum(index: np.ndarray, values: np.ndarray,
                  num_segments: int) -> np.ndarray:
-    """Sum ``values`` rows into ``num_segments`` rows by ``index``.
+    """Sum the rows of the (n, d) matrix ``values`` into ``num_segments``
+    rows by ``index``.
 
     ``np.bincount`` adds its weights in input order, as an unbuffered
-    ``ufunc.at`` add does, so every sum is bitwise the same; a matrix scatters through the flat
-    index ``row * d + col``.
+    ``ufunc.at`` add does, so every sum is bitwise the same; the matrix
+    scatters through the flat index ``row * d + col``.
     """
+    d = values.shape[1]
     if not values.size:  # bincount of nothing counts in integers
-        return np.zeros((num_segments,) + values.shape[1:])
-    if values.ndim == 1:
-        out = np.bincount(index, weights=values, minlength=num_segments)
-    else:
-        d = values.shape[1]
-        flat = (index[:, None] * d + np.arange(d)).ravel()
-        out = np.bincount(flat, weights=values.ravel(),
-                          minlength=num_segments * d).reshape(-1, d)
+        return np.zeros((num_segments, d))
+    flat = (index[:, None] * d + np.arange(d)).ravel()
+    out = np.bincount(flat, weights=values.ravel(),
+                      minlength=num_segments * d).reshape(-1, d)
     if len(out) != num_segments:
         raise IndexError(f"segment id {index.max()} out of range for "
                          f"{num_segments} segments")

@@ -4,11 +4,14 @@ Everything here is deliberately written in a different style from the
 library (plain loops, no shared helpers) so the two sides cannot share a
 bug: finite differences for gradients, connectivity checks for ring
 membership, backtracking isomorphism, and scalar re-evaluations of the
-attention and pooling math. The exception is the general reverse-mode
-tape the library's stage chain replaced: ``TapeTensor`` and its ops, the
-per-head attention layer and the parameter head built from them, and the
-whole model and loss composed op by op (``tape_batch_loss``), kept so the
-fused stages can be checked against them byte for byte.
+attention and pooling math. The exceptions are former library paths,
+kept so their replacements can be checked against them: the general
+reverse-mode tape the library's stage chain replaced (``TapeTensor`` and
+its ops, the per-head attention layer and the parameter head built from
+them, and the whole model and loss composed op by op,
+``tape_batch_loss``), checked byte for byte, and the SP3 rule that tested
+an atom's bond-order sum where ``hybridizations`` now tests its degree
+(``valence_sum_hybridizations``).
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from grappa.dataio import VpDataset, VpPoint
 from grappa.gnn import GatLayer, batch_graphs
 from grappa.metrics import PredictedPoints
 from grappa.model import BN_EPS, BN_MOMENTUM, _count_features
-from grappa.molecule import Molecule
+from grappa.molecule import DOUBLE, STANDARD_VALENCES, TRIPLE, Molecule
+from grappa.smiles import bond_order_sum
 from grappa.tensor import (NonFiniteError, Param, ShapeError, Tensor,
                            _row_invariant_product, _scatter_sum)
 
@@ -143,6 +147,15 @@ def recording(on: bool):
         _RECORDING = saved
 
 
+def _scatter(index: np.ndarray, values: np.ndarray,
+             num_segments: int) -> np.ndarray:
+    """``_scatter_sum``, which takes a matrix, for a vector too: the vector
+    scatters as a one-column matrix."""
+    if values.ndim == 2:
+        return _scatter_sum(index, values, num_segments)
+    return _scatter_sum(index, values[:, None], num_segments)[:, 0]
+
+
 def _make(data: np.ndarray, parents: tuple[TapeTensor, ...], vjp) -> TapeTensor:
     # The op is the function that defines the VJP closure.
     op = vjp.__qualname__.split(".")[0]
@@ -214,7 +227,7 @@ def gather_rows(a, index):
     rows = index % len(a.data) if index.size and index.min() < 0 else index
 
     def vjp(g):
-        return (_scatter_sum(rows, g, len(a.data)),)
+        return (_scatter(rows, g, len(a.data)),)
 
     return _make(out, (a,), vjp)
 
@@ -236,7 +249,7 @@ def segment_sum(a, segments, num_segments: int):
     """Sum rows (or elements) of ``a`` grouped by segment id."""
     a = _t(a)
     segments = np.asarray(segments, dtype=np.int64)
-    out = _scatter_sum(segments, a.data, num_segments)
+    out = _scatter(segments, a.data, num_segments)
 
     def vjp(g):
         return (g[segments],)
@@ -443,6 +456,26 @@ def scan_degree(mol: Molecule, idx: int) -> int:
     return len(scan_neighbors(mol, idx))
 
 
+def valence_sum_hybridizations(mol: Molecule, h_counts) -> list[str]:
+    """Hybridization labels by the former rule, which tests SP3 with the
+    atom's bond-order sum (``smiles.bond_order_sum``) plus its hydrogens,
+    and finds each atom's bonds by scanning every bond."""
+    labels = []
+    for idx, atom in enumerate(mol.atoms):
+        orders = [b.order for b in mol.bonds if idx in (b.a, b.b)]
+        if orders.count(TRIPLE) >= 1 or orders.count(DOUBLE) >= 2:
+            labels.append("SP")
+        elif atom.aromatic or DOUBLE in orders:
+            labels.append("SP2")
+        elif atom.element in ("C", "N", "O", "S", "P") and (
+                bond_order_sum(mol, idx) + h_counts[idx]
+                <= STANDARD_VALENCES[atom.element][0]):
+            labels.append("SP3")
+        else:
+            labels.append("OTHER")
+    return labels
+
+
 # --------------------------------------------------------- scatter references
 
 def bitwise_equal(a: np.ndarray, b: np.ndarray) -> bool:
@@ -548,14 +581,14 @@ def edge_attention_sum(xv, edge_term, att, dst, src, num_nodes: int,
         np.concatenate(([True], grouped[1:] != grouped[:-1])))
     peak[grouped[starts]] = np.maximum.reduceat(logits[order], starts)
     ex = np.exp(logits - peak[dst])
-    alpha = ex / _scatter_sum(dst, ex, num_nodes)[dst]
+    alpha = ex / _scatter(dst, ex, num_nodes)[dst]
     out = _scatter_sum(dst, alpha[:, None] * sent, num_nodes)
 
     def vjp(g):
         g_e = g[dst]
         d_alpha = (g_e * sent).sum(axis=1)
-        d_logits = alpha * (d_alpha - _scatter_sum(dst, alpha * d_alpha,
-                                                   num_nodes)[dst])
+        d_logits = alpha * (d_alpha - _scatter(dst, alpha * d_alpha,
+                                               num_nodes)[dst])
         d_pre = np.outer(d_logits, att.data) * slopes
         d_xv = _scatter_sum(dst, d_pre, num_nodes) \
             + _scatter_sum(src, d_pre + alpha[:, None] * g_e, num_nodes)

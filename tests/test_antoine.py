@@ -114,7 +114,16 @@ def test_boiling_no_solution():
         boiling_temperature(params, math.exp(10.0) * 1000.0)
     with pytest.raises(AntoineDomainError):
         boiling_temperature(params, -5.0)
-
+    # The algebraic solution exists but lies off the curve: T <= 0 with
+    # C + T > 0, then C + T <= 0 for a negative B.
+    with pytest.raises(AntoineDomainError, match=r"T=-297\.3799"):
+        boiling_temperature(AntoineParams(5.0, 1.0, 300.0), 101325.0)
+    with pytest.raises(AntoineDomainError, match=r"T=-355\.352"):
+        boiling_temperature(AntoineParams(12.0, -3627.0, -136.0), 101325.0)
+    # An array names its first offending solution.
+    with pytest.raises(AntoineDomainError, match=r"T=-297\.3799"):
+        boiling_temperature(AntoineParams(5.0, 1.0, 300.0),
+                            np.array([101325.0, 1000.0]))
 
 
 @pytest.mark.parametrize("params, key", [

@@ -124,6 +124,17 @@ def test_boil_rejects_non_finite_antoine_parameters(capsys, flag, value):
         f"error: Antoine parameter {flag[-1]} must be finite, got {value}")
 
 
+@pytest.mark.parametrize("given", [("5", "1", "300"), ("12", "-3627", "-136")])
+def test_boil_rejects_a_solution_off_the_curve(capsys, given):
+    a, b, c = given
+    code = main(["boil", f"--A={a}", f"--B={b}", f"--C={c}",
+                 "--pressure", "101325"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no boiling point: T=-")
+
+
 def test_a_negative_number_can_follow_its_flag(capsys):
     # argparse alone reads -5.2e1 as an option and exits 2.
     code, spaced = run(capsys, "boil", "--A", "14", "--B", "3000", "--C",

@@ -333,6 +333,9 @@ BAD_CHECKPOINTS = {
     "param_ranges bound as text": (lambda d: _arch(
         d, param_ranges={**d["arch"]["param_ranges"], "C": ["-300", 0.0]}),
         "param_ranges"),
+    "param_ranges B reaching 0": (lambda d: _arch(
+        d, param_ranges={**d["arch"]["param_ranges"], "B": [0.0, 6000.0]}),
+        "param_ranges B"),
     "count_scale of three": (lambda d: _arch(d, count_scale=[0.0, 1.0, 0.0]),
                              "count_scale"),
     "count_scale zero std": (lambda d: _arch(
@@ -382,6 +385,17 @@ def test_checkpoint_rejects_malformed_documents(case):
     good = to_checkpoint(init_model(Architecture(), seed=1))
     with pytest.raises(ValueError, match=names):
         model_from_checkpoint(mutate(good))
+
+
+@pytest.mark.parametrize("b_range", [[-6000.0, -1500.0], [0.0, 6000.0],
+                                     [-1.0, 6000.0]])
+def test_architecture_refuses_a_b_range_not_above_zero(b_range):
+    # A B <= 0 would let a curve fall with temperature and put its boiling
+    # point off the curve.
+    ranges = {**Architecture().param_ranges, "B": b_range}
+    with pytest.raises(ValueError, match="param_ranges B"):
+        Architecture(param_ranges=ranges).validate()
+    Architecture(param_ranges={**ranges, "B": [1e-3, 6000.0]}).validate()
 
 
 def test_accounting_markdown_totals():

@@ -1,3 +1,6 @@
+import hashlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -15,7 +18,8 @@ from grappa.featurize import (
 from grappa.molecule import permute_molecule
 from grappa.smiles import implicit_hydrogens, parse_smiles
 
-from _oracles import brute_force_ring_flags
+from _oracles import brute_force_ring_flags, valence_sum_hybridizations
+from test_acceptance import FIFTY_MOLECULES
 
 CORPUS = [
     "C", "CC", "CCO", "OCC", "CC(C)C", "C=C", "C#N", "CC(=O)O", "CCN",
@@ -244,3 +248,67 @@ def test_hydrogen_counts_are_computed_once_per_molecule(monkeypatch):
         featurize(mol)
         assert len(calls) == 1, smiles
         assert list(mol.hydrogen_counts) == real(mol)
+
+
+# Saturated and hypervalent C/N/O/S/P, bracket atoms with pinned hydrogens,
+# and charged centers: every branch of the SP3 test.
+SP3_EDGE_CASES = [
+    "CS(C)(C)C", "CP(C)(C)(C)C", "CP(C)C", "CS(=O)C", "CS(=O)(=O)C",
+    "C[N+](C)(C)C", "[CH2]C", "[CH4]", "[OH2]", "C[NH]C", "C[N-]C", "CSSC",
+]
+
+
+def test_hybridizations_match_the_valence_sum_rule():
+    # An atom reaches the SP3 test only with single bonds, so its degree is
+    # its bond-order sum and the labels are the former rule's.
+    for smiles in CORPUS + FIFTY_MOLECULES + SP3_EDGE_CASES:
+        mol = parse_smiles(smiles)
+        assert hybridizations(mol, mol.hydrogen_counts) == \
+            valence_sum_hybridizations(mol, mol.hydrogen_counts), smiles
+
+
+def test_one_valence_sum_per_atom(monkeypatch):
+    # Parse and featurize sum an atom's bond orders once for its hydrogens,
+    # and once more for a bracket atom's radical check.
+    calls = []
+    real = grappa.smiles.bond_order_sum
+
+    def counting(mol, idx):
+        calls.append(idx)
+        return real(mol, idx)
+
+    monkeypatch.setattr(grappa.smiles, "bond_order_sum", counting)
+    # ``grappa.featurize`` names the package's function; this is the module.
+    monkeypatch.setattr(sys.modules["grappa.featurize"], "bond_order_sum",
+                        counting)
+    for smiles in CORPUS + ["C[CH2]C", "F[C@@H](Cl)Br", "c1cc[nH]c1"]:
+        calls.clear()
+        mol = parse_smiles(smiles)
+        featurize(mol)
+        bracket = sum(1 for a in mol.atoms if a.explicit_h is not None)
+        assert len(calls) == len(mol.atoms) + bracket, smiles
+
+
+# The sha256 of every graph of CORPUS and FIFTY_MOLECULES: each array's
+# dtype, shape and bytes, the donor, acceptor and heavy-atom counts and the
+# weight. Trained checkpoints are valid only for these bytes, so a change to
+# any model input fails here and has to update the digest on purpose.
+MODEL_INPUT_SHA256 = (
+    "5d188ab78579332bd270435a977793a53cf363afb056e4ef2f83156c768899a4")
+
+
+def model_input_digest(smiles_list) -> str:
+    digest = hashlib.sha256()
+    for smiles in smiles_list:
+        graph = featurize(parse_smiles(smiles))
+        for arr in (graph.node_features, graph.edges, graph.edge_features):
+            digest.update(f"{arr.dtype.str}{arr.shape}".encode())
+            digest.update(arr.tobytes())
+        digest.update(np.array([graph.h_donors, graph.h_acceptors,
+                                graph.heavy_atom_count], np.int64).tobytes())
+        digest.update(np.float64(graph.mol_weight).tobytes())
+    return digest.hexdigest()
+
+
+def test_model_inputs_are_pinned():
+    assert model_input_digest(CORPUS + FIFTY_MOLECULES) == MODEL_INPUT_SHA256

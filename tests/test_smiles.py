@@ -130,6 +130,21 @@ def test_tetrahedral_markers_recorded_not_featurized():
     assert mol.tetra_centers == ((1, "@"),)
 
 
+@pytest.mark.parametrize("smiles, centers", [
+    ("F[C@@H](Cl)Br", ((1, "@@"),)),
+    ("[C@H](F)(Cl)Br", ((0, "@"),)),
+    ("C[C@@H](O)[C@H](N)C", ((1, "@@"), (3, "@"))),
+    ("C[CH2]C", ()),
+])
+def test_tetrahedral_markers_of_either_parity(smiles, centers):
+    # The marker comes from the bracket's one parse, whether or not a bond
+    # leads to the atom; it changes no atom or bond.
+    mol = parse_smiles(smiles)
+    assert mol.tetra_centers == centers
+    plain = parse_smiles(smiles.replace("@", ""))
+    assert (mol.atoms, mol.bonds) == (plain.atoms, plain.bonds)
+
+
 def test_percent_ring_closure():
     mol = parse_smiles("C%10CCCC%10")
     assert len(mol.bonds) == 5
@@ -151,6 +166,7 @@ def test_explicit_ring_bond_order():
     ("C(-)C", DanglingBondError),
     ("C==C", DanglingBondError),
     ("-CC", DanglingBondError),
+    ("-[CH3]C", DanglingBondError),
     ("C(C)(C)(C)(C)C", ValenceError),
     ("O=C(=O)(=O)", ValenceError),
 ])
@@ -167,6 +183,14 @@ def test_error_offsets_point_at_the_problem():
     with pytest.raises(DanglingBondError) as info:
         parse_smiles("CC=")
     assert info.value.offset == 2
+
+
+@pytest.mark.parametrize("smiles", ["-CC", "-[CH3]C", "=[C@H](F)Cl"])
+def test_bond_before_the_first_atom_points_at_the_bond(smiles):
+    # Organic and bracket first atoms share one attach path and one error.
+    with pytest.raises(DanglingBondError, match="before first atom") as info:
+        parse_smiles(smiles)
+    assert info.value.offset == 0
 
 
 def test_empty_and_non_ascii_rejected():
