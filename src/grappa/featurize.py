@@ -24,8 +24,7 @@ edge.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,9 +41,6 @@ from .molecule import (
     molecular_weight,
 )
 from .smiles import bond_order_sum
-
-if TYPE_CHECKING:
-    from .gnn import GraphBatch
 
 NODE_FEATURES = 24
 EDGE_FEATURES = 9
@@ -81,10 +77,6 @@ class MolGraph:
     h_acceptors: int
     heavy_atom_count: int
     mol_weight: float
-    # The graph's one-molecule batch, built by ``gnn.molecule_batch`` at its
-    # first call and kept as long as the graph is.
-    kept_batch: GraphBatch | None = field(default=None, init=False,
-                                          repr=False, compare=False)
 
     def __post_init__(self):
         for arr in (self.node_features, self.edges, self.edge_features):

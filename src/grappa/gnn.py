@@ -15,19 +15,17 @@ same heads run as separate ops. It scatters through the
 stable ``dst`` order and its segment starts, so one ``np.maximum.reduceat``
 takes the segment maxima, and the flat ``dst * w + col`` and
 ``src * w + col`` indices, each built at the first scatter of its width
-``w`` and kept until ``forget``. No later layer or backward of the batch
-sorts or builds an index again. Every scatter (the softmax denominators and
-sums and their backward) is one ``np.bincount`` call, which adds in input
-order as an unbuffered ``ufunc.at`` add does but without its per-element
-overhead, so sums are bitwise those of the plain loop. The projections use
+``w``. No later layer or backward of the batch sorts or builds an index
+again. Every scatter (the softmax denominators and sums and their
+backward) is one ``np.bincount`` call, which adds in input order as an
+unbuffered ``ufunc.at`` add does but without its per-element overhead, so
+sums are bitwise those of the plain loop. The projections use
 ``tensor._row_invariant_product`` and the edge logits ``np.einsum``, so an
 output row is the same bytes whatever rows run beside it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -131,23 +129,6 @@ def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
     )
 
 
-@contextmanager
-def molecule_batch(graph: MolGraph) -> Iterator[GraphBatch]:
-    """The one-molecule batch of ``graph`` for one forward: built at the
-    first call and kept on the graph (``kept_batch``), so a graph served
-    again, as ``predict``'s cache serves one, skips the batching. The plan
-    forgets its flat indices when the block exits, so an idle graph keeps
-    only its edge arrays."""
-    batch = graph.kept_batch
-    if batch is None:
-        batch = batch_graphs([graph])
-        object.__setattr__(graph, "kept_batch", batch)  # MolGraph is frozen
-    try:
-        yield batch
-    finally:
-        batch.plan.forget()
-
-
 def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
                 train: bool = False):
     """Run one GATv2 layer, all heads at once, as the next stage after
@@ -248,12 +229,12 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     """Per-atom importance in [0, 1]: mean outgoing attention weight in the
     last layer (heads averaged), min-max normalized per molecule. All-equal
     scores (single atoms, perfect symmetry) map to 1.0. The forward is an
-    inference forward on the graph's :func:`molecule_batch`."""
+    inference forward."""
     if not layers:
         raise ValueError("attention_scores needs at least one layer")
-    with molecule_batch(graph) as batch:
-        x = encode(batch, layers[:-1])
-        _, alpha = gat_forward(x, batch, layers[-1])
+    batch = batch_graphs([graph])
+    x = encode(batch, layers[:-1])
+    _, alpha = gat_forward(x, batch, layers[-1])
     n, heads = batch.num_nodes, alpha.shape[1]
     # Each node's outgoing weights, added head by head in edge order.
     totals = np.bincount(np.tile(batch.src, heads), weights=alpha.T.ravel(),

@@ -19,11 +19,13 @@ training forward's stages write the gradients of every weight into
 from __future__ import annotations
 
 import base64
+import copy
 import functools
 import json
 import math
-from contextlib import nullcontext
+from collections import OrderedDict
 from dataclasses import InitVar, dataclass, field, fields, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,7 +38,7 @@ from .antoine import (
     ln_vapor_pressure,
 )
 from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize
-from .gnn import GatLayer, batch_graphs, encode, glorot, molecule_batch
+from .gnn import GatLayer, batch_graphs, encode, glorot
 from .metrics import PredictedPoints
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import parse_smiles
@@ -52,10 +54,9 @@ INFER_CHUNK = 256
 # and the variance floor.
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-# Distinct SMILES whose graph ``predict`` keeps, least recently used first
-# out, each with its one-molecule batch once it has run (flat scatter
-# indices excluded): ~8.6 KB of graph and ~7.5 KB of batch at ~19 heavy
-# atoms, so ~4 MB when full. A miss pays what it did without the cache.
+# Distinct SMILES whose graph ``predict`` keeps (~8.6 KB at ~19 heavy atoms,
+# so ~2.2 MB when full), and whose (A, B, C) row each model keeps, least
+# recently used first out. A miss pays what it did without the caches.
 GRAPH_CACHE_SIZE = 256
 # Arch keys of older checkpoints and configs, accepted at these widths only.
 _FEATURE_WIDTHS = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES}
@@ -147,7 +148,8 @@ class GrappaModel:
     ``weights``, and ``grads`` names its views. ``gat``, ``pool`` and
     ``head`` hold each parameter's value and gradient views as the stages
     read them (:class:`tensor.Param`): ``head`` is the hidden layers, output
-    weight and bias, and running statistics that :func:`head_raw` reads."""
+    weight and bias, and running statistics that :func:`head_raw` reads.
+    ``memo`` is the :class:`RowMemo` of :func:`predict`."""
 
     arch: Architecture
     initial: InitVar[dict]
@@ -160,6 +162,8 @@ class GrappaModel:
     gat: list[GatLayer] = field(init=False, repr=False)
     pool: InteractionPoolParams | None = field(init=False, repr=False)
     head: tuple = field(init=False, repr=False)
+    memo: RowMemo | None = field(default=None, init=False, repr=False,
+                                 compare=False)
 
     def __post_init__(self, initial: dict):
         specs = _array_specs(self.arch)
@@ -367,20 +371,17 @@ def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
     through message passing and readout as one disjoint graph. With
     ``train`` every stage keeps its backward and batch norm normalizes by
     the batch; an inference forward keeps no backward, so its result cannot
-    backpropagate. A lone graph runs on its kept :func:`gnn.molecule_batch`,
-    any other list on a batch built for the call."""
-    scope = (molecule_batch(graphs[0]) if len(graphs) == 1
-             else nullcontext(batch_graphs(graphs)))
-    with scope as batch:
-        embeddings = encode(batch, model.gat, train)
-        if model.arch.pooling == "interaction":
-            pooled = interaction_pool(embeddings, batch, model.pool, train)
-        else:
-            pooled = sum_pool(embeddings, batch, train)
-        counts = _count_features(model, [g.h_donors for g in graphs],
-                                 [g.h_acceptors for g in graphs])
-        raw = head_raw(model, pooled, counts, train)
-        return scale_to_ranges(raw, model.arch.param_ranges, train)
+    backpropagate."""
+    batch = batch_graphs(graphs)
+    embeddings = encode(batch, model.gat, train)
+    if model.arch.pooling == "interaction":
+        pooled = interaction_pool(embeddings, batch, model.pool, train)
+    else:
+        pooled = sum_pool(embeddings, batch, train)
+    counts = _count_features(model, [g.h_donors for g in graphs],
+                             [g.h_acceptors for g in graphs])
+    raw = head_raw(model, pooled, counts, train)
+    return scale_to_ranges(raw, model.arch.param_ranges, train)
 
 
 @dataclass(frozen=True)
@@ -443,22 +444,48 @@ class Prediction:
 @functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
 def smiles_graph(smiles: str) -> MolGraph:
     """The graph of ``smiles``, parsed and featurized once while it stays
-    among the last :data:`GRAPH_CACHE_SIZE` distinct strings asked for;
-    its one-molecule batch stays with it (:func:`gnn.molecule_batch`).
+    among the last :data:`GRAPH_CACHE_SIZE` distinct strings asked for.
 
     A graph depends on its SMILES alone and is immutable, so every model
     shares it. Errors propagate and are never cached."""
     return featurize(parse_smiles(smiles))
 
 
+class RowMemo(NamedTuple):
+    """The (A, B, C) rows :func:`predict` computed under one state of a
+    model: the bits of its ``values`` (an int64 copy) and a copy of its
+    ``arch``. ``rows`` maps each SMILES to its row, least recently used
+    first."""
+
+    bits: np.ndarray
+    arch: Architecture
+    rows: OrderedDict
+
+
 def predict(model: GrappaModel, smiles: str, temperatures=None,
             boil_pressure_pa: float | None = None) -> Prediction:
     """Parse, check scope, and run the whole pipeline in inference mode;
     out-of-scope molecules raise :class:`ScopeError` from ``featurize``.
-    The graph, and with it the molecule's batch, comes from
-    :func:`smiles_graph`."""
-    row = forward_antoine(model, [smiles_graph(smiles)]).data[0]
-    params = AntoineParams(*row.tolist())
+
+    The graph comes from :func:`smiles_graph`, and the (A, B, C) row from
+    ``model.memo`` while the model's ``values`` and ``arch`` are bit for bit
+    those it was computed under; any other state empties the memo. It keeps
+    the rows of the last :data:`GRAPH_CACHE_SIZE` distinct SMILES, and a
+    row not held runs :func:`forward_antoine`. Each step is one dict or
+    attribute operation, so threads sharing a model never see it raise."""
+    graph = smiles_graph(smiles)
+    bits, memo = model.values.view(np.int64), model.memo
+    if memo is None or memo.arch != model.arch \
+            or not np.array_equal(memo.bits, bits):
+        memo = model.memo = RowMemo(bits.copy(), copy.deepcopy(model.arch),
+                                    OrderedDict())
+    row = memo.rows.pop(smiles, None)
+    if row is None:
+        row = tuple(forward_antoine(model, [graph]).data[0].tolist())
+    memo.rows[smiles] = row
+    if len(memo.rows) > GRAPH_CACHE_SIZE:
+        memo.rows.popitem(last=False)
+    params = AntoineParams(*row)
     ln_p = p = None
     if temperatures is not None:
         ln_p = ln_vapor_pressure(params, temperatures)

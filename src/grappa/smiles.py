@@ -89,8 +89,11 @@ def parse_smiles(text: str) -> Molecule:
     """Parse a SMILES string into a :class:`Molecule`.
 
     Raises a :class:`SmilesError` subclass with the offending character
-    offset for syntax, valence, or balance problems.
+    offset for syntax, valence, or balance problems, and ``TypeError`` for
+    anything but a ``str``.
     """
+    if not isinstance(text, str):
+        raise TypeError(f"SMILES must be a str, got {type(text).__name__}")
     if not text:
         raise SmilesError("empty SMILES string", 0)
     if not text.isascii():
@@ -241,8 +244,8 @@ def _parse_organic_atom(text: str, i: int) -> tuple[Atom, int]:
 
 
 def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int, str | None]:
-    """The atom, the bracket's width and its tetrahedral marker (``@``, or
-    ``@@`` for a run of two or more), if any."""
+    """The atom, the bracket's width and its tetrahedral marker (``@`` or
+    ``@@``), if any; a third ``@`` is refused as an unexpected character."""
     end = text.find("]", start)
     if end < 0:
         raise UnbalancedSmilesError("unterminated bracket atom", start)
@@ -273,9 +276,9 @@ def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int, str | None]:
             f"unknown bracket atom symbol {body[j:] or body!r}", start + 1 + j
         )
     marks = j
-    while j < len(body) and body[j] == "@":
+    while j < min(len(body), marks + 2) and body[j] == "@":
         j += 1
-    chirality = body[marks:j][:2] or None
+    chirality = body[marks:j] or None
     hcount = 0
     if j < len(body) and body[j] == "H":
         j += 1

@@ -164,7 +164,7 @@ class ScatterPlan:
     edge array onto the nodes in one ``np.bincount`` through the flat index
     ``dst * w + col`` (or ``src * w + col``) for its ``w`` values per edge;
     each index is built the first time its width is scattered and kept for
-    every later layer and backward until :meth:`forget`.
+    every later layer and backward.
     """
 
     __slots__ = ("dst", "src", "num_nodes", "order", "starts", "_flat")
@@ -198,13 +198,6 @@ class ScatterPlan:
         out = np.bincount(flat, weights=values.ravel(),
                           minlength=self.num_nodes * width)
         return out.reshape((self.num_nodes,) + values.shape[1:])
-
-    def forget(self):
-        """Drop the flat indices built so far and keep the rest. Whoever
-        keeps a plan between forwards calls this after each, so the plan
-        holds no (E * w) index while idle: at width H * d that index alone
-        is several times the bytes of the rest of the plan."""
-        self._flat = {}
 
 
 def _row_invariant_product(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:

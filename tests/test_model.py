@@ -3,7 +3,9 @@ import gc
 import hashlib
 import json
 import math
+import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -13,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import grappa.gnn
 import grappa.model
-from grappa.antoine import _ln_p_kpa, antoine
+from grappa.antoine import (PA_PER_KPA, AntoineParams, _ln_p_kpa, antoine,
+                            boiling_temperature, ln_vapor_pressure)
 from grappa.dataio import VpDataset, VpPoint
 from grappa.featurize import ScopeError, featurize
 from grappa.gnn import attention_scores
@@ -555,6 +558,7 @@ def test_a_rejected_smiles_fails_alike_on_every_call(smiles, error):
 
 def test_the_graph_cache_holds_at_most_its_bound(monkeypatch):
     built = counting_featurize(monkeypatch)
+    forwards = counting_forwards(monkeypatch)
     assert smiles_graph.cache_parameters()["maxsize"] == GRAPH_CACHE_SIZE
     model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
                        seed=0)
@@ -562,37 +566,171 @@ def test_the_graph_cache_holds_at_most_its_bound(monkeypatch):
                 for i in range(GRAPH_CACHE_SIZE + 8)]
     for smiles in distinct:
         predict(model, smiles)
-    assert len(built) == len(distinct)
+    assert len(built) == len(forwards) == len(distinct)
     assert smiles_graph.cache_info().currsize == GRAPH_CACHE_SIZE
+    assert len(model.memo.rows) == GRAPH_CACHE_SIZE
     predict(model, distinct[-1])  # still held
-    assert len(built) == len(distinct)
-    predict(model, distinct[0])  # evicted, so built again
-    assert len(built) == len(distinct) + 1
+    assert len(built) == len(forwards) == len(distinct)
+    predict(model, distinct[0])  # evicted, so built and run again
+    assert len(built) == len(forwards) == len(distinct) + 1
+    assert len(model.memo.rows) == GRAPH_CACHE_SIZE
 
 
-def test_a_repeated_molecule_builds_no_batch(monkeypatch):
-    smiles_graph.cache_clear()
-    built = []
-    for name in ("GraphBatch", "ScatterPlan"):
-        real = getattr(grappa.gnn, name)
-        monkeypatch.setattr(grappa.gnn, name,
-                            lambda *a, _real=real, _name=name, **k:
-                            built.append(_name) or _real(*a, **k))
-    model = init_model(Architecture(), seed=3)
-    predict(model, "CC(=O)OCC")
-    assert built == ["ScatterPlan", "GraphBatch"]
-    # Later predicts and attention scores of the molecule reuse its batch.
-    predict(model, "CC(=O)OCC", [300.0, 350.0], 101325.0)
-    predict(init_model(Architecture(gat_layers=3, pooling="sum"), seed=4),
-            "CC(=O)OCC")
-    attention_scores(smiles_graph("CC(=O)OCC"), model.gat)
-    assert len(built) == 2
-    predict(model, "CCO")
-    assert len(built) == 4
-    # A forward of several molecules builds its batch on every call.
+def counting_forwards(monkeypatch) -> list[int]:
+    """Record the batch size of every ``forward_antoine`` that ``predict``
+    runs from then on."""
+    calls = []
+    real_forward = grappa.model.forward_antoine
+
+    def spy(model, graphs, *args, **kwargs):
+        calls.append(len(graphs))
+        return real_forward(model, graphs, *args, **kwargs)
+
+    monkeypatch.setattr(grappa.model, "forward_antoine", spy)
+    return calls
+
+
+SMALL_ARCH = dict(gat_layers=2, heads=1, hidden_layers=1, embed_dim=8,
+                  hidden_width=4)
+TEMPS = [260.0, 330.0, 480.0]
+
+
+def _unmemoized_bytes(model, smiles) -> bytes:
+    """The bytes ``_prediction_bytes`` should read, from a forward on a
+    freshly parsed and featurized graph."""
+    graph = featurize(parse_smiles(smiles))
+    params = AntoineParams(*forward_antoine(model, [graph]).data[0].tolist())
+    ln_p = ln_vapor_pressure(params, TEMPS)
+    return b"".join(np.asarray(v, dtype=np.float64).tobytes() for v in
+                    (params.as_tuple(), ln_p, np.exp(ln_p) * PA_PER_KPA,
+                     boiling_temperature(params, 101325.0)))
+
+
+def test_a_repeated_predict_on_an_unchanged_model_runs_no_forward(monkeypatch):
+    forwards = counting_forwards(monkeypatch)
+    model = init_model(Architecture(**SMALL_ARCH), seed=3)
+    other = init_model(Architecture(**SMALL_ARCH), seed=4)
+    first = _prediction_bytes(model, "CC(=O)OCC")
+    assert forwards == [1]
     for _ in range(2):
-        forward_antoine(model, [smiles_graph("CCO"), smiles_graph("CC(=O)OCC")])
-    assert len(built) == 8
+        assert _prediction_bytes(model, "CC(=O)OCC") == first
+        predict(model, "CC(=O)OCC")
+    assert forwards == [1]
+    # Each model keeps its own rows.
+    assert _prediction_bytes(other, "CC(=O)OCC") \
+        == _unmemoized_bytes(other, "CC(=O)OCC")
+    assert forwards == [1, 1]
+    assert _prediction_bytes(model, "CC(=O)OCC") == first
+    assert forwards == [1, 1]
+
+    def out_bias_sign(m):  # a zero's sign: a bitwise change only
+        m.params["head.out.bias"][0] = -m.params["head.out.bias"][0]
+
+    def write(m):
+        m.params["head.0.weight"][1, 2] += 0.25
+
+    def restore_other(m):
+        m.restore(other.snapshot())
+
+    def count_scale(m):
+        m.arch.count_scale = [0.5, 1.5, 1.0, 2.0]
+
+    def count_scale_in_place(m):
+        m.arch.count_scale[2] = 3.0
+
+    def ranges(m):
+        m.arch.param_ranges["C"][0] = -250.0
+
+    for change in (out_bias_sign, write, restore_other, count_scale,
+                   count_scale_in_place, ranges):
+        change(model)
+        forwards.clear()
+        assert _prediction_bytes(model, "CC(=O)OCC") \
+            == _unmemoized_bytes(model, "CC(=O)OCC"), change.__name__
+        assert forwards == [1], change.__name__
+        _prediction_bytes(model, "CC(=O)OCC")
+        assert forwards == [1], change.__name__
+
+
+def test_a_non_str_smiles_is_refused_and_never_memoized():
+    model = init_model(Architecture(**SMALL_ARCH), seed=3)
+    for text in (123, b"CCO", None):
+        with pytest.raises(TypeError, match="SMILES must be a str"):
+            predict(model, text)
+    assert model.memo is None
+
+
+def _memo_op(model, snapshots, op):
+    kind, arg = op
+    if kind == "write":
+        name, index, value = arg
+        model.params[name].flat[index % model.params[name].size] = value
+    elif kind == "restore":
+        model.restore(snapshots[arg])
+    elif kind == "count_scale":
+        model.arch.count_scale = arg
+    elif kind == "ranges":
+        model.arch.param_ranges["A"][1] = arg
+    else:
+        assert _prediction_bytes(model, arg) == _unmemoized_bytes(model, arg)
+
+
+MEMO_SMILES = ("CCO", "c1ccccc1O", "CC(=O)OCC", "OCCO")
+MEMO_OPS = st.one_of(
+    st.tuples(st.just("predict"), st.sampled_from(MEMO_SMILES)),
+    st.tuples(st.just("write"), st.tuples(
+        st.sampled_from(["gat.0.0.theta_v", "pool.Wk", "head.0.bn.beta",
+                         "head.out.bias"]),
+        st.integers(0, 63), st.sampled_from([0.0, -0.0, 0.125, -0.5]))),
+    st.tuples(st.just("restore"), st.integers(0, 1)),
+    st.tuples(st.just("count_scale"),
+              st.sampled_from([None, [0.5, 1.5, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]])),
+    st.tuples(st.just("ranges"), st.sampled_from([20.0, 18.0, 25.0])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(MEMO_OPS, max_size=14))
+def test_memoized_predictions_are_the_bytes_of_unmemoized_ones(ops):
+    model = init_model(Architecture(**SMALL_ARCH), seed=5)
+    snapshots = [model.snapshot(),
+                 init_model(Architecture(**SMALL_ARCH), seed=6).snapshot()]
+    # Every molecule is memoized first and predicted again last, so any
+    # stale row shows.
+    predicts = [("predict", smiles) for smiles in MEMO_SMILES]
+    for op in predicts + ops + predicts:
+        _memo_op(model, snapshots, op)
+
+
+def test_threads_sharing_a_model_never_see_the_memo_raise():
+    model = init_model(Architecture(**SMALL_ARCH), seed=3)
+    distinct = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
+                for i in range(GRAPH_CACHE_SIZE + 24)]
+    expected = {smiles: predict(model, smiles).params for smiles in distinct}
+    errors, seen = [], []
+
+    def work(order):
+        try:
+            for smiles in order:
+                seen.append(predict(model, smiles).params == expected[smiles])
+        except Exception as err:  # noqa: BLE001 - the test reports it
+            errors.append(err)
+
+    rng = np.random.default_rng(0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(list(
+            rng.permutation(distinct)),)) for _ in range(3)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and len(seen) == 3 * len(distinct) and all(seen)
+    assert len(model.memo.rows) <= GRAPH_CACHE_SIZE
 
 
 # In-scope molecules from one atom to two fused rings, with stereo bonds,
@@ -624,37 +762,37 @@ def test_hit_miss_and_predict_dataset_agree_bytewise(seed):
         assert hit.ln_p_kpa.tobytes() == points.ln_p_pred_kpa[mine].tobytes()
 
 
-def test_kept_batches_stay_small_and_leave_with_their_graphs():
+def test_the_row_memo_stays_small_and_leaves_with_its_model():
     model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
                        seed=0)
-    first = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
-             for i in range(GRAPH_CACHE_SIZE)]
-    second = ["F" + smiles for smiles in first]
+    distinct = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
+                for i in range(GRAPH_CACHE_SIZE)]
     smiles_graph.cache_clear()
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        for smiles in first:
+        for smiles in distinct:
             smiles_graph(smiles)
         graphs = tracemalloc.get_traced_memory()[0] - base
-        for smiles in first:
+        for smiles in distinct:
             predict(model, smiles)
-        batches = tracemalloc.get_traced_memory()[0] - base - graphs
-        for smiles in second:  # evicts every graph of ``first``
-            smiles_graph(smiles)
-        evicted = tracemalloc.get_traced_memory()[0] - base
+        memo = tracemalloc.get_traced_memory()[0] - base - graphs
+        assert len(model.memo.rows) == GRAPH_CACHE_SIZE
+        snapshot = model.memo.bits.nbytes
+        del model
+        gc.collect()
+        freed = tracemalloc.get_traced_memory()[0] - base
         smiles_graph.cache_clear()
         gc.collect()
         left = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # A kept batch holds fewer bytes than its graph. Its plan keeps no flat
-    # index between forwards: the (E * H * d) one alone would hold about
-    # twice the graph here.
-    assert 0 < batches < graphs
-    # The batches leave with their graphs, and the graphs with the cache.
-    assert evicted < graphs + batches / 4
+    # The rows take a few hundred bytes each beside the weights' snapshot,
+    # far less than the graphs.
+    assert snapshot <= memo < snapshot + 400 * GRAPH_CACHE_SIZE < graphs
+    # The memo leaves with its model, and the graphs with their cache.
+    assert freed < graphs + 0.05 * memo
     assert left < 0.02 * graphs
 
 

@@ -238,10 +238,8 @@ def test_hydrogen_counts_are_computed_once_per_molecule(monkeypatch):
         calls.append(mol)
         return real(mol)
 
-    # Wherever the library looks the function up.
+    # ``Molecule.hydrogen_counts`` looks the function up here at call time.
     monkeypatch.setattr(grappa.smiles, "implicit_hydrogens", counting)
-    monkeypatch.setattr(grappa.featurize, "implicit_hydrogens", counting,
-                        raising=False)
     for smiles in CORPUS:
         calls.clear()
         mol = parse_smiles(smiles)

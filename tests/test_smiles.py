@@ -145,6 +145,17 @@ def test_tetrahedral_markers_of_either_parity(smiles, centers):
     assert (mol.atoms, mol.bonds) == (plain.atoms, plain.bonds)
 
 
+@pytest.mark.parametrize("smiles, offset", [
+    ("F[C@@@H](Cl)Br", 5), ("F[C@@@@@H](Cl)Br", 5), ("[C@@@]C", 4),
+    ("C[N@@@+](C)(C)C", 5),
+])
+def test_a_run_of_three_tetrahedral_marks_is_refused(smiles, offset):
+    # SMILES defines ``@`` and ``@@`` only; the third ``@`` is the error.
+    with pytest.raises(UnknownAtomError) as info:
+        parse_smiles(smiles)
+    assert info.value.offset == offset
+
+
 def test_percent_ring_closure():
     mol = parse_smiles("C%10CCCC%10")
     assert len(mol.bonds) == 5
@@ -191,6 +202,12 @@ def test_bond_before_the_first_atom_points_at_the_bond(smiles):
     with pytest.raises(DanglingBondError, match="before first atom") as info:
         parse_smiles(smiles)
     assert info.value.offset == 0
+
+
+@pytest.mark.parametrize("text", [123, b"CCO", None, ["CCO"], 1.5])
+def test_a_non_str_is_refused_by_its_type(text):
+    with pytest.raises(TypeError, match=f"got {type(text).__name__}$"):
+        parse_smiles(text)
 
 
 def test_empty_and_non_ascii_rejected():
