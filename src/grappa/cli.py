@@ -397,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv")
     p.add_argument("--splits", help="splits CSV from the split command")
     p.add_argument("--split", default="test")
-    p.add_argument("--min-points", type=int, default=2,
+    p.add_argument("--min-points", type=_int_at_least(1), default=2,
                    help="min points per component for the binned tables")
     p.add_argument("--outdir", required=True)
     p.set_defaults(func=_cmd_report)

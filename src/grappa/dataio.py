@@ -214,30 +214,28 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
     a (K, 3) stack of starts at once.
 
     Each start has its own window: ``t`` and ``y`` are sequences of K 1-D
-    windows, which may differ in length, and ``box`` is (K, 3, 2); a shared
-    window or (3, 2) box serves every start. The windows are packed end to
-    end, unpadded, so every elementwise step runs on the real points only
-    and its cost grows with their number, not with the widest window. The
-    three sums (the Huber cost, J'WJ and J'Wr) run on each run of
-    consecutive starts with the same point count n, whose packed points
-    reshape to (starts, n), so each has the length and order it has for the
-    window alone; ordering the starts by point count keeps the runs few.
-    Every start keeps its own damping, slow-step count, stopping rule and
-    cost trace, and only the starts still iterating, and their points, are
-    computed, so each ends exactly where it would alone. The C box must keep
-    C + T positive on every point, so every parameter row it admits is on
-    the valid branch. Returns the per-start parameters (K, 3), costs (K,),
-    residuals (K views of one packed array), converged flags, iteration
-    counts and cost traces.
+    windows, which may differ in length, and ``box`` is (K, 3, 2). The
+    windows are packed end to end, unpadded, so every elementwise step runs
+    on the real points only and its cost grows with their number, not with
+    the widest window. The three sums (the Huber cost, J'WJ and J'Wr) run on
+    each run of consecutive starts with the same point count n, whose packed
+    points reshape to (starts, n), so each has the length and order it has
+    for the window alone; ordering the starts by point count keeps the runs
+    few. Every start keeps its own damping, slow-step count, stopping rule
+    and cost trace, and only the starts still iterating, and their points,
+    are computed, so each ends exactly where it would alone. The C box must
+    keep C + T positive on every point, so every parameter row it admits is
+    on the valid branch. Returns the per-start parameters (K, 3), costs
+    (K,), residuals (K views of one packed array), converged flags,
+    iteration counts and cost traces.
     """
     theta = np.asarray(starts, dtype=float)
     k = len(theta)
-    t, y = ([w] * k if np.ndim(w[0]) == 0 else w for w in (t, y))
     counts = np.array([len(w) for w in t])
     first = np.cumsum(counts) - counts
     t = np.concatenate(t, dtype=float)
     y = np.concatenate(y, dtype=float)
-    box = np.broadcast_to(np.asarray(box, dtype=float), (k, 3, 2))
+    box = np.asarray(box, dtype=float)
     lo, hi = box[..., 0], box[..., 1]
     if (lo[:, 2] + np.minimum.reduceat(t, first) <= 0.0).any():
         raise ValueError("the C box must keep C + T positive on every point")
@@ -437,13 +435,20 @@ def _point_filter_reason(pt: VpPoint, scope_cache: dict) -> str | None:
 def curate(ds: VpDataset) -> CurationResult:
     """Row filters, then per-component outlier removal against a robust fit.
 
-    Everything removed is recorded in the audit log; nothing raises.
+    A row that passes the filters but names another SMILES than the first
+    such row of its component is dropped too, so every kept component has
+    one molecule. Everything removed is recorded in the audit log; nothing
+    raises.
     """
     audit: list[dict] = []
     kept: list[VpPoint] = []
     scope_cache: dict = {}
+    first_smiles: dict[str, str] = {}  # of each component's first kept row
     for pt in ds.points:
         reason = _point_filter_reason(pt, scope_cache)
+        if reason is None and pt.smiles != first_smiles.setdefault(
+                pt.component_id, pt.smiles):
+            reason = "smiles_differs_within_component"
         if reason is None:
             kept.append(pt)
         else:

@@ -108,8 +108,7 @@ def row_blocks(bounds) -> tuple[slice, ...]:
 
 
 def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
-    """Join molecular graphs into one :class:`GraphBatch`, in list order. A
-    lone graph's batch shares its node features."""
+    """Join molecular graphs into one :class:`GraphBatch`, in list order."""
     sizes = np.array([g.heavy_atom_count for g in graphs], dtype=np.int64)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     blocks = row_blocks(bounds)
@@ -117,8 +116,7 @@ def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
     loops = np.arange(n, dtype=np.int64)
     edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, bounds)])
     return GraphBatch(
-        node_features=graphs[0].node_features if len(graphs) == 1
-        else np.concatenate([g.node_features for g in graphs]),
+        node_features=np.concatenate([g.node_features for g in graphs]),
         edge_features=np.concatenate([g.edge_features for g in graphs]
                                      + [np.zeros((n, EDGE_FEATURES))]),
         molecule=np.repeat(np.arange(len(graphs)), sizes),

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import base64
 import copy
-import functools
 import json
 import math
 from collections import OrderedDict
@@ -54,10 +53,9 @@ INFER_CHUNK = 256
 # and the variance floor.
 BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
-# Distinct SMILES whose graph ``predict`` keeps (~8.6 KB at ~19 heavy atoms,
-# so ~2.2 MB when full), and whose (A, B, C) row each model keeps, least
-# recently used first out. A miss pays what it did without the caches.
-GRAPH_CACHE_SIZE = 256
+# Distinct SMILES whose (A, B, C) row each model keeps for ``predict``,
+# least recently used first out. A miss pays what it did without the memo.
+PREDICT_MEMO_SIZE = 256
 # Arch keys of older checkpoints and configs, accepted at these widths only.
 _FEATURE_WIDTHS = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES}
 
@@ -408,9 +406,15 @@ class Components:
 
 def prepare_components(dataset, split: str | None = None) -> Components:
     """Parse and featurize each component of a dataset (optionally of one
-    split), in sorted order, and gather its points."""
+    split), in sorted order, and gather its points. A component whose rows
+    name two SMILES raises ``ValueError``."""
     groups = [(name, pts) for name, pts in sorted(dataset.by_component().items())
               if split is None or dataset.split_label(name) == split]
+    for name, group in groups:
+        for pt in group:
+            if pt.smiles != group[0].smiles:
+                raise ValueError(f"component {name!r} names two SMILES, "
+                                 f"{group[0].smiles!r} and {pt.smiles!r}")
     points = [pt for _, group in groups for pt in group]
     return Components(
         names=[name for name, _ in groups],
@@ -441,16 +445,6 @@ class Prediction:
     boiling_k: float | None = None
 
 
-@functools.lru_cache(maxsize=GRAPH_CACHE_SIZE)
-def smiles_graph(smiles: str) -> MolGraph:
-    """The graph of ``smiles``, parsed and featurized once while it stays
-    among the last :data:`GRAPH_CACHE_SIZE` distinct strings asked for.
-
-    A graph depends on its SMILES alone and is immutable, so every model
-    shares it. Errors propagate and are never cached."""
-    return featurize(parse_smiles(smiles))
-
-
 class RowMemo(NamedTuple):
     """The (A, B, C) rows :func:`predict` computed under one state of a
     model: the bits of its ``values`` (an int64 copy) and a copy of its
@@ -467,23 +461,25 @@ def predict(model: GrappaModel, smiles: str, temperatures=None,
     """Parse, check scope, and run the whole pipeline in inference mode;
     out-of-scope molecules raise :class:`ScopeError` from ``featurize``.
 
-    The graph comes from :func:`smiles_graph`, and the (A, B, C) row from
-    ``model.memo`` while the model's ``values`` and ``arch`` are bit for bit
-    those it was computed under; any other state empties the memo. It keeps
-    the rows of the last :data:`GRAPH_CACHE_SIZE` distinct SMILES, and a
-    row not held runs :func:`forward_antoine`. Each step is one dict or
-    attribute operation, so threads sharing a model never see it raise."""
-    graph = smiles_graph(smiles)
+    The (A, B, C) row comes from ``model.memo`` while the model's ``values``
+    and ``arch`` are bit for bit those it was computed under; any other state
+    starts a new memo, stored once a row is ready. It keeps the rows of the
+    last :data:`PREDICT_MEMO_SIZE` distinct SMILES, and a row not held
+    parses, featurizes and runs :func:`forward_antoine`. A refused SMILES
+    raises on every call and leaves the memo as it was. Each step is one
+    dict or attribute operation, so threads sharing a model never see it
+    raise."""
     bits, memo = model.values.view(np.int64), model.memo
     if memo is None or memo.arch != model.arch \
             or not np.array_equal(memo.bits, bits):
-        memo = model.memo = RowMemo(bits.copy(), copy.deepcopy(model.arch),
-                                    OrderedDict())
+        memo = RowMemo(bits.copy(), copy.deepcopy(model.arch), OrderedDict())
     row = memo.rows.pop(smiles, None)
     if row is None:
+        graph = featurize(parse_smiles(smiles))
         row = tuple(forward_antoine(model, [graph]).data[0].tolist())
+    model.memo = memo
     memo.rows[smiles] = row
-    if len(memo.rows) > GRAPH_CACHE_SIZE:
+    if len(memo.rows) > PREDICT_MEMO_SIZE:
         memo.rows.popitem(last=False)
     params = AntoineParams(*row)
     ln_p = p = None

@@ -749,6 +749,17 @@ def test_grid_search_command(capsys, tmp_path, data_path):
     assert out.exists()
 
 
+@pytest.mark.parametrize("min_points", ["0", "-3"])
+def test_report_rejects_min_points_below_one(capsys, tmp_path, min_points):
+    # The value is refused before the model or data are read.
+    assert main(["report", "--model", str(tmp_path / "absent.json"),
+                 "--data", str(tmp_path / "absent.csv"),
+                 "--outdir", str(tmp_path / "out"),
+                 "--min-points", min_points]) == 2
+    assert "argument --min-points" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("jobs", ["0", "-3"])
 def test_grid_search_rejects_jobs_below_one(capsys, tmp_path, jobs):
     # The value is refused before the config is read.

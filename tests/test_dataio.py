@@ -184,8 +184,10 @@ def test_lm_solve_rejects_a_c_box_that_reaches_the_pole():
     t = np.array([300.0, 320.0, 340.0])
     y = 10.0 - 2600.0 / (t - 55.0)
     box = np.array([(5.0, 20.0), (1500.0, 6000.0), (-300.0, 0.0)])
+    starts = dataio._start_points(t, y)
     with pytest.raises(ValueError, match="C \\+ T"):
-        dataio._lm_solve(dataio._start_points(t, y), t, y, box, 0.5)
+        dataio._lm_solve(starts, [t] * len(starts), [y] * len(starts),
+                         np.stack([box] * len(starts)), 0.5)
 
 
 def test_fit_cost_trace_never_increases():
@@ -379,7 +381,8 @@ def test_a_singular_solve_fails_only_its_own_start(monkeypatch):
     expected = [reference_lm_solve(s, t, y, box, 0.5) for s in starts]
     raised.clear()
     theta, cost, r, converged, iterations, traces = dataio._lm_solve(
-        starts, t, y, box, 0.5)
+        starts, [t] * len(starts), [y] * len(starts),
+        np.stack([box] * len(starts)), 0.5)
     monkeypatch.setattr(np.linalg, "solve", real_solve)
     assert raised == [3, 2]  # the batch failed, then that one start alone
     for k, ref in enumerate(expected):
@@ -463,6 +466,27 @@ def test_row_filters_and_audit_rules():
     kept_components = {pt.component_id for pt in result.dataset.points}
     assert kept_components == {"good"}
     assert len(result.dataset) == 6
+
+
+def test_curate_drops_rows_naming_another_smiles_than_their_component():
+    # Component x names CCO on rows 1-3 and CCCCCCO on rows 4-6; row 0, out
+    # of range, is dropped first, so it does not set the component's SMILES.
+    temps = np.linspace(300, 420, 6)
+    points = ([VpPoint("x", "CCCCCCO", 200.0, 5000.0)]
+              + curve_points("x", "CCO", AntoineParams(10.0, 2500.0, -60.0),
+                             temps[:3])
+              + curve_points("x", "CCCCCCO", AntoineParams(10.0, 3200.0, -60.0),
+                             temps[3:]))
+    for i, pt in enumerate(points):
+        object.__setattr__(pt, "row", i)
+    result = curate(VpDataset(points))
+    assert result.audit == [
+        {"row": 0, "component": "x", "rule": "temperature_out_of_range",
+         "action": "dropped"}] + [
+        {"row": row, "component": "x", "rule": "smiles_differs_within_component",
+         "action": "dropped"} for row in (4, 5, 6)]
+    assert [pt.row for pt in result.dataset.points] == [1, 2, 3]
+    assert {pt.smiles for pt in result.dataset.points} == {"CCO"}
 
 
 def test_boundary_values_are_kept():

@@ -1,6 +1,7 @@
 """The package depends on nothing beyond the standard library and numpy,
-defines nothing in ``tensor`` that no other module of it uses, and loads no
-``multiprocessing`` on import."""
+defines nothing in ``tensor`` that no other module of it uses, keeps no
+module-level ``functools`` cache, and loads no ``multiprocessing`` on
+import."""
 
 import ast
 import inspect
@@ -56,6 +57,35 @@ def test_everything_tensor_defines_has_a_caller():
     used = set().union(*(tensor_imports(path) for path in SRC.glob("*.py")
                          if path.name != "tensor.py"))
     assert sorted(defined - used) == []
+
+
+FUNCTOOLS_CACHES = {"lru_cache", "cache"}
+
+
+def functools_caches(source: str) -> set[str]:
+    """Every ``functools`` cache a module names: by ``from functools
+    import`` or as an attribute of the module ``functools``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id == "functools":
+            names.add(node.attr)
+    return names & FUNCTOOLS_CACHES
+
+
+def test_no_module_keeps_a_functools_cache():
+    """A cache lives on the object whose state it depends on (the row memo
+    on its model), not in a module-level ``functools`` cache that outlives
+    it."""
+    assert functools_caches("import functools\n@functools.lru_cache(8)\n"
+                            "def f(x): pass\nfrom functools import cache, "
+                            "partial") == {"lru_cache", "cache"}
+    found = {path.name: sorted(functools_caches(path.read_text(encoding="utf-8")))
+             for path in sorted(SRC.glob("*.py"))}
+    assert not {name: caches for name, caches in found.items() if caches}
 
 
 def test_importing_the_package_loads_no_multiprocessing():

@@ -21,7 +21,7 @@ from grappa.dataio import VpDataset, VpPoint
 from grappa.featurize import ScopeError, featurize
 from grappa.gnn import attention_scores
 from grappa.model import (
-    GRAPH_CACHE_SIZE,
+    PREDICT_MEMO_SIZE,
     Architecture,
     encode_entry,
     forward_antoine,
@@ -31,8 +31,8 @@ from grappa.model import (
     parameter_accounting_markdown,
     predict,
     predict_dataset,
+    prepare_components,
     save_checkpoint,
-    smiles_graph,
     to_checkpoint,
 )
 from grappa.smiles import SmilesError, parse_smiles
@@ -484,10 +484,19 @@ def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
             == _ln_p_kpa(*params[component].as_tuple(), temps)[0].tobytes()
 
 
+def test_a_component_naming_two_smiles_is_refused():
+    ds = VpDataset([VpPoint("x", smiles, t, 1000.0)
+                    for smiles in ("CCO", "CCCCCCO") for t in (300.0, 340.0)])
+    message = "component 'x' names two SMILES, 'CCO' and 'CCCCCCO'"
+    with pytest.raises(ValueError, match=message):
+        prepare_components(ds)
+    with pytest.raises(ValueError, match=message):
+        predict_dataset(init_model(Architecture(**SMALL_ARCH), seed=0), ds)
+
+
 def counting_featurize(monkeypatch) -> list[int]:
-    """Empty ``predict``'s graph cache and record the heavy-atom count of
-    every graph it builds from then on."""
-    smiles_graph.cache_clear()
+    """Record the heavy-atom count of every graph ``predict`` builds from
+    then on."""
     built = []
     real_featurize = grappa.model.featurize
 
@@ -501,6 +510,7 @@ def counting_featurize(monkeypatch) -> list[int]:
 
 def test_repeated_predict_parses_and_featurizes_once(monkeypatch):
     built = counting_featurize(monkeypatch)
+    forwards = counting_forwards(monkeypatch)
     parsed = []
     real_parse = grappa.model.parse_smiles
     monkeypatch.setattr(grappa.model, "parse_smiles",
@@ -508,10 +518,10 @@ def test_repeated_predict_parses_and_featurizes_once(monkeypatch):
     model = init_model(Architecture(), seed=3)
     for _ in range(3):
         predict(model, "CC(=O)OCC", [300.0, 350.0], 101325.0)
-    assert parsed == ["CC(=O)OCC"] and built == [6]
-    predict(init_model(Architecture(), seed=4), "CC(=O)OCC")
+    assert parsed == ["CC(=O)OCC"] and built == [6] and forwards == [1]
     predict(model, "CCO")
     assert parsed == ["CC(=O)OCC", "CCO"] and built == [6, 3]
+    assert forwards == [1, 1]
 
 
 def _prediction_bytes(model, smiles) -> bytes:
@@ -521,22 +531,21 @@ def _prediction_bytes(model, smiles) -> bytes:
                      out.boiling_k))
 
 
-def test_cached_predict_is_the_bytes_of_an_uncached_one():
+def test_cached_predict_is_the_bytes_of_an_uncached_one(monkeypatch):
+    forwards = counting_forwards(monkeypatch)
     models = [init_model(Architecture(), seed=11),
               init_model(Architecture(gat_layers=3, heads=1,
                                       pooling="sum"), seed=12)]
     molecules = ("CCO", "c1ccccc1O", "CC(=O)OCC", "OCCO", "CCCCCCN")
-    cold = {}
-    for mi, model in enumerate(models):
-        for smiles in molecules:
-            smiles_graph.cache_clear()
-            cold[mi, smiles] = _prediction_bytes(model, smiles)
-    # Every graph is cached by the first model's calls, then served to both.
-    smiles_graph.cache_clear()
-    for mi, model in enumerate(models):
-        for smiles in molecules:
-            assert _prediction_bytes(model, smiles) == cold[mi, smiles]
-    assert smiles_graph.cache_info().hits == len(molecules)
+    cold = {(mi, smiles): _unmemoized_bytes(model, smiles)
+            for mi, model in enumerate(models) for smiles in molecules}
+    # Each model's first call per molecule runs a forward, and its second
+    # is served from that model's memo.
+    for _ in range(2):
+        for mi, model in enumerate(models):
+            for smiles in molecules:
+                assert _prediction_bytes(model, smiles) == cold[mi, smiles]
+    assert forwards == [1] * len(cold)
     assert cold[0, "CCO"] != cold[1, "CCO"]
 
 
@@ -545,35 +554,34 @@ def test_cached_predict_is_the_bytes_of_an_uncached_one():
                                            ("[NH4+]", ScopeError),
                                            ("O", ScopeError)])
 def test_a_rejected_smiles_fails_alike_on_every_call(smiles, error):
-    smiles_graph.cache_clear()
     model = init_model(Architecture(), seed=3)
+    predict(model, "CCO")
+    memo = model.memo
     messages = set()
     for _ in range(3):
         with pytest.raises(error) as caught:
             predict(model, smiles)
         messages.add((type(caught.value), str(caught.value)))
     assert len(messages) == 1
-    assert smiles_graph.cache_info().currsize == 0
+    assert model.memo is memo and list(memo.rows) == ["CCO"]
 
 
-def test_the_graph_cache_holds_at_most_its_bound(monkeypatch):
+def test_the_row_memo_holds_at_most_its_bound(monkeypatch):
     built = counting_featurize(monkeypatch)
     forwards = counting_forwards(monkeypatch)
-    assert smiles_graph.cache_parameters()["maxsize"] == GRAPH_CACHE_SIZE
     model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
                        seed=0)
     distinct = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
-                for i in range(GRAPH_CACHE_SIZE + 8)]
+                for i in range(PREDICT_MEMO_SIZE + 8)]
     for smiles in distinct:
         predict(model, smiles)
     assert len(built) == len(forwards) == len(distinct)
-    assert smiles_graph.cache_info().currsize == GRAPH_CACHE_SIZE
-    assert len(model.memo.rows) == GRAPH_CACHE_SIZE
+    assert len(model.memo.rows) == PREDICT_MEMO_SIZE
     predict(model, distinct[-1])  # still held
     assert len(built) == len(forwards) == len(distinct)
     predict(model, distinct[0])  # evicted, so built and run again
     assert len(built) == len(forwards) == len(distinct) + 1
-    assert len(model.memo.rows) == GRAPH_CACHE_SIZE
+    assert len(model.memo.rows) == PREDICT_MEMO_SIZE
 
 
 def counting_forwards(monkeypatch) -> list[int]:
@@ -705,7 +713,7 @@ def test_memoized_predictions_are_the_bytes_of_unmemoized_ones(ops):
 def test_threads_sharing_a_model_never_see_the_memo_raise():
     model = init_model(Architecture(**SMALL_ARCH), seed=3)
     distinct = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
-                for i in range(GRAPH_CACHE_SIZE + 24)]
+                for i in range(PREDICT_MEMO_SIZE + 24)]
     expected = {smiles: predict(model, smiles).params for smiles in distinct}
     errors, seen = [], []
 
@@ -730,7 +738,7 @@ def test_threads_sharing_a_model_never_see_the_memo_raise():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert errors == [] and len(seen) == 3 * len(distinct) and all(seen)
-    assert len(model.memo.rows) <= GRAPH_CACHE_SIZE
+    assert len(model.memo.rows) <= PREDICT_MEMO_SIZE
 
 
 # In-scope molecules from one atom to two fused rings, with stereo bonds,
@@ -741,7 +749,7 @@ MIXED_MOLECULES = ("C", "CCO", "OCCO", "CCCl", "CCBr", "CP(C)C", "CCSC",
 
 
 @pytest.mark.parametrize("seed", [21, 22])
-def test_hit_miss_and_predict_dataset_agree_bytewise(seed):
+def test_hit_miss_and_predict_dataset_agree_bytewise(seed, monkeypatch):
     ds, _ = synthetic_dataset(points_per_component=4)
     temps = [300.0, 380.0, 460.0]
     extra = [VpPoint(smiles, smiles, t, 1000.0) for smiles in MIXED_MOLECULES
@@ -749,12 +757,14 @@ def test_hit_miss_and_predict_dataset_agree_bytewise(seed):
     ds = VpDataset(ds.points + extra)
     model = init_model(Architecture(), seed=seed)
     points, params = predict_dataset(model, ds)
+    forwards = counting_forwards(monkeypatch)
     for component, group in ds.by_component().items():
         smiles = group[0].smiles
-        smiles_graph.cache_clear()
+        model.memo = None  # so the first call misses
+        forwards.clear()
         miss = _prediction_bytes(model, smiles)
         assert _prediction_bytes(model, smiles) == miss
-        assert smiles_graph.cache_info().hits == 1
+        assert forwards == [1]
         hit = predict(model, smiles, [pt.temperature_k for pt in group])
         assert np.array(hit.params.as_tuple()).tobytes() \
             == np.array(params[component].as_tuple()).tobytes()
@@ -766,34 +776,27 @@ def test_the_row_memo_stays_small_and_leaves_with_its_model():
     model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1),
                        seed=0)
     distinct = ["C" * (i // 4 + 1) + ("", "O", "N", "Cl")[i % 4]
-                for i in range(GRAPH_CACHE_SIZE)]
-    smiles_graph.cache_clear()
+                for i in range(PREDICT_MEMO_SIZE)]
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         for smiles in distinct:
-            smiles_graph(smiles)
-        graphs = tracemalloc.get_traced_memory()[0] - base
-        for smiles in distinct:
             predict(model, smiles)
-        memo = tracemalloc.get_traced_memory()[0] - base - graphs
-        assert len(model.memo.rows) == GRAPH_CACHE_SIZE
+        gc.collect()  # the parsed molecules, which hold reference cycles
+        memo = tracemalloc.get_traced_memory()[0] - base
+        assert len(model.memo.rows) == PREDICT_MEMO_SIZE
         snapshot = model.memo.bits.nbytes
         del model
         gc.collect()
         freed = tracemalloc.get_traced_memory()[0] - base
-        smiles_graph.cache_clear()
-        gc.collect()
-        left = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    # The rows take a few hundred bytes each beside the weights' snapshot,
-    # far less than the graphs.
-    assert snapshot <= memo < snapshot + 400 * GRAPH_CACHE_SIZE < graphs
-    # The memo leaves with its model, and the graphs with their cache.
-    assert freed < graphs + 0.05 * memo
-    assert left < 0.02 * graphs
+    # The rows take a few hundred bytes each beside the weights' snapshot.
+    assert snapshot <= memo < snapshot + 400 * PREDICT_MEMO_SIZE
+    # The memo leaves with its model; what stays is numpy's small-buffer
+    # cache, a few KB.
+    assert freed < 0.2 * memo
 
 
 def test_attention_scores_work_on_model_layers():
