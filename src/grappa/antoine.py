@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import NonFiniteError, Tensor, _scatter_sum, _stage
+from .tensor import NonFiniteError, ScatterPlan, Tensor, _stage
 
 # Bounds enforced by the prediction head's sigmoid scaling.
 PARAM_RANGES = {
@@ -60,15 +60,14 @@ def ln_p_points(rows: Tensor, molecule, temperature_k) -> Tensor:
     so a point with C + T < 0 is evaluated on the other branch, and a zero
     C + T raises :class:`NonFiniteError`.
     """
-    molecule = np.asarray(molecule, dtype=np.int64)
-    a, b, c = rows.data[molecule].T
+    to_row = ScatterPlan(molecule, len(rows.data))
+    a, b, c = rows.data[to_row.index].T
     d = c + np.asarray(temperature_k, dtype=np.float64)
     if np.any(d == 0.0):
         raise NonFiniteError("division by zero in ln_p_points: C + T = 0")
 
     def backward(g):
-        return _scatter_sum(molecule, np.column_stack([g, -g / d, g * b / (d * d)]),
-                            len(rows.data))
+        return to_row.sum(np.column_stack([g, -g / d, g * b / (d * d)]))
 
     return _stage(rows, a - b / d, "ln_p_points", (), backward)
 

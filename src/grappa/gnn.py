@@ -10,16 +10,13 @@ softmax over each node's neighborhood keeps the molecules apart.
 :func:`gat_forward` runs a whole layer, every head at once, as one stage of
 the model's chain (``tensor``), on (E, H, d) edge arrays, while its weights
 stay per-head parameters; its outputs and gradients are the bytes of the
-same heads run as separate ops. It scatters through the
-:class:`tensor.ScatterPlan` of its graph batch, built once per batch: the
-stable ``dst`` order and its segment starts, so one ``np.maximum.reduceat``
-takes the segment maxima, and the flat ``dst * w + col`` and
-``src * w + col`` indices, each built at the first scatter of its width
-``w``. No later layer or backward of the batch sorts or builds an index
-again. Every scatter (the softmax denominators and sums and their
-backward) is one ``np.bincount`` call, which adds in input order as an
-unbuffered ``ufunc.at`` add does but without its per-element overhead, so
-sums are bitwise those of the plain loop. The projections use
+same heads run as separate ops. Its graph batch carries two scatter
+plans (:class:`tensor.ScatterPlan`): ``to_dst`` groups the edges by the
+node they reach and ``to_src`` by the node they leave. The softmax peaks
+are ``to_dst.max``, and every sum (the softmax denominators and messages,
+and their backward) is a plan's ``sum``, bitwise that of the plain loop.
+Each plan keeps its order and flat indices for every later layer and
+backward of the batch. The projections use
 ``tensor._row_invariant_product`` and the edge logits ``np.einsum``, so an
 output row is the same bytes whatever rows run beside it.
 """
@@ -63,9 +60,9 @@ class GraphBatch:
     Bond edges are offset per molecule and followed by one self-loop per
     node (zero edge features), so every node sums its messages in the same
     order as it would alone. ``molecule`` maps nodes to their molecule, whose
-    rows are ``bounds[m]:bounds[m + 1]``, the slice ``blocks[m]``. ``plan``
-    holds the edges' ends and the scatter indices that every layer and its
-    backward share.
+    rows are ``bounds[m]:bounds[m + 1]``, the slice ``blocks[m]``.
+    ``to_dst`` and ``to_src`` group the edges by their receiving and sending
+    node, for every layer and its backward.
     """
 
     node_features: np.ndarray  # (N, node_dim)
@@ -73,17 +70,18 @@ class GraphBatch:
     molecule: np.ndarray  # (N,)
     bounds: np.ndarray  # (M + 1,)
     blocks: tuple[slice, ...]  # (M,)
-    plan: ScatterPlan
+    to_dst: ScatterPlan
+    to_src: ScatterPlan
 
     @property
     def dst(self) -> np.ndarray:
         """(E + N,) receiving node of each edge."""
-        return self.plan.dst
+        return self.to_dst.index
 
     @property
     def src(self) -> np.ndarray:
         """(E + N,) sending node of each edge."""
-        return self.plan.src
+        return self.to_src.index
 
     @property
     def num_nodes(self) -> int:
@@ -122,8 +120,8 @@ def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
         molecule=np.repeat(np.arange(len(graphs)), sizes),
         bounds=bounds,
         blocks=blocks,
-        plan=ScatterPlan(np.concatenate([edges[:, 0], loops]),
-                         np.concatenate([edges[:, 1], loops]), n),
+        to_dst=ScatterPlan(np.concatenate([edges[:, 0], loops]), n),
+        to_src=ScatterPlan(np.concatenate([edges[:, 1], loops]), n),
     )
 
 
@@ -134,8 +132,8 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
     over the heads.
 
     Head ``h`` projects ``xv = x @ theta_v[h]`` and ``et = edge_features @
-    theta_e[h]``. Edge ``k`` of ``batch.plan`` sends row ``src[k]`` of ``xv``
-    to node ``dst[k]``; its logit is ``att[h] . LeakyReLU(xv[dst] + xv[src] +
+    theta_e[h]``. Edge ``k`` of ``batch`` sends row ``src[k]`` of ``xv`` to
+    node ``dst[k]``; its logit is ``att[h] . LeakyReLU(xv[dst] + xv[src] +
     et[k])``, softmax-normalized over the edges that share a ``dst``, and
     node ``i`` receives the weighted sum of the rows sent to it. The heads'
     sums are added in head order and divided by H. Shapes: (N, in),
@@ -144,8 +142,9 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
     the edge features are a constant.
     """
     theta_v, theta_e, att = layer.theta_v, layer.theta_e, layer.att
-    xd, edge_features, plan = x.data, batch.edge_features, batch.plan
-    heads, n, e = layer.heads, plan.num_nodes, len(plan.dst)
+    xd, edge_features = x.data, batch.edge_features
+    to_dst, to_src, dst = batch.to_dst, batch.to_src, batch.dst
+    heads, n, e = layer.heads, to_dst.num_segments, len(dst)
     params = [*theta_v, *theta_e, *att]
     d = theta_v[0].value.shape[-1] if heads else 0
     if not heads or len(theta_e) != heads or len(att) != heads \
@@ -160,8 +159,8 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
                          f"nodes, {e} edges and {heads} heads")
     xv = _row_invariant_product(xd, [p.value for p in theta_v])
     xv = xv.reshape(n, heads, d)
-    sent = xv[plan.src]
-    act = xv[plan.dst]
+    sent = xv[batch.src]
+    act = xv[dst]
     act += sent
     # The edge projections' (E, H, d) array then holds each later temporary
     # of that size, which spares a large batch most of its allocations.
@@ -175,25 +174,22 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
     logits = np.einsum("ehd,hd->eh", act, att_rows)
     if not np.isfinite(logits).all():
         raise NonFiniteError("gat_forward: non-finite logits")
-    peak = np.maximum.reduceat(logits[plan.order], plan.starts)
-    ex = np.exp(logits - peak[plan.dst])
-    alpha = ex / plan.scatter(ex)[plan.dst]
-    per_head = plan.scatter(np.multiply(alpha[:, :, None], sent, out=scratch))
+    ex = np.exp(logits - to_dst.max(logits)[dst])
+    alpha = ex / to_dst.sum(ex)[dst]
+    per_head = to_dst.sum(np.multiply(alpha[:, :, None], sent, out=scratch))
     out = per_head[:, 0]
     for h in range(1, heads):
         out = out + per_head[:, h]
-    if heads > 1:
-        out *= 1.0 / heads
+    out *= 1.0 / heads  # exact for one head
 
     def backward(g):
         # Every head receives the upstream of the mean.
-        g_e = (g * (1.0 / heads) if heads > 1 else g)[plan.dst][:, None]
+        g_e = (g * (1.0 / heads))[dst][:, None]
         d_alpha = (g_e * sent).sum(axis=2)
-        d_logits = alpha * (d_alpha - plan.scatter(alpha * d_alpha)[plan.dst])
+        d_logits = alpha * (d_alpha - to_dst.sum(alpha * d_alpha)[dst])
         slopes = (act > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
         d_pre = d_logits[:, :, None] * att_rows * slopes
-        d_xv = plan.scatter(d_pre) \
-            + plan.scatter(d_pre + alpha[:, :, None] * g_e, by_src=True)
+        d_xv = to_dst.sum(d_pre) + to_src.sum(d_pre + alpha[:, :, None] * g_e)
         # Per-head products on contiguous slices, and the heads' input
         # gradients added in head order, give the bytes of per-head ops.
         d_x = None
@@ -235,9 +231,8 @@ def attention_scores(graph: MolGraph, layers: list[GatLayer]) -> np.ndarray:
     _, alpha = gat_forward(x, batch, layers[-1])
     n, heads = batch.num_nodes, alpha.shape[1]
     # Each node's outgoing weights, added head by head in edge order.
-    totals = np.bincount(np.tile(batch.src, heads), weights=alpha.T.ravel(),
-                         minlength=n)
-    scores = totals / (heads * np.bincount(batch.src, minlength=n))
+    totals = ScatterPlan(np.tile(batch.src, heads), n).sum(alpha.T.ravel())
+    scores = totals / (heads * batch.to_src.counts)
     lo, hi = scores.min(), scores.max()
     if hi - lo < 1e-15:
         return np.ones(n)

@@ -473,7 +473,8 @@ def predict(model: GrappaModel, smiles: str, temperatures=None,
     if memo is None or memo.arch != model.arch \
             or not np.array_equal(memo.bits, bits):
         memo = RowMemo(bits.copy(), copy.deepcopy(model.arch), OrderedDict())
-    row = memo.rows.pop(smiles, None)
+    # Only a str is looked up, so any other object gets parse_smiles' error.
+    row = memo.rows.pop(smiles, None) if isinstance(smiles, str) else None
     if row is None:
         graph = featurize(parse_smiles(smiles))
         row = tuple(forward_antoine(model, [graph]).data[0].tolist())

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gnn import GraphBatch
-from .tensor import (Param, ShapeError, Tensor, _put, _row_invariant_product,
-                     _scatter_sum, _stage)
+from .tensor import (Param, ScatterPlan, ShapeError, Tensor, _put,
+                     _row_invariant_product, _stage)
 
 
 @dataclass
@@ -34,10 +34,11 @@ def _check_rows(x: Tensor, batch: GraphBatch, name: str):
 
 
 def sum_pool(x: Tensor, batch: GraphBatch, train: bool = False) -> Tensor:
-    """Sum of each molecule's node embeddings: (N, d) -> (M, d)."""
+    """Sum of each molecule's node embeddings, added in node order, as a
+    :class:`tensor.ScatterPlan` sum over the molecule ids: (N, d) -> (M, d)."""
     _check_rows(x, batch, "sum_pool")
     molecule = batch.molecule
-    out = _scatter_sum(molecule, x.data, batch.num_molecules)
+    out = ScatterPlan(molecule, batch.num_molecules).sum(x.data)
 
     def backward(g):
         return g[molecule]

@@ -32,11 +32,13 @@ changes a nonzero sum or product, and no backward divides by a gradient or
 tests its sign, so adding 0.0 where a gradient leaves the chain (``_put``
 and the result of ``backward``) gives the same bytes.
 
-The module also holds what more than one stage shares: the scatter sum
-(:func:`_scatter_sum`, and a graph batch's :class:`ScatterPlan`) and the
-row-invariant product (:func:`_row_invariant_product`), which makes every
-forward batch-invariant: an output row is the same bytes whatever rows run
-beside it (``tests/test_tensor.py`` pins the BLAS).
+The module also holds what more than one stage shares: the one grouping
+primitive, :class:`ScatterPlan`, whose segment sums and maxima every
+grouped reduction of the model goes through (attention messages into atoms,
+atoms into molecules, data points into Antoine rows), and the row-invariant
+product (:func:`_row_invariant_product`), which makes every forward
+batch-invariant: an output row is the same bytes whatever rows run beside
+it (``tests/test_tensor.py`` pins the BLAS).
 """
 
 from __future__ import annotations
@@ -133,71 +135,64 @@ def _put(param: Param, grad: np.ndarray):
     np.add(grad, 0.0, out=param.grad)
 
 
-def _scatter_sum(index: np.ndarray, values: np.ndarray,
-                 num_segments: int) -> np.ndarray:
-    """Sum the rows of the (n, d) matrix ``values`` into ``num_segments``
-    rows by ``index``.
-
-    ``np.bincount`` adds its weights in input order, as an unbuffered
-    ``ufunc.at`` add does, so every sum is bitwise the same; the matrix
-    scatters through the flat index ``row * d + col``.
-    """
-    d = values.shape[1]
-    if not values.size:  # bincount of nothing counts in integers
-        return np.zeros((num_segments, d))
-    flat = (index[:, None] * d + np.arange(d)).ravel()
-    out = np.bincount(flat, weights=values.ravel(),
-                      minlength=num_segments * d).reshape(-1, d)
-    if len(out) != num_segments:
-        raise IndexError(f"segment id {index.max()} out of range for "
-                         f"{num_segments} segments")
-    return out
-
-
 class ScatterPlan:
-    """Where each edge of a graph sends its values, built once per graph.
+    """Where each row of an array goes: row ``k`` to segment ``index[k]``.
 
-    Edge ``k`` runs from node ``src[k]`` to node ``dst[k]``, and every node
-    has an incoming edge. ``order`` sorts the edges stably by ``dst`` and
-    ``starts`` opens each node's run in that order, so one
-    ``np.maximum.reduceat`` takes every node's maximum. ``scatter`` sums an
-    edge array onto the nodes in one ``np.bincount`` through the flat index
-    ``dst * w + col`` (or ``src * w + col``) for its ``w`` values per edge;
-    each index is built the first time its width is scattered and kept for
-    every later layer and backward.
+    :meth:`sum` adds each segment's rows in one ``np.bincount`` through the
+    flat index ``index * w + col`` for the ``w`` values of a row. It adds
+    in input order, as an unbuffered ``np.add.at`` does but without its
+    per-element overhead, so every sum is bitwise that of the plain loop; a
+    segment with no row sums to zero. Each flat index is built at the first
+    sum of its width and kept for every later sum of the plan. :meth:`max`
+    takes each segment's maximum with one ``np.maximum.reduceat`` over the
+    rows in stable ``index`` order, which it builds at its first call; a
+    segment with no row has no maximum.
     """
 
-    __slots__ = ("dst", "src", "num_nodes", "order", "starts", "_flat")
+    __slots__ = ("index", "num_segments", "_flat", "_order", "_starts")
 
-    def __init__(self, dst, src, num_nodes: int):
-        dst = np.asarray(dst, dtype=np.int64)
-        src = np.asarray(src, dtype=np.int64)
-        if dst.ndim != 1 or src.shape != dst.shape:
-            raise ShapeError(f"edge ends {dst.shape} and {src.shape} must be "
-                             f"vectors of one length")
-        if dst.size and (min(dst.min(), src.min()) < 0
-                         or max(dst.max(), src.max()) >= num_nodes):
-            raise IndexError(f"edge node id out of range for {num_nodes} nodes")
-        incoming = np.bincount(dst, minlength=num_nodes)
-        if num_nodes < 1 or not incoming.all():
-            raise ShapeError("every node needs an incoming edge")
-        self.dst, self.src, self.num_nodes = dst, src, num_nodes
-        self.order = np.argsort(dst, kind="stable")
-        self.starts = np.cumsum(incoming) - incoming
-        self._flat: dict[tuple[bool, int], np.ndarray] = {}
+    def __init__(self, index, num_segments: int):
+        index = np.asarray(index, dtype=np.int64)
+        if index.ndim != 1:
+            raise ShapeError(f"segment ids must be a vector, got shape "
+                             f"{index.shape}")
+        if index.size and (index.min() < 0 or index.max() >= num_segments):
+            raise IndexError(f"segment id out of range for {num_segments} "
+                             f"segments")
+        self.index, self.num_segments = index, num_segments
+        self._flat: dict[int, np.ndarray] = {}
+        self._order = self._starts = None
 
-    def scatter(self, values: np.ndarray, by_src: bool = False) -> np.ndarray:
-        """Sum an (E, ...) edge array onto each edge's ``dst`` node (or its
-        ``src`` node), adding in edge order: (E, ...) -> (N, ...)."""
-        width = values[0].size
-        flat = self._flat.get((by_src, width))
+    @property
+    def counts(self) -> np.ndarray:
+        """(S,) number of rows in each segment."""
+        return np.bincount(self.index, minlength=self.num_segments)
+
+    def sum(self, values: np.ndarray) -> np.ndarray:
+        """Sum the rows of an (R, ...) array into its segments, adding in
+        row order: (R, ...) -> (S, ...)."""
+        shape = (self.num_segments,) + values.shape[1:]
+        if not values.size:  # bincount of nothing counts in integers
+            return np.zeros(shape)
+        width = values.size // len(values)
+        flat = self._flat.get(width)
         if flat is None:
-            ends = self.src if by_src else self.dst
-            flat = (ends[:, None] * width + np.arange(width)).ravel()
-            self._flat[by_src, width] = flat
-        out = np.bincount(flat, weights=values.ravel(),
-                          minlength=self.num_nodes * width)
-        return out.reshape((self.num_nodes,) + values.shape[1:])
+            flat = (self.index[:, None] * width + np.arange(width)).ravel()
+            self._flat[width] = flat
+        return np.bincount(flat, weights=values.ravel(),
+                           minlength=self.num_segments * width).reshape(shape)
+
+    def max(self, values: np.ndarray) -> np.ndarray:
+        """Each segment's maximum over its rows: (R, ...) -> (S, ...).
+        Raises :class:`ShapeError` if a segment has no row."""
+        if self._starts is None:
+            counts = self.counts
+            if not counts.all():
+                raise ShapeError(f"segment {int(np.argmin(counts))} has no "
+                                 f"row to take a maximum of")
+            self._order = np.argsort(self.index, kind="stable")
+            self._starts = np.cumsum(counts) - counts
+        return np.maximum.reduceat(values[self._order], self._starts)
 
 
 def _row_invariant_product(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:

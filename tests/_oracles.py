@@ -30,7 +30,7 @@ from grappa.model import BN_EPS, BN_MOMENTUM, _count_features
 from grappa.molecule import DOUBLE, STANDARD_VALENCES, TRIPLE, Molecule
 from grappa.smiles import bond_order_sum
 from grappa.tensor import (NonFiniteError, Param, ShapeError, Tensor,
-                           _row_invariant_product, _scatter_sum)
+                           _row_invariant_product)
 
 
 # --------------------------------------------------------- stage-chain helpers
@@ -147,15 +147,6 @@ def recording(on: bool):
         _RECORDING = saved
 
 
-def _scatter(index: np.ndarray, values: np.ndarray,
-             num_segments: int) -> np.ndarray:
-    """``_scatter_sum``, which takes a matrix, for a vector too: the vector
-    scatters as a one-column matrix."""
-    if values.ndim == 2:
-        return _scatter_sum(index, values, num_segments)
-    return _scatter_sum(index, values[:, None], num_segments)[:, 0]
-
-
 def _make(data: np.ndarray, parents: tuple[TapeTensor, ...], vjp) -> TapeTensor:
     # The op is the function that defines the VJP closure.
     op = vjp.__qualname__.split(".")[0]
@@ -227,7 +218,7 @@ def gather_rows(a, index):
     rows = index % len(a.data) if index.size and index.min() < 0 else index
 
     def vjp(g):
-        return (_scatter(rows, g, len(a.data)),)
+        return (add_at_scatter(rows, g, len(a.data)),)
 
     return _make(out, (a,), vjp)
 
@@ -249,7 +240,7 @@ def segment_sum(a, segments, num_segments: int):
     """Sum rows (or elements) of ``a`` grouped by segment id."""
     a = _t(a)
     segments = np.asarray(segments, dtype=np.int64)
-    out = _scatter(segments, a.data, num_segments)
+    out = add_at_scatter(segments, a.data, num_segments)
 
     def vjp(g):
         return (g[segments],)
@@ -581,17 +572,17 @@ def edge_attention_sum(xv, edge_term, att, dst, src, num_nodes: int,
         np.concatenate(([True], grouped[1:] != grouped[:-1])))
     peak[grouped[starts]] = np.maximum.reduceat(logits[order], starts)
     ex = np.exp(logits - peak[dst])
-    alpha = ex / _scatter(dst, ex, num_nodes)[dst]
-    out = _scatter_sum(dst, alpha[:, None] * sent, num_nodes)
+    alpha = ex / add_at_scatter(dst, ex, num_nodes)[dst]
+    out = add_at_scatter(dst, alpha[:, None] * sent, num_nodes)
 
     def vjp(g):
         g_e = g[dst]
         d_alpha = (g_e * sent).sum(axis=1)
-        d_logits = alpha * (d_alpha - _scatter(dst, alpha * d_alpha,
-                                               num_nodes)[dst])
+        d_logits = alpha * (d_alpha - add_at_scatter(dst, alpha * d_alpha,
+                                                     num_nodes)[dst])
         d_pre = np.outer(d_logits, att.data) * slopes
-        d_xv = _scatter_sum(dst, d_pre, num_nodes) \
-            + _scatter_sum(src, d_pre + alpha[:, None] * g_e, num_nodes)
+        d_xv = add_at_scatter(dst, d_pre, num_nodes) \
+            + add_at_scatter(src, d_pre + alpha[:, None] * g_e, num_nodes)
         return d_xv, d_pre, act.T @ d_logits
 
     return _make(out, (xv, edge_term, att), vjp), alpha

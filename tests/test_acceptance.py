@@ -111,7 +111,7 @@ def _stage_cases(rng):
                                     rng.normal(size=4)])
     temps = np.full(4, 5.0)
     edge_features = rng.normal(size=(4, 4))
-    plan = ScatterPlan(dst, idx, 3)
+    plans = (ScatterPlan(dst, 3), ScatterPlan(idx, 3))
     # Two heads: their node and edge weights, then their attention vectors.
     projections = list(rng.normal(size=(4, 4, 4)))
     atts = list(rng.normal(size=(2, 4)))
@@ -122,10 +122,10 @@ def _stage_cases(rng):
     # Residuals on both sides of the Huber threshold 0.5.
     target = rng.normal(size=4)
     residual = np.array([0.1, -0.3, 1.2, -2.0])
-    # Each stage reads only its own fields of the batch: the plan and edge
+    # Each stage reads only its own fields of the batch: the plans and edge
     # features, the molecule ids, or the blocks.
     batch = GraphBatch(None, edge_features, np.array([1, 0, 1]),
-                       np.array([0, 1, 3]), (slice(0, 1), slice(1, 3)), plan)
+                       np.array([0, 1, 3]), (slice(0, 1), slice(1, 3)), *plans)
     return {
         "gat_forward": (lambda x, p: gat_forward(
             x, batch, GatLayer(p[0:2], p[2:4], p[4:6]), True)[0],

@@ -1,7 +1,7 @@
 """The package depends on nothing beyond the standard library and numpy,
-defines nothing in ``tensor`` that no other module of it uses, keeps no
-module-level ``functools`` cache, and loads no ``multiprocessing`` on
-import."""
+defines nothing in ``tensor`` that no other module of it uses, sums groups
+by a weighted ``bincount`` only in ``tensor``, keeps no module-level
+``functools`` cache, and loads no ``multiprocessing`` on import."""
 
 import ast
 import inspect
@@ -53,10 +53,32 @@ def test_everything_tensor_defines_has_a_caller():
     defined = {name for name, obj in vars(tensor).items()
                if (inspect.isfunction(obj) or inspect.isclass(obj))
                and obj.__module__ == tensor.__name__}
-    assert {"Tensor", "ScatterPlan", "_stage", "_scatter_sum"} <= defined
+    assert {"Tensor", "ScatterPlan", "_stage"} <= defined
     used = set().union(*(tensor_imports(path) for path in SRC.glob("*.py")
                          if path.name != "tensor.py"))
     assert sorted(defined - used) == []
+
+
+def weighted_bincounts(source: str) -> list[int]:
+    """Lines of every ``bincount`` call given weights, by keyword or as its
+    second argument."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and "bincount" in (getattr(node.func, "attr", None),
+                               getattr(node.func, "id", None))
+            and (len(node.args) > 1
+                 or any(k.arg == "weights" for k in node.keywords))]
+
+
+def test_only_tensor_sums_groups_by_bincount():
+    """Every grouped sum goes through ``tensor.ScatterPlan``; an unweighted
+    count, such as ``metrics._groups``' sizes, stays allowed."""
+    assert weighted_bincounts("np.bincount(i, weights=w)\n"
+                              "bincount(i, w, 3)\n"
+                              "np.bincount(i, minlength=3)\n") == [1, 2]
+    found = {path.name: weighted_bincounts(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py")) if path.name != "tensor.py"}
+    assert not {name: lines for name, lines in found.items() if lines}
 
 
 FUNCTOOLS_CACHES = {"lru_cache", "cache"}

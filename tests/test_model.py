@@ -662,10 +662,18 @@ def test_a_repeated_predict_on_an_unchanged_model_runs_no_forward(monkeypatch):
 
 def test_a_non_str_smiles_is_refused_and_never_memoized():
     model = init_model(Architecture(**SMALL_ARCH), seed=3)
-    for text in (123, b"CCO", None):
+    refused = (123, b"CCO", None, ["CCO"], {"CCO": 1})
+    for text in refused:
         with pytest.raises(TypeError, match="SMILES must be a str"):
             predict(model, text)
     assert model.memo is None
+    # On a warm memo, an unhashable object is not looked up either.
+    predict(model, "CCO")
+    memo, rows = model.memo, list(model.memo.rows.items())
+    for text in refused:
+        with pytest.raises(TypeError, match="SMILES must be a str"):
+            predict(model, text)
+    assert model.memo is memo and list(memo.rows.items()) == rows
 
 
 def _memo_op(model, snapshots, op):

@@ -59,7 +59,7 @@ def molecule_batch(molecule, num_molecules):
     """A batch whose node ``i`` belongs to molecule ``molecule[i]``, for
     ``sum_pool``, which reads only its molecule ids and their count."""
     return GraphBatch(None, None, np.asarray(molecule, dtype=np.int64),
-                      np.arange(num_molecules + 1), (), None)
+                      np.arange(num_molecules + 1), (), None, None)
 
 
 def block_batch(bounds):
@@ -68,15 +68,16 @@ def block_batch(bounds):
     bounds = np.asarray(bounds)
     return GraphBatch(None, None, np.repeat(np.arange(len(bounds) - 1),
                                             np.diff(bounds)),
-                      bounds, row_blocks(bounds), None)
+                      bounds, row_blocks(bounds), None, None)
 
 
-def edge_batch(edge_features, plan):
-    """A batch of ``plan``'s graph, for ``gat_forward``, which reads only
-    its edge features and plan."""
-    n = plan.num_nodes
+def edge_batch(edge_features, plans):
+    """A batch of the graph whose edges the ``(to_dst, to_src)`` plans
+    group by receiving and sending node, for ``gat_forward``, which reads
+    only its edge features and plans."""
+    n = plans[0].num_segments
     return GraphBatch(None, np.asarray(edge_features), np.zeros(n, dtype=np.int64),
-                      np.array([0, n]), (slice(0, n),), plan)
+                      np.array([0, n]), (slice(0, n),), *plans)
 
 
 def check_stage_grad(stage, x, params, seed=0, h=1e-6):
@@ -261,16 +262,16 @@ def test_block_attention_key_shift_invariance():
 # Node 0 receives from nodes 1 and 2; every node also has its self-loop.
 EDGE_DST = np.array([0, 0, 1, 2, 0, 1, 2])
 EDGE_SRC = np.array([1, 2, 2, 0, 0, 1, 2])
-EDGE_PLAN = ScatterPlan(EDGE_DST, EDGE_SRC, 3)
+EDGE_PLANS = (ScatterPlan(EDGE_DST, 3), ScatterPlan(EDGE_SRC, 3))
 
 
-def one_head_layer(x, edge_features, att, plan=EDGE_PLAN):
+def one_head_layer(x, edge_features, att, plans=EDGE_PLANS):
     """``gat_forward`` with one head whose projections are the identity,
     so ``x`` and the edge features are the head's own terms."""
     x, edge_features = np.asarray(x, dtype=float), np.asarray(edge_features)
     layer = GatLayer([param(np.eye(x.shape[1]))],
                      [param(np.eye(edge_features.shape[1]))], [param(att)])
-    return gat_forward(Tensor(x), edge_batch(edge_features, plan), layer)
+    return gat_forward(Tensor(x), edge_batch(edge_features, plans), layer)
 
 
 def test_sigmoid_and_leaky_relu_points():
@@ -390,10 +391,8 @@ def test_shape_errors():
                  (np.ones(3), edge, [tv], [te], [att])):
         x_in, edges, *weights = args
         with pytest.raises(ShapeError):
-            gat_forward(Tensor(x_in), edge_batch(edges, EDGE_PLAN),
+            gat_forward(Tensor(x_in), edge_batch(edges, EDGE_PLANS),
                         GatLayer(*([param(w) for w in ws] for ws in weights)))
-    with pytest.raises(ShapeError):
-        ScatterPlan(EDGE_DST, EDGE_SRC[:6], 3)
     # Blocks come checked from ``gnn.row_blocks`` and tile the batch's
     # nodes; the stage checks that its input has one row per node.
     pool = InteractionPoolParams(*(param(np.ones((2, 2))) for _ in range(3)))
@@ -433,10 +432,9 @@ def test_gather_rows_negative_index_grad():
 def test_segment_ids_out_of_range_raise():
     with pytest.raises(IndexError):
         sum_pool(Tensor(np.ones((3, 2))), molecule_batch([0, 2, 1], 2))
-    for dst, src in (([0, 2, 1], [0, 1, 1]), ([0, 1, 1], [0, 1, 2]),
-                     ([0, -1, 1], [0, 1, 1])):
+    for index in ([0, 2, 1], [0, -1, 1]):
         with pytest.raises(IndexError):
-            ScatterPlan(dst, src, 2)
+            ScatterPlan(index, 2)
 
 
 # The softmax inside ``gat_forward`` runs over each node's incoming edges:
@@ -458,7 +456,7 @@ def test_segment_softmax_groups_sum_to_one():
     rng = np.random.default_rng(2)
     heads = 3
     x, edge = rng.normal(size=(3, 4)), rng.normal(size=(7, 2))
-    out, alpha = gat_forward(Tensor(x), edge_batch(edge, EDGE_PLAN), GatLayer(
+    out, alpha = gat_forward(Tensor(x), edge_batch(edge, EDGE_PLANS), GatLayer(
         [param(rng.normal(size=(4, 5))) for _ in range(heads)],
         [param(rng.normal(size=(2, 5))) for _ in range(heads)],
         [param(rng.normal(size=5)) for _ in range(heads)]))
@@ -520,7 +518,7 @@ def test_grad_gat_forward():
         pre = (x @ v)[EDGE_DST] + (x @ v)[EDGE_SRC] + edge @ e
         assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-4
     v0, v1, e0, e1, a0, a1 = map(param, (v0, v1, e0, e1, a0, a1))
-    batch, layer = edge_batch(edge, EDGE_PLAN), GatLayer([v0, v1], [e0, e1],
+    batch, layer = edge_batch(edge, EDGE_PLANS), GatLayer([v0, v1], [e0, e1],
                                                          [a0, a1])
     check_stage_grad(lambda t, train: gat_forward(t, batch, layer, train)[0],
                      x, [v0, v1, e0, e1, a0, a1], seed=8)
@@ -741,6 +739,66 @@ def test_gather_rows_vjp_matches_add_at(case):
 
 
 @st.composite
+def plan_cases(draw):
+    """Unsorted segment ids with repeats, which cover every segment or
+    leave some empty, and (R,), (R, k) or (R, H, d) values."""
+    num_segments = draw(st.integers(1, 7))
+    index = draw(st.lists(st.integers(0, num_segments - 1), max_size=24))
+    if draw(st.booleans()):
+        index = draw(st.permutations(list(range(num_segments)) + index))
+    tail = draw(st.sampled_from([(), (1,), (3,), (2, 3)]))
+    values = draw(hnp.arrays(np.float64, (len(index),) + tail,
+                             elements=FLOATS))
+    return np.array(index, dtype=np.int64), values, num_segments
+
+
+@settings(deadline=None)
+@given(plan_cases())
+def test_scatter_plan_sum_is_add_at(case):
+    index, values, n = case
+    plan = ScatterPlan(index, n)
+    want = add_at_scatter(index, values, n)
+    assert bitwise_equal(plan.sum(values), want)
+    # Its kept flat index gives the same bytes again.
+    assert bitwise_equal(plan.sum(values), want)
+    assert plan.counts.tolist() == [index.tolist().count(s) for s in range(n)]
+
+
+@settings(deadline=None)
+@given(plan_cases())
+def test_scatter_plan_max_is_maximum_at_or_refused(case):
+    index, values, n = case
+    plan = ScatterPlan(index, n)
+    if len(set(index.tolist())) < n:
+        for _ in range(2):  # a refusal leaves nothing half built
+            with pytest.raises(ShapeError, match="has no row"):
+                plan.max(values)
+        return
+    want = np.full((n,) + values.shape[1:], -np.inf)
+    np.maximum.at(want, index, values)
+    assert bitwise_equal(plan.max(values), want)
+    assert bitwise_equal(plan.max(values), want)
+
+
+@settings(deadline=None)
+@given(st.integers(1, 7), st.lists(st.integers(0, 6), max_size=8),
+       st.sampled_from([-1, -5, 0, 3]), st.data())
+def test_scatter_plan_refuses_an_id_out_of_range(n, ids, beyond, data):
+    bad = beyond if beyond < 0 else n + beyond
+    ids = [i % n for i in ids]
+    ids.insert(data.draw(st.integers(0, len(ids))), bad)
+    with pytest.raises(IndexError, match="out of range"):
+        ScatterPlan(ids, n)
+
+
+@pytest.mark.parametrize("tail", [(), (3,), (2, 3)])
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_scatter_plan_sums_no_rows_to_float_zeros(n, tail):
+    out = ScatterPlan([], n).sum(np.empty((0,) + tail))
+    assert bitwise_equal(out, np.zeros((n,) + tail))
+
+
+@st.composite
 def softmax_cases(draw):
     """Graphs of width-1 rows whose every node has an incoming edge: ``dst``
     covers every node, shuffled, with repeats; ``src`` is arbitrary."""
@@ -769,9 +827,10 @@ def test_segment_softmax_matches_reference(case):
     dst, src, xv, edge, g, n = case
     edge_weights = param(edge[:, None])
     layer = GatLayer([param(np.ones((1, 1)))], [edge_weights], [param(np.ones(1))])
+    plans = (ScatterPlan(dst, n), ScatterPlan(src, n))
     with mock.patch.object(gnn, "LEAKY_SLOPE", 1.0):
         out, alpha = gat_forward(Tensor(xv[:, None]),
-                                 edge_batch(np.eye(len(dst)), ScatterPlan(dst, src, n)),
+                                 edge_batch(np.eye(len(dst)), plans),
                                  layer, train=True)
         out.stages[-1](g[:, None])
     logits = xv[dst] + xv[src] + edge
@@ -785,7 +844,13 @@ def test_segment_softmax_matches_reference(case):
 @settings(deadline=None)
 @given(softmax_cases(), st.integers(0, 6))
 def test_segment_softmax_rejects_an_empty_segment(case, empty):
-    dst, src, _, _, _, n = case
+    # The softmax peak is the plan's maximum, which needs a row (here an
+    # incoming edge) in every segment.
+    dst, src, xv, edge, _, n = case
     keep = dst != empty % n
-    with pytest.raises(ShapeError, match="incoming edge"):
-        ScatterPlan(dst[keep], src[keep], n)
+    plans = (ScatterPlan(dst[keep], n), ScatterPlan(src[keep], n))
+    layer = GatLayer([param(np.ones((1, 1)))], [param(np.ones((1, 1)))],
+                     [param(np.ones(1))])
+    with pytest.raises(ShapeError, match="has no row"):
+        gat_forward(Tensor(xv[:, None]), edge_batch(edge[keep, None], plans),
+                    layer)
