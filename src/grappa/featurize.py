@@ -50,6 +50,8 @@ SP, SP2, SP3, OTHER = "SP", "SP2", "SP3", "OTHER"
 _ELEMENT_SLOT = {el: i for i, el in enumerate(ALLOWED_ELEMENTS)}
 _ORDER_SLOT = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 3}
 _STEREO_SLOT = {"none": 0, STEREO_Z: 1, STEREO_E: 2}
+_HYBRID_SLOT = {SP: 0, SP2: 1, SP3: 2, OTHER: 3}
+_PI_LIKE = {SP, SP2}  # hybridizations of a conjugated bond's endpoints
 
 
 class ScopeError(ValueError):
@@ -206,11 +208,12 @@ def featurize(mol: Molecule) -> MolGraph:
 
     x = np.zeros((n, NODE_FEATURES), dtype=np.float64)
     donors = acceptors = 0
+    adjacency = mol.adjacency
     for idx, atom in enumerate(mol.atoms):
         x[idx, _ELEMENT_SLOT[atom.element]] = 1.0
-        x[idx, 9 + min(mol.degree(idx), 4)] = 1.0
+        x[idx, 9 + min(len(adjacency[idx]), 4)] = 1.0
         x[idx, 14 + min(h_counts[idx], 3)] = 1.0
-        x[idx, 18 + (SP, SP2, SP3, OTHER).index(hybrid[idx])] = 1.0
+        x[idx, 18 + _HYBRID_SLOT[hybrid[idx]]] = 1.0
         if atom.aromatic:
             x[idx, 22] = 1.0
         if atom_ring[idx]:
@@ -222,11 +225,10 @@ def featurize(mol: Molecule) -> MolGraph:
 
     edges = np.zeros((2 * len(mol.bonds), 2), dtype=np.int64)
     efeat = np.zeros((2 * len(mol.bonds), EDGE_FEATURES), dtype=np.float64)
-    pi_like = {SP, SP2}
     for bi, bond in enumerate(mol.bonds):
         row = efeat[2 * bi]
         row[_ORDER_SLOT[bond.order]] = 1.0
-        if hybrid[bond.a] in pi_like and hybrid[bond.b] in pi_like:
+        if hybrid[bond.a] in _PI_LIKE and hybrid[bond.b] in _PI_LIKE:
             row[4] = 1.0
         if bond_ring[bi]:
             row[5] = 1.0

@@ -8,9 +8,9 @@ feature vector. A batch of molecules runs as one disjoint graph; the
 softmax over each node's neighborhood keeps the molecules apart.
 
 :func:`gat_forward` runs a whole layer, every head at once, as one stage of
-the model's chain (``tensor``), on (E, H, d) edge arrays, while its weights
-stay per-head parameters; its outputs and gradients are the bytes of the
-same heads run as separate ops. Its graph batch carries two scatter
+the model's chain (``tensor``), on (E, H, d) edge arrays and on its weight
+blocks, the heads side by side; its outputs and gradients are the bytes of
+the same heads run as separate ops. Its graph batch carries two scatter
 plans (:class:`tensor.ScatterPlan`): ``to_dst`` groups the edges by the
 node they reach and ``to_src`` by the node they leave. The softmax peaks
 are ``to_dst.max``, and every sum (the softmax denominators and messages,
@@ -34,13 +34,40 @@ from .tensor import (NonFiniteError, Param, ScatterPlan, ShapeError, Tensor,
 LEAKY_SLOPE = 0.2  # the maximum form of the LeakyReLU needs it in [0, 1]
 
 
+def side_by_side(params: list[Param]) -> tuple[np.ndarray, list[Param]]:
+    """A new block of the parameters' values side by side along their last
+    axis, and the parameters on their views of it (gradients stay put)."""
+    block = np.concatenate([p.value for p in params], axis=-1)
+    cuts = np.cumsum([0] + [p.value.shape[-1] for p in params]).tolist()
+    return block, [Param(block[..., lo:hi], p.grad, p.name)
+                   for p, lo, hi in zip(params, cuts, cuts[1:])]
+
+
 @dataclass
 class GatLayer:
-    """One message-passing layer; lists are indexed by attention head."""
+    """One message-passing layer; lists are indexed by attention head. The
+    heads' values are views of ``blocks``, the heads side by side as
+    :func:`gat_forward` reads them: (in_dim, H d), (edge_dim, H d) and (H,
+    d). Heads given without blocks are checked and copied into new ones."""
 
     theta_v: list[Param]  # (in_dim, out_dim) per head
     theta_e: list[Param]  # (edge_dim, out_dim) per head
     att: list[Param]  # (out_dim,) per head
+    blocks: tuple = ()
+
+    def __post_init__(self):
+        if not self.blocks:
+            groups, heads = (self.theta_v, self.theta_e, self.att), len(self.att)
+            shapes = [{p.value.shape for p in ps} for ps in groups]
+            v, e, a = (next(iter(s), ()) for s in shapes)
+            if [len(ps) for ps in groups] != [heads] * 3 or len(a) != 1 \
+                    or [len(s) for s in shapes] != [1] * 3 or {v[1:], e[1:]} != {a}:
+                raise ShapeError(f"attention layer weights of shapes {shapes} "
+                                 f"are not (in, d), (edge_dim, d) and (d,) "
+                                 f"for each of {heads} heads")
+            (v, self.theta_v), (e, self.theta_e), (a, self.att) = map(
+                side_by_side, groups)
+            self.blocks = (v, e, a.reshape(heads, -1))
 
     @property
     def heads(self) -> int:
@@ -137,40 +164,30 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
     et[k])``, softmax-normalized over the edges that share a ``dst``, and
     node ``i`` receives the weighted sum of the rows sent to it. The heads'
     sums are added in head order and divided by H. Shapes: (N, in),
-    (E, edge_dim), H x (in, d), H x (edge_dim, d), H x (d,) -> (N, d).
+    (E, edge_dim) and the blocks (in, H d), (edge_dim, H d), (H, d) -> (N, d).
     Returns the output tensor and the (E, H) attention weights as an array;
     the edge features are a constant.
     """
     theta_v, theta_e, att = layer.theta_v, layer.theta_e, layer.att
+    v_block, e_block, att_rows = layer.blocks
     xd, edge_features = x.data, batch.edge_features
     to_dst, to_src, dst = batch.to_dst, batch.to_src, batch.dst
-    heads, n, e = layer.heads, to_dst.num_segments, len(dst)
-    params = [*theta_v, *theta_e, *att]
-    d = theta_v[0].value.shape[-1] if heads else 0
-    if not heads or len(theta_e) != heads or len(att) != heads \
-            or xd.ndim != 2 or len(xd) != n or edge_features.ndim != 2 \
-            or len(edge_features) != e \
-            or any(p.value.shape != (xd.shape[1], d) for p in theta_v) \
-            or any(p.value.shape != (edge_features.shape[1], d) for p in theta_e) \
-            or any(p.value.shape != (d,) for p in att):
-        raise ShapeError(f"attention layer shapes {xd.shape}, "
-                         f"{edge_features.shape}, "
-                         f"{[p.value.shape for p in params]} do not fit {n} "
-                         f"nodes, {e} edges and {heads} heads")
-    xv = _row_invariant_product(xd, [p.value for p in theta_v])
-    xv = xv.reshape(n, heads, d)
+    (heads, d), n, e = att_rows.shape, to_dst.num_segments, len(dst)
+    if xd.shape != (n, len(v_block)) or edge_features.shape != (e, len(e_block)):
+        raise ShapeError(f"attention layer inputs {xd.shape} and "
+                         f"{edge_features.shape} do not fit {n} nodes, {e} "
+                         f"edges and weights {v_block.shape}, {e_block.shape}")
+    xv = _row_invariant_product(xd, v_block).reshape(n, heads, d)
     sent = xv[batch.src]
     act = xv[dst]
     act += sent
     # The edge projections' (E, H, d) array then holds each later temporary
     # of that size, which spares a large batch most of its allocations.
-    scratch = _row_invariant_product(edge_features, [p.value for p in theta_e]
-                                     ).reshape(e, heads, d)
+    scratch = _row_invariant_product(edge_features, e_block).reshape(e, heads, d)
     act += scratch
     # LeakyReLU; as the slope lies in [0, 1], the maximum is the bytes of
     # the pre-activation times the backward's ``slopes``.
     np.maximum(act, np.multiply(act, LEAKY_SLOPE, out=scratch), out=act)
-    att_rows = np.concatenate([p.value for p in att]).reshape(heads, d)
     logits = np.einsum("ehd,hd->eh", act, att_rows)
     if not np.isfinite(logits).all():
         raise NonFiniteError("gat_forward: non-finite logits")
@@ -206,7 +223,7 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
                 d_x += part
         return d_x
 
-    return _stage(x, out, "gat_forward", params,
+    return _stage(x, out, "gat_forward", [*theta_v, *theta_e, *att],
                   backward if train else None), alpha
 
 

@@ -141,13 +141,16 @@ def _is_finite_number(value) -> bool:
 class GrappaModel:
     """The architecture and one float64 vector, ``values``, laid out as
     :func:`_array_specs` and filled from ``initial`` (an array or a number
-    by checkpoint name). ``params`` and ``buffers`` name reshaped views of
-    it, and ``weights`` is its trainable part. ``grad`` is laid out like
-    ``weights``, and ``grads`` names its views. ``gat``, ``pool`` and
-    ``head`` hold each parameter's value and gradient views as the stages
-    read them (:class:`tensor.Param`): ``head`` is the hidden layers, output
-    weight and bias, and running statistics that :func:`head_raw` reads.
-    ``memo`` is the :class:`RowMemo` of :func:`predict`."""
+    by checkpoint name): each attention layer's heads side by side in three
+    blocks, the readout's three projections in one, every other array alone.
+    ``params`` and ``buffers`` name views of it in entry order, the order of
+    a checkpoint, and ``weights`` is its trainable part. ``grad`` is laid
+    out like ``weights``, and ``grads`` names its views. ``gat``, ``pool``
+    and ``head`` hold each parameter's value and gradient views, and the
+    blocks, as the stages read them (:class:`tensor.Param`): ``head`` is the
+    hidden layers, output weight and bias, and running statistics that
+    :func:`head_raw` reads. ``memo`` is the :class:`RowMemo` of
+    :func:`predict`."""
 
     arch: Architecture
     initial: InitVar[dict]
@@ -165,33 +168,52 @@ class GrappaModel:
 
     def __post_init__(self, initial: dict):
         specs = _array_specs(self.arch)
-        self.values = np.empty(sum(math.prod(shape) for _, shape, _ in specs))
+        self.values = np.empty(sum(math.prod(shape) for _, shape, _, _ in specs))
         # The parameters lead the vector, so each one's gradient sits at the
         # same offset of ``grad``.
-        self.grad = np.zeros(sum(math.prod(shape) for name, shape, _ in specs
+        self.grad = np.zeros(sum(math.prod(shape) for name, shape, _, _ in specs
                                  if ".bn.running_" not in name))
         self.weights = self.values[: self.grad.size]
-        self.params, self.grads, self.buffers, start = {}, {}, {}, 0
-        for name, shape, _ in specs:
-            end = start + math.prod(shape)
-            view = self.values[start:end].reshape(shape)
-            view[...] = initial[name]
-            if ".bn.running_" in name:
-                self.buffers[name] = view
+        # A block's entries sit side by side along their last axis, laid out
+        # at its entry 0 as (..., count, width) views of the two vectors; an
+        # entry with no block sits alone.
+        blocks, start, p = {}, 0, {}
+        self.params, self.grads, self.buffers = {}, {}, {}
+        for name, shape, _, block in specs:
+            if block is None:
+                end = start + math.prod(shape)
+                value = self.values[start:end].reshape(shape)
+                grad = self.grad[start:end].reshape(shape) \
+                    if end <= self.grad.size else None
+                start = end
             else:
-                self.params[name] = view
-                self.grads[name] = self.grad[start:end].reshape(shape)
-            start = end
-        p = {name: Param(value, self.grads[name], name)
-             for name, value in self.params.items()}
-        heads = range(self.arch.heads)
-        self.gat = [GatLayer(*([p[f"gat.{li}.{hi}.{key}"] for hi in heads]
-                               for key in ("theta_v", "theta_e", "att")))
-                    for li in range(self.arch.gat_layers)]
+                key, i, count = block
+                if not i:
+                    end = start + math.prod(shape) * count
+                    apart = (*shape[:-1], count, shape[-1])
+                    blocks[key] = (self.values[start:end].reshape(apart),
+                                   self.grad[start:end].reshape(apart))
+                    start = end
+                v, g = blocks[key]
+                value, grad = v[..., i, :], g[..., i, :]
+            value[...] = initial[name]
+            if grad is None:
+                self.buffers[name] = value
+            else:
+                self.params[name], self.grads[name] = value, grad
+                p[name] = Param(value, grad, name)
+        keys, heads = ("theta_v", "theta_e", "att"), range(self.arch.heads)
+        self.gat = []
+        for li in range(self.arch.gat_layers):
+            v, e, a = (blocks[f"gat.{li}.{key}"][0] for key in keys)
+            self.gat.append(GatLayer(
+                *([p[f"gat.{li}.{hi}.{key}"] for hi in heads] for key in keys),
+                (v.reshape(len(v), -1), e.reshape(len(e), -1), a)))
         self.pool = None
         if self.arch.pooling == "interaction":
-            self.pool = InteractionPoolParams(p["pool.Wq"], p["pool.Wk"],
-                                              p["pool.Wv"])
+            qkv = blocks["pool"][0]
+            self.pool = InteractionPoolParams(
+                p["pool.Wq"], p["pool.Wk"], p["pool.Wv"], qkv.reshape(len(qkv), -1))
         layers = [f"head.{i}" for i in range(self.arch.hidden_layers)]
         self.head = (
             [[p[f"{layer}.{key}"] for key in ("weight", "bias", "bn.gamma",
@@ -222,32 +244,40 @@ class GrappaModel:
                 for name, t in self.params.items()]
 
 
-def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None]]:
-    """``(name, shape, fill)`` of every array in vector order: the trainable
-    parameters, in the order :func:`init_model` draws them, then the
-    batch-norm running statistics. A ``None`` fill is a Glorot draw."""
+def _array_specs(arch: Architecture
+                 ) -> list[tuple[str, tuple, float | None, tuple | None]]:
+    """``(name, shape, fill, block)`` of every array in entry order: the
+    trainable parameters, in the order :func:`init_model` draws them, then
+    the batch-norm running statistics. A ``None`` fill is a Glorot draw.
+    The ``count`` entries of a ``(key, i, count)`` block lie side by side
+    along their last axis, entry ``i`` ``i``-th, where ``values`` reaches
+    entry 0; a ``None`` block is the array alone."""
     d, w = arch.embed_dim, arch.hidden_width
     specs, stats = [], []
     in_dim = NODE_FEATURES
     for li in range(arch.gat_layers):
         for hi in range(arch.heads):
-            specs += [(f"gat.{li}.{hi}.theta_v", (in_dim, d), None),
-                      (f"gat.{li}.{hi}.theta_e", (EDGE_FEATURES, d), None),
-                      (f"gat.{li}.{hi}.att", (d,), None)]
+            specs += [(f"gat.{li}.{hi}.theta_v", (in_dim, d), None,
+                       (f"gat.{li}.theta_v", hi, arch.heads)),
+                      (f"gat.{li}.{hi}.theta_e", (EDGE_FEATURES, d), None,
+                       (f"gat.{li}.theta_e", hi, arch.heads)),
+                      (f"gat.{li}.{hi}.att", (d,), None,
+                       (f"gat.{li}.att", hi, arch.heads))]
         in_dim = d
     if arch.pooling == "interaction":
-        specs += [(f"pool.{key}", (d, d), None) for key in ("Wq", "Wk", "Wv")]
+        specs += [(f"pool.{key}", (d, d), None, ("pool", i, 3))
+                  for i, key in enumerate(("Wq", "Wk", "Wv"))]
     width_in = d + EXTRA_HEAD_INPUTS
     for i in range(arch.hidden_layers):
-        specs += [(f"head.{i}.weight", (width_in, w), None),
-                  (f"head.{i}.bias", (w,), 0.0),
-                  (f"head.{i}.bn.gamma", (w,), 1.0),
-                  (f"head.{i}.bn.beta", (w,), 0.0)]
-        stats += [(f"head.{i}.bn.running_mean", (w,), 0.0),
-                  (f"head.{i}.bn.running_var", (w,), 1.0)]
+        specs += [(f"head.{i}.weight", (width_in, w), None, None),
+                  (f"head.{i}.bias", (w,), 0.0, None),
+                  (f"head.{i}.bn.gamma", (w,), 1.0, None),
+                  (f"head.{i}.bn.beta", (w,), 0.0, None)]
+        stats += [(f"head.{i}.bn.running_mean", (w,), 0.0, None),
+                  (f"head.{i}.bn.running_var", (w,), 1.0, None)]
         width_in = w
-    specs += [("head.out.weight", (width_in, 3), None),
-              ("head.out.bias", (3,), 0.0)]
+    specs += [("head.out.weight", (width_in, 3), None, None),
+              ("head.out.bias", (3,), 0.0, None)]
     return specs + stats
 
 
@@ -257,7 +287,7 @@ def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> Gr
     arch.validate()
     rng = np.random.default_rng(seed)
     return GrappaModel(arch, {name: glorot(rng, shape) if fill is None else fill
-                              for name, shape, fill in _array_specs(arch)})
+                              for name, shape, fill, _ in _array_specs(arch)})
 
 
 # ------------------------------------------------------------------ forward
@@ -297,7 +327,7 @@ def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
     inputs, normed = [z], []
     for i, ((weight, bias, gamma, beta), (running_mean, running_var)) in \
             enumerate(zip(hidden, stats)):
-        a = _row_invariant_product(z, [weight.value]) + bias.value
+        a = _row_invariant_product(z, weight.value) + bias.value
         _check_finite(a, f"head_raw hidden layer {i} linear", (weight, bias))
         if train:
             if b < 2:
@@ -318,7 +348,7 @@ def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
         z = np.where(y > 0, y, np.expm1(np.minimum(y, 0.0)))  # ELU
         inputs.append(z)
         normed.append((y, inv, xhat))
-    out = _row_invariant_product(z, [out_weight.value]) + out_bias.value
+    out = _row_invariant_product(z, out_weight.value) + out_bias.value
 
     def backward(g):
         # Walked back layer by layer as the tape walked the separate ops.
@@ -397,7 +427,8 @@ class Components:
         """The components at ``index``, in that order, with their points."""
         lo = np.searchsorted(self.molecule, index)
         hi = np.searchsorted(self.molecule, index, side="right")
-        rows = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        rows = np.concatenate([np.arange(0)]
+                              + [np.arange(a, b) for a, b in zip(lo, hi)])
         return Components([self.names[i] for i in index],
                           [self.graphs[i] for i in index],
                           self.temperatures[rows], self.pressures_pa[rows],
@@ -559,7 +590,7 @@ def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
 
 
 def _check_values(model: GrappaModel):
-    """Raise ``ValueError`` naming the first entry, in vector order, that
+    """Raise ``ValueError`` naming the first entry, in entry order, that
     holds a non-finite value or a negative running variance. One pass over
     the vector and one over its variances find whether there is one; the
     entries are searched only then."""
@@ -604,7 +635,7 @@ def model_from_checkpoint(data: dict) -> GrappaModel:
     entries = data.get("params")
     if not isinstance(entries, dict):
         raise ValueError("checkpoint 'params' must be an object")
-    shapes = {name: shape for name, shape, _ in _array_specs(arch)}
+    shapes = {name: shape for name, shape, *_ in _array_specs(arch)}
     missing = sorted(shapes.keys() - entries.keys())
     if missing:
         raise ValueError(f"checkpoint missing entries: {missing}")

@@ -15,16 +15,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import GraphBatch
+from .gnn import GraphBatch, side_by_side
 from .tensor import (Param, ScatterPlan, ShapeError, Tensor, _put,
                      _row_invariant_product, _stage)
 
 
 @dataclass
 class InteractionPoolParams:
+    """The readout's projections. Their values are views of ``block``, the
+    three side by side as :func:`interaction_pool` reads them, (d, 2k + d');
+    given without a block, they are copied into a new one
+    (``gnn.side_by_side``)."""
+
     Wq: Param  # (d, k)
     Wk: Param  # (d, k)
-    Wv: Param  # (d, d)
+    Wv: Param  # (d, d')
+    block: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.block is None:
+            self.block, (self.Wq, self.Wk, self.Wv) = side_by_side(
+                [self.Wq, self.Wk, self.Wv])
 
 
 def _check_rows(x: Tensor, batch: GraphBatch, name: str):
@@ -60,12 +71,12 @@ def interaction_pool(x: Tensor, batch: GraphBatch,
     _check_rows(x, batch, "interaction_pool")
     xd, blocks = x.data, batch.blocks
     wq, wk, wv = params.Wq, params.Wk, params.Wv
-    # One product for all three; each block of columns is the bytes of its
+    # One product for all three; each weight's columns are the bytes of its
     # own product (see ``_row_invariant_product``).
-    qkv = _row_invariant_product(xd, [wq.value, wk.value, wv.value])
-    cuts = np.cumsum([0] + [p.value.shape[1] for p in (wq, wk, wv)])
-    q, k, v = (np.ascontiguousarray(qkv[:, lo:hi])
-               for lo, hi in zip(cuts[:-1], cuts[1:]))
+    qkv = _row_invariant_product(xd, params.block)
+    i = wq.value.shape[1]
+    j = i + wk.value.shape[1]
+    q, k, v = map(np.ascontiguousarray, (qkv[:, :i], qkv[:, i:j], qkv[:, j:]))
     scale = 1.0 / np.sqrt(wk.value.shape[1])
     weights = []
     out = np.empty((len(blocks), v.shape[1]))

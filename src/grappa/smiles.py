@@ -65,6 +65,9 @@ class ValenceError(SmilesError):
 _ORGANIC_TWO = {"Cl", "Br"}
 _ORGANIC_ONE = {"C", "N", "O", "S", "P", "F", "I"}
 _AROMATIC_ORGANIC = {"c", "n", "o", "s", "p"}
+# Each organic-subset symbol's atom, built once: ``Atom`` is frozen.
+_ORGANIC_ATOMS = {sym: Atom(sym) for sym in _ORGANIC_ONE | _ORGANIC_TWO} | {
+    sym: Atom(sym.upper(), aromatic=True) for sym in _AROMATIC_ORGANIC}
 _BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
 _DIRECTIONAL = {"/", "\\"}
 
@@ -234,13 +237,11 @@ def parse_smiles(text: str) -> Molecule:
 def _parse_organic_atom(text: str, i: int) -> tuple[Atom, int]:
     two = text[i : i + 2]
     if two in _ORGANIC_TWO:
-        return Atom(two), 2
-    ch = text[i]
-    if ch in _ORGANIC_ONE:
-        return Atom(ch), 1
-    if ch in _AROMATIC_ORGANIC:
-        return Atom(ch.upper(), aromatic=True), 1
-    raise UnknownAtomError(f"unknown symbol {ch!r}", i)
+        return _ORGANIC_ATOMS[two], 2
+    atom = _ORGANIC_ATOMS.get(text[i])
+    if atom is None:
+        raise UnknownAtomError(f"unknown symbol {text[i]!r}", i)
+    return atom, 1
 
 
 def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int, str | None]:

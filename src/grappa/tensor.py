@@ -195,15 +195,14 @@ class ScatterPlan:
         return np.maximum.reduceat(values[self._order], self._starts)
 
 
-def _row_invariant_product(a: np.ndarray, blocks: list[np.ndarray]) -> np.ndarray:
-    """``a @ [b_0 | b_1 | ...]`` for (M, K) ``a`` and (K, n_i) blocks. A
-    1-row ``a`` runs as 2 rows and the columns are padded with zeros to a
-    multiple of 16: the shapes on which the BLAS gives each row the same
-    bytes whatever M is, and each block's columns the bytes of its own
-    product."""
-    m, n = len(a), sum(b.shape[1] for b in blocks)
+def _row_invariant_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for (M, K) ``a`` and a C-contiguous (K, n) ``b``, whose
+    columns may hold several weights side by side. A 1-row ``a`` runs as 2
+    rows, and a width that is not a multiple of 16 is padded with zero
+    columns: the shapes on which the BLAS gives each row the same bytes
+    whatever M is, and each weight's columns the bytes of its own product."""
+    m, n = len(a), b.shape[1]
     left = np.concatenate([a, a]) if m == 1 else a
-    pad = [np.zeros((len(blocks[0]), -n % 16))] if n % 16 else []  # np.pad is ~20x slower here
-    right = np.concatenate(blocks + pad, axis=1) if len(blocks) > 1 or pad \
-        else blocks[0]
-    return (left @ right)[:m, :n]
+    if n % 16:  # np.pad is ~20x slower here
+        b = np.concatenate([b, np.zeros((len(b), -n % 16))], axis=1)
+    return (left @ b)[:m, :n]

@@ -21,10 +21,11 @@ import math
 import numpy as np
 
 from contextlib import contextmanager
+from typing import NamedTuple
 
 from grappa.antoine import PA_PER_KPA, AntoineParams
 from grappa.dataio import VpDataset, VpPoint
-from grappa.gnn import GatLayer, batch_graphs
+from grappa.gnn import batch_graphs
 from grappa.metrics import PredictedPoints
 from grappa.model import BN_EPS, BN_MOMENTUM, _count_features
 from grappa.molecule import DOUBLE, STANDARD_VALENCES, TRIPLE, Molecule
@@ -200,7 +201,8 @@ def matmul(a, b):
         raise ShapeError(f"matmul expects 2-D @ 2-D, got {a.shape} @ {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    out = np.ascontiguousarray(_row_invariant_product(a.data, [b.data]))
+    out = np.ascontiguousarray(
+        _row_invariant_product(a.data, np.ascontiguousarray(b.data)))
 
     def vjp(g):
         return g @ b.data.T, a.data.T @ g
@@ -310,30 +312,29 @@ def ln_p_tensor(rows, temperature_k):
 # ------------------------------------------------------------ finite differences
 
 def finite_difference_grad(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central differences of a scalar function at every coordinate of x."""
-    grad = np.zeros_like(x)
-    flat = x.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    """Central differences of a scalar function at every coordinate of x,
+    perturbed in place (x may be a strided view)."""
+    grad = np.zeros(x.shape)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + h
         fp = f(x)
-        flat[i] = orig - h
+        x[i] = orig - h
         fm = f(x)
-        flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        x[i] = orig
+        grad[i] = (fp - fm) / (2.0 * h)
     return grad
 
 
 def finite_difference_at(f, x: np.ndarray, flat_index: int,
                          h: float = 1e-6) -> float:
-    flat = x.ravel()
-    orig = flat[flat_index]
-    flat[flat_index] = orig + h
+    i = np.unravel_index(flat_index, x.shape)
+    orig = x[i]
+    x[i] = orig + h
     fp = f()
-    flat[flat_index] = orig - h
+    x[i] = orig - h
     fm = f()
-    flat[flat_index] = orig
+    x[i] = orig
     return (fp - fm) / (2.0 * h)
 
 
@@ -608,12 +609,26 @@ def per_head_gat_forward(x, batch, layer, slope: float = 0.2):
     return total, np.stack(weights, axis=1)
 
 
-def tape_layer(layer: GatLayer) -> GatLayer:
-    """A layer of trainable tape tensors on the values of ``layer``'s
-    parameters."""
-    return GatLayer(*([TapeTensor(p.value, requires_grad=True, name=p.name)
-                       for p in ps]
-                      for ps in (layer.theta_v, layer.theta_e, layer.att)))
+class TapeLayer(NamedTuple):
+    """An attention layer's per-head tape tensors, as
+    :func:`per_head_gat_forward` reads them."""
+
+    theta_v: list
+    theta_e: list
+    att: list
+
+    @property
+    def heads(self) -> int:
+        return len(self.theta_v)
+
+
+def tape_layer(layer) -> TapeLayer:
+    """A layer of trainable tape tensors on contiguous copies of a
+    ``gnn.GatLayer``'s parameter values, whatever their layout."""
+    return TapeLayer(*([TapeTensor(np.ascontiguousarray(p.value),
+                                   requires_grad=True, name=p.name)
+                        for p in ps]
+                       for ps in (layer.theta_v, layer.theta_e, layer.att)))
 
 
 # ------------------------------------------------ parameter head as tape ops
@@ -728,8 +743,8 @@ def tape_forward_antoine(model, graphs, params: dict):
     x = TapeTensor(batch.node_features)
     heads = range(arch.heads)
     for li in range(arch.gat_layers):
-        layer = GatLayer(*([params[f"gat.{li}.{h}.{key}"] for h in heads]
-                           for key in ("theta_v", "theta_e", "att")))
+        layer = TapeLayer(*([params[f"gat.{li}.{h}.{key}"] for h in heads]
+                            for key in ("theta_v", "theta_e", "att")))
         x, _ = per_head_gat_forward(x, batch, layer)
     if arch.pooling == "interaction":
         q, k, v = (matmul(x, params[f"pool.{key}"]) for key in ("Wq", "Wk", "Wv"))
@@ -750,9 +765,10 @@ def tape_forward_antoine(model, graphs, params: dict):
 
 def tape_batch_loss(model, comps, delta: float | None = None):
     """A batch's training loss as separate tape ops (squared error, or
-    Huber with ``delta``) and the trainable tape tensor on each of the
-    model's parameter views, by name."""
-    params = {name: TapeTensor(value, requires_grad=True, name=name)
+    Huber with ``delta``) and the trainable tape tensor on a contiguous copy
+    of each of the model's parameters, by name."""
+    params = {name: TapeTensor(np.ascontiguousarray(value), requires_grad=True,
+                               name=name)
               for name, value in model.params.items()}
     rows = tape_forward_antoine(model, comps.graphs, params)
     pred = ln_p_tensor(gather_rows(rows, comps.molecule), comps.temperatures)

@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 import grappa.gnn
 import grappa.model
+import grappa.pooling
+import grappa.tensor
 from grappa.antoine import (PA_PER_KPA, AntoineParams, _ln_p_kpa, antoine,
                             boiling_temperature, ln_vapor_pressure)
 from grappa.dataio import VpDataset, VpPoint
@@ -103,6 +105,49 @@ def test_snapshot_restores_every_array_in_place():
     assert model.gat[0].theta_v[0].value is model.params["gat.0.0.theta_v"]
     assert model.gat[0].theta_v[0].grad is model.grads["gat.0.0.theta_v"]
     assert model.pool.Wq.value is model.params["pool.Wq"]
+
+
+def test_weights_lie_in_values_as_the_stages_read_them(monkeypatch):
+    # Each layer's heads side by side in three blocks and the readout's
+    # projections in one, all inside ``values``, which holds no padding.
+    model = init_model(Architecture(), seed=7)
+    assert model.values.size == 14563 + 3 * 2 * 16 == 14659
+    for li, layer in enumerate(model.gat):
+        assert len(layer.blocks) == 3
+        for block, key in zip(layer.blocks, ("theta_v", "theta_e", "att")):
+            assert np.shares_memory(block, model.values)
+            for h, p in enumerate(getattr(layer, key)):
+                assert p.value is model.params[f"gat.{li}.{h}.{key}"]
+                assert np.shares_memory(p.value, block)
+                cols = block[h] if key == "att" else block[:, 32 * h : 32 * (h + 1)]
+                assert np.array_equal(p.value, cols)
+    assert np.shares_memory(model.pool.block, model.values)
+    for i, key in enumerate(("Wq", "Wk", "Wv")):
+        p = getattr(model.pool, key)
+        assert p.value is model.params[f"pool.{key}"]
+        assert np.shares_memory(p.value, model.pool.block)
+        assert np.array_equal(p.value, model.pool.block[:, 32 * i : 32 * (i + 1)])
+    # Every attention and readout product reads its weights in place.
+    seen = []
+
+    def product(a, b):
+        seen.append(np.shares_memory(b, model.values))
+        return grappa.tensor._row_invariant_product(a, b)
+
+    for module in (grappa.gnn, grappa.pooling):
+        monkeypatch.setattr(module, "_row_invariant_product", product)
+    forward_antoine(model, [featurize(parse_smiles("CCO"))])
+    assert seen == [True] * 9
+
+
+def test_taking_no_components_gives_empty_components():
+    comps = prepare_components(synthetic_dataset(points_per_component=3)[0])
+    for index in ([], np.arange(0)):
+        none = comps.take(index)
+        assert none.names == [] and none.graphs == []
+        for arr, dtype in ((none.temperatures, float), (none.pressures_pa, float),
+                           (none.molecule, np.int64)):
+            assert arr.shape == (0,) and arr.dtype == dtype
 
 
 @pytest.mark.parametrize("pooling", ["interaction", "sum"])

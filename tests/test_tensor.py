@@ -143,9 +143,9 @@ def test_blas_gemm_column_blocks_match_their_own_products():
             for heads in (2, 3, 5):
                 x = rng.normal(size=(300, k))
                 blocks = [rng.normal(size=(k, d)) for _ in range(heads)]
-                wide = T._row_invariant_product(x, blocks)
+                wide = T._row_invariant_product(x, np.concatenate(blocks, axis=1))
                 for h, block in enumerate(blocks):
-                    own = T._row_invariant_product(x, [block])
+                    own = T._row_invariant_product(x, block)
                     assert own.tobytes() == np.ascontiguousarray(
                         wide[:, h * d : (h + 1) * d]).tobytes(), (
                         f"BLAS gemm of {k} x {heads * d} differs from its "
@@ -183,9 +183,9 @@ def test_row_invariant_products_are_batch_invariant():
     # One row and three columns are the shapes of predict's head output.
     rng = np.random.default_rng(42)
     x, w = rng.normal(size=(300, 16)), rng.normal(size=(16, 3))
-    full = np.ascontiguousarray(T._row_invariant_product(x, [w]))
+    full = np.ascontiguousarray(T._row_invariant_product(x, w))
     for lo, m in INVARIANCE_ROWS[:5]:
-        part = np.ascontiguousarray(T._row_invariant_product(x[lo : lo + m], [w]))
+        part = np.ascontiguousarray(T._row_invariant_product(x[lo : lo + m], w))
         assert part.tobytes() == full[lo : lo + m].tobytes(), (
             f"matmul of {m} rows @ 16 x 3 differs from the same rows in a "
             f"batch of 300")
@@ -520,17 +520,20 @@ def test_grad_gat_forward():
     v0, v1, e0, e1, a0, a1 = map(param, (v0, v1, e0, e1, a0, a1))
     batch, layer = edge_batch(edge, EDGE_PLANS), GatLayer([v0, v1], [e0, e1],
                                                          [a0, a1])
+    # The layer holds its weights as views of its own blocks.
     check_stage_grad(lambda t, train: gat_forward(t, batch, layer, train)[0],
-                     x, [v0, v1, e0, e1, a0, a1], seed=8)
+                     x, [*layer.theta_v, *layer.theta_e, *layer.att], seed=8)
 
 
 def test_grad_interaction_pool():
     rng = np.random.default_rng(8)
     batch = block_batch([0, 3, 4, 6])
-    wq, wk, wv = (param(rng.normal(size=s)) for s in ((4, 3), (4, 3), (4, 5)))
-    check_stage_grad(lambda t, train: interaction_pool(
-        t, batch, InteractionPoolParams(wq, wk, wv), train),
-        rng.normal(size=(6, 4)), [wq, wk, wv], seed=8)
+    pool = InteractionPoolParams(*(param(rng.normal(size=s))
+                                   for s in ((4, 3), (4, 3), (4, 5))))
+    # The readout holds its weights as views of its own block.
+    check_stage_grad(lambda t, train: interaction_pool(t, batch, pool, train),
+                     rng.normal(size=(6, 4)), [pool.Wq, pool.Wk, pool.Wv],
+                     seed=8)
 
 
 def test_grad_activations():

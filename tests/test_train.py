@@ -1,10 +1,14 @@
+import json
 import math
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grappa.model import Architecture, init_model, prepare_components
+from grappa.model import (Architecture, forward_antoine, init_model,
+                          model_from_checkpoint, prepare_components,
+                          to_checkpoint)
 from grappa.tensor import NonFiniteError, Tensor
 from grappa.train import (
     AdamWState,
@@ -29,10 +33,12 @@ from _oracles import (
     matmul,
     mean_all,
     mul,
+    recording,
     reference_adamw_step,
     sub,
     synthetic_dataset,
     tape_batch_loss,
+    tape_forward_antoine,
 )
 
 
@@ -185,9 +191,8 @@ def test_flat_adamw_is_the_bytes_of_the_per_tensor_update(pooling):
         lr = 0.01 * (step + 1)
         reference_adamw_step(expected, grads, reference_state, lr,
                              weight_decay=0.05)
-        adamw_step(model.weights,
-                   np.concatenate(list(grads.values()), axis=None), state,
-                   lr, weight_decay=0.05)
+        adamw_step(model.weights, model.grad.copy(), state, lr,
+                   weight_decay=0.05)
         for name, arr in params.items():
             assert arr.tobytes() == expected[name].tobytes(), (step, name)
         # The step leaves the batch-norm statistics where the forward put them.
@@ -219,7 +224,6 @@ def test_backward_writes_the_oracle_tape_gradient_bytes(arch, delta):
     start = model.snapshot()
     loss, tape_params = tape_batch_loss(model, comps, delta)
     loss.backward()
-    want = np.concatenate([t.grad for t in tape_params.values()], axis=None)
     tape_values = model.snapshot()
     model.restore(start)
     model.grad[...] = np.nan
@@ -228,8 +232,47 @@ def test_backward_writes_the_oracle_tape_gradient_bytes(arch, delta):
     assert ours.data.tobytes() == loss.data.tobytes()
     ours.backward()
     assert np.isfinite(model.grad).all()
-    assert model.grad.tobytes() == want.tobytes()
+    for name, grad in model.grads.items():
+        assert np.shares_memory(grad, model.grad), name
+        assert grad.tobytes() == tape_params[name].grad.tobytes(), name
     assert model.values.tobytes() == tape_values.tobytes()
+    # The named views tile the gradient vector, each element once, so every
+    # element was compared.
+    model.grad[...] = 0.0
+    for grad in model.grads.values():
+        grad += 1.0
+    assert (model.grad == 1.0).all()
+
+
+ODD_WIDTH_COMPS = prepare_components(
+    synthetic_dataset(points_per_component=3)[0]).take(np.arange(5))
+
+
+@settings(deadline=None, max_examples=20)
+@given(heads=st.integers(1, 5), embed_dim=st.sampled_from([5, 20, 32]),
+       pooling=st.sampled_from(["sum", "interaction"]))
+def test_odd_block_widths_match_the_oracle_tape(heads, embed_dim, pooling):
+    # Heads x width from 5 to 160 columns: block widths that are and are not
+    # multiples of 16, so the product pads some blocks and not others.
+    model = init_model(Architecture(heads=heads, embed_dim=embed_dim,
+                                    pooling=pooling), seed=heads + embed_dim)
+    comps = ODD_WIDTH_COMPS
+    params = {name: TapeTensor(np.ascontiguousarray(value), name=name)
+              for name, value in model.params.items()}
+    with recording(False):
+        want = tape_forward_antoine(model, comps.graphs, params).data
+    assert forward_antoine(model, comps.graphs).data.tobytes() == want.tobytes()
+    start = model.snapshot()
+    loss, tape_params = tape_batch_loss(model, comps)
+    loss.backward()
+    model.restore(start)
+    _batch_loss(model, comps, loss_mse).backward()
+    for name, grad in model.grads.items():
+        assert grad.tobytes() == tape_params[name].grad.tobytes(), name
+    doc = to_checkpoint(model)
+    loaded = model_from_checkpoint(json.loads(json.dumps(doc)))
+    assert json.dumps(to_checkpoint(loaded)) == json.dumps(doc)
+    assert loaded.values.tobytes() == model.values.tobytes()
 
 
 # ------------------------------------------------------------------- schedules
