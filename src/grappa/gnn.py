@@ -10,15 +10,13 @@ softmax over each node's neighborhood keeps the molecules apart.
 :func:`gat_forward` runs a whole layer, every head at once, as one stage of
 the model's chain (``tensor``), on (E, H, d) edge arrays and on its weight
 blocks, the heads side by side; its outputs and gradients are the bytes of
-the same heads run as separate ops. Its graph batch carries two scatter
-plans (:class:`tensor.ScatterPlan`): ``to_dst`` groups the edges by the
-node they reach and ``to_src`` by the node they leave. The softmax peaks
-are ``to_dst.max``, and every sum (the softmax denominators and messages,
-and their backward) is a plan's ``sum``, bitwise that of the plain loop.
-Each plan keeps its order and flat indices for every later layer and
-backward of the batch. The projections use
-``tensor._row_invariant_product`` and the edge logits ``np.einsum``, so an
-output row is the same bytes whatever rows run beside it.
+the same heads run as separate ops. The batch's two scatter plans
+(:class:`tensor.ScatterPlan`), ``to_dst`` and ``to_src``, group the edges
+by the node they reach and leave: the softmax peaks are ``to_dst.max``, and
+every sum is a plan's ``sum``, bitwise that of the plain loop. The
+projections use ``tensor._row_invariant_product`` and the edge logits
+``np.einsum``, so an output row is the same bytes whatever rows run beside
+it.
 """
 
 from __future__ import annotations
@@ -45,10 +43,11 @@ def side_by_side(params: list[Param]) -> tuple[np.ndarray, list[Param]]:
 
 @dataclass
 class GatLayer:
-    """One message-passing layer; lists are indexed by attention head. The
-    heads' values are views of ``blocks``, the heads side by side as
-    :func:`gat_forward` reads them: (in_dim, H d), (edge_dim, H d) and (H,
-    d). Heads given without blocks are checked and copied into new ones."""
+    """One message-passing layer; lists are indexed by attention head, and
+    the heads' values are views of ``blocks``: (in_dim, H d), (edge_dim,
+    H d) and (H, d), as :func:`gat_forward` reads them. Heads given without
+    blocks are checked and copied into new blocks, and the lists then hold
+    new :class:`Param`s on the copies (the given gradient arrays kept)."""
 
     theta_v: list[Param]  # (in_dim, out_dim) per head
     theta_e: list[Param]  # (edge_dim, out_dim) per head
@@ -56,18 +55,20 @@ class GatLayer:
     blocks: tuple = ()
 
     def __post_init__(self):
-        if not self.blocks:
-            groups, heads = (self.theta_v, self.theta_e, self.att), len(self.att)
-            shapes = [{p.value.shape for p in ps} for ps in groups]
-            v, e, a = (next(iter(s), ()) for s in shapes)
-            if [len(ps) for ps in groups] != [heads] * 3 or len(a) != 1 \
-                    or [len(s) for s in shapes] != [1] * 3 or {v[1:], e[1:]} != {a}:
-                raise ShapeError(f"attention layer weights of shapes {shapes} "
-                                 f"are not (in, d), (edge_dim, d) and (d,) "
-                                 f"for each of {heads} heads")
-            (v, self.theta_v), (e, self.theta_e), (a, self.att) = map(
-                side_by_side, groups)
-            self.blocks = (v, e, a.reshape(heads, -1))
+        groups, heads = (self.theta_v, self.theta_e, self.att), len(self.att)
+        if self.blocks:
+            if not all(np.shares_memory(p.value, block)
+                       for ps, block in zip(groups, self.blocks) for p in ps):
+                raise ShapeError("attention layer heads are not views of its blocks")
+            return
+        shapes = [[p.value.shape for p in ps] for ps in groups]
+        v, e, a = (s[0] if s else () for s in shapes)  # (in, d), (edge_dim, d), (d,)
+        if not (heads and len(a) == 1 and v[1:] == e[1:] == a
+                and shapes == [[v] * heads, [e] * heads, [a] * heads]):
+            raise ShapeError(f"attention layer weights of shapes {shapes} are "
+                             f"not (in, d), (edge_dim, d) and (d,) for each head")
+        (v, self.theta_v), (e, self.theta_e), (a, self.att) = map(side_by_side, groups)
+        self.blocks = (v, e, a.reshape(heads, -1))
 
     @property
     def heads(self) -> int:
@@ -82,15 +83,12 @@ def glorot(rng: np.random.Generator, shape) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GraphBatch:
-    """Molecules run as one disjoint graph.
-
-    Bond edges are offset per molecule and followed by one self-loop per
-    node (zero edge features), so every node sums its messages in the same
-    order as it would alone. ``molecule`` maps nodes to their molecule, whose
-    rows are ``bounds[m]:bounds[m + 1]``, the slice ``blocks[m]``.
-    ``to_dst`` and ``to_src`` group the edges by their receiving and sending
-    node, for every layer and its backward.
-    """
+    """Molecules run as one disjoint graph. Bond edges are offset per
+    molecule and followed by one self-loop per node (zero edge features), so
+    every node sums its messages in the same order as it would alone.
+    ``molecule`` maps nodes to their molecule, whose rows are
+    ``bounds[m]:bounds[m + 1]``, the slice ``blocks[m]``. ``to_dst`` and
+    ``to_src`` group the edges by their receiving and sending node."""
 
     node_features: np.ndarray  # (N, node_dim)
     edge_features: np.ndarray  # (E + N, edge_dim)
@@ -159,15 +157,13 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
     over the heads.
 
     Head ``h`` projects ``xv = x @ theta_v[h]`` and ``et = edge_features @
-    theta_e[h]``. Edge ``k`` of ``batch`` sends row ``src[k]`` of ``xv`` to
-    node ``dst[k]``; its logit is ``att[h] . LeakyReLU(xv[dst] + xv[src] +
-    et[k])``, softmax-normalized over the edges that share a ``dst``, and
-    node ``i`` receives the weighted sum of the rows sent to it. The heads'
-    sums are added in head order and divided by H. Shapes: (N, in),
-    (E, edge_dim) and the blocks (in, H d), (edge_dim, H d), (H, d) -> (N, d).
-    Returns the output tensor and the (E, H) attention weights as an array;
-    the edge features are a constant.
-    """
+    theta_e[h]``. Edge ``k`` sends row ``src[k]`` of ``xv`` to node
+    ``dst[k]`` with logit ``att[h] . LeakyReLU(xv[dst] + xv[src] + et[k])``,
+    softmax-normalized over the edges that share a ``dst``; the heads' sums
+    are added in head order and divided by H. Shapes: (N, in), (E, edge_dim)
+    and the blocks (in, H d), (edge_dim, H d), (H, d) -> (N, d). Returns the
+    output tensor and the (E, H) attention weights as an array; the edge
+    features are a constant."""
     theta_v, theta_e, att = layer.theta_v, layer.theta_e, layer.att
     v_block, e_block, att_rows = layer.blocks
     xd, edge_features = x.data, batch.edge_features
@@ -209,18 +205,14 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
         d_xv = to_dst.sum(d_pre) + to_src.sum(d_pre + alpha[:, :, None] * g_e)
         # Per-head products on contiguous slices, and the heads' input
         # gradients added in head order, give the bytes of per-head ops.
-        d_x = None
         for h in range(heads):
             d_xv_h = np.ascontiguousarray(d_xv[:, h])
             _put(theta_v[h], xd.T @ d_xv_h)
             _put(theta_e[h], edge_features.T @ np.ascontiguousarray(d_pre[:, h]))
             _put(att[h], np.ascontiguousarray(act[:, h]).T
                  @ np.ascontiguousarray(d_logits[:, h]))
-            part = d_xv_h @ theta_v[h].value.T
-            if d_x is None:
-                d_x = part
-            else:
-                d_x += part
+            part = d_xv_h @ v_block[:, h * d : (h + 1) * d].T
+            d_x = part if h == 0 else d_x + part
         return d_x
 
     return _stage(x, out, "gat_forward", [*theta_v, *theta_e, *att],

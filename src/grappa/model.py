@@ -10,10 +10,7 @@ output is one (B, 3) tensor whose columns are A, B and C.
 (``tensor``): one ``gnn.gat_forward`` per message-passing layer, one
 pooling stage (``pooling.interaction_pool`` or ``sum_pool``), then the
 head's two stages, defined here: :func:`head_raw`, the hidden stack with
-its batch norms, and :func:`scale_to_ranges`, the sigmoid range map. A
-training forward's stages write the gradients of every weight into
-:attr:`GrappaModel.grad`, one vector laid out like
-:attr:`GrappaModel.weights`.
+its batch norms, and :func:`scale_to_ranges`, the sigmoid range map.
 """
 
 from __future__ import annotations
@@ -22,20 +19,14 @@ import base64
 import copy
 import json
 import math
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from dataclasses import InitVar, dataclass, field, fields, asdict
 from typing import NamedTuple
 
 import numpy as np
 
-from .antoine import (
-    PA_PER_KPA,
-    PARAM_RANGES,
-    AntoineParams,
-    _ln_p_kpa,
-    boiling_temperature,
-    ln_vapor_pressure,
-)
+from .antoine import (PA_PER_KPA, PARAM_RANGES, AntoineParams, _ln_p_kpa,
+                      boiling_temperature, ln_vapor_pressure)
 from .featurize import EDGE_FEATURES, NODE_FEATURES, MolGraph, featurize
 from .gnn import GatLayer, batch_graphs, encode, glorot
 from .metrics import PredictedPoints
@@ -141,16 +132,12 @@ def _is_finite_number(value) -> bool:
 class GrappaModel:
     """The architecture and one float64 vector, ``values``, laid out as
     :func:`_array_specs` and filled from ``initial`` (an array or a number
-    by checkpoint name): each attention layer's heads side by side in three
-    blocks, the readout's three projections in one, every other array alone.
-    ``params`` and ``buffers`` name views of it in entry order, the order of
-    a checkpoint, and ``weights`` is its trainable part. ``grad`` is laid
-    out like ``weights``, and ``grads`` names its views. ``gat``, ``pool``
-    and ``head`` hold each parameter's value and gradient views, and the
-    blocks, as the stages read them (:class:`tensor.Param`): ``head`` is the
-    hidden layers, output weight and bias, and running statistics that
-    :func:`head_raw` reads. ``memo`` is the :class:`RowMemo` of
-    :func:`predict`."""
+    by checkpoint name). ``params`` and ``buffers`` name views of it in
+    entry order, and ``weights`` is its trainable part; ``grad`` is laid out
+    like ``weights``, and ``grads`` names its views. ``gat``, ``pool`` and
+    ``head`` hold the views and blocks as the stages read them
+    (:class:`tensor.Param`); ``head`` is what :func:`head_raw` reads.
+    ``memo`` is the :class:`RowMemo` of :func:`predict`."""
 
     arch: Architecture
     initial: InitVar[dict]
@@ -175,45 +162,37 @@ class GrappaModel:
                                  if ".bn.running_" not in name))
         self.weights = self.values[: self.grad.size]
         # A block's entries sit side by side along their last axis, laid out
-        # at its entry 0 as (..., count, width) views of the two vectors; an
-        # entry with no block sits alone.
+        # at its entry 0 as (..., count, width) views of the two vectors.
         blocks, start, p = {}, 0, {}
         self.params, self.grads, self.buffers = {}, {}, {}
-        for name, shape, _, block in specs:
-            if block is None:
-                end = start + math.prod(shape)
-                value = self.values[start:end].reshape(shape)
-                grad = self.grad[start:end].reshape(shape) \
-                    if end <= self.grad.size else None
+        for name, shape, _, (key, i, count) in specs:
+            if not i:
+                end = start + math.prod(shape) * count
+                apart = (*shape[:-1], count, shape[-1])
+                blocks[key] = (self.values[start:end].reshape(apart),
+                               self.grad[start:end].reshape(apart)
+                               if end <= self.grad.size else None)
                 start = end
-            else:
-                key, i, count = block
-                if not i:
-                    end = start + math.prod(shape) * count
-                    apart = (*shape[:-1], count, shape[-1])
-                    blocks[key] = (self.values[start:end].reshape(apart),
-                                   self.grad[start:end].reshape(apart))
-                    start = end
-                v, g = blocks[key]
-                value, grad = v[..., i, :], g[..., i, :]
+            v, g = blocks[key]
+            value = v[..., i, :]
             value[...] = initial[name]
-            if grad is None:
+            if g is None:  # a running statistic, past the parameters
                 self.buffers[name] = value
             else:
-                self.params[name], self.grads[name] = value, grad
+                self.params[name] = value
+                self.grads[name] = grad = g[..., i, :]
                 p[name] = Param(value, grad, name)
+        wide = {key: v.reshape(len(v), -1) for key, (v, _) in blocks.items()
+                if key.startswith(("gat.", "pool"))}  # (rows, count width)
         keys, heads = ("theta_v", "theta_e", "att"), range(self.arch.heads)
-        self.gat = []
-        for li in range(self.arch.gat_layers):
-            v, e, a = (blocks[f"gat.{li}.{key}"][0] for key in keys)
-            self.gat.append(GatLayer(
-                *([p[f"gat.{li}.{hi}.{key}"] for hi in heads] for key in keys),
-                (v.reshape(len(v), -1), e.reshape(len(e), -1), a)))
+        self.gat = [GatLayer(*([p[f"gat.{li}.{hi}.{key}"] for hi in heads]
+                               for key in keys),
+                             tuple(wide[f"gat.{li}.{key}"] for key in keys))
+                    for li in range(self.arch.gat_layers)]
         self.pool = None
         if self.arch.pooling == "interaction":
-            qkv = blocks["pool"][0]
-            self.pool = InteractionPoolParams(
-                p["pool.Wq"], p["pool.Wk"], p["pool.Wv"], qkv.reshape(len(qkv), -1))
+            self.pool = InteractionPoolParams(p["pool.Wq"], p["pool.Wk"],
+                                              p["pool.Wv"], wide["pool"])
         layers = [f"head.{i}" for i in range(self.arch.hidden_layers)]
         self.head = (
             [[p[f"{layer}.{key}"] for key in ("weight", "bias", "bn.gamma",
@@ -244,41 +223,37 @@ class GrappaModel:
                 for name, t in self.params.items()]
 
 
-def _array_specs(arch: Architecture
-                 ) -> list[tuple[str, tuple, float | None, tuple | None]]:
+def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None, tuple]]:
     """``(name, shape, fill, block)`` of every array in entry order: the
-    trainable parameters, in the order :func:`init_model` draws them, then
-    the batch-norm running statistics. A ``None`` fill is a Glorot draw.
-    The ``count`` entries of a ``(key, i, count)`` block lie side by side
-    along their last axis, entry ``i`` ``i``-th, where ``values`` reaches
-    entry 0; a ``None`` block is the array alone."""
-    d, w = arch.embed_dim, arch.hidden_width
-    specs, stats = [], []
+    parameters in :func:`init_model`'s draw order, then the batch-norm
+    running statistics. A ``None`` fill is a Glorot draw. A ``(key, i,
+    count)`` block lies where its entry 0 is, its entries side by side along
+    their last axis; an array alone is the block ``(name, 0, 1)``."""
+    d, w, heads = arch.embed_dim, arch.hidden_width, arch.heads
+    specs, head, stats = [], [], []
     in_dim = NODE_FEATURES
     for li in range(arch.gat_layers):
-        for hi in range(arch.heads):
-            specs += [(f"gat.{li}.{hi}.theta_v", (in_dim, d), None,
-                       (f"gat.{li}.theta_v", hi, arch.heads)),
-                      (f"gat.{li}.{hi}.theta_e", (EDGE_FEATURES, d), None,
-                       (f"gat.{li}.theta_e", hi, arch.heads)),
-                      (f"gat.{li}.{hi}.att", (d,), None,
-                       (f"gat.{li}.att", hi, arch.heads))]
+        v, e, a = f"gat.{li}.theta_v", f"gat.{li}.theta_e", f"gat.{li}.att"
+        for hi in range(heads):
+            specs += [(f"gat.{li}.{hi}.theta_v", (in_dim, d), None, (v, hi, heads)),
+                      (f"gat.{li}.{hi}.theta_e", (EDGE_FEATURES, d), None, (e, hi, heads)),
+                      (f"gat.{li}.{hi}.att", (d,), None, (a, hi, heads))]
         in_dim = d
     if arch.pooling == "interaction":
         specs += [(f"pool.{key}", (d, d), None, ("pool", i, 3))
                   for i, key in enumerate(("Wq", "Wk", "Wv"))]
     width_in = d + EXTRA_HEAD_INPUTS
     for i in range(arch.hidden_layers):
-        specs += [(f"head.{i}.weight", (width_in, w), None, None),
-                  (f"head.{i}.bias", (w,), 0.0, None),
-                  (f"head.{i}.bn.gamma", (w,), 1.0, None),
-                  (f"head.{i}.bn.beta", (w,), 0.0, None)]
-        stats += [(f"head.{i}.bn.running_mean", (w,), 0.0, None),
-                  (f"head.{i}.bn.running_var", (w,), 1.0, None)]
+        head += [(f"head.{i}.weight", (width_in, w), None),
+                 (f"head.{i}.bias", (w,), 0.0),
+                 (f"head.{i}.bn.gamma", (w,), 1.0),
+                 (f"head.{i}.bn.beta", (w,), 0.0)]
+        stats += [(f"head.{i}.bn.running_mean", (w,), 0.0),
+                  (f"head.{i}.bn.running_var", (w,), 1.0)]
         width_in = w
-    specs += [("head.out.weight", (width_in, 3), None, None),
-              ("head.out.bias", (3,), 0.0, None)]
-    return specs + stats
+    head += [("head.out.weight", (width_in, 3), None), ("head.out.bias", (3,), 0.0)]
+    return specs + [(name, shape, fill, (name, 0, 1))
+                    for name, shape, fill in head + stats]
 
 
 def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> GrappaModel:
@@ -311,15 +286,12 @@ def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
 
     ``model.head`` holds each hidden layer's (weight, bias, gamma, beta)
     :class:`Param`, the output weight and bias, and each batch norm's
-    (running_mean, running_var) arrays; ``counts`` is a constant. In
-    training, batch norm normalizes by the batch, which needs at least 2
-    rows, and moves the running statistics in ``model.buffers`` in place; in
-    inference the running statistics normalize. Every linear and batch-norm
-    output is checked, since the ELU could hide a non-finite value, and the
-    error names the layer and its parameters. Outputs and gradients are the
-    bytes of the same steps run as separate ops, each product row-invariant
-    (see ``tensor._row_invariant_product``).
-    """
+    (running_mean, running_var); ``counts`` is a constant. Training batch
+    norm normalizes by the batch (at least 2 rows) and moves the running
+    statistics in place; inference normalizes by them. Every linear and
+    batch-norm output is checked, as the ELU could hide a non-finite value.
+    Outputs and gradients are the bytes of the same steps run as separate
+    ops, each product row-invariant (``tensor._row_invariant_product``)."""
     hidden, out_weight, out_bias, stats = model.head
     extra = np.asarray(counts, dtype=np.float64)
     b = len(pooled.data)
@@ -427,8 +399,7 @@ class Components:
         """The components at ``index``, in that order, with their points."""
         lo = np.searchsorted(self.molecule, index)
         hi = np.searchsorted(self.molecule, index, side="right")
-        rows = np.concatenate([np.arange(0)]
-                              + [np.arange(a, b) for a, b in zip(lo, hi)])
+        rows = np.concatenate([np.arange(0), *map(np.arange, lo, hi)])
         return Components([self.names[i] for i in index],
                           [self.graphs[i] for i in index],
                           self.temperatures[rows], self.pressures_pa[rows],
@@ -495,11 +466,10 @@ def predict(model: GrappaModel, smiles: str, temperatures=None,
     The (A, B, C) row comes from ``model.memo`` while the model's ``values``
     and ``arch`` are bit for bit those it was computed under; any other state
     starts a new memo, stored once a row is ready. It keeps the rows of the
-    last :data:`PREDICT_MEMO_SIZE` distinct SMILES, and a row not held
-    parses, featurizes and runs :func:`forward_antoine`. A refused SMILES
-    raises on every call and leaves the memo as it was. Each step is one
-    dict or attribute operation, so threads sharing a model never see it
-    raise."""
+    last :data:`PREDICT_MEMO_SIZE` distinct SMILES; a row not held parses,
+    featurizes and runs :func:`forward_antoine`, and a refused SMILES leaves
+    the memo as it was. Each step is one dict or attribute operation, so
+    threads sharing a model never see it raise."""
     bits, memo = model.values.view(np.int64), model.memo
     if memo is None or memo.arch != model.arch \
             or not np.array_equal(memo.bits, bits):
@@ -635,16 +605,16 @@ def model_from_checkpoint(data: dict) -> GrappaModel:
     entries = data.get("params")
     if not isinstance(entries, dict):
         raise ValueError("checkpoint 'params' must be an object")
-    shapes = {name: shape for name, shape, *_ in _array_specs(arch)}
-    missing = sorted(shapes.keys() - entries.keys())
+    model = GrappaModel(arch, defaultdict(float))  # zeros, then the entries
+    arrays = model.params | model.buffers
+    missing = sorted(arrays.keys() - entries.keys())
     if missing:
         raise ValueError(f"checkpoint missing entries: {missing}")
-    unknown = sorted(entries.keys() - shapes.keys())
+    unknown = sorted(entries.keys() - arrays.keys())
     if unknown:
         raise ValueError(f"checkpoint has unknown entries: {unknown}")
-    model = GrappaModel(arch, {name: _decode_entry(name, entries[name], version,
-                                                   shape)
-                               for name, shape in shapes.items()})
+    for name, arr in arrays.items():
+        arr[...] = _decode_entry(name, entries[name], version, arr.shape)
     _check_values(model)
     return model
 
@@ -671,8 +641,7 @@ def parameter_accounting_markdown(model: GrappaModel) -> str:
     for row in rows:
         shape = "x".join(str(s) for s in row["shape"]) or "scalar"
         lines.append(f"| `{row['name']}` | {shape} | {row['count']} |")
-    lines.append(f"| **total** | | **{model.parameter_count()}** |")
-    lines.append("")
-    lines.append("Batch-norm running statistics are buffers, not trainable, "
-                 "and are excluded from the total.")
+    lines += [f"| **total** | | **{model.parameter_count()}** |", "",
+              "Batch-norm running statistics are buffers, not trainable, "
+              "and are excluded from the total."]
     return "\n".join(lines) + "\n"

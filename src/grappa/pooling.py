@@ -23,9 +23,11 @@ from .tensor import (Param, ScatterPlan, ShapeError, Tensor, _put,
 @dataclass
 class InteractionPoolParams:
     """The readout's projections. Their values are views of ``block``, the
-    three side by side as :func:`interaction_pool` reads them, (d, 2k + d');
-    given without a block, they are copied into a new one
-    (``gnn.side_by_side``)."""
+    three side by side as :func:`interaction_pool` reads them, (d, 2k + d').
+    Given without a block, their values are copied into a new one
+    (``gnn.side_by_side``): the fields then hold new :class:`Param`s on
+    views of it (and the given gradient arrays), and the given value arrays
+    are no longer read."""
 
     Wq: Param  # (d, k)
     Wk: Param  # (d, k)
@@ -33,9 +35,11 @@ class InteractionPoolParams:
     block: np.ndarray | None = None
 
     def __post_init__(self):
+        params = [self.Wq, self.Wk, self.Wv]
         if self.block is None:
-            self.block, (self.Wq, self.Wk, self.Wv) = side_by_side(
-                [self.Wq, self.Wk, self.Wv])
+            self.block, (self.Wq, self.Wk, self.Wv) = side_by_side(params)
+        elif not all(np.shares_memory(p.value, self.block) for p in params):
+            raise ShapeError("readout projections are not views of its block")
 
 
 def _check_rows(x: Tensor, batch: GraphBatch, name: str):
@@ -73,7 +77,8 @@ def interaction_pool(x: Tensor, batch: GraphBatch,
     wq, wk, wv = params.Wq, params.Wk, params.Wv
     # One product for all three; each weight's columns are the bytes of its
     # own product (see ``_row_invariant_product``).
-    qkv = _row_invariant_product(xd, params.block)
+    block = params.block
+    qkv = _row_invariant_product(xd, block)
     i = wq.value.shape[1]
     j = i + wk.value.shape[1]
     q, k, v = map(np.ascontiguousarray, (qkv[:, :i], qkv[:, i:j], qkv[:, j:]))
@@ -99,7 +104,7 @@ def interaction_pool(x: Tensor, batch: GraphBatch,
         # The input's parts added in the tape's order: Q, K, then V.
         for p, d in ((wq, dq), (wk, dk), (wv, dv)):
             _put(p, xd.T @ d)
-        return dq @ wq.value.T + dk @ wk.value.T + dv @ wv.value.T
+        return dq @ block[:, :i].T + dk @ block[:, i:j].T + dv @ block[:, j:].T
 
     return _stage(x, out, "interaction_pool", (wq, wk, wv),
                   backward if train else None)

@@ -4,18 +4,15 @@ GRAPPA is a fixed chain: message-passing layers (``gnn.gat_forward``), a
 readout (``pooling.sum_pool`` or ``interaction_pool``), the parameter head
 (``model.head_raw`` and ``scale_to_ranges``) and, in training, the Antoine
 equation (``antoine.ln_p_points``) and the loss (``train.loss_mse`` or
-``loss_huber``). Each stage is a function that takes the previous link's
-:class:`Tensor` and returns the next through :func:`_stage`. A training
-stage (``train=True``) also makes a backward closure: given the gradient of
-the stage's output, it writes the gradients of the stage's parameters into
-their :class:`Param` ``grad`` arrays (:func:`_put`), which are views of the
-model's one gradient vector laid out like its weights, and returns the
-gradient of the stage's input. A :class:`Tensor` is a value plus the
-backwards of the stages that produced it, in forward order, and
-``Tensor.backward()`` runs them in reverse. The chain is linear, so there is
-no graph to sort and no gradient kept per tensor. ``Tensor.backward`` stays
-the one entry point of the whole reverse pass, so a profiler that wraps it
-times all of it and nothing else.
+``loss_huber``). Each stage takes the previous link's :class:`Tensor` and
+returns the next through :func:`_stage`. A training stage (``train=True``)
+also makes a backward closure: given the gradient of the stage's output,
+it writes its parameters' gradients into their :class:`Param` ``grad``
+arrays (:func:`_put`), views of the model's one gradient vector, and
+returns the gradient of the stage's input. ``Tensor.backward()``, the one
+entry point of the reverse pass (a profiler that wraps it times all of it),
+runs the backwards in reverse: the chain is linear, so there is no graph to
+sort and no gradient kept per tensor.
 
 An inference stage (``train=False``) makes no backward, so an inference
 forward frees each intermediate once it is read, and the head's batch norm
@@ -32,13 +29,10 @@ changes a nonzero sum or product, and no backward divides by a gradient or
 tests its sign, so adding 0.0 where a gradient leaves the chain (``_put``
 and the result of ``backward``) gives the same bytes.
 
-The module also holds what more than one stage shares: the one grouping
-primitive, :class:`ScatterPlan`, whose segment sums and maxima every
-grouped reduction of the model goes through (attention messages into atoms,
-atoms into molecules, data points into Antoine rows), and the row-invariant
-product (:func:`_row_invariant_product`), which makes every forward
-batch-invariant: an output row is the same bytes whatever rows run beside
-it (``tests/test_tensor.py`` pins the BLAS).
+The module also holds what several stages share: :class:`ScatterPlan`,
+through which every grouped sum and maximum of the model goes, and
+:func:`_row_invariant_product`, which makes every forward batch-invariant
+(``tests/test_tensor.py`` pins the BLAS).
 """
 
 from __future__ import annotations
@@ -139,15 +133,12 @@ class ScatterPlan:
     """Where each row of an array goes: row ``k`` to segment ``index[k]``.
 
     :meth:`sum` adds each segment's rows in one ``np.bincount`` through the
-    flat index ``index * w + col`` for the ``w`` values of a row. It adds
-    in input order, as an unbuffered ``np.add.at`` does but without its
-    per-element overhead, so every sum is bitwise that of the plain loop; a
-    segment with no row sums to zero. Each flat index is built at the first
-    sum of its width and kept for every later sum of the plan. :meth:`max`
-    takes each segment's maximum with one ``np.maximum.reduceat`` over the
-    rows in stable ``index`` order, which it builds at its first call; a
-    segment with no row has no maximum.
-    """
+    flat index ``index * w + col`` for the ``w`` values of a row, in input
+    order like an unbuffered ``np.add.at``, so every sum is bitwise that of
+    the plain loop; a segment with no row sums to zero. :meth:`max` is one
+    ``np.maximum.reduceat`` over the rows in stable ``index`` order; a
+    segment with no row has no maximum. The plan keeps each flat index and
+    the order from their first use for every later call."""
 
     __slots__ = ("index", "num_segments", "_flat", "_order", "_starts")
 

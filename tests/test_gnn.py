@@ -338,6 +338,41 @@ def test_layer_shape_validation():
         gat_forward(Tensor(np.zeros((5, 24))), batch_graphs([graph]), layer)
 
 
+def test_loose_heads_are_checked_and_copied_into_blocks():
+    rng = np.random.default_rng(15)
+    layer = random_layer(rng, 24, out_dim=6, heads=3)
+    v_block, e_block, att_rows = layer.blocks
+    assert (v_block.shape, e_block.shape, att_rows.shape) == (
+        (24, 18), (EDGE_FEATURES, 18), (3, 6))
+    for h in range(3):
+        assert layer.theta_v[h].value.base is v_block
+        assert np.array_equal(layer.theta_v[h].value, v_block[:, 6 * h : 6 * h + 6])
+        assert np.array_equal(layer.att[h].value, att_rows[h])
+    heads = [layer.theta_v, layer.theta_e, layer.att]
+    for group, k, shape in ((0, 1, (5, 5)), (1, 2, (5, 5)), (2, 0, (5,))):
+        bad = [list(ps) for ps in heads]
+        bad[group][k] = param(np.zeros(shape))
+        with pytest.raises(ShapeError):
+            GatLayer(*bad)
+    with pytest.raises(ShapeError):
+        GatLayer([], [], [])
+    with pytest.raises(ShapeError):
+        GatLayer(layer.theta_v, layer.theta_e, layer.att[:2])
+
+
+def test_given_blocks_must_hold_the_heads():
+    rng = np.random.default_rng(16)
+    layer, other = random_layer(rng, 24), random_layer(rng, 24)
+    assert GatLayer(layer.theta_v, layer.theta_e, layer.att, layer.blocks).blocks \
+        is layer.blocks
+    # Forward and backward read the blocks, so heads that are not views of
+    # them would name and take gradients of weights the layer does not use.
+    with pytest.raises(ShapeError, match="not views of its blocks"):
+        GatLayer(layer.theta_v, layer.theta_e, layer.att, other.blocks)
+    with pytest.raises(ShapeError, match="not views of its blocks"):
+        GatLayer(layer.theta_v, other.theta_e, layer.att, layer.blocks)
+
+
 def test_row_blocks_check_their_bounds():
     assert row_blocks([0, 3, 4, 10]) == (slice(0, 3), slice(3, 4), slice(4, 10))
     for bounds in ([0, 2, 2, 4], [1, 4], [0], [[0, 1]]):

@@ -10,7 +10,7 @@ from grappa.pooling import (
     sum_pool,
 )
 from grappa.smiles import parse_smiles
-from grappa.tensor import Tensor
+from grappa.tensor import ShapeError, Tensor
 
 from _oracles import (
     finite_difference_grad,
@@ -149,6 +149,18 @@ def test_gradients_match_finite_differences(interaction):
         numeric = finite_difference_grad(lambda _: forward().item(), arr)
         err = max_rel_error(analytic[name], numeric)
         assert err < 1e-4, f"{name}: rel err {err}"
+
+
+def test_readout_projections_lie_in_one_block():
+    rng = np.random.default_rng(17)
+    params, other = random_params(rng, dim=4), random_params(rng, dim=4)
+    assert params.block.shape == (4, 12)
+    for i, p in enumerate((params.Wq, params.Wk, params.Wv)):
+        assert p.value.base is params.block
+        assert np.array_equal(p.value, params.block[:, 4 * i : 4 * i + 4])
+    # interaction_pool reads the block, so it must hold the projections.
+    with pytest.raises(ShapeError, match="not views of its block"):
+        InteractionPoolParams(params.Wq, params.Wk, params.Wv, other.block)
 
 
 def test_init_shapes_and_names():
