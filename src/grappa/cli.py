@@ -435,8 +435,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    # A JSON document nested deeper than the decoder recurses (a checkpoint
+    # or a config) raises RecursionError.
     except (SmilesError, ScopeError, AntoineDomainError, NonFiniteError,
-            TrainingError, ValueError, OSError) as err:
+            TrainingError, ValueError, OSError, RecursionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -129,18 +129,35 @@ def load(path, fmt: str = "csv") -> VpDataset:
                        if c not in (reader.fieldnames or [])]
             if missing:
                 raise ValueError(f"missing columns: {', '.join(missing)}")
-            records = enumerate(reader, start=2)  # 1 = header line
+            records = enumerate(_csv_records(reader), start=2)  # 1 = header line
         else:
             records = ((row, line) for row, line in enumerate(fh, start=1)
                        if line.strip())
         for row, record in records:
             try:
+                if isinstance(record, csv.Error):
+                    raise record
                 if fmt == "jsonl":
                     record = json.loads(record)
                 ds.points.append(_parse_row(record, row))
-            except (ValueError, TypeError) as err:
+            # An integer beyond float range overflows, and JSON nested past
+            # the decoder's depth recurses too deep.
+            except (ValueError, TypeError, OverflowError, RecursionError,
+                    csv.Error) as err:
                 ds.rejects.append({"row": row, "reason": str(err)})
     return ds
+
+
+def _csv_records(reader):
+    """Each record of a CSV reader, or the ``csv.Error`` it raised reading
+    one (a field over the size limit); the reader goes on to the next."""
+    while True:
+        try:
+            yield next(reader)
+        except StopIteration:
+            return
+        except csv.Error as err:
+            yield err
 
 
 # ------------------------------------------------------------------- fitting

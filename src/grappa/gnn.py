@@ -8,15 +8,15 @@ feature vector. A batch of molecules runs as one disjoint graph; the
 softmax over each node's neighborhood keeps the molecules apart.
 
 :func:`gat_forward` runs a whole layer, every head at once, as one stage of
-the model's chain (``tensor``), on (E, H, d) edge arrays and on its weight
-blocks, the heads side by side; its outputs and gradients are the bytes of
-the same heads run as separate ops. The batch's two scatter plans
-(:class:`tensor.ScatterPlan`), ``to_dst`` and ``to_src``, group the edges
-by the node they reach and leave: the softmax peaks are ``to_dst.max``, and
-every sum is a plan's ``sum``, bitwise that of the plain loop. The
-projections use ``tensor._row_invariant_product`` and the edge logits
-``np.einsum``, so an output row is the same bytes whatever rows run beside
-it.
+the model's chain (``tensor``), on (E, H, d) edge arrays and on the three
+weight blocks that are its :class:`GatLayer`, the heads side by side; its
+outputs and gradients are the bytes of the same heads run as separate ops.
+The batch's two scatter plans (:class:`tensor.ScatterPlan`), ``to_dst`` and
+``to_src``, group the edges by the node they reach and leave: the softmax
+peaks are ``to_dst.max``, and every sum is a plan's ``sum``, bitwise that
+of the plain loop. The projections use ``tensor._row_invariant_product``
+and the edge logits ``np.einsum``, so an output row is the same bytes
+whatever rows run beside it.
 """
 
 from __future__ import annotations
@@ -32,47 +32,18 @@ from .tensor import (NonFiniteError, Param, ScatterPlan, ShapeError, Tensor,
 LEAKY_SLOPE = 0.2  # the maximum form of the LeakyReLU needs it in [0, 1]
 
 
-def side_by_side(params: list[Param]) -> tuple[np.ndarray, list[Param]]:
-    """A new block of the parameters' values side by side along their last
-    axis, and the parameters on their views of it (gradients stay put)."""
-    block = np.concatenate([p.value for p in params], axis=-1)
-    cuts = np.cumsum([0] + [p.value.shape[-1] for p in params]).tolist()
-    return block, [Param(block[..., lo:hi], p.grad, p.name)
-                   for p, lo, hi in zip(params, cuts, cuts[1:])]
-
-
 @dataclass
 class GatLayer:
-    """One message-passing layer; lists are indexed by attention head, and
-    the heads' values are views of ``blocks``: (in_dim, H d), (edge_dim,
-    H d) and (H, d), as :func:`gat_forward` reads them. Heads given without
-    blocks are checked and copied into new blocks, and the lists then hold
-    new :class:`Param`s on the copies (the given gradient arrays kept)."""
+    """One message-passing layer: its weight blocks, each head's weights
+    side by side as :func:`gat_forward` reads them."""
 
-    theta_v: list[Param]  # (in_dim, out_dim) per head
-    theta_e: list[Param]  # (edge_dim, out_dim) per head
-    att: list[Param]  # (out_dim,) per head
-    blocks: tuple = ()
-
-    def __post_init__(self):
-        groups, heads = (self.theta_v, self.theta_e, self.att), len(self.att)
-        if self.blocks:
-            if not all(np.shares_memory(p.value, block)
-                       for ps, block in zip(groups, self.blocks) for p in ps):
-                raise ShapeError("attention layer heads are not views of its blocks")
-            return
-        shapes = [[p.value.shape for p in ps] for ps in groups]
-        v, e, a = (s[0] if s else () for s in shapes)  # (in, d), (edge_dim, d), (d,)
-        if not (heads and len(a) == 1 and v[1:] == e[1:] == a
-                and shapes == [[v] * heads, [e] * heads, [a] * heads]):
-            raise ShapeError(f"attention layer weights of shapes {shapes} are "
-                             f"not (in, d), (edge_dim, d) and (d,) for each head")
-        (v, self.theta_v), (e, self.theta_e), (a, self.att) = map(side_by_side, groups)
-        self.blocks = (v, e, a.reshape(heads, -1))
+    theta_v: Param  # (in_dim, H d), head h in columns h d : (h + 1) d
+    theta_e: Param  # (edge_dim, H d), likewise
+    att: Param  # (H, d), head h in row h
 
     @property
     def heads(self) -> int:
-        return len(self.theta_v)
+        return len(self.att.value)
 
 
 def glorot(rng: np.random.Generator, shape) -> np.ndarray:
@@ -156,23 +127,30 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
     ``x``: attention over each node's incoming edges, summed, then averaged
     over the heads.
 
-    Head ``h`` projects ``xv = x @ theta_v[h]`` and ``et = edge_features @
-    theta_e[h]``. Edge ``k`` sends row ``src[k]`` of ``xv`` to node
-    ``dst[k]`` with logit ``att[h] . LeakyReLU(xv[dst] + xv[src] + et[k])``,
+    Head ``h`` reads columns ``h d : (h + 1) d`` of the ``theta_v`` and
+    ``theta_e`` blocks, ``tv`` and ``te``, and row ``h`` of ``att``: it
+    projects ``xv = x @ tv`` and ``et = edge_features @ te``, and edge ``k``
+    sends row ``src[k]`` of ``xv`` to node ``dst[k]`` with logit
+    ``att[h] . LeakyReLU(xv[dst] + xv[src] + et[k])``,
     softmax-normalized over the edges that share a ``dst``; the heads' sums
     are added in head order and divided by H. Shapes: (N, in), (E, edge_dim)
     and the blocks (in, H d), (edge_dim, H d), (H, d) -> (N, d). Returns the
     output tensor and the (E, H) attention weights as an array; the edge
     features are a constant."""
-    theta_v, theta_e, att = layer.theta_v, layer.theta_e, layer.att
-    v_block, e_block, att_rows = layer.blocks
+    params = (layer.theta_v, layer.theta_e, layer.att)
+    v_block, e_block, att_rows = (p.value for p in params)
     xd, edge_features = x.data, batch.edge_features
     to_dst, to_src, dst = batch.to_dst, batch.to_src, batch.dst
-    (heads, d), n, e = att_rows.shape, to_dst.num_segments, len(dst)
-    if xd.shape != (n, len(v_block)) or edge_features.shape != (e, len(e_block)):
+    n, e = to_dst.num_segments, len(dst)
+    heads, d = att_rows.shape if att_rows.ndim == 2 else (0, 0)
+    if not (heads * d and v_block.shape[1:] == e_block.shape[1:] == (heads * d,)
+            and xd.shape == (n, len(v_block))
+            and edge_features.shape == (e, len(e_block))):
         raise ShapeError(f"attention layer inputs {xd.shape} and "
                          f"{edge_features.shape} do not fit {n} nodes, {e} "
-                         f"edges and weights {v_block.shape}, {e_block.shape}")
+                         f"edges and weights {v_block.shape}, {e_block.shape} "
+                         f"and {att_rows.shape}, which must be (in, H d), "
+                         f"(edge_dim, H d) and (H, d)")
     xv = _row_invariant_product(xd, v_block).reshape(n, heads, d)
     sent = xv[batch.src]
     act = xv[dst]
@@ -203,19 +181,23 @@ def gat_forward(x: Tensor, batch: GraphBatch, layer: GatLayer,
         slopes = (act > 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
         d_pre = d_logits[:, :, None] * att_rows * slopes
         d_xv = to_dst.sum(d_pre) + to_src.sum(d_pre + alpha[:, :, None] * g_e)
-        # Per-head products on contiguous slices, and the heads' input
-        # gradients added in head order, give the bytes of per-head ops.
+        # Per-head products on contiguous slices, each written to its head's
+        # slice of the gradient blocks, and the heads' input gradients added
+        # in head order, give the bytes of per-head ops.
+        v_grad, e_grad, att_grad = (p.grad for p in params)
         for h in range(heads):
+            cols = slice(h * d, (h + 1) * d)
             d_xv_h = np.ascontiguousarray(d_xv[:, h])
-            _put(theta_v[h], xd.T @ d_xv_h)
-            _put(theta_e[h], edge_features.T @ np.ascontiguousarray(d_pre[:, h]))
-            _put(att[h], np.ascontiguousarray(act[:, h]).T
+            _put(v_grad[:, cols], xd.T @ d_xv_h)
+            _put(e_grad[:, cols],
+                 edge_features.T @ np.ascontiguousarray(d_pre[:, h]))
+            _put(att_grad[h], np.ascontiguousarray(act[:, h]).T
                  @ np.ascontiguousarray(d_logits[:, h]))
-            part = d_xv_h @ v_block[:, h * d : (h + 1) * d].T
+            part = d_xv_h @ v_block[:, cols].T
             d_x = part if h == 0 else d_x + part
         return d_x
 
-    return _stage(x, out, "gat_forward", [*theta_v, *theta_e, *att],
+    return _stage(x, out, "gat_forward", params,
                   backward if train else None), alpha
 
 

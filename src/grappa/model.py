@@ -134,9 +134,10 @@ class GrappaModel:
     :func:`_array_specs` and filled from ``initial`` (an array or a number
     by checkpoint name). ``params`` and ``buffers`` name views of it in
     entry order, and ``weights`` is its trainable part; ``grad`` is laid out
-    like ``weights``, and ``grads`` names its views. ``gat``, ``pool`` and
-    ``head`` hold the views and blocks as the stages read them
-    (:class:`tensor.Param`); ``head`` is what :func:`head_raw` reads.
+    like ``weights``, and ``grads`` names its views. The stages read them
+    as :class:`tensor.Param`s: ``gat`` and ``pool`` hold blocks, each a
+    wide view of both vectors named by its entries in order, and ``head``
+    holds one per entry, as :func:`head_raw` reads them.
     ``memo`` is the :class:`RowMemo` of :func:`predict`."""
 
     arch: Architecture
@@ -163,7 +164,7 @@ class GrappaModel:
         self.weights = self.values[: self.grad.size]
         # A block's entries sit side by side along their last axis, laid out
         # at its entry 0 as (..., count, width) views of the two vectors.
-        blocks, start, p = {}, 0, {}
+        blocks, start = {}, 0
         self.params, self.grads, self.buffers = {}, {}, {}
         for name, shape, _, (key, i, count) in specs:
             if not i:
@@ -171,33 +172,37 @@ class GrappaModel:
                 apart = (*shape[:-1], count, shape[-1])
                 blocks[key] = (self.values[start:end].reshape(apart),
                                self.grad[start:end].reshape(apart)
-                               if end <= self.grad.size else None)
+                               if end <= self.grad.size else None, [])
                 start = end
-            v, g = blocks[key]
+            v, g, names = blocks[key]
+            names.append(name)
             value = v[..., i, :]
             value[...] = initial[name]
             if g is None:  # a running statistic, past the parameters
                 self.buffers[name] = value
             else:
                 self.params[name] = value
-                self.grads[name] = grad = g[..., i, :]
-                p[name] = Param(value, grad, name)
-        wide = {key: v.reshape(len(v), -1) for key, (v, _) in blocks.items()
-                if key.startswith(("gat.", "pool"))}  # (rows, count width)
-        keys, heads = ("theta_v", "theta_e", "att"), range(self.arch.heads)
-        self.gat = [GatLayer(*([p[f"gat.{li}.{hi}.{key}"] for hi in heads]
-                               for key in keys),
-                             tuple(wide[f"gat.{li}.{key}"] for key in keys))
+                self.grads[name] = g[..., i, :]
+
+        def block(key):  # (rows, count width), named by its entries
+            v, g, names = blocks[key]
+            return Param(v.reshape(len(v), -1), g.reshape(len(g), -1),
+                         tuple(names))
+
+        def entry(name):
+            return Param(self.params[name], self.grads[name], name)
+
+        self.gat = [GatLayer(*(block(f"gat.{li}.{key}")
+                               for key in ("theta_v", "theta_e", "att")))
                     for li in range(self.arch.gat_layers)]
         self.pool = None
         if self.arch.pooling == "interaction":
-            self.pool = InteractionPoolParams(p["pool.Wq"], p["pool.Wk"],
-                                              p["pool.Wv"], wide["pool"])
+            self.pool = InteractionPoolParams(block("pool"), self.arch.embed_dim)
         layers = [f"head.{i}" for i in range(self.arch.hidden_layers)]
         self.head = (
-            [[p[f"{layer}.{key}"] for key in ("weight", "bias", "bn.gamma",
-                                              "bn.beta")] for layer in layers],
-            p["head.out.weight"], p["head.out.bias"],
+            [[entry(f"{layer}.{key}") for key in ("weight", "bias", "bn.gamma",
+                                                  "bn.beta")] for layer in layers],
+            entry("head.out.weight"), entry("head.out.bias"),
             [[self.buffers[f"{layer}.bn.running_{key}"] for key in ("mean", "var")]
              for layer in layers])
 
@@ -324,20 +329,20 @@ def head_raw(model: GrappaModel, pooled: Tensor, counts: np.ndarray,
 
     def backward(g):
         # Walked back layer by layer as the tape walked the separate ops.
-        _put(out_bias, g.sum(axis=0))
-        _put(out_weight, inputs[-1].T @ g)
+        _put(out_bias.grad, g.sum(axis=0))
+        _put(out_weight.grad, inputs[-1].T @ g)
         g = g @ out_weight.value.T
         for i in reversed(range(len(hidden))):
             (weight, bias, gamma, beta), (y, inv, xhat) = hidden[i], normed[i]
             g = np.where(y > 0, g, (inputs[i + 1] + 1.0) * g)
             dxhat = g * gamma.value
-            _put(beta, g.sum(axis=0))
-            _put(gamma, (g * xhat).sum(axis=0))
+            _put(beta.grad, g.sum(axis=0))
+            _put(gamma.grad, (g * xhat).sum(axis=0))
             g = (inv / b) * (
                 b * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0)
             )
-            _put(bias, g.sum(axis=0))
-            _put(weight, inputs[i].T @ g)
+            _put(bias.grad, g.sum(axis=0))
+            _put(weight.grad, inputs[i].T @ g)
             g = g @ weight.value.T
         return g[:, : pooled.shape[1]]
 
@@ -534,19 +539,22 @@ def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
     if not isinstance(entry, dict):
         raise ValueError(f"entry {name!r} must be an object")
     stored = entry.get("shape")
-    if not isinstance(stored, list) or tuple(stored) != shape:
+    # JSON numbers only: 3.0 is not a dimension, nor "1.5" or true a value.
+    if not isinstance(stored, list) or tuple(stored) != shape \
+            or not all(type(n) is int for n in stored):
         raise ValueError(f"entry {name!r} has shape {stored!r}, "
                          f"expected {list(shape)}")
     size = math.prod(shape)
     if version == 1:
         values = entry.get("values")
-        try:
-            flat = np.array(values, dtype=np.float64)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"entry {name!r} values are not numbers ({err})") from None
-        if not isinstance(values, list) or flat.shape != (size,):
+        if not (isinstance(values, list) and len(values) == size
+                and all(type(v) in (int, float) for v in values)):
             raise ValueError(f"entry {name!r} values must be a flat list of "
                              f"{size} numbers")
+        try:
+            flat = np.array(values, dtype=np.float64)
+        except OverflowError as err:
+            raise ValueError(f"entry {name!r} values are not floats ({err})") from None
     else:
         try:
             raw = base64.b64decode(entry.get("data"), validate=True)

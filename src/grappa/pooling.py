@@ -5,8 +5,8 @@ row per molecule as one stage of the model's chain (``tensor``), and both
 are invariant to node order: :func:`sum_pool` sums each molecule's rows in
 one scatter over the batch's molecule ids, and :func:`interaction_pool`
 mixes all node pairs of a molecule by self-attention within its block of
-rows before summing, with the readout's three projections fused into one
-row-invariant product.
+rows before summing; the readout's three projections lie side by side in
+one weight block, applied in one row-invariant product.
 """
 
 from __future__ import annotations
@@ -15,31 +15,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gnn import GraphBatch, side_by_side
+from .gnn import GraphBatch
 from .tensor import (Param, ScatterPlan, ShapeError, Tensor, _put,
                      _row_invariant_product, _stage)
 
 
 @dataclass
 class InteractionPoolParams:
-    """The readout's projections. Their values are views of ``block``, the
-    three side by side as :func:`interaction_pool` reads them, (d, 2k + d').
-    Given without a block, their values are copied into a new one
-    (``gnn.side_by_side``): the fields then hold new :class:`Param`s on
-    views of it (and the given gradient arrays), and the given value arrays
-    are no longer read."""
+    """The readout's projections ``Wq | Wk | Wv`` side by side in one block,
+    (d, 2k + d'), as :func:`interaction_pool` reads them, and the key width
+    ``k`` that splits it."""
 
-    Wq: Param  # (d, k)
-    Wk: Param  # (d, k)
-    Wv: Param  # (d, d')
-    block: np.ndarray | None = None
-
-    def __post_init__(self):
-        params = [self.Wq, self.Wk, self.Wv]
-        if self.block is None:
-            self.block, (self.Wq, self.Wk, self.Wv) = side_by_side(params)
-        elif not all(np.shares_memory(p.value, self.block) for p in params):
-            raise ShapeError("readout projections are not views of its block")
+    qkv: Param  # (d, 2k + d')
+    key_width: int  # k
 
 
 def _check_rows(x: Tensor, batch: GraphBatch, name: str):
@@ -66,23 +54,22 @@ def interaction_pool(x: Tensor, batch: GraphBatch,
                      train: bool = False) -> Tensor:
     """Self-attention readout per molecule, summed over its rows.
 
-    Q, K and V are ``x`` projected by ``Wq``, ``Wk`` and ``Wv``. For
-    molecule ``m``, which holds rows ``batch.blocks[m]``, W is the row-wise
-    softmax of ``Q K^T / sqrt(k)`` over the block, and output row ``m`` is
-    ``1^T W V``: the weights' column sums times V. Shapes: (N, d), (d, k),
-    (d, k), (d, d') -> (M, d').
+    Q, K and V are ``x`` projected by ``Wq``, ``Wk`` and ``Wv``, the
+    block's first ``k`` columns, its next ``k`` and the rest. For molecule
+    ``m``, which holds rows ``batch.blocks[m]``, W is the row-wise softmax
+    of ``Q K^T / sqrt(k)`` over the block, and output row ``m`` is ``1^T W
+    V``: the weights' column sums times V. Shapes: (N, d) and the block
+    (d, 2k + d') -> (M, d').
     """
     _check_rows(x, batch, "interaction_pool")
     xd, blocks = x.data, batch.blocks
-    wq, wk, wv = params.Wq, params.Wk, params.Wv
+    block, i = params.qkv.value, params.key_width
+    j = 2 * i
     # One product for all three; each weight's columns are the bytes of its
     # own product (see ``_row_invariant_product``).
-    block = params.block
     qkv = _row_invariant_product(xd, block)
-    i = wq.value.shape[1]
-    j = i + wk.value.shape[1]
     q, k, v = map(np.ascontiguousarray, (qkv[:, :i], qkv[:, i:j], qkv[:, j:]))
-    scale = 1.0 / np.sqrt(wk.value.shape[1])
+    scale = 1.0 / np.sqrt(i)
     weights = []
     out = np.empty((len(blocks), v.shape[1]))
     for m, rows in enumerate(blocks):
@@ -102,9 +89,11 @@ def interaction_pool(x: Tensor, batch: GraphBatch,
             dq[rows] = dlogits @ k[rows]
             dk[rows] = dlogits.T @ q[rows]
         # The input's parts added in the tape's order: Q, K, then V.
-        for p, d in ((wq, dq), (wk, dk), (wv, dv)):
-            _put(p, xd.T @ d)
+        grad = params.qkv.grad
+        _put(grad[:, :i], xd.T @ dq)
+        _put(grad[:, i:j], xd.T @ dk)
+        _put(grad[:, j:], xd.T @ dv)
         return dq @ block[:, :i].T + dk @ block[:, i:j].T + dv @ block[:, j:].T
 
-    return _stage(x, out, "interaction_pool", (wq, wk, wv),
+    return _stage(x, out, "interaction_pool", (params.qkv,),
                   backward if train else None)

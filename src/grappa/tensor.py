@@ -100,18 +100,20 @@ class Tensor:
 
 class Param(NamedTuple):
     """A parameter as the stages read it: its value, the array a backward
-    writes its gradient into, and its checkpoint name."""
+    writes its gradient into, and its checkpoint name, or for a block of
+    several entries side by side the names of its entries in order."""
 
     value: np.ndarray
     grad: np.ndarray
-    name: str
+    name: str | tuple[str, ...]
 
 
 def _check_finite(data: np.ndarray, op: str, params=()):
     """Raise :class:`NonFiniteError` naming ``op`` and every named
     parameter unless ``data`` is all finite."""
     if not np.isfinite(data).all():
-        names = ", ".join(repr(p.name) for p in params if p.name)
+        names = ", ".join(repr(name) for p in params for name in
+                          ((p.name,) if isinstance(p.name, str) else p.name) if name)
         raise NonFiniteError(f"non-finite value produced by {op}"
                              + (f" (inputs {names})" if names else ""))
 
@@ -123,10 +125,10 @@ def _stage(x: Tensor, out: np.ndarray, op: str, params, backward) -> Tensor:
     return Tensor(out, x.stages + (backward,))
 
 
-def _put(param: Param, grad: np.ndarray):
-    """Write a parameter's gradient as the tape stored a first gradient,
-    ``+ 0.0``."""
-    np.add(grad, 0.0, out=param.grad)
+def _put(target: np.ndarray, grad: np.ndarray):
+    """Write a parameter's gradient into ``target``, its gradient array or
+    its slice of a block's, as the tape stored a first gradient, ``+ 0.0``."""
+    np.add(grad, 0.0, out=target)
 
 
 class ScatterPlan:

@@ -36,7 +36,7 @@ from grappa.tensor import (NonFiniteError, Param, ShapeError, Tensor,
 
 # --------------------------------------------------------- stage-chain helpers
 
-def param(value, name: str = "") -> Param:
+def param(value, name: str | tuple[str, ...] = "") -> Param:
     """A stand-alone parameter: a copy of ``value`` and a NaN-filled
     gradient array, so a backward that skips an entry shows."""
     value = np.array(value, dtype=np.float64)
@@ -623,12 +623,16 @@ class TapeLayer(NamedTuple):
 
 
 def tape_layer(layer) -> TapeLayer:
-    """A layer of trainable tape tensors on contiguous copies of a
-    ``gnn.GatLayer``'s parameter values, whatever their layout."""
-    return TapeLayer(*([TapeTensor(np.ascontiguousarray(p.value),
-                                   requires_grad=True, name=p.name)
-                        for p in ps]
-                       for ps in (layer.theta_v, layer.theta_e, layer.att)))
+    """A layer of trainable tape tensors on contiguous copies of each head's
+    slice of a ``gnn.GatLayer``'s blocks: columns of ``theta_v`` and
+    ``theta_e``, rows of ``att``."""
+    heads = layer.heads
+    parts = [(layer.theta_v, np.split(layer.theta_v.value, heads, axis=1)),
+             (layer.theta_e, np.split(layer.theta_e.value, heads, axis=1)),
+             (layer.att, list(layer.att.value))]
+    return TapeLayer(*([TapeTensor(np.ascontiguousarray(w), requires_grad=True,
+                                   name=p.name[h] if p.name else "")
+                        for h, w in enumerate(ws)] for p, ws in parts))
 
 
 # ------------------------------------------------ parameter head as tape ops

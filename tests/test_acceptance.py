@@ -114,7 +114,7 @@ def _stage_cases(rng):
     plans = (ScatterPlan(dst, 3), ScatterPlan(idx, 3))
     # Two heads: their node and edge weights, then their attention vectors.
     projections = list(rng.normal(size=(4, 4, 4)))
-    atts = list(rng.normal(size=(2, 4)))
+    atts = rng.normal(size=(2, 4))
     # One hidden layer of width 4 on 4 + 2 inputs, then 3 outputs.
     extra, hidden_weight = rng.normal(size=(3, 2)), rng.normal(size=(6, 4))
     lo, hi = rng.normal(size=4), rng.normal(size=4) + 5.0
@@ -128,13 +128,15 @@ def _stage_cases(rng):
                        np.array([0, 1, 3]), (slice(0, 1), slice(1, 3)), *plans)
     return {
         "gat_forward": (lambda x, p: gat_forward(
-            x, batch, GatLayer(p[0:2], p[2:4], p[4:6]), True)[0],
-            m, [*projections, *atts], weights),
+            x, batch, GatLayer(*p), True)[0],
+            m, [np.hstack(projections[0:2]), np.hstack(projections[2:4]), atts],
+            weights),
         "sum_pool": (lambda x, p: sum_pool(x, batch, True),
                      m, [], weights[:2]),
         "interaction_pool": (lambda x, p: interaction_pool(
-            x, batch, InteractionPoolParams(*p), True),
-            m, [np.eye(4), np.eye(4)[::-1], projections[2]], weights[:2]),
+            x, batch, InteractionPoolParams(p[0], 4), True),
+            m, [np.hstack([np.eye(4), np.eye(4)[::-1], projections[2]])],
+            weights[:2]),
         "head_raw": (lambda x, p: head_raw(SimpleNamespace(head=(
             [p[:4]], p[4], p[5], [[running_mean.copy(), running_var.copy()]])),
             x, extra, True),

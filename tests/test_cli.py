@@ -444,11 +444,13 @@ def test_jsonl_rows_that_are_not_objects_are_counted_rejects(capsys, tmp_path):
     lambda data: {"data": [data]},
     lambda data: {"data": data, "splits": [data]},
     lambda data: [data],
+    lambda data: "[" * 200_000,
 ])
 def test_training_with_a_malformed_config_exits_1(capsys, tmp_path, data_path,
                                                   command, config):
     cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(config(data_path[0])))
+    config = config(data_path[0])  # a str is the file's text
+    cfg_path.write_text(config if isinstance(config, str) else json.dumps(config))
     code = main([command, "--config", str(cfg_path)])
     err = capsys.readouterr().err
     assert code == 1
@@ -509,12 +511,14 @@ def test_bad_outside_input_exits_1(capsys, tmp_path, data_path, model_path,
                                encode_entry(np.array([0.0, np.inf, 0.0]))}},
     lambda d: {**d, "params": {**d["params"], "head.0.bn.running_var":
                                encode_entry(np.full(16, -1.0))}},
+    lambda d: "[" * 200_000,
 ], ids=["list", "no-arch", "unknown-arch-key", "heads-text", "inf-param",
-        "negative-variance"])
+        "negative-variance", "deeply-nested"])
 def test_predict_with_a_malformed_checkpoint_exits_1(capsys, tmp_path,
                                                       model_path, corrupt):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(corrupt(json.loads(Path(model_path).read_text()))))
+    data = corrupt(json.loads(Path(model_path).read_text()))  # a str is the text
+    bad.write_text(data if isinstance(data, str) else json.dumps(data))
     code = main(["predict", "--model", str(bad), "--smiles", "CCO"])
     err = capsys.readouterr().err
     assert code == 1

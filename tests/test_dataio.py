@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import tracemalloc
@@ -84,6 +85,29 @@ def test_load_rejects_bad_rows_with_row_numbers(tmp_path):
     assert len(ds) == 1
     assert [r["row"] for r in ds.rejects] == [3, 4, 5, 6, 7]
     assert all("finite" in r["reason"] for r in ds.rejects[-2:])
+    # A field over csv's size limit is refused by the reader itself, which
+    # goes on with the next record.
+    big = "x" * (csv.field_size_limit() + 1)
+    path.write_text(
+        "component_id,smiles,temperature_K,pressure_Pa,quality\n"
+        f"a,{big},300.0,1000.0,ok\n"
+        "b,CCO,300.0,1000.0,ok\n")
+    ds = load(path)
+    assert [pt.row for pt in ds.points] == [3]
+    assert [r["row"] for r in ds.rejects] == [2]
+    assert "field limit" in ds.rejects[0]["reason"]
+    # JSONL: an integer too large for a float, and arrays nested deeper than
+    # the decoder recurses.
+    path = tmp_path / "bad.jsonl"
+    good = ('{"component_id": "a", "smiles": "CCO", "temperature_K": 300,'
+            ' "pressure_Pa": 1000, "quality": "ok"}\n')
+    path.write_text(good.replace("300", "1" + "0" * 400)
+                    + "[" * 200_000 + "\n" + good)
+    ds = load(path, fmt="jsonl")
+    assert [pt.row for pt in ds.points] == [3]
+    assert [r["row"] for r in ds.rejects] == [1, 2]
+    assert "too large" in ds.rejects[0]["reason"]
+    assert "recursion" in ds.rejects[1]["reason"]
 
 
 def test_write_csv_round_trips_numpy_floats(tmp_path):

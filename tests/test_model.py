@@ -102,9 +102,9 @@ def test_snapshot_restores_every_array_in_place():
     assert model.values.tobytes() == saved.tobytes()
     for name, arr in _arrays(model).items():
         assert arr is arrays[name], name
-    assert model.gat[0].theta_v[0].value is model.params["gat.0.0.theta_v"]
-    assert model.gat[0].theta_v[0].grad is model.grads["gat.0.0.theta_v"]
-    assert model.pool.Wq.value is model.params["pool.Wq"]
+    for p in (model.gat[0].theta_v, model.pool.qkv):
+        assert np.shares_memory(p.value, model.values)
+        assert np.shares_memory(p.grad, model.grad)
 
 
 def test_weights_lie_in_values_as_the_stages_read_them(monkeypatch):
@@ -113,20 +113,22 @@ def test_weights_lie_in_values_as_the_stages_read_them(monkeypatch):
     model = init_model(Architecture(), seed=7)
     assert model.values.size == 14563 + 3 * 2 * 16 == 14659
     for li, layer in enumerate(model.gat):
-        assert len(layer.blocks) == 3
-        for block, key in zip(layer.blocks, ("theta_v", "theta_e", "att")):
-            assert np.shares_memory(block, model.values)
-            for h, p in enumerate(getattr(layer, key)):
-                assert p.value is model.params[f"gat.{li}.{h}.{key}"]
-                assert np.shares_memory(p.value, block)
-                cols = block[h] if key == "att" else block[:, 32 * h : 32 * (h + 1)]
-                assert np.array_equal(p.value, cols)
-    assert np.shares_memory(model.pool.block, model.values)
+        for key in ("theta_v", "theta_e", "att"):
+            block = getattr(layer, key)
+            assert block.name == (f"gat.{li}.0.{key}", f"gat.{li}.1.{key}")
+            for h in range(2):
+                name = f"gat.{li}.{h}.{key}"
+                for part, arrays in (("value", model.params), ("grad", model.grads)):
+                    whole = getattr(block, part)
+                    cols = whole[h] if key == "att" else whole[:, 32 * h : 32 * (h + 1)]
+                    assert np.shares_memory(cols, arrays[name])
+                    assert np.array_equal(cols, arrays[name])
+    block = model.pool.qkv
+    assert block.name == ("pool.Wq", "pool.Wk", "pool.Wv")
     for i, key in enumerate(("Wq", "Wk", "Wv")):
-        p = getattr(model.pool, key)
-        assert p.value is model.params[f"pool.{key}"]
-        assert np.shares_memory(p.value, model.pool.block)
-        assert np.array_equal(p.value, model.pool.block[:, 32 * i : 32 * (i + 1)])
+        cols = block.value[:, 32 * i : 32 * (i + 1)]
+        assert np.shares_memory(cols, model.params[f"pool.{key}"])
+        assert np.array_equal(cols, model.params[f"pool.{key}"])
     # Every attention and readout product reads its weights in place.
     seen = []
 
@@ -424,6 +426,18 @@ BAD_CHECKPOINTS = {
     "format 1 NaN value": (lambda d: _entry(
         _as_format_1(d), "head.out.bias",
         {"shape": [3], "values": [0.0, float("nan"), 0.0]}), "head.out.bias"),
+    "format 1 values as text": (lambda d: _entry(
+        _as_format_1(d), "head.out.bias",
+        {"shape": [3], "values": ["1.5", "2", "3"]}), "head.out.bias"),
+    "format 1 values as booleans": (lambda d: _entry(
+        _as_format_1(d), "head.out.bias",
+        {"shape": [3], "values": [True, False, True]}), "head.out.bias"),
+    "format 1 value beyond float range": (lambda d: _entry(
+        _as_format_1(d), "head.out.bias",
+        {"shape": [3], "values": [0.0, 10**400, 0.0]}), "head.out.bias"),
+    "shape of floats": (lambda d: _entry(
+        d, "head.out.bias", {**encode_entry(np.zeros(3)), "shape": [3.0]}),
+        "head.out.bias"),
 }
 
 

@@ -10,7 +10,7 @@ from grappa.pooling import (
     sum_pool,
 )
 from grappa.smiles import parse_smiles
-from grappa.tensor import ShapeError, Tensor
+from grappa.tensor import Tensor
 
 from _oracles import (
     finite_difference_grad,
@@ -22,8 +22,15 @@ from _oracles import (
 
 
 def random_params(rng, dim=6):
+    """Wq, Wk and Wv of shape (dim, dim), drawn in that order."""
     return InteractionPoolParams(
-        *(param(rng.normal(size=(dim, dim))) for _ in range(3)))
+        param(np.hstack([rng.normal(size=(dim, dim)) for _ in range(3)])), dim)
+
+
+def projections(params):
+    """The values of Wq, Wk and Wv: the block split at the key width."""
+    block, k = params.qkv.value, params.key_width
+    return block[:, :k], block[:, k : 2 * k], block[:, 2 * k :]
 
 
 def batch_of(*sizes):
@@ -69,17 +76,14 @@ def test_interaction_pool_single_row_is_value_projection():
     params = random_params(rng, dim=6)
     x = rng.normal(size=(1, 6))
     out = interaction_pool(Tensor(x), batch_of(1), params)
-    np.testing.assert_allclose(out.data, x @ params.Wv.value, atol=1e-12)
+    np.testing.assert_allclose(out.data, x @ projections(params)[2], atol=1e-12)
 
 
 def test_uniform_attention_collapses_to_sum_pool():
     rng = np.random.default_rng(3)
     dim = 6
     params = InteractionPoolParams(
-        Wq=param(np.zeros((dim, dim))),
-        Wk=param(np.zeros((dim, dim))),
-        Wv=param(np.eye(dim)),
-    )
+        param(np.hstack([np.zeros((dim, 2 * dim)), np.eye(dim)])), dim)
     x = rng.normal(size=(9, dim))
     batch = batch_of(5, 4)
     out = interaction_pool(Tensor(x), batch, params)
@@ -95,8 +99,7 @@ def test_matches_naive_reimplementation():
     out = interaction_pool(Tensor(x), batch_of(*sizes), params)
     bounds = np.cumsum((0,) + sizes)
     for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        oracle = naive_interaction_pool(x[lo:hi], params.Wq.value,
-                                        params.Wk.value, params.Wv.value)
+        oracle = naive_interaction_pool(x[lo:hi], *projections(params))
         np.testing.assert_allclose(out.data[m], oracle, atol=1e-10)
 
 
@@ -106,8 +109,9 @@ def test_attention_weight_rows_sum_to_one():
     # molecule: its row count exactly when every row of weights sums to one.
     rng = np.random.default_rng(5)
     params = random_params(rng, dim=8)
-    params.Wv.value[:] = 0.0
-    params.Wv.value[0, 0] = 1.0
+    wv = projections(params)[2]
+    wv[:] = 0.0
+    wv[0, 0] = 1.0
     x = rng.normal(size=(10, 8))
     x[:, 0] = 1.0
     out = interaction_pool(Tensor(x), batch_of(6, 1, 3), params)
@@ -142,8 +146,7 @@ def test_gradients_match_finite_differences(interaction):
     analytic = {"x": forward(train=True).backward()}
     arrays = {"x": x}
     if interaction:
-        analytic |= {key: getattr(params, key).grad for key in ("Wq", "Wk", "Wv")}
-        arrays |= {key: getattr(params, key).value for key in ("Wq", "Wk", "Wv")}
+        analytic["qkv"], arrays["qkv"] = params.qkv.grad, params.qkv.value
     for name, arr in arrays.items():
         # The differences perturb each array in place.
         numeric = finite_difference_grad(lambda _: forward().item(), arr)
@@ -152,22 +155,33 @@ def test_gradients_match_finite_differences(interaction):
 
 
 def test_readout_projections_lie_in_one_block():
+    # Keys of width 2 and values of width 3: the block splits at the key
+    # width, not in equal thirds.
     rng = np.random.default_rng(17)
-    params, other = random_params(rng, dim=4), random_params(rng, dim=4)
-    assert params.block.shape == (4, 12)
-    for i, p in enumerate((params.Wq, params.Wk, params.Wv)):
-        assert p.value.base is params.block
-        assert np.array_equal(p.value, params.block[:, 4 * i : 4 * i + 4])
-    # interaction_pool reads the block, so it must hold the projections.
-    with pytest.raises(ShapeError, match="not views of its block"):
-        InteractionPoolParams(params.Wq, params.Wk, params.Wv, other.block)
+    wq, wk, wv = (rng.normal(size=(4, w)) for w in (2, 2, 3))
+    params = InteractionPoolParams(param(np.hstack([wq, wk, wv])), 2)
+    assert params.qkv.value.shape == (4, 7)
+    sizes = (3, 1, 2)
+    x = rng.normal(size=(sum(sizes), 4))
+    out = interaction_pool(Tensor(x), batch_of(*sizes), params)
+    assert out.shape == (3, 3)
+    bounds = np.cumsum((0,) + sizes)
+    for m, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        np.testing.assert_allclose(
+            out.data[m], naive_interaction_pool(x[lo:hi], wq, wk, wv),
+            atol=1e-12)
 
 
 def test_init_shapes_and_names():
     model = init_model(Architecture(), seed=8)
-    for key in ("Wq", "Wk", "Wv"):
+    block = model.pool.qkv
+    assert block.name == ("pool.Wq", "pool.Wk", "pool.Wv")
+    assert model.pool.key_width == 32
+    assert block.value.shape == block.grad.shape == (32, 96)
+    for i, key in enumerate(("Wq", "Wk", "Wv")):
         value = model.params[f"pool.{key}"]
         assert value.shape == (32, 32)
-        assert getattr(model.pool, key).name == f"pool.{key}"
-        assert getattr(model.pool, key).value is value
-        assert getattr(model.pool, key).grad is model.grads[f"pool.{key}"]
+        cols = slice(32 * i, 32 * (i + 1))
+        assert np.shares_memory(block.value[:, cols], value)
+        assert np.array_equal(block.value[:, cols], value)
+        assert np.shares_memory(block.grad[:, cols], model.grads[f"pool.{key}"])

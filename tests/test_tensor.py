@@ -212,16 +212,13 @@ def block_attention_reference(q, k, v, bounds, scale):
 
 
 def pool_stage(q, k, v, bounds):
-    """``interaction_pool`` on rows ``[q | k | v]`` whose projections
-    pick each block of columns, so Q, K and V are ``q``, ``k`` and ``v``;
-    the logit scale is then 1 / sqrt(q.shape[1])."""
+    """``interaction_pool`` on rows ``[q | k | v]`` whose projection block
+    is the identity, so Q, K and V are ``q``, ``k`` and ``v``; the logit
+    scale is then 1 / sqrt(q.shape[1])."""
     x = np.hstack([q, k, v])
-    widths = [q.shape[1], k.shape[1], v.shape[1]]
-    starts = np.cumsum([0] + widths)
-    pick = [param(np.eye(x.shape[1])[:, lo : lo + w])
-            for lo, w in zip(starts, widths)]
     return interaction_pool(Tensor(x), block_batch(bounds),
-                            InteractionPoolParams(*pick))
+                            InteractionPoolParams(param(np.eye(x.shape[1])),
+                                                  q.shape[1]))
 
 
 def test_interaction_pool_matches_row_loops():
@@ -269,8 +266,8 @@ def one_head_layer(x, edge_features, att, plans=EDGE_PLANS):
     """``gat_forward`` with one head whose projections are the identity,
     so ``x`` and the edge features are the head's own terms."""
     x, edge_features = np.asarray(x, dtype=float), np.asarray(edge_features)
-    layer = GatLayer([param(np.eye(x.shape[1]))],
-                     [param(np.eye(edge_features.shape[1]))], [param(att)])
+    layer = GatLayer(param(np.eye(x.shape[1])),
+                     param(np.eye(edge_features.shape[1])), param([att]))
     return gat_forward(Tensor(x), edge_batch(edge_features, plans), layer)
 
 
@@ -309,11 +306,11 @@ def test_non_finite_forward_raises():
     with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
         tape.mul(big, big)
     # A stage names itself and its parameters.
-    pool = [param(np.eye(2), f"pool.{key}") for key in ("Wq", "Wk", "Wv")]
-    pool[2].value[...] = 1e200
+    block = param(np.hstack([np.eye(2), np.eye(2), np.full((2, 2), 1e200)]),
+                  ("pool.Wq", "pool.Wk", "pool.Wv"))
     with np.errstate(all="ignore"), pytest.raises(NonFiniteError) as info:
         interaction_pool(Tensor(np.full((1, 2), 1e200)), block_batch([0, 1]),
-                         InteractionPoolParams(*pool))
+                         InteractionPoolParams(block, 2))
     assert str(info.value) == ("non-finite value produced by "
                                "interaction_pool (inputs 'pool.Wq', "
                                "'pool.Wk', 'pool.Wv')")
@@ -380,22 +377,29 @@ def test_shape_errors():
         tape.matmul(TapeTensor(np.ones((2, 3))), TapeTensor(np.ones((2, 3))))
     with pytest.raises(ShapeError):
         Tensor(np.ones((2, 2, 2)))
+    # One head of width 5: blocks (2, 5), (4, 5) and (1, 5).
     x, edge, tv, te, att = (np.ones((3, 2)), np.ones((7, 4)), np.ones((2, 5)),
-                            np.ones((4, 5)), np.ones(5))
-    for args in ((x, edge[:6], [tv], [te], [att]),
-                 (x, edge, [tv], [te], [np.ones(4)]),
-                 (x, edge, [tv], [te[:3]], [att]),
-                 (x, edge, [tv, tv], [te], [att, att]),
-                 (x, edge, [], [], []),
-                 (x[:2], edge, [tv], [te], [att]),
-                 (np.ones(3), edge, [tv], [te], [att])):
+                            np.ones((4, 5)), np.ones((1, 5)))
+    gat_forward(Tensor(x), edge_batch(edge, EDGE_PLANS),
+                GatLayer(param(tv), param(te), param(att)))
+    for args in ((x, edge[:6], tv, te, att),
+                 (x, edge, tv, te, np.ones((1, 4))),
+                 (x, edge, tv, te[:3], att),
+                 (x, edge, np.hstack([tv, tv]), te, att),
+                 (x, edge, tv, np.hstack([te, te]), np.ones((2, 5))),
+                 (x, edge, tv, te, np.ones(5)),
+                 (x, edge, tv, te, np.ones((1, 1, 5))),
+                 (x, edge, tv[:, :0], te[:, :0], att[:0]),
+                 (x, edge, tv[0], te, att),
+                 (x[:2], edge, tv, te, att),
+                 (np.ones(3), edge, tv, te, att)):
         x_in, edges, *weights = args
         with pytest.raises(ShapeError):
             gat_forward(Tensor(x_in), edge_batch(edges, EDGE_PLANS),
-                        GatLayer(*([param(w) for w in ws] for ws in weights)))
+                        GatLayer(*map(param, weights)))
     # Blocks come checked from ``gnn.row_blocks`` and tile the batch's
     # nodes; the stage checks that its input has one row per node.
-    pool = InteractionPoolParams(*(param(np.ones((2, 2))) for _ in range(3)))
+    pool = InteractionPoolParams(param(np.ones((2, 6))), 2)
     for x_in in (np.ones((4, 2)), np.ones(3)):
         with pytest.raises(ShapeError):
             interaction_pool(Tensor(x_in), block_batch([0, 3]), pool)
@@ -457,9 +461,9 @@ def test_segment_softmax_groups_sum_to_one():
     heads = 3
     x, edge = rng.normal(size=(3, 4)), rng.normal(size=(7, 2))
     out, alpha = gat_forward(Tensor(x), edge_batch(edge, EDGE_PLANS), GatLayer(
-        [param(rng.normal(size=(4, 5))) for _ in range(heads)],
-        [param(rng.normal(size=(2, 5))) for _ in range(heads)],
-        [param(rng.normal(size=5)) for _ in range(heads)]))
+        param(np.hstack([rng.normal(size=(4, 5)) for _ in range(heads)])),
+        param(np.hstack([rng.normal(size=(2, 5)) for _ in range(heads)])),
+        param(np.stack([rng.normal(size=5) for _ in range(heads)]))))
     assert out.shape == (3, 5) and alpha.shape == (7, heads)
     for weights in alpha.T:
         np.testing.assert_allclose(np.bincount(EDGE_DST, weights=weights),
@@ -517,23 +521,21 @@ def test_grad_gat_forward():
     for v, e in ((v0, e0), (v1, e1)):
         pre = (x @ v)[EDGE_DST] + (x @ v)[EDGE_SRC] + edge @ e
         assert (pre < 0).any() and (pre > 0).any() and np.abs(pre).min() > 1e-4
-    v0, v1, e0, e1, a0, a1 = map(param, (v0, v1, e0, e1, a0, a1))
-    batch, layer = edge_batch(edge, EDGE_PLANS), GatLayer([v0, v1], [e0, e1],
-                                                         [a0, a1])
-    # The layer holds its weights as views of its own blocks.
+    batch = edge_batch(edge, EDGE_PLANS)
+    layer = GatLayer(param(np.hstack([v0, v1])), param(np.hstack([e0, e1])),
+                     param(np.stack([a0, a1])))
     check_stage_grad(lambda t, train: gat_forward(t, batch, layer, train)[0],
-                     x, [*layer.theta_v, *layer.theta_e, *layer.att], seed=8)
+                     x, [layer.theta_v, layer.theta_e, layer.att], seed=8)
 
 
 def test_grad_interaction_pool():
     rng = np.random.default_rng(8)
     batch = block_batch([0, 3, 4, 6])
-    pool = InteractionPoolParams(*(param(rng.normal(size=s))
-                                   for s in ((4, 3), (4, 3), (4, 5))))
-    # The readout holds its weights as views of its own block.
+    # Keys of width 3 and values of width 5.
+    pool = InteractionPoolParams(param(np.hstack(
+        [rng.normal(size=s) for s in ((4, 3), (4, 3), (4, 5))])), 3)
     check_stage_grad(lambda t, train: interaction_pool(t, batch, pool, train),
-                     rng.normal(size=(6, 4)), [pool.Wq, pool.Wk, pool.Wv],
-                     seed=8)
+                     rng.normal(size=(6, 4)), [pool.qkv], seed=8)
 
 
 def test_grad_activations():
@@ -645,15 +647,15 @@ def test_batch_norm_gradients():
 
 def test_repeated_backward_is_bitwise_identical():
     rng = np.random.default_rng(30)
-    wq, wk, wv = (param(rng.normal(size=(4, 3))) for _ in range(3))
+    qkv = param(np.hstack([rng.normal(size=(4, 3)) for _ in range(3)]))
     x = Tensor(rng.normal(size=(5, 4)))
     pooled = interaction_pool(x, block_batch([0, 2, 5]),
-                              InteractionPoolParams(wq, wk, wv), train=True)
+                              InteractionPoolParams(qkv, 3), train=True)
     out = scale_to_ranges(pooled, dict.fromkeys("ABC", [-1.0, 2.0]), train=True)
     loss = Tensor(out.data.sum(), out.stages + (lambda g: g * np.ones((2, 3)),))
-    first = [loss.backward()] + [p.grad.copy() for p in (wq, wk, wv)]
+    first = [loss.backward(), qkv.grad.copy()]
     assert all(np.isfinite(a).all() for a in first)
-    second = [loss.backward()] + [p.grad for p in (wq, wk, wv)]
+    second = [loss.backward(), qkv.grad]
     assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
 
 
@@ -829,7 +831,7 @@ def test_segment_softmax_matches_reference(case):
     # gradient, edge by edge.
     dst, src, xv, edge, g, n = case
     edge_weights = param(edge[:, None])
-    layer = GatLayer([param(np.ones((1, 1)))], [edge_weights], [param(np.ones(1))])
+    layer = GatLayer(param(np.ones((1, 1))), edge_weights, param(np.ones((1, 1))))
     plans = (ScatterPlan(dst, n), ScatterPlan(src, n))
     with mock.patch.object(gnn, "LEAKY_SLOPE", 1.0):
         out, alpha = gat_forward(Tensor(xv[:, None]),
@@ -852,8 +854,8 @@ def test_segment_softmax_rejects_an_empty_segment(case, empty):
     dst, src, xv, edge, _, n = case
     keep = dst != empty % n
     plans = (ScatterPlan(dst[keep], n), ScatterPlan(src[keep], n))
-    layer = GatLayer([param(np.ones((1, 1)))], [param(np.ones((1, 1)))],
-                     [param(np.ones(1))])
+    layer = GatLayer(param(np.ones((1, 1))), param(np.ones((1, 1))),
+                     param(np.ones((1, 1))))
     with pytest.raises(ShapeError, match="has no row"):
         gat_forward(Tensor(xv[:, None]), edge_batch(edge[keep, None], plans),
                     layer)
