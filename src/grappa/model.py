@@ -16,10 +16,12 @@ its batch norms, and :func:`scale_to_ranges`, the sigmoid range map.
 from __future__ import annotations
 
 import base64
+import binascii
 import copy
+import itertools
 import json
 import math
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from dataclasses import InitVar, dataclass, field, fields, asdict
 from typing import NamedTuple
 
@@ -35,7 +37,7 @@ from .smiles import parse_smiles
 from .tensor import (Param, ShapeError, Tensor, _check_finite, _put,
                      _row_invariant_product, _stage)
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
 # Molecules per inference forward. It bounds the forward's transient memory
 # and changes no output: a molecule gets the same bytes in any batch.
@@ -155,7 +157,7 @@ class GrappaModel:
                                  compare=False)
 
     def __post_init__(self, initial: dict):
-        specs = _array_specs(self.arch)
+        specs = list(_array_specs(self.arch))
         self.values = np.empty(sum(math.prod(shape) for _, shape, _, _ in specs))
         # The parameters lead the vector, so each one's gradient sits at the
         # same offset of ``grad``.
@@ -228,37 +230,39 @@ class GrappaModel:
                 for name, t in self.params.items()]
 
 
-def _array_specs(arch: Architecture) -> list[tuple[str, tuple, float | None, tuple]]:
-    """``(name, shape, fill, block)`` of every array in entry order: the
-    parameters in :func:`init_model`'s draw order, then the batch-norm
+def _array_specs(arch: Architecture):
+    """Yield ``(name, shape, fill, block)`` of every array in entry order:
+    the parameters in :func:`init_model`'s draw order, then the batch-norm
     running statistics. A ``None`` fill is a Glorot draw. A ``(key, i,
     count)`` block lies where its entry 0 is, its entries side by side along
-    their last axis; an array alone is the block ``(name, 0, 1)``."""
+    their last axis; an array alone is the block ``(name, 0, 1)``. Lazy, so
+    a caller can stop after as many entries as it can check."""
     d, w, heads = arch.embed_dim, arch.hidden_width, arch.heads
-    specs, head, stats = [], [], []
     in_dim = NODE_FEATURES
     for li in range(arch.gat_layers):
         v, e, a = f"gat.{li}.theta_v", f"gat.{li}.theta_e", f"gat.{li}.att"
         for hi in range(heads):
-            specs += [(f"gat.{li}.{hi}.theta_v", (in_dim, d), None, (v, hi, heads)),
-                      (f"gat.{li}.{hi}.theta_e", (EDGE_FEATURES, d), None, (e, hi, heads)),
-                      (f"gat.{li}.{hi}.att", (d,), None, (a, hi, heads))]
+            yield f"gat.{li}.{hi}.theta_v", (in_dim, d), None, (v, hi, heads)
+            yield f"gat.{li}.{hi}.theta_e", (EDGE_FEATURES, d), None, (e, hi, heads)
+            yield f"gat.{li}.{hi}.att", (d,), None, (a, hi, heads)
         in_dim = d
     if arch.pooling == "interaction":
-        specs += [(f"pool.{key}", (d, d), None, ("pool", i, 3))
-                  for i, key in enumerate(("Wq", "Wk", "Wv"))]
+        for i, key in enumerate(("Wq", "Wk", "Wv")):
+            yield f"pool.{key}", (d, d), None, ("pool", i, 3)
+    stats = []
     width_in = d + EXTRA_HEAD_INPUTS
     for i in range(arch.hidden_layers):
-        head += [(f"head.{i}.weight", (width_in, w), None),
-                 (f"head.{i}.bias", (w,), 0.0),
-                 (f"head.{i}.bn.gamma", (w,), 1.0),
-                 (f"head.{i}.bn.beta", (w,), 0.0)]
+        for name, shape, fill in [(f"head.{i}.weight", (width_in, w), None),
+                                  (f"head.{i}.bias", (w,), 0.0),
+                                  (f"head.{i}.bn.gamma", (w,), 1.0),
+                                  (f"head.{i}.bn.beta", (w,), 0.0)]:
+            yield name, shape, fill, (name, 0, 1)
         stats += [(f"head.{i}.bn.running_mean", (w,), 0.0),
                   (f"head.{i}.bn.running_var", (w,), 1.0)]
         width_in = w
-    head += [("head.out.weight", (width_in, 3), None), ("head.out.bias", (3,), 0.0)]
-    return specs + [(name, shape, fill, (name, 0, 1))
-                    for name, shape, fill in head + stats]
+    for name, shape, fill in [("head.out.weight", (width_in, 3), None),
+                              ("head.out.bias", (3,), 0.0), *stats]:
+        yield name, shape, fill, (name, 0, 1)
 
 
 def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> GrappaModel:
@@ -524,26 +528,29 @@ def predict_dataset(model: GrappaModel, dataset, split: str | None = None
 
 # --------------------------------------------------------------- checkpoints
 
-def encode_entry(arr: np.ndarray) -> dict:
-    """A ``params`` entry: the shape and the base64 of the array's
-    little-endian float64 bytes, row-major."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
-
-
-def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
-    """The float64 array of one ``params`` entry, possibly read-only: base64
-    ``data`` in format 2, a flat ``values`` list in format 1. Raises
-    ``ValueError`` naming the entry for any defect of its form; the values
-    themselves are checked once loaded (:func:`_check_values`)."""
+def _check_entry(name: str, entry, shape: tuple, offset: int | None):
+    """Raise ``ValueError`` naming a ``params`` entry that is not an object
+    with ``shape`` (a list of JSON integers) and, in format 3, ``offset``
+    (a JSON integer), as the arch implies them."""
     if not isinstance(entry, dict):
         raise ValueError(f"entry {name!r} must be an object")
     stored = entry.get("shape")
-    # JSON numbers only: 3.0 is not a dimension, nor "1.5" or true a value.
+    # JSON integers only: 3.0 is not a dimension, nor false an offset.
     if not isinstance(stored, list) or tuple(stored) != shape \
             or not all(type(n) is int for n in stored):
         raise ValueError(f"entry {name!r} has shape {stored!r}, "
                          f"expected {list(shape)}")
+    if offset is not None and (type(entry.get("offset")) is not int
+                               or entry["offset"] != offset):
+        raise ValueError(f"entry {name!r} has offset {entry.get('offset')!r}, "
+                         f"expected {offset}")
+
+
+def _decode_entry(name: str, entry: dict, version: int, shape: tuple) -> np.ndarray:
+    """The float64 array of one format-1 or format-2 entry of a checked
+    shape, possibly read-only: base64 ``data`` in format 2, a flat
+    ``values`` list in format 1. Raises ``ValueError`` naming the entry for
+    any defect of its form."""
     size = math.prod(shape)
     if version == 1:
         values = entry.get("values")
@@ -567,6 +574,52 @@ def _decode_entry(name: str, entry, version: int, shape: tuple) -> np.ndarray:
     return flat.reshape(shape)
 
 
+def _entry_arrays(data: dict, arch: Architecture) -> dict[str, np.ndarray]:
+    """The float64 array of every entry of a checkpoint document by name,
+    possibly read-only: views of its one decoded ``data`` in format 3, each
+    entry decoded alone in formats 1 and 2. Raises ``ValueError`` naming the
+    first defect of the document's form before allocating anything the arch
+    sizes: the arch's entries are listed only as far as ``params`` holds
+    entries, and nothing is decoded before every entry has the name, shape
+    and (format 3) offset the arch implies. The values themselves are
+    checked once loaded (:func:`_check_values`)."""
+    version, entries = data["format_version"], data.get("params")
+    if not isinstance(entries, dict):
+        raise ValueError("checkpoint 'params' must be an object")
+    # One entry past the document's count shows that the arch implies more.
+    specs = [(name, shape) for name, shape, _, _ in
+             itertools.islice(_array_specs(arch), len(entries) + 1)]
+    names = {name for name, _ in specs}
+    missing = sorted(names - entries.keys())
+    if missing:
+        raise ValueError(f"checkpoint missing entries: {missing}")
+    unknown = sorted(entries.keys() - names)
+    if unknown:
+        raise ValueError(f"checkpoint has unknown entries: {unknown}")
+    offsets = [0]
+    for name, shape in specs:
+        _check_entry(name, entries[name], shape,
+                     offsets[-1] if version == 3 else None)
+        offsets.append(offsets[-1] + math.prod(shape))
+    if version != 3:
+        return {name: _decode_entry(name, entries[name], version, shape)
+                for name, shape in specs}
+    text = data.get("data")
+    if not isinstance(text, str):
+        raise ValueError("checkpoint 'data' must be a string of hex digits, "
+                         f"got {type(text).__name__}")
+    try:
+        raw = binascii.unhexlify(text)  # no whitespace, unlike bytes.fromhex
+    except ValueError as err:
+        raise ValueError(f"checkpoint 'data' is not hex ({err})") from None
+    if len(raw) != 8 * offsets[-1]:
+        raise ValueError(f"checkpoint 'data' holds {len(raw)} bytes, expected "
+                         f"{8 * offsets[-1]} for the entries' shapes")
+    flat = np.frombuffer(raw, dtype="<f8")
+    return {name: flat[start:end].reshape(shape)
+            for (name, shape), start, end in zip(specs, offsets, offsets[1:])}
+
+
 def _check_values(model: GrappaModel):
     """Raise ``ValueError`` naming the first entry, in entry order, that
     holds a non-finite value or a negative running variance. One pass over
@@ -585,11 +638,22 @@ def _check_values(model: GrappaModel):
 
 
 def to_checkpoint(model: GrappaModel) -> dict:
+    """The model as a format-3 document: its ``arch``, every entry's shape
+    and offset (its first float in ``data``) in entry order, and ``data``,
+    the lowercase hex of all entries' little-endian float64 bytes, row-major
+    and end to end in entry order."""
     arrays = model.params | model.buffers
+    params, offset = {}, 0
+    for name, arr in arrays.items():
+        params[name] = {"shape": list(arr.shape), "offset": offset}
+        offset += arr.size
+    raw = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes()
+                   for arr in arrays.values())
     return {
         "format_version": CHECKPOINT_VERSION,
         "arch": model.arch.to_dict(),
-        "params": {name: encode_entry(arr) for name, arr in arrays.items()},
+        "params": params,
+        "data": raw.hex(),
     }
 
 
@@ -600,29 +664,17 @@ def save_checkpoint(model: GrappaModel, path):
 
 def model_from_checkpoint(data: dict) -> GrappaModel:
     """Build the model a checkpoint document describes, from its arrays
-    (format 2, or format 1 as older versions wrote). Any defect in the
+    (format 3, or format 1 or 2 as older versions wrote). Any defect in the
     document raises ``ValueError``."""
     if not isinstance(data, dict):
         raise ValueError(f"a checkpoint must be an object, got {type(data).__name__}")
     version = data.get("format_version")
-    if version not in (1, CHECKPOINT_VERSION):
+    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
         raise ValueError(f"unsupported checkpoint format_version {version!r}")
     if "arch" not in data:
         raise ValueError("checkpoint has no 'arch'")
     arch = Architecture.from_dict(data["arch"])
-    entries = data.get("params")
-    if not isinstance(entries, dict):
-        raise ValueError("checkpoint 'params' must be an object")
-    model = GrappaModel(arch, defaultdict(float))  # zeros, then the entries
-    arrays = model.params | model.buffers
-    missing = sorted(arrays.keys() - entries.keys())
-    if missing:
-        raise ValueError(f"checkpoint missing entries: {missing}")
-    unknown = sorted(entries.keys() - arrays.keys())
-    if unknown:
-        raise ValueError(f"checkpoint has unknown entries: {unknown}")
-    for name, arr in arrays.items():
-        arr[...] = _decode_entry(name, entries[name], version, arr.shape)
+    model = GrappaModel(arch, _entry_arrays(data, arch))
     _check_values(model)
     return model
 

@@ -11,7 +11,8 @@ its ops, the per-head attention layer and the parameter head built from
 them, and the whole model and loss composed op by op,
 ``tape_batch_loss``), checked byte for byte, and the SP3 rule that tested
 an atom's bond-order sum where ``hybridizations`` now tests its degree
-(``valence_sum_hybridizations``).
+(``valence_sum_hybridizations``). Format-3 checkpoint documents are read
+and written by the recipe their documentation prints.
 """
 
 from __future__ import annotations
@@ -959,3 +960,26 @@ def reference_adamw_step(params: dict, grads: dict, state: dict, lr: float,
         v[name] = b2 * v.get(name, np.zeros_like(p)) + (1.0 - b2) * g * g
         p *= 1.0 - lr * weight_decay
         p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+
+
+# ------------------------------------------------------ checkpoint documents
+
+def checkpoint_arrays(doc: dict) -> dict[str, np.ndarray]:
+    """Every array of a format-3 checkpoint document by name, decoded with
+    the recipe ``docs/checkpoint_format.md`` prints."""
+    data, arrays = bytes.fromhex(doc["data"]), {}
+    for name, entry in doc["params"].items():
+        off, shape = entry["offset"], entry["shape"]
+        size = math.prod(shape)
+        arrays[name] = np.frombuffer(data, "<f8")[off:off + size].reshape(shape)
+    return arrays
+
+
+def with_entry_values(doc: dict, name: str, values) -> dict:
+    """A format-3 document whose entry ``name`` holds ``values``, written
+    into a copy of its data at the entry's offset."""
+    entry = doc["params"][name]
+    flat = np.frombuffer(bytes.fromhex(doc["data"]), "<f8").copy()
+    flat[entry["offset"]:entry["offset"] + math.prod(entry["shape"])] = \
+        np.ravel(values)
+    return {**doc, "data": flat.astype("<f8").tobytes().hex()}

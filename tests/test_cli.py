@@ -11,9 +11,9 @@ import pytest
 from grappa import dataio, metrics
 from grappa.cli import main
 from grappa.dataio import VpDataset, VpPoint, write_csv, write_splits_csv
-from grappa.model import Architecture, encode_entry, init_model, save_checkpoint
+from grappa.model import Architecture, init_model, save_checkpoint
 
-from _oracles import contaminate, synthetic_dataset
+from _oracles import contaminate, synthetic_dataset, with_entry_values
 
 
 @pytest.fixture()
@@ -507,13 +507,14 @@ def test_bad_outside_input_exits_1(capsys, tmp_path, data_path, model_path,
     lambda d: {k: v for k, v in d.items() if k != "arch"},
     lambda d: {**d, "arch": {**d["arch"], "mystery": 1}},
     lambda d: {**d, "arch": {**d["arch"], "heads": "2"}},
-    lambda d: {**d, "params": {**d["params"], "head.out.bias":
-                               encode_entry(np.array([0.0, np.inf, 0.0]))}},
-    lambda d: {**d, "params": {**d["params"], "head.0.bn.running_var":
-                               encode_entry(np.full(16, -1.0))}},
+    lambda d: with_entry_values(d, "head.out.bias", [0.0, np.inf, 0.0]),
+    lambda d: with_entry_values(d, "head.0.bn.running_var", np.full(16, -1.0)),
+    lambda d: {**d, "data": d["data"][:-1] + "x"},
+    lambda d: {**d, "arch": {**d["arch"], "embed_dim": 2**40}},
     lambda d: "[" * 200_000,
 ], ids=["list", "no-arch", "unknown-arch-key", "heads-text", "inf-param",
-        "negative-variance", "deeply-nested"])
+        "negative-variance", "data-not-hex", "embed-dim-beyond-entries",
+        "deeply-nested"])
 def test_predict_with_a_malformed_checkpoint_exits_1(capsys, tmp_path,
                                                       model_path, corrupt):
     bad = tmp_path / "bad.json"

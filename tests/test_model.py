@@ -25,7 +25,6 @@ from grappa.gnn import attention_scores
 from grappa.model import (
     PREDICT_MEMO_SIZE,
     Architecture,
-    encode_entry,
     forward_antoine,
     init_model,
     load_checkpoint,
@@ -40,7 +39,8 @@ from grappa.model import (
 from grappa.smiles import SmilesError, parse_smiles
 from grappa.train import AdamWState, adamw_step
 
-from _oracles import synthetic_dataset, weighted_mean
+from _oracles import (checkpoint_arrays, synthetic_dataset, weighted_mean,
+                      with_entry_values)
 
 
 def test_final_architecture_parameter_count():
@@ -176,10 +176,15 @@ def test_train_forward_moves_buffers_in_place(pooling):
 def test_checkpoint_names_follow_convention(tmp_path):
     model = init_model(Architecture(gat_layers=2, heads=3), seed=0)
     data = to_checkpoint(model)
-    assert data["format_version"] == 2
-    # Entries follow the weight vector: every parameter, then every buffer.
+    assert data["format_version"] == 3
+    # Entries follow the weight vector: every parameter, then every buffer,
+    # each at the float where the one before it ends.
     assert list(data["params"]) == [*model.named_parameters(),
                                     *model.named_buffers()]
+    offsets = np.cumsum([0] + [arr.size for arr in _arrays(model).values()])
+    assert [entry["offset"] for entry in data["params"].values()] \
+        == offsets[:-1].tolist()
+    assert len(data["data"]) == 16 * offsets[-1] == 16 * model.values.size
     names = set(data["params"])
     assert "gat.0.0.theta_v" in names
     assert "gat.1.2.att" in names
@@ -204,7 +209,7 @@ def test_checkpoint_rejects_bad_payloads():
     with pytest.raises(ValueError, match="pool.Wq"):
         model_from_checkpoint(bad)
     bad = json.loads(json.dumps(good))
-    bad["params"]["mystery"] = encode_entry(np.zeros(1))
+    bad["params"]["mystery"] = {"shape": [1], "offset": 0}
     with pytest.raises(ValueError, match="mystery"):
         model_from_checkpoint(bad)
 
@@ -212,9 +217,13 @@ def test_checkpoint_rejects_bad_payloads():
 @pytest.mark.parametrize("shape", [[1], []])
 def test_checkpoint_rejects_a_wrong_shaped_buffer(shape):
     # A one-value running variance would broadcast over all 16 entries.
-    data = to_checkpoint(init_model(Architecture(), seed=1))
-    data["params"]["head.0.bn.running_var"] = encode_entry(
+    data = _as_format_2(to_checkpoint(init_model(Architecture(), seed=1)))
+    data["params"]["head.0.bn.running_var"] = _format_2_entry(
         np.full(shape, 2.0))
+    with pytest.raises(ValueError, match="head.0.bn.running_var"):
+        model_from_checkpoint(data)
+    data = to_checkpoint(init_model(Architecture(), seed=1))
+    data["params"]["head.0.bn.running_var"]["shape"] = shape
     with pytest.raises(ValueError, match="head.0.bn.running_var"):
         model_from_checkpoint(data)
 
@@ -289,24 +298,53 @@ def test_checkpoint_roundtrip_restores_random_models_bytewise(
 
 
 def _as_format_1(doc: dict) -> dict:
-    """The document as format 1 wrote it: flat ``values`` lists, decoded
-    here from the documented little-endian float64 base64 layout, and the
-    featurizer's widths in ``arch``."""
-    params = {}
-    for name, entry in doc["params"].items():
-        flat = np.frombuffer(base64.b64decode(entry["data"]), dtype="<f8")
-        params[name] = {"shape": entry["shape"], "values": flat.tolist()}
+    """The format-3 document as format 1 wrote it: flat ``values`` lists
+    and the featurizer's widths in ``arch``."""
+    params = {name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
+              for name, arr in checkpoint_arrays(doc).items()}
     arch = {**doc["arch"], "node_features": 24, "edge_features": 9}
-    return {**doc, "format_version": 1, "arch": arch, "params": params}
+    return {"format_version": 1, "arch": arch, "params": params}
+
+
+def _format_2_entry(arr: np.ndarray) -> dict:
+    """A format-2 entry: the shape and the base64 of the array's
+    little-endian float64 bytes, row-major."""
+    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
+    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
+
+
+def _as_format_2(doc: dict) -> dict:
+    """The format-3 document as format 2 wrote it: one base64 entry per
+    array."""
+    return {"format_version": 2, "arch": doc["arch"],
+            "params": {name: _format_2_entry(arr)
+                       for name, arr in checkpoint_arrays(doc).items()}}
 
 
 @pytest.mark.parametrize("pooling", ["sum", "interaction"])
-def test_checkpoint_reads_format_1_values_lists(pooling):
+@pytest.mark.parametrize("as_format", [_as_format_1, _as_format_2])
+def test_checkpoint_reads_every_format_to_the_same_bytes(pooling, as_format):
     model = init_model(Architecture(pooling=pooling), seed=9)
-    for arr in _arrays(model).values():
-        arr.flat[0] = -0.0
-    doc = json.loads(json.dumps(_as_format_1(to_checkpoint(model))))
+    for k, (name, arr) in enumerate(_arrays(model).items()):
+        fill = np.roll(EDGE_FLOATS, k)[: arr.size]
+        arr.flat[: fill.size] = np.abs(fill) if name.endswith("running_var") \
+            else fill
+    doc = json.loads(json.dumps(to_checkpoint(model)))
     assert _same_bytes(model, model_from_checkpoint(doc))
+    old = json.loads(json.dumps(as_format(doc)))
+    assert _same_bytes(model, model_from_checkpoint(old))
+
+
+def test_checkpoint_data_decodes_by_the_documented_recipe(tmp_path):
+    # docs/checkpoint_format.md prints this recipe; the writer must agree.
+    model = init_model(Architecture(count_scale=[1.5, 0.3, 2.0, 1.1]), seed=12)
+    path = tmp_path / "model.json"
+    save_checkpoint(model, path)
+    read = checkpoint_arrays(json.loads(path.read_text()))
+    assert read.keys() == _arrays(model).keys()
+    for name, arr in _arrays(model).items():
+        assert read[name].shape == arr.shape, name
+        assert read[name].tobytes() == arr.tobytes(), name
 
 
 def test_checkpoint_accepts_the_featurizer_widths_of_older_documents():
@@ -360,11 +398,18 @@ def _entry(doc, name, entry):
     return {**doc, "params": {**doc["params"], name: entry}}
 
 
-_NAN_BIAS = encode_entry(np.array([0.0, np.nan, 0.0]))
-_INF_WEIGHT = encode_entry(np.full((16, 3), -np.inf))
+def _offset(doc, name, offset):
+    return _entry(doc, name, {**doc["params"][name], "offset": offset})
+
+
+def _data(doc, data):
+    return {**doc, "data": data}
+
 
 BAD_CHECKPOINTS = {
     "top-level list": (lambda d: [d], "object"),
+    "format_version as boolean": (lambda d: {**d, "format_version": True},
+                                  "format_version"),
     "missing arch": (lambda d: {k: v for k, v in d.items() if k != "arch"},
                      "arch"),
     "arch not an object": (lambda d: {**d, "arch": [4, 2]}, "arch"),
@@ -396,27 +441,59 @@ BAD_CHECKPOINTS = {
     "entry not an object": (lambda d: _entry(d, "head.out.bias", [0.0] * 3),
                             "head.out.bias"),
     "shape not a list": (lambda d: _entry(
-        d, "head.out.bias", {**encode_entry(np.zeros(3)), "shape": "3"}),
+        d, "head.out.bias", {**d["params"]["head.out.bias"], "shape": "3"}),
         "head.out.bias"),
-    "bad base64": (lambda d: _entry(
-        d, "head.out.bias", {"shape": [3], "data": "AAAA*AAA"}),
-        "head.out.bias"),
-    "data not text": (lambda d: _entry(
-        d, "head.out.bias", {"shape": [3], "data": 7}), "head.out.bias"),
-    "byte length off the shape": (lambda d: _entry(
-        d, "head.out.bias",
-        {"shape": [3], "data": encode_entry(np.zeros(2))["data"]}),
-        "head.out.bias"),
-    "NaN value": (lambda d: _entry(d, "head.out.bias", _NAN_BIAS),
-                  "head.out.bias"),
-    "infinite value": (lambda d: _entry(d, "head.out.weight", _INF_WEIGHT),
-                       "head.out.weight"),
-    "negative running variance": (lambda d: _entry(
-        d, "head.0.bn.running_var", encode_entry(np.full(16, -1e-3))),
-        "head.0.bn.running_var"),
+    "embed_dim far beyond the entries": (lambda d: _arch(d, embed_dim=2**40),
+                                         "'gat.0.0.theta_v' has shape"),
+    "offset missing": (lambda d: _entry(d, "head.out.bias", {"shape": [3]}),
+                       "'head.out.bias' has offset None"),
+    "offset as float": (lambda d: _offset(
+        d, "head.out.bias", float(d["params"]["head.out.bias"]["offset"])),
+        "'head.out.bias' has offset 14560.0"),
+    "offset as boolean": (lambda d: _offset(d, "gat.0.0.theta_v", False),
+                          "'gat.0.0.theta_v' has offset False"),
+    "offsets out of entry order": (lambda d: _offset(_offset(
+        d, "head.out.weight", d["params"]["head.out.bias"]["offset"]),
+        "head.out.bias", d["params"]["head.out.weight"]["offset"]),
+        "'head.out.weight' has offset 14560"),
+    "data not a string": (lambda d: _data(d, 7), "'data' must be a string"),
+    "data missing": (lambda d: {k: v for k, v in d.items() if k != "data"},
+                     "'data' must be a string"),
+    "data not hex": (lambda d: _data(d, "g" + d["data"][1:]),
+                     "'data' is not hex .Non-hexadecimal"),
+    "data of odd length": (lambda d: _data(d, d["data"] + "0"),
+                           "'data' is not hex .Odd-length"),
+    "data not ASCII": (lambda d: _data(d, "\u0660" + d["data"][1:]),
+                       "'data' is not hex .* ASCII"),
+    "data with whitespace": (lambda d: _data(d, d["data"][:-2] + " 0"),
+                             "'data' is not hex"),
+    "data too short": (lambda d: _data(d, d["data"][:-16]),
+                       "'data' holds 117264 bytes, expected 117272"),
+    "data too long": (lambda d: _data(d, d["data"] + "00" * 8),
+                      "'data' holds 117280 bytes, expected 117272"),
+    "NaN value": (lambda d: with_entry_values(
+        d, "head.out.bias", [0.0, np.nan, 0.0]),
+        "'head.out.bias' holds a non-finite value"),
+    "infinite value": (lambda d: with_entry_values(
+        d, "head.out.weight", np.full((16, 3), -np.inf)),
+        "'head.out.weight' holds a non-finite value"),
+    "negative running variance": (lambda d: with_entry_values(
+        d, "head.0.bn.running_var", np.full(16, -1e-3)),
+        "'head.0.bn.running_var' holds a negative variance"),
+    "format 2 bad base64": (lambda d: _entry(
+        _as_format_2(d), "head.out.bias", {"shape": [3], "data": "AAAA*AAA"}),
+        "'head.out.bias' data is not base64"),
+    "format 2 data not text": (lambda d: _entry(
+        _as_format_2(d), "head.out.bias", {"shape": [3], "data": 7}),
+        "'head.out.bias' data is not base64"),
+    "format 2 byte length off the shape": (lambda d: _entry(
+        _as_format_2(d), "head.out.bias",
+        {"shape": [3], "data": _format_2_entry(np.zeros(2))["data"]}),
+        "'head.out.bias' holds 16 bytes"),
     "format 1 values in a format 2 document": (lambda d: _entry(
-        d, "head.out.bias", {"shape": [3], "values": [0.0, 0.0, 0.0]}),
-        "head.out.bias"),
+        _as_format_2(d), "head.out.bias",
+        {"shape": [3], "values": [0.0, 0.0, 0.0]}),
+        "'head.out.bias' data is not base64"),
     "format 1 values not numbers": (lambda d: _entry(
         _as_format_1(d), "head.out.bias",
         {"shape": [3], "values": ["x", 0.0, 0.0]}), "head.out.bias"),
@@ -436,7 +513,7 @@ BAD_CHECKPOINTS = {
         _as_format_1(d), "head.out.bias",
         {"shape": [3], "values": [0.0, 10**400, 0.0]}), "head.out.bias"),
     "shape of floats": (lambda d: _entry(
-        d, "head.out.bias", {**encode_entry(np.zeros(3)), "shape": [3.0]}),
+        d, "head.out.bias", {**d["params"]["head.out.bias"], "shape": [3.0]}),
         "head.out.bias"),
 }
 
