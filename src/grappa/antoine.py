@@ -5,6 +5,15 @@ always gives a physically increasing curve. Pressures cross the module
 boundary in Pa; the correlation itself works in kPa. ``_ln_p_kpa`` is the one
 numpy evaluator and :func:`ln_p_points` its twin, the Antoine stage of the
 training chain.
+
+:func:`ln_vapor_pressure` and :func:`boiling_temperature` check every call,
+and pay for the checks in a few numpy calls when the input is accepted:
+``math.isfinite`` on A, B and C, one min/max reduction over the
+temperatures or pressures, and one count over the C + T > 0 mask (or, for
+the inversion, over ln(p/kPa) < A and the solution's T > 0, C + T > 0).
+Only an input that fails a guard is walked, to name its first offender. A
+Python int or float pressure is inverted on numpy scalars, which give the
+bits and warnings a 0-d array would.
 """
 
 from __future__ import annotations
@@ -45,11 +54,21 @@ class AntoineParams:
         return (self.A, self.B, self.C)
 
 
+def _holds(mask) -> bool:
+    """Whether a numpy bool, or every entry of a bool array, is true."""
+    return bool(mask) if mask.ndim == 0 else np.count_nonzero(mask) == mask.size
+
+
 def _ln_p_kpa(a, b, c, temperature_k):
-    """ln(p/kPa) and the valid-branch mask C + T > 0; +inf off the branch."""
+    """ln(p/kPa) and the valid-branch mask C + T > 0; +inf off the branch.
+    The masking runs only when some point is off the branch."""
     denom = c + np.asarray(temperature_k, dtype=np.float64)
     valid = denom > 0.0
-    return np.where(valid, a - b / np.where(valid, denom, 1.0), np.inf), valid
+    every = _holds(valid)
+    # The ufunc call, not ``/``: a 0-d input's scalar denominator then warns
+    # of an overflow as the masked (array) one does.
+    out = a - np.divide(b, denom if every else np.where(valid, denom, 1.0))
+    return (out if every else np.where(valid, out, np.inf)), valid
 
 
 def ln_p_points(rows: Tensor, molecule, temperature_k) -> Tensor:
@@ -78,34 +97,50 @@ def antoine(a, b, c, temperature_k) -> np.ndarray:
     return np.exp(_ln_p_kpa(a, b, c, temperature_k)[0]) * PA_PER_KPA
 
 
-def _finite_positive(values, what: str) -> np.ndarray:
-    """``values`` as floats; names the first non-finite or non-positive one."""
-    arr = np.asarray(values, dtype=np.float64)
-    ok = np.isfinite(arr) & (arr > 0.0)
+def _finite_positive(values, what: str):
+    """``values`` as float64, a Python int or float as a numpy scalar.
+
+    A min/max guard passes accepted values; only refused ones are walked
+    to name the first that is not finite and positive."""
+    if isinstance(values, (int, float)):
+        x = np.float64(values)
+        if 0.0 < x < math.inf:
+            return x
+    else:
+        x = np.asarray(values, dtype=np.float64)
+        if x.size and 0.0 < x.min() and x.max() < math.inf:
+            return x
+    ok = np.isfinite(x) & (x > 0.0)
     if not ok.all():
         raise AntoineDomainError(
-            f"{what} must be finite and positive, got {float(arr[~ok][0])}")
-    return arr
+            f"{what} must be finite and positive, got {float(x[~ok][0])}")
+    return x
 
 
-def _check_finite(params: AntoineParams) -> None:
-    """Name the first of A, B and C that is not a finite number."""
-    for key, value in zip("ABC", params.as_tuple()):
-        if not math.isfinite(value):
-            raise AntoineDomainError(f"Antoine parameter {key} must be finite, "
-                                     f"got {value}")
+def _finite_params(params: AntoineParams) -> tuple:
+    """(A, B, C), naming the first that is not a finite number."""
+    a, b, c = params.A, params.B, params.C
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        for key, value in zip("ABC", (a, b, c)):
+            if not math.isfinite(value):
+                raise AntoineDomainError(f"Antoine parameter {key} must be "
+                                         f"finite, got {value}")
+    return a, b, c
 
 
 def ln_vapor_pressure(params: AntoineParams, temperature_k):
     """ln(p/kPa) at the given temperature(s), each finite and positive,
     for finite parameters; requires C + T > 0."""
-    _check_finite(params)
+    a, b, c = _finite_params(params)
     t = _finite_positive(temperature_k, "temperature")
-    out, valid = _ln_p_kpa(params.A, params.B, params.C, t)
-    if not np.all(valid):
-        raise AntoineDomainError(f"C + T must be positive (C={params.C}, "
+    out, valid = _ln_p_kpa(a, b, c, t)
+    if not _holds(valid):
+        raise AntoineDomainError(f"C + T must be positive (C={c}, "
                                  f"T={float(t[~valid][0])})")
-    return float(out) if np.isscalar(temperature_k) else out
+    if t.ndim:
+        return out
+    # A 0-d array stays one.
+    return float(out) if np.isscalar(temperature_k) else np.asarray(out)
 
 
 def vapor_pressure(params: AntoineParams, temperature_k):
@@ -121,17 +156,17 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     once ln(p/kPa) reaches A. A solution must lie on the curve's domain,
     T > 0 and C + T > 0, as in-range parameters (B > 0, C <= 0) always give.
     """
-    _check_finite(params)
+    a, b, c = _finite_params(params)
     p = _finite_positive(pressure_pa, "pressure")
     ln_p = np.log(p / PA_PER_KPA)
-    reached = ln_p >= params.A
-    if np.any(reached):
+    if not _holds(ln_p < a):
+        reached = ln_p >= a
         raise AntoineDomainError(f"no boiling point: ln(p/kPa)="
-                                 f"{float(ln_p[reached][0])} reaches A={params.A}")
-    t = params.B / (params.A - ln_p) - params.C
-    off = (t <= 0.0) | (params.C + t <= 0.0)
-    if np.any(off):
+                                 f"{float(ln_p[reached][0])} reaches A={a}")
+    t = b / (a - ln_p) - c
+    if not _holds((t > 0.0) & (c + t > 0.0)):
+        off = (t <= 0.0) | (c + t <= 0.0)
         raise AntoineDomainError(f"no boiling point: T={float(t[off][0])} is "
                                  f"off the curve, which needs T > 0 and "
-                                 f"C + T > 0 (C={params.C})")
+                                 f"C + T > 0 (C={c})")
     return float(t) if np.isscalar(pressure_pa) else t

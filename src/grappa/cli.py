@@ -436,10 +436,12 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     # A JSON document nested deeper than the decoder recurses (a checkpoint
-    # or a config) raises RecursionError.
+    # or a config) raises RecursionError; an allocation the machine cannot
+    # serve raises MemoryError, whose message may be empty.
     except (SmilesError, ScopeError, AntoineDomainError, NonFiniteError,
-            TrainingError, ValueError, OSError, RecursionError) as err:
-        print(f"error: {err}", file=sys.stderr)
+            TrainingError, ValueError, OSError, RecursionError,
+            MemoryError) as err:
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 1
 
 

@@ -49,6 +49,10 @@ BN_EPS = 1e-5
 # Distinct SMILES whose (A, B, C) row each model keeps for ``predict``,
 # least recently used first out. A miss pays what it did without the memo.
 PREDICT_MEMO_SIZE = 256
+# Floats an architecture's weight vector may hold (1 GiB of float64; the
+# gradient vector is as large again), so a huge size is refused before any
+# allocation.
+MAX_MODEL_FLOATS = 2**27
 # Arch keys of older checkpoints and configs, accepted at these widths only.
 _FEATURE_WIDTHS = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES}
 
@@ -80,6 +84,9 @@ class Architecture:
             raise ValueError("embed_dim and hidden_width must be >= 1")
         if self.pooling not in ("sum", "interaction"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
+        if (size := _vector_size(self)) > MAX_MODEL_FLOATS:
+            raise ValueError(f"arch would hold {size} floats, more than the "
+                             f"{MAX_MODEL_FLOATS} allowed")
         ranges = self.param_ranges
         if not isinstance(ranges, dict) or set(ranges) != {"A", "B", "C"}:
             raise ValueError(f"param_ranges must map A, B and C, got {ranges!r}")
@@ -123,6 +130,21 @@ class Architecture:
                                  f"featurizer's {NODE_FEATURES} and {EDGE_FEATURES}")
         return cls(**{key: value for key, value in data.items()
                       if key not in _FEATURE_WIDTHS}).validate()
+
+
+def _vector_size(arch: Architecture) -> int:
+    """Floats in the weight vector of ``arch``, every array of
+    :func:`_array_specs` counted in closed form, so no size is looped over."""
+    d, w, heads = arch.embed_dim, arch.hidden_width, arch.heads
+    per_layer = EDGE_FEATURES * d + d  # theta_e and att of one head
+    gat = heads * (NODE_FEATURES * d + per_layer
+                   + (arch.gat_layers - 1) * (d * d + per_layer))
+    pool = 3 * d * d if arch.pooling == "interaction" else 0
+    # Each hidden layer: its weight, then bias, gamma, beta and two running
+    # statistics of width w; then the w x 3 output weight and 3 biases.
+    head = ((d + EXTRA_HEAD_INPUTS) * w + (arch.hidden_layers - 1) * w * w
+            + 5 * w * arch.hidden_layers + 3 * w + 3)
+    return gat + pool + head
 
 
 def _is_finite_number(value) -> bool:

@@ -11,8 +11,10 @@ its ops, the per-head attention layer and the parameter head built from
 them, and the whole model and loss composed op by op,
 ``tape_batch_loss``), checked byte for byte, and the SP3 rule that tested
 an atom's bond-order sum where ``hybridizations`` now tests its degree
-(``valence_sum_hybridizations``). Format-3 checkpoint documents are read
-and written by the recipe their documentation prints.
+(``valence_sum_hybridizations``), and the Antoine evaluator and inversion
+that checked every element of every input (``ln_vapor_pressure``,
+``boiling_temperature``). Format-3 checkpoint documents are read and
+written by the recipe their documentation prints.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from grappa.antoine import PA_PER_KPA, AntoineParams
+from grappa.antoine import PA_PER_KPA, AntoineDomainError, AntoineParams
 from grappa.dataio import VpDataset, VpPoint
 from grappa.gnn import batch_graphs
 from grappa.metrics import PredictedPoints
@@ -983,3 +985,68 @@ def with_entry_values(doc: dict, name: str, values) -> dict:
     flat[entry["offset"]:entry["offset"] + math.prod(entry["shape"])] = \
         np.ravel(values)
     return {**doc, "data": flat.astype("<f8").tobytes().hex()}
+
+
+# ------------------------------------------- the per-element Antoine checks
+# The evaluator and inversion as they checked every element of every call,
+# before a min/max guard let accepted input through; copied unchanged.
+
+def _ln_p_kpa(a, b, c, temperature_k):
+    """ln(p/kPa) and the valid-branch mask C + T > 0; +inf off the branch."""
+    denom = c + np.asarray(temperature_k, dtype=np.float64)
+    valid = denom > 0.0
+    return np.where(valid, a - b / np.where(valid, denom, 1.0), np.inf), valid
+
+
+def _finite_positive(values, what: str) -> np.ndarray:
+    """``values`` as floats; names the first non-finite or non-positive one."""
+    arr = np.asarray(values, dtype=np.float64)
+    ok = np.isfinite(arr) & (arr > 0.0)
+    if not ok.all():
+        raise AntoineDomainError(
+            f"{what} must be finite and positive, got {float(arr[~ok][0])}")
+    return arr
+
+
+def _check_finite(params: AntoineParams) -> None:
+    """Name the first of A, B and C that is not a finite number."""
+    for key, value in zip("ABC", params.as_tuple()):
+        if not math.isfinite(value):
+            raise AntoineDomainError(f"Antoine parameter {key} must be finite, "
+                                     f"got {value}")
+
+
+def ln_vapor_pressure(params: AntoineParams, temperature_k):
+    """ln(p/kPa) at the given temperature(s), each finite and positive,
+    for finite parameters; requires C + T > 0."""
+    _check_finite(params)
+    t = _finite_positive(temperature_k, "temperature")
+    out, valid = _ln_p_kpa(params.A, params.B, params.C, t)
+    if not np.all(valid):
+        raise AntoineDomainError(f"C + T must be positive (C={params.C}, "
+                                 f"T={float(t[~valid][0])})")
+    return float(out) if np.isscalar(temperature_k) else out
+
+
+def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
+    """Temperature at which the curve reaches the given pressure.
+
+    Exact algebraic inverse of :func:`ln_vapor_pressure`; the parameters
+    must be finite, the pressure finite and positive, and no solution exists
+    once ln(p/kPa) reaches A. A solution must lie on the curve's domain,
+    T > 0 and C + T > 0, as in-range parameters (B > 0, C <= 0) always give.
+    """
+    _check_finite(params)
+    p = _finite_positive(pressure_pa, "pressure")
+    ln_p = np.log(p / PA_PER_KPA)
+    reached = ln_p >= params.A
+    if np.any(reached):
+        raise AntoineDomainError(f"no boiling point: ln(p/kPa)="
+                                 f"{float(ln_p[reached][0])} reaches A={params.A}")
+    t = params.B / (params.A - ln_p) - params.C
+    off = (t <= 0.0) | (params.C + t <= 0.0)
+    if np.any(off):
+        raise AntoineDomainError(f"no boiling point: T={float(t[off][0])} is "
+                                 f"off the curve, which needs T > 0 and "
+                                 f"C + T > 0 (C={params.C})")
+    return float(t) if np.isscalar(pressure_pa) else t

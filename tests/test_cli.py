@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import grappa.cli
 from grappa import dataio, metrics
 from grappa.cli import main
 from grappa.dataio import VpDataset, VpPoint, write_csv, write_splits_csv
@@ -771,3 +772,36 @@ def test_grid_search_rejects_jobs_below_one(capsys, tmp_path, jobs):
     assert main(["grid-search", "--config", str(tmp_path / "absent.json"),
                  "--jobs", jobs]) == 2
     assert "argument --jobs" in capsys.readouterr().err
+
+
+def test_train_refuses_an_arch_too_large_to_allocate(capsys, tmp_path,
+                                                     data_path):
+    data, splits = data_path
+    output = tmp_path / "trained.json"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": data, "splits": splits, "output_model": str(output),
+        "arch": {"embed_dim": 2**40},
+        "train": {"batch_size": 8, "warmup_epochs": 1, "main_epochs": 1}}))
+    code = main(["train", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "floats" in err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not output.exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 192. TiB"),
+     "error: Unable to allocate 192. TiB"),
+    (MemoryError(), "error: MemoryError"),
+])
+def test_a_memory_error_exits_1_with_one_line(capsys, monkeypatch, model_path,
+                                              error, line):
+    def exhausted(args):
+        raise error
+
+    monkeypatch.setattr(grappa.cli, "_cmd_predict", exhausted)
+    code = main(["predict", "--model", model_path, "--smiles", "CCO"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [line]

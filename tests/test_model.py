@@ -23,6 +23,7 @@ from grappa.dataio import VpDataset, VpPoint
 from grappa.featurize import ScopeError, featurize
 from grappa.gnn import attention_scores
 from grappa.model import (
+    MAX_MODEL_FLOATS,
     PREDICT_MEMO_SIZE,
     Architecture,
     forward_antoine,
@@ -35,6 +36,8 @@ from grappa.model import (
     prepare_components,
     save_checkpoint,
     to_checkpoint,
+    _array_specs,
+    _vector_size,
 )
 from grappa.smiles import SmilesError, parse_smiles
 from grappa.train import AdamWState, adamw_step
@@ -444,7 +447,9 @@ BAD_CHECKPOINTS = {
         d, "head.out.bias", {**d["params"]["head.out.bias"], "shape": "3"}),
         "head.out.bias"),
     "embed_dim far beyond the entries": (lambda d: _arch(d, embed_dim=2**40),
-                                         "'gat.0.0.theta_v' has shape"),
+                                         "floats, more than the"),
+    "embed_dim beyond the entries": (lambda d: _arch(d, embed_dim=2048),
+                                     "'gat.0.0.theta_v' has shape"),
     "offset missing": (lambda d: _entry(d, "head.out.bias", {"shape": [3]}),
                        "'head.out.bias' has offset None"),
     "offset as float": (lambda d: _offset(
@@ -965,3 +970,24 @@ def test_attention_scores_keep_no_backward(monkeypatch):
     attention_scores(featurize(parse_smiles("CC(=O)O")), model.gat)
     assert len(outputs) == model.arch.gat_layers
     assert all(stage is None for out in outputs for stage in out.stages)
+
+
+@pytest.mark.parametrize("arch", [
+    Architecture(), Architecture(pooling="sum"),
+    Architecture(gat_layers=2, heads=3, embed_dim=5, hidden_layers=1,
+                 hidden_width=7),
+    Architecture(gat_layers=5, heads=1, embed_dim=1, hidden_layers=4,
+                 hidden_width=1),
+], ids=["default", "sum", "wide-heads", "narrow"])
+def test_the_closed_form_vector_size_counts_every_array(arch):
+    listed = sum(math.prod(shape) for _, shape, _, _ in _array_specs(arch))
+    assert _vector_size(arch) == listed == init_model(arch).values.size
+
+
+@pytest.mark.parametrize("sizes", [
+    {"embed_dim": 2**40}, {"gat_layers": 10**18}, {"hidden_layers": 10**18},
+    {"hidden_width": 2**20}, {"heads": 2**30},
+], ids=lambda sizes: next(iter(sizes)))
+def test_an_arch_beyond_the_float_limit_is_refused_before_allocating(sizes):
+    with pytest.raises(ValueError, match=f"more than the {MAX_MODEL_FLOATS}"):
+        Architecture(**sizes).validate()
