@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antoine import PA_PER_KPA, PARAM_RANGES, AntoineParams, _ln_p_kpa, antoine
+from .antoine import (PA_PER_KPA, PARAM_RANGES, AntoineParams, _ln_p_grad,
+                      _ln_p_kpa, antoine)
 from .featurize import validate_scope
 from .molecule import Molecule
 from .smiles import SmilesError, parse_smiles
@@ -277,12 +278,8 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
         if not live.size:
             break
         b, c = th.take(rows, axis=0)[:, 1:].T
-        denom = c + tl
-        # Jacobian of the residual r = y - (a - b/(c+t)) w.r.t. (a, b, c).
-        jac = np.empty(denom.shape + (3,))
-        jac[:, 0] = -1.0
-        jac[:, 1] = 1.0 / denom
-        jac[:, 2] = -b / denom**2
+        # Jacobian of the residual r = y - ln(p/kPa) w.r.t. (a, b, c).
+        jac = _ln_p_grad(-1.0, b, c + tl)
         w = delta / np.maximum(np.abs(res), delta)  # exactly 1 where |r| <= delta
         jtw = jac * w[:, None]
         hess = np.empty((len(live), 3, 3))
@@ -371,12 +368,8 @@ def _fit_window(temperatures_k, pressures_pa):
                          "positive pressures")
     y = np.log(p / PA_PER_KPA)
     require_fit_window(t)
-    box = np.array([
-        PARAM_RANGES["A"],
-        PARAM_RANGES["B"],
-        # Keep the pole C = -T out of the data window.
-        (max(PARAM_RANGES["C"][0], -float(t.min()) + 1.0), PARAM_RANGES["C"][1]),
-    ])
+    box = np.array([PARAM_RANGES[key] for key in "ABC"])
+    box[2, 0] = max(box[2, 0], -float(t.min()) + 1.0)  # the pole C = -T stays out
     return t, y, box
 
 
@@ -614,13 +607,27 @@ def write_splits_csv(ds: VpDataset, path):
 
 
 def read_splits_csv(path) -> dict[str, str]:
+    """Each component's split label, any non-empty text. A row with no
+    component id or label, with more fields than the header, or giving a
+    component a second label raises ``ValueError`` naming its line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("component_id", "split")
                    if c not in (reader.fieldnames or [])]
         if missing:
             raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
-        return {record["component_id"]: record["split"] for record in reader}
+        splits = {}
+        for record in reader:
+            component, label = record["component_id"], record["split"]
+            where = f"{path}: line {reader.line_num}"
+            if not component or not label or None in record:
+                raise ValueError(f"{where} needs one component_id and one "
+                                 f"split label, got {list(record.values())}")
+            if splits.setdefault(component, label) != label:
+                raise ValueError(f"{where} labels {component!r} {label!r}, "
+                                 f"but an earlier row labels it "
+                                 f"{splits[component]!r}")
+        return splits
 
 
 def write_audit_jsonl(audit: list[dict], path):

@@ -13,6 +13,7 @@ to the components with enough points through ``select``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields
 from functools import partial
 from itertools import compress
@@ -20,12 +21,16 @@ from itertools import compress
 import numpy as np
 
 from .antoine import PA_PER_KPA, AntoineParams, boiling_temperature
+from .dataio import PRESSURE_RANGE_PA, TEMPERATURE_RANGE_K
 
 MIN_K_FILTERS = (1, 2, 5)
 # Decade edges in Pa over the curated pressure window.
-PRESSURE_EDGES_PA = tuple(10.0 ** k for k in range(0, 8))
+PRESSURE_EDGES_PA = tuple(10.0 ** k for k in range(
+    round(math.log10(PRESSURE_RANGE_PA[0])),
+    round(math.log10(PRESSURE_RANGE_PA[1])) + 1))
 # 50 K intervals over the curated temperature window.
-TEMPERATURE_EDGES_K = tuple(float(t) for t in range(250, 650, 50))
+TEMPERATURE_EDGES_K = tuple(float(t) for t in range(
+    int(TEMPERATURE_RANGE_K[0]), int(TEMPERATURE_RANGE_K[1]) + 1, 50))
 # Molecular-weight intervals, read off the paper's figure.
 MOL_WEIGHT_EDGES = (0.0, 100.0, 150.0, 200.0, 250.0, 300.0, 400.0, float("inf"))
 MIN_POINTS_LEVELS = (1, 2, 3, 5, 10)

@@ -2,8 +2,8 @@
 
 The head maps the pooled embedding plus hydrogen donor/acceptor counts
 through hidden layers (linear -> batch norm -> ELU) to three raw outputs,
-each squashed into its Antoine range with ``lo + (hi - lo) * sigmoid``, so
-every prediction is a valid vapor-pressure curve by construction. The head's
+each squashed into ``antoine.PARAM_RANGES`` by ``lo + (hi - lo) * sigmoid``,
+so every prediction is a valid vapor-pressure curve by construction. The head's
 output is one (B, 3) tensor whose columns are A, B and C.
 
 :func:`forward_antoine` runs the model as one linear chain of stages
@@ -53,8 +53,9 @@ PREDICT_MEMO_SIZE = 256
 # gradient vector is as large again), so a huge size is refused before any
 # allocation.
 MAX_MODEL_FLOATS = 2**27
-# Arch keys of older checkpoints and configs, accepted at these widths only.
-_FEATURE_WIDTHS = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES}
+# Arch keys fixed by the package: a document may omit them or give these values.
+_FIXED_ARCH = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES,
+               "param_ranges": {k: list(v) for k, v in PARAM_RANGES.items()}}
 
 
 @dataclass
@@ -65,7 +66,6 @@ class Architecture:
     pooling: str = "interaction"
     hidden_layers: int = 3
     hidden_width: int = 16
-    param_ranges: dict = field(default_factory=lambda: {k: list(v) for k, v in PARAM_RANGES.items()})
     count_scale: list | None = None  # (mean_d, std_d, mean_a, std_a), optional
 
     def validate(self):
@@ -87,22 +87,6 @@ class Architecture:
         if (size := _vector_size(self)) > MAX_MODEL_FLOATS:
             raise ValueError(f"arch would hold {size} floats, more than the "
                              f"{MAX_MODEL_FLOATS} allowed")
-        ranges = self.param_ranges
-        if not isinstance(ranges, dict) or set(ranges) != {"A", "B", "C"}:
-            raise ValueError(f"param_ranges must map A, B and C, got {ranges!r}")
-        for key in ("A", "B", "C"):
-            bounds = ranges[key]
-            if not (isinstance(bounds, (list, tuple)) and len(bounds) == 2
-                    and all(map(_is_finite_number, bounds))):
-                raise ValueError(f"param_ranges {key} must be two finite "
-                                 f"numbers, got {bounds!r}")
-            lo, hi = bounds
-            if not lo < hi:
-                raise ValueError(f"empty range for {key}")
-        if ranges["B"][0] <= 0:
-            # B > 0 makes every predicted curve strictly increasing in T.
-            raise ValueError("param_ranges B must lie above 0, got "
-                             f"{ranges['B']!r}")
         scale = self.count_scale
         if scale is not None and not (
                 isinstance(scale, (list, tuple)) and len(scale) == 4
@@ -113,23 +97,36 @@ class Architecture:
         return self
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        data = asdict(self)  # checkpoints keep the box where its field stood
+        data["param_ranges"] = copy.deepcopy(_FIXED_ARCH["param_ranges"])
+        data["count_scale"] = data.pop("count_scale")
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Architecture":
         if not isinstance(data, dict):
             raise ValueError(f"arch must be an object, got {type(data).__name__}")
         unknown = sorted(data.keys() - {f.name for f in fields(cls)}
-                         - _FEATURE_WIDTHS.keys())
+                         - _FIXED_ARCH.keys())
         if unknown:
             raise ValueError(f"unknown arch keys: {unknown}")
-        for key, width in _FEATURE_WIDTHS.items():
-            value = data.get(key, width)
-            if type(value) is not int or value != width:
-                raise ValueError(f"node_features and edge_features must be the "
-                                 f"featurizer's {NODE_FEATURES} and {EDGE_FEATURES}")
+        for key, fixed in _FIXED_ARCH.items():
+            if key in data and not _is_fixed(data[key], fixed):
+                raise ValueError(f"arch {key} must be the package's {fixed}, "
+                                 f"got {data[key]!r}")
         return cls(**{key: value for key, value in data.items()
-                      if key not in _FEATURE_WIDTHS}).validate()
+                      if key not in _FIXED_ARCH}).validate()
+
+
+def _is_fixed(value, fixed) -> bool:
+    """Whether JSON ``value`` is ``fixed``, an integer where it holds one."""
+    if isinstance(fixed, dict):
+        return (isinstance(value, dict) and value.keys() == fixed.keys()
+                and all(_is_fixed(value[key], fixed[key]) for key in fixed))
+    if isinstance(fixed, list):
+        return (isinstance(value, list) and len(value) == len(fixed)
+                and all(map(_is_fixed, value, fixed)))
+    return type(value) in (int, type(fixed)) and value == fixed
 
 
 def _vector_size(arch: Architecture) -> int:
@@ -412,7 +409,7 @@ def forward_antoine(model: GrappaModel, graphs: list[MolGraph],
     counts = _count_features(model, [g.h_donors for g in graphs],
                              [g.h_acceptors for g in graphs])
     raw = head_raw(model, pooled, counts, train)
-    return scale_to_ranges(raw, model.arch.param_ranges, train)
+    return scale_to_ranges(raw, PARAM_RANGES, train)
 
 
 @dataclass(frozen=True)

@@ -66,9 +66,6 @@ class Bond:
     order: str = SINGLE
     stereo: str = STEREO_NONE
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
 
 @dataclass(frozen=True)
 class Molecule:

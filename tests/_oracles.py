@@ -26,7 +26,8 @@ import numpy as np
 from contextlib import contextmanager
 from typing import NamedTuple
 
-from grappa.antoine import PA_PER_KPA, AntoineDomainError, AntoineParams
+from grappa.antoine import (PA_PER_KPA, PARAM_RANGES, AntoineDomainError,
+                            AntoineParams)
 from grappa.dataio import VpDataset, VpPoint
 from grappa.gnn import batch_graphs
 from grappa.metrics import PredictedPoints
@@ -766,7 +767,7 @@ def tape_forward_antoine(model, graphs, params: dict):
               for i in range(arch.hidden_layers)]
     raw = composed_mlp_head(pooled, counts, hidden, params["head.out.weight"],
                             params["head.out.bias"], model.head[3])
-    lo, hi = np.array([arch.param_ranges[key] for key in "ABC"]).T
+    lo, hi = np.array([PARAM_RANGES[key] for key in "ABC"]).T
     return composed_range_sigmoid(raw, lo, hi)
 
 
@@ -989,7 +990,8 @@ def with_entry_values(doc: dict, name: str, values) -> dict:
 
 # ------------------------------------------- the per-element Antoine checks
 # The evaluator and inversion as they checked every element of every call,
-# before a min/max guard let accepted input through; copied unchanged.
+# before a min/max guard let accepted input through; copied, with the check
+# that refuses a result overflowed to an infinity added to each.
 
 def _ln_p_kpa(a, b, c, temperature_k):
     """ln(p/kPa) and the valid-branch mask C + T > 0; +inf off the branch."""
@@ -1025,6 +1027,12 @@ def ln_vapor_pressure(params: AntoineParams, temperature_k):
     if not np.all(valid):
         raise AntoineDomainError(f"C + T must be positive (C={params.C}, "
                                  f"T={float(t[~valid][0])})")
+    overflowed = np.isinf(out)
+    if np.any(overflowed):
+        raise AntoineDomainError(
+            f"ln(p/kPa) overflows to {float(out[overflowed][0])} at "
+            f"T={float(t[overflowed][0])} (A={params.A}, B={params.B}, "
+            f"C={params.C})")
     return float(out) if np.isscalar(temperature_k) else out
 
 
@@ -1034,7 +1042,8 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     Exact algebraic inverse of :func:`ln_vapor_pressure`; the parameters
     must be finite, the pressure finite and positive, and no solution exists
     once ln(p/kPa) reaches A. A solution must lie on the curve's domain,
-    T > 0 and C + T > 0, as in-range parameters (B > 0, C <= 0) always give.
+    T > 0 and C + T > 0, as in-range parameters (B > 0, C <= 0) always give,
+    and be finite.
     """
     _check_finite(params)
     p = _finite_positive(pressure_pa, "pressure")
@@ -1044,8 +1053,12 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
         raise AntoineDomainError(f"no boiling point: ln(p/kPa)="
                                  f"{float(ln_p[reached][0])} reaches A={params.A}")
     t = params.B / (params.A - ln_p) - params.C
-    off = (t <= 0.0) | (params.C + t <= 0.0)
+    off = (t <= 0.0) | (params.C + t <= 0.0) | (t == math.inf)
     if np.any(off):
+        if float(t[off][0]) == math.inf:
+            raise AntoineDomainError(f"no boiling point: T overflows to inf "
+                                     f"(A={params.A}, B={params.B}, "
+                                     f"C={params.C})")
         raise AntoineDomainError(f"no boiling point: T={float(t[off][0])} is "
                                  f"off the curve, which needs T > 0 and "
                                  f"C + T > 0 (C={params.C})")

@@ -193,7 +193,7 @@ def head_params(model, h, donors: int, acceptors: int,
     raw = head_raw(model, Tensor(np.reshape(h, (1, -1))),
                    np.array([[donors, acceptors]], dtype=np.float64), train)
     return AntoineParams(
-        *scale_to_ranges(raw, model.arch.param_ranges).data[0].tolist())
+        *scale_to_ranges(raw, PARAM_RANGES).data[0].tolist())
 
 
 def midpoints():

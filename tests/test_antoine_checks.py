@@ -1,10 +1,11 @@
 """Every Antoine call is checked, whatever path serves it.
 
 ``ln_vapor_pressure`` and ``boiling_temperature`` pass accepted input
-through one min/max guard and walk the input only once it fails. Over
+through one guard each and walk the input only once it fails. Over
 drawn inputs they must give the bytes, return type and errors of the
-evaluator that checked every element (``_oracles``), and a ``predict``
-memo hit must refuse what a miss refuses.
+evaluator that checked every element (``_oracles``), refuse a result that
+overflows to an infinity, and a ``predict`` memo hit must refuse what a
+miss refuses.
 """
 
 import math
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import _oracles
 from grappa.antoine import (PA_PER_KPA, AntoineDomainError, AntoineParams,
-                            boiling_temperature, ln_vapor_pressure)
+                            boiling_temperature, ln_vapor_pressure,
+                            vapor_pressure)
 from grappa.model import Architecture, init_model, predict
 
 
@@ -106,6 +108,9 @@ def pressure_cases(draw):
 @example((AntoineParams(10.0, 2000.0, -50.0), np.array([300.0, 0.0, -1.0])))
 @example((AntoineParams(10.0, 2000.0, math.nan), 300.0))
 @example((AntoineParams(1e308, 1e308, 1e308), np.array([1e308, -1e308])))
+@example((AntoineParams(10.0, 2000.0, -50.0), np.array([[300.0, 400.0],
+                                                         [500.0, 600.0]])))
+@example((AntoineParams(10.0, 2000.0, -50.0), np.array([[300.0, 40.0]])))
 def test_ln_vapor_pressure_is_the_per_element_evaluator(case):
     params, t = case
     assert outcome(ln_vapor_pressure, params, t) \
@@ -122,23 +127,62 @@ def test_ln_vapor_pressure_is_the_per_element_evaluator(case):
 @example((AntoineParams(5.0, 1.0, 300.0), 101325.0))
 @example((AntoineParams(12.0, -3627.0, -136.0), np.array([101325.0])))
 @example((AntoineParams(5.0, 1e308, -50.0), 101325.0 * (1 + 2**-52)))
+@example((AntoineParams(10.0, 2000.0, -50.0), np.array([[1e3, 1e4],
+                                                         [1e5, 2e5]])))
 def test_boiling_temperature_is_the_per_element_inversion(case):
     params, p = case
     assert outcome(boiling_temperature, params, p) \
         == outcome(_oracles.boiling_temperature, params, p)
 
 
+EDGE = math.nextafter(50.0, 100.0)  # C + T = 50 - C = 7.1e-15 at C = -50
+
+
+@pytest.mark.parametrize("evaluate, params, x, message", [
+    (ln_vapor_pressure, AntoineParams(5.0, 1e308, -50.0), EDGE,
+     r"ln\(p/kPa\) overflows to -inf at T=50.00000000000001 "
+     r"\(A=5.0, B=1e\+308, C=-50.0\)"),
+    (ln_vapor_pressure, AntoineParams(5.0, 1e308, -50.0), [300.0, EDGE],
+     "overflows to -inf at T=50.00000000000001"),
+    (ln_vapor_pressure, AntoineParams(5.0, -1e308, -50.0), np.array([EDGE]),
+     "overflows to inf at T=50.00000000000001"),
+    (ln_vapor_pressure, AntoineParams(1e308, -1e308, 0.0), 1.0,
+     "overflows to inf at T=1.0"),
+    (boiling_temperature, AntoineParams(5.0, 1e308, -50.0),
+     101325.0 * (1 + 2**-52),
+     r"no boiling point: T overflows to inf \(A=5.0, B=1e\+308, C=-50.0\)"),
+    (boiling_temperature, AntoineParams(5.0, 1e308, -50.0),
+     [1000.0, 101325.0 * (1 + 2**-52)], "T overflows to inf"),
+], ids=["ln-number", "ln-list", "ln-to-plus-inf", "ln-subtraction",
+        "boil-number", "boil-list"])
+def test_a_result_that_overflows_is_refused(evaluate, params, x, message):
+    with np.errstate(over="ignore"):
+        with pytest.raises(AntoineDomainError, match=message):
+            evaluate(params, x)
+        if evaluate is ln_vapor_pressure:
+            with pytest.raises(AntoineDomainError, match=message):
+                vapor_pressure(params, x)
+        oracle = getattr(_oracles, evaluate.__name__)
+        assert outcome(evaluate, params, x) == outcome(oracle, params, x)
+
+
+def _low_c_model():
+    """A small model whose head's output bias for C, -50, pins C near
+    its box's low end, -300, so 250 K lies off every curve's valid branch."""
+    model = init_model(Architecture(gat_layers=2, heads=1, hidden_layers=1,
+                                    embed_dim=8, hidden_width=4), seed=3)
+    model.params["head.out.bias"][2] = -50.0
+    return model
+
+
 def test_a_memo_hit_refuses_what_a_miss_refuses():
-    # C in [-300, -290]: 250 K lies off every curve's valid branch.
-    ranges = {"A": [5.0, 20.0], "B": [1500.0, 6000.0], "C": [-300.0, -290.0]}
-    arch = Architecture(gat_layers=2, heads=1, hidden_layers=1, embed_dim=8,
-                        hidden_width=4, param_ranges=ranges)
-    model = init_model(arch, seed=3)
+    model = _low_c_model()
     accepted = predict(model, "CCO", [400.0], 101325.0)
+    assert accepted.params.C < -250.0
     memo, rows = model.memo, list(model.memo.rows.items())
     for refused in ({"temperatures": 250.0}, {"boil_pressure_pa": 0.0},
                     {"boil_pressure_pa": -101325.0}):
-        fresh = init_model(arch, seed=3)
+        fresh = _low_c_model()
         with pytest.raises(AntoineDomainError) as on_miss:
             predict(fresh, "CCO", **refused)
         with pytest.raises(AntoineDomainError) as on_hit:

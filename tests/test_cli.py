@@ -136,6 +136,17 @@ def test_boil_rejects_a_solution_off_the_curve(capsys, given):
     assert captured.err.startswith("error: no boiling point: T=-")
 
 
+def test_boil_refuses_a_solution_that_overflows(capsys):
+    with np.errstate(over="ignore"):
+        code = main(["boil", "--A", "5", "--B", "1e308", "--C", "-50",
+                     "--pressure", "101325.00000000003"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: no boiling point: T overflows to inf "
+                            "(A=5.0, B=1e+308, C=-50.0)\n")
+
+
 def test_a_negative_number_can_follow_its_flag(capsys):
     # argparse alone reads -5.2e1 as an option and exits 2.
     code, spaced = run(capsys, "boil", "--A", "14", "--B", "3000", "--C",
@@ -525,6 +536,33 @@ def test_predict_with_a_malformed_checkpoint_exits_1(capsys, tmp_path,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_a_checkpoint_of_another_antoine_box_is_refused_by_name(
+        capsys, tmp_path, model_path):
+    doc = json.loads(Path(model_path).read_text())
+    doc["arch"]["param_ranges"]["C"] = [-250.0, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code = main(["predict", "--model", str(bad), "--smiles", "CCO"])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith("error: arch param_ranges must be the package's")
+
+
+@pytest.mark.parametrize("rows", ["c2,train\nc3\n", "c2,train\nc2,test\n",
+                                  "c2,train,extra\n", "c2,\n", ",train\n"],
+                         ids=["no-label", "second-label", "extra-field",
+                              "empty-label", "no-component"])
+def test_evaluate_refuses_a_malformed_splits_row(capsys, tmp_path, model_path,
+                                                 data_path, rows):
+    splits = tmp_path / "bad_splits.csv"
+    splits.write_text("component_id,split\n" + rows)
+    code = main(["evaluate", "--model", model_path, "--data", data_path[0],
+                 "--splits", str(splits), "--split", "train"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: {splits}: line ") and "Traceback" not in err
 
 
 def test_evaluate_and_report(capsys, tmp_path, model_path, data_path):

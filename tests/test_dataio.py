@@ -725,6 +725,30 @@ def test_split_file_roundtrip(tmp_path):
     assert read_splits_csv(path) == labeled.splits
 
 
+@pytest.mark.parametrize("rows, message", [
+    ("c2,Train\nc3\n", r"line 3 needs one component_id and one split label, "
+                        r"got \['c3', None\]"),
+    ("c2,Train\nc3,\n", "line 3 needs one component_id"),
+    ("c2,Train\n,Train\n", "line 3 needs one component_id"),
+    ("c2,Train,Valid\n", "line 2 needs one component_id"),
+    ("c2,Train\nc3,test\nc2,test\n",
+     "line 4 labels 'c2' 'test', but an earlier row labels it 'Train'"),
+], ids=["no-label", "empty-label", "no-component", "extra-field",
+        "second-label"])
+def test_read_splits_csv_refuses_a_malformed_row(tmp_path, rows, message):
+    # At 'c3' with no label, a split left the component out of every split.
+    path = tmp_path / "splits.csv"
+    path.write_text("component_id,split\n" + rows)
+    with pytest.raises(ValueError, match=message):
+        read_splits_csv(path)
+
+
+def test_read_splits_csv_keeps_free_form_labels_and_repeated_rows(tmp_path):
+    path = tmp_path / "splits.csv"
+    path.write_text("component_id,split\nc2,Train\nc3,holdout 2\nc2,Train\n")
+    assert read_splits_csv(path) == {"c2": "Train", "c3": "holdout 2"}
+
+
 def test_read_splits_csv_reads_a_byte_order_mark(tmp_path):
     path = tmp_path / "splits.csv"
     path.write_bytes(b"\xef\xbb\xbfcomponent_id,split\r\na,train\r\n")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grappa.antoine import PARAM_RANGES
 from grappa.model import (
     Architecture,
     _count_features,
@@ -51,10 +52,6 @@ def _head_model(layers: int, width: int, scaled: bool, seed: int):
     return model
 
 
-def _ranges(model):
-    return np.array([model.arch.param_ranges[k] for k in "ABC"]).T
-
-
 def _run(model, pooled, counts, weights, train, fused):
     """The head's (B, 3) output bytes, and after a backward on a weighted
     mean the gradient bytes of the pooled input and every head parameter,
@@ -63,7 +60,7 @@ def _run(model, pooled, counts, weights, train, fused):
     grads = []
     if fused:
         out = scale_to_ranges(head_raw(model, Tensor(pooled), counts, train),
-                              model.arch.param_ranges, train)
+                              PARAM_RANGES, train)
         if train:
             grads = [weighted_mean(out, weights).backward()] + [
                 p.grad.copy() for p in [*sum(hidden, []), w_out, b_out]]
@@ -75,7 +72,7 @@ def _run(model, pooled, counts, weights, train, fused):
         with recording(train):
             out = composed_range_sigmoid(
                 composed_mlp_head(x, counts, layers, tape[-2], tape[-1], stats),
-                *_ranges(model))
+                *np.array([PARAM_RANGES[k] for k in "ABC"]).T)
             if train:
                 mean_all(mul(out, weights)).backward()
                 grads = [x.grad] + [t.grad for t in tape]

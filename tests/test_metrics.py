@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 from grappa.antoine import AntoineParams
+from grappa.dataio import PRESSURE_RANGE_PA, TEMPERATURE_RANGE_K
 from grappa.metrics import (
+    PRESSURE_EDGES_PA,
+    TEMPERATURE_EDGES_K,
     PredictedPoints,
     ape_c,
     ape_i,
@@ -21,6 +24,16 @@ from _oracles import points_table, sorted_percentile
 def mk(component, p_exp, p_pred, t=300.0, mw=100.0):
     """One hand-written row for :func:`points_table`."""
     return component, t, p_exp, p_pred, mw
+
+
+def test_the_bin_edges_span_the_curated_window():
+    assert TEMPERATURE_EDGES_K == (250.0, 300.0, 350.0, 400.0, 450.0, 500.0,
+                                   550.0, 600.0)
+    assert PRESSURE_EDGES_PA == (1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e7)
+    assert all(type(edge) is float
+               for edge in TEMPERATURE_EDGES_K + PRESSURE_EDGES_PA)
+    assert (TEMPERATURE_EDGES_K[0], TEMPERATURE_EDGES_K[-1]) == TEMPERATURE_RANGE_K
+    assert (PRESSURE_EDGES_PA[0], PRESSURE_EDGES_PA[-1]) == PRESSURE_RANGE_PA
 
 
 # --------------------------------------------------------------- point scores

@@ -17,8 +17,8 @@ import grappa.gnn
 import grappa.model
 import grappa.pooling
 import grappa.tensor
-from grappa.antoine import (PA_PER_KPA, AntoineParams, _ln_p_kpa, antoine,
-                            boiling_temperature, ln_vapor_pressure)
+from grappa.antoine import (PA_PER_KPA, PARAM_RANGES, AntoineParams, _ln_p_kpa,
+                            antoine, boiling_temperature, ln_vapor_pressure)
 from grappa.dataio import VpDataset, VpPoint
 from grappa.featurize import ScopeError, featurize
 from grappa.gnn import attention_scores
@@ -358,6 +358,46 @@ def test_checkpoint_accepts_the_featurizer_widths_of_older_documents():
     assert _same_bytes(model, model_from_checkpoint(old))
 
 
+def test_the_checkpoint_bytes_of_a_fixed_seed_model_are_pinned():
+    doc = to_checkpoint(init_model(Architecture(), seed=1))
+    assert list(doc["arch"]) == ["gat_layers", "heads", "embed_dim", "pooling",
+                                 "hidden_layers", "hidden_width",
+                                 "param_ranges", "count_scale"]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() \
+        == "195c2994842e86dea9b13b5fbae9c2467a4c406333d2b9e42a4675eec0b3b3cf"
+
+
+@pytest.mark.parametrize("as_format", [_as_format_1, _as_format_2, dict],
+                         ids=["format-1", "format-2", "format-3"])
+@pytest.mark.parametrize("box", ["omitted", "integers"])
+def test_every_format_may_omit_the_antoine_box_or_give_it_as_integers(
+        as_format, box):
+    model = init_model(Architecture(pooling="sum"), seed=5)
+    doc = json.loads(json.dumps(as_format(to_checkpoint(model))))
+    if box == "omitted":
+        del doc["arch"]["param_ranges"]
+    else:
+        doc["arch"]["param_ranges"] = {"A": [5, 20], "B": [1500, 6000],
+                                       "C": [-300, 0]}
+    loaded = model_from_checkpoint(doc)
+    assert _same_bytes(model, loaded) and loaded.arch == model.arch
+    assert to_checkpoint(loaded) == to_checkpoint(model)
+
+
+def test_the_antoine_box_keeps_b_above_zero_and_a_above_ln_102_kpa():
+    # B > 0 makes every predicted curve strictly increasing in T; A above
+    # ln(102 kPa) gives every curve a normal boiling point, so evaluation's
+    # boiling-point table cannot abort.
+    assert PARAM_RANGES["B"][0] > 0.0
+    assert PARAM_RANGES["A"][0] > math.log(102.0)
+    assert all(lo < hi for lo, hi in PARAM_RANGES.values())
+
+
+def test_an_architecture_takes_no_antoine_box():
+    with pytest.raises(TypeError, match="param_ranges"):
+        Architecture(param_ranges={k: list(v) for k, v in PARAM_RANGES.items()})
+
+
 def test_two_saves_of_a_model_are_identical(tmp_path):
     model = init_model(Architecture(count_scale=[1.5, 0.3, 2.0, 1.1]), seed=4)
     save_checkpoint(model, tmp_path / "a.json")
@@ -431,9 +471,12 @@ BAD_CHECKPOINTS = {
     "param_ranges bound as text": (lambda d: _arch(
         d, param_ranges={**d["arch"]["param_ranges"], "C": ["-300", 0.0]}),
         "param_ranges"),
-    "param_ranges B reaching 0": (lambda d: _arch(
-        d, param_ranges={**d["arch"]["param_ranges"], "B": [0.0, 6000.0]}),
-        "param_ranges B"),
+    "param_ranges of another box": (lambda d: _arch(
+        d, param_ranges={**d["arch"]["param_ranges"], "C": [-250.0, 0.0]}),
+        "arch param_ranges must be the package's"),
+    "param_ranges bound as boolean": (lambda d: _arch(
+        d, param_ranges={**d["arch"]["param_ranges"], "C": [-300.0, False]}),
+        "param_ranges"),
     "count_scale of three": (lambda d: _arch(d, count_scale=[0.0, 1.0, 0.0]),
                              "count_scale"),
     "count_scale zero std": (lambda d: _arch(
@@ -529,17 +572,6 @@ def test_checkpoint_rejects_malformed_documents(case):
     good = to_checkpoint(init_model(Architecture(), seed=1))
     with pytest.raises(ValueError, match=names):
         model_from_checkpoint(mutate(good))
-
-
-@pytest.mark.parametrize("b_range", [[-6000.0, -1500.0], [0.0, 6000.0],
-                                     [-1.0, 6000.0]])
-def test_architecture_refuses_a_b_range_not_above_zero(b_range):
-    # A B <= 0 would let a curve fall with temperature and put its boiling
-    # point off the curve.
-    ranges = {**Architecture().param_ranges, "B": b_range}
-    with pytest.raises(ValueError, match="param_ranges B"):
-        Architecture(param_ranges=ranges).validate()
-    Architecture(param_ranges={**ranges, "B": [1e-3, 6000.0]}).validate()
 
 
 def test_accounting_markdown_totals():
@@ -787,11 +819,8 @@ def test_a_repeated_predict_on_an_unchanged_model_runs_no_forward(monkeypatch):
     def count_scale_in_place(m):
         m.arch.count_scale[2] = 3.0
 
-    def ranges(m):
-        m.arch.param_ranges["C"][0] = -250.0
-
     for change in (out_bias_sign, write, restore_other, count_scale,
-                   count_scale_in_place, ranges):
+                   count_scale_in_place):
         change(model)
         forwards.clear()
         assert _prediction_bytes(model, "CC(=O)OCC") \
@@ -826,8 +855,6 @@ def _memo_op(model, snapshots, op):
         model.restore(snapshots[arg])
     elif kind == "count_scale":
         model.arch.count_scale = arg
-    elif kind == "ranges":
-        model.arch.param_ranges["A"][1] = arg
     else:
         assert _prediction_bytes(model, arg) == _unmemoized_bytes(model, arg)
 
@@ -842,7 +869,6 @@ MEMO_OPS = st.one_of(
     st.tuples(st.just("restore"), st.integers(0, 1)),
     st.tuples(st.just("count_scale"),
               st.sampled_from([None, [0.5, 1.5, 1.0, 2.0], [0.0, 1.0, 0.0, 1.0]])),
-    st.tuples(st.just("ranges"), st.sampled_from([20.0, 18.0, 25.0])),
 )
 
 

@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 import _oracles as tape
 from grappa import gnn, tensor as T
-from grappa.antoine import ln_p_points
+from grappa.antoine import PARAM_RANGES, ln_p_points
 from grappa.featurize import featurize
 from grappa.gnn import GatLayer, GraphBatch, batch_graphs, gat_forward, row_blocks
 from grappa.model import (BN_EPS, Architecture, head_raw, init_model,
@@ -331,7 +331,7 @@ def _stage_calls():
             lambda x, t: interaction_pool(x, batch, model.pool, t), (n, 8)),
         head_raw: (lambda x, t: head_raw(model, x, np.ones((m, 2)), t), (m, 8)),
         scale_to_ranges: (lambda x, t: scale_to_ranges(
-            x, model.arch.param_ranges, t), (m, 3)),
+            x, PARAM_RANGES, t), (m, 3)),
         ln_p_points: (lambda x, t: ln_p_points(
             Tensor(x.data + [10.0, 2000.0, -50.0]), [0, 1, 1],
             [300.0, 350.0, 400.0]), (m, 3)),
