@@ -29,6 +29,7 @@ from .model import (
     load_checkpoint,
     predict,
     predict_dataset,
+    refuse_unknown_keys,
     save_checkpoint,
 )
 from .smiles import SmilesError, parse_smiles
@@ -38,8 +39,8 @@ from .train import TrainConfig, TrainingError, fit, grid_search, history_csv
 # Options that take a number. argparse reads a value such as ``-5.2e1`` or
 # ``-inf`` as an option, so ``main`` joins such a value to its flag.
 FLOAT_OPTIONS = ("--A", "--B", "--C", "--pressure", "--temp")
-CONFIG_KEYS = ("data", "format", "splits", "output_model", "history", "arch",
-               "train")
+CONFIG_KEYS = frozenset({"data", "format", "splits", "output_model", "history",
+                         "arch", "train"})
 
 
 def _seed_from(args) -> int:
@@ -168,9 +169,7 @@ def _training_setup(args):
         config = json.load(fh)
     if not isinstance(config, dict) or "data" not in config:
         raise ValueError("the config must be an object with a 'data' path")
-    unknown = sorted(set(config) - set(CONFIG_KEYS))
-    if unknown:
-        raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    refuse_unknown_keys("config", config, CONFIG_KEYS)
     for key in ("data", "splits", "output_model", "history"):
         if not isinstance(config.get(key, ""), str):
             raise ValueError(f"config {key!r} must be a path, got {config[key]!r}")

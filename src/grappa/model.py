@@ -15,12 +15,12 @@ its batch norms, and :func:`scale_to_ranges`, the sigmoid range map.
 
 from __future__ import annotations
 
-import base64
 import binascii
 import copy
 import itertools
 import json
 import math
+import os
 from collections import OrderedDict
 from dataclasses import InitVar, dataclass, field, fields, asdict
 from typing import NamedTuple
@@ -56,6 +56,16 @@ MAX_MODEL_FLOATS = 2**27
 # Arch keys fixed by the package: a document may omit them or give these values.
 _FIXED_ARCH = {"node_features": NODE_FEATURES, "edge_features": EDGE_FEATURES,
                "param_ranges": {k: list(v) for k, v in PARAM_RANGES.items()}}
+# The keys of a checkpoint document and of each of its ``params`` entries.
+CHECKPOINT_KEYS = frozenset({"format_version", "arch", "params", "data"})
+ENTRY_KEYS = frozenset({"shape", "offset"})
+
+
+def refuse_unknown_keys(what: str, data: dict, allowed: set | frozenset):
+    """Raise ``ValueError`` naming every key of ``data`` not in ``allowed``."""
+    if not data.keys() <= allowed:
+        raise ValueError(f"{what} has unknown keys: "
+                         f"{sorted(data.keys() - allowed)}")
 
 
 @dataclass
@@ -106,10 +116,8 @@ class Architecture:
     def from_dict(cls, data: dict) -> "Architecture":
         if not isinstance(data, dict):
             raise ValueError(f"arch must be an object, got {type(data).__name__}")
-        unknown = sorted(data.keys() - {f.name for f in fields(cls)}
-                         - _FIXED_ARCH.keys())
-        if unknown:
-            raise ValueError(f"unknown arch keys: {unknown}")
+        refuse_unknown_keys("arch", data,
+                            {f.name for f in fields(cls)} | _FIXED_ARCH.keys())
         for key, fixed in _FIXED_ARCH.items():
             if key in data and not _is_fixed(data[key], fixed):
                 raise ValueError(f"arch {key} must be the package's {fixed}, "
@@ -547,10 +555,10 @@ def predict_dataset(model: GrappaModel, dataset, split: str | None = None
 
 # --------------------------------------------------------------- checkpoints
 
-def _check_entry(name: str, entry, shape: tuple, offset: int | None):
+def _check_entry(name: str, entry, shape: tuple, offset: int):
     """Raise ``ValueError`` naming a ``params`` entry that is not an object
-    with ``shape`` (a list of JSON integers) and, in format 3, ``offset``
-    (a JSON integer), as the arch implies them."""
+    of exactly ``shape`` (a list of JSON integers) and ``offset`` (a JSON
+    integer), as the arch implies them."""
     if not isinstance(entry, dict):
         raise ValueError(f"entry {name!r} must be an object")
     stored = entry.get("shape")
@@ -559,50 +567,22 @@ def _check_entry(name: str, entry, shape: tuple, offset: int | None):
             or not all(type(n) is int for n in stored):
         raise ValueError(f"entry {name!r} has shape {stored!r}, "
                          f"expected {list(shape)}")
-    if offset is not None and (type(entry.get("offset")) is not int
-                               or entry["offset"] != offset):
+    if type(entry.get("offset")) is not int or entry["offset"] != offset:
         raise ValueError(f"entry {name!r} has offset {entry.get('offset')!r}, "
                          f"expected {offset}")
-
-
-def _decode_entry(name: str, entry: dict, version: int, shape: tuple) -> np.ndarray:
-    """The float64 array of one format-1 or format-2 entry of a checked
-    shape, possibly read-only: base64 ``data`` in format 2, a flat
-    ``values`` list in format 1. Raises ``ValueError`` naming the entry for
-    any defect of its form."""
-    size = math.prod(shape)
-    if version == 1:
-        values = entry.get("values")
-        if not (isinstance(values, list) and len(values) == size
-                and all(type(v) in (int, float) for v in values)):
-            raise ValueError(f"entry {name!r} values must be a flat list of "
-                             f"{size} numbers")
-        try:
-            flat = np.array(values, dtype=np.float64)
-        except OverflowError as err:
-            raise ValueError(f"entry {name!r} values are not floats ({err})") from None
-    else:
-        try:
-            raw = base64.b64decode(entry.get("data"), validate=True)
-        except (TypeError, ValueError) as err:
-            raise ValueError(f"entry {name!r} data is not base64 ({err})") from None
-        if len(raw) != 8 * size:
-            raise ValueError(f"entry {name!r} holds {len(raw)} bytes, expected "
-                             f"{8 * size} for shape {shape}")
-        flat = np.frombuffer(raw, dtype="<f8")
-    return flat.reshape(shape)
+    if len(entry) > len(ENTRY_KEYS):  # it holds both, so another key too
+        refuse_unknown_keys(f"entry {name!r}", entry, ENTRY_KEYS)
 
 
 def _entry_arrays(data: dict, arch: Architecture) -> dict[str, np.ndarray]:
-    """The float64 array of every entry of a checkpoint document by name,
-    possibly read-only: views of its one decoded ``data`` in format 3, each
-    entry decoded alone in formats 1 and 2. Raises ``ValueError`` naming the
-    first defect of the document's form before allocating anything the arch
-    sizes: the arch's entries are listed only as far as ``params`` holds
-    entries, and nothing is decoded before every entry has the name, shape
-    and (format 3) offset the arch implies. The values themselves are
+    """The float64 array of every entry of a checkpoint document by name:
+    read-only views of its one decoded ``data``. Raises ``ValueError``
+    naming the first defect of the document's form before allocating
+    anything the arch sizes: the arch's entries are listed only as far as
+    ``params`` holds entries, and nothing is decoded before every entry has
+    the name, shape and offset the arch implies. The values themselves are
     checked once loaded (:func:`_check_values`)."""
-    version, entries = data["format_version"], data.get("params")
+    entries = data.get("params")
     if not isinstance(entries, dict):
         raise ValueError("checkpoint 'params' must be an object")
     # One entry past the document's count shows that the arch implies more.
@@ -617,12 +597,8 @@ def _entry_arrays(data: dict, arch: Architecture) -> dict[str, np.ndarray]:
         raise ValueError(f"checkpoint has unknown entries: {unknown}")
     offsets = [0]
     for name, shape in specs:
-        _check_entry(name, entries[name], shape,
-                     offsets[-1] if version == 3 else None)
+        _check_entry(name, entries[name], shape, offsets[-1])
         offsets.append(offsets[-1] + math.prod(shape))
-    if version != 3:
-        return {name: _decode_entry(name, entries[name], version, shape)
-                for name, shape in specs}
     text = data.get("data")
     if not isinstance(text, str):
         raise ValueError("checkpoint 'data' must be a string of hex digits, "
@@ -677,19 +653,32 @@ def to_checkpoint(model: GrappaModel) -> dict:
 
 
 def save_checkpoint(model: GrappaModel, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(to_checkpoint(model), fh)
+    """Write :func:`to_checkpoint` of ``model`` to ``path``: into a new file
+    beside it, then moved onto it, so a save that fails leaves the file that
+    was there and no new file."""
+    tmp = f"{os.fspath(path)}.{os.urandom(4).hex()}.tmp"
+    fh = open(tmp, "x", encoding="utf-8")
+    try:
+        with fh:
+            json.dump(to_checkpoint(model), fh)
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 def model_from_checkpoint(data: dict) -> GrappaModel:
-    """Build the model a checkpoint document describes, from its arrays
-    (format 3, or format 1 or 2 as older versions wrote). Any defect in the
-    document raises ``ValueError``."""
+    """Build the model a format-3 checkpoint document describes, from its
+    arrays. Any defect in the document raises ``ValueError``; so does a
+    document of another ``format_version``, such as the formats 1 and 2
+    that older versions wrote."""
     if not isinstance(data, dict):
         raise ValueError(f"a checkpoint must be an object, got {type(data).__name__}")
     version = data.get("format_version")
-    if type(version) is not int or version not in (1, 2, CHECKPOINT_VERSION):
-        raise ValueError(f"unsupported checkpoint format_version {version!r}")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint format_version {version!r}: "
+                         f"only format {CHECKPOINT_VERSION} is read")
+    refuse_unknown_keys("checkpoint", data, CHECKPOINT_KEYS)
     if "arch" not in data:
         raise ValueError("checkpoint has no 'arch'")
     arch = Architecture.from_dict(data["arch"])

@@ -36,6 +36,7 @@ from .model import (
     init_model,
     predict_components,
     prepare_components,
+    refuse_unknown_keys,
 )
 from .tensor import NonFiniteError, Tensor, _stage
 
@@ -113,9 +114,7 @@ class TrainConfig:
     def from_dict(cls, data: dict) -> "TrainConfig":
         if not isinstance(data, dict):
             raise ValueError(f"train must be an object, got {type(data).__name__}")
-        unknown = sorted(data.keys() - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown train keys: {unknown}")
+        refuse_unknown_keys("train", data, {f.name for f in fields(cls)})
         cfg = cls(**{k: tuple(v) if isinstance(v, list) else v
                      for k, v in data.items()})
         return cfg.validate()

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import grappa.cli
+import grappa.model
 from grappa import dataio, metrics
 from grappa.cli import main
 from grappa.dataio import VpDataset, VpPoint, write_csv, write_splits_csv
@@ -524,9 +526,11 @@ def test_bad_outside_input_exits_1(capsys, tmp_path, data_path, model_path,
     lambda d: {**d, "data": d["data"][:-1] + "x"},
     lambda d: {**d, "arch": {**d["arch"], "embed_dim": 2**40}},
     lambda d: "[" * 200_000,
+    lambda d: {**d, "params": {**d["params"], "head.out.bias": {
+        **d["params"]["head.out.bias"], "data": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}}},
 ], ids=["list", "no-arch", "unknown-arch-key", "heads-text", "inf-param",
         "negative-variance", "data-not-hex", "embed-dim-beyond-entries",
-        "deeply-nested"])
+        "deeply-nested", "entry-carrying-data"])
 def test_predict_with_a_malformed_checkpoint_exits_1(capsys, tmp_path,
                                                       model_path, corrupt):
     bad = tmp_path / "bad.json"
@@ -536,6 +540,19 @@ def test_predict_with_a_malformed_checkpoint_exits_1(capsys, tmp_path,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_a_checkpoint_of_an_old_format_is_refused_by_version(capsys, tmp_path,
+                                                             version):
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"format_version": version, "arch": {},
+                               "params": {}}))
+    code = main(["predict", "--model", str(old), "--smiles", "CCO"])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err.startswith(f"error: unsupported checkpoint format_version "
+                          f"{version}: only format 3 is read")
 
 
 def test_a_checkpoint_of_another_antoine_box_is_refused_by_name(
@@ -810,6 +827,47 @@ def test_grid_search_rejects_jobs_below_one(capsys, tmp_path, jobs):
     assert main(["grid-search", "--config", str(tmp_path / "absent.json"),
                  "--jobs", jobs]) == 2
     assert "argument --jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change, line", [
+    ({"output_modle": "m.json"}, "error: config has unknown keys: ['output_modle']"),
+    ({"arch": {"heads": 1, "mystery": 1}},
+     "error: arch has unknown keys: ['mystery']"),
+    ({"train": {"batch_sise": 8, "main_epochs": 1}},
+     "error: train has unknown keys: ['batch_sise']"),
+], ids=["config", "arch", "train"])
+def test_train_names_every_unknown_key(capsys, tmp_path, data_path, change,
+                                       line):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": data_path[0], **change}))
+    code = main(["train", "--config", str(config)])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
+def test_train_keeps_the_old_model_when_its_save_fails(capsys, monkeypatch,
+                                                       tmp_path, data_path,
+                                                       model_path):
+    data, splits = data_path
+    before = Path(model_path).read_bytes()
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "data": data, "splits": splits, "output_model": model_path,
+        "history": str(tmp_path / "history.csv"),
+        "arch": {"gat_layers": 2, "heads": 1, "hidden_layers": 1},
+        "train": {"batch_size": 8, "warmup_epochs": 1, "main_epochs": 1}}))
+
+    def dump_until_the_disk_is_full(doc, fh):
+        fh.write(json.dumps(doc)[:22])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(grappa.model.json, "dump", dump_until_the_disk_is_full)
+    code = main(["train", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 1 and err.startswith("error:") and "No space left" in err
+    assert Path(model_path).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "data.csv", "model.json", "splits.csv"]
 
 
 def test_train_refuses_an_arch_too_large_to_allocate(capsys, tmp_path,

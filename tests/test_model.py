@@ -1,4 +1,4 @@
-import base64
+import errno
 import gc
 import hashlib
 import json
@@ -200,45 +200,6 @@ def test_checkpoint_names_follow_convention(tmp_path):
     assert arch["param_ranges"]["B"] == [1500.0, 6000.0]
 
 
-def test_checkpoint_rejects_bad_payloads():
-    model = init_model(Architecture(), seed=1)
-    good = to_checkpoint(model)
-    bad = json.loads(json.dumps(good))
-    bad["format_version"] = 99
-    with pytest.raises(ValueError):
-        model_from_checkpoint(bad)
-    bad = json.loads(json.dumps(good))
-    del bad["params"]["pool.Wq"]
-    with pytest.raises(ValueError, match="pool.Wq"):
-        model_from_checkpoint(bad)
-    bad = json.loads(json.dumps(good))
-    bad["params"]["mystery"] = {"shape": [1], "offset": 0}
-    with pytest.raises(ValueError, match="mystery"):
-        model_from_checkpoint(bad)
-
-
-@pytest.mark.parametrize("shape", [[1], []])
-def test_checkpoint_rejects_a_wrong_shaped_buffer(shape):
-    # A one-value running variance would broadcast over all 16 entries.
-    data = _as_format_2(to_checkpoint(init_model(Architecture(), seed=1)))
-    data["params"]["head.0.bn.running_var"] = _format_2_entry(
-        np.full(shape, 2.0))
-    with pytest.raises(ValueError, match="head.0.bn.running_var"):
-        model_from_checkpoint(data)
-    data = to_checkpoint(init_model(Architecture(), seed=1))
-    data["params"]["head.0.bn.running_var"]["shape"] = shape
-    with pytest.raises(ValueError, match="head.0.bn.running_var"):
-        model_from_checkpoint(data)
-
-
-def test_checkpoint_rejects_a_wrong_shaped_parameter():
-    data = to_checkpoint(init_model(Architecture(), seed=1))
-    entry = data["params"]["head.out.weight"]
-    entry["shape"] = entry["shape"][::-1]
-    with pytest.raises(ValueError, match="head.out.weight"):
-        model_from_checkpoint(data)
-
-
 def _arrays(model) -> dict[str, np.ndarray]:
     """Every parameter and buffer array of a model itself, by name."""
     return model.named_parameters() | model.named_buffers()
@@ -300,33 +261,8 @@ def test_checkpoint_roundtrip_restores_random_models_bytewise(
     assert _same_bytes(model, restored)
 
 
-def _as_format_1(doc: dict) -> dict:
-    """The format-3 document as format 1 wrote it: flat ``values`` lists
-    and the featurizer's widths in ``arch``."""
-    params = {name: {"shape": list(arr.shape), "values": arr.ravel().tolist()}
-              for name, arr in checkpoint_arrays(doc).items()}
-    arch = {**doc["arch"], "node_features": 24, "edge_features": 9}
-    return {"format_version": 1, "arch": arch, "params": params}
-
-
-def _format_2_entry(arr: np.ndarray) -> dict:
-    """A format-2 entry: the shape and the base64 of the array's
-    little-endian float64 bytes, row-major."""
-    raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-    return {"shape": list(arr.shape), "data": base64.b64encode(raw).decode("ascii")}
-
-
-def _as_format_2(doc: dict) -> dict:
-    """The format-3 document as format 2 wrote it: one base64 entry per
-    array."""
-    return {"format_version": 2, "arch": doc["arch"],
-            "params": {name: _format_2_entry(arr)
-                       for name, arr in checkpoint_arrays(doc).items()}}
-
-
 @pytest.mark.parametrize("pooling", ["sum", "interaction"])
-@pytest.mark.parametrize("as_format", [_as_format_1, _as_format_2])
-def test_checkpoint_reads_every_format_to_the_same_bytes(pooling, as_format):
+def test_checkpoint_reads_edge_floats_to_the_same_bytes(pooling):
     model = init_model(Architecture(pooling=pooling), seed=9)
     for k, (name, arr) in enumerate(_arrays(model).items()):
         fill = np.roll(EDGE_FLOATS, k)[: arr.size]
@@ -334,8 +270,18 @@ def test_checkpoint_reads_every_format_to_the_same_bytes(pooling, as_format):
             else fill
     doc = json.loads(json.dumps(to_checkpoint(model)))
     assert _same_bytes(model, model_from_checkpoint(doc))
-    old = json.loads(json.dumps(as_format(doc)))
-    assert _same_bytes(model, model_from_checkpoint(old))
+
+
+@pytest.mark.parametrize("version, entry", [
+    (1, {"shape": [3], "values": [0.0, 0.0, 0.0]}),
+    (2, {"shape": [3], "data": "AAAAAAAAAAAAAAAAAAAAAAAAAAAAAAAA"}),
+])
+def test_formats_1_and_2_are_refused_by_version(version, entry):
+    doc = {"format_version": version, "arch": {"gat_layers": 2},
+           "params": {"head.out.bias": entry}}
+    with pytest.raises(ValueError, match=f"format_version {version}: only "
+                                         "format 3 is read"):
+        model_from_checkpoint(doc)
 
 
 def test_checkpoint_data_decodes_by_the_documented_recipe(tmp_path):
@@ -367,13 +313,10 @@ def test_the_checkpoint_bytes_of_a_fixed_seed_model_are_pinned():
         == "195c2994842e86dea9b13b5fbae9c2467a4c406333d2b9e42a4675eec0b3b3cf"
 
 
-@pytest.mark.parametrize("as_format", [_as_format_1, _as_format_2, dict],
-                         ids=["format-1", "format-2", "format-3"])
 @pytest.mark.parametrize("box", ["omitted", "integers"])
-def test_every_format_may_omit_the_antoine_box_or_give_it_as_integers(
-        as_format, box):
+def test_a_checkpoint_may_omit_the_antoine_box_or_give_it_as_integers(box):
     model = init_model(Architecture(pooling="sum"), seed=5)
-    doc = json.loads(json.dumps(as_format(to_checkpoint(model))))
+    doc = json.loads(json.dumps(to_checkpoint(model)))
     if box == "omitted":
         del doc["arch"]["param_ranges"]
     else:
@@ -403,6 +346,22 @@ def test_two_saves_of_a_model_are_identical(tmp_path):
     save_checkpoint(model, tmp_path / "a.json")
     save_checkpoint(model, tmp_path / "b.json")
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_a_failed_save_leaves_the_old_checkpoint(monkeypatch, tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(init_model(Architecture(), seed=4), path)
+    before = path.read_bytes()
+
+    def dump_until_the_disk_is_full(doc, fh):
+        fh.write(json.dumps(doc)[:22])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(grappa.model.json, "dump", dump_until_the_disk_is_full)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(init_model(Architecture(), seed=5), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.json"]
 
 
 def test_loading_draws_no_random_init(monkeypatch, tmp_path):
@@ -452,7 +411,13 @@ def _data(doc, data):
 BAD_CHECKPOINTS = {
     "top-level list": (lambda d: [d], "object"),
     "format_version as boolean": (lambda d: {**d, "format_version": True},
-                                  "format_version"),
+                                  "format_version True: only format 3"),
+    "format_version 99": (lambda d: {**d, "format_version": 99},
+                          "format_version 99: only format 3"),
+    "unknown top-level key": (lambda d: {**d, "mystery": 1},
+                              "checkpoint has unknown keys: .'mystery'"),
+    "format 1 values beside format 3 data": (lambda d: {
+        **d, "values": [0.0] * 14659}, "checkpoint has unknown keys: .'values'"),
     "missing arch": (lambda d: {k: v for k, v in d.items() if k != "arch"},
                      "arch"),
     "arch not an object": (lambda d: {**d, "arch": [4, 2]}, "arch"),
@@ -484,8 +449,32 @@ BAD_CHECKPOINTS = {
     "count_scale NaN": (lambda d: _arch(
         d, count_scale=[float("nan"), 1.0, 0.0, 1.0]), "count_scale"),
     "params not an object": (lambda d: {**d, "params": []}, "params"),
+    "entry missing": (lambda d: {**d, "params": {
+        k: v for k, v in d["params"].items() if k != "pool.Wq"}},
+        "missing entries: .'pool.Wq'"),
+    "unknown entry": (lambda d: _entry(d, "mystery", {"shape": [1], "offset": 0}),
+                      "unknown entries: .'mystery'"),
     "entry not an object": (lambda d: _entry(d, "head.out.bias", [0.0] * 3),
                             "head.out.bias"),
+    "entry with an unknown key": (lambda d: _entry(
+        d, "head.out.bias", {**d["params"]["head.out.bias"], "extra": 5}),
+        "entry 'head.out.bias' has unknown keys: .'extra'"),
+    "entry carrying format 2 data": (lambda d: _entry(
+        d, "head.out.bias", {**d["params"]["head.out.bias"], "data": "AAAA"}),
+        "entry 'head.out.bias' has unknown keys: .'data'"),
+    "parameter shape reversed": (lambda d: _entry(
+        d, "head.out.weight", {**d["params"]["head.out.weight"],
+                               "shape": [3, 16]}),
+        "'head.out.weight' has shape .3, 16., expected .16, 3."),
+    # A one-value running variance would broadcast over all 16 entries.
+    "buffer of one value": (lambda d: _entry(
+        d, "head.0.bn.running_var",
+        {**d["params"]["head.0.bn.running_var"], "shape": [1]}),
+        "'head.0.bn.running_var' has shape .1."),
+    "buffer of a scalar": (lambda d: _entry(
+        d, "head.0.bn.running_var",
+        {**d["params"]["head.0.bn.running_var"], "shape": []}),
+        "'head.0.bn.running_var' has shape .."),
     "shape not a list": (lambda d: _entry(
         d, "head.out.bias", {**d["params"]["head.out.bias"], "shape": "3"}),
         "head.out.bias"),
@@ -528,38 +517,6 @@ BAD_CHECKPOINTS = {
     "negative running variance": (lambda d: with_entry_values(
         d, "head.0.bn.running_var", np.full(16, -1e-3)),
         "'head.0.bn.running_var' holds a negative variance"),
-    "format 2 bad base64": (lambda d: _entry(
-        _as_format_2(d), "head.out.bias", {"shape": [3], "data": "AAAA*AAA"}),
-        "'head.out.bias' data is not base64"),
-    "format 2 data not text": (lambda d: _entry(
-        _as_format_2(d), "head.out.bias", {"shape": [3], "data": 7}),
-        "'head.out.bias' data is not base64"),
-    "format 2 byte length off the shape": (lambda d: _entry(
-        _as_format_2(d), "head.out.bias",
-        {"shape": [3], "data": _format_2_entry(np.zeros(2))["data"]}),
-        "'head.out.bias' holds 16 bytes"),
-    "format 1 values in a format 2 document": (lambda d: _entry(
-        _as_format_2(d), "head.out.bias",
-        {"shape": [3], "values": [0.0, 0.0, 0.0]}),
-        "'head.out.bias' data is not base64"),
-    "format 1 values not numbers": (lambda d: _entry(
-        _as_format_1(d), "head.out.bias",
-        {"shape": [3], "values": ["x", 0.0, 0.0]}), "head.out.bias"),
-    "format 1 values off the shape": (lambda d: _entry(
-        _as_format_1(d), "head.out.bias", {"shape": [3], "values": [0.0]}),
-        "head.out.bias"),
-    "format 1 NaN value": (lambda d: _entry(
-        _as_format_1(d), "head.out.bias",
-        {"shape": [3], "values": [0.0, float("nan"), 0.0]}), "head.out.bias"),
-    "format 1 values as text": (lambda d: _entry(
-        _as_format_1(d), "head.out.bias",
-        {"shape": [3], "values": ["1.5", "2", "3"]}), "head.out.bias"),
-    "format 1 values as booleans": (lambda d: _entry(
-        _as_format_1(d), "head.out.bias",
-        {"shape": [3], "values": [True, False, True]}), "head.out.bias"),
-    "format 1 value beyond float range": (lambda d: _entry(
-        _as_format_1(d), "head.out.bias",
-        {"shape": [3], "values": [0.0, 10**400, 0.0]}), "head.out.bias"),
     "shape of floats": (lambda d: _entry(
         d, "head.out.bias", {**d["params"]["head.out.bias"], "shape": [3.0]}),
         "head.out.bias"),
