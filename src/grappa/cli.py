@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ def _training_setup(args):
             raise ValueError(f"config {key!r} must be a path, got {config[key]!r}")
     cfg = TrainConfig.from_dict(config.get("train", {}))
     if args.seed is not None or os.environ.get("GRAPPA_SEED"):
-        cfg.seed = _seed_from(args)
+        cfg = replace(cfg, seed=_seed_from(args))
     ds = dataio.load(config["data"], config.get("format", "csv"))
     if "splits" in config:
         ds.splits = dataio.read_splits_csv(config["splits"])
@@ -433,7 +434,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # No numpy warning may print beside the one ``error:`` line.
+        with np.errstate(all="ignore"):
+            return args.func(args)
     # A JSON document nested deeper than the decoder recurses (a checkpoint
     # or a config) raises RecursionError; an allocation the machine cannot
     # serve raises MemoryError, whose message may be empty.

@@ -542,7 +542,10 @@ def _source_conflict(component: str, t_all: np.ndarray,
     worst = 0.0
     for i, p1 in enumerate(curves):
         for p2 in curves[i + 1:]:
-            worst = max(worst, float(np.max(np.abs(p1 - p2) / np.minimum(p1, p2))))
+            # A curve that underflows to 0 Pa deviates infinitely.
+            with np.errstate(divide="ignore"):
+                ratio = np.abs(p1 - p2) / np.minimum(p1, p2)
+            worst = max(worst, float(np.max(ratio)))
     if worst > OUTLIER_REL_DEV:
         return {"component": component, "sources": sources,
                 "max_rel_deviation": worst}

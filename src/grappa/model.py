@@ -16,7 +16,6 @@ its batch norms, and :func:`scale_to_ranges`, the sigmoid range map.
 from __future__ import annotations
 
 import binascii
-import copy
 import itertools
 import json
 import math
@@ -68,17 +67,20 @@ def refuse_unknown_keys(what: str, data: dict, allowed: set | frozenset):
                          f"{sorted(data.keys() - allowed)}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Architecture:
+    """The model's sizes, checked when built and never changed after; a
+    ``count_scale`` list is held as a tuple."""
+
     gat_layers: int = 4
     heads: int = 2
     embed_dim: int = 32
     pooling: str = "interaction"
     hidden_layers: int = 3
     hidden_width: int = 16
-    count_scale: list | None = None  # (mean_d, std_d, mean_a, std_a), optional
+    count_scale: tuple | None = None  # (mean_d, std_d, mean_a, std_a), optional
 
-    def validate(self):
+    def __post_init__(self):
         for key in ("gat_layers", "heads", "embed_dim", "hidden_layers",
                     "hidden_width"):
             value = getattr(self, key)
@@ -104,11 +106,12 @@ class Architecture:
                 and scale[1] > 0 and scale[3] > 0):
             raise ValueError("count_scale must be null or four finite numbers "
                              f"with positive standard deviations, got {scale!r}")
-        return self
+        if scale is not None:
+            object.__setattr__(self, "count_scale", tuple(scale))
 
     def to_dict(self) -> dict:
         data = asdict(self)  # checkpoints keep the box where its field stood
-        data["param_ranges"] = copy.deepcopy(_FIXED_ARCH["param_ranges"])
+        data["param_ranges"] = {k: list(v) for k, v in PARAM_RANGES.items()}
         data["count_scale"] = data.pop("count_scale")
         return data
 
@@ -123,7 +126,7 @@ class Architecture:
                 raise ValueError(f"arch {key} must be the package's {fixed}, "
                                  f"got {data[key]!r}")
         return cls(**{key: value for key, value in data.items()
-                      if key not in _FIXED_ARCH}).validate()
+                      if key not in _FIXED_ARCH})
 
 
 def _is_fixed(value, fixed) -> bool:
@@ -295,7 +298,6 @@ def _array_specs(arch: Architecture):
 def init_model(arch: Architecture, seed: int | np.random.SeedSequence = 0) -> GrappaModel:
     """A fresh model: Glorot-uniform weights drawn from ``seed``, zero biases,
     unit batch-norm scales and fresh running statistics."""
-    arch.validate()
     rng = np.random.default_rng(seed)
     return GrappaModel(arch, {name: glorot(rng, shape) if fill is None else fill
                               for name, shape, fill, _ in _array_specs(arch)})
@@ -485,9 +487,9 @@ class Prediction:
 
 class RowMemo(NamedTuple):
     """The (A, B, C) rows :func:`predict` computed under one state of a
-    model: the bits of its ``values`` (an int64 copy) and a copy of its
-    ``arch``. ``rows`` maps each SMILES to its row, least recently used
-    first."""
+    model: the bits of its ``values`` (an int64 copy) and its ``arch``,
+    which never changes, so it is held as it is. ``rows`` maps each SMILES
+    to its row, least recently used first."""
 
     bits: np.ndarray
     arch: Architecture
@@ -500,16 +502,16 @@ def predict(model: GrappaModel, smiles: str, temperatures=None,
     out-of-scope molecules raise :class:`ScopeError` from ``featurize``.
 
     The (A, B, C) row comes from ``model.memo`` while the model's ``values``
-    and ``arch`` are bit for bit those it was computed under; any other state
-    starts a new memo, stored once a row is ready. It keeps the rows of the
-    last :data:`PREDICT_MEMO_SIZE` distinct SMILES; a row not held parses,
-    featurizes and runs :func:`forward_antoine`, and a refused SMILES leaves
-    the memo as it was. Each step is one dict or attribute operation, so
-    threads sharing a model never see it raise."""
+    are bit for bit those it was computed under and its ``arch`` is that
+    object; any other state starts a new memo, stored once a row is ready. It
+    keeps the rows of the last :data:`PREDICT_MEMO_SIZE` distinct SMILES; a
+    row not held parses, featurizes and runs :func:`forward_antoine`, and a
+    refused SMILES leaves the memo as it was. Each step is one dict or
+    attribute operation, so threads sharing a model never see it raise."""
     bits, memo = model.values.view(np.int64), model.memo
-    if memo is None or memo.arch != model.arch \
+    if memo is None or memo.arch is not model.arch \
             or not np.array_equal(memo.bits, bits):
-        memo = RowMemo(bits.copy(), copy.deepcopy(model.arch), OrderedDict())
+        memo = RowMemo(bits.copy(), model.arch, OrderedDict())
     # Only a str is looked up, so any other object gets parse_smiles' error.
     row = memo.rows.pop(smiles, None) if isinstance(smiles, str) else None
     if row is None:

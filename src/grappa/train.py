@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, fields, asdict
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from itertools import product
 
@@ -52,8 +52,10 @@ class TrainingError(RuntimeError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training settings, checked when built and never changed after."""
+
     batch_size: int = 512
     warmup_epochs: int = 100
     # The main-phase budget; reported values differ between 100 and 200
@@ -75,7 +77,7 @@ class TrainConfig:
     grid_hidden_layers: tuple[int, ...] = GRID_HIDDEN_LAYERS
     grid_pooling: tuple[str, ...] = GRID_POOLING
 
-    def validate(self):
+    def __post_init__(self):
         for name, (ok, kind) in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not ok(value):
@@ -105,19 +107,14 @@ class TrainConfig:
                 raise ValueError(f"{name} must not be empty")
             if not set(getattr(self, name)) <= set(supported):
                 raise ValueError(f"{name} outside the supported set")
-        return self
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         if not isinstance(data, dict):
             raise ValueError(f"train must be an object, got {type(data).__name__}")
         refuse_unknown_keys("train", data, {f.name for f in fields(cls)})
-        cfg = cls(**{k: tuple(v) if isinstance(v, list) else v
-                     for k, v in data.items()})
-        return cfg.validate()
+        return cls(**{k: tuple(v) if isinstance(v, list) else v
+                      for k, v in data.items()})
 
 
 def _is_int(value) -> bool:
@@ -312,8 +309,8 @@ def history_csv(history: list[dict]) -> str:
 
 def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
         cfg: TrainConfig) -> FitResult:
-    """Two-phase training; leaves ``model`` restored to its best epoch."""
-    cfg.validate()
+    """Two-phase training; leaves ``model`` restored to its best epoch, and
+    with ``cfg.standardize_counts`` on a new ``arch`` with count statistics."""
     train_components = set(train_set.components())
     valid_components = set(valid_set.components())
     if len(train_components) < 2:
@@ -330,8 +327,9 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
     if cfg.standardize_counts:
         donors = np.array([g.h_donors for g in train_comps.graphs], dtype=float)
         accept = np.array([g.h_acceptors for g in train_comps.graphs], dtype=float)
-        model.arch.count_scale = [donors.mean(), max(donors.std(), 1e-8),
-                                  accept.mean(), max(accept.std(), 1e-8)]
+        model.arch = replace(model.arch, count_scale=(
+            donors.mean(), max(donors.std(), 1e-8),
+            accept.mean(), max(accept.std(), 1e-8)))
 
     rng = np.random.default_rng(cfg.seed)
     weights, grad = model.weights, model.grad
@@ -410,8 +408,7 @@ def grid_cells(cfg: TrainConfig) -> list[dict]:
 
 
 def _run_cell(args) -> dict:
-    index, cell, cfg_dict, train_set, valid_set = args
-    cfg = TrainConfig.from_dict(cfg_dict)
+    index, cell, cfg, train_set, valid_set = args
     arch = Architecture(gat_layers=cell["gat_layers"], heads=cell["heads"],
                         hidden_layers=cell["hidden_layers"],
                         pooling=cell["pooling"])
@@ -433,10 +430,8 @@ def grid_search(cfg: TrainConfig, train_set: VpDataset, valid_set: VpDataset,
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    cfg.validate()
-    cells = grid_cells(cfg)
-    args = [(i, cell, cfg.to_dict(), train_set, valid_set)
-            for i, cell in enumerate(cells)]
+    args = [(i, cell, cfg, train_set, valid_set)
+            for i, cell in enumerate(grid_cells(cfg))]
     if jobs > 1:
         # Imported here: it loads multiprocessing, which nothing else needs.
         from concurrent.futures import ProcessPoolExecutor

@@ -139,9 +139,8 @@ def test_boil_rejects_a_solution_off_the_curve(capsys, given):
 
 
 def test_boil_refuses_a_solution_that_overflows(capsys):
-    with np.errstate(over="ignore"):
-        code = main(["boil", "--A", "5", "--B", "1e308", "--C", "-50",
-                     "--pressure", "101325.00000000003"])
+    code = main(["boil", "--A", "5", "--B", "1e308", "--C", "-50",
+                 "--pressure", "101325.00000000003"])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -258,17 +257,31 @@ def test_split_leaves_an_unparseable_smiles_unassigned(capsys, tmp_path):
     assert out.read_text().splitlines()[1] == "bad,unassigned"
 
 
-def test_python_m_grappa_runs_the_command_line(tmp_path):
+def python_m_grappa(cwd, *argv) -> subprocess.CompletedProcess:
+    """``python -m grappa *argv`` in a new interpreter, run in ``cwd``."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [
                str(src), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "grappa", "--help"],
-                          capture_output=True, text=True, env=env,
-                          cwd=tmp_path, timeout=60)
+    return subprocess.run([sys.executable, "-m", "grappa", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=60)
+
+
+def test_python_m_grappa_runs_the_command_line(tmp_path):
+    done = python_m_grappa(tmp_path, "--help")
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: grappa")
     assert "fit-antoine" in done.stdout
+
+
+def test_a_failing_command_prints_one_error_line_and_no_numpy_warning(tmp_path):
+    done = python_m_grappa(tmp_path, "boil", "--A", "5", "--B", "1e308",
+                           "--C", "-50", "--pressure", "101325.00000000003")
+    assert done.returncode == 1
+    assert done.stdout == ""
+    assert done.stderr == ("error: no boiling point: T overflows to inf "
+                           "(A=5.0, B=1e+308, C=-50.0)\n")
 
 
 def test_split_seed_env_fallback(capsys, tmp_path, data_path, monkeypatch):

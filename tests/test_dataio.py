@@ -590,6 +590,15 @@ def test_agreeing_sources_do_not_conflict():
     assert result.conflicts == []
 
 
+def test_a_source_curve_that_underflows_conflicts_infinitely_without_a_warning():
+    # At 301.2 K this source's C + T is 1.2, so its pressure underflows to 0.
+    fits = {"src-a": AntoineParams(11.41, 1500.0, -300.0),
+            "src-b": AntoineParams(9.5, 2400.0, -55.0)}
+    conflict = dataio._source_conflict("c", np.array([301.2, 340.0]), fits)
+    assert conflict == {"component": "c", "sources": ["src-a", "src-b"],
+                        "max_rel_deviation": math.inf}
+
+
 def test_curate_keeps_a_component_with_a_narrow_temperature_window():
     truth = AntoineParams(10.0, 2500.0, -60.0)
     points = curve_points("narrow", "CCO", truth, np.linspace(300.0, 300.5, 6))

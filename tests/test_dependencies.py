@@ -1,7 +1,8 @@
 """The package depends on nothing beyond the standard library and numpy,
 defines nothing in ``tensor`` that no other module of it uses, sums groups
 by a weighted ``bincount`` only in ``tensor``, keeps no module-level
-``functools`` cache, and loads no ``multiprocessing`` on import."""
+``functools`` cache, imports no ``copy``, and loads no ``multiprocessing``
+on import."""
 
 import ast
 import inspect
@@ -108,6 +109,14 @@ def test_no_module_keeps_a_functools_cache():
     found = {path.name: sorted(functools_caches(path.read_text(encoding="utf-8")))
              for path in sorted(SRC.glob("*.py"))}
     assert not {name: caches for name, caches in found.items() if caches}
+
+
+def test_no_module_imports_copy():
+    """Both configs are frozen and the row memo holds its model's ``arch``
+    itself, so no module needs a defensive copy."""
+    found = sorted(path.name for path in SRC.glob("*.py")
+                   if "copy" in imported_roots(path))
+    assert found == []
 
 
 def test_importing_the_package_loads_no_multiprocessing():

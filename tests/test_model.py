@@ -7,6 +7,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from grappa.model import (
     _vector_size,
 )
 from grappa.smiles import SmilesError, parse_smiles
-from grappa.train import AdamWState, adamw_step
+from grappa.train import AdamWState, TrainConfig, adamw_step, fit
 
 from _oracles import (checkpoint_arrays, synthetic_dataset, weighted_mean,
                       with_entry_values)
@@ -69,13 +70,25 @@ def test_sum_pooling_drops_readout_weights():
 
 def test_architecture_validation():
     with pytest.raises(ValueError):
-        Architecture(gat_layers=1).validate()
+        Architecture(gat_layers=1)
     with pytest.raises(ValueError):
-        Architecture(heads=0).validate()
+        Architecture(heads=0)
     with pytest.raises(ValueError):
-        Architecture(pooling="max").validate()
+        Architecture(pooling="max")
     with pytest.raises(ValueError):
-        Architecture(hidden_layers=0).validate()
+        Architecture(hidden_layers=0)
+
+
+def test_both_configs_refuse_every_change_once_built():
+    arch = Architecture(count_scale=[1.5, 0.3, 2.0, 1.1])
+    assert arch.count_scale == (1.5, 0.3, 2.0, 1.1)
+    cfg = TrainConfig()
+    for config, name in ((arch, "heads"), (arch, "count_scale"),
+                         (cfg, "seed"), (cfg, "standardize_counts")):
+        with pytest.raises(FrozenInstanceError):
+            setattr(config, name, getattr(config, name))
+    with pytest.raises(TypeError):
+        arch.count_scale[2] = 3.0
 
 
 def test_checkpoint_roundtrip_bitwise(tmp_path):
@@ -771,13 +784,9 @@ def test_a_repeated_predict_on_an_unchanged_model_runs_no_forward(monkeypatch):
         m.restore(other.snapshot())
 
     def count_scale(m):
-        m.arch.count_scale = [0.5, 1.5, 1.0, 2.0]
+        m.arch = replace(m.arch, count_scale=(0.5, 1.5, 1.0, 2.0))
 
-    def count_scale_in_place(m):
-        m.arch.count_scale[2] = 3.0
-
-    for change in (out_bias_sign, write, restore_other, count_scale,
-                   count_scale_in_place):
+    for change in (out_bias_sign, write, restore_other, count_scale):
         change(model)
         forwards.clear()
         assert _prediction_bytes(model, "CC(=O)OCC") \
@@ -785,6 +794,22 @@ def test_a_repeated_predict_on_an_unchanged_model_runs_no_forward(monkeypatch):
         assert forwards == [1], change.__name__
         _prediction_bytes(model, "CC(=O)OCC")
         assert forwards == [1], change.__name__
+
+
+def test_fitting_a_model_leaves_another_of_the_same_arch_as_it_was():
+    # fit gives its model a new architecture with the count statistics, so
+    # a model built from the same Architecture keeps its own.
+    arch = Architecture(**SMALL_ARCH)
+    fitted, other = init_model(arch, seed=1), init_model(arch, seed=2)
+    before = _prediction_bytes(other, "CCC")
+    ds, _ = synthetic_dataset()
+    fit(fitted, ds.subset("train"), ds.subset("valid"),
+        TrainConfig(batch_size=8, warmup_epochs=1, main_epochs=1,
+                    standardize_counts=True))
+    assert fitted.arch.count_scale is not None
+    assert other.arch is arch and arch.count_scale is None
+    assert _prediction_bytes(other, "CCC") == before \
+        == _unmemoized_bytes(other, "CCC")
 
 
 def test_a_non_str_smiles_is_refused_and_never_memoized():
@@ -811,7 +836,7 @@ def _memo_op(model, snapshots, op):
     elif kind == "restore":
         model.restore(snapshots[arg])
     elif kind == "count_scale":
-        model.arch.count_scale = arg
+        model.arch = replace(model.arch, count_scale=arg)
     else:
         assert _prediction_bytes(model, arg) == _unmemoized_bytes(model, arg)
 
@@ -973,4 +998,4 @@ def test_the_closed_form_vector_size_counts_every_array(arch):
 ], ids=lambda sizes: next(iter(sizes)))
 def test_an_arch_beyond_the_float_limit_is_refused_before_allocating(sizes):
     with pytest.raises(ValueError, match=f"more than the {MAX_MODEL_FLOATS}"):
-        Architecture(**sizes).validate()
+        Architecture(**sizes)

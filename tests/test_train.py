@@ -441,23 +441,23 @@ def test_history_csv_layout():
 
 def test_config_validation_and_grid_bounds():
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=0).validate()
+        TrainConfig(batch_size=0)
     with pytest.raises(ValueError):
-        TrainConfig(batch_size=1).validate()
-    TrainConfig(batch_size=2).validate()
+        TrainConfig(batch_size=1)
+    TrainConfig(batch_size=2)
     with pytest.raises(ValueError):
-        TrainConfig(grid_gat_layers=(1, 2)).validate()
+        TrainConfig(grid_gat_layers=(1, 2))
     with pytest.raises(ValueError):
-        TrainConfig(grid_pooling=("mean",)).validate()
+        TrainConfig(grid_pooling=("mean",))
     for setting in ({"main_lr": -0.01}, {"main_lr": 0.0},
                     {"weight_decay": -1.0}, {"eps": 0.0}, {"eps": -1e-8},
                     {"betas": (1.5, 0.999)}, {"betas": (0.9, 1.0)},
                     {"betas": (-0.1, 0.999)}, {"plateau_factor": 2.0},
                     {"plateau_factor": 1.0}, {"plateau_factor": 0.0}):
         with pytest.raises(ValueError, match=next(iter(setting))):
-            TrainConfig(**setting).validate()
+            TrainConfig(**setting)
     TrainConfig(weight_decay=0.0, betas=(0.0, 0.0), main_lr=1e-9, eps=1e-300,
-                plateau_factor=0.999).validate()
+                plateau_factor=0.999)
     cfg = TrainConfig.from_dict({"batch_size": 16, "betas": [0.9, 0.99]})
     assert cfg.batch_size == 16 and cfg.betas == (0.9, 0.99)
 
