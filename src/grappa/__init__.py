@@ -57,6 +57,7 @@ from .model import (
 from .molecule import Atom, Bond, Molecule, permute_molecule
 from .pooling import InteractionPoolParams, interaction_pool, sum_pool
 from .smiles import (
+    CountTooLongError,
     DanglingBondError,
     SmilesError,
     UnbalancedSmilesError,

@@ -542,10 +542,11 @@ def _source_conflict(component: str, t_all: np.ndarray,
     worst = 0.0
     for i, p1 in enumerate(curves):
         for p2 in curves[i + 1:]:
-            # A curve that underflows to 0 Pa deviates infinitely.
-            with np.errstate(divide="ignore"):
+            # A curve that underflows to 0 Pa deviates infinitely. Where both
+            # do, the ratio is 0/0, a NaN that the fold skips.
+            with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.abs(p1 - p2) / np.minimum(p1, p2)
-            worst = max(worst, float(np.max(ratio)))
+            worst = float(np.fmax.reduce(ratio, initial=worst))
     if worst > OUTLIER_REL_DEV:
         return {"component": component, "sources": sources,
                 "max_rel_deviation": worst}

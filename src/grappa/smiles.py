@@ -7,6 +7,12 @@ Supported grammar (documented in the README):
 * bond symbols ``- = # : / \\``
 * branches ``( ... )`` and ring closures ``1``-``9`` and ``%nn``
 
+The input is read in one pass over its tokens. A token is a bracket atom
+``[...]``, a two-letter organic atom ``Cl`` or ``Br``, a ``%nn`` ring
+closure, or any other one character. Every parse error is a
+:class:`SmilesError` that names the offset of the character at fault,
+except a conflict between directional bonds, which names its atom.
+
 Directional single bonds are resolved to Z/E labels on the adjacent double
 bond using the marked substituent pair (no CIP priorities). Tetrahedral
 markers are recorded but carry no feature downstream.
@@ -15,20 +21,11 @@ markers are recorded but carry no feature downstream.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
-from .molecule import (
-    AROMATIC,
-    DOUBLE,
-    SINGLE,
-    STANDARD_VALENCES,
-    STEREO_E,
-    STEREO_Z,
-    TRIPLE,
-    Atom,
-    Bond,
-    Molecule,
-)
+from .molecule import (AROMATIC, DOUBLE, SINGLE, STANDARD_VALENCES, STEREO_E,
+                       STEREO_Z, TRIPLE, Atom, Bond, Molecule)
 
 
 class SmilesError(ValueError):
@@ -53,6 +50,10 @@ class DanglingBondError(SmilesError):
     """Bond symbol with no atom to attach to."""
 
 
+class CountTooLongError(SmilesError):
+    """Bracket hydrogen count or charge with more digits than ``int`` reads."""
+
+
 class ValenceError(SmilesError):
     """Bond-order sum exceeds every standard valence of the element."""
 
@@ -62,21 +63,27 @@ class ValenceError(SmilesError):
         super().__init__(message, offset)
 
 
-_ORGANIC_TWO = {"Cl", "Br"}
-_ORGANIC_ONE = {"C", "N", "O", "S", "P", "F", "I"}
-_AROMATIC_ORGANIC = {"c", "n", "o", "s", "p"}
 # Each organic-subset symbol's atom, built once: ``Atom`` is frozen.
-_ORGANIC_ATOMS = {sym: Atom(sym) for sym in _ORGANIC_ONE | _ORGANIC_TWO} | {
-    sym: Atom(sym.upper(), aromatic=True) for sym in _AROMATIC_ORGANIC}
-_BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC}
-_DIRECTIONAL = {"/", "\\"}
-
+_ORGANIC_ATOMS = {sym: Atom(sym) for sym in "C N O S P F I Cl Br".split()} | {
+    sym: Atom(sym.upper(), aromatic=True) for sym in "cnosp"}
+_BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
+               "/": SINGLE, "\\": SINGLE}
 _ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}
+
+# One token. A ``[`` with no ``]`` after it is a token of its own, and so is
+# a newline (DOTALL), so the tokens cover every character.
+_TOKEN = re.compile(r"\[[^\]]*\]|Cl|Br|%\d\d|.", re.DOTALL)
+# A bracket atom's body: isotope, symbol, tetrahedral marks, hydrogens, then
+# a run of charge signs and its count. It always matches, perhaps short of
+# the body's end: ``_bracket_atom`` refuses an unknown or empty symbol, a
+# sign run that mixes ``+`` and ``-``, and any tail left unmatched.
+_BRACKET = re.compile(
+    r"(\d*)(Cl|Br|[A-Z][a-z]|[A-Za-z]?)(@{0,2})(?:H(\d*))?(?:([+-]+)(\d*))?")
 
 
 @dataclass
 class _PendingBond:
-    order: str | None  # None = default (single or aromatic)
+    order: str
     direction: str | None  # "/" or "\\"
     offset: int
 
@@ -116,103 +123,75 @@ def parse_smiles(text: str) -> Molecule:
     rings: dict[int, _RingHandle] = {}
 
     def add_bond(a: int, b: int, bond: _PendingBond | None, offset: int,
-                 ring_written_order: tuple[int, int] | None = None):
+                 written: tuple[int, int] | None = None):
         if a == b:
             raise SmilesError("ring closure bonds an atom to itself", offset)
         pair = (min(a, b), max(a, b))
         if pair in bonded:
             raise SmilesError(f"duplicate bond between atoms {a} and {b}", offset)
         both_aromatic = atoms[a].aromatic and atoms[b].aromatic
-        if bond is None or bond.order is None:
-            order = AROMATIC if both_aromatic else SINGLE
-        else:
-            order = bond.order
+        order = bond.order if bond else (AROMATIC if both_aromatic else SINGLE)
         if order == AROMATIC and not both_aromatic:
             raise SmilesError("aromatic bond between non-aromatic atoms", offset)
-        if bond is not None and bond.direction is not None:
-            if ring_written_order is not None:
-                directed.append((*ring_written_order, bond.direction))
-            else:
-                directed.append((a, b, bond.direction))
+        if bond and bond.direction:
+            directed.append((*(written or (a, b)), bond.direction))
         bonds.append(Bond(a, b, order))
         bonded.add(pair)
 
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-
-        if ch == "(":
+    i = 0  # the token's offset
+    for tok in _TOKEN.findall(text):
+        if tok == "(":
             if pending is not None:
                 raise DanglingBondError("bond symbol before branch", pending.offset)
             if anchor is None:
                 raise SmilesError("branch before any atom", i)
             branch_stack.append((anchor, i))
-            i += 1
-            continue
-
-        if ch == ")":
+        elif tok == ")":
             if pending is not None:
                 raise DanglingBondError("bond symbol before ')'", pending.offset)
             if not branch_stack:
                 raise UnbalancedSmilesError("unmatched ')'", i)
             anchor, _ = branch_stack.pop()
-            i += 1
-            continue
-
-        if ch in _BOND_CHARS or ch in _DIRECTIONAL:
+        elif tok in _BOND_CHARS:
             if pending is not None:
                 raise DanglingBondError("two bond symbols in a row", i)
-            if ch in _DIRECTIONAL:
-                pending = _PendingBond(SINGLE, ch, i)
-            else:
-                pending = _PendingBond(_BOND_CHARS[ch], None, i)
-            i += 1
-            continue
-
-        if ch.isdigit() or ch == "%":
+            pending = _PendingBond(_BOND_CHARS[tok],
+                                   tok if tok in "/\\" else None, i)
+        elif tok.isdigit() or tok[0] == "%":
             if anchor is None:
                 raise SmilesError("ring closure before any atom", i)
-            if ch == "%":
-                if i + 2 >= n or not text[i + 1 : i + 3].isdigit():
-                    raise SmilesError("'%' needs two digits", i)
-                num = int(text[i + 1 : i + 3])
-                width = 3
-            else:
-                num = int(ch)
-                width = 1
+            if tok == "%":
+                raise SmilesError("'%' needs two digits", i)
+            num = int(tok.lstrip("%"))
             if num in rings:
                 handle = rings.pop(num)
                 bond = _merge_ring_bonds(handle.bond, pending, i)
-                written = None
-                if pending is not None and pending.direction is not None:
-                    written = (anchor, handle.atom)
-                elif handle.bond is not None and handle.bond.direction is not None:
-                    written = (handle.atom, anchor)
-                add_bond(handle.atom, anchor, bond, i, ring_written_order=written)
+                # A bond symbol at the closure follows this atom, so it is
+                # written from here to the opener.
+                add_bond(handle.atom, anchor, bond, i,
+                         (anchor, handle.atom) if bond is pending else None)
             else:
                 rings[num] = _RingHandle(anchor, pending, i)
             pending = None
-            i += width
-            continue
-
-        if ch == "[":
-            atom, width, chirality = _parse_bracket_atom(text, i)
         else:
-            atom, width = _parse_organic_atom(text, i)
-            chirality = None
-        idx = len(atoms)
-        atoms.append(atom)
-        atom_offsets.append(i)
-        if chirality:
-            tetra.append((idx, chirality))
-        if anchor is not None:
-            add_bond(anchor, idx, pending, i)
-        elif pending is not None:
-            raise DanglingBondError("bond symbol before first atom", pending.offset)
-        pending = None
-        anchor = idx
-        i += width
+            if tok == "[":
+                raise UnbalancedSmilesError("unterminated bracket atom", i)
+            if tok[0] == "[":
+                atom, chirality = _bracket_atom(tok[1:-1], i + 1)
+                if chirality:
+                    tetra.append((len(atoms), chirality))
+            elif (atom := _ORGANIC_ATOMS.get(tok)) is None:
+                raise UnknownAtomError(f"unknown symbol {tok!r}", i)
+            idx = len(atoms)
+            atoms.append(atom)
+            atom_offsets.append(i)
+            if anchor is not None:
+                add_bond(anchor, idx, pending, i)
+            elif pending is not None:
+                raise DanglingBondError("bond symbol before first atom", pending.offset)
+            pending = None
+            anchor = idx
+        i += len(tok)
 
     if pending is not None:
         raise DanglingBondError("trailing bond symbol", pending.offset)
@@ -222,7 +201,7 @@ def parse_smiles(text: str) -> Molecule:
         first = min(rings.values(), key=lambda h: h.offset)
         raise UnbalancedSmilesError("unclosed ring closure", first.offset)
 
-    bonds = _resolve_double_bond_stereo(atoms, bonds, directed)
+    bonds = _resolve_double_bond_stereo(bonds, directed)
     mol = Molecule(tuple(atoms), tuple(bonds), tuple(tetra))
     try:
         mol.hydrogen_counts  # trips ValenceError eagerly; kept for featurize
@@ -234,78 +213,41 @@ def parse_smiles(text: str) -> Molecule:
     return mol
 
 
-def _parse_organic_atom(text: str, i: int) -> tuple[Atom, int]:
-    two = text[i : i + 2]
-    if two in _ORGANIC_TWO:
-        return _ORGANIC_ATOMS[two], 2
-    atom = _ORGANIC_ATOMS.get(text[i])
-    if atom is None:
-        raise UnknownAtomError(f"unknown symbol {text[i]!r}", i)
-    return atom, 1
-
-
-def _parse_bracket_atom(text: str, start: int) -> tuple[Atom, int, str | None]:
-    """The atom, the bracket's width and its tetrahedral marker (``@`` or
-    ``@@``), if any; a third ``@`` is refused as an unexpected character."""
-    end = text.find("]", start)
-    if end < 0:
-        raise UnbalancedSmilesError("unterminated bracket atom", start)
-    body = text[start + 1 : end]
-    j = 0
-    isotope = False
-    while j < len(body) and body[j].isdigit():
-        isotope = True
-        j += 1
-    sym2 = body[j : j + 2]
-    sym1 = body[j : j + 1]
-    if sym2 in _ORGANIC_TWO:
-        element, aromatic = sym2, False
-        j += 2
-    elif len(sym2) == 2 and sym2[0].isupper() and sym2[1].islower():
-        # A two-letter element outside the subset, such as Na or Se, whose
-        # first letter alone would read as N or S.
-        raise UnknownAtomError(f"unknown bracket atom symbol {sym2!r}",
-                               start + 1 + j)
-    elif sym1 in _ORGANIC_ONE:
-        element, aromatic = sym1, False
-        j += 1
-    elif sym1 in _AROMATIC_ORGANIC:
-        element, aromatic = sym1.upper(), True
-        j += 1
-    else:
-        raise UnknownAtomError(
-            f"unknown bracket atom symbol {body[j:] or body!r}", start + 1 + j
-        )
-    marks = j
-    while j < min(len(body), marks + 2) and body[j] == "@":
-        j += 1
-    chirality = body[marks:j] or None
-    hcount = 0
-    if j < len(body) and body[j] == "H":
-        j += 1
-        digits = ""
-        while j < len(body) and body[j].isdigit():
-            digits += body[j]
-            j += 1
-        hcount = int(digits) if digits else 1
+def _bracket_atom(body: str, at: int) -> tuple[Atom, str | None]:
+    """The atom of a bracket ``body`` that starts at offset ``at``, and its
+    tetrahedral marker (``@`` or ``@@``), if any; a third ``@`` is refused
+    as an unexpected character."""
+    m = _BRACKET.match(body)
+    isotope, symbol, chirality, hydrogens, signs, digits = m.groups()
+    base = _ORGANIC_ATOMS.get(symbol)
+    if base is None:
+        # A two-letter symbol such as Na or Se is refused whole, not read
+        # as N or S, and named alone.
+        name = symbol if len(symbol) == 2 else body[m.end(1):] or body
+        raise UnknownAtomError(f"unknown bracket atom symbol {name!r}",
+                               at + m.start(2))
+    hcount = (0 if hydrogens is None
+              else _count(hydrogens or "1", at + m.start(4), "hydrogen count"))
     charge = 0
-    if j < len(body) and body[j] in "+-":
-        sign = 1 if body[j] == "+" else -1
-        run = 0
-        while j < len(body) and body[j] in "+-":
-            if (body[j] == "+") != (sign > 0):
-                raise SmilesError("mixed charge signs", start + 1 + j)
-            run += 1
-            j += 1
-        digits = ""
-        while j < len(body) and body[j].isdigit():
-            digits += body[j]
-            j += 1
-        charge = sign * (int(digits) if digits else run)
-    if j != len(body):
-        raise UnknownAtomError(f"unexpected {body[j:]!r} in bracket atom", start + 1 + j)
-    return Atom(element, aromatic, explicit_h=hcount, formal_charge=charge,
-                isotope=isotope), end - start + 1, chirality
+    if signs:
+        if mixed := signs.lstrip(signs[0]):
+            raise SmilesError("mixed charge signs", at + m.end(5) - len(mixed))
+        charge = _count(digits, at + m.start(6), "charge") if digits else len(signs)
+        charge = -charge if signs[0] == "-" else charge
+    if m.end() != len(body):
+        raise UnknownAtomError(f"unexpected {body[m.end():]!r} in bracket atom",
+                               at + m.end())
+    return Atom(base.element, base.aromatic, explicit_h=hcount,
+                formal_charge=charge, isotope=bool(isotope)), chirality or None
+
+
+def _count(digits: str, offset: int, what: str) -> int:
+    """A bracket atom's hydrogen count or charge, read from ``digits``."""
+    try:
+        return int(digits)
+    except ValueError:  # beyond ``sys.get_int_max_str_digits()``
+        raise CountTooLongError(f"{what} of {len(digits)} digits is too long "
+                                f"to read", offset) from None
 
 
 def _merge_ring_bonds(opening: _PendingBond | None, closing: _PendingBond | None,
@@ -319,7 +261,7 @@ def _merge_ring_bonds(opening: _PendingBond | None, closing: _PendingBond | None
     return closing
 
 
-def _resolve_double_bond_stereo(atoms, bonds, directed):
+def _resolve_double_bond_stereo(bonds, directed):
     """Assign Z/E to double bonds flanked by directional single bonds.
 
     ``/`` written as ``u/v`` places u below v; ``\\`` places u above v. The
@@ -327,42 +269,26 @@ def _resolve_double_bond_stereo(atoms, bonds, directed):
     """
     if not directed:
         return bonds
-
-    def side_relative_to(center: int, first: int, second: int, symbol: str) -> bool:
-        # True = the non-center atom sits "up" relative to the center.
-        other_is_second = second != center
-        up_second = symbol == "/"  # u/v: v up
-        if other_is_second:
-            return up_second
-        return not up_second
-
     out = list(bonds)
     for k, bond in enumerate(out):
         if bond.order != DOUBLE:
             continue
         sides = []
         for center in (bond.a, bond.b):
-            marks = []
-            for first, second, symbol in directed:
-                if center not in (first, second):
-                    continue
-                other = second if first == center else first
-                if other in (bond.a, bond.b):
-                    continue
-                marks.append(side_relative_to(center, first, second, symbol))
-            if not marks:
-                sides.append(None)
-                continue
+            # True = the marked neighbor sits "up" from the center. No
+            # directional bond joins the double bond's own two atoms, since
+            # a pair is bonded once.
+            marks = [(symbol == "/") == (second != center)
+                     for first, second, symbol in directed
+                     if center in (first, second)]
             # Two marked substituents on one end must be on opposite sides.
             if len(marks) > 1 and len(set(marks)) == 1:
                 raise SmilesError(
-                    f"conflicting directional bonds around atom {center}"
-                )
-            sides.append(marks[0])
-        if sides[0] is None or sides[1] is None:
-            continue
-        stereo = STEREO_Z if sides[0] == sides[1] else STEREO_E
-        out[k] = Bond(bond.a, bond.b, bond.order, stereo)
+                    f"conflicting directional bonds around atom {center}")
+            sides.append(marks[0] if marks else None)
+        if None not in sides:
+            stereo = STEREO_Z if sides[0] == sides[1] else STEREO_E
+            out[k] = Bond(bond.a, bond.b, bond.order, stereo)
     return out
 
 

@@ -599,6 +599,17 @@ def test_a_source_curve_that_underflows_conflicts_infinitely_without_a_warning()
                         "max_rel_deviation": math.inf}
 
 
+def test_two_source_curves_that_both_underflow_still_conflict_elsewhere():
+    # At 301.2 K both curves have C + T = 1.2 and underflow to 0 Pa; at
+    # every other grid temperature they differ by the ratio exp(12.5 - 11.41).
+    fits = {"src-a": AntoineParams(11.41, 1500.0, -300.0),
+            "src-b": AntoineParams(12.5, 1500.0, -300.0)}
+    for window in ([301.2, 400.0], [305.0, 400.0]):
+        conflict = dataio._source_conflict("c", np.array(window), fits)
+        assert conflict["sources"] == ["src-a", "src-b"]
+        assert conflict["max_rel_deviation"] == pytest.approx(math.expm1(1.09))
+
+
 def test_curate_keeps_a_component_with_a_narrow_temperature_window():
     truth = AntoineParams(10.0, 2500.0, -60.0)
     points = curve_points("narrow", "CCO", truth, np.linspace(300.0, 300.5, 6))
@@ -681,6 +692,15 @@ def test_split_leaves_a_component_with_unparseable_smiles_unlabelled():
     assert labeled.split_label("bad") == "unassigned"
     assert set(labeled.splits) == {f"c{n}" for n in range(3, 8)}
     assert len(labeled) == len(points)
+
+
+def test_split_leaves_a_component_with_a_count_too_long_to_read_unlabelled():
+    # int() refuses more than 4,300 digits; the row is skipped, not fatal.
+    points = [VpPoint("long", "[CH" + "9" * 5000 + "]C", 300.0, 1000.0)]
+    points += [VpPoint(f"c{n}", "C" * n, 300.0, 1000.0) for n in range(3, 8)]
+    labeled = split(VpDataset(points), seed=0)
+    assert labeled.split_label("long") == "unassigned"
+    assert set(labeled.splits) == {f"c{n}" for n in range(3, 8)}
 
 
 def test_split_is_deterministic_and_partitioning():

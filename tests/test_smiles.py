@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from grappa.molecule import AROMATIC, DOUBLE, SINGLE, Molecule, permute_molecule
 from grappa.smiles import (
+    CountTooLongError,
     DanglingBondError,
     SmilesError,
     UnbalancedSmilesError,
@@ -12,7 +14,7 @@ from grappa.smiles import (
     parse_smiles,
 )
 
-from _oracles import molecules_isomorphic
+from _oracles import char_walk_parse_smiles, molecules_isomorphic
 
 
 def test_ethanol_chain():
@@ -105,6 +107,19 @@ def test_bracket_atom_fields():
     assert mol.atoms[0].formal_charge == 1
     mol = parse_smiles("C[O-]")
     assert mol.atoms[1].formal_charge == -1
+
+
+@pytest.mark.parametrize("smiles, offset, what", [
+    ("[CH" + "9" * 5000 + "]", 3, "hydrogen count"),
+    ("C[13NH" + "0" * 4301 + "+]", 6, "hydrogen count"),
+    ("C[N+" + "7" * 4400 + "]C", 4, "charge"),
+    ("[O--" + "1" * 5000 + "x]", 4, "charge"),
+])
+def test_a_count_too_long_to_read_is_a_smiles_error(smiles, offset, what):
+    # ``int`` refuses more than 4,300 digits; the error names where they start.
+    with pytest.raises(CountTooLongError, match=f"^{what} of ") as info:
+        parse_smiles(smiles)
+    assert info.value.offset == offset
 
 
 @pytest.mark.parametrize("smiles, symbol", [
@@ -260,3 +275,81 @@ def test_molecule_invariants_enforced():
         Molecule((Atom("C"), Atom("C")), (Bond(0, 1), Bond(1, 0)))
     with pytest.raises(ValueError):
         Molecule((Atom("C"), Atom("C")), (Bond(0, 1, AROMATIC),))
+
+
+# SMILES are drawn from the grammar's tokens (atoms, bonds, branches and ring
+# closures, and bracket bodies that the grammar may refuse) or from whole
+# molecules, and then mutated.
+ATOMS = st.sampled_from(
+    ["C", "C", "C", "N", "O", "S", "P", "F", "I", "Cl", "Br"] * 2
+    + ["c", "n", "o", "s", "p", "[CH3]", "[nH]", "[O-]", "[NH4+]", "[13CH3]",
+       "[C@@H]", "[C@H]", "[N+]"])
+BRACKET_BODIES = st.one_of(
+    st.tuples(st.sampled_from(["", "13"]),
+              st.sampled_from(["C", "N", "c", "Cl", "Na", "X", ""]),
+              st.text("@", max_size=3), st.sampled_from(["", "H", "H2"]),
+              st.text("+-", max_size=3), st.text("0123456789", max_size=2)
+              ).map("".join),
+    st.text("0123456789CNOSPclnoBrHX@+-", max_size=8))
+BONDS = st.sampled_from(["", "", "", "", "", "-", "=", "#", ":", "/", "\\"])
+AFTER_ATOM = st.sampled_from(["", "", "", "", "", "1", "2", "=1", "/1",
+                              "%10", "(C)", "(/F)", "(=O)"])
+MOLECULES = st.sampled_from([
+    "CCO", "c1ccccc1O", "F/C=C/F", "C/C=C\\C", "CC(=O)OC", "C1CCC2CCCCC2C1",
+    "OC(=O)/C=C/C(=O)O", "C/1=C/CCCCCC1", "c1cc[nH]c1", "C[N+](C)(C)C",
+    "F[C@@H](Cl)Br", "CC%10CCCC%10", "C(/F)=C/F", "[13CH3]CS(=O)(=O)C",
+    "C[N++]([O--])C"])
+
+
+@st.composite
+def token_chain(draw):
+    """Atoms joined by bonds, branches and ring closures, maybe with a
+    second atom from any bracket body."""
+    text = draw(ATOMS)
+    if draw(st.integers(0, 3)) == 0:
+        text += "[" + draw(BRACKET_BODIES) + "]"
+    for _ in range(draw(st.integers(0, 12))):
+        text += draw(BONDS) + draw(ATOMS) + draw(AFTER_ATOM)
+    return text
+
+
+@st.composite
+def mutated_smiles(draw):
+    """A token chain or a molecule with up to three characters inserted,
+    deleted or replaced."""
+    text = draw(st.one_of(token_chain(), MOLECULES))
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        k = draw(st.integers(0, len(text)))
+        char = draw(st.characters(max_codepoint=127))
+        cut = draw(st.integers(0, 1))
+        text = text[:k] + char * draw(st.integers(0, 1)) + text[k + cut:]
+    return text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(mutated_smiles(), st.text(max_size=12)))
+@example("[CH" + "9" * 5000 + "]")
+@example("F/C=C/F")
+@example("C/1=C/CC1")
+@example("CC1CCC/C=C/1")
+@example("C[N++-]C")
+@example("C\nC")
+def test_the_token_pass_parses_as_the_character_walker_did(text):
+    """Any str ends in a molecule or a ``SmilesError``: the walker's
+    molecule, or its error type, message and offset. The one exception is
+    a count longer than ``int`` reads, where the walker leaked ``int``'s own
+    ``ValueError``."""
+
+    def outcome(parse):
+        try:
+            return parse(text)
+        except SmilesError as err:
+            return type(err), str(err), err.offset
+
+    try:
+        expected = outcome(char_walk_parse_smiles)
+    except ValueError:
+        with pytest.raises(CountTooLongError):
+            parse_smiles(text)
+        return
+    assert outcome(parse_smiles) == expected
