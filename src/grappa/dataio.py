@@ -30,6 +30,7 @@ MIN_FIT_POINTS = 3
 MIN_FIT_SPREAD_K = 1.0  # a robust fit needs a wider temperature window
 FIT_HUBER_DELTA = 0.5  # on ln(p/kPa)
 FIT_MAX_ITER = 200
+FIT_BLOCK_WINDOWS = 2048  # windows per robust-fit loop, which bounds its memory
 SMALL_MOLECULE_CARBONS = 5
 
 REQUIRED_COLUMNS = ("component_id", "smiles", "temperature_K", "pressure_Pa",
@@ -241,7 +242,12 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
     for the window alone; ordering the starts by point count keeps the runs
     few. Every start keeps its own damping, slow-step count, stopping rule
     and cost trace, and only the starts still iterating, and their points,
-    are computed, so each ends exactly where it would alone. The C box must
+    are computed, so each ends exactly where it would alone. A parameter on
+    a face of its box that the descent direction points out of is held
+    there for the iteration: it takes no step and the other two take the step
+    they would take with it fixed, so a start does not creep along a face
+    by steps that are clipped back; a start that never holds a face runs
+    as if the rule were not there. The C box must
     keep C + T positive on every point, so every parameter row it admits is
     on the valid branch. Returns the per-start parameters (K, 3), costs
     (K,), residuals (K views of one packed array), converged flags,
@@ -291,7 +297,19 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
         # Damping and ridge in the oracle's order: (h + lam h) + 1e-12.
         h = hess[:, diag, diag]
         hess[:, diag, diag] = h + lam[:, None] * h + 1e-12
-        step, solved = _solve_each(hess, -grad)
+        rhs = -grad
+        # A parameter on a face of its box that the descent direction -grad
+        # pushes out of is held there (projected Newton, Bertsekas 1982): its
+        # row and column become a unit diagonal and its right-hand side 0, so
+        # it takes no step and the others step as if it were fixed. A start
+        # that holds no face keeps its system as it was.
+        g = grad[..., 0]
+        held = ((th <= lol) & (g > 0.0)) | ((th >= hil) & (g < 0.0))
+        if held.any():
+            hess = np.where(held[:, :, None] | held[:, None, :], 0.0, hess)
+            hess[:, diag, diag] = np.where(held, 1.0, hess[:, diag, diag])
+            rhs = np.where(held[..., None], 0.0, rhs)
+        step, solved = _solve_each(hess, rhs)
         candidate = np.minimum(np.maximum(th + step, lol), hil)
         new_cost, new_r = _fit_cost(candidate, rows, tl, yl, delta, runs)
 
@@ -377,29 +395,41 @@ def robust_antoine_fits(windows) -> list[AntoineFit]:
     """Robust fits of many ``(temperatures_k, pressures_pa)`` windows, in
     order; each is the fit :func:`robust_antoine_fit` gives it alone.
 
-    Every window is checked before any is solved. Then one
-    :func:`_lm_solve` loop solves the five starts of every window, ordered
-    stably by point count: the windows are packed end to end without
-    padding, and each sum runs on the starts of one point count over their
-    own points, so it keeps the length and order it has for the window
-    alone.
+    Every window is checked before any is solved. Then the windows, ordered
+    stably by point count, are solved in blocks of at most
+    :data:`FIT_BLOCK_WINDOWS`, one :func:`_lm_solve` loop over the five
+    starts of every window of a block, so the loop's memory is bounded by a
+    block however many windows the call has. Within a block the windows
+    are packed end to end without padding, and each sum runs on the starts
+    of one point count over their own points, so it keeps the length and
+    order it has for the window alone.
     """
     prepared = [_fit_window(t, p) for t, p in windows]
-    if not prepared:
-        return []
     order = sorted(range(len(prepared)), key=lambda i: len(prepared[i][0]))
-    starts = [_start_points(*prepared[i][:2]) for i in order]
+    fits: list[AntoineFit] = [None] * len(prepared)
+    for at in range(0, len(order), FIT_BLOCK_WINDOWS):
+        block = order[at:at + FIT_BLOCK_WINDOWS]
+        for i, fit in zip(block, _fit_block([prepared[i] for i in block])):
+            fits[i] = fit
+    return fits
+
+
+def _fit_block(prepared) -> list[AntoineFit]:
+    """The robust fits of prepared ``(t, y, box)`` windows, by one
+    :func:`_lm_solve` loop over the five starts of each; whatever the loop
+    leaves but the fits is freed on return."""
+    starts = [_start_points(t, y) for t, y, _ in prepared]
     per = len(starts[0])
-    t, y, box = zip(*(prepared[i] for i in order for _ in range(per)))
+    t, y, box = zip(*(window for window in prepared for _ in range(per)))
     theta, cost, r, converged, iters, traces = _lm_solve(
         np.concatenate(starts), t, y, np.stack(box), FIT_HUBER_DELTA,
         FIT_MAX_ITER)
-    fits: list[AntoineFit] = [None] * len(prepared)
-    for row, i in zip(range(0, len(theta), per), order):
+    fits = []
+    for row in range(0, len(theta), per):
         best = row + int(np.argmin(cost[row:row + per]))
-        fits[i] = AntoineFit(AntoineParams(*theta[best]), r[best].copy(),
-                             float(cost[best]), bool(converged[best]),
-                             int(iters[best]), traces[best])
+        fits.append(AntoineFit(AntoineParams(*theta[best]), r[best].copy(),
+                               float(cost[best]), bool(converged[best]),
+                               int(iters[best]), traces[best]))
     return fits
 
 
@@ -409,7 +439,10 @@ def robust_antoine_fit(temperatures_k, pressures_pa) -> AntoineFit:
 
     Needs a window that passes :func:`fit_window_ok`;
     five deterministic starting points are solved as one stack and the first
-    with the lowest final cost wins.
+    with the lowest final cost wins. A parameter at a face of its box that
+    the descent direction would push out is held on the face for that step
+    (see :func:`_lm_solve`), so a fit whose best parameters lie on the box,
+    most often at C = 0, converges there.
     """
     return robust_antoine_fits([(temperatures_k, pressures_pa)])[0]
 

@@ -10,8 +10,9 @@ Supported grammar (documented in the README):
 The input is read in one pass over its tokens. A token is a bracket atom
 ``[...]``, a two-letter organic atom ``Cl`` or ``Br``, a ``%nn`` ring
 closure, or any other one character. Every parse error is a
-:class:`SmilesError` that names the offset of the character at fault,
-except a conflict between directional bonds, which names its atom.
+:class:`SmilesError` that names the offset of the character at fault; a
+conflict between directional bonds names its atom and the second
+conflicting bond symbol.
 
 Directional single bonds are resolved to Z/E labels on the adjacent double
 bond using the marked substituent pair (no CIP priorities). Tetrahedral
@@ -114,8 +115,9 @@ def parse_smiles(text: str) -> Molecule:
     bonds: list[Bond] = []
     bonded: set[tuple[int, int]] = set()  # (min, max) atom pairs of ``bonds``
     tetra: list[tuple[int, str]] = []
-    # Directional annotations in written order: (first atom, second atom, symbol).
-    directed: list[tuple[int, int, str]] = []
+    # Directional annotations in written order: (first atom, second atom,
+    # symbol, the symbol's offset).
+    directed: list[tuple[int, int, str, int]] = []
 
     anchor: int | None = None
     pending: _PendingBond | None = None
@@ -134,7 +136,7 @@ def parse_smiles(text: str) -> Molecule:
         if order == AROMATIC and not both_aromatic:
             raise SmilesError("aromatic bond between non-aromatic atoms", offset)
         if bond and bond.direction:
-            directed.append((*(written or (a, b)), bond.direction))
+            directed.append((*(written or (a, b)), bond.direction, bond.offset))
         bonds.append(Bond(a, b, order))
         bonded.add(pair)
 
@@ -278,14 +280,15 @@ def _resolve_double_bond_stereo(bonds, directed):
             # True = the marked neighbor sits "up" from the center. No
             # directional bond joins the double bond's own two atoms, since
             # a pair is bonded once.
-            marks = [(symbol == "/") == (second != center)
-                     for first, second, symbol in directed
+            marks = [((symbol == "/") == (second != center), offset)
+                     for first, second, symbol, offset in directed
                      if center in (first, second)]
             # Two marked substituents on one end must be on opposite sides.
-            if len(marks) > 1 and len(set(marks)) == 1:
+            if len(marks) > 1 and len({up for up, _ in marks}) == 1:
                 raise SmilesError(
-                    f"conflicting directional bonds around atom {center}")
-            sides.append(marks[0] if marks else None)
+                    f"conflicting directional bonds around atom {center}",
+                    marks[1][1])
+            sides.append(marks[0][0] if marks else None)
         if None not in sides:
             stereo = STEREO_Z if sides[0] == sides[1] else STEREO_E
             out[k] = Bond(bond.a, bond.b, bond.order, stereo)

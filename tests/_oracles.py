@@ -509,7 +509,8 @@ def char_walk_parse_smiles(text: str) -> Molecule:
     """The character-walking ``parse_smiles`` that the token pass replaced:
     the same :class:`Molecule`, or the same error type, message and offset,
     for every input but a bracket count too long for ``int``, which raises a
-    plain ``ValueError`` here."""
+    plain ``ValueError`` here. A conflict between directional bonds names
+    the offset of its second bond symbol, as the token pass does."""
     if not isinstance(text, str):
         raise TypeError(f"SMILES must be a str, got {type(text).__name__}")
     if not text:
@@ -522,8 +523,9 @@ def char_walk_parse_smiles(text: str) -> Molecule:
     bonds: list[Bond] = []
     bonded: set[tuple[int, int]] = set()  # (min, max) atom pairs of ``bonds``
     tetra: list[tuple[int, str]] = []
-    # Directional annotations in written order: (first atom, second atom, symbol).
-    directed: list[tuple[int, int, str]] = []
+    # Directional annotations in written order: (first atom, second atom,
+    # symbol, the symbol's offset).
+    directed: list[tuple[int, int, str, int]] = []
 
     anchor: int | None = None
     pending: _WalkPendingBond | None = None
@@ -546,9 +548,9 @@ def char_walk_parse_smiles(text: str) -> Molecule:
             raise SmilesError("aromatic bond between non-aromatic atoms", offset)
         if bond is not None and bond.direction is not None:
             if ring_written_order is not None:
-                directed.append((*ring_written_order, bond.direction))
+                directed.append((*ring_written_order, bond.direction, bond.offset))
             else:
-                directed.append((a, b, bond.direction))
+                directed.append((a, b, bond.direction, bond.offset))
         bonds.append(Bond(a, b, order))
         bonded.add(pair)
 
@@ -760,20 +762,23 @@ def _walk_double_bond_stereo(atoms, bonds, directed):
         sides = []
         for center in (bond.a, bond.b):
             marks = []
-            for first, second, symbol in directed:
+            offsets = []
+            for first, second, symbol, offset in directed:
                 if center not in (first, second):
                     continue
                 other = second if first == center else first
                 if other in (bond.a, bond.b):
                     continue
                 marks.append(side_relative_to(center, first, second, symbol))
+                offsets.append(offset)
             if not marks:
                 sides.append(None)
                 continue
             # Two marked substituents on one end must be on opposite sides.
             if len(marks) > 1 and len(set(marks)) == 1:
                 raise SmilesError(
-                    f"conflicting directional bonds around atom {center}"
+                    f"conflicting directional bonds around atom {center}",
+                    offsets[1],
                 )
             sides.append(marks[0])
         if sides[0] is None or sides[1] is None:
@@ -1172,9 +1177,18 @@ def contaminate(ds: VpDataset, factor: float = 2.0) -> tuple[VpDataset, set[int]
 
 # --------------------------------------------------------- robust Antoine fit
 
-def reference_lm_solve(theta0, t, y, box, delta, max_iter=200):
+def reference_lm_solve(theta0, t, y, box, delta, max_iter=200, hold_faces=True,
+                       held_at=None):
     """One start of the damped least-squares fit, run alone: the loop the
-    library's stacked solver must reproduce byte for byte."""
+    library's stacked solver must reproduce byte for byte.
+
+    With ``hold_faces``, a parameter on a face of its box that the descent
+    direction ``-grad`` points out of is held there for the iteration: its row and
+    column of the damped system become a unit diagonal and its right-hand
+    side 0. ``hold_faces=False`` is the loop without that rule, which a
+    start that never holds a face must match byte for byte. A ``held_at``
+    list gets the number of each iteration at which some parameter meets
+    the rule, whether or not it is applied."""
     def cost_of(theta):
         a, b, c = theta
         denom = c + t
@@ -1205,9 +1219,19 @@ def reference_lm_solve(theta0, t, y, box, delta, max_iter=200):
         jtw = jac.T * w
         hess = jtw @ jac
         grad = jtw @ r
+        lhs = hess + lam * np.diag(np.diag(hess)) + 1e-12 * np.eye(3)
+        rhs = -grad
+        held = (((theta <= box[:, 0]) & (grad > 0.0))
+                | ((theta >= box[:, 1]) & (grad < 0.0)))
+        if held_at is not None and held.any():
+            held_at.append(iterations)
+        if hold_faces and held.any():
+            lhs[held, :] = 0.0
+            lhs[:, held] = 0.0
+            lhs[held, held] = 1.0
+            rhs[held] = 0.0
         try:
-            step = np.linalg.solve(hess + lam * np.diag(np.diag(hess)) +
-                                   1e-12 * np.eye(3), -grad)
+            step = np.linalg.solve(lhs, rhs)
         except np.linalg.LinAlgError:
             lam *= 10.0
             continue

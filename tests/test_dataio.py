@@ -279,6 +279,41 @@ def test_stacked_fit_matches_one_start_at_a_time(problem):
     assert_fit_bytes_equal(robust_antoine_fit(t, p), reference_antoine_fit(t, p))
 
 
+@settings(deadline=None, max_examples=60)
+@given(fit_problems())
+def test_a_start_that_never_holds_a_face_runs_the_loop_without_the_rule(problem):
+    """Holding a parameter on a face of its box is the only change to the
+    loop: a start that never meets the rule in the loop without it ends,
+    in the stacked solver, with that loop's exact bytes."""
+    t, y, box = dataio._fit_window(*problem)
+    starts = dataio._start_points(t, y)
+    theta, cost, r, converged, iterations, traces = dataio._lm_solve(
+        starts, [t] * len(starts), [y] * len(starts),
+        np.stack([box] * len(starts)), 0.5)
+    for k, start in enumerate(starts):
+        held_at = []
+        plain = reference_lm_solve(start, t, y, box, 0.5, hold_faces=False,
+                                   held_at=held_at)
+        if held_at:
+            continue
+        assert theta[k].tobytes() == plain[0].tobytes()
+        assert np.float64(cost[k]).tobytes() == np.float64(plain[1]).tobytes()
+        assert r[k].tobytes() == plain[2].tobytes()
+        assert (converged[k], iterations[k], traces[k]) == plain[3:]
+
+
+def test_a_start_held_on_the_c_face_converges():
+    """Every start of this window ends at C = 0 with the descent direction
+    pointing out of the box. Stepping C there only to clip it back, the
+    loop crept along the face to the 200-iteration cap at cost 0.513616;
+    with C held, the fit converges (in 9 iterations, at cost 0.513313)."""
+    fit = robust_antoine_fit([315.9, 409.0, 483.5, 581.6],
+                             [1123.0, 9283.0, 234263.0, 1106913.0])
+    assert fit.converged
+    assert fit.cost <= 0.513616
+    assert fit.params.C == 0.0
+
+
 @st.composite
 def window_batches(draw):
     """1-6 fit problems whose point counts come from at most three values,
@@ -350,6 +385,45 @@ def test_one_wide_window_does_not_widen_the_others():
         tracemalloc.stop()
     assert peak < 8 * 2**20
     for fit, (t, p) in list(zip(fits, windows))[::25]:
+        assert_fit_bytes_equal(fit, reference_antoine_fit(t, p))
+
+
+def test_many_windows_are_solved_in_blocks_of_bounded_memory(monkeypatch):
+    """With blocks of 40 windows, a call over 160 windows runs four
+    ``_lm_solve`` loops, and its traced peak above what it returns is no
+    more than a call over 40 windows reaches plus a margin (one loop over
+    all 160 would need about four times as much); each fit checked is
+    byte-equal to the one-at-a-time oracle."""
+    monkeypatch.setattr(dataio, "FIT_BLOCK_WINDOWS", 40)
+    rng = np.random.default_rng(23)
+    windows = []
+    for _ in range(160):  # alike, so that the four blocks are too
+        t = np.sort(rng.uniform(290.0, 450.0, 8))
+        windows.append((t, np.exp(11.0 - 3000.0 / (t - 60.0)
+                                  + rng.normal(0.0, 0.05, 8)) * 1000.0))
+    real_solve = dataio._lm_solve
+    calls = []
+
+    def counting(starts, *args):
+        calls.append(len(starts))
+        return real_solve(starts, *args)
+
+    monkeypatch.setattr(dataio, "_lm_solve", counting)
+
+    def working_peak(batch):
+        tracemalloc.start()
+        try:
+            fits = robust_antoine_fits(batch)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak - retained, fits
+
+    one_block, _ = working_peak(windows[:40])
+    four_blocks, fits = working_peak(windows)
+    assert calls == [200] * 5
+    assert four_blocks < 1.5 * one_block
+    for fit, (t, p) in list(zip(fits, windows))[::9]:
         assert_fit_bytes_equal(fit, reference_antoine_fit(t, p))
 
 

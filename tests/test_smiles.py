@@ -54,6 +54,20 @@ def test_branch_stereo_spelling():
     assert double[0].stereo == "Z"
 
 
+@pytest.mark.parametrize("smiles,atom,offset", [
+    ("F/C=C(/F)/F", 2, 9),     # both marks on atom 2 put their F up
+    ("F/C(\\F)=C/F", 1, 4),    # F/C and C\F put both F down from atom 1
+    ("F/C=C1/CCCC\\1", 2, 11),  # a ring-closure mark counts at its symbol
+], ids=["branch", "first-atom", "ring-closure"])
+def test_a_directional_bond_conflict_names_its_second_bond_symbol(
+        smiles, atom, offset):
+    with pytest.raises(SmilesError) as err:
+        parse_smiles(smiles)
+    assert err.value.offset == offset
+    assert str(err.value) == (f"conflicting directional bonds around atom "
+                              f"{atom} (at position {offset})")
+
+
 def test_unmarked_double_bond_has_no_stereo():
     mol = parse_smiles("CC=CC")
     double = [b for b in mol.bonds if b.order == DOUBLE]
@@ -334,6 +348,7 @@ def mutated_smiles(draw):
 @example("CC1CCC/C=C/1")
 @example("C[N++-]C")
 @example("C\nC")
+@example("F/C=C(/F)/F")
 def test_the_token_pass_parses_as_the_character_walker_did(text):
     """Any str ends in a molecule or a ``SmilesError``: the walker's
     molecule, or its error type, message and offset. The one exception is
