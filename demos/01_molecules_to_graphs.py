@@ -5,15 +5,15 @@ Walks through parsing, implicit hydrogens, ring detection, and the
 24-feature node / 9-feature edge encoding the network consumes.
 """
 
-from grappa import featurize, implicit_hydrogens, parse_smiles, validate_scope
+from grappa import featurize, parse_smiles, validate_scope
 from grappa.featurize import hybridizations, ring_membership
 
 EXAMPLES = ["CCO", "c1ccccc1", "F/C=C/F", "CC(=O)Oc1ccccc1C(=O)O"]
 
 for smiles in EXAMPLES:
     mol = parse_smiles(smiles)
-    h_counts = implicit_hydrogens(mol)
-    hybrid = hybridizations(mol, h_counts)
+    h_counts = mol.hydrogen_counts
+    hybrid = hybridizations(mol)
     ring_atoms, _ = ring_membership(mol)
     print(f"\n=== {smiles} ===")
     for i, atom in enumerate(mol.atoms):

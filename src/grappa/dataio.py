@@ -127,8 +127,12 @@ def load(path, fmt: str = "csv") -> VpDataset:
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fmt == "csv":
             reader = csv.DictReader(fh)
-            missing = [c for c in REQUIRED_COLUMNS
-                       if c not in (reader.fieldnames or [])]
+            try:
+                header = reader.fieldnames or []
+            except csv.Error as err:  # a header field over the size limit
+                raise ValueError(f"{path}: line {reader.reader.line_num}: "
+                                 f"{err}") from None
+            missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
                 raise ValueError(f"missing columns: {', '.join(missing)}")
             records = enumerate(_csv_records(reader), start=2)  # 1 = header line
@@ -645,25 +649,31 @@ def write_splits_csv(ds: VpDataset, path):
 
 def read_splits_csv(path) -> dict[str, str]:
     """Each component's split label, any non-empty text. A row with no
-    component id or label, with more fields than the header, or giving a
-    component a second label raises ``ValueError`` naming its line."""
+    component id or label, with more fields than the header, giving a
+    component a second label, or with a field over the ``csv`` size limit
+    raises ``ValueError`` naming its line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in ("component_id", "split")
-                   if c not in (reader.fieldnames or [])]
-        if missing:
-            raise ValueError(f"{path}: missing columns: {', '.join(missing)}")
-        splits = {}
-        for record in reader:
-            component, label = record["component_id"], record["split"]
-            where = f"{path}: line {reader.line_num}"
-            if not component or not label or None in record:
-                raise ValueError(f"{where} needs one component_id and one "
-                                 f"split label, got {list(record.values())}")
-            if splits.setdefault(component, label) != label:
-                raise ValueError(f"{where} labels {component!r} {label!r}, "
-                                 f"but an earlier row labels it "
-                                 f"{splits[component]!r}")
+        try:
+            missing = [c for c in ("component_id", "split")
+                       if c not in (reader.fieldnames or [])]
+            if missing:
+                raise ValueError(f"{path}: missing columns: "
+                                 f"{', '.join(missing)}")
+            splits = {}
+            for record in reader:
+                component, label = record["component_id"], record["split"]
+                where = f"{path}: line {reader.line_num}"
+                if not component or not label or None in record:
+                    raise ValueError(f"{where} needs one component_id and one "
+                                     f"split label, got {list(record.values())}")
+                if splits.setdefault(component, label) != label:
+                    raise ValueError(f"{where} labels {component!r} {label!r}, "
+                                     f"but an earlier row labels it "
+                                     f"{splits[component]!r}")
+        except csv.Error as err:
+            raise ValueError(f"{path}: line {reader.reader.line_num}: "
+                             f"{err}") from None
         return splits
 
 

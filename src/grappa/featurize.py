@@ -14,8 +14,9 @@ Edge vector layout:
   [5]      in ring
   [6..8]   double-bond stereo (none, Z, E)
 
-Ring flags and hybridization walk the molecule's one adjacency
-(``Molecule.adjacency``) and reuse its hydrogen counts. One pass over the
+Ring flags come from one breadth-first spanning forest over the molecule's
+one adjacency (``Molecule.adjacency``); hybridization walks the same
+adjacency and reuses the molecule's hydrogen counts. One pass over the
 atoms writes the node rows and counts H-bond donors and acceptors; one pass
 over the bonds writes each bond's row in place and copies it to the reverse
 edge.
@@ -23,7 +24,6 @@ edge.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,65 +86,59 @@ class MolGraph:
 
 
 def ring_membership(mol: Molecule) -> tuple[list[bool], list[bool]]:
-    """Per-atom and per-bond cycle flags via bridge detection.
+    """Per-atom and per-bond cycle flags from one breadth-first spanning
+    forest over ``mol.adjacency``.
 
-    A bond lies on a cycle iff it is not a bridge; an atom lies on a cycle
-    iff one of its bonds does.
+    Each bond the forest leaves out closes a cycle: that bond and the tree
+    path between its ends are ring bonds, and no other bond is (the
+    fundamental cycles of the forest). An atom lies on a cycle iff one of
+    its bonds does. A molecule whose bonds are all forest bonds, as many
+    as its atoms less the forest's trees, has no ring and skips the walk.
     """
     n = len(mol.atoms)
     adj = mol.adjacency
-    visited = [False] * n
-    disc = [0] * n
-    low = [0] * n
-    bridge = [False] * len(mol.bonds)
-    timer = 0
-
+    depth = [-1] * n
+    up = [(-1, -1)] * n  # per atom, its (parent atom, bond to it) in the forest
+    roots = 0
     for root in range(n):
-        if visited[root]:
+        if depth[root] >= 0:
             continue
-        stack = [(root, -1, iter(adj[root]))]
-        visited[root] = True
-        disc[root] = low[root] = timer = timer + 1
-        while stack:
-            node, via, it = stack[-1]
-            advanced = False
-            for nxt, bi in it:
-                if bi == via:
-                    continue
-                if not visited[nxt]:
-                    visited[nxt] = True
-                    timer += 1
-                    disc[nxt] = low[nxt] = timer
-                    stack.append((nxt, bi, iter(adj[nxt])))
-                    advanced = True
-                    break
-                low[node] = min(low[node], disc[nxt])
-            if advanced:
-                continue
-            stack.pop()
-            if via >= 0:
-                parent = stack[-1][0]
-                low[parent] = min(low[parent], low[node])
-                if low[node] > disc[parent]:
-                    bridge[via] = True
+        roots += 1
+        depth[root] = 0
+        queue = [root]
+        for node in queue:
+            for nxt, bi in adj[node]:
+                if depth[nxt] < 0:
+                    depth[nxt] = depth[node] + 1
+                    up[nxt] = (node, bi)
+                    queue.append(nxt)
 
-    bond_flags = [not b for b in bridge]
     atom_flags = [False] * n
+    bond_flags = [False] * len(mol.bonds)
+    if len(mol.bonds) == n - roots:
+        return atom_flags, bond_flags
     for bi, bond in enumerate(mol.bonds):
-        if bond_flags[bi]:
-            atom_flags[bond.a] = True
-            atom_flags[bond.b] = True
+        a, b = bond.a, bond.b
+        if bi in (up[a][1], up[b][1]):
+            continue  # a forest bond
+        bond_flags[bi] = atom_flags[a] = atom_flags[b] = True
+        while a != b:  # up from the deeper end until the two ends meet
+            if depth[a] < depth[b]:
+                a, b = b, a
+            a, tree_bond = up[a]
+            bond_flags[tree_bond] = atom_flags[a] = True
     return atom_flags, bond_flags
 
 
-def hybridizations(mol: Molecule, h_counts: Sequence[int]) -> list[str]:
+def hybridizations(mol: Molecule) -> list[str]:
     """Deterministic hybridization labels from bond patterns and the
-    implicit hydrogen counts: SP for a triple bond or two doubles, SP2 for
+    molecule's hydrogen counts: SP for a triple bond or two doubles, SP2 for
     aromatic or one double, SP3 for C/N/O/S/P whose degree plus hydrogens
     stays within the smallest standard valence, else OTHER. An atom that
     reaches the SP3 test has only single bonds, so its degree is its bond
     order sum."""
     labels = []
+    h_counts = mol.hydrogen_counts
     for idx, (atom, pairs) in enumerate(zip(mol.atoms, mol.adjacency)):
         orders = [mol.bonds[bi].order for _, bi in pairs]
         n_triple = orders.count(TRIPLE)
@@ -187,7 +181,7 @@ def _is_radical(mol: Molecule, idx: int) -> bool:
         return False
     if atom.element not in STANDARD_VALENCES:
         return False
-    total = int(np.ceil(bond_order_sum(mol, idx))) + atom.explicit_h
+    total = bond_order_sum(mol, idx) + atom.explicit_h
     valences = STANDARD_VALENCES[atom.element]
     return total < max(valences) and total not in valences
 
@@ -204,7 +198,7 @@ def featurize(mol: Molecule) -> MolGraph:
     n = len(mol.atoms)
     h_counts = mol.hydrogen_counts
     atom_ring, bond_ring = ring_membership(mol)
-    hybrid = hybridizations(mol, h_counts)
+    hybrid = hybridizations(mol)
 
     x = np.zeros((n, NODE_FEATURES), dtype=np.float64)
     donors = acceptors = 0
@@ -244,5 +238,5 @@ def featurize(mol: Molecule) -> MolGraph:
         h_donors=donors,
         h_acceptors=acceptors,
         heavy_atom_count=n,
-        mol_weight=molecular_weight(mol, h_counts),
+        mol_weight=molecular_weight(mol),
     )

@@ -2,13 +2,12 @@
 
 Hydrogen is never a node; it is tracked per heavy atom, either explicitly
 (bracket atoms) or implicitly from standard valences. A molecule builds one
-adjacency, each atom's (neighbor, bond index) pairs, which neighbor queries,
-valence sums, hybridization and ring perception all read.
+adjacency, each atom's (neighbor, bond index) pairs, which valence sums,
+hybridization and ring perception all read.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -97,8 +96,8 @@ class Molecule:
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per atom, its (neighbor, bond index) pairs in bond-tuple order,
-        built on first use: the one adjacency that neighbor queries, valence
-        sums, hybridization and ring perception read."""
+        built on first use: the one adjacency that valence sums,
+        hybridization and ring perception read."""
         table: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
         for bi, bond in enumerate(self.bonds):
             table[bond.a].append((bond.b, bi))
@@ -113,18 +112,6 @@ class Molecule:
         from .smiles import implicit_hydrogens  # smiles builds on this module
 
         return tuple(implicit_hydrogens(self))
-
-    def _pairs(self, idx: int) -> tuple[tuple[int, int], ...]:
-        return self.adjacency[idx] if 0 <= idx < len(self.atoms) else ()
-
-    def neighbors(self, idx: int) -> list[int]:
-        return [nb for nb, _ in self._pairs(idx)]
-
-    def bonds_of(self, idx: int) -> list[Bond]:
-        return [self.bonds[bi] for _, bi in self._pairs(idx)]
-
-    def degree(self, idx: int) -> int:
-        return len(self._pairs(idx))
 
 
 def permute_molecule(mol: Molecule, perm: list[int] | tuple[int, ...]) -> Molecule:
@@ -142,8 +129,8 @@ def permute_molecule(mol: Molecule, perm: list[int] | tuple[int, ...]) -> Molecu
     return Molecule(tuple(atoms), bonds, tetra)
 
 
-def molecular_weight(mol: Molecule, h_counts: Sequence[int]) -> float:
-    """Mass in g/mol from heavy atoms plus the given hydrogen counts."""
+def molecular_weight(mol: Molecule) -> float:
+    """Mass in g/mol from heavy atoms plus the molecule's hydrogen counts."""
     total = sum(ATOMIC_WEIGHTS[a.element] for a in mol.atoms)
-    total += ATOMIC_WEIGHTS["H"] * sum(h_counts)
+    total += ATOMIC_WEIGHTS["H"] * sum(mol.hydrogen_counts)
     return total

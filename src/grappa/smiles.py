@@ -21,7 +21,6 @@ markers are recorded but carry no feature downstream.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -295,7 +294,7 @@ def _resolve_double_bond_stereo(bonds, directed):
     return out
 
 
-def bond_order_sum(mol: Molecule, idx: int) -> float:
+def bond_order_sum(mol: Molecule, idx: int) -> int:
     """Valence contribution of explicit bonds at atom ``idx``.
 
     Aromatic bonds count one each plus a single pi increment for carbon and
@@ -304,7 +303,7 @@ def bond_order_sum(mol: Molecule, idx: int) -> float:
     perception.
     """
     atom = mol.atoms[idx]
-    total = 0.0
+    total = 0
     n_aromatic = 0
     for _, bi in mol.adjacency[idx]:
         order = mol.bonds[bi].order
@@ -328,7 +327,6 @@ def implicit_hydrogens(mol: Molecule) -> list[int]:
     counts = []
     for idx, atom in enumerate(mol.atoms):
         bond_sum = bond_order_sum(mol, idx)
-        bond_sum = int(math.ceil(bond_sum))
         valences = STANDARD_VALENCES[atom.element]
         if atom.explicit_h is not None:
             if atom.formal_charge == 0 and bond_sum + atom.explicit_h > max(valences):

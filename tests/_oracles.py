@@ -398,7 +398,7 @@ def molecules_isomorphic(m1: Molecule, m2: Molecule) -> bool:
     def signature(mol, i):
         atom = mol.atoms[i]
         return (atom.element, atom.aromatic, atom.formal_charge,
-                mol.degree(i))
+                len(mol.adjacency[i]))
 
     def bond_lookup(mol):
         table = {}
@@ -452,10 +452,6 @@ def scan_neighbors(mol: Molecule, idx: int) -> list[int]:
         elif bond.b == idx:
             out.append(bond.a)
     return out
-
-
-def scan_degree(mol: Molecule, idx: int) -> int:
-    return len(scan_neighbors(mol, idx))
 
 
 def valence_sum_hybridizations(mol: Molecule, h_counts) -> list[str]:

@@ -1,3 +1,4 @@
+import csv
 import errno
 import json
 import os
@@ -593,6 +594,43 @@ def test_evaluate_refuses_a_malformed_splits_row(capsys, tmp_path, model_path,
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: {splits}: line ") and "Traceback" not in err
+
+
+OVERSIZED = "x" * (csv.field_size_limit() + 1)  # csv refuses this field
+
+
+@pytest.mark.parametrize("command", ["evaluate", "train"])
+def test_an_oversized_splits_field_is_refused_by_line(capsys, tmp_path,
+                                                      model_path, data_path,
+                                                      command):
+    splits = tmp_path / "bad_splits.csv"
+    splits.write_text(f"component_id,split\nc1,train\nc2,{OVERSIZED}\n")
+    if command == "evaluate":
+        argv = ["evaluate", "--model", model_path, "--data", data_path[0],
+                "--splits", str(splits), "--split", "train"]
+    else:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"data": data_path[0],
+                                      "splits": str(splits)}))
+        argv = ["train", "--config", str(config)]
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err == f"error: {splits}: line 3: field larger than field limit " \
+                  f"({csv.field_size_limit()})\n"
+
+
+def test_an_oversized_dataset_header_field_is_refused_by_name(capsys,
+                                                              tmp_path):
+    data = tmp_path / "bad.csv"
+    data.write_text("component_id,smiles,temperature_K,pressure_Pa,"
+                    f"quality,{OVERSIZED}\nc1,CCO,300.0,1000.0,ok,\n")
+    code = main(["curate", "--input", str(data),
+                 "--output", str(tmp_path / "clean.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and "Traceback" not in err
+    assert err == f"error: {data}: line 1: field larger than field limit " \
+                  f"({csv.field_size_limit()})\n"
 
 
 def test_evaluate_and_report(capsys, tmp_path, model_path, data_path):

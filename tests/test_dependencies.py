@@ -1,5 +1,6 @@
 """The package depends on nothing beyond the standard library and numpy,
-defines nothing in ``tensor`` that no other module of it uses, sums groups
+defines nothing in ``tensor`` that no other module of it uses, defines no
+public function, class or method that no module names, sums groups
 by a weighted ``bincount`` only in ``tensor``, keeps no module-level
 ``functools`` cache, imports no ``copy``, and loads no ``multiprocessing``
 on import."""
@@ -9,6 +10,7 @@ import inspect
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 from grappa import tensor
@@ -58,6 +60,50 @@ def test_everything_tensor_defines_has_a_caller():
     used = set().union(*(tensor_imports(path) for path in SRC.glob("*.py")
                          if path.name != "tensor.py"))
     assert sorted(defined - used) == []
+
+
+CALLER_DIRS = (SRC, SRC.parent.parent / "perfbench", SRC.parent.parent / "demos")
+
+
+def named(tree: ast.AST) -> Counter:
+    """How often each name occurs in a tree: as a ``Name``, as an
+    ``Attribute``'s attribute, or as an imported name."""
+    names = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            names[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            names[node.name] += 1
+    return names
+
+
+def public_definitions(tree: ast.Module):
+    """Each public top-level function and class of a module and each public
+    method of its classes, as (qualified name, definition node)."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item) for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                        and not item.name.startswith("_"))
+
+
+def test_every_public_name_has_a_caller():
+    """Each public function, class and method of the package is named
+    outside its own definition, in the package, the benchmark or a demo."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for folder in CALLER_DIRS for path in sorted(folder.glob("*.py"))}
+    uses = sum((named(tree) for tree in trees.values()), Counter())
+    unused = [f"{path.stem}.{qualified}"
+              for path, tree in trees.items() if path.parent == SRC
+              for qualified, node in public_definitions(tree)
+              if uses[node.name] <= named(node)[node.name]]
+    assert unused == []
 
 
 def weighted_bincounts(source: str) -> list[int]:

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import grappa.featurize
 import grappa.smiles
@@ -15,8 +16,8 @@ from grappa.featurize import (
     ring_membership,
     validate_scope,
 )
-from grappa.molecule import permute_molecule
-from grappa.smiles import implicit_hydrogens, parse_smiles
+from grappa.molecule import Atom, Bond, Molecule, permute_molecule
+from grappa.smiles import parse_smiles
 
 from _oracles import brute_force_ring_flags, valence_sum_hybridizations
 from test_acceptance import FIFTY_MOLECULES
@@ -96,24 +97,24 @@ def test_benzene_rows_identical_and_aromatic():
 
 def test_nitrile_carbon_is_sp():
     mol = parse_smiles("C#N")
-    assert hybridizations(mol, implicit_hydrogens(mol)) == ["SP", "SP"]
+    assert hybridizations(mol) == ["SP", "SP"]
 
 
 def test_cumulated_diene_center_is_sp():
     mol = parse_smiles("C=C=C")
-    assert hybridizations(mol, implicit_hydrogens(mol))[1] == "SP"
+    assert hybridizations(mol)[1] == "SP"
 
 
 def test_halogens_fall_outside_named_hybridizations():
     mol = parse_smiles("CCCl")
-    assert hybridizations(mol, implicit_hydrogens(mol))[2] == "OTHER"
+    assert hybridizations(mol)[2] == "OTHER"
 
 
 def test_hypervalent_sulfur_is_other():
     mol = parse_smiles("CS(C)(C)C")  # four single bonds at S
-    assert hybridizations(mol, implicit_hydrogens(mol))[1] == "OTHER"
+    assert hybridizations(mol)[1] == "OTHER"
     thioether = parse_smiles("CSC")
-    assert hybridizations(thioether, implicit_hydrogens(thioether))[1] == "SP3"
+    assert hybridizations(thioether)[1] == "SP3"
 
 
 def test_conjugation_flags():
@@ -157,6 +158,26 @@ def test_pendant_chain_not_flagged():
     mol = parse_smiles("C1CC1CC")
     atoms, _ = ring_membership(mol)
     assert atoms == [True, True, True, False, False]
+
+
+@st.composite
+def bond_sets(draw):
+    """1 to 12 carbons joined by a random set of single bonds: trees,
+    disconnected pieces, and fused, spiro and bridged ring systems, which
+    ``parse_smiles`` cannot all make since it refuses ``.``."""
+    n = draw(st.integers(1, 12))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    bonds = {}
+    for a, b in draw(st.lists(ends, min_size=n, max_size=2 * n)):
+        if a != b:
+            bonds.setdefault(frozenset((a, b)), Bond(a, b))
+    return Molecule(tuple(Atom("C") for _ in range(n)), tuple(bonds.values()))
+
+
+@settings(max_examples=400, deadline=None)
+@given(bond_sets())
+def test_ring_flags_match_the_oracle_on_random_bond_sets(mol):
+    assert ring_membership(mol) == brute_force_ring_flags(mol)
 
 
 def test_scope_accepts_and_rejects():
@@ -261,7 +282,7 @@ def test_hybridizations_match_the_valence_sum_rule():
     # its bond-order sum and the labels are the former rule's.
     for smiles in CORPUS + FIFTY_MOLECULES + SP3_EDGE_CASES:
         mol = parse_smiles(smiles)
-        assert hybridizations(mol, mol.hydrogen_counts) == \
+        assert hybridizations(mol) == \
             valence_sum_hybridizations(mol, mol.hydrogen_counts), smiles
 
 
