@@ -31,6 +31,11 @@ MIN_FIT_SPREAD_K = 1.0  # a robust fit needs a wider temperature window
 FIT_HUBER_DELTA = 0.5  # on ln(p/kPa)
 FIT_MAX_ITER = 200
 FIT_BLOCK_WINDOWS = 2048  # windows per robust-fit loop, which bounds its memory
+# A fit's one start comes from two scans over C; tuned on perfbench gen seed
+# 301's curate windows.
+FIT_SCAN_POINTS = 16  # C values of the first scan, over the whole C box
+FIT_SCAN_ZOOM = 6  # C values of the second, between the first's grid neighbours
+FIT_SCAN_IRLS = 6  # Huber-reweighted solves for A and B at each C
 SMALL_MOLECULE_CARBONS = 5
 
 REQUIRED_COLUMNS = ("component_id", "smiles", "temperature_K", "pressure_Pa",
@@ -134,7 +139,8 @@ def load(path, fmt: str = "csv") -> VpDataset:
                                  f"{err}") from None
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
             if missing:
-                raise ValueError(f"missing columns: {', '.join(missing)}")
+                raise ValueError(f"{path}: missing columns: "
+                                 f"{', '.join(missing)}")
             records = enumerate(_csv_records(reader), start=2)  # 1 = header line
         else:
             records = ((row, line) for row, line in enumerate(fh, start=1)
@@ -208,11 +214,15 @@ def _fit_cost(theta, rows, t, y, delta, runs) -> tuple[np.ndarray, np.ndarray]:
 def _runs(counts: np.ndarray) -> list[tuple[int, int, int, int, int]]:
     """``(i, j, p, q, n)`` of each run of equal values n in ``counts``: rows
     ``i:j`` whose points, packed end to end, are ``p:q``."""
-    cuts = np.r_[0, np.flatnonzero(np.diff(counts)) + 1, len(counts)]
-    ends = np.r_[0, np.cumsum(counts)][cuts].tolist()
-    cuts = cuts.tolist()
-    return [(i, j, p, q, int(counts[i]))
-            for i, j, p, q in zip(cuts, cuts[1:], ends, ends[1:]) if i < j]
+    runs = []
+    i = p = 0
+    counts = counts.tolist()
+    for j in range(1, len(counts) + 1):
+        if j == len(counts) or counts[j] != counts[i]:
+            q = p + counts[i] * (j - i)
+            runs.append((i, j, p, q, counts[i]))
+            i, p = j, q
+    return runs
 
 
 def _solve_each(lhs, rhs) -> tuple[np.ndarray, np.ndarray]:
@@ -234,7 +244,8 @@ def _solve_each(lhs, rhs) -> tuple[np.ndarray, np.ndarray]:
 
 def _lm_solve(starts, t, y, box, delta, max_iter=200):
     """Damped least squares with Huber reweighting and box projection, run on
-    a (K, 3) stack of starts at once.
+    a (K, 3) stack of starts at once; the robust fit gives it one start per
+    window, from :func:`_start_points`.
 
     Each start has its own window: ``t`` and ``y`` are sequences of K 1-D
     windows, which may differ in length, and ``box`` is (K, 3, 2). The
@@ -351,19 +362,64 @@ def _lm_solve(starts, t, y, box, delta, max_iter=200):
             converged, iterations, traces)
 
 
-def _start_points(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The (5, 3) starting parameters: one data-driven, four fixed."""
-    # Data-driven start: linear fit of y against 1/(t + c0).
-    c0 = max(-50.0, -float(t.min()) + 25.0)
-    x = 1.0 / (c0 + t)
-    slope, intercept = np.polyfit(x, y, 1)
-    return np.array([
-        [intercept, -slope, c0],
-        [8.0, 2500.0, -30.0],
-        [12.0, 3500.0, -100.0],
-        [15.0, 4800.0, -150.0],
-        [10.0, 3000.0, -60.0],
-    ])
+def _profile(c, t, y, owner, first, box, delta):
+    """A, B and Huber cost, each (G, m), at the trial C values ``c`` (G, m)
+    of m windows packed end to end in ``t`` and ``y``: point p belongs to
+    window ``owner[p]``, whose points start at ``first``. At a fixed C,
+    ln p = A - B/(C + T) is linear in A and B, so each comes from
+    :data:`FIT_SCAN_IRLS` Huber-reweighted 2 x 2 least-squares solves, the
+    first unweighted; B is clipped into its box, then A, the best A for
+    that B, into its. Every sum over a window's points is one
+    ``np.add.reduceat`` segment, which adds them in their order whatever
+    windows lie beside them."""
+    (a_lo, a_hi), (b_lo, b_hi) = box[:, 0].T, box[:, 1].T
+    x = 1.0 / (c.take(owner, axis=1) + t)
+    w = np.ones_like(x)
+    terms = np.empty((5,) + x.shape)
+    for step in range(FIT_SCAN_IRLS):
+        if step:
+            w = delta / np.maximum(np.abs(r), delta)
+        terms[0] = w
+        np.multiply(w, x, out=terms[1])
+        np.multiply(terms[1], x, out=terms[2])
+        np.multiply(w, y, out=terms[3])
+        np.multiply(terms[1], y, out=terms[4])
+        s, sx, sxx, sy, sxy = np.add.reduceat(terms, first, axis=-1)
+        b = np.minimum(np.maximum((sx * sy - s * sxy) / (s * sxx - sx * sx),
+                                  b_lo), b_hi)
+        a = np.minimum(np.maximum((sy + b * sx) / s, a_lo), a_hi)
+        r = y - (a.take(owner, axis=1) - b.take(owner, axis=1) * x)
+    return a, b, np.add.reduceat(huber_rho(r, delta), first, axis=-1)
+
+
+def _start_points(t, y, box, delta) -> np.ndarray:
+    """The (m, 3) start of each of m windows (``t`` and ``y`` as for
+    :func:`_lm_solve`, ``box`` (m, 3, 2)): the C, with its A and B from
+    :func:`_profile`, of least Huber cost among :data:`FIT_SCAN_POINTS`
+    values spread evenly over the window's C box, and then among
+    :data:`FIT_SCAN_ZOOM` more spread evenly between that value's two grid
+    neighbours; the first of equal costs wins."""
+    counts = np.array([len(w) for w in t])
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(counts)), counts)
+    t = np.concatenate(t, dtype=float)
+    y = np.concatenate(y, dtype=float)
+    cols = np.arange(len(counts))
+
+    def best_of(c):
+        a, b, cost = _profile(c, t, y, owner, first, box, delta)
+        k = np.argmin(cost, axis=0)
+        best = np.stack([a[k, cols], b[k, cols], c[k, cols]], axis=1)
+        return best, cost[k, cols]
+
+    lo, hi = box[:, 2, 0], box[:, 2, 1]
+    start, cost = best_of(
+        lo + (hi - lo) * np.linspace(0.0, 1.0, FIT_SCAN_POINTS)[:, None])
+    gap = (hi - lo) / (FIT_SCAN_POINTS - 1)
+    near = (start[:, 2]
+            + gap * np.linspace(-1.0, 1.0, FIT_SCAN_ZOOM + 2)[1:-1, None])
+    zoomed, zoomed_cost = best_of(np.minimum(np.maximum(near, lo), hi))
+    return np.where((zoomed_cost < cost)[:, None], zoomed, start)
 
 
 def fit_window_ok(t: np.ndarray) -> bool:
@@ -401,12 +457,12 @@ def robust_antoine_fits(windows) -> list[AntoineFit]:
 
     Every window is checked before any is solved. Then the windows, ordered
     stably by point count, are solved in blocks of at most
-    :data:`FIT_BLOCK_WINDOWS`, one :func:`_lm_solve` loop over the five
-    starts of every window of a block, so the loop's memory is bounded by a
-    block however many windows the call has. Within a block the windows
-    are packed end to end without padding, and each sum runs on the starts
-    of one point count over their own points, so it keeps the length and
-    order it has for the window alone.
+    :data:`FIT_BLOCK_WINDOWS`: one scan over C (:func:`_start_points`)
+    gives every window of a block its one start, and one :func:`_lm_solve`
+    loop polishes them all, so the memory of both is bounded by a block
+    however many windows the call has. Within a block the windows are
+    packed end to end without padding, and each sum runs over one window's
+    own points in their order, so it is the sum the window gets alone.
     """
     prepared = [_fit_window(t, p) for t, p in windows]
     order = sorted(range(len(prepared)), key=lambda i: len(prepared[i][0]))
@@ -419,32 +475,30 @@ def robust_antoine_fits(windows) -> list[AntoineFit]:
 
 
 def _fit_block(prepared) -> list[AntoineFit]:
-    """The robust fits of prepared ``(t, y, box)`` windows, by one
-    :func:`_lm_solve` loop over the five starts of each; whatever the loop
-    leaves but the fits is freed on return."""
-    starts = [_start_points(t, y) for t, y, _ in prepared]
-    per = len(starts[0])
-    t, y, box = zip(*(window for window in prepared for _ in range(per)))
+    """The robust fits of prepared ``(t, y, box)`` windows, each polished by
+    one :func:`_lm_solve` loop from its scan start; whatever the loop leaves
+    but the fits is freed on return."""
+    t, y, box = zip(*prepared)
+    box = np.stack(box)
+    starts = _start_points(t, y, box, FIT_HUBER_DELTA)
     theta, cost, r, converged, iters, traces = _lm_solve(
-        np.concatenate(starts), t, y, np.stack(box), FIT_HUBER_DELTA,
-        FIT_MAX_ITER)
-    fits = []
-    for row in range(0, len(theta), per):
-        best = row + int(np.argmin(cost[row:row + per]))
-        fits.append(AntoineFit(AntoineParams(*theta[best]), r[best].copy(),
-                               float(cost[best]), bool(converged[best]),
-                               int(iters[best]), traces[best]))
-    return fits
+        starts, t, y, box, FIT_HUBER_DELTA, FIT_MAX_ITER)
+    return [AntoineFit(AntoineParams(*theta[k]), r[k].copy(), float(cost[k]),
+                       bool(converged[k]), int(iters[k]), traces[k])
+            for k in range(len(theta))]
 
 
 def robust_antoine_fit(temperatures_k, pressures_pa) -> AntoineFit:
     """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost (:data:`FIT_HUBER_DELTA`)
     and box-bounded search of at most :data:`FIT_MAX_ITER` iterations.
 
-    Needs a window that passes :func:`fit_window_ok`;
-    five deterministic starting points are solved as one stack and the first
-    with the lowest final cost wins. A parameter at a face of its box that
-    the descent direction would push out is held on the face for that step
+    Needs a window that passes :func:`fit_window_ok`. The fit is separable:
+    at a fixed C, A and B solve a weighted linear least-squares problem
+    (variable projection, Golub & Pereyra 1973). So a scan over the C box,
+    with A and B solved at each C, picks one start (see
+    :func:`_start_points`), and damped least squares in all three
+    parameters polishes it. A parameter at a face of its box that the
+    descent direction would push out is held on the face for that step
     (see :func:`_lm_solve`), so a fit whose best parameters lie on the box,
     most often at C = 0, converges there.
     """

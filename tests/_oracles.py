@@ -14,7 +14,9 @@ an atom's bond-order sum where ``hybridizations`` now tests its degree
 (``valence_sum_hybridizations``), and the Antoine evaluator and inversion
 that checked every element of every input (``ln_vapor_pressure``,
 ``boiling_temperature``), and the SMILES parser that walked its input
-one character at a time (``char_walk_parse_smiles``). Format-3
+one character at a time (``char_walk_parse_smiles``), and the robust
+Antoine fit's five-start solve that the one scan start replaced
+(``reference_five_start_fit``), the yardstick for fit quality. Format-3
 checkpoint documents are read and written by the recipe their
 documentation prints.
 """
@@ -31,7 +33,8 @@ from typing import NamedTuple
 
 from grappa.antoine import (PA_PER_KPA, PARAM_RANGES, AntoineDomainError,
                             AntoineParams)
-from grappa.dataio import VpDataset, VpPoint
+from grappa.dataio import (FIT_SCAN_IRLS, FIT_SCAN_POINTS, FIT_SCAN_ZOOM,
+                           VpDataset, VpPoint)
 from grappa.gnn import batch_graphs
 from grappa.metrics import PredictedPoints
 from grappa.model import BN_EPS, BN_MOMENTUM, _count_features
@@ -1253,14 +1256,82 @@ def reference_lm_solve(theta0, t, y, box, delta, max_iter=200, hold_faces=True,
     return theta, cost, r, converged, iterations, trace
 
 
-def reference_antoine_fit(temperatures_k, pressures_pa, delta=0.5, max_iter=200):
-    """The robust fit with its five starts solved one after another; the
-    first strictly lower final cost wins. Returns (params, cost, residuals,
-    converged, iterations, cost_trace)."""
+def _reference_window(temperatures_k, pressures_pa):
     t = np.asarray(temperatures_k, dtype=float)
     y = np.log(np.asarray(pressures_pa, dtype=float) / 1000.0)
     box = np.array([(5.0, 20.0), (1500.0, 6000.0),
                     (max(-300.0, -float(t.min()) + 1.0), 0.0)])
+    return t, y, box
+
+
+def _segment_sum(v):
+    """The sum of a window's values in the order ``np.add.reduceat`` adds
+    one segment: the first value, plus numpy's pairwise sum of the rest."""
+    return v[0] + v[1:].sum()
+
+
+def reference_profile(c, t, y, box, delta=0.5, irls=FIT_SCAN_IRLS):
+    """A, B and Huber cost of one window at one fixed C, one reweighted
+    2 x 2 least-squares solve at a time: B clipped into its box, then A,
+    the best A for that B, into its."""
+    x = 1.0 / (c + t)
+    w = np.ones_like(x)
+    for step in range(irls):
+        if step:
+            w = delta / np.maximum(np.abs(r), delta)
+        wx = w * x
+        s, sx, sxx, sy, sxy = (_segment_sum(v)
+                               for v in (w, wx, wx * x, w * y, wx * y))
+        b = min(max((sx * sy - s * sxy) / (s * sxx - sx * sx), box[1, 0]),
+                box[1, 1])
+        a = min(max((sy + b * sx) / s, box[0, 0]), box[0, 1])
+        r = y - (a - b * x)
+    absr = np.abs(r)
+    rho = np.where(absr <= delta, 0.5 * r * r, delta * (absr - 0.5 * delta))
+    return a, b, _segment_sum(rho)
+
+
+def reference_start(t, y, box, delta=0.5, points=FIT_SCAN_POINTS,
+                    zoom=FIT_SCAN_ZOOM):
+    """The one start of a window, one C at a time: the lowest-cost C of
+    ``points`` spread evenly over the C box, then of ``zoom`` more between
+    that C's grid neighbours, clipped to the box; the first of equal costs
+    wins."""
+    lo, hi = box[2]
+
+    def best_of(cs):
+        best = None
+        for c in cs:
+            a, b, cost = reference_profile(c, t, y, box, delta)
+            if best is None or cost < best[1]:
+                best = (np.array([a, b, c]), cost)
+        return best
+
+    start, cost = best_of([lo + (hi - lo) * f
+                           for f in np.linspace(0.0, 1.0, points)])
+    gap = (hi - lo) / (points - 1)
+    zoomed, zoomed_cost = best_of(
+        [min(max(start[2] + gap * f, lo), hi)
+         for f in np.linspace(-1.0, 1.0, zoom + 2)[1:-1]])
+    return zoomed if zoomed_cost < cost else start
+
+
+def reference_antoine_fit(temperatures_k, pressures_pa, delta=0.5, max_iter=200):
+    """The robust fit: its scan start found one C at a time, then polished
+    alone. Returns (params, cost, residuals, converged, iterations,
+    cost_trace)."""
+    t, y, box = _reference_window(temperatures_k, pressures_pa)
+    return reference_lm_solve(reference_start(t, y, box, delta), t, y, box,
+                              delta, max_iter)
+
+
+def reference_five_start_fit(temperatures_k, pressures_pa, delta=0.5,
+                             max_iter=200):
+    """The robust fit as it was before the scan start: five starts (one
+    from a linear fit at a fixed C, four fixed) solved one after another;
+    the first strictly lower final cost wins. Returns what
+    :func:`reference_antoine_fit` returns."""
+    t, y, box = _reference_window(temperatures_k, pressures_pa)
     c0 = max(-50.0, -float(t.min()) + 25.0)
     slope, intercept = np.polyfit(1.0 / (c0 + t), y, 1)
     starts = [np.array([intercept, -slope, c0]),

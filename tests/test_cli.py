@@ -952,3 +952,20 @@ def test_a_memory_error_exits_1_with_one_line(capsys, monkeypatch, model_path,
     code = main(["predict", "--model", model_path, "--smiles", "CCO"])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("argv", [
+    lambda data, config, out: ["train", "--config", config],
+    lambda data, config, out: ["curate", "--input", data, "--output", out],
+], ids=["train", "curate"])
+def test_a_data_file_without_a_required_column_is_named(capsys, tmp_path,
+                                                        data_path, argv):
+    bare = tmp_path / "bare.csv"
+    bare.write_text("component_id,smiles,temperature_K,pressure_Pa\n"
+                    "c1,CCO,300.0,1000.0\n")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": str(bare), "splits": data_path[1]}))
+    code = main(argv(str(bare), str(config), str(tmp_path / "out.csv")))
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {bare}: missing columns: quality"]
