@@ -38,9 +38,13 @@ from .tensor import (Param, ShapeError, Tensor, _check_finite, _put,
 
 CHECKPOINT_VERSION = 3
 EXTRA_HEAD_INPUTS = 2  # hydrogen donor and acceptor counts
-# Molecules per inference forward. It bounds the forward's transient memory
-# and changes no output: a molecule gets the same bytes in any batch.
-INFER_CHUNK = 256
+# Heavy atoms per inference forward; a larger molecule runs alone. A
+# forward's per-layer (E, H, d) temporaries grow with its atoms and outgrow
+# a 2 MiB L2 cache near 50 molecules (~1,200 atoms), where the same
+# molecules ran ~1.5x slower in one forward than in forwards of 256-384
+# atoms (one BLAS thread, 2-core x86-64 VM). The budget changes no output:
+# a molecule gets the same bytes in any batch.
+INFER_ATOMS = 320
 # The head's batch norm: the weight of each batch in the running statistics,
 # and the variance floor.
 BN_MOMENTUM = 0.1
@@ -465,14 +469,29 @@ def prepare_components(dataset, split: str | None = None) -> Components:
                            [len(group) for _, group in groups]))
 
 
+def _packs(graphs: list[MolGraph]) -> list[slice]:
+    """Consecutive runs of ``graphs``, each of at most :data:`INFER_ATOMS`
+    heavy atoms or of one molecule, covering them in order."""
+    packs, start, atoms = [], 0, 0
+    for i, graph in enumerate(graphs):
+        if i > start and atoms + graph.heavy_atom_count > INFER_ATOMS:
+            packs.append(slice(start, i))
+            start, atoms = i, 0
+        atoms += graph.heavy_atom_count
+    if start < len(graphs):
+        packs.append(slice(start, len(graphs)))
+    return packs
+
+
 def predict_components(model: GrappaModel, comps: Components
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(M, 3) rows of A, B, C, and the predicted ln(p/kPa) and pressure in Pa
-    at every point, from inference forwards of at most :data:`INFER_CHUNK`
-    molecules; points off a curve's valid branch get an infinite pressure."""
+    at every point; points off a curve's valid branch get an infinite
+    pressure. Each inference forward takes the next molecules in order while
+    they hold at most :data:`INFER_ATOMS` heavy atoms, or one molecule."""
     rows = np.concatenate([np.empty((0, 3))] + [
-        forward_antoine(model, comps.graphs[i : i + INFER_CHUNK]).data
-        for i in range(0, len(comps.graphs), INFER_CHUNK)])
+        forward_antoine(model, comps.graphs[pack]).data
+        for pack in _packs(comps.graphs)])
     ln_p = _ln_p_kpa(*rows[comps.molecule].T, comps.temperatures)[0]
     return rows, ln_p, np.exp(ln_p) * PA_PER_KPA
 

@@ -16,8 +16,11 @@ that checked every element of every input (``ln_vapor_pressure``,
 ``boiling_temperature``), and the SMILES parser that walked its input
 one character at a time (``char_walk_parse_smiles``), and the robust
 Antoine fit's five-start solve that the one scan start replaced
-(``reference_five_start_fit``), the yardstick for fit quality. Format-3
-checkpoint documents are read and written by the recipe their
+(``reference_five_start_fit``), the yardstick for fit quality, and the
+evaluation tables built one bin, grid cell and component at a time
+(``loop_binned_reports``, ``loop_hexbin_grid``,
+``loop_boiling_point_eval``, ``loop_scores``), checked byte for byte.
+Format-3 checkpoint documents are read and written by the recipe their
 documentation prints.
 """
 
@@ -36,7 +39,12 @@ from grappa.antoine import (PA_PER_KPA, PARAM_RANGES, AntoineDomainError,
 from grappa.dataio import (FIT_SCAN_IRLS, FIT_SCAN_POINTS, FIT_SCAN_ZOOM,
                            VpDataset, VpPoint)
 from grappa.gnn import batch_graphs
-from grappa.metrics import PredictedPoints
+from grappa import antoine
+from grappa.metrics import (BOILING_MIN_POINTS, BOILING_WINDOW_KPA,
+                            HEXBIN_CLIP_PERCENT, HEXBIN_LN_P_STEP,
+                            HEXBIN_T_STEP_K, MIN_POINTS_LEVELS,
+                            MOL_WEIGHT_EDGES, PRESSURE_EDGES_PA,
+                            TEMPERATURE_EDGES_K, PredictedPoints)
 from grappa.model import BN_EPS, BN_MOMENTUM, _count_features
 from grappa.molecule import (AROMATIC, DOUBLE, SINGLE, STANDARD_VALENCES,
                              STEREO_E, STEREO_Z, TRIPLE, Atom, Bond, Molecule)
@@ -1465,3 +1473,121 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
                                  f"off the curve, which needs T > 0 and "
                                  f"C + T > 0 (C={params.C})")
     return float(t) if np.isscalar(pressure_pa) else t
+
+
+# ----------------------------------------------- the per-bin evaluation tables
+# The binned tables, the grid and the boiling-point check as they were built
+# one bin, cell and component at a time, with numpy's percentile, median and
+# mean on each sample, before one sort per table replaced them.
+
+def loop_scores(points: PredictedPoints) -> np.ndarray:
+    """Each component's mean point APE, one component at a time."""
+    return np.array([float(points.ape[rows].mean())
+                     for rows in points.groups.values()])
+
+
+def _loop_quartiles(sample: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):
+        quartiles = np.percentile(sample, (25, 50, 75))
+    lost = np.isnan(quartiles)
+    if lost.any():
+        at = (sample.size - 1) * np.array([0.25, 0.5, 0.75])
+        exact = np.sort(sample)[at.astype(int)]
+        quartiles[lost] = np.where(at % 1 == 0, exact, np.inf)[lost]
+    return quartiles
+
+
+def _loop_stats_row(sample: np.ndarray) -> dict:
+    if not sample.size:
+        return dict.fromkeys(("q1", "median", "q3", "whisker_lo", "whisker_hi"))
+    q1, med, q3 = (float(q) for q in _loop_quartiles(sample))
+    iqr = q3 - q1
+    inside = sample[(sample >= q1 - 1.5 * iqr) & (sample <= q3 + 1.5 * iqr)]
+    return {"q1": q1, "median": med, "q3": q3,
+            "whisker_lo": float(inside.min()) if inside.size else q1,
+            "whisker_hi": float(inside.max()) if inside.size else q3}
+
+
+def _loop_bin_row(key: dict, mask: np.ndarray, scores: np.ndarray) -> dict:
+    return {**key, "count": int(mask.sum()),
+            "pct": 100.0 * mask.sum() / mask.size if mask.size else None,
+            **_loop_stats_row(scores[mask])}
+
+
+def loop_interval_table(values: np.ndarray, scores: np.ndarray,
+                        edges) -> list[dict]:
+    """One row per interval, its mask built alone; the last edge is closed."""
+    edges = list(edges)
+    rows = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        below = (values <= hi) if hi == edges[-1] else (values < hi)
+        rows.append(_loop_bin_row({"lo": lo, "hi": hi}, (values >= lo) & below,
+                                  scores))
+    return rows
+
+
+def loop_binned_reports(points: PredictedPoints) -> dict:
+    """``binned_reports(points).to_dict()``, bin by bin."""
+    scores = loop_scores(points)
+    sizes = np.array([r.size for r in points.groups.values()], dtype=int)
+    weights = points.mol_weight[[r[0] for r in points.groups.values()]]
+    return {
+        "pressure": loop_interval_table(points.p_exp_pa, points.ape,
+                                        PRESSURE_EDGES_PA),
+        "temperature": loop_interval_table(points.temperature_k, points.ape,
+                                           TEMPERATURE_EDGES_K),
+        "mol_weight": loop_interval_table(weights, scores, MOL_WEIGHT_EDGES),
+        "min_points": [_loop_bin_row({"min_points": level}, sizes >= level,
+                                     scores)
+                       for level in MIN_POINTS_LEVELS],
+    }
+
+
+def loop_hexbin_grid(points: PredictedPoints) -> list[dict]:
+    """``hexbin_grid``, with ``np.median`` on each cell's sample."""
+    t_idx = np.floor(points.temperature_k / HEXBIN_T_STEP_K).astype(int)
+    p_idx = np.floor(np.log(points.p_exp_pa / PA_PER_KPA)
+                     / HEXBIN_LN_P_STEP).astype(int)
+    cells: dict = {}
+    for i, key in enumerate(zip(t_idx.tolist(), p_idx.tolist())):
+        cells.setdefault(key, []).append(i)
+    return [{"T_center": (ti + 0.5) * HEXBIN_T_STEP_K,
+             "lnp_center": (pi + 0.5) * HEXBIN_LN_P_STEP,
+             "MAPE_i": min(float(np.median(points.ape[rows])),
+                           HEXBIN_CLIP_PERCENT),
+             "count": len(rows)}
+            for (ti, pi), rows in sorted(cells.items())]
+
+
+def loop_boiling_point_eval(params_by_component: dict,
+                            points: PredictedPoints) -> dict:
+    """``boiling_point_eval(...).to_dict()``, one component at a time, each
+    inverted by the library's scalar ``boiling_temperature``."""
+    rows = []
+    lo_pa, hi_pa = (bound * PA_PER_KPA for bound in BOILING_WINDOW_KPA)
+    p_exp = points.p_exp_pa
+    for component, idx in sorted(points.groups.items()):
+        if idx.size < BOILING_MIN_POINTS or component not in params_by_component:
+            continue
+        near = idx[(p_exp[idx] >= lo_pa) & (p_exp[idx] <= hi_pa)]
+        if not near.size:
+            continue
+        p_mean = float(np.mean(p_exp[near]))
+        t_mean = float(np.mean(points.temperature_k[near]))
+        t_pred = antoine.boiling_temperature(params_by_component[component],
+                                             p_mean)
+        rows.append({
+            "component_id": component,
+            "p_mean_pa": p_mean,
+            "t_exp_k": t_mean,
+            "t_pred_k": t_pred,
+            "abs_err_k": abs(t_pred - t_mean),
+            "rel_err_pct": abs(t_pred - t_mean) / t_mean * 100.0,
+        })
+    if rows:
+        mae = float(np.mean([r["abs_err_k"] for r in rows]))
+        rel = float(np.mean([r["rel_err_pct"] for r in rows]))
+    else:
+        mae = rel = float("nan")
+    return {"rows": rows, "mae_k": mae, "mean_rel_err_pct": rel,
+            "n_components": len(rows)}

@@ -119,7 +119,7 @@ def weighted_bincounts(source: str) -> list[int]:
 
 def test_only_tensor_sums_groups_by_bincount():
     """Every grouped sum goes through ``tensor.ScatterPlan``; an unweighted
-    count, such as ``metrics._groups``' sizes, stays allowed."""
+    count, such as ``PredictedPoints.sizes``, stays allowed."""
     assert weighted_bincounts("np.bincount(i, weights=w)\n"
                               "bincount(i, w, 3)\n"
                               "np.bincount(i, minlength=3)\n") == [1, 2]

@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from grappa.antoine import AntoineParams
+from grappa.antoine import AntoineDomainError, AntoineParams
 from grappa.dataio import PRESSURE_RANGE_PA, TEMPERATURE_RANGE_K
 from grappa.metrics import (
+    MOL_WEIGHT_EDGES,
     PRESSURE_EDGES_PA,
     TEMPERATURE_EDGES_K,
     PredictedPoints,
@@ -18,7 +20,9 @@ from grappa.metrics import (
     summarize,
 )
 
-from _oracles import points_table, sorted_percentile
+from _oracles import (loop_binned_reports, loop_boiling_point_eval,
+                      loop_hexbin_grid, loop_scores, points_table,
+                      sorted_percentile)
 
 
 def mk(component, p_exp, p_pred, t=300.0, mw=100.0):
@@ -68,6 +72,7 @@ def test_table_derives_components_in_order_of_first_appearance():
     assert list(points.groups) == ["b", "a", "c"]
     assert [r.tolist() for r in points.groups.values()] == [[0, 2], [1, 4], [3]]
     assert points.sizes.tolist() == [2, 2, 1]
+    assert points.component_index.tolist() == [0, 1, 0, 2, 1]
     for i, (_, _, p_exp, p_pred, _) in enumerate(rows):
         assert points.ape[i] == ape_i(p_pred, p_exp)
     for score, component in zip(points.scores, points.groups):
@@ -342,3 +347,79 @@ def test_boiling_eval_requires_window_points():
     points = [mk("a", 5000.0, 1.0, t=300.0), mk("a", 6000.0, 1.0, t=310.0)]
     report = boiling_point_eval(params, points_table(points))
     assert report.rows == []
+
+
+# ------------------------------------------------ against the per-bin loops
+
+COMPONENTS = "abcde"
+# Point APEs, ties and an infinite one (a point off its curve's branch)
+# among them; a NaN one loses its bin's quartiles in both.
+APES = st.one_of(st.sampled_from([0.0, 10.0, 25.0, 100.0, math.inf, math.nan]),
+                 st.floats(0.0, 1e3))
+TEMPERATURES = st.one_of(st.sampled_from(TEMPERATURE_EDGES_K),
+                         st.floats(200.0, 700.0))
+# Every decade edge, the boiling window and points outside the edges.
+PRESSURES = st.one_of(st.sampled_from(PRESSURE_EDGES_PA),
+                      st.sampled_from([99e3, 101.325e3, 102e3]),
+                      st.floats(0.1, 1e8))
+WEIGHTS = st.one_of(st.sampled_from(MOL_WEIGHT_EDGES), st.floats(1.0, 600.0))
+PARAMS = st.builds(AntoineParams, st.floats(5.0, 20.0), st.floats(1500.0, 6000.0),
+                   st.floats(-300.0, 0.0))
+# A = 4 lies below ln(99 kPa), so the curve has no boiling point in the
+# boiling window.
+NO_BOILING = st.just(AntoineParams(4.0, 2000.0, -50.0))
+
+
+@st.composite
+def evaluated(draw):
+    """A table of up to 40 points over five components, and parameters for
+    some of the components."""
+    weight = {c: draw(WEIGHTS) for c in COMPONENTS}
+    rows = []
+    for _ in range(draw(st.integers(0, 40))):
+        component = draw(st.sampled_from(COMPONENTS))
+        p_exp = draw(PRESSURES)
+        p_pred = p_exp * (1.0 + draw(APES) / 100.0)
+        rows.append((component, draw(TEMPERATURES), p_exp, p_pred,
+                     weight[component]))
+    with np.errstate(all="ignore"):
+        points = points_table(rows)
+    # About one component in four gets a curve without a boiling point.
+    params = {c: draw(st.one_of(PARAMS, NO_BOILING)) if draw(st.booleans())
+              else draw(PARAMS)
+              for c in draw(st.sets(st.sampled_from(COMPONENTS)))}
+    return points, params
+
+
+def bits(value):
+    """A report with every float as its bytes, so NaN and -0.0 compare."""
+    if isinstance(value, dict):
+        return {k: bits(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [bits(v) for v in value]
+    if isinstance(value, float):
+        return np.float64(value).tobytes()
+    return value
+
+
+def outcome(report, *args):
+    """The report as :func:`bits`, or the error it raised."""
+    try:
+        result = report(*args)
+    except AntoineDomainError as err:
+        return str(err)
+    return bits(result if isinstance(result, (dict, list)) else result.to_dict())
+
+
+@settings(max_examples=300, deadline=None)
+@given(evaluated())
+@example((points_table([]), {}))
+@example((points_table([mk("a", 1e7, 2e7, t=600.0, mw=math.inf)]), {}))
+def test_sorted_tables_equal_the_per_bin_loops(case):
+    points, params = case
+    assert points.scores.tobytes() == loop_scores(points).tobytes()
+    assert bits(binned_reports(points).to_dict()) \
+        == bits(loop_binned_reports(points))
+    assert bits(hexbin_grid(points)) == bits(loop_hexbin_grid(points))
+    assert outcome(boiling_point_eval, params, points) \
+        == outcome(loop_boiling_point_eval, params, points)

@@ -594,23 +594,37 @@ def test_predict_dataset_covers_split():
     assert (points.mol_weight > 0).all()
 
 
-@pytest.mark.parametrize("chunk", [None, 3])
-def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
+@pytest.mark.parametrize("budget", [None, 7])
+def test_predict_dataset_matches_predict_bytewise(monkeypatch, budget):
+    # Heavy atoms run from 3 to 12 per molecule. With a budget of 7 ethanol
+    # and propanol (3 + 4) fill one forward exactly, and every molecule of
+    # more than 7 runs alone.
     ds, _ = synthetic_dataset(points_per_component=4)
     model = init_model(Architecture(), seed=7)
-    if chunk is not None:
-        monkeypatch.setattr(grappa.model, "INFER_CHUNK", chunk)
+    if budget is not None:
+        monkeypatch.setattr(grappa.model, "INFER_ATOMS", budget)
+    budget = grappa.model.INFER_ATOMS
     forwards = []
     real_forward = grappa.model.forward_antoine
 
     def counting_forward(model, graphs, train=False):
-        forwards.append(len(graphs))
+        forwards.append([g.heavy_atom_count for g in graphs])
         return real_forward(model, graphs, train)
 
     monkeypatch.setattr(grappa.model, "forward_antoine", counting_forward)
     points, params = predict_dataset(model, ds)
     groups = ds.by_component()
-    assert len(forwards) == math.ceil(len(groups) / grappa.model.INFER_CHUNK)
+    # The forwards take the molecules in component order, each as many as
+    # fit the budget, a larger one alone.
+    sizes = [featurize(parse_smiles(groups[c][0].smiles)).heavy_atom_count
+             for c in sorted(groups)]
+    assert [n for forward in forwards for n in forward] == sizes
+    assert all(sum(forward) <= budget or len(forward) == 1
+               for forward in forwards)
+    assert all(sum(forward) + after[0] > budget
+               for forward, after in zip(forwards, forwards[1:]))
+    assert any(sum(forward) > budget for forward in forwards) == (budget == 7)
+    assert (budget != 7) or [3, 4] in forwards
     assert sorted(params) == sorted(groups)
     for component, row in params.items():
         one = predict(model, groups[component][0].smiles).params
@@ -625,6 +639,10 @@ def test_predict_dataset_matches_predict_bytewise(monkeypatch, chunk):
         assert points.p_pred_pa[mine].tobytes() == alone.tobytes()
         assert points.ln_p_pred_kpa[mine].tobytes() \
             == _ln_p_kpa(*params[component].as_tuple(), temps)[0].tobytes()
+    # A split without components runs no forward.
+    forwards.clear()
+    points, params = predict_dataset(model, ds, split="test")
+    assert forwards == [] and len(points) == 0 and params == {}
 
 
 def test_a_component_naming_two_smiles_is_refused():
