@@ -2,19 +2,16 @@
 
 ln(p/kPa) = A - B / (C + T/K), with the parameters box-bounded so that B > 0
 always gives a physically increasing curve. Pressures cross the module
-boundary in Pa; the correlation itself works in kPa. ``_ln_p_kpa`` is the one
-numpy evaluator and :func:`ln_p_points` its twin, the Antoine stage of the
-training chain; ``_ln_p_grad`` is the stage's backward and the fit's Jacobian.
-
-:func:`ln_vapor_pressure` and :func:`boiling_temperature` check every call,
-and pay for the checks in a few numpy calls when the input is accepted:
-``math.isfinite`` on A, B and C, a minimum and a finite count over the
-temperatures or pressures, and one count over the finite results, which
-exclude the points off the C + T > 0 branch (or, for the inversion, over
-ln(p/kPa) < A and the finite solutions with T > 0, C + T > 0). Only an
-input that fails a guard is walked, to name its first offender. A
-Python int or float pressure is inverted on numpy scalars, which give the
-bits and warnings a 0-d array would.
+boundary in Pa; the correlation itself works in kPa. Each piece of the
+curve's math and domain lives here once: ``_ln_p_kpa`` is the numpy
+evaluator, :func:`ln_p_points` its twin in the training chain (whose
+backward ``_ln_p_grad`` is also the robust fit's Jacobian), ``_inverse`` the
+inversion behind :func:`boiling_temperature` and :func:`boiling_temperatures`,
+and ``_finite_positive`` the check of every temperature and pressure, the
+robust fit's included. Accepted input pays for the checks in a few numpy
+calls; only refused input is walked, to name its first offender. A Python
+int or float is computed on numpy scalars, which give a 0-d array's bits
+and warnings.
 """
 
 from __future__ import annotations
@@ -113,9 +110,9 @@ def _finite_positive(values, what: str):
     A minimum and a finite count pass accepted values; only refused ones
     are walked to name the first that is not finite and positive."""
     if isinstance(values, (int, float)):
+        if 0.0 < values < math.inf:  # on the Python value: cheaper
+            return np.float64(values)
         x = np.float64(values)
-        if 0.0 < x < math.inf:
-            return x
     else:
         x = np.asarray(values, dtype=np.float64)
         # Cheaper than x.min() and x.max(), whose Python wrappers cost more.
@@ -165,6 +162,13 @@ def vapor_pressure(params: AntoineParams, temperature_k):
     return np.exp(ln_vapor_pressure(params, temperature_k)) * PA_PER_KPA
 
 
+def _inverse(a, b, c, ln_p):
+    """T = B / (A - ln p) - C, where each curve reaches ln(p/kPa) = ``ln_p``,
+    and whether it is a boiling point: ln p < A, T finite, T > 0, C + T > 0."""
+    t = b / (a - ln_p) - c
+    return t, (ln_p < a) & (t > 0.0) & (c + t > 0.0) & (t < math.inf)
+
+
 def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     """Temperature at which the curve reaches the given pressure.
 
@@ -177,14 +181,14 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     a, b, c = _finite_params(params)
     p = _finite_positive(pressure_pa, "pressure")
     ln_p = np.log(p / PA_PER_KPA)
-    if not _holds(ln_p < a):
-        reached = ln_p >= a
+    # Refused before the division, which would warn at ln p = A.
+    below = ln_p < a
+    if not _holds(below):
         raise AntoineDomainError(f"no boiling point: ln(p/kPa)="
-                                 f"{float(ln_p[reached][0])} reaches A={a}")
-    t = b / (a - ln_p) - c
-    on_curve = (t > 0.0) & (c + t > 0.0) & (t < math.inf)
-    if not _holds(on_curve):
-        value = float(t[~on_curve][0])
+                                 f"{float(ln_p[~below][0])} reaches A={a}")
+    t, found = _inverse(a, b, c, ln_p)
+    if not _holds(found):
+        value = float(t[~found][0])
         if value == math.inf:
             raise AntoineDomainError(f"no boiling point: T overflows to {value} "
                                      f"(A={a}, B={b}, C={c})")
@@ -192,3 +196,15 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
                                  f"off the curve, which needs T > 0 and "
                                  f"C + T > 0 (C={c})")
     return float(t) if np.isscalar(pressure_pa) else t
+
+
+def boiling_temperatures(a, b, c, pressure_pa) -> np.ndarray:
+    """:func:`boiling_temperature` of each curve of 1-D float arrays at its own
+    pressure, in one pass with each curve's bits. A curve without a boiling
+    point goes to the scalar call, which raises its error for the first."""
+    with np.errstate(all="ignore"):
+        t, found = _inverse(a, b, c, np.log(pressure_pa / PA_PER_KPA))
+    for k in np.flatnonzero(~found):
+        t[k] = boiling_temperature(AntoineParams(a[k], b[k], c[k]),
+                                   pressure_pa[k])
+    return t

@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antoine import (PA_PER_KPA, PARAM_RANGES, AntoineParams, _ln_p_grad,
-                      _ln_p_kpa, antoine)
+from .antoine import (PA_PER_KPA, PARAM_RANGES, AntoineParams,
+                      _finite_positive, _ln_p_grad, _ln_p_kpa, antoine)
 from .featurize import validate_scope
 from .molecule import Molecule
 from .smiles import SmilesError, parse_smiles
@@ -54,9 +54,8 @@ class VpPoint:
     row: int | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.temperature_k < math.inf
-                and 0.0 < self.pressure_pa < math.inf):
-            raise ValueError("temperature and pressure must be finite and positive")
+        _finite_positive(self.temperature_k, "temperature")
+        _finite_positive(self.pressure_pa, "pressure")
 
 
 @dataclass
@@ -106,11 +105,11 @@ def _parse_row(record, row: int) -> VpPoint:
             raise ValueError(f"{key} is not a number")
     t = float(record["temperature_K"])
     p = float(record["pressure_Pa"])
-    stereo_raw = record.get("stereo_ok", True)
+    stereo_raw = record.get("stereo_ok")
     if isinstance(stereo_raw, str):
         stereo = stereo_raw.strip().lower() not in ("0", "false", "no")
-    else:
-        stereo = bool(stereo_raw)
+    else:  # JSON null, like an empty field, is not given
+        stereo = stereo_raw is None or bool(stereo_raw)
     return VpPoint(
         component_id=str(record["component_id"]),
         smiles=str(record["smiles"]),
@@ -131,7 +130,8 @@ def load(path, fmt: str = "csv") -> VpDataset:
     ds = VpDataset()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         if fmt == "csv":
-            reader = csv.DictReader(fh)
+            taken: list[str] = []  # the lines of the record being read
+            reader = csv.DictReader(taken.append(line) or line for line in fh)
             try:
                 header = reader.fieldnames or []
             except csv.Error as err:  # a header field over the size limit
@@ -141,7 +141,7 @@ def load(path, fmt: str = "csv") -> VpDataset:
             if missing:
                 raise ValueError(f"{path}: missing columns: "
                                  f"{', '.join(missing)}")
-            records = enumerate(_csv_records(reader), start=2)  # 1 = header line
+            records = enumerate(_csv_records(reader, taken, fh), 2)  # 1: header
         else:
             records = ((row, line) for row, line in enumerate(fh, start=1)
                        if line.strip())
@@ -160,15 +160,44 @@ def load(path, fmt: str = "csv") -> VpDataset:
     return ds
 
 
-def _csv_records(reader):
-    """Each record of a CSV reader, or the ``csv.Error`` it raised reading
-    one (a field over the size limit); the reader goes on to the next."""
+_FIELD_END = re.compile(r"[,\r\n]")
+
+
+def _ends_quoted(text: str) -> bool:
+    """Whether CSV text (``csv``'s default dialect) read from a record's start
+    ends inside a quoted field. A quote opens a field only at its start;
+    inside one, "" is a quote and a lone quote closes it."""
+    quoted = text.startswith('"')
+    i = int(quoted)
     while True:
+        while quoted:
+            i = text.find('"', i) + 1
+            if not i:
+                return True
+            quoted = text.startswith('"', i)  # "" is one quote, still inside
+            i += quoted
+        end = _FIELD_END.search(text, i)
+        if end is None:
+            return False
+        i = end.end()
+        quoted = text.startswith('"', i)
+        i += quoted
+
+
+def _csv_records(reader, taken: list[str], fh):
+    """Each record of a CSV reader over the lines of ``fh``, which it appends
+    to ``taken``, or the ``csv.Error`` (a field over the size limit) it raised
+    reading one, whose quoted field's further lines are skipped with it."""
+    while True:
+        taken.clear()
         try:
             yield next(reader)
         except StopIteration:
             return
         except csv.Error as err:
+            inside = _ends_quoted("".join(taken))
+            while inside and (line := next(fh, None)) is not None:
+                inside = _ends_quoted('"' + line)  # inside the field
             yield err
 
 
@@ -437,14 +466,10 @@ def require_fit_window(t: np.ndarray, subject: str = "robust fit"):
 
 
 def _fit_window(temperatures_k, pressures_pa):
-    """A window's temperatures, ln(p/kPa) and parameter box; raises
-    ``ValueError`` if it cannot be fitted."""
-    t = np.asarray(temperatures_k, dtype=float)
-    p = np.asarray(pressures_pa, dtype=float)
-    if not (np.isfinite(t).all() and ((p > 0.0) & (p < np.inf)).all()):
-        raise ValueError("robust fit needs finite temperatures and finite, "
-                         "positive pressures")
-    y = np.log(p / PA_PER_KPA)
+    """A window's temperatures, ln(p/kPa) and parameter box; raises a
+    ``ValueError`` that says why if it cannot be fitted."""
+    t = _finite_positive(temperatures_k, "temperature")
+    y = np.log(_finite_positive(pressures_pa, "pressure") / PA_PER_KPA)
     require_fit_window(t)
     box = np.array([PARAM_RANGES[key] for key in "ABC"])
     box[2, 0] = max(box[2, 0], -float(t.min()) + 1.0)  # the pole C = -T stays out
@@ -492,7 +517,8 @@ def robust_antoine_fit(temperatures_k, pressures_pa) -> AntoineFit:
     """Fit ln(p/kPa) = A - B/(C+T) with a Huber cost (:data:`FIT_HUBER_DELTA`)
     and box-bounded search of at most :data:`FIT_MAX_ITER` iterations.
 
-    Needs a window that passes :func:`fit_window_ok`. The fit is separable:
+    Needs finite, positive temperatures and pressures, over a window that
+    passes :func:`fit_window_ok`. The fit is separable:
     at a fixed C, A and B solve a weighted linear least-squares problem
     (variable projection, Golub & Pereyra 1973). So a scan over the C box,
     with A and B solved at each C, picks one start (see
@@ -702,18 +728,18 @@ def write_splits_csv(ds: VpDataset, path):
 
 
 def read_splits_csv(path) -> dict[str, str]:
-    """Each component's split label, any non-empty text. A row with no
-    component id or label, with more fields than the header, giving a
-    component a second label, or with a field over the ``csv`` size limit
-    raises ``ValueError`` naming its line."""
+    """Each component's split label, any non-empty text. A header without
+    both columns, or a row with no component id or label, with more fields
+    than the header, giving a component a second label, or with a field
+    over the ``csv`` size limit raises ``ValueError`` naming its line."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             missing = [c for c in ("component_id", "split")
                        if c not in (reader.fieldnames or [])]
-            if missing:
-                raise ValueError(f"{path}: missing columns: "
-                                 f"{', '.join(missing)}")
+            if missing:  # an empty file has no header line; name line 1
+                raise ValueError(f"{path}: line {max(reader.line_num, 1)}: "
+                                 f"missing columns: {', '.join(missing)}")
             splits = {}
             for record in reader:
                 component, label = record["component_id"], record["split"]

@@ -11,7 +11,8 @@ component's rows, point count and score, and ``grappa report`` filters it
 to the components with enough points through ``select``. Each binned
 table, the grid and the boiling-point check sort their points once and take
 every bin's, cell's or component's statistics from its slice of the sorted
-points, with the bits numpy's percentile, median and mean give each slice.
+points, with the bits numpy's percentile, median and mean give each slice;
+the check then inverts all its curves in one ``boiling_temperatures`` call.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import compress
 
 import numpy as np
 
-from .antoine import PA_PER_KPA, AntoineParams, boiling_temperature
+from .antoine import PA_PER_KPA, AntoineParams, boiling_temperatures
 from .dataio import PRESSURE_RANGE_PA, TEMPERATURE_RANGE_K
 
 MIN_K_FILTERS = (1, 2, 5)
@@ -322,7 +323,7 @@ def boiling_point_eval(params_by_component: dict[str, AntoineParams],
     :data:`BOILING_WINDOW_KPA` of each component with at least
     :data:`BOILING_MIN_POINTS` points and parameters, in order of component,
     average duplicates, and invert the predicted curve at the mean pressure.
-    A component whose curve has no boiling point there raises
+    The first component whose curve has no boiling point there raises
     :func:`antoine.boiling_temperature`'s error."""
     lo_pa, hi_pa = (bound * PA_PER_KPA for bound in BOILING_WINDOW_KPA)
     usable = (points.sizes >= BOILING_MIN_POINTS) & np.array(
@@ -337,16 +338,7 @@ def boiling_point_eval(params_by_component: dict[str, AntoineParams],
     t_mean = _segment_means(points.temperature_k[near], counts)
     a, b, c = np.array([params_by_component[name].as_tuple()
                         for name in chosen], dtype=float).reshape(-1, 3).T
-    # ``antoine.boiling_temperature``'s arithmetic and checks, on every
-    # component at once; a non-finite parameter fails one of the checks.
-    with np.errstate(all="ignore"):
-        ln_p = np.log(p_mean / PA_PER_KPA)
-        t_pred = b / (a - ln_p) - c
-        solved = (ln_p < a) & (t_pred > 0.0) & (c + t_pred > 0.0) \
-            & (t_pred < math.inf)
-    for k in np.flatnonzero(~solved):  # raises the inversion's own error
-        t_pred[k] = boiling_temperature(params_by_component[chosen[k]],
-                                        float(p_mean[k]))
+    t_pred = boiling_temperatures(a, b, c, p_mean)
     abs_err = np.abs(t_pred - t_mean)
     rel_err = abs_err / t_mean * 100.0
     rows = [{"component_id": name, "p_mean_pa": p, "t_exp_k": t,

@@ -307,10 +307,9 @@ def history_csv(history: list[dict]) -> str:
     return out.getvalue()
 
 
-def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
-        cfg: TrainConfig) -> FitResult:
-    """Two-phase training; leaves ``model`` restored to its best epoch, and
-    with ``cfg.standardize_counts`` on a new ``arch`` with count statistics."""
+def _check_sets(train_set: VpDataset, valid_set: VpDataset):
+    """Raise ``ValueError`` unless the sets can train a model: two or more
+    training molecules, a validation set, and no component in both."""
     train_components = set(train_set.components())
     valid_components = set(valid_set.components())
     if len(train_components) < 2:
@@ -321,9 +320,21 @@ def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
     overlap = train_components & valid_components
     if overlap:
         raise ValueError(f"components in both train and valid: {sorted(overlap)}")
-    train_comps = prepare_components(train_set)
-    valid_comps = prepare_components(valid_set)
 
+
+def fit(model: GrappaModel, train_set: VpDataset, valid_set: VpDataset,
+        cfg: TrainConfig) -> FitResult:
+    """Two-phase training; leaves ``model`` restored to its best epoch, and
+    with ``cfg.standardize_counts`` on a new ``arch`` with count statistics."""
+    _check_sets(train_set, valid_set)
+    return _fit_prepared(model, prepare_components(train_set),
+                         prepare_components(valid_set), cfg)
+
+
+def _fit_prepared(model: GrappaModel, train_comps: Components,
+                  valid_comps: Components, cfg: TrainConfig) -> FitResult:
+    """:func:`fit` on sets already checked and prepared, which any number
+    of fits may share: a fit reads them and changes nothing in them."""
     if cfg.standardize_counts:
         donors = np.array([g.h_donors for g in train_comps.graphs], dtype=float)
         accept = np.array([g.h_acceptors for g in train_comps.graphs], dtype=float)
@@ -408,12 +419,12 @@ def grid_cells(cfg: TrainConfig) -> list[dict]:
 
 
 def _run_cell(args) -> dict:
-    index, cell, cfg, train_set, valid_set = args
+    index, cell, cfg, train_comps, valid_comps = args
     arch = Architecture(gat_layers=cell["gat_layers"], heads=cell["heads"],
                         hidden_layers=cell["hidden_layers"],
                         pooling=cell["pooling"])
     model = init_model(arch, seed=np.random.SeedSequence([cfg.seed, index]))
-    result = fit(model, train_set, valid_set, cfg)
+    result = _fit_prepared(model, train_comps, valid_comps, cfg)
     return {
         "cell": index,
         **cell,
@@ -426,12 +437,15 @@ def grid_search(cfg: TrainConfig, train_set: VpDataset, valid_set: VpDataset,
                 jobs: int = 1) -> list[dict]:
     """Train every grid cell and rank by validation median percentage error.
 
-    The ranking is total and deterministic: ties break on cell index.
+    The sets are checked once and prepared once, and every cell trains on
+    the same prepared sets. The ranking is total and deterministic: ties
+    break on cell index.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    args = [(i, cell, cfg, train_set, valid_set)
-            for i, cell in enumerate(grid_cells(cfg))]
+    _check_sets(train_set, valid_set)
+    sets = (prepare_components(train_set), prepare_components(valid_set))
+    args = [(i, cell, cfg, *sets) for i, cell in enumerate(grid_cells(cfg))]
     if jobs > 1:
         # Imported here: it loads multiprocessing, which nothing else needs.
         from concurrent.futures import ProcessPoolExecutor

@@ -5,7 +5,9 @@ through one guard each and walk the input only once it fails. Over
 drawn inputs they must give the bytes, return type and errors of the
 evaluator that checked every element (``_oracles``), refuse a result that
 overflows to an infinity, and a ``predict`` memo hit must refuse what a
-miss refuses.
+miss refuses. ``boiling_temperatures``, the inversion of many curves in one
+pass, must give each curve the bits and the first refused curve the error
+of its own ``boiling_temperature`` call.
 """
 
 import math
@@ -16,8 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import _oracles
 from grappa.antoine import (PA_PER_KPA, AntoineDomainError, AntoineParams,
-                            boiling_temperature, ln_vapor_pressure,
-                            vapor_pressure)
+                            boiling_temperature, boiling_temperatures,
+                            ln_vapor_pressure, vapor_pressure)
 from grappa.model import Architecture, init_model, predict
 
 
@@ -164,6 +166,65 @@ def test_a_result_that_overflows_is_refused(evaluate, params, x, message):
                 vapor_pressure(params, x)
         oracle = getattr(_oracles, evaluate.__name__)
         assert outcome(evaluate, params, x) == outcome(oracle, params, x)
+
+
+@st.composite
+def curves(draw):
+    """Up to six curves, each at its own pressure, each drawn to boil, to
+    have a non-finite parameter, to have ln(p/kPa) reach A, to put T off the
+    curve (B < 0, so C + T < 0) or to overflow T, or from any floats."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        p = draw(st.floats(99e3, 102e3))
+        a, b, c = (draw(st.floats(*RANGES[key])) for key in "ABC")
+        ln_p = float(np.log(p / PA_PER_KPA))
+        kind = draw(st.sampled_from(["boils", "non-finite", "reaches A",
+                                     "off the curve", "overflows", "any"]))
+        if kind == "non-finite":
+            abc = [a, b, c]
+            abc[draw(st.integers(0, 2))] = draw(
+                st.sampled_from([math.inf, -math.inf, math.nan]))
+            a, b, c = abc
+        elif kind == "reaches A":
+            a = ulps_from(ln_p, draw(st.integers(-2, 0)))
+        elif kind == "off the curve":
+            b = -b
+        elif kind == "overflows":
+            a, b = ulps_from(ln_p, draw(st.integers(1, 3))), 1e308
+        elif kind == "any":
+            p = draw(PRESSURE)
+            a, b, c = (draw(parameter(key)) for key in "ABC")
+        rows.append((a, b, c, p))
+    return tuple(np.array(rows, dtype=np.float64).reshape(-1, 4).T)
+
+
+def one_at_a_time(a, b, c, p):
+    """Each curve's own scalar ``boiling_temperature`` call, in order."""
+    return np.array([boiling_temperature(AntoineParams(*map(float, abc)),
+                                         float(pk))
+                     for *abc, pk in zip(a, b, c, p)], dtype=np.float64)
+
+
+def result(invert, *args):
+    """The inverted temperatures' bytes, or the raised error."""
+    try:
+        return invert(*args).tobytes()
+    except AntoineDomainError as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=200, deadline=None)
+@given(curves())
+@example((np.empty(0),) * 4)
+@example(tuple(np.array(v) for v in ([10.0, 4.0], [2000.0, 2000.0],
+                                     [-50.0, -50.0], [1e5, 1e5])))
+@example(tuple(np.array(v) for v in ([10.0, 10.0], [-2000.0, 2000.0],
+                                     [-50.0, math.nan], [1e5, 1e5])))
+def test_boiling_temperatures_is_each_curves_own_inversion(case):
+    # An overflowing T warns before it is refused, in both.
+    with np.errstate(over="ignore"):
+        assert result(boiling_temperatures, *case) \
+            == result(one_at_a_time, *case)
 
 
 def _low_c_model():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grappa import dataio
-from grappa.antoine import AntoineParams
+from grappa.antoine import AntoineDomainError, AntoineParams
 from grappa.dataio import (
     VpDataset,
     VpPoint,
@@ -113,6 +113,19 @@ def test_load_rejects_bad_rows_with_row_numbers(tmp_path):
     assert "recursion" in ds.rejects[1]["reason"]
 
 
+def test_a_null_stereo_flag_reads_as_not_given(tmp_path):
+    # JSON null, like an empty CSV field, keeps the row in curation.
+    row = {"component_id": "a", "smiles": "CCO", "temperature_K": 300.0,
+           "pressure_Pa": 8000.0, "quality": "ok", "stereo_ok": None}
+    jsonl = tmp_path / "null.jsonl"
+    jsonl.write_text(json.dumps(row) + "\n")
+    data = tmp_path / "empty.csv"
+    data.write_text(",".join(row) + "\na,CCO,300.0,8000.0,ok,\n")
+    for ds in (load(jsonl, fmt="jsonl"), load(data)):
+        assert [pt.stereo_ok for pt in ds.points] == [True]
+        assert len(curate(ds).dataset) == 1
+
+
 def test_write_csv_round_trips_numpy_floats(tmp_path):
     temps = np.array([300.0, 325.5, 351.25])
     points = [VpPoint("a", "CCCCC", t, p)
@@ -205,6 +218,15 @@ def test_fit_preconditions():
                  ([300.0, np.inf, 340.0], [1000.0, 2000.0, 3000.0])):
         with pytest.raises(ValueError, match="finite"):
             robust_antoine_fit(t, p)
+
+
+@pytest.mark.parametrize("t", [[0.0, 100.0, 200.0, 300.0],
+                               [-10.0, 100.0, 200.0, 300.0]],
+                         ids=["zero", "negative"])
+def test_a_fit_refuses_a_temperature_that_is_not_positive(t):
+    with pytest.raises(AntoineDomainError, match=f"temperature must be finite "
+                       f"and positive, got {t[0]}"):
+        robust_antoine_fit(t, [1e3, 1e4, 1e5, 2e5])
 
 
 # Starts spread over the parameter box, for tests of the loop itself.

@@ -483,6 +483,34 @@ def test_grid_of_one_matches_single_fit():
     assert rows[0]["rank"] == 1
 
 
+def test_a_grid_parses_each_component_once_and_ranks_as_separate_fits(
+        monkeypatch):
+    import grappa.model
+    from grappa.train import grid_search
+
+    ds, _ = synthetic_dataset(points_per_component=4)
+    train_set, valid_set = ds.subset("train"), ds.subset("valid")
+    cfg = small_cfg(warmup_epochs=1, main_epochs=1, grid_gat_layers=(2,),
+                    grid_heads=(1, 2), grid_hidden_layers=(1,),
+                    grid_pooling=("sum",), standardize_counts=True)
+    parsed = []
+    real = grappa.model.parse_smiles
+    monkeypatch.setattr(grappa.model, "parse_smiles",
+                        lambda smiles: parsed.append(smiles) or real(smiles))
+    rows = grid_search(cfg, train_set, valid_set)
+    assert len(rows) == 2
+    assert len(parsed) == len(train_set.components()) \
+        + len(valid_set.components())
+    for row in rows:
+        model = init_model(
+            Architecture(gat_layers=2, heads=row["heads"], hidden_layers=1,
+                         pooling="sum"),
+            seed=np.random.SeedSequence([cfg.seed, row["cell"]]))
+        result = fit(model, train_set, valid_set, cfg)
+        assert (row["best_valid_mape_i"], row["best_epoch"]) \
+            == (result.best_valid_mape_i, result.best_epoch)
+
+
 def test_grid_search_rejects_jobs_below_one():
     from grappa.train import grid_search
 
