@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antoine import (PA_PER_KPA, PARAM_RANGES, AntoineParams,
-                      _finite_positive, _ln_p_grad, _ln_p_kpa, antoine)
+from .antoine import (PA_PER_KPA, PARAM_RANGES, AntoineDomainError,
+                      AntoineParams, _finite_positive, _ln_p_grad,
+                      _ln_p_kpa, antoine)
 from .featurize import validate_scope
 from .molecule import Molecule
 from .smiles import SmilesError, parse_smiles
@@ -63,6 +64,12 @@ class VpDataset:
     points: list[VpPoint] = field(default_factory=list)
     splits: dict[str, str] = field(default_factory=dict)  # component -> label
     rejects: list[dict] = field(default_factory=list)
+    # What the data layer learned from each SMILES it parsed: (refusal reason
+    # or None, carbon count or None when it does not parse). Filled by
+    # :func:`curate` and read by :func:`split`, each of which passes it to the
+    # dataset it returns; an entry depends on its SMILES alone.
+    memo: dict[str, tuple[str | None, int | None]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def components(self) -> list[str]:
         return list(dict.fromkeys(pt.component_id for pt in self.points))
@@ -122,19 +129,44 @@ def _parse_row(record, row: int) -> VpPoint:
     )
 
 
+def _require_utf8(text: str):
+    """Raise ``ValueError`` naming the first byte of ``text``, read with
+    ``errors="surrogateescape"``, that was not UTF-8."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:  # the byte's lone surrogate
+        raise ValueError(f"byte {ord(text[err.start]) - 0xDC00:#04x} is not "
+                         f"UTF-8") from None
+
+
+def _utf8_lines(fh, path):
+    """The lines of ``fh`` (see :func:`_require_utf8`); one that is not
+    UTF-8 raises ``ValueError`` naming ``path`` and its line."""
+    for number, line in enumerate(fh, 1):
+        try:
+            _require_utf8(line)
+        except ValueError as err:
+            raise ValueError(f"{path}: line {number}: {err}") from None
+        yield line
+
+
 def load(path, fmt: str = "csv") -> VpDataset:
     """Read a UTF-8 dataset file, with or without a byte-order mark;
-    malformed rows land in ``dataset.rejects``."""
+    malformed rows, one holding a byte that is not UTF-8 among them, land
+    in ``dataset.rejects``."""
     if fmt not in ("csv", "jsonl"):
         raise ValueError(f"unknown format {fmt!r}")
     ds = VpDataset()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
         if fmt == "csv":
             taken: list[str] = []  # the lines of the record being read
             reader = csv.DictReader(taken.append(line) or line for line in fh)
             try:
                 header = reader.fieldnames or []
-            except csv.Error as err:  # a header field over the size limit
+                _require_utf8("".join(taken))
+            # A header field over the size limit, or a byte that is not UTF-8.
+            except (csv.Error, ValueError) as err:
                 raise ValueError(f"{path}: line {reader.reader.line_num}: "
                                  f"{err}") from None
             missing = [c for c in REQUIRED_COLUMNS if c not in header]
@@ -150,7 +182,12 @@ def load(path, fmt: str = "csv") -> VpDataset:
                 if isinstance(record, csv.Error):
                     raise record
                 if fmt == "jsonl":
+                    _require_utf8(record)
                     record = json.loads(record)
+                else:
+                    for line in taken:  # isascii is a flag lookup
+                        if not line.isascii():
+                            _require_utf8(line)
                 ds.points.append(_parse_row(record, row))
             # An integer beyond float range overflows, and JSON nested past
             # the decoder's depth recurses too deep.
@@ -465,22 +502,72 @@ def require_fit_window(t: np.ndarray, subject: str = "robust fit"):
                          f"spanning more than {MIN_FIT_SPREAD_K} K")
 
 
-def _fit_window(temperatures_k, pressures_pa):
+def _fit_window(temperatures_k, pressures_pa, index: int = 0):
     """A window's temperatures, ln(p/kPa) and parameter box; raises a
-    ``ValueError`` that says why if it cannot be fitted."""
+    ``ValueError`` that says why if it cannot be fitted, naming the window's
+    ``index`` in its call when T and p are not 1-D and of one length."""
     t = _finite_positive(temperatures_k, "temperature")
-    y = np.log(_finite_positive(pressures_pa, "pressure") / PA_PER_KPA)
+    p = _finite_positive(pressures_pa, "pressure")
+    if t.ndim != 1 or p.shape != t.shape:
+        raise ValueError(f"window {index}: temperatures and pressures must be "
+                         f"1-D and of one length, got shapes {t.shape} and "
+                         f"{p.shape}")
+    y = np.log(p / PA_PER_KPA)
     require_fit_window(t)
     box = np.array([PARAM_RANGES[key] for key in "ABC"])
     box[2, 0] = max(box[2, 0], -float(t.min()) + 1.0)  # the pole C = -T stays out
     return t, y, box
 
 
+def _packed_windows(windows):
+    """Every window's temperatures and pressures end to end, the start of
+    each window's points and its lowest temperature, when all the windows
+    pass :func:`_fit_window`'s checks, made once over all of them: the
+    finite-positive check on every T and p, and each window's shapes, point
+    count and span. None when any window is refused."""
+    try:
+        ts = [np.asarray(t, dtype=np.float64) for t, _ in windows]
+        ps = [np.asarray(p, dtype=np.float64) for _, p in windows]
+    except (TypeError, ValueError, OverflowError):  # refused by numpy
+        return None
+    counts = np.array([len(t) if t.ndim == 1 and p.shape == t.shape else 0
+                       for t, p in zip(ts, ps)], dtype=np.intp)
+    if counts.min() < MIN_FIT_POINTS:
+        return None
+    try:
+        t = _finite_positive(np.concatenate(ts), "temperature")
+        p = _finite_positive(np.concatenate(ps), "pressure")
+    except AntoineDomainError:
+        return None
+    first = np.cumsum(counts) - counts
+    low = np.minimum.reduceat(t, first)
+    if not (np.maximum.reduceat(t, first) - low > MIN_FIT_SPREAD_K).all():
+        return None
+    return t, p, first, low
+
+
+def _fit_windows(windows) -> list[tuple]:
+    """:func:`_fit_window` of each window, checked in one packed pass
+    (:func:`_packed_windows`). Only when a window is refused does the
+    per-window loop run, to raise the first refused window's own error."""
+    packed = _packed_windows(windows)
+    if packed is None:
+        return [_fit_window(t, p, i) for i, (t, p) in enumerate(windows)]
+    t, p, first, low = packed
+    box = np.tile(np.array([PARAM_RANGES[key] for key in "ABC"]),
+                  (len(first), 1, 1))
+    box[:, 2, 0] = np.maximum(box[:, 2, 0], -low + 1.0)  # as in _fit_window
+    cuts = first[1:]
+    return list(zip(np.split(t, cuts), np.split(np.log(p / PA_PER_KPA), cuts),
+                    box))
+
+
 def robust_antoine_fits(windows) -> list[AntoineFit]:
     """Robust fits of many ``(temperatures_k, pressures_pa)`` windows, in
     order; each is the fit :func:`robust_antoine_fit` gives it alone.
 
-    Every window is checked before any is solved. Then the windows, ordered
+    Every window is checked before any is solved, in one pass over them all
+    (:func:`_fit_windows`). Then the windows, ordered
     stably by point count, are solved in blocks of at most
     :data:`FIT_BLOCK_WINDOWS`: one scan over C (:func:`_start_points`)
     gives every window of a block its one start, and one :func:`_lm_solve`
@@ -489,7 +576,10 @@ def robust_antoine_fits(windows) -> list[AntoineFit]:
     packed end to end without padding, and each sum runs over one window's
     own points in their order, so it is the sum the window gets alone.
     """
-    prepared = [_fit_window(t, p) for t, p in windows]
+    windows = list(windows)
+    if not windows:
+        return []
+    prepared = _fit_windows(windows)
     order = sorted(range(len(prepared)), key=lambda i: len(prepared[i][0]))
     fits: list[AntoineFit] = [None] * len(prepared)
     for at in range(0, len(order), FIT_BLOCK_WINDOWS):
@@ -540,7 +630,7 @@ class CurationResult:
     conflicts: list[dict]
 
 
-def _point_filter_reason(pt: VpPoint, scope_cache: dict) -> str | None:
+def _point_filter_reason(pt: VpPoint, memo: dict) -> str | None:
     if pt.quality == "poor":
         return "poor_quality"
     if not pt.stereo_ok:
@@ -549,14 +639,18 @@ def _point_filter_reason(pt: VpPoint, scope_cache: dict) -> str | None:
         return "temperature_out_of_range"
     if not PRESSURE_RANGE_PA[0] <= pt.pressure_pa <= PRESSURE_RANGE_PA[1]:
         return "pressure_out_of_range"
-    if pt.smiles not in scope_cache:
+    known = memo.get(pt.smiles)
+    if known is None:
         try:
-            scope = validate_scope(parse_smiles(pt.smiles))
-            scope_cache[pt.smiles] = None if scope.accepted else (
-                "scope:" + "; ".join(scope.reasons))
+            mol = parse_smiles(pt.smiles)
         except SmilesError as err:
-            scope_cache[pt.smiles] = f"unparseable_smiles: {err}"
-    return scope_cache[pt.smiles]
+            known = (f"unparseable_smiles: {err}", None)
+        else:
+            scope = validate_scope(mol)
+            reason = None if scope.accepted else "scope:" + "; ".join(scope.reasons)
+            known = (reason, carbon_count(mol))
+        memo[pt.smiles] = known
+    return known[0]
 
 
 def curate(ds: VpDataset) -> CurationResult:
@@ -569,10 +663,9 @@ def curate(ds: VpDataset) -> CurationResult:
     """
     audit: list[dict] = []
     kept: list[VpPoint] = []
-    scope_cache: dict = {}
     first_smiles: dict[str, str] = {}  # of each component's first kept row
     for pt in ds.points:
-        reason = _point_filter_reason(pt, scope_cache)
+        reason = _point_filter_reason(pt, ds.memo)
         if reason is None and pt.smiles != first_smiles.setdefault(
                 pt.component_id, pt.smiles):
             reason = "smiles_differs_within_component"
@@ -629,7 +722,7 @@ def curate(ds: VpDataset) -> CurationResult:
         if conflict is not None:
             conflicts.append(conflict)
 
-    out = VpDataset(final, dict(ds.splits))
+    out = VpDataset(final, dict(ds.splits), memo=ds.memo)
     return CurationResult(out, audit, conflicts)
 
 
@@ -679,7 +772,8 @@ def carbon_count(mol: Molecule) -> int:
 def split(ds: VpDataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> VpDataset:
     """Component-wise split; molecules with fewer than five carbons always
     train, the rest are shuffled and partitioned by the ratios. A component
-    whose SMILES does not parse gets no label (``unassigned``)."""
+    whose SMILES does not parse gets no label (``unassigned``). A SMILES in
+    ``ds.memo`` is not parsed again."""
     if (len(ratios) != 3 or not all(0.0 <= r <= 1.0 for r in ratios)
             or abs(sum(ratios) - 1.0) > 1e-9):
         raise ValueError("ratios must be three finite, non-negative numbers "
@@ -687,12 +781,17 @@ def split(ds: VpDataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> VpDataset:
     groups = ds.by_component()
     small, rest = [], []
     for component, points in groups.items():
-        try:
-            mol = parse_smiles(points[0].smiles)
-        except SmilesError:
-            continue
-        (small if carbon_count(mol) < SMALL_MOLECULE_CARBONS else rest).append(
-            component)
+        smiles = points[0].smiles
+        if smiles in ds.memo:
+            carbons = ds.memo[smiles][1]
+        else:
+            try:
+                carbons = carbon_count(parse_smiles(smiles))
+            except SmilesError:
+                carbons = None
+        if carbons is not None:
+            (small if carbons < SMALL_MOLECULE_CARBONS else rest).append(
+                component)
     rest = sorted(rest)
     rng = np.random.default_rng(seed)
     order = [rest[i] for i in rng.permutation(len(rest))]
@@ -703,7 +802,7 @@ def split(ds: VpDataset, seed: int, ratios=(0.8, 0.1, 0.1)) -> VpDataset:
     labels = dict.fromkeys(small + order[:n_train], "train")
     labels.update(dict.fromkeys(order[n_train : n_train + n_valid], "valid"))
     labels.update(dict.fromkeys(order[n_train + n_valid :], "test"))
-    return VpDataset(list(ds.points), labels, list(ds.rejects))
+    return VpDataset(list(ds.points), labels, list(ds.rejects), memo=ds.memo)
 
 
 # ------------------------------------------------------------------- emitters
@@ -731,9 +830,11 @@ def read_splits_csv(path) -> dict[str, str]:
     """Each component's split label, any non-empty text. A header without
     both columns, or a row with no component id or label, with more fields
     than the header, giving a component a second label, or with a field
-    over the ``csv`` size limit raises ``ValueError`` naming its line."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+    over the ``csv`` size limit, and a line holding a byte that is not UTF-8,
+    raises ``ValueError`` naming its line."""
+    with open(path, newline="", encoding="utf-8-sig",
+              errors="surrogateescape") as fh:
+        reader = csv.DictReader(_utf8_lines(fh, path))
         try:
             missing = [c for c in ("component_id", "split")
                        if c not in (reader.fieldnames or [])]

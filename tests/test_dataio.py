@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,42 @@ def test_load_rejects_bad_rows_with_row_numbers(tmp_path):
     assert [r["row"] for r in ds.rejects] == [1, 2]
     assert "too large" in ds.rejects[0]["reason"]
     assert "recursion" in ds.rejects[1]["reason"]
+
+
+HEADER = b"component_id,smiles,temperature_K,pressure_Pa,quality\n"
+
+
+def test_a_row_that_is_not_utf8_is_a_counted_reject(tmp_path):
+    # Once, one such byte aborted the whole file, naming neither it nor a row.
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(HEADER + b"a,CCO,300.0,1000.0,ok\n"
+                     b"b,CCO,300.0,1000.0,caf\xe9\n"
+                     b"c,CCC,310.0,1200.0,ok\n")
+    ds = load(path)
+    assert [pt.component_id for pt in ds.points] == ["a", "c"]
+    assert ds.rejects == [{"row": 3, "reason": "byte 0xe9 is not UTF-8"}]
+    path = tmp_path / "latin1.jsonl"
+    path.write_bytes(b'{"component_id": "a", "smiles": "C\xffO"}\n'
+                     b'{"component_id": "b", "smiles": "CCO", '
+                     b'"temperature_K": 300, "pressure_Pa": 1000, '
+                     b'"quality": "ok"}\n')
+    ds = load(path, fmt="jsonl")
+    assert [pt.component_id for pt in ds.points] == ["b"]
+    assert ds.rejects == [{"row": 1, "reason": "byte 0xff is not UTF-8"}]
+
+
+def test_a_header_or_splits_line_that_is_not_utf8_names_file_and_line(tmp_path):
+    path = tmp_path / "header.csv"
+    path.write_bytes(HEADER.replace(b"quality", b"qualit\xe9")
+                     + b"a,CCO,300.0,1000.0,ok\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 1: "
+                       f"byte 0xe9 is not UTF-8$"):
+        load(path)
+    path = tmp_path / "splits.csv"
+    path.write_bytes(b"component_id,split\na,train\nb,t\xe9st\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 3: "
+                       f"byte 0xe9 is not UTF-8$"):
+        read_splits_csv(path)
 
 
 def test_a_null_stereo_flag_reads_as_not_given(tmp_path):
@@ -531,6 +568,82 @@ def test_batched_fits_check_every_window_before_solving(monkeypatch):
     assert robust_antoine_fits([]) == []
 
 
+def test_a_window_whose_t_and_p_differ_in_shape_is_refused_by_index():
+    """Alone, the four-T, three-p window broke numpy's broadcasting; beside a
+    window with the lengths the other way round, both returned misaligned
+    fits marked converged."""
+    good = (np.linspace(300.0, 400.0, 5), np.linspace(1e3, 9e3, 5))
+    short_p = ([300.0, 310.0, 320.0, 330.0], [1e3, 2e3, 3e3])
+    long_p = ([350.0, 360.0, 370.0], [5e3, 6e3, 7e3, 8e3])
+    refused = r"^window {}: temperatures and pressures must be 1-D and of " \
+              r"one length, got shapes {} and {}$"
+    with pytest.raises(ValueError, match=refused.format(0, r"\(4,\)", r"\(3,\)")):
+        robust_antoine_fits([short_p])
+    with pytest.raises(ValueError, match=refused.format(0, r"\(4,\)", r"\(3,\)")):
+        robust_antoine_fits([short_p, long_p])
+    with pytest.raises(ValueError, match=refused.format(1, r"\(3,\)", r"\(4,\)")):
+        robust_antoine_fits([good, long_p])
+    square = np.full((3, 3), 300.0) + np.arange(3.0) * 10.0
+    with pytest.raises(ValueError, match=refused.format(
+            2, r"\(3, 3\)", r"\(3, 3\)")):
+        robust_antoine_fits([good, good, (square, square * 10.0)])
+    with pytest.raises(ValueError, match=refused.format(0, r"\(\)", r"\(\)")):
+        robust_antoine_fit(300.0, 1e3)
+
+
+def refused_windows():
+    """A window that :func:`dataio._fit_window` refuses, of each kind."""
+    bad_values = st.sampled_from([np.nan, np.inf, -np.inf, 0.0, -5.0])
+    return st.one_of(
+        st.tuples(fit_problems(), st.sampled_from("tp"), st.integers(0, 2),
+                  bad_values).map(_with_a_bad_value),
+        fit_problems().map(lambda w: (w[0][:2], w[1][:2])),  # two points
+        fit_problems().map(lambda w: (w[0][0] + np.linspace(0.0, 1.0, len(w[0])),
+                                      w[1])),  # spans 1 K
+        fit_problems().map(lambda w: (w[0], w[1][:-1])),  # one p short
+        fit_problems().map(lambda w: (w[0][:-1], w[1])),  # one T short
+        fit_problems().map(lambda w: (w[0][:, None], w[1][:, None])),  # 2-D
+    )
+
+
+def _with_a_bad_value(case):
+    (t, p), which, at, value = case
+    t, p = t.copy(), p.copy()
+    (t if which == "t" else p)[at] = value
+    return t, p
+
+
+def first_refusal(windows):
+    """The type and message of the error the per-window loop raises first,
+    or None when it refuses no window."""
+    for i, (t, p) in enumerate(windows):
+        try:
+            dataio._fit_window(t, p, i)
+        except ValueError as err:
+            return type(err), str(err)
+    return None
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(st.one_of(fit_problems(), refused_windows()), min_size=1,
+                max_size=6))
+def test_the_packed_window_check_raises_what_the_loop_raises_first(windows):
+    """Good windows mixed with refused ones of every kind: the packed check
+    raises exactly the first refused window's own error, and when it
+    refuses none, it gives each window the loop's bytes."""
+    expected = first_refusal(windows)
+    if expected is None:
+        for got, want in zip(dataio._fit_windows(windows),
+                             [dataio._fit_window(t, p) for t, p in windows],
+                             strict=True):
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        return
+    with pytest.raises(ValueError) as caught:
+        dataio._fit_windows(windows)
+    assert (type(caught.value), str(caught.value)) == expected
+
+
 def test_stacked_fit_matches_on_the_narrowed_c_box_and_small_budgets(monkeypatch):
     t = np.array([252.0, 260.0, 275.0, 290.0])  # C >= -251
     p = np.exp(9.0 - 2000.0 / (t - 40.0)) * 1000.0
@@ -869,6 +982,75 @@ def test_split_leaves_a_component_with_a_count_too_long_to_read_unlabelled():
     labeled = split(VpDataset(points), seed=0)
     assert labeled.split_label("long") == "unassigned"
     assert set(labeled.splits) == {f"c{n}" for n in range(3, 8)}
+
+
+def counting_parses(monkeypatch) -> list[str]:
+    """The SMILES of every ``grappa.dataio.parse_smiles`` call from now on."""
+    calls = []
+
+    def counting(smiles):
+        calls.append(smiles)
+        return parse_smiles(smiles)
+
+    monkeypatch.setattr(dataio, "parse_smiles", counting)
+    return calls
+
+
+def memo_dataset() -> VpDataset:
+    """Components that pass and fail curation's filters, several sharing a
+    SMILES: one that does not parse, one out of scope with six carbons and
+    one with two, and rows of a SMILES dropped by a row filter only."""
+    truth = AntoineParams(10.0, 2500.0, -60.0)
+    points = []
+    for n in range(3, 12):
+        smiles = "C" * n
+        for copy in range(2):  # two components per SMILES
+            points += curve_points(f"c{n}-{copy}", smiles, truth,
+                                   np.linspace(300, 420, 6))
+    points += [VpPoint("bad", "C(C", 300.0, 1000.0),
+               VpPoint("charged", "CCCCCC[NH3+]", 300.0, 1000.0),
+               VpPoint("small-charged", "C[NH3+]", 300.0, 1000.0),
+               VpPoint("poor", "CCCCCCO", 300.0, 1000.0, quality="poor")]
+    return VpDataset(points)
+
+
+def test_curate_then_split_parses_each_smiles_once(monkeypatch):
+    """``curate`` fills the dataset's memo and hands it to its output, so a
+    ``split`` after it parses nothing, and labels every component as a
+    split of a copy without the memo does. On the input, which holds the
+    memo too, the unparseable component stays unassigned, the one out of
+    scope still gets a label, and only the SMILES that a row filter kept
+    from the scope check is parsed."""
+    raw = memo_dataset()
+    calls = counting_parses(monkeypatch)
+    cured = curate(raw)
+    filtered = {pt.smiles for pt in raw.points if pt.quality != "poor"}
+    assert sorted(calls) == sorted(filtered)
+    assert cured.dataset.memo is raw.memo
+    labelled = split(cured.dataset, seed=4)
+    assert sorted(calls) == sorted(filtered)  # no parse since curate's
+    assert labelled.memo is raw.memo
+    labelled_raw = split(raw, seed=4)
+    assert calls[len(filtered):] == ["CCCCCCO"]  # only the row filter's
+
+    fresh = split(VpDataset(list(cured.dataset.points)), seed=4)
+    assert labelled.splits == fresh.splits and labelled.splits
+    fresh_raw = split(VpDataset(list(raw.points)), seed=4)
+    assert labelled_raw.splits == fresh_raw.splits
+    assert labelled_raw.split_label("bad") == "unassigned"
+    assert labelled_raw.split_label("charged") in {"train", "valid", "test"}
+    assert labelled_raw.split_label("small-charged") == "train"
+
+
+def test_a_split_without_a_memo_parses_each_component_as_before(monkeypatch):
+    """A dataset that was not curated in this process, as ``grappa split``
+    reads one, has an empty memo: ``split`` parses each component's SMILES
+    and adds nothing to the memo."""
+    raw = memo_dataset()
+    calls = counting_parses(monkeypatch)
+    labelled = split(raw, seed=4)
+    assert calls == [pts[0].smiles for pts in raw.by_component().values()]
+    assert raw.memo == {} and labelled.memo == {}
 
 
 def test_split_is_deterministic_and_partitioning():
