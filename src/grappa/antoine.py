@@ -7,11 +7,12 @@ curve's math and domain lives here once: ``_ln_p_kpa`` is the numpy
 evaluator, :func:`ln_p_points` its twin in the training chain (whose
 backward ``_ln_p_grad`` is also the robust fit's Jacobian), ``_inverse`` the
 inversion behind :func:`boiling_temperature` and :func:`boiling_temperatures`,
-and ``_finite_positive`` the check of every temperature and pressure, the
-robust fit's included. Accepted input pays for the checks in a few numpy
-calls; only refused input is walked, to name its first offender. A Python
-int or float is computed on numpy scalars, which give a 0-d array's bits
-and warnings.
+``_ln_kpa`` the ln(p/kPa) of a pressure that both inversions and the robust
+fit take, and ``_finite_positive`` the check of every temperature and
+pressure, the robust fit's included. Accepted input pays for the checks in
+a few numpy calls; only refused input is walked, to name its first
+offender. A Python int or float is computed on numpy scalars, which give a
+0-d array's bits and warnings.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ PARAM_RANGES = {
 }
 
 PA_PER_KPA = 1000.0
+_LN_PA_PER_KPA = math.log(PA_PER_KPA)
+_SMALLEST_NORMAL = np.finfo(np.float64).tiny
 
 
 class AntoineDomainError(ValueError):
@@ -162,6 +165,18 @@ def vapor_pressure(params: AntoineParams, temperature_k):
     return np.exp(ln_vapor_pressure(params, temperature_k)) * PA_PER_KPA
 
 
+def _ln_kpa(pressure_pa):
+    """ln(p/kPa) of pressures in Pa: ``log(p / 1000)``, except where
+    ``p / 1000`` is not a normal float (it would lose bits, or underflow to
+    0 and give -inf), which takes ``log(p) - log(1000)``."""
+    kpa = pressure_pa / PA_PER_KPA
+    if _holds(kpa >= _SMALLEST_NORMAL):
+        return np.log(kpa)
+    low = kpa < _SMALLEST_NORMAL
+    return np.log(np.where(low, pressure_pa, kpa)) \
+        - np.where(low, _LN_PA_PER_KPA, 0.0)
+
+
 def _inverse(a, b, c, ln_p):
     """T = B / (A - ln p) - C, where each curve reaches ln(p/kPa) = ``ln_p``,
     and whether it is a boiling point: ln p < A, T finite, T > 0, C + T > 0."""
@@ -180,7 +195,7 @@ def boiling_temperature(params: AntoineParams, pressure_pa) -> float:
     """
     a, b, c = _finite_params(params)
     p = _finite_positive(pressure_pa, "pressure")
-    ln_p = np.log(p / PA_PER_KPA)
+    ln_p = _ln_kpa(p)
     # Refused before the division, which would warn at ln p = A.
     below = ln_p < a
     if not _holds(below):
@@ -203,7 +218,7 @@ def boiling_temperatures(a, b, c, pressure_pa) -> np.ndarray:
     pressure, in one pass with each curve's bits. A curve without a boiling
     point goes to the scalar call, which raises its error for the first."""
     with np.errstate(all="ignore"):
-        t, found = _inverse(a, b, c, np.log(pressure_pa / PA_PER_KPA))
+        t, found = _inverse(a, b, c, _ln_kpa(pressure_pa))
     for k in np.flatnonzero(~found):
         t[k] = boiling_temperature(AntoineParams(a[k], b[k], c[k]),
                                    pressure_pa[k])

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .antoine import (PA_PER_KPA, PARAM_RANGES, AntoineDomainError,
-                      AntoineParams, _finite_positive, _ln_p_grad,
-                      _ln_p_kpa, antoine)
+from .antoine import (PARAM_RANGES, AntoineDomainError, AntoineParams,
+                      _finite_positive, _ln_kpa, _ln_p_grad, _ln_p_kpa,
+                      antoine)
 from .featurize import validate_scope
 from .molecule import Molecule
 from .smiles import SmilesError, parse_smiles
@@ -512,7 +512,7 @@ def _fit_window(temperatures_k, pressures_pa, index: int = 0):
         raise ValueError(f"window {index}: temperatures and pressures must be "
                          f"1-D and of one length, got shapes {t.shape} and "
                          f"{p.shape}")
-    y = np.log(p / PA_PER_KPA)
+    y = _ln_kpa(p)
     require_fit_window(t)
     box = np.array([PARAM_RANGES[key] for key in "ABC"])
     box[2, 0] = max(box[2, 0], -float(t.min()) + 1.0)  # the pole C = -T stays out
@@ -558,7 +558,7 @@ def _fit_windows(windows) -> list[tuple]:
                   (len(first), 1, 1))
     box[:, 2, 0] = np.maximum(box[:, 2, 0], -low + 1.0)  # as in _fit_window
     cuts = first[1:]
-    return list(zip(np.split(t, cuts), np.split(np.log(p / PA_PER_KPA), cuts),
+    return list(zip(np.split(t, cuts), np.split(_ln_kpa(p), cuts),
                     box))
 
 

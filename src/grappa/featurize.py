@@ -15,11 +15,12 @@ Edge vector layout:
   [6..8]   double-bond stereo (none, Z, E)
 
 Ring flags come from one breadth-first spanning forest over the molecule's
-one adjacency (``Molecule.adjacency``); hybridization walks the same
-adjacency and reuses the molecule's hydrogen counts. One pass over the
-atoms writes the node rows and counts H-bond donors and acceptors; one pass
-over the bonds writes each bond's row in place and copies it to the reverse
-edge.
+adjacency (``Molecule.adjacency``, built on first use); hybridization and
+the degree slot read the molecule's bond tally (``Molecule.tally``) and
+reuse its hydrogen counts. One pass over the atoms lists where the node
+one-hots go and counts H-bond donors and acceptors; one pass over the bonds
+lists the edge ends and where the one-hots of both of a bond's rows go.
+Each array is then written in one numpy call.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .molecule import (
     DOUBLE,
     SINGLE,
     STANDARD_VALENCES,
-    STEREO_E,
-    STEREO_Z,
+    STEREO_LABELS,
     TRIPLE,
     Molecule,
     molecular_weight,
@@ -49,9 +49,10 @@ SP, SP2, SP3, OTHER = "SP", "SP2", "SP3", "OTHER"
 
 _ELEMENT_SLOT = {el: i for i, el in enumerate(ALLOWED_ELEMENTS)}
 _ORDER_SLOT = {SINGLE: 0, DOUBLE: 1, TRIPLE: 2, AROMATIC: 3}
-_STEREO_SLOT = {"none": 0, STEREO_Z: 1, STEREO_E: 2}
+_STEREO_SLOT = {label: i for i, label in enumerate(STEREO_LABELS)}
 _HYBRID_SLOT = {SP: 0, SP2: 1, SP3: 2, OTHER: 3}
 _PI_LIKE = {SP, SP2}  # hybridizations of a conjugated bond's endpoints
+_SP3_ELEMENTS = {"C", "N", "O", "S", "P"}
 
 
 class ScopeError(ValueError):
@@ -131,25 +132,23 @@ def ring_membership(mol: Molecule) -> tuple[list[bool], list[bool]]:
 
 
 def hybridizations(mol: Molecule) -> list[str]:
-    """Deterministic hybridization labels from bond patterns and the
-    molecule's hydrogen counts: SP for a triple bond or two doubles, SP2 for
-    aromatic or one double, SP3 for C/N/O/S/P whose degree plus hydrogens
-    stays within the smallest standard valence, else OTHER. An atom that
-    reaches the SP3 test has only single bonds, so its degree is its bond
-    order sum."""
+    """Deterministic hybridization labels from the molecule's bond tally and
+    hydrogen counts: SP for a triple bond or two doubles, SP2 for aromatic
+    or one double, SP3 for C/N/O/S/P whose degree plus hydrogens stays
+    within the smallest standard valence, else OTHER. An atom that reaches
+    the SP3 test has only single bonds, so its degree is its bond order
+    sum."""
+    tally = mol.tally
     labels = []
-    h_counts = mol.hydrogen_counts
-    for idx, (atom, pairs) in enumerate(zip(mol.atoms, mol.adjacency)):
-        orders = [mol.bonds[bi].order for _, bi in pairs]
-        n_triple = orders.count(TRIPLE)
-        n_double = orders.count(DOUBLE)
-        if n_triple >= 1 or n_double >= 2:
+    for atom, degree, n_double, n_triple, h in zip(
+            mol.atoms, tally.degree, tally.double, tally.triple,
+            mol.hydrogen_counts):
+        if n_triple or n_double >= 2:
             labels.append(SP)
-        elif atom.aromatic or n_double >= 1:
+        elif atom.aromatic or n_double:
             labels.append(SP2)
-        elif atom.element in ("C", "N", "O", "S", "P") and (
-            len(pairs) + h_counts[idx] <= STANDARD_VALENCES[atom.element][0]
-        ):
+        elif atom.element in _SP3_ELEMENTS and (
+                degree + h <= STANDARD_VALENCES[atom.element][0]):
             labels.append(SP3)
         else:
             labels.append(OTHER)
@@ -168,22 +167,28 @@ def validate_scope(mol: Molecule) -> ScopeResult:
             reasons.append(f"formal charge on atom {idx}")
         if atom.isotope:
             reasons.append(f"isotope label on atom {idx}")
-        if _is_radical(mol, idx):
+        if atom.explicit_h is not None and _is_radical(mol, idx):
             reasons.append(f"unpaired electrons on atom {idx}")
     return ScopeResult(not reasons, tuple(reasons))
 
 
 def _is_radical(mol: Molecule, idx: int) -> bool:
-    # Bracket atoms pin their hydrogen count; a total valence below every
-    # standard value leaves unpaired electrons.
+    # A bracket atom, the only kind passed here, pins its hydrogen count; a
+    # total valence below every standard value leaves unpaired electrons.
     atom = mol.atoms[idx]
-    if atom.explicit_h is None or atom.formal_charge != 0:
+    if atom.formal_charge != 0:
         return False
     if atom.element not in STANDARD_VALENCES:
         return False
     total = bond_order_sum(mol, idx) + atom.explicit_h
     valences = STANDARD_VALENCES[atom.element]
     return total < max(valences) and total not in valences
+
+
+def _indices(values: list[int]) -> np.ndarray:
+    """A list of Python ints as an int64 array; ``np.fromiter`` with the
+    count converts them faster than ``np.array``."""
+    return np.fromiter(values, np.int64, len(values))
 
 
 def featurize(mol: Molecule) -> MolGraph:
@@ -200,36 +205,48 @@ def featurize(mol: Molecule) -> MolGraph:
     atom_ring, bond_ring = ring_membership(mol)
     hybrid = hybridizations(mol)
 
-    x = np.zeros((n, NODE_FEATURES), dtype=np.float64)
+    # The positions of the ones in the flattened (n, 24) node array.
+    hot = []
     donors = acceptors = 0
-    adjacency = mol.adjacency
-    for idx, atom in enumerate(mol.atoms):
-        x[idx, _ELEMENT_SLOT[atom.element]] = 1.0
-        x[idx, 9 + min(len(adjacency[idx]), 4)] = 1.0
-        x[idx, 14 + min(h_counts[idx], 3)] = 1.0
-        x[idx, 18 + _HYBRID_SLOT[hybrid[idx]]] = 1.0
+    row = 0
+    for atom, degree, h, label, ring in zip(mol.atoms, mol.tally.degree,
+                                            h_counts, hybrid, atom_ring):
+        hot += (row + _ELEMENT_SLOT[atom.element],
+                row + 9 + (degree if degree < 4 else 4),
+                row + 14 + (h if h < 3 else 3),
+                row + 18 + _HYBRID_SLOT[label])
         if atom.aromatic:
-            x[idx, 22] = 1.0
-        if atom_ring[idx]:
-            x[idx, 23] = 1.0
+            hot.append(row + 22)
+        if ring:
+            hot.append(row + 23)
         if atom.element in ("N", "O"):
             acceptors += 1
-            if h_counts[idx] >= 1:
+            if h >= 1:
                 donors += 1
+        row += NODE_FEATURES
+    x = np.zeros((n, NODE_FEATURES), dtype=np.float64)
+    x.ravel()[_indices(hot)] = 1.0
 
-    edges = np.zeros((2 * len(mol.bonds), 2), dtype=np.int64)
-    efeat = np.zeros((2 * len(mol.bonds), EDGE_FEATURES), dtype=np.float64)
-    for bi, bond in enumerate(mol.bonds):
-        row = efeat[2 * bi]
-        row[_ORDER_SLOT[bond.order]] = 1.0
-        if hybrid[bond.a] in _PI_LIKE and hybrid[bond.b] in _PI_LIKE:
-            row[4] = 1.0
-        if bond_ring[bi]:
-            row[5] = 1.0
-        row[6 + _STEREO_SLOT[bond.stereo]] = 1.0
-        efeat[2 * bi + 1] = row
-        edges[2 * bi] = (bond.a, bond.b)
-        edges[2 * bi + 1] = (bond.b, bond.a)
+    # Bond k gives edge rows 2k, (a, b), and 2k + 1, (b, a), which share
+    # their features: each one goes to ``row`` + slot in row 2k and again
+    # EDGE_FEATURES on, in row 2k + 1.
+    ends = []
+    hot = []
+    row = 0
+    for bond, ring in zip(mol.bonds, bond_ring):
+        a, b = bond.a, bond.b
+        ends += (a, b, b, a)
+        order = row + _ORDER_SLOT[bond.order]
+        stereo = row + 6 + _STEREO_SLOT[bond.stereo]
+        hot += (order, order + EDGE_FEATURES, stereo, stereo + EDGE_FEATURES)
+        if hybrid[a] in _PI_LIKE and hybrid[b] in _PI_LIKE:
+            hot += (row + 4, row + 4 + EDGE_FEATURES)
+        if ring:
+            hot += (row + 5, row + 5 + EDGE_FEATURES)
+        row += 2 * EDGE_FEATURES
+    edges = _indices(ends).reshape(-1, 2)
+    efeat = np.zeros((len(edges), EDGE_FEATURES), dtype=np.float64)
+    efeat.ravel()[_indices(hot)] = 1.0
 
     return MolGraph(
         node_features=x,

@@ -21,7 +21,9 @@ whatever rows run beside it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -64,7 +66,7 @@ class GraphBatch:
     node_features: np.ndarray  # (N, node_dim)
     edge_features: np.ndarray  # (E + N, edge_dim)
     molecule: np.ndarray  # (N,)
-    bounds: np.ndarray  # (M + 1,)
+    bounds: tuple[int, ...]  # (M + 1,)
     blocks: tuple[slice, ...]  # (M,)
     to_dst: ScatterPlan
     to_src: ScatterPlan
@@ -90,23 +92,25 @@ class GraphBatch:
 
 def row_blocks(bounds) -> tuple[slice, ...]:
     """Block ``m``'s rows ``bounds[m]:bounds[m + 1]`` as slices; the bounds
-    must rise from 0 in at least one non-empty block."""
-    bounds = np.asarray(bounds, dtype=np.int64)
-    if bounds.ndim != 1 or len(bounds) < 2 or bounds[0] != 0 \
-            or np.any(np.diff(bounds) < 1):
+    must be integers that rise from 0 in at least one non-empty block."""
+    try:
+        edges = [operator.index(b) for b in bounds]
+    except TypeError:  # not a sequence of integers
+        edges = []
+    if len(edges) < 2 or edges[0] != 0 \
+            or not all(map(operator.lt, edges[:-1], edges[1:])):
         raise ShapeError("a batch needs molecules with at least one atom "
                          "each: block bounds must rise from 0 in non-empty "
                          "blocks")
-    edges = bounds.tolist()
     return tuple(map(slice, edges[:-1], edges[1:]))
 
 
 def batch_graphs(graphs: list[MolGraph]) -> GraphBatch:
     """Join molecular graphs into one :class:`GraphBatch`, in list order."""
-    sizes = np.array([g.heavy_atom_count for g in graphs], dtype=np.int64)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    sizes = [g.heavy_atom_count for g in graphs]
+    bounds = (0, *accumulate(sizes))
     blocks = row_blocks(bounds)
-    n = int(bounds[-1])
+    n = bounds[-1]
     loops = np.arange(n, dtype=np.int64)
     edges = np.concatenate([g.edges + lo for g, lo in zip(graphs, bounds)])
     return GraphBatch(

@@ -1,15 +1,18 @@
 """Chemical structures: atoms, bonds, and parsed molecules.
 
 Hydrogen is never a node; it is tracked per heavy atom, either explicitly
-(bracket atoms) or implicitly from standard valences. A molecule builds one
-adjacency, each atom's (neighbor, bond index) pairs, which valence sums,
-hybridization and ring perception all read.
+(bracket atoms) or implicitly from standard valences. A molecule tallies
+each atom's bonds once, in the pass that checks them (:class:`BondTally`),
+and valence sums, hybridization and the degree feature read the tally; the
+adjacency, each atom's (neighbor, bond index) pairs, is built on first use,
+for ring perception.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 ALLOWED_ELEMENTS = ("C", "N", "O", "Cl", "S", "F", "Br", "I", "P")
 
@@ -47,6 +50,7 @@ AROMATIC = "aromatic"
 STEREO_NONE = "none"
 STEREO_Z = "Z"
 STEREO_E = "E"
+STEREO_LABELS = (STEREO_NONE, STEREO_Z, STEREO_E)
 
 
 @dataclass(frozen=True)
@@ -66,38 +70,80 @@ class Bond:
     stereo: str = STEREO_NONE
 
 
+class BondTally(NamedTuple):
+    """Per atom, counts over the bonds it takes part in."""
+
+    degree: tuple[int, ...]  # bonds of any order
+    order_sum: tuple[int, ...]  # orders of its single, double and triple bonds
+    aromatic: tuple[int, ...]
+    double: tuple[int, ...]
+    triple: tuple[int, ...]
+
+
 @dataclass(frozen=True)
 class Molecule:
-    """Immutable heavy-atom graph with bond orders and double-bond stereo."""
+    """Immutable heavy-atom graph with bond orders and double-bond stereo.
+
+    Construction checks every bond and tallies each atom's bonds in the same
+    pass, into ``tally`` (:class:`BondTally`)."""
 
     atoms: tuple[Atom, ...]
     bonds: tuple[Bond, ...]
     tetra_centers: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
-        n = len(self.atoms)
+        atoms = self.atoms
+        n = len(atoms)
+        degree, order_sum = [0] * n, [0] * n
+        aromatic, double, triple = [0] * n, [0] * n, [0] * n
         seen: set[tuple[int, int]] = set()
         for bond in self.bonds:
-            if not (0 <= bond.a < n and 0 <= bond.b < n):
+            a, b = bond.a, bond.b
+            if not (0 <= a < n and 0 <= b < n):
                 raise ValueError(f"bond endpoint out of range: {bond}")
-            if bond.a == bond.b:
+            if a == b:
                 raise ValueError(f"bond endpoints must be distinct: {bond}")
-            key = (min(bond.a, bond.b), max(bond.a, bond.b))
+            key = (a, b) if a < b else (b, a)
             if key in seen:
                 raise ValueError(f"duplicate bond between atoms {key}")
             seen.add(key)
-            if bond.order == AROMATIC and not (
-                self.atoms[bond.a].aromatic and self.atoms[bond.b].aromatic
-            ):
+            order = bond.order
+            if order == SINGLE:
+                order_sum[a] += 1
+                order_sum[b] += 1
+            elif order == AROMATIC:
+                if not (atoms[a].aromatic and atoms[b].aromatic):
+                    raise ValueError(
+                        f"aromatic bond {key} between non-aromatic atoms")
+                aromatic[a] += 1
+                aromatic[b] += 1
+            elif order == DOUBLE:
+                order_sum[a] += 2
+                order_sum[b] += 2
+                double[a] += 1
+                double[b] += 1
+            elif order == TRIPLE:
+                order_sum[a] += 3
+                order_sum[b] += 3
+                triple[a] += 1
+                triple[b] += 1
+            else:
+                raise ValueError(f"unknown bond order {order!r}: {bond}")
+            if bond.stereo not in STEREO_LABELS:
                 raise ValueError(
-                    f"aromatic bond {key} between non-aromatic atoms"
-                )
+                    f"unknown bond stereo {bond.stereo!r}: {bond}")
+            degree[a] += 1
+            degree[b] += 1
+        # Not a field: derived from ``bonds``, so equality and hashing
+        # ignore it.
+        object.__setattr__(self, "tally", BondTally(
+            tuple(degree), tuple(order_sum), tuple(aromatic), tuple(double),
+            tuple(triple)))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per atom, its (neighbor, bond index) pairs in bond-tuple order,
-        built on first use: the one adjacency that valence sums,
-        hybridization and ring perception read."""
+        built on first use, for ring perception."""
         table: list[list[tuple[int, int]]] = [[] for _ in self.atoms]
         for bi, bond in enumerate(self.bonds):
             table[bond.a].append((bond.b, bi))

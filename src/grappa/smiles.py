@@ -17,6 +17,11 @@ conflicting bond symbol.
 Directional single bonds are resolved to Z/E labels on the adjacent double
 bond using the marked substituent pair (no CIP priorities). Tetrahedral
 markers are recorded but carry no feature downstream.
+
+Valences are checked once the molecule is built: each atom's bond order sum
+(:func:`bond_order_sum`) is a lookup in the bond tally that
+:class:`~grappa.molecule.Molecule` makes as it checks its bonds, and no
+adjacency is built.
 """
 
 from __future__ import annotations
@@ -68,7 +73,6 @@ _ORGANIC_ATOMS = {sym: Atom(sym) for sym in "C N O S P F I Cl Br".split()} | {
     sym: Atom(sym.upper(), aromatic=True) for sym in "cnosp"}
 _BOND_CHARS = {"-": SINGLE, "=": DOUBLE, "#": TRIPLE, ":": AROMATIC,
                "/": SINGLE, "\\": SINGLE}
-_ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}
 
 # One token. A ``[`` with no ``]`` after it is a token of its own, and so is
 # a newline (DOTALL), so the tokens cover every character.
@@ -127,7 +131,7 @@ def parse_smiles(text: str) -> Molecule:
                  written: tuple[int, int] | None = None):
         if a == b:
             raise SmilesError("ring closure bonds an atom to itself", offset)
-        pair = (min(a, b), max(a, b))
+        pair = (a, b) if a < b else (b, a)
         if pair in bonded:
             raise SmilesError(f"duplicate bond between atoms {a} and {b}", offset)
         both_aromatic = atoms[a].aromatic and atoms[b].aromatic
@@ -295,24 +299,20 @@ def _resolve_double_bond_stereo(bonds, directed):
 
 
 def bond_order_sum(mol: Molecule, idx: int) -> int:
-    """Valence contribution of explicit bonds at atom ``idx``.
+    """Valence contribution of explicit bonds at atom ``idx``, read from the
+    molecule's bond tally.
 
     Aromatic bonds count one each plus a single pi increment for carbon and
     bare aromatic nitrogen/phosphorus (lone-pair donors O/S and [nH]-style
     atoms contribute none), which reproduces Kekule valences without ring
     perception.
     """
-    atom = mol.atoms[idx]
-    total = 0
-    n_aromatic = 0
-    for _, bi in mol.adjacency[idx]:
-        order = mol.bonds[bi].order
-        if order == AROMATIC:
-            n_aromatic += 1
-        else:
-            total += _ORDER_VALUE[order]
+    tally = mol.tally
+    total = tally.order_sum[idx]
+    n_aromatic = tally.aromatic[idx]
     if n_aromatic:
         total += n_aromatic
+        atom = mol.atoms[idx]
         pi_donor = atom.element in ("O", "S") or (
             atom.element in ("N", "P") and (atom.explicit_h or 0) > 0
         )
@@ -336,11 +336,13 @@ def implicit_hydrogens(mol: Molecule) -> list[int]:
                 )
             counts.append(atom.explicit_h)
             continue
-        fitting = [v for v in valences if v >= bond_sum]
-        if not fitting:
+        for valence in valences:  # smallest first
+            if valence >= bond_sum:
+                counts.append(valence - bond_sum)
+                break
+        else:
             raise ValenceError(
                 f"atom {idx} ({atom.element}): bond order sum {bond_sum} exceeds "
                 f"valence {max(valences)}", atom_index=idx,
             )
-        counts.append(fitting[0] - bond_sum)
     return counts

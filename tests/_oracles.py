@@ -11,7 +11,11 @@ its ops, the per-head attention layer and the parameter head built from
 them, and the whole model and loss composed op by op,
 ``tape_batch_loss``), checked byte for byte, and the SP3 rule that tested
 an atom's bond-order sum where ``hybridizations`` now tests its degree
-(``valence_sum_hybridizations``), and the Antoine evaluator and inversion
+(``valence_sum_hybridizations``), and the valence sums, hydrogen counts
+and hybridization labels that walked each atom's adjacency where the
+library now reads the molecule's bond tally
+(``adjacency_bond_order_sum``, ``adjacency_hydrogen_counts``,
+``adjacency_hybridizations``), and the Antoine evaluator and inversion
 that checked every element of every input (``ln_vapor_pressure``,
 ``boiling_temperature``), and the SMILES parser that walked its input
 one character at a time (``char_walk_parse_smiles``), and the robust
@@ -50,7 +54,7 @@ from grappa.molecule import (AROMATIC, DOUBLE, SINGLE, STANDARD_VALENCES,
                              STEREO_E, STEREO_Z, TRIPLE, Atom, Bond, Molecule)
 from grappa.smiles import (DanglingBondError, SmilesError,
                            UnbalancedSmilesError, UnknownAtomError,
-                           ValenceError, bond_order_sum)
+                           ValenceError)
 from grappa.tensor import (NonFiniteError, Param, ShapeError, Tensor,
                            _row_invariant_product)
 
@@ -465,10 +469,81 @@ def scan_neighbors(mol: Molecule, idx: int) -> list[int]:
     return out
 
 
+_ORDER_VALUE = {SINGLE: 1, DOUBLE: 2, TRIPLE: 3}
+
+
+def adjacency_bond_order_sum(mol: Molecule, idx: int) -> int:
+    """The former ``smiles.bond_order_sum``: an atom's valence from its
+    bonds, found by walking its adjacency, aromatic bonds one each plus one
+    pi increment for carbon and for N/P without hydrogens (not O or S)."""
+    atom = mol.atoms[idx]
+    total = 0
+    n_aromatic = 0
+    for _, bi in mol.adjacency[idx]:
+        order = mol.bonds[bi].order
+        if order == AROMATIC:
+            n_aromatic += 1
+        else:
+            total += _ORDER_VALUE[order]
+    if n_aromatic:
+        total += n_aromatic
+        pi_donor = atom.element in ("O", "S") or (
+            atom.element in ("N", "P") and (atom.explicit_h or 0) > 0
+        )
+        if atom.element == "C" or not pi_donor:
+            total += 1
+    return total
+
+
+def adjacency_hydrogen_counts(mol: Molecule) -> list[int]:
+    """``smiles.implicit_hydrogens`` over :func:`adjacency_bond_order_sum`,
+    with the same ``ValenceError`` for an atom whose bonds exceed every
+    valence."""
+    counts = []
+    for idx, atom in enumerate(mol.atoms):
+        bond_sum = adjacency_bond_order_sum(mol, idx)
+        valences = STANDARD_VALENCES[atom.element]
+        if atom.explicit_h is not None:
+            if atom.formal_charge == 0 and bond_sum + atom.explicit_h > max(valences):
+                raise ValenceError(
+                    f"atom {idx} ({atom.element}): bonds + explicit H exceed "
+                    f"valence {max(valences)}", atom_index=idx)
+            counts.append(atom.explicit_h)
+            continue
+        fitting = [v for v in valences if v >= bond_sum]
+        if not fitting:
+            raise ValenceError(
+                f"atom {idx} ({atom.element}): bond order sum {bond_sum} "
+                f"exceeds valence {max(valences)}", atom_index=idx)
+        counts.append(fitting[0] - bond_sum)
+    return counts
+
+
+def adjacency_hybridizations(mol: Molecule, h_counts) -> list[str]:
+    """The former ``featurize.hybridizations``: each atom's bond orders
+    listed from its adjacency and counted, and SP3 tested on its degree."""
+    labels = []
+    for idx, (atom, pairs) in enumerate(zip(mol.atoms, mol.adjacency)):
+        orders = [mol.bonds[bi].order for _, bi in pairs]
+        n_triple = orders.count(TRIPLE)
+        n_double = orders.count(DOUBLE)
+        if n_triple >= 1 or n_double >= 2:
+            labels.append("SP")
+        elif atom.aromatic or n_double >= 1:
+            labels.append("SP2")
+        elif atom.element in ("C", "N", "O", "S", "P") and (
+            len(pairs) + h_counts[idx] <= STANDARD_VALENCES[atom.element][0]
+        ):
+            labels.append("SP3")
+        else:
+            labels.append("OTHER")
+    return labels
+
+
 def valence_sum_hybridizations(mol: Molecule, h_counts) -> list[str]:
     """Hybridization labels by the former rule, which tests SP3 with the
-    atom's bond-order sum (``smiles.bond_order_sum``) plus its hydrogens,
-    and finds each atom's bonds by scanning every bond."""
+    atom's bond-order sum (:func:`adjacency_bond_order_sum`) plus its
+    hydrogens, and finds each atom's bonds by scanning every bond."""
     labels = []
     for idx, atom in enumerate(mol.atoms):
         orders = [b.order for b in mol.bonds if idx in (b.a, b.b)]
@@ -477,7 +552,7 @@ def valence_sum_hybridizations(mol: Molecule, h_counts) -> list[str]:
         elif atom.aromatic or DOUBLE in orders:
             labels.append("SP2")
         elif atom.element in ("C", "N", "O", "S", "P") and (
-                bond_order_sum(mol, idx) + h_counts[idx]
+                adjacency_bond_order_sum(mol, idx) + h_counts[idx]
                 <= STANDARD_VALENCES[atom.element][0]):
             labels.append("SP3")
         else:

@@ -7,13 +7,16 @@ from grappa.antoine import (
     PARAM_RANGES,
     AntoineDomainError,
     AntoineParams,
+    _ln_kpa,
     _ln_p_kpa,
     antoine,
     boiling_temperature,
+    boiling_temperatures,
     ln_p_points,
     ln_vapor_pressure,
     vapor_pressure,
 )
+from grappa.dataio import _fit_windows
 from grappa.featurize import ScopeError, validate_scope
 from grappa.model import (
     Architecture,
@@ -90,6 +93,39 @@ def test_boiling_round_trip():
         t = rng.uniform(max(250.0, -params.C + 5.0), 600.0)
         p = vapor_pressure(params, t)
         assert boiling_temperature(params, p) == pytest.approx(t, abs=1e-9)
+
+
+def test_a_pressure_whose_kpa_value_underflows_still_boils():
+    # 5e-324 Pa is 0 kPa as a float: ln(p/kPa) is taken as ln p - ln 1000.
+    params = AntoineParams(10.0, 3000.0, -50.0)
+    expected = 3000.0 / (10.0 - (math.log(5e-324) - math.log(1000.0))) + 50.0
+    assert boiling_temperature(params, 5e-324) == pytest.approx(expected)
+    assert boiling_temperature(params, np.array(5e-324)) == \
+        boiling_temperature(params, 5e-324)
+    np.testing.assert_array_equal(
+        boiling_temperature(params, np.array([5e-324, 101325.0])),
+        [boiling_temperature(params, 5e-324),
+         boiling_temperature(params, 101325.0)])
+    np.testing.assert_array_equal(
+        boiling_temperatures(np.full(2, 10.0), np.full(2, 3000.0),
+                             np.full(2, -50.0), np.array([5e-324, 101325.0])),
+        [boiling_temperature(params, 5e-324),
+         boiling_temperature(params, 101325.0)])
+
+
+def test_ln_kpa_keeps_the_bits_of_a_normal_kpa_value():
+    tiny = np.finfo(np.float64).tiny
+    normal = np.array([1000.0 * tiny, 1e-300, 1.0, 101325.0, 1e308])
+    np.testing.assert_array_equal(_ln_kpa(normal), np.log(normal / 1000.0))
+    low = np.array([5e-324, 1e-310, 999.0 * tiny])
+    np.testing.assert_array_equal(_ln_kpa(low), np.log(low) - math.log(1000.0))
+    mixed = np.concatenate([normal, low])
+    np.testing.assert_array_equal(
+        _ln_kpa(mixed), np.concatenate([_ln_kpa(normal), _ln_kpa(low)]))
+    # The robust fit takes its ln(p/kPa) from the same helper.
+    t = np.linspace(300.0, 400.0, 6)
+    np.testing.assert_array_equal(_fit_windows([(t, mixed[2:])])[0][1],
+                                  _ln_kpa(mixed[2:]))
 
 
 def test_a_refused_grid_names_one_offending_value():

@@ -87,6 +87,13 @@ def test_boil_with_direct_parameters(capsys):
     assert payload["T_b_K"] == pytest.approx(250.0)
 
 
+def test_boil_at_a_pressure_whose_kpa_value_underflows(capsys):
+    code, payload = run(capsys, "boil", "--A", "10", "--B", "3000",
+                        "--C", "-50", "--pressure", "5e-324")
+    assert code == 0
+    assert payload["T_b_K"] == pytest.approx(53.94038, abs=1e-5)
+
+
 def test_boil_with_model(capsys, model_path):
     code, payload = run(capsys, "boil", "--model", model_path,
                         "--smiles", "CCO", "--pressure", "101325")

@@ -1,4 +1,5 @@
-"""The loaders' error contract, over rows built from each format's grammar.
+"""The error contracts of the loaders and of the curve calls, over inputs
+built from each one's grammar.
 
 ``dataio.load`` never raises for a bad row, in CSV or JSONL: every data row
 becomes either a point or a reject that names its row and a reason.
@@ -7,16 +8,32 @@ becomes either a point or a reject that names its row and a reason.
 values of a float (signed zeros, subnormals, ``1e308`` and beyond, ``nan``
 and ``inf`` text), JSON ``null``, ``true`` and ``false``, and missing,
 extra and oversized fields.
+
+``predict``, ``boiling_temperature`` and ``boiling_temperatures`` return,
+or raise one of :data:`CURVE_ERRORS`, the list the README gives, and never
+warn (a numpy ``RuntimeWarning`` is an error under pytest). Their SMILES
+come from the grammar strategies of ``test_smiles`` and their temperatures
+and pressures are a float's edge values, alone, in lists and as 0-d
+arrays.
 """
 
 import csv
 import io
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from grappa.antoine import (PARAM_RANGES, AntoineDomainError, AntoineParams,
+                            boiling_temperature, boiling_temperatures)
 from grappa.dataio import REQUIRED_COLUMNS, load, read_splits_csv
+from grappa.featurize import ScopeError
+from grappa.model import Architecture, init_model, predict
+from grappa.smiles import SmilesError
+
+from test_smiles import MOLECULES, mutated_smiles
 
 # A field csv refuses, written in place of its mark, which needs no quoting.
 OVERSIZED = "x" * (csv.field_size_limit() + 1)
@@ -160,3 +177,65 @@ def test_read_splits_csv_returns_labels_or_names_the_line(tmp_path_factory,
     else:
         assert all(isinstance(k, str) and k and isinstance(v, str) and v
                    for k, v in splits.items())
+
+
+# Every error ``predict``, ``boiling_temperature`` and ``boiling_temperatures``
+# may raise, in the README's order.
+CURVE_ERRORS = (SmilesError, ScopeError, AntoineDomainError)
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310,
+                     2.2250738585072014e-308, 1e308, -1e308, math.inf,
+                     -math.inf, math.nan, -1.0, 1e-3, 300.0, 101325.0]),
+    st.floats())
+# A temperature or pressure: one float, a list of them or a 0-d array.
+EDGE_VALUES = st.one_of(EDGE_FLOATS, st.lists(EDGE_FLOATS, max_size=4),
+                        EDGE_FLOATS.map(np.array))
+# A parameter anywhere in its box, corners included.
+IN_BOX = {key: st.one_of(st.floats(lo, hi), st.sampled_from([lo, hi]))
+          for key, (lo, hi) in PARAM_RANGES.items()}
+PARAMS = st.builds(AntoineParams, IN_BOX["A"], IN_BOX["B"], IN_BOX["C"])
+MODEL = init_model(Architecture(), seed=0)
+
+
+def test_the_readme_lists_the_curve_errors():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    names = ", ".join(f"`{err.__name__}`" for err in CURVE_ERRORS)
+    assert f"raise only {names}" in " ".join(readme.read_text().split())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(mutated_smiles(), MOLECULES), st.none() | EDGE_VALUES,
+       st.none() | EDGE_VALUES)
+# 5e-324 Pa is 0 kPa as a float.
+@example("CCO", None, 5e-324)
+@example("CCO", [300.0, 5e-324], np.array(1e308))
+def test_predict_returns_or_raises_a_curve_error(smiles, temperatures,
+                                                pressure):
+    try:
+        predict(MODEL, smiles, temperatures, pressure)
+    except CURVE_ERRORS:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARAMS, EDGE_VALUES)
+@example(AntoineParams(10.0, 3000.0, -50.0), 5e-324)
+def test_boiling_temperature_returns_or_raises_a_curve_error(params,
+                                                             pressure):
+    try:
+        boiling_temperature(params, pressure)
+    except CURVE_ERRORS:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(PARAMS, EDGE_FLOATS), max_size=4))
+@example([(AntoineParams(10.0, 3000.0, -50.0), 5e-324)])
+def test_boiling_temperatures_returns_or_raises_a_curve_error(curves):
+    """Its inputs are 1-D arrays of one length, one entry per curve."""
+    a, b, c = (np.array([params.as_tuple()[k] for params, _ in curves])
+               for k in range(3))
+    try:
+        boiling_temperatures(a, b, c, np.array([p for _, p in curves]))
+    except CURVE_ERRORS:
+        pass

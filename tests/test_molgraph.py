@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import grappa.featurize
 import grappa.smiles
@@ -16,10 +16,14 @@ from grappa.featurize import (
     ring_membership,
     validate_scope,
 )
-from grappa.molecule import Atom, Bond, Molecule, permute_molecule
-from grappa.smiles import parse_smiles
+from grappa.molecule import (AROMATIC, DOUBLE, SINGLE, TRIPLE, Atom, Bond,
+                             Molecule, permute_molecule)
+from grappa.smiles import (ValenceError, bond_order_sum, implicit_hydrogens,
+                           parse_smiles)
 
-from _oracles import brute_force_ring_flags, valence_sum_hybridizations
+from _oracles import (adjacency_bond_order_sum, adjacency_hybridizations,
+                      adjacency_hydrogen_counts, brute_force_ring_flags,
+                      valence_sum_hybridizations)
 from test_acceptance import FIFTY_MOLECULES
 
 CORPUS = [
@@ -160,18 +164,40 @@ def test_pendant_chain_not_flagged():
     assert atoms == [True, True, True, False, False]
 
 
+# Any allowed element, maybe aromatic (C, N, O, S or P) and maybe a bracket
+# atom with 0 to 3 hydrogens.
+CHEMICAL_ATOMS = st.builds(
+    lambda element, aromatic, hydrogens: Atom(
+        element, aromatic and element in ("C", "N", "O", "S", "P"), hydrogens),
+    st.sampled_from(["C"] * 4 + ["N", "O", "S", "P", "F", "Cl", "Br", "I"]),
+    st.booleans(), st.sampled_from([None] * 6 + [0, 1, 2, 3]))
+
+
 @st.composite
-def bond_sets(draw):
+def bond_sets(draw, chemistry=False):
     """1 to 12 carbons joined by a random set of single bonds: trees,
     disconnected pieces, and fused, spiro and bridged ring systems, which
-    ``parse_smiles`` cannot all make since it refuses ``.``."""
+    ``parse_smiles`` cannot all make since it refuses ``.``. With
+    ``chemistry``, the atoms are :data:`CHEMICAL_ATOMS`, there are fewer
+    bonds, so that most atoms keep within a valence, and a bond may be
+    double, triple or, between two aromatic atoms, aromatic."""
     n = draw(st.integers(1, 12))
+    atoms = tuple(draw(CHEMICAL_ATOMS) if chemistry else Atom("C")
+                  for _ in range(n))
     ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     bonds = {}
-    for a, b in draw(st.lists(ends, min_size=n, max_size=2 * n)):
-        if a != b:
-            bonds.setdefault(frozenset((a, b)), Bond(a, b))
-    return Molecule(tuple(Atom("C") for _ in range(n)), tuple(bonds.values()))
+    for a, b in draw(st.lists(ends, min_size=n,
+                              max_size=n + 2 if chemistry else 2 * n)):
+        if a == b or frozenset((a, b)) in bonds:
+            continue
+        order = SINGLE
+        if chemistry:
+            order = draw(st.sampled_from(
+                [SINGLE, DOUBLE, AROMATIC, AROMATIC]
+                if atoms[a].aromatic and atoms[b].aromatic
+                else [SINGLE] * 3 + [DOUBLE, TRIPLE]))
+        bonds[frozenset((a, b))] = Bond(a, b, order)
+    return Molecule(atoms, tuple(bonds.values()))
 
 
 @settings(max_examples=400, deadline=None)
@@ -284,6 +310,31 @@ def test_hybridizations_match_the_valence_sum_rule():
         mol = parse_smiles(smiles)
         assert hybridizations(mol) == \
             valence_sum_hybridizations(mol, mol.hydrogen_counts), smiles
+
+
+@settings(max_examples=400, deadline=None)
+@given(bond_sets(chemistry=True))
+# Two doubles on one atom, an aromatic [nH] and a triple bond, which random
+# bond sets seldom make within every valence.
+@example(parse_smiles("C=C=C"))
+@example(parse_smiles("c1cc[nH]c1"))
+@example(parse_smiles("CS(=O)(=O)C#N"))
+def test_the_bond_tally_gives_the_adjacency_walks_results(mol):
+    """Valence sums, hydrogen counts (or their error) and hybridization
+    labels read from the bond tally are those of walking each atom's
+    adjacency."""
+    assert [bond_order_sum(mol, i) for i in range(len(mol.atoms))] == \
+        [adjacency_bond_order_sum(mol, i) for i in range(len(mol.atoms))]
+    try:
+        expected = adjacency_hydrogen_counts(mol)
+    except ValenceError as err:
+        with pytest.raises(ValenceError) as info:
+            implicit_hydrogens(mol)
+        assert (str(info.value), info.value.atom_index) == \
+            (str(err), err.atom_index)
+        return
+    assert implicit_hydrogens(mol) == expected
+    assert hybridizations(mol) == adjacency_hybridizations(mol, expected)
 
 
 def test_one_valence_sum_per_atom(monkeypatch):

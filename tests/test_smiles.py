@@ -289,6 +289,11 @@ def test_molecule_invariants_enforced():
         Molecule((Atom("C"), Atom("C")), (Bond(0, 1), Bond(1, 0)))
     with pytest.raises(ValueError):
         Molecule((Atom("C"), Atom("C")), (Bond(0, 1, AROMATIC),))
+    # An order or stereo label the tally cannot read is refused by name.
+    with pytest.raises(ValueError, match="unknown bond order 'quadruple'"):
+        Molecule((Atom("C"), Atom("C")), (Bond(0, 1, "quadruple"),))
+    with pytest.raises(ValueError, match="unknown bond stereo 'cis'"):
+        Molecule((Atom("C"), Atom("C")), (Bond(0, 1, "double", "cis"),))
 
 
 # SMILES are drawn from the grammar's tokens (atoms, bonds, branches and ring
